@@ -1,6 +1,6 @@
 """The dual basis as a projector, and the h-refinement study.
 
-Run:  python demos/05_projection_convergence.py   (about half a minute)
+Run:  python demos/05_projection_convergence.py   (a few seconds)
 """
 
 import numpy as np

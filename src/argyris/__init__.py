@@ -25,7 +25,6 @@ from .bspline import (
 )
 from .duality import (
     AnalyticField,
-    BasisField,
     SpaceField,
     biorthogonality_matrix,
     edge_dual,

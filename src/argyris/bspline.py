@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import DomainError, InvalidConfigError, NotInSpaceError
@@ -376,6 +377,31 @@ class TensorSpace:
 
     def spline(self, coeffs):
         return TensorSpline(self, coeffs)
+
+    def jet_matrix(self, uv, nderiv):
+        """Sparse map from flattened coefficient grids to jets at points.
+
+        Returns an (m * (nderiv+1)**2, N1 * N2) matrix whose row
+        (q, a, b), in C order, holds d^a/dxi1^a d^b/dxi2^b of every tensor
+        basis function at uv[q]; column j1 * N2 + j2 is basis (j1, j2). So
+        ``jet_matrix(uv, d) @ coeffs.reshape(N1 * N2, ...)`` reshaped to
+        (m, d+1, d+1, ...) equals ``TensorSpline(space, coeffs).jet(uv, d)``.
+        """
+        uv = np.atleast_2d(np.asarray(uv, dtype=float))
+        s1, s2 = self.s1, self.s2
+        f1, d1 = s1.basis_ders(uv[:, 0], nderiv)
+        f2, d2 = s2.basis_ders(uv[:, 1], nderiv)
+        i1 = f1[:, None] + np.arange(s1.p + 1)[None, :]
+        i2 = f2[:, None] + np.arange(s2.p + 1)[None, :]
+        vals = np.einsum("mai,mbj->mabij", d1, d2)
+        cols = i1[:, None, None, :, None] * s2.N + i2[:, None, None, None, :]
+        cols = np.broadcast_to(cols, vals.shape)
+        nrows = vals[..., 0, 0].size
+        width = (s1.p + 1) * (s2.p + 1)  # active functions per point
+        return scipy.sparse.csr_matrix(
+            (vals.ravel(), cols.ravel(), np.arange(0, nrows * width + 1, width)),
+            shape=(nrows, s1.N * s2.N),
+        )
 
 
 class TensorSpline:

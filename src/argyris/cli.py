@@ -190,11 +190,7 @@ def _cmd_sample(args):
         if args.derivs:
             from .space import physical_derivatives
 
-            gj = np.zeros((len(uv), 3, 3, 2))
-            gj[:, :2, :2, :] = mp.patches[i].jet(uv, 1)
-            fj = np.zeros((len(uv), 3, 3))
-            fj[:, :2, :2] = jet
-            _, grad, _ = physical_derivatives(gj, fj)
+            _, grad, _ = physical_derivatives(mp.patches[i].jet(uv, 1), jet)
             cols += [grad[:, 0], grad[:, 1]]
         path = f"{args.output}_patch{i}.csv"
         with open(path, "w", encoding="utf-8") as fh:

@@ -8,9 +8,15 @@ derivative functions pair with S- duals of the scaled transversal derivative
 derivatives at the vertex. Summing coefficient-times-basis over all
 functionals yields the global projector, which reproduces every member of
 the space.
+
+Fields that are members of the space are sampled through the extraction
+matrices, several members at once when given a coefficient matrix; the
+functionals applied once to the identity coefficient block give the
+biorthogonality matrix D C.
 """
 
 import numpy as np
+import scipy.sparse
 
 from .bspline import dual_functional_weights
 from .errors import InvalidConfigError
@@ -21,7 +27,6 @@ from .space import physical_derivatives
 __all__ = [
     "AnalyticField",
     "SpaceField",
-    "BasisField",
     "patch_dual",
     "edge_dual",
     "vertex_dual",
@@ -68,21 +73,22 @@ class AnalyticField:
         return np.asarray(self._hess(x), dtype=float)
 
 
-class _PatchwiseField:
-    """Shared jet machinery for fields defined by per-patch coefficient grids."""
+class SpaceField:
+    """Member of the space given by a coefficient vector.
 
-    def __init__(self, space):
+    A (dim, k) coefficient matrix, dense or sparse, stands for k members at
+    once; every sample then carries an axis of length k after the first.
+    Samples come from the sparse jet matrices of the patch's tensor B-splines
+    times its extraction matrix.
+    """
+
+    def __init__(self, space, coeffs):
         self.space = space
         self.geometry = space.geometry
-
-    def _grid(self, patch):
-        raise NotImplementedError
+        self.coeffs = coeffs
 
     def _jets(self, patch, uv, order):
-        from .bspline import TensorSpace, TensorSpline
-
-        grid = self._grid(patch)
-        fj = TensorSpline(TensorSpace(self.space.usp), grid).jet(uv, order)
+        fj = self.space.evaluate(self.coeffs, patch, uv, order)
         gj = self.geometry.patches[patch].jet(uv, order)
         return fj, gj
 
@@ -92,42 +98,13 @@ class _PatchwiseField:
 
     def gradients(self, patch, uv):
         fj, gj = self._jets(patch, np.atleast_2d(uv), 1)
-        pad_f = np.zeros(fj.shape[:1] + (3, 3))
-        pad_f[:, :2, :2] = fj
-        pad_g = np.zeros(gj.shape[:1] + (3, 3, 2))
-        pad_g[:, :2, :2, :] = gj
-        _, grad, _ = physical_derivatives(pad_g, pad_f)
+        _, grad, _ = physical_derivatives(gj, fj)
         return grad
 
     def hessians(self, patch, uv):
         fj, gj = self._jets(patch, np.atleast_2d(uv), 2)
         _, _, hess = physical_derivatives(gj, fj)
         return hess
-
-
-class SpaceField(_PatchwiseField):
-    """Member of the space given by a coefficient vector."""
-
-    def __init__(self, space, coeffs):
-        super().__init__(space)
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self._cache = {}
-
-    def _grid(self, patch):
-        if patch not in self._cache:
-            self._cache[patch] = self.space.combine(self.coeffs, patch)
-        return self._cache[patch]
-
-
-class BasisField(_PatchwiseField):
-    """A single basis function viewed as a field."""
-
-    def __init__(self, space, a):
-        super().__init__(space)
-        self.a = a
-
-    def _grid(self, patch):
-        return self.space.functions[self.a].dense_grid(self.space.shape, patch)
 
 
 def patch_dual(space, patch, j, field):
@@ -138,8 +115,9 @@ def patch_dual(space, patch, j, field):
     uv = np.column_stack(
         [np.repeat(pts1, len(pts2)), np.tile(pts2, len(pts1))]
     )
-    vals = field.values(patch, uv).reshape(len(pts1), len(pts2))
-    return float(w1 @ vals @ w2)
+    vals = field.values(patch, uv)
+    vals = vals.reshape((len(pts1), len(pts2)) + vals.shape[1:])
+    return np.einsum("i,ij...,j->...", w1, vals, w2)
 
 
 def edge_dual(space, eid, index, field):
@@ -151,13 +129,13 @@ def edge_dual(space, eid, index, field):
     if s == 0:
         pts, w = dual_functional_weights(space.splus, j)
         uv = rotate_uv(np.column_stack([np.zeros_like(pts), pts]), rot)
-        return float(w @ field.values(ipatch, uv))
+        return w @ field.values(ipatch, uv)
     pts, w = dual_functional_weights(space.sminus, j)
     uv = rotate_uv(np.column_stack([np.zeros_like(pts), pts]), rot)
     d, _ = transversal_vector(asm.gluing, asm.P1, pts)
     grads = field.gradients(ipatch, uv)
     hp = space.config.h / space.config.p
-    return float(w @ (hp * np.einsum("mi,mi->m", grads, d)))
+    return w @ (hp * np.einsum("m...i,mi->m...", grads, d))
 
 
 def vertex_dual(space, vid, j, field):
@@ -171,15 +149,19 @@ def vertex_dual(space, vid, j, field):
         val = field.values(ipatch, uv)[0]
     elif order == 1:
         g = field.gradients(ipatch, uv)[0]
-        val = g[0] if j1 else g[1]
+        val = g[..., 0] if j1 else g[..., 1]
     else:
         H = field.hessians(ipatch, uv)[0]
-        val = H[0, 0] if j1 == 2 else (H[1, 1] if j2 == 2 else H[0, 1])
-    return float(val / asm.sigma**order)
+        val = H[..., 0, 0] if j1 == 2 else (H[..., 1, 1] if j2 == 2 else H[..., 0, 1])
+    return val / asm.sigma**order
 
 
 def dual_apply(space, a, field):
-    """Apply the functional paired with basis function a."""
+    """Apply the functional paired with basis function a.
+
+    Returns a number for a single field and a length-k vector for a
+    SpaceField of k members.
+    """
     fid = space.functions[a].id
     if fid.kind == "patch":
         return patch_dual(space, fid.owner, fid.index, field)
@@ -192,33 +174,17 @@ def project(space, field):
     """Global projector: coefficient a is functional a applied to the field.
 
     Reproduces members of the space; for general C2 fields it is a local
-    quasi-interpolant.
+    quasi-interpolant. A SpaceField of k members gives a (dim, k) matrix.
     """
     return np.array([dual_apply(space, a, field) for a in range(space.dim)])
 
 
-def _dual_patches(space, a):
-    """Patches a functional samples on (for support pruning)."""
-    fid = space.functions[a].id
-    if fid.kind == "patch":
-        return {fid.owner}
-    if fid.kind == "edge":
-        return {space.edge_assembly[fid.owner].side1[0]}
-    return {space.vertex_assembly[fid.owner].vertex.corners[0][0]}
-
-
 def biorthogonality_matrix(space):
-    """Matrix of all functionals applied to all basis functions.
+    """Matrix D C of all functionals applied to all basis functions.
 
-    Equals the identity when the families are mutually biorthogonal; pairs
-    whose supports cannot meet are skipped as exact zeros.
+    The functionals see every basis function at once as the identity
+    coefficient block; the result equals the identity when basis and dual
+    basis are biorthogonal.
     """
-    dim = space.dim
-    M = np.zeros((dim, dim))
-    for a in range(dim):
-        patches = _dual_patches(space, a)
-        for b in range(dim):
-            if not patches & space.functions[b].blocks.keys():
-                continue
-            M[a, b] = dual_apply(space, a, BasisField(space, b))
-    return M
+    basis = SpaceField(space, scipy.sparse.identity(space.dim, format="csr"))
+    return project(space, basis)

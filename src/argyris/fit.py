@@ -1,9 +1,11 @@
 """L2 approximation on the smooth space and the study harness around it.
 
-Element-wise tensor Gauss quadrature drives the mass matrix, the load vector
-and all error integrals. The normal equations are diagonally scaled and
-solved densely below a size threshold, by preconditioned conjugate gradients
-above it. The convergence driver fits a target function on a sequence of
+Element-wise tensor Gauss quadrature, contracted over all elements of a
+patch at once, gives each patch's |det DF|-weighted tensor B-spline mass
+M_i and load vector b_i; the space's extraction matrices C_i turn them into
+the mass matrix sum_i C_i^T M_i C_i and the load vector sum_i C_i^T b_i.
+The normal equations are diagonally scaled and solved by conjugate
+gradients. The convergence driver fits a target function on a sequence of
 nested refinements and tabulates errors with estimated convergence rates
 ecr = log2(e_coarse / e_fine).
 """
@@ -12,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -33,9 +34,6 @@ __all__ = [
     "cos_sin_field",
 ]
 
-DENSE_SOLVE_LIMIT = 6000
-
-
 class QuadratureRule:
     """Per-element tensor Gauss rule on [0, 1], ``order`` points per direction."""
 
@@ -50,145 +48,86 @@ class QuadratureRule:
         self.weights = np.broadcast_to(w[None, :] / (2.0 * n), (n, order)).copy()
 
 
-def _basis_tables(usp, rule, nderiv=0):
-    """Basis values (and derivatives) at all quadrature nodes, per element."""
-    flat = rule.nodes.ravel()
-    first, ders = usp.basis_ders(flat, nderiv)
-    g = rule.order
-    tabs = ders.reshape(rule.n, g, nderiv + 1, usp.p + 1)
-    return tabs  # (n, g, nderiv+1, p+1)
+def _basis_tables(usp, rule):
+    """Basis values at all quadrature nodes, (n, g, p+1) per element."""
+    _, ders = usp.basis_ders(rule.nodes.ravel(), 0)
+    return ders[:, 0, :].reshape(rule.n, rule.order, usp.p + 1)
 
 
-def _coverage(block, p, mult, n):
-    """Element box (e1a, e1b, e2a, e2b) a coefficient block can touch."""
-    r0, c0 = block.r0, block.c0
-    r1 = r0 + block.shape[0] - 1
-    c1 = c0 + block.shape[1] - 1
-    e1a = max(0, -(-(r0 - p) // mult))
-    e1b = min(n - 1, r1 // mult)
-    e2a = max(0, -(-(c0 - p) // mult))
-    e2b = min(n - 1, c1 // mult)
-    return e1a, e1b, e2a, e2b
+def _element_dofs(usp):
+    """(n, p+1) indices of the basis functions active on each element."""
+    return np.arange(usp.n)[:, None] * (usp.p - usp.r) + np.arange(usp.p + 1)
 
 
-class _PatchAssembler:
-    """Shared element data for one patch: buckets, basis tables, Jacobians."""
+def _patch_quadrature(space, i, rule):
+    """Quadrature points (m, 2) of one patch, xi1 major, and their weights
+    times |det DF| as an (n, g, n, g) array over (e1, q1, e2, q2)."""
+    x = rule.nodes.ravel()
+    uv = np.column_stack([np.repeat(x, len(x)), np.tile(x, len(x))])
+    J = space.geometry.patches[i].jacobian(uv)
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1]
+    w = rule.weights.ravel()
+    W = np.abs(det) * np.outer(w, w).ravel()
+    return uv, W.reshape((rule.n, rule.order) * 2)
 
-    def __init__(self, space, ipatch, rule):
-        usp = space.usp
-        p, n = usp.p, usp.n
-        mult = p - usp.r
-        self.space = space
-        self.ipatch = ipatch
-        self.rule = rule
-        self.p = p
-        self.n = n
-        self.tabs = _basis_tables(usp, rule, 0)[:, :, 0, :]  # (n, g, p+1)
-        self.buckets = [[[] for _ in range(n)] for _ in range(n)]
-        for local, (a, blk) in enumerate(space.patch_support[ipatch]):
-            e1a, e1b, e2a, e2b = _coverage(blk, p, mult, n)
-            for e1 in range(e1a, e1b + 1):
-                for e2 in range(e2a, e2b + 1):
-                    self.buckets[e1][e2].append(local)
-        g = rule.order
-        patch = space.geometry.patches[ipatch]
-        u = np.repeat(rule.nodes.ravel(), n * g)
-        v = np.tile(rule.nodes.ravel(), n * g)
-        uv = np.column_stack([u, v])
-        J = patch.jacobian(uv)
-        det = (J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1]).reshape(
-            n, g, n, g
-        )
-        self.absdet = np.abs(det).transpose(0, 2, 1, 3)  # (e1, e2, g, g)
-        self.qpoints = uv.reshape(n, g, n, g, 2).transpose(0, 2, 1, 3, 4)
-        w = rule.weights
-        self.wdet = self.absdet * w[:, None, :, None] * w[None, :, None, :]
 
-    def element_values(self, e1, e2):
-        """(k, g*g) values of the active functions on one element."""
-        ids = self.buckets[e1][e2]
-        if not ids:
-            return ids, None
-        p = self.p
-        mult = p - self.space.usp.r
-        a0, b0 = e1 * mult, e2 * mult
-        sup = self.space.patch_support[self.ipatch]
-        W = np.stack([sup[k][1].window(a0, b0, p + 1) for k in ids])
-        V = np.einsum("qi,kij,rj->kqr", self.tabs[e1], W, self.tabs[e2])
-        return ids, V.reshape(len(ids), -1)
+def _patch_mass(space, i, rule):
+    """|det DF|-weighted mass matrix (N*N, N*N) of the tensor B-splines of
+    one patch, from one contraction over all elements."""
+    N = space.N
+    T = _basis_tables(space.usp, rule)
+    _, W = _patch_quadrature(space, i, rule)
+    TT = np.einsum("eqi,eqj->eqij", T, T)
+    # local[e1, e2, i1, j1, i2, j2]: element (e1, e2), rows (i1, i2), cols (j1, j2)
+    local = np.einsum("aqij,aqbr,brkl->abijkl", TT, W, TT, optimize=True)
+    dof = _element_dofs(space.usp)
+    rows = dof[:, None, :, None, None, None] * N + dof[None, :, None, None, :, None]
+    cols = dof[:, None, None, :, None, None] * N + dof[None, :, None, None, None, :]
+    rows, cols = np.broadcast_arrays(rows, cols)
+    return scipy.sparse.csr_matrix(
+        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(N * N, N * N)
+    )
 
 
 def assemble_mass(space, rule=None):
     """Sparse symmetric mass matrix sum_patches int phi_a phi_b |det DF|."""
     rule = rule or QuadratureRule(space.config.n, space.config.p + 2)
-    rows, cols, vals = [], [], []
-    for i in range(len(space.geometry.patches)):
-        asm = _PatchAssembler(space, i, rule)
-        glob = np.array([a for a, _ in space.patch_support[i]], dtype=int)
-        for e1 in range(asm.n):
-            for e2 in range(asm.n):
-                ids, V = asm.element_values(e1, e2)
-                if V is None:
-                    continue
-                wd = asm.wdet[e1, e2].ravel()
-                G = (V * wd) @ V.T
-                gids = glob[ids]
-                rr = np.repeat(gids, len(gids))
-                cc = np.tile(gids, len(gids))
-                rows.append(rr)
-                cols.append(cc)
-                vals.append(G.ravel())
-    M = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.dim, space.dim),
-    ).tocsr()
+    M = scipy.sparse.csr_matrix((space.dim, space.dim))
+    for i, C in enumerate(space.C):
+        M = M + C.T @ _patch_mass(space, i, rule) @ C
     return 0.5 * (M + M.T)
 
 
 def assemble_rhs(space, fld, rule=None):
     """Load vector int z phi_a |det DF| for a field with value samplers."""
     rule = rule or QuadratureRule(space.config.n, space.config.p + 2)
+    N = space.N
+    T = _basis_tables(space.usp, rule)
+    dof = _element_dofs(space.usp)
+    rows = (dof[:, :, None, None] * N + dof[None, None, :, :]).ravel()
     rhs = np.zeros(space.dim)
-    for i in range(len(space.geometry.patches)):
-        asm = _PatchAssembler(space, i, rule)
-        glob = np.array([a for a, _ in space.patch_support[i]], dtype=int)
-        zvals = np.asarray(
-            fld.values(i, asm.qpoints.reshape(-1, 2)), dtype=float
-        ).reshape(asm.n, asm.n, rule.order, rule.order)
-        for e1 in range(asm.n):
-            for e2 in range(asm.n):
-                ids, V = asm.element_values(e1, e2)
-                if V is None:
-                    continue
-                wd = asm.wdet[e1, e2].ravel()
-                rhs[glob[ids]] += V @ (wd * zvals[e1, e2].ravel())
+    for i, C in enumerate(space.C):
+        uv, W = _patch_quadrature(space, i, rule)
+        z = np.asarray(fld.values(i, uv), dtype=float).reshape(W.shape)
+        local = np.einsum("aqi,aqbr,brk->aibk", T, W * z, T, optimize=True)
+        rhs += C.T @ np.bincount(rows, weights=local.ravel(), minlength=N * N)
     return rhs
 
 
 def _integral_sq(space, coeffs, fld, rule):
     """int (u_c - z)^2 and int z^2 by the same element-wise quadrature."""
-    usp = space.usp
-    p, n = usp.p, usp.n
-    mult = p - usp.r
-    tabs = _basis_tables(usp, rule, 0)[:, :, 0, :]
+    T = _basis_tables(space.usp, rule)
+    dof = _element_dofs(space.usp)
     total = 0.0
     zz = 0.0
-    for i in range(len(space.geometry.patches)):
-        asm = _PatchAssembler(space, i, rule)
-        grid = space.combine(coeffs, i) if coeffs is not None else None
-        zvals = np.asarray(
-            fld.values(i, asm.qpoints.reshape(-1, 2)), dtype=float
-        ).reshape(n, n, rule.order, rule.order)
-        for e1 in range(n):
-            for e2 in range(n):
-                wd = asm.wdet[e1, e2]
-                z = zvals[e1, e2]
-                zz += float((wd * z**2).sum())
-                if grid is not None:
-                    a0, b0 = e1 * mult, e2 * mult
-                    W = grid[a0 : a0 + p + 1, b0 : b0 + p + 1]
-                    u = np.einsum("qi,ij,rj->qr", tabs[e1], W, tabs[e2])
-                    total += float((wd * (u - z) ** 2).sum())
+    for i in range(len(space.C)):
+        uv, W = _patch_quadrature(space, i, rule)
+        z = np.asarray(fld.values(i, uv), dtype=float).reshape(W.shape)
+        grid = space.combine(coeffs, i)
+        local = grid[dof[:, :, None, None], dof[None, None, :, :]]
+        u = np.einsum("aqi,aibk,brk->aqbr", T, local, T, optimize=True)
+        zz += float((W * z**2).sum())
+        total += float((W * (u - z) ** 2).sum())
     return total, zz
 
 
@@ -203,52 +142,41 @@ class FitResult:
     solve_seconds: float
 
 
-def _solve_scaled(M, rhs, dense_limit):
+def _solve_scaled(M, rhs):
     d = np.asarray(M.diagonal())
     if np.any(d <= 0.0):
         raise NumericalError("mass diagonal is not positive")
     s = 1.0 / np.sqrt(d)
     A = scipy.sparse.diags(s) @ M @ scipy.sparse.diags(s)
-    b = s * rhs
-    if M.shape[0] <= dense_limit:
-        Ad = A.toarray()
-        try:
-            cf = scipy.linalg.cho_factor(Ad)
-            y = scipy.linalg.cho_solve(cf, b)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"dense factorization failed: {exc} "
-                f"(condition estimate {np.linalg.cond(Ad):.3e})"
-            ) from exc
-    else:
-        y, info = scipy.sparse.linalg.cg(A, b, rtol=1e-12, atol=0.0, maxiter=2000)
-        if info != 0:
-            lam_max = scipy.sparse.linalg.eigsh(
-                A, k=1, which="LA", return_eigenvectors=False, tol=1e-2
-            )[0]
-            lam_min = scipy.sparse.linalg.eigsh(
-                A, k=1, which="SA", return_eigenvectors=False, tol=1e-2
-            )[0]
-            raise NumericalError(
-                f"conjugate gradients did not converge (info={info}, "
-                f"condition estimate {lam_max / max(lam_min, 1e-300):.3e})"
-            )
+    y, info = scipy.sparse.linalg.cg(A, s * rhs, rtol=1e-12, atol=0.0, maxiter=2000)
+    if info != 0:
+        lam_max = scipy.sparse.linalg.eigsh(
+            A, k=1, which="LA", return_eigenvectors=False, tol=1e-2
+        )[0]
+        lam_min = scipy.sparse.linalg.eigsh(
+            A, k=1, which="SA", return_eigenvectors=False, tol=1e-2
+        )[0]
+        raise NumericalError(
+            f"conjugate gradients did not converge (info={info}, "
+            f"condition estimate {lam_max / max(lam_min, 1e-300):.3e})"
+        )
     return s * y
 
 
-def l2_fit(space, fld, rule=None, dense_limit=DENSE_SOLVE_LIMIT):
+def l2_fit(space, fld, rule=None):
     """Least-squares fit of a field in the smooth space.
 
-    Solves the diagonally scaled normal equations; the relative L2 error is
-    integrated with a verification rule three orders finer than the assembly
-    rule, so the reported value is quadrature-saturated at every level.
+    Solves the diagonally scaled normal equations by conjugate gradients;
+    the relative L2 error is integrated with a verification rule three
+    orders finer than the assembly rule, so the reported value is
+    quadrature-saturated at every level.
     """
     rule = rule or QuadratureRule(space.config.n, space.config.p + 2)
     t0 = time.perf_counter()
     M = assemble_mass(space, rule)
     rhs = assemble_rhs(space, fld, rule)
     t1 = time.perf_counter()
-    coeffs = _solve_scaled(M, rhs, dense_limit)
+    coeffs = _solve_scaled(M, rhs)
     t2 = time.perf_counter()
     res = float(np.linalg.norm(M @ coeffs - rhs) / max(np.linalg.norm(rhs), 1e-300))
     err_rule = QuadratureRule(rule.n, rule.order + 3)
@@ -303,8 +231,7 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
-def convergence_study(mp, make_field, levels, tol=1e-9, rule_order=None,
-                      dense_limit=DENSE_SOLVE_LIMIT):
+def convergence_study(mp, make_field, levels, tol=1e-9, rule_order=None):
     """Fit on a sequence of nested dyadic refinements of a geometry.
 
     ``make_field(geometry)`` binds the target function to each refined
@@ -320,7 +247,7 @@ def convergence_study(mp, make_field, levels, tol=1e-9, rule_order=None,
         rule = QuadratureRule(
             space.config.n, rule_order or space.config.p + 2
         )
-        r = l2_fit(space, make_field(current), rule, dense_limit=dense_limit)
+        r = l2_fit(space, make_field(current), rule)
         table.add(r.h, r.dim, r.rel_error)
         results.append(r)
     return table, results
@@ -384,92 +311,69 @@ class SmoothnessReport:
         return "\n".join(lines)
 
 
-def _touches_side(blk, side, p, N):
-    if side == 0:
-        return blk.r0 <= p
-    if side == 1:
-        return blk.c0 <= p
-    if side == 2:
-        return blk.r0 + blk.shape[0] - 1 >= N - 1 - p
-    return blk.c0 + blk.shape[1] - 1 >= N - 1 - p
-
-
 def smoothness_report(space, coeffs=None, samples_per_edge=200):
     """Two-sided continuity audit of the space (or of one coefficient vector).
 
     Per interface: max relative jump of values and physical gradients over
     sample points. Per vertex: max relative jump of physical second
     derivatives between all surrounding patches. Relative means divided by
-    max(1, local magnitude).
+    max(1, local magnitude). The jets of all basis functions are evaluated
+    at once, as the identity coefficient block.
     """
     from .duality import rotate_uv
 
     mp = space.geometry
-    N = space.N
-    p = space.config.p
     t = np.linspace(0.0, 1.0, samples_per_edge)
-
-    if coeffs is not None:
-        members = [("coeffs", None)]
+    if coeffs is None:
+        members = scipy.sparse.identity(space.dim, format="csr")
+        names = [fn.id for fn in space.functions]
     else:
-        members = [(a, space.functions[a]) for a in range(space.dim)]
+        coeffs = np.asarray(coeffs, dtype=float)
+        space._check_coeffs(coeffs)
+        members = scipy.sparse.csr_matrix(coeffs.reshape(-1, 1))
+        names = ["coeffs"]
 
-    def member_jet(a_fn, ipatch, uv):
-        if coeffs is not None:
-            return space.evaluate(coeffs, ipatch, uv, 2)
-        return space.function_jet(a_fn, ipatch, uv, 2)
+    def jets(ipatch, uv, order):
+        """Sparse (m * (order+1)**2, k) parametric jets of all members."""
+        return space.tspace.jet_matrix(uv, order) @ (space.C[ipatch] @ members)
+
+    def physical(ipatch, uv, order, S, cols):
+        fj = S[:, cols].toarray().reshape(len(uv), order + 1, order + 1, len(cols))
+        return physical_derivatives(mp.patches[ipatch].jet(uv, order), fj)
+
+    def worst(score, cols):
+        """Name of the first member with the largest positive score."""
+        if not len(score) or score.max() <= 0.0:
+            return None
+        return names[cols[int(np.argmax(score))]]
 
     edge_rows = []
     for e in mp.interfaces():
         (i1, k1), (i2, k2) = e.locals
         uv1 = rotate_uv(np.column_stack([np.zeros_like(t), t]), k1)
         uv2 = rotate_uv(np.column_stack([t, np.zeros_like(t)]), (k2 - 1) % 4)
-        gj1 = mp.patches[i1].jet(uv1, 2)
-        gj2 = mp.patches[i2].jet(uv2, 2)
-        worst_v = worst_g = 0.0
-        worst_id = None
-        for a, fn in members:
-            if fn is not None:
-                b1, b2 = fn.blocks.get(i1), fn.blocks.get(i2)
-                near1 = b1 is not None and _touches_side(b1, k1, p, N)
-                near2 = b2 is not None and _touches_side(b2, k2, p, N)
-                if not (near1 or near2):
-                    continue
-            v1, g1, _ = physical_derivatives(gj1, member_jet(a, i1, uv1))
-            v2, g2, _ = physical_derivatives(gj2, member_jet(a, i2, uv2))
-            sv = max(1.0, np.abs(v1).max(), np.abs(v2).max())
-            sg = max(1.0, np.abs(g1).max(), np.abs(g2).max())
-            dv = np.abs(v1 - v2).max() / sv
-            dg = np.abs(g1 - g2).max() / sg
-            if max(dv, dg) > max(worst_v, worst_g):
-                worst_id = space.functions[a].id if fn is not None else "coeffs"
-            worst_v = max(worst_v, dv)
-            worst_g = max(worst_g, dg)
-        edge_rows.append((e.id, worst_v, worst_g, worst_id))
+        S1, S2 = jets(i1, uv1, 1), jets(i2, uv2, 1)
+        cols = np.union1d(S1.indices, S2.indices)  # members seen on the edge
+        v1, g1, _ = physical(i1, uv1, 1, S1, cols)
+        v2, g2, _ = physical(i2, uv2, 1, S2, cols)
+        sv = np.maximum(1.0, np.maximum(np.abs(v1).max(0), np.abs(v2).max(0)))
+        sg = np.maximum(1.0, np.maximum(np.abs(g1).max((0, 2)), np.abs(g2).max((0, 2))))
+        dv = np.abs(v1 - v2).max(0) / sv
+        dg = np.abs(g1 - g2).max((0, 2)) / sg
+        edge_rows.append((
+            e.id, dv.max(initial=0.0), dg.max(initial=0.0),
+            worst(np.maximum(dv, dg), cols),
+        ))
 
     vertex_rows = []
     for v in mp.vertices:
-        worst_h = 0.0
-        worst_id = None
-        jets = {
-            (ip, c): mp.patches[ip].jet(CORNER_UV[c : c + 1], 2)
-            for ip, c in v.corners
-        }
-        for a, fn in members:
-            hs = []
-            for ip, c in v.corners:
-                if fn is not None and ip not in fn.blocks:
-                    hs.append(np.zeros((2, 2)))
-                    continue
-                _, _, h = physical_derivatives(
-                    jets[(ip, c)], member_jet(a, ip, CORNER_UV[c : c + 1])
-                )
-                hs.append(h[0])
-            hs = np.array(hs)
-            scale = max(1.0, np.abs(hs).max())
-            dh = np.abs(hs - hs[0]).max() / scale
-            if dh > worst_h:
-                worst_h = dh
-                worst_id = space.functions[a].id if fn is not None else "coeffs"
-        vertex_rows.append((v.id, worst_h, worst_id))
+        corners = [(ip, CORNER_UV[c : c + 1]) for ip, c in v.corners]
+        S = [jets(ip, uv, 2) for ip, uv in corners]
+        cols = np.unique(np.concatenate([s.indices for s in S]))
+        hs = np.array(
+            [physical(ip, uv, 2, s, cols)[2][0] for (ip, uv), s in zip(corners, S)]
+        )
+        scale = np.maximum(1.0, np.abs(hs).max((0, 2, 3)))
+        dh = np.abs(hs - hs[0]).max((0, 2, 3)) / scale
+        vertex_rows.append((v.id, dh.max(initial=0.0), worst(dh, cols)))
     return SmoothnessReport(edge_rows, vertex_rows)

@@ -139,6 +139,13 @@ class MultiPatch:
         self.patches = list(patches)
         self.edges = list(edges)
         self.vertices = list(vertices)
+        # records are looked up by id, so the ids must be their list positions
+        for kind, records in (("edge", self.edges), ("vertex", self.vertices)):
+            ids = [rec.id for rec in records]
+            if ids != list(range(len(records))):
+                raise TopologyError(
+                    f"{kind} ids must be 0..{len(records) - 1} in order, got {ids}"
+                )
         self.edge_of_side = {}
         for e in self.edges:
             for ps in e.locals:
@@ -180,7 +187,7 @@ class MultiPatch:
         for i, patch in enumerate(self.patches):
             m = 10 * self.config.n + 1
             d = check_regularity(patch, min(m, 101))
-            if d <= 0.0:
+            if not d > 0.0:  # also catches NaN
                 raise ConformityError(
                     f"patch {i} is singular or flipped: min Jacobian det {d:.3e}"
                 )
@@ -466,6 +473,12 @@ def load_geometry(path, config_cls=None):
         pos += 1
         return ln
 
+    def ints(tokens, line):
+        try:
+            return [int(t) for t in tokens]
+        except ValueError as exc:
+            raise GeometryFormatError(f"{path}: bad index in {line!r}") from exc
+
     def take_kv(key, cast=int):
         ln = take().split()
         if len(ln) != 2 or ln[0] != key:
@@ -506,6 +519,10 @@ def load_geometry(path, config_cls=None):
                     raise GeometryFormatError(
                         f"{path}: bad coordinate in patch {i}: {tok!r}"
                     ) from exc
+                if not np.isfinite(net[j1, j2]).all():
+                    raise GeometryFormatError(
+                        f"{path}: non-finite coordinate in patch {i}: {tok!r}"
+                    )
         patches.append(Patch(tspace, net))
 
     nedges = take_kv("edges")
@@ -514,12 +531,11 @@ def load_geometry(path, config_cls=None):
         tok = take().split()
         if len(tok) < 4 or tok[0] != "edge":
             raise GeometryFormatError(f"{path}: malformed edge line {tok!r}")
-        eid, kind = int(tok[1]), tok[2]
-        nums = tok[3:]
+        kind = tok[2]
+        eid, *nums = ints([tok[1]] + tok[3:], tok)
         if len(nums) % 2:
             raise GeometryFormatError(f"{path}: edge {eid} has dangling index")
-        locals_ = [(int(nums[k]), int(nums[k + 1])) for k in range(0, len(nums), 2)]
-        edges.append(EdgeRecord(eid, kind, locals_))
+        edges.append(EdgeRecord(eid, kind, zip(nums[::2], nums[1::2])))
 
     nverts = take_kv("vertices")
     vertices = []
@@ -527,12 +543,11 @@ def load_geometry(path, config_cls=None):
         tok = take().split()
         if len(tok) < 4 or tok[0] != "vertex":
             raise GeometryFormatError(f"{path}: malformed vertex line {tok!r}")
-        vid, kind = int(tok[1]), tok[2]
-        nums = tok[3:]
+        kind = tok[2]
+        vid, *nums = ints([tok[1]] + tok[3:], tok)
         if len(nums) % 2:
             raise GeometryFormatError(f"{path}: vertex {vid} has dangling index")
-        corners = [(int(nums[k]), int(nums[k + 1])) for k in range(0, len(nums), 2)]
-        vertices.append(VertexRecord(vid, kind, corners))
+        vertices.append(VertexRecord(vid, kind, zip(nums[::2], nums[1::2])))
 
     if pos != len(lines):
         raise GeometryFormatError(

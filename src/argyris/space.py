@@ -1,7 +1,11 @@
 """Construction of the C1 smooth space over an AS-G1 multi-patch domain.
 
-The space splits into three families, each stored as exact per-patch
-tensor-spline coefficient blocks:
+Every basis function is a fixed tensor-spline coefficient grid on each patch,
+so the space is one linear map per patch from global coefficients to the
+patch's (N, N) coefficient grid. It is stored as a sparse extraction matrix
+``C[i]`` of shape (N*N, dim) per patch (Borden, Scott, Evans & Hughes,
+IJNME 2011); every consumer is a sparse product with it. The columns come in
+three families:
 
 * patch-interior functions: single B-splines with two vanishing coefficient
   layers on every side of their patch;
@@ -14,22 +18,22 @@ tensor-spline coefficient blocks:
 
 All products entering the pullbacks (alpha times an S- spline, beta times a
 derivative of an S+ spline) are degree p piecewise polynomials of smoothness
-r, so the coefficient blocks are exact up to rounding.
+r, so the extraction matrices are exact up to rounding.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .bspline import TensorSpline, UnivariateSpace, TensorSpace, \
-    derived_edge_spaces, represent_exactly
+from .bspline import UnivariateSpace, TensorSpace, derived_edge_spaces, \
+    represent_exactly
 from .errors import ArgyrisError, InvalidConfigError
 from .gluing import boundary_gluing, fit_asg1, transversal_vector
 from .multipatch import rotate_net, standard_form_vertex
 
 __all__ = [
     "BasisId",
-    "Block",
     "C2Data",
     "ArgyrisFunction",
     "ArgyrisSpace",
@@ -66,70 +70,35 @@ class C2Data:
         ):
             raise InvalidConfigError("Hessian data must be symmetric")
 
-    @property
-    def is_zero(self):
-        return self.value == 0.0 and not self.grad.any() and not self.hess.any()
-
-
-class Block:
-    """Dense sub-grid with offsets inside an (N, N) coefficient grid."""
-
-    __slots__ = ("r0", "c0", "data")
-
-    def __init__(self, r0, c0, data):
-        self.r0 = r0
-        self.c0 = c0
-        self.data = np.ascontiguousarray(data, dtype=float)
-
-    @classmethod
-    def from_dense(cls, grid):
-        rows = np.nonzero(grid.any(axis=1))[0]
-        cols = np.nonzero(grid.any(axis=0))[0]
-        if len(rows) == 0:
-            return None
-        r0, r1 = rows[0], rows[-1] + 1
-        c0, c1 = cols[0], cols[-1] + 1
-        return cls(r0, c0, grid[r0:r1, c0:c1].copy())
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def add_to(self, grid, factor=1.0):
-        h, w = self.data.shape
-        grid[self.r0 : self.r0 + h, self.c0 : self.c0 + w] += factor * self.data
-
-    def window(self, a, b, size):
-        """Dense (size, size) window of the full grid at rows a.., cols b.. ."""
-        out = np.zeros((size, size))
-        h, w = self.data.shape
-        r0 = max(a, self.r0)
-        r1 = min(a + size, self.r0 + h)
-        c0 = max(b, self.c0)
-        c1 = min(b + size, self.c0 + w)
-        if r0 < r1 and c0 < c1:
-            out[r0 - a : r1 - a, c0 - b : c1 - b] = self.data[
-                r0 - self.r0 : r1 - self.r0, c0 - self.c0 : c1 - self.c0
-            ]
-        return out
-
 
 class ArgyrisFunction:
-    """One basis function, stored patch-wise as coefficient blocks.
+    """Member of the space viewed through the extraction matrices.
 
-    Patches absent from ``blocks`` carry the zero function.
+    ``id`` names it; ``coeffs`` is its coefficient vector in the basis, the
+    unit vector for a basis function.
     """
 
-    def __init__(self, fid, blocks):
+    def __init__(self, space, fid, coeffs=None):
+        self.space = space
         self.id = fid
-        self.blocks = {i: b for i, b in blocks.items() if b is not None}
+        self._coeffs = coeffs
+
+    @property
+    def coeffs(self):
+        if self._coeffs is not None:
+            return self._coeffs
+        unit = np.zeros(self.space.dim)
+        unit[self.space.index_of[self.id]] = 1.0
+        return unit
+
+    @property
+    def support(self):
+        """Patches on which the function is not identically zero."""
+        c = self.coeffs
+        return {i for i in range(len(self.space.C)) if self.space.combine(c, i).any()}
 
     def dense_grid(self, shape, patch):
-        grid = np.zeros(shape)
-        blk = self.blocks.get(patch)
-        if blk is not None:
-            blk.add_to(grid)
-        return grid
+        return self.space.combine(self.coeffs, patch).reshape(shape)
 
 
 def space_dimension(mp, config=None):
@@ -213,8 +182,29 @@ class _EdgeSlot:
         self.b2 = b2
 
 
+def _basis_values(space, pts, d=0):
+    """(m, N) values of the d-th derivatives of all basis functions at pts."""
+    first, ders = space.basis_ders(pts, d)
+    out = np.zeros((len(pts), space.N))
+    cols = first[:, None] + np.arange(space.p + 1)[None, :]
+    np.put_along_axis(out, cols, ders[:, d, :], axis=1)
+    return out
+
+
+def _columns(grids, rot):
+    """Extraction columns (N*N, k) of k coefficient grids stacked as (N, N, k)
+    in the frame of a patch rotated by ``rot`` quarter turns."""
+    grids = rotate_net(grids, (4 - rot) % 4)
+    return scipy.sparse.coo_matrix(grids.reshape(-1, grids.shape[-1]))
+
+
 class ArgyrisSpace:
-    """The assembled smooth space over a validated multi-patch geometry."""
+    """The assembled smooth space over a validated multi-patch geometry.
+
+    ``C[i]`` is the sparse (N*N, dim) extraction matrix of patch i: column a
+    holds the flattened (N, N) tensor-spline coefficient grid of basis
+    function a on that patch.
+    """
 
     def __init__(self, geometry, tol=1e-9):
         cfg = geometry.config
@@ -222,24 +212,25 @@ class ArgyrisSpace:
         self.geometry = geometry
         self.config = cfg
         self.tol = tol
-        p, r, n = cfg.p, cfg.r, cfg.n
-        self.usp = UnivariateSpace(p, r, n)
+        self.usp = UnivariateSpace(cfg.p, cfg.r, cfg.n)
+        self.tspace = TensorSpace(self.usp)
         self.splus, self.sminus = derived_edge_spaces(self.usp)
         self.N = self.usp.N
         self.shape = (self.N, self.N)
 
         # S+ basis and its derivative, re-expressed in S^{p,r} and S-
-        def plus_vals(pts, d=0):
-            first, ders = self.splus.basis_ders(pts, d)
-            out = np.zeros((len(pts), self.splus.N))
-            cols = first[:, None] + np.arange(p + 1)[None, :]
-            np.put_along_axis(out, cols, ders[:, d, :], axis=1)
-            return out
-
-        self._rep_plus = represent_exactly(self.usp, plus_vals)  # (N, N+)
+        self._rep_plus = represent_exactly(
+            self.usp, lambda x: _basis_values(self.splus, x)
+        )  # (N, N+)
         self._der_plus = represent_exactly(
-            self.sminus, lambda x: plus_vals(x, 1)
+            self.sminus, lambda x: _basis_values(self.splus, x, 1)
         )  # (N-, N+)
+        # S- basis and x times it in S^{p,r}: the product of (a + b x) with
+        # an S- spline v has coefficients (a E + b X) v
+        self._E = represent_exactly(self.usp, lambda x: _basis_values(self.sminus, x))
+        self._X = represent_exactly(
+            self.usp, lambda x: x[:, None] * _basis_values(self.sminus, x)
+        )  # both (N, N-)
 
         # corner Hermite matrix: [f(0); f'(0)] = M @ (first two coefficients)
         _, ders = self.usp.basis_ders(np.array([0.0]), 1)
@@ -254,11 +245,7 @@ class ArgyrisSpace:
         self.index_of = {}
         self.edge_assembly = {}
         self.vertex_assembly = {}
-        self._build()
-        self.patch_support = [[] for _ in geometry.patches]
-        for a, fn in enumerate(self.functions):
-            for i, blk in fn.blocks.items():
-                self.patch_support[i].append((a, blk))
+        self.C = self._build()
 
         expected, breakdown = space_dimension(geometry, cfg)
         self.breakdown = breakdown
@@ -272,32 +259,46 @@ class ArgyrisSpace:
     # construction
     # ------------------------------------------------------------------
 
-    def _add(self, fn):
-        self.index_of[fn.id] = len(self.functions)
-        self.functions.append(fn)
-
     def _build(self):
+        """Enumerate the basis and assemble the extraction matrices.
+
+        Each builder returns the ids of its functions and, per patch it
+        touches, their extraction columns.
+        """
         mp = self.geometry
-        for i in range(len(mp.patches)):
-            for fn in self.build_patch_interior(i):
-                self._add(fn)
-        for e in mp.edges:
-            for fn in self.build_edge_functions(e.id):
-                self._add(fn)
-        for v in mp.vertices:
-            for fn in self.build_vertex_functions(v.id):
-                self._add(fn)
+        families = [self.build_patch_interior(i) for i in range(len(mp.patches))]
+        families += [self.build_edge_functions(e.id) for e in mp.edges]
+        families += [self.build_vertex_functions(v.id) for v in mp.vertices]
+        triplets = [([], [], []) for _ in mp.patches]
+        for ids, columns in families:
+            offset = len(self.functions)
+            for fid in ids:
+                self.index_of[fid] = len(self.functions)
+                self.functions.append(ArgyrisFunction(self, fid))
+            for i, cols in columns.items():
+                triplets[i][0].append(cols.row)
+                triplets[i][1].append(cols.col + offset)
+                triplets[i][2].append(cols.data)
+        shape = (self.N * self.N, len(self.functions))
+        return [
+            scipy.sparse.csr_matrix(
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                shape=shape,
+            )
+            for rows, cols, vals in triplets
+        ]
 
     def build_patch_interior(self, i):
         """Unit-coefficient B-splines with indices in {2..N-3}^2."""
         N = self.N
-        out = []
-        one = np.ones((1, 1))
-        for j1 in range(2, N - 3 + 1):
-            for j2 in range(2, N - 3 + 1):
-                fid = BasisId("patch", i, (j1, j2))
-                out.append(ArgyrisFunction(fid, {i: Block(j1, j2, one)}))
-        return out
+        inner = range(2, N - 2)
+        ids = [BasisId("patch", i, (j1, j2)) for j1 in inner for j2 in inner]
+        rows = [j1 * N + j2 for j1 in inner for j2 in inner]
+        k = len(rows)
+        cols = scipy.sparse.coo_matrix(
+            (np.ones(k), (rows, np.arange(k))), shape=(N * N, k)
+        )
+        return ids, {i: cols}
 
     def _edge_assembly_for(self, eid):
         mp = self.geometry
@@ -316,19 +317,9 @@ class ArgyrisSpace:
         """Coefficients in S^{p,r} of (lin[0] + lin[1]*x) times an S- spline.
 
         Accepts a matrix of splines (one per column)."""
-        sm = self.sminus
+        return (lin[0] * self._E + lin[1] * self._X) @ sminus_coeffs
 
-        def vals(pts):
-            first, ders = sm.basis_ders(pts, 0)
-            cols = first[:, None] + np.arange(sm.p + 1)[None, :]
-            coefs = sminus_coeffs[cols]  # (m, p, ...) windows
-            base = np.einsum("mi,mi...->m...", ders[:, 0, :], coefs)
-            lfac = lin[0] + lin[1] * pts
-            return base * (lfac if base.ndim == 1 else lfac[:, None])
-
-        return represent_exactly(self.usp, vals)
-
-    def _edge_side_blocks(self, gl, role):
+    def _edge_side_layers(self, gl, role):
         """Coefficient layers of all edge basis functions on one side.
 
         Returns (U0, U1, W): U0/U1 are (N, N+) with column j the S^{p,r}
@@ -363,37 +354,25 @@ class ArgyrisSpace:
         N = self.N
         hp = self.config.h / self.config.p
         idx = _edge_index_set(self.sminus.N)
+        trace = [j for j, s in idx if s == 0]
+        deriv = [j for j, s in idx if s == 1]
+        nt = len(trace)
 
         sides = [(asm.side1, 1)]
         if asm.side2 is not None:
             sides.append((asm.side2, 2))
-        layers = {role: self._edge_side_blocks(asm.gluing, role) for _, role in sides}
-
-        out = []
-        for j, s in idx:
-            fid = BasisId("edge", eid, (j, s))
-            blocks = {}
-            for (ipatch, rot), role in sides:
-                U0, U1, W = layers[role]
-                grid = np.zeros((N, N))
-                if s == 0:
-                    u0 = U0[:, j]
-                    u1 = U1[:, j]
-                    if role == 1:
-                        grid[0, :] = u0
-                        grid[1, :] = u0 - hp * u1
-                    else:
-                        grid[:, 0] = u0
-                        grid[:, 1] = u0 - hp * u1
-                else:
-                    w = W[:, j]
-                    if role == 1:
-                        grid[1, :] = w
-                    else:
-                        grid[:, 1] = -w
-                blocks[ipatch] = Block.from_dense(rotate_net(grid, (4 - rot) % 4))
-            out.append(ArgyrisFunction(fid, blocks))
-        return out
+        columns = {}
+        for (ipatch, rot), role in sides:
+            U0, U1, W = self._edge_side_layers(asm.gluing, role)
+            # layers {xi1 = 0} and the next one; the second side is the transpose
+            grids = np.zeros((N, N, len(idx)))
+            grids[0, :, :nt] = U0[:, trace]
+            grids[1, :, :nt] = U0[:, trace] - hp * U1[:, trace]
+            grids[1, :, nt:] = W[:, deriv] if role == 1 else -W[:, deriv]
+            if role == 2:
+                grids = grids.swapaxes(0, 1)
+            columns[ipatch] = _columns(grids, rot)
+        return [BasisId("edge", eid, j) for j in idx], columns
 
     def _vertex_assembly_for(self, vid):
         mp = self.geometry
@@ -486,37 +465,17 @@ class ArgyrisSpace:
         grid[:2, :2] = E
         return grid
 
-    def vertex_projector(self, vid, data):
-        """Alternating-sum Hermite interpolant of C2 data at one vertex.
-
-        The result matches value, gradient and Hessian of the data at the
-        vertex from every surrounding patch and is identically zero when the
-        data is zero.
-        """
-        asm = self.vertex_assembly.get(vid)
-        if asm is None:
-            asm = self._vertex_assembly_for(vid)
-            self.vertex_assembly[vid] = asm
-        fid = BasisId("vertex", vid, None)
-        if data.is_zero:
-            return ArgyrisFunction(fid, {})
-        nslots = len(asm.slots)
-        blocks = {}
-        for ell, (ipatch, rot) in enumerate(asm.vertex.corners):
-            grid = -self._corner_term_grid(asm.rotated[ell], data)
-            grid += self._edge_term_grid(asm.slots[ell], data, role=2)
-            grid += self._edge_term_grid(asm.slots[(ell + 1) % nslots], data, role=1)
-            blocks[ipatch] = Block.from_dense(rotate_net(grid, (4 - rot) % 4))
-        return ArgyrisFunction(fid, blocks)
-
     def build_vertex_functions(self, vid):
-        """Six functions per vertex, dual to scaled derivatives of order <= 2."""
-        asm = self.vertex_assembly.get(vid)
-        if asm is None:
-            asm = self._vertex_assembly_for(vid)
-            self.vertex_assembly[vid] = asm
+        """Six functions per vertex, dual to scaled derivatives of order <= 2.
+
+        Each is the alternating-sum Hermite interpolant of C2 data at the
+        vertex: on every surrounding patch, the two local edge-space
+        interpolants minus the corner interpolant they share.
+        """
+        asm = self._vertex_assembly_for(vid)
+        self.vertex_assembly[vid] = asm
         sig = asm.sigma
-        out = []
+        data = []
         for (j1, j2) in VERTEX_INDEX_ORDER:
             order = j1 + j2
             val = sig**order if order == 0 else 0.0
@@ -531,9 +490,34 @@ class ArgyrisSpace:
                     hess[1, 1] = sig**2
                 else:
                     hess[0, 1] = hess[1, 0] = sig**2
-            fn = self.vertex_projector(vid, C2Data(val, grad, hess))
-            out.append(ArgyrisFunction(BasisId("vertex", vid, (j1, j2)), fn.blocks))
-        return out
+            data.append(C2Data(val, grad, hess))
+        nslots = len(asm.slots)
+        columns = {}
+        for ell, (ipatch, rot) in enumerate(asm.vertex.corners):
+            grids = [
+                -self._corner_term_grid(asm.rotated[ell], d)
+                + self._edge_term_grid(asm.slots[ell], d, role=2)
+                + self._edge_term_grid(asm.slots[(ell + 1) % nslots], d, role=1)
+                for d in data
+            ]
+            columns[ipatch] = _columns(np.stack(grids, axis=-1), rot)
+        return [BasisId("vertex", vid, j) for j in VERTEX_INDEX_ORDER], columns
+
+    def vertex_projector(self, vid, data):
+        """Alternating-sum Hermite interpolant of C2 data at one vertex.
+
+        It is the combination of the vertex's six basis functions with the
+        data scaled by sigma^-|j| as coefficients, so it matches value,
+        gradient and Hessian of the data at the vertex from every surrounding
+        patch and is identically zero when the data is zero.
+        """
+        g, H = data.grad, data.hess
+        slot_data = (data.value, g[0], g[1], H[0, 0], H[0, 1], H[1, 1])
+        sig = self.sigma(vid)
+        coeffs = np.zeros(self.dim)
+        for j, value in zip(VERTEX_INDEX_ORDER, slot_data):
+            coeffs[self.index_of[BasisId("vertex", vid, j)]] = value / sig ** sum(j)
+        return ArgyrisFunction(self, BasisId("vertex", vid, None), coeffs)
 
     # ------------------------------------------------------------------
     # queries and evaluation
@@ -550,65 +534,76 @@ class ArgyrisSpace:
     def sigma(self, vid):
         return self.vertex_assembly[vid].sigma
 
-    def combine(self, coeffs, patch):
-        """Dense coefficient grid of sum_a coeffs[a] * function_a on a patch."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.dim,):
+    def _check_coeffs(self, coeffs):
+        if coeffs.ndim not in (1, 2) or coeffs.shape[0] != self.dim:
             raise InvalidConfigError(
-                f"coefficient vector has shape {coeffs.shape}, expected ({self.dim},)"
+                f"coefficient array has shape {coeffs.shape}, expected "
+                f"({self.dim},) or ({self.dim}, k)"
             )
-        grid = np.zeros(self.shape)
-        for a, blk in self.patch_support[patch]:
-            if coeffs[a] != 0.0:
-                blk.add_to(grid, coeffs[a])
-        return grid
+
+    def combine(self, coeffs, patch):
+        """Dense coefficient grid (N, N) of sum_a coeffs[a] * function_a on a
+        patch; a (dim, k) coefficient matrix gives k grids, (N, N, k)."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        self._check_coeffs(coeffs)
+        return (self.C[patch] @ coeffs).reshape(self.shape + coeffs.shape[1:])
 
     def evaluate(self, coeffs, patch, uv, nderiv=0):
         """Parametric jet of a coefficient vector on one patch.
 
         Returns an (m, nderiv+1, nderiv+1) array of mixed partial
-        derivatives; pair it with the patch Jacobian for physical ones.
+        derivatives; pair it with the patch Jacobian for physical ones. A
+        (dim, k) coefficient matrix, dense or sparse, adds a trailing axis of
+        length k.
         """
-        if not 0 <= patch < len(self.geometry.patches):
+        if not 0 <= patch < len(self.C):
             raise InvalidConfigError(f"patch index {patch} out of range")
-        grid = self.combine(coeffs, patch)
-        tsp = TensorSpline(TensorSpace(self.usp), grid)
-        return tsp.jet(uv, nderiv)
+        if not scipy.sparse.issparse(coeffs):
+            coeffs = np.asarray(coeffs, dtype=float)
+        self._check_coeffs(coeffs)
+        uv = np.atleast_2d(uv)
+        jets = self.tspace.jet_matrix(uv, nderiv) @ (self.C[patch] @ coeffs)
+        if scipy.sparse.issparse(jets):
+            jets = jets.toarray()
+        return jets.reshape((len(uv), nderiv + 1, nderiv + 1) + coeffs.shape[1:])
 
     def function_jet(self, a, patch, uv, nderiv=0):
         """Parametric jet of basis function a on one patch (zero off-support)."""
-        uv = np.atleast_2d(uv)
-        fn = self.functions[a]
-        if patch not in fn.blocks:
-            return np.zeros((len(uv), nderiv + 1, nderiv + 1))
-        grid = fn.dense_grid(self.shape, patch)
-        tsp = TensorSpline(TensorSpace(self.usp), grid)
-        return tsp.jet(uv, nderiv)
+        return self.evaluate(self.functions[a].coeffs, patch, uv, nderiv)
 
 
 def physical_derivatives(geo_jet, f_jet):
     """Convert parametric jets to physical value/gradient/Hessian.
 
-    ``geo_jet``: (m, 3, 3, 2) patch-map derivatives; ``f_jet``: (m, 3, 3).
-    Returns (values, gradients (m, 2), Hessians (m, 2, 2)).
+    ``geo_jet``: (m, d, d, 2) patch-map derivatives; ``f_jet``: (m, d, d),
+    or (m, d, d, k) for k functions at once, with d = 3, or d = 2 when no
+    Hessian is wanted. Returns (values (m,), gradients (m, 2), Hessians
+    (m, 2, 2) or None for d = 2); k functions add an axis of length k after
+    the first.
     """
+    m, d = f_jet.shape[:2]
+    extra = f_jet.shape[3:]
+    f = np.moveaxis(f_jet.reshape(m, d, d, int(np.prod(extra, dtype=int))), 3, 1)
     Fu = geo_jet[:, 1, 0, :]
     Fv = geo_jet[:, 0, 1, :]
-    J = np.stack([Fu, Fv], axis=-1)  # J[:, i, d] = dF_i / dxi_d
-    val = f_jet[:, 0, 0]
-    rhs = np.stack([f_jet[:, 1, 0], f_jet[:, 0, 1]], axis=-1)
-    JT = np.swapaxes(J, 1, 2)
+    J = np.stack([Fu, Fv], axis=-1)[:, None]  # J[:, 0, i, d] = dF_i / dxi_d
+    val = f[:, :, 0, 0]
+    rhs = np.stack([f[:, :, 1, 0], f[:, :, 0, 1]], axis=-1)
+    JT = np.swapaxes(J, 2, 3)
     grad = np.linalg.solve(JT, rhs[..., None])[..., 0]
-    Hpar = np.empty((len(val), 2, 2))
-    Hpar[:, 0, 0] = f_jet[:, 2, 0]
-    Hpar[:, 0, 1] = Hpar[:, 1, 0] = f_jet[:, 1, 1]
-    Hpar[:, 1, 1] = f_jet[:, 0, 2]
-    for k in range(2):
-        Fk = np.empty((len(val), 2, 2))
-        Fk[:, 0, 0] = geo_jet[:, 2, 0, k]
-        Fk[:, 0, 1] = Fk[:, 1, 0] = geo_jet[:, 1, 1, k]
-        Fk[:, 1, 1] = geo_jet[:, 0, 2, k]
-        Hpar -= grad[:, k, None, None] * Fk
-    Jinv = np.linalg.inv(J)
-    hess = np.swapaxes(Jinv, 1, 2) @ Hpar @ Jinv
-    return val, grad, hess
+    hess = None
+    if d > 2:
+        Hpar = np.empty(f.shape[:2] + (2, 2))
+        Hpar[:, :, 0, 0] = f[:, :, 2, 0]
+        Hpar[:, :, 0, 1] = Hpar[:, :, 1, 0] = f[:, :, 1, 1]
+        Hpar[:, :, 1, 1] = f[:, :, 0, 2]
+        for k in range(2):
+            Fk = np.empty((m, 1, 2, 2))
+            Fk[:, 0, 0, 0] = geo_jet[:, 2, 0, k]
+            Fk[:, 0, 0, 1] = Fk[:, 0, 1, 0] = geo_jet[:, 1, 1, k]
+            Fk[:, 0, 1, 1] = geo_jet[:, 0, 2, k]
+            Hpar -= grad[:, :, k, None, None] * Fk
+        Jinv = np.linalg.inv(J)
+        hess = np.swapaxes(Jinv, 2, 3) @ Hpar @ Jinv
+        hess = hess.reshape((m,) + extra + (2, 2))
+    return val.reshape((m,) + extra), grad.reshape((m,) + extra + (2,)), hess

@@ -5,6 +5,8 @@ import pytest
 
 from argyris import (
     Spline,
+    TensorSpace,
+    TensorSpline,
     UnivariateSpace,
     convert,
     derived_edge_spaces,
@@ -273,3 +275,14 @@ def test_piecewise_poly_exact_capture_and_derivative():
     assert np.abs(pp(xs) - s(xs)).max() < 1e-13
     dp = pp.derivative()
     assert np.abs(dp(xs) - s(xs, deriv=1)).max() < 1e-12
+
+
+def test_tensor_jet_matrix_matches_spline_jet():
+    space = TensorSpace(UnivariateSpace(3, 1, 4))
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=space.shape + (3,))
+    uv = np.vstack([rng.uniform(0, 1, (10, 2)), [[0.0, 1.0], [0.25, 0.5]]])
+    for d in (0, 2):
+        want = TensorSpline(space, coeffs).jet(uv, d)
+        got = space.jet_matrix(uv, d) @ coeffs.reshape(-1, 3)
+        np.testing.assert_allclose(got.reshape(want.shape), want, rtol=1e-13, atol=1e-12)

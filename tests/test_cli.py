@@ -55,6 +55,22 @@ def test_missing_geometry_file_exits_one(capsys):
     assert "error" in err
 
 
+def test_malformed_geometry_file_exits_one(capsys, tmp_path):
+    from argyris import SpaceConfig, builtin_geometry, save_geometry
+
+    path = tmp_path / "geo.txt"
+    save_geometry(builtin_geometry("two_patch_bilinear", SpaceConfig(3, 1, 4)), path)
+    text = path.read_text()
+    for bad in (
+        text.replace("edge 0 interface", "edge x interface"),
+        text.replace("edge 1 boundary", "edge 0 boundary"),
+    ):
+        path.write_text(bad)
+        code, _, err = run(capsys, "geom", "check", "--geometry", str(path))
+        assert code == 1
+        assert "error" in err
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "gluing", "--builtin", "three_patch_bilinear")
     _, out2, _ = run(capsys, "gluing", "--builtin", "three_patch_bilinear")

@@ -2,7 +2,6 @@ import numpy as np
 
 from argyris import (
     AnalyticField,
-    BasisField,
     SpaceField,
     edge_dual,
     patch_dual,
@@ -15,12 +14,19 @@ def ids_where(space, pred):
     return [a for a, fn in enumerate(space.functions) if pred(fn.id)]
 
 
+def basis_field(space, b):
+    """Basis function b as a field: the unit coefficient vector e_b."""
+    e = np.zeros(space.dim)
+    e[b] = 1.0
+    return SpaceField(space, e)
+
+
 def test_patch_dual_biorthogonal_on_own_family(sp_two):
     patch_ids = ids_where(sp_two, lambda i: i.kind == "patch" and i.owner == 0)
     for a in patch_ids[:6]:
         fid = sp_two.functions[a].id
         for b in patch_ids[:6]:
-            val = patch_dual(sp_two, 0, fid.index, BasisField(sp_two, b))
+            val = patch_dual(sp_two, 0, fid.index, basis_field(sp_two, b))
             assert abs(val - (1.0 if a == b else 0.0)) < 1e-12
 
 
@@ -28,9 +34,9 @@ def test_patch_dual_kills_edge_and_vertex_functions(sp_two):
     others = ids_where(sp_two, lambda i: i.kind != "patch")
     fid = sp_two.functions[ids_where(sp_two, lambda i: i.kind == "patch")[0]].id
     for b in others:
-        if fid.owner not in sp_two.functions[b].blocks:
+        if fid.owner not in sp_two.functions[b].support:
             continue
-        assert abs(patch_dual(sp_two, fid.owner, fid.index, BasisField(sp_two, b))) < 1e-11
+        assert abs(patch_dual(sp_two, fid.owner, fid.index, basis_field(sp_two, b))) < 1e-11
 
 
 def test_patch_dual_of_zero(sp_two):
@@ -45,7 +51,7 @@ def test_edge_dual_biorthogonal_within_edge(sp_two):
     for a in edge_ids:
         fa = sp_two.functions[a].id
         for b in edge_ids:
-            val = edge_dual(sp_two, eid, fa.index, BasisField(sp_two, b))
+            val = edge_dual(sp_two, eid, fa.index, basis_field(sp_two, b))
             assert abs(val - (1.0 if a == b else 0.0)) < 1e-10
 
 
@@ -55,7 +61,7 @@ def test_edge_dual_kills_patch_interior(sp_two):
         ids_where(sp_two, lambda i: i.kind == "edge" and i.owner == eid)[0]
     ].id
     for b in ids_where(sp_two, lambda i: i.kind == "patch")[:10]:
-        assert abs(edge_dual(sp_two, eid, fa.index, BasisField(sp_two, b))) < 1e-12
+        assert abs(edge_dual(sp_two, eid, fa.index, basis_field(sp_two, b))) < 1e-12
 
 
 def test_edge_dual_kills_endpoint_vertex_functions(sp_two):
@@ -65,7 +71,7 @@ def test_edge_dual_kills_endpoint_vertex_functions(sp_two):
     for a in edge_ids:
         fa = sp_two.functions[a].id
         for b in vertex_ids:
-            val = edge_dual(sp_two, eid, fa.index, BasisField(sp_two, b))
+            val = edge_dual(sp_two, eid, fa.index, basis_field(sp_two, b))
             assert abs(val) < 1e-10
 
 
@@ -75,7 +81,7 @@ def test_vertex_dual_delta(sp_two):
         for a in vids:
             fa = sp_two.functions[a].id
             for b in vids:
-                val = vertex_dual(sp_two, v.id, fa.index, BasisField(sp_two, b))
+                val = vertex_dual(sp_two, v.id, fa.index, basis_field(sp_two, b))
                 assert abs(val - (1.0 if a == b else 0.0)) < 1e-9
 
 
@@ -85,7 +91,7 @@ def test_vertex_dual_kills_edge_interior(sp_two):
         ids_where(sp_two, lambda i: i.kind == "vertex" and i.owner == v.id)[0]
     ].id
     for b in ids_where(sp_two, lambda i: i.kind == "edge"):
-        assert abs(vertex_dual(sp_two, v.id, fa.index, BasisField(sp_two, b))) < 1e-10
+        assert abs(vertex_dual(sp_two, v.id, fa.index, basis_field(sp_two, b))) < 1e-10
 
 
 def test_vertex_dual_of_linear_coordinate(sp_two):
@@ -125,7 +131,7 @@ def test_project_reproduces_single_basis_functions(sp_two):
     rng = np.random.default_rng(12)
     picks = rng.choice(sp_two.dim, size=12, replace=False)
     for b in picks:
-        c = project(sp_two, BasisField(sp_two, int(b)))
+        c = project(sp_two, basis_field(sp_two, int(b)))
         e = np.zeros(sp_two.dim)
         e[b] = 1.0
         assert np.abs(c - e).max() < 1e-9

@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.sparse
 
 from argyris import (
     AnalyticField,
@@ -6,12 +7,13 @@ from argyris import (
     QuadratureRule,
     SpaceField,
     assemble_mass,
+    assemble_rhs,
     convergence_study,
     cos_sin_field,
     l2_fit,
     smoothness_report,
 )
-from argyris.space import ArgyrisFunction, BasisId, Block
+from argyris.space import ArgyrisFunction, BasisId
 
 
 def test_quadrature_weights_sum_to_element_area():
@@ -39,6 +41,45 @@ def test_mass_entries_against_refined_quadrature(sp_two):
     M2 = assemble_mass(sp_two, QuadratureRule(sp_two.config.n, 10))
     d = np.abs((M1 - M2).toarray()).max()
     assert d < 1e-10 * np.abs(M2.toarray()).max()
+
+
+def reference_mass_rhs(space, fld, rule):
+    """Element-loop reference assembler: on every element, the values of
+    each basis function from its coefficient window, one einsum per element."""
+    usp = space.usp
+    p, n, g, N, dim = usp.p, usp.n, rule.order, space.N, space.dim
+    mult = p - usp.r
+    _, ders = usp.basis_ders(rule.nodes.ravel(), 0)
+    tabs = ders[:, 0, :].reshape(n, g, p + 1)
+    uv = np.column_stack(
+        [np.repeat(rule.nodes.ravel(), n * g), np.tile(rule.nodes.ravel(), n * g)]
+    )
+    M = np.zeros((dim, dim))
+    rhs = np.zeros(dim)
+    for i, patch in enumerate(space.geometry.patches):
+        grids = space.C[i].toarray().T.reshape(dim, N, N)
+        J = patch.jacobian(uv)
+        det = np.abs(J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1])
+        det = det.reshape(n, g, n, g)
+        z = np.asarray(fld.values(i, uv)).reshape(n, g, n, g)
+        for e1 in range(n):
+            for e2 in range(n):
+                W = grids[:, e1 * mult : e1 * mult + p + 1, e2 * mult : e2 * mult + p + 1]
+                V = np.einsum("qi,kij,rj->kqr", tabs[e1], W, tabs[e2]).reshape(dim, -1)
+                wd = det[e1, :, e2, :] * np.outer(rule.weights[e1], rule.weights[e2])
+                M += (V * wd.ravel()) @ V.T
+                rhs += V @ (wd * z[e1, :, e2, :]).ravel()
+    return M, rhs
+
+
+def test_assembly_matches_element_loop_reference(sp_two):
+    rule = QuadratureRule(sp_two.config.n, sp_two.config.p + 2)
+    fld = cos_sin_field(sp_two.geometry)
+    M_ref, rhs_ref = reference_mass_rhs(sp_two, fld, rule)
+    M = assemble_mass(sp_two, rule).toarray()
+    rhs = assemble_rhs(sp_two, fld, rule)
+    assert np.abs(M - M_ref).max() < 1e-12 * np.abs(M_ref).max()
+    assert np.abs(rhs - rhs_ref).max() < 1e-12 * np.abs(rhs_ref).max()
 
 
 def test_in_space_fit_reproduces_coefficients(sp_three):
@@ -121,13 +162,19 @@ def test_smoothness_report_flags_broken_function(sp_three):
     import copy
 
     space = copy.copy(sp_three)
-    space.functions = list(sp_three.functions)
     e = space.geometry.interfaces()[0]
     (i1, k1), _ = e.locals
     grid = np.zeros(space.shape)
     grid[:2, :2] = 1.0  # corner B-splines: nonzero value on two sides of patch i1
-    broken = ArgyrisFunction(BasisId("patch", i1, ("broken",)), {i1: Block.from_dense(grid)})
-    space.functions.append(broken)
+    broken = ArgyrisFunction(space, BasisId("patch", i1, ("broken",)))
+    space.functions = sp_three.functions + [broken]
+    # one more extraction column, nonzero on patch i1 only
+    space.C = [
+        scipy.sparse.hstack(
+            [C, scipy.sparse.csr_matrix(grid.reshape(-1, 1) * (i == i1))]
+        ).tocsr()
+        for i, C in enumerate(sp_three.C)
+    ]
     rep = smoothness_report(space, samples_per_edge=50)
     assert rep.max_c1_jump > 1e-3
     worst_ids = {row[3] for row in rep.edge_rows}

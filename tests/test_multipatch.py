@@ -244,8 +244,59 @@ def test_load_rejects_trailing_garbage(mp_two, tmp_path):
         load_geometry(path)
 
 
+def test_load_rejects_non_integer_ids(mp_two, tmp_path):
+    path = tmp_path / "geo.txt"
+    save_geometry(mp_two, path)
+    text = path.read_text()
+    for old, new in [
+        ("edge 0 interface", "edge zero interface"),
+        ("edge 1 boundary 0 1", "edge 1 boundary 0 1.5"),
+        ("vertex 2 boundary", "vertex 2.0 boundary"),
+    ]:
+        path.write_text(text.replace(old, new))
+        with pytest.raises(GeometryFormatError, match="bad index"):
+            load_geometry(path)
+
+
+def test_load_rejects_non_finite_coordinates(mp_two, tmp_path):
+    path = tmp_path / "geo.txt"
+    save_geometry(mp_two, path)
+    lines = path.read_text().splitlines()
+    idx = next(i for i, ln in enumerate(lines) if ln == "patch 1") + 5
+    for bad in ("nan", "inf", "-inf"):
+        x, y = lines[idx].split()
+        path.write_text("\n".join(lines[:idx] + [f"{x} {bad}"] + lines[idx + 1 :]) + "\n")
+        with pytest.raises(GeometryFormatError, match="non-finite"):
+            load_geometry(path)
+
+
+def test_nan_control_point_fails_regularity(mp_two):
+    patches = list(mp_two.patches)
+    net = patches[0].net.copy()
+    net[4, 4] = np.nan
+    patches[0] = type(patches[0])(patches[0].space, net)
+    with pytest.raises(ConformityError, match="singular"):
+        MultiPatch(mp_two.config, patches, mp_two.edges, mp_two.vertices)
+
+
+def test_load_rejects_misnumbered_ids(mp_two, tmp_path):
+    # records are looked up by id: a duplicate or permuted id would silently
+    # build the wrong edge or vertex functions
+    path = tmp_path / "geo.txt"
+    save_geometry(mp_two, path)
+    text = path.read_text()
+    duplicate = text.replace("edge 1 boundary", "edge 0 boundary")
+    permuted = text.replace("vertex 1 boundary", "vertex @ boundary")
+    permuted = permuted.replace("vertex 2 boundary", "vertex 1 boundary")
+    permuted = permuted.replace("vertex @ boundary", "vertex 2 boundary")
+    for bad in (duplicate, permuted):
+        path.write_text(bad)
+        with pytest.raises(TopologyError, match="ids must be"):
+            load_geometry(path)
+
+
 def test_duplicate_side_rejected(mp_two):
-    edges = list(mp_two.edges) + [EdgeRecord(99, "boundary", [(0, 1)])]
+    edges = list(mp_two.edges) + [EdgeRecord(len(mp_two.edges), "boundary", [(0, 1)])]
     with pytest.raises(TopologyError):
         MultiPatch(mp_two.config, mp_two.patches, edges, mp_two.vertices, check=False)
 

@@ -187,14 +187,14 @@ def test_edge_trace_and_transversal_reproduction(sp_three):
 
 def test_vertex_projector_annihilates_zero(sp_three):
     fn = sp_three.vertex_projector(0, C2Data(0.0, np.zeros(2), np.zeros((2, 2))))
-    assert fn.blocks == {}
+    assert fn.support == set()
 
 
 def test_vertex_projector_value_slot_on_grid(cfg4, mp_grid22):
     sp = ArgyrisSpace(mp_grid22)
     v = [v for v in mp_grid22.vertices if v.is_interior][0]
     fn = sp.vertex_projector(v.id, C2Data(1.0, np.zeros(2), np.zeros((2, 2))))
-    assert len(fn.blocks) == 4
+    assert len(fn.support) == 4
     for ip, c in v.corners:
         uv = CORNER_UV[c : c + 1]
         gj = mp_grid22.patches[ip].jet(uv, 2)
@@ -307,6 +307,33 @@ def test_evaluate_unit_vector_matches_basis(sp_three):
         j2
     )(uv[:, 1])
     np.testing.assert_allclose(got, want, atol=1e-14)
+
+
+def test_coefficient_matrix_is_columnwise(sp_three):
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=(sp_three.dim, 2))
+    uv = rng.uniform(0, 1, (7, 2))
+    grids = sp_three.combine(c, 1)
+    jets = sp_three.evaluate(c, 1, uv, 2)
+    for k in range(2):
+        np.testing.assert_array_equal(grids[..., k], sp_three.combine(c[:, k], 1))
+        np.testing.assert_allclose(
+            jets[..., k], sp_three.evaluate(c[:, k], 1, uv, 2), rtol=0, atol=1e-12
+        )
+
+
+def test_linear_products_match_exact_representation(sp_three):
+    # (a + b x) v for an S- spline v, from the fixed E/X matrices, against a
+    # fresh exact representation of the sampled product
+    from argyris import represent_exactly
+
+    sm = sp_three.sminus
+    v = np.random.default_rng(4).normal(size=sm.N)
+    lin = np.array([0.7, -1.3])
+    want = represent_exactly(
+        sp_three.usp, lambda x: (lin[0] + lin[1] * x) * sm.spline(v)(x)
+    )
+    np.testing.assert_allclose(sp_three._mult_rep(v, lin), want, rtol=0, atol=1e-13)
 
 
 def test_evaluate_zero_coeffs(sp_three):
