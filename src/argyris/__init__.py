@@ -9,7 +9,6 @@ study driver.
 
 from . import errors
 from .bspline import (
-    PiecewisePoly,
     SpaceConfig,
     Spline,
     TensorSpace,
@@ -21,7 +20,6 @@ from .bspline import (
     dual_functional_weights,
     multiply_by_linear,
     represent_exactly,
-    represent_exactly_2d,
 )
 from .duality import (
     AnalyticField,
@@ -45,10 +43,9 @@ from .fit import (
 )
 from .geometries import BUILTIN_NAMES, builtin_geometry
 from .gluing import (
-    ExactGluing,
     GluingData,
     boundary_gluing,
-    exact_gluing,
+    edge_determinants,
     fit_asg1,
     transversal_vector,
 )

@@ -2,9 +2,10 @@
 
 Provides basis/derivative evaluation, the derived edge spaces (degree p with
 one order more smoothness, and degree p-1 with the same smoothness), exact
-piecewise-polynomial conversions via per-element Chebyshev interpolation,
-products with linear polynomials, and local dual functionals that are exact
-on the span of the basis.
+representation of a member of a univariate space from samples (which also
+yields conversions, knot insertion and products with linear polynomials as
+fixed matrices), and local dual functionals that are exact on the span of the
+basis.
 """
 
 from dataclasses import dataclass
@@ -22,11 +23,9 @@ __all__ = [
     "Spline",
     "TensorSpace",
     "TensorSpline",
-    "PiecewisePoly",
     "derived_edge_spaces",
     "multiply_by_linear",
     "represent_exactly",
-    "represent_exactly_2d",
     "convert",
     "dual_functional",
     "dual_functional_weights",
@@ -259,6 +258,15 @@ def derived_edge_spaces(space):
     return splus, sminus
 
 
+def _basis_values(space, pts, d=0):
+    """(m, N) values of the d-th derivatives of all basis functions at pts."""
+    first, ders = space.basis_ders(pts, d)
+    out = np.zeros((len(pts), space.N))
+    cols = first[:, None] + np.arange(space.p + 1)[None, :]
+    np.put_along_axis(out, cols, ders[:, d, :], axis=1)
+    return out
+
+
 def represent_exactly(space, f, tol=1e-10):
     """Coefficients of a function known to lie in the space.
 
@@ -448,89 +456,3 @@ class TensorSpline:
 
     def __call__(self, uv):
         return self.jet(uv, 0)[:, 0, 0]
-
-
-def represent_exactly_2d(space, f, tol=1e-10):
-    """Tensor-product analogue of represent_exactly.
-
-    ``f`` is called with two flat arrays (the tensor grid of sample points,
-    broadcast as ``u[:, None]``, ``v[None, :]``) and must return the sampled
-    grid of values; trailing component axes are allowed.
-    """
-    s1, s2 = space.s1, space.s2
-    p1, p2 = s1.p, s2.p
-    probe = np.asarray(
-        f(np.array([[0.5]]), np.array([[0.5]])), dtype=float
-    )
-    comp = probe.shape[2:]
-    acc = np.zeros(space.shape + comp)
-    cnt = np.zeros(space.shape)
-    lo = np.full(space.shape + comp, np.inf)
-    hi = np.full(space.shape + comp, -np.inf)
-    bp1, bp2 = s1.breakpoints, s2.breakpoints
-    for e1 in range(s1.n):
-        pts1 = _chebpts(bp1[e1], bp1[e1 + 1], p1 + 1)
-        first1, ders1 = s1.basis_ders(pts1, 0)
-        C1 = ders1[:, 0, :]
-        for e2 in range(s2.n):
-            pts2 = _chebpts(bp2[e2], bp2[e2 + 1], p2 + 1)
-            first2, ders2 = s2.basis_ders(pts2, 0)
-            C2 = ders2[:, 0, :]
-            Y = np.asarray(f(pts1[:, None], pts2[None, :]), dtype=float)
-            sol = np.linalg.solve(C1, Y.reshape(p1 + 1, -1)).reshape(Y.shape)
-            sol = np.moveaxis(sol, 1, 0)
-            sol = np.linalg.solve(C2, sol.reshape(p2 + 1, -1)).reshape(sol.shape)
-            sol = np.moveaxis(sol, 0, 1)
-            r = slice(first1[0], first1[0] + p1 + 1)
-            c = slice(first2[0], first2[0] + p2 + 1)
-            acc[r, c] += sol
-            cnt[r, c] += 1
-            lo[r, c] = np.minimum(lo[r, c], sol)
-            hi[r, c] = np.maximum(hi[r, c], sol)
-    w = cnt if not comp else cnt[..., None]
-    coeffs = acc / w
-    scale = max(1.0, np.abs(coeffs).max())
-    gap = (hi - lo).max()
-    if gap > tol * scale:
-        raise NotInSpaceError(
-            f"element-wise representations disagree by {gap:.3e}; "
-            f"function is not in the tensor space"
-        )
-    return coeffs
-
-
-class PiecewisePoly:
-    """Piecewise polynomial on the uniform mesh of [0, 1], one Chebyshev
-    coefficient row per element (element mapped to [-1, 1])."""
-
-    def __init__(self, n, coef):
-        self.n = n
-        self.coef = np.asarray(coef, dtype=float)
-
-    @classmethod
-    def from_callable(cls, n, degree, f):
-        """Exact capture of a function that is polynomial of the given degree
-        on every element of the uniform n-mesh."""
-        coef = np.empty((n, degree + 1))
-        for e in range(n):
-            a, b = e / n, (e + 1) / n
-            g = lambda t: f(a + (t + 1.0) * 0.5 * (b - a))
-            coef[e] = _cheb.chebinterpolate(g, degree)
-        return cls(n, coef)
-
-    def __call__(self, xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        e = np.minimum((xs * self.n).astype(int), self.n - 1)
-        t = 2.0 * (xs * self.n - e) - 1.0
-        out = np.empty_like(xs)
-        for el in np.unique(e):
-            m = e == el
-            out[m] = _cheb.chebval(t[m], self.coef[el])
-        return out
-
-    def derivative(self):
-        dcoef = np.zeros((self.n, max(self.coef.shape[1] - 1, 1)))
-        for el in range(self.n):
-            d = _cheb.chebder(self.coef[el]) * (2.0 * self.n)
-            dcoef[el, : len(d)] = d
-        return PiecewisePoly(self.n, dcoef)

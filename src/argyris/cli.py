@@ -49,8 +49,8 @@ def _add_geometry_args(p):
 
 
 def _geometry(args):
-    if args.tol <= 0:
-        raise InvalidConfigError("--tol must be positive")
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise InvalidConfigError(f"--tol must be positive and finite, got {args.tol}")
     if args.geometry:
         return load_geometry(args.geometry)
     return builtin_geometry(args.builtin, SpaceConfig(args.p, args.r, args.n))
@@ -174,7 +174,10 @@ def _cmd_sample(args):
         coeffs = np.zeros(space.dim)
         coeffs[args.basis] = 1.0
     else:
-        coeffs = np.loadtxt(args.coeffs, ndmin=1)
+        try:
+            coeffs = np.loadtxt(args.coeffs, ndmin=1)
+        except ValueError as exc:
+            raise InvalidConfigError(f"unreadable coefficient file: {exc}") from exc
         if coeffs.shape != (space.dim,):
             raise InvalidConfigError(
                 f"coefficient file has {coeffs.shape[0]} entries, need {space.dim}"

@@ -322,6 +322,10 @@ def smoothness_report(space, coeffs=None, samples_per_edge=200):
     """
     from .duality import rotate_uv
 
+    if samples_per_edge < 1:
+        raise InvalidConfigError(
+            f"need at least one sample per edge, got {samples_per_edge}"
+        )
     mp = space.geometry
     t = np.linspace(0.0, 1.0, samples_per_edge)
     if coeffs is None:

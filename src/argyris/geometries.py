@@ -8,7 +8,7 @@ deliberately does not.
 
 import numpy as np
 
-from .bspline import SpaceConfig, TensorSpace, UnivariateSpace, represent_exactly_2d
+from .bspline import SpaceConfig, TensorSpace, UnivariateSpace, represent_exactly
 from .errors import InvalidConfigError
 from .multipatch import Patch, infer_topology
 
@@ -63,14 +63,21 @@ def _two_squares(tspace):
 
 
 def _composed(tspace, patches, gmap):
+    """Nets of gmap o patch, represented exactly in v and then in u."""
+    space = tspace.s1
     out = []
     for patch in patches:
         def sample(u, v, _p=patch):
-            uu, vv = np.broadcast_arrays(u, v)
+            # (len(v), len(u), 2) values on the tensor grid
+            vv, uu = np.meshgrid(v, u, indexing="ij")
             pts = np.column_stack([uu.ravel(), vv.ravel()])
-            return gmap(_p.point(pts)).reshape(uu.shape + (2,))
+            return gmap(_p.point(pts)).reshape(len(v), len(u), 2)
 
-        out.append(Patch(tspace, represent_exactly_2d(tspace, sample)))
+        def v_coeffs(u, _s=sample):
+            # (len(u), N, 2): v-direction coefficients at each u sample
+            return represent_exactly(space, lambda v: _s(u, v)).swapaxes(0, 1)
+
+        out.append(Patch(tspace, represent_exactly(space, v_coeffs)))
     return out
 
 

@@ -8,22 +8,25 @@ compatibility functions solving
 are determined up to a common factor by three determinants of edge
 derivatives. An interface is analysis-suitable G1 when alpha1, alpha2 and the
 split beta = alpha1*beta2 + alpha2*beta1 can all be chosen as linear
-polynomials; the fit below decides this and returns stabilized data
-(alphas close to one, betas of minimal norm).
+polynomials; the fit below decides this from the determinants sampled at
+fixed edge nodes and returns stabilized data (alphas close to one, betas of
+minimal norm). Each interface is fitted once; ``GluingData.reversed`` gives
+the same data seen with the two patches swapped.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as _poly
 
-from .bspline import PiecewisePoly, _chebpts
+from .bspline import _chebpts
 from .errors import ConformityError, DegenerateGluingError, NotASG1Error
+from .multipatch import CONFORMITY_TOL, _edge_gap
 
 __all__ = [
-    "ExactGluing",
     "GluingData",
-    "exact_gluing",
+    "edge_determinants",
     "fit_asg1",
     "boundary_gluing",
     "transversal_vector",
@@ -35,20 +38,6 @@ _SNAP = 1e-11
 
 def _pv(coeffs, x):
     return _poly.polyval(np.asarray(x, dtype=float), coeffs)
-
-
-@dataclass
-class ExactGluing:
-    """The three edge determinants with the common factor normalized to one.
-
-    d1(t) = det[d1F1, d2F1](0, t), d2(t) = det[d1F2, d2F2](t, 0) and
-    d12(t) = det[d2F2(t, 0), d1F1(0, t)]; each is a piecewise polynomial of
-    degree at most 2p-1 on the edge mesh, and d1, d2 are positive.
-    """
-
-    d1: PiecewisePoly
-    d2: PiecewisePoly
-    d12: PiecewisePoly
 
 
 @dataclass
@@ -86,50 +75,67 @@ class GluingData:
     def is_boundary(self):
         return self.alpha2 is None
 
+    def reversed(self):
+        """Data of the same interface with patch roles swapped.
 
-def _edge_jets(F1, F2, xs):
-    z = np.zeros_like(xs)
-    j1 = F1.jet(np.column_stack([z, xs]), 1)
-    out = {"F1u": j1[:, 1, 0, :], "F1v": j1[:, 0, 1, :]}
-    if F2 is not None:
-        j2 = F2.jet(np.column_stack([xs, z]), 1)
-        out["F2u"] = j2[:, 1, 0, :]
-        out["F2v"] = j2[:, 0, 1, :]
-    return out
-
-
-def _check_standard_form(F1, F2):
-    t = np.linspace(0.0, 1.0, 50)
-    a = F1.point(np.column_stack([np.zeros_like(t), t]))
-    b = F2.point(np.column_stack([t, np.zeros_like(t)]))
-    gap = np.abs(a - b).max()
-    if gap > 1e-12:
-        raise ConformityError(
-            f"patch pair is not in standard form: edge mismatch {gap:.3e}"
+        If F1(0, t) = F2(t, 0), the swapped pair (F2, F1) is in standard form
+        with edge parameter s = 1 - t after reorienting both patches; with
+        p~(s) = p(1 - s), its data are alpha1' = alpha2~, alpha2' = alpha1~,
+        beta1' = -beta2~, beta2' = -beta1~ and beta' = -beta~.
+        """
+        return GluingData(
+            alpha1=_reflect(self.alpha2),
+            beta1=-_reflect(self.beta2),
+            alpha2=_reflect(self.alpha1),
+            beta2=-_reflect(self.beta1),
+            beta=-_reflect(self.beta),
+            residual=self.residual,
+            asg1=self.asg1,
         )
 
 
-def exact_gluing(F1, F2):
-    """Edge determinants of a standard-form patch pair."""
-    _check_standard_form(F1, F2)
-    p = F1.space.s1.p
-    n = F1.space.s1.n
-    deg = 2 * p - 1
+def _reflect(c):
+    """Monomial coefficients of s -> c(1 - s), by Taylor expansion at 1."""
+    taylor = [_pv(_poly.polyder(c, k), 1.0) / math.factorial(k) for k in range(len(c))]
+    return np.array(taylor) * (-1.0) ** np.arange(len(c))
 
-    def det_at(xs, which):
-        j = _edge_jets(F1, F2, np.atleast_1d(xs))
-        if which == 1:
-            a, b = j["F1u"], j["F1v"]
-        elif which == 2:
-            a, b = j["F2u"], j["F2v"]
-        else:
-            a, b = j["F2v"], j["F1u"]
+
+def _edge_jets(F1, F2, xs):
+    """First derivatives of a standard-form patch pair along the edge."""
+    gap = _edge_gap(F1, F2)
+    if gap > CONFORMITY_TOL:
+        raise ConformityError(
+            f"patch pair is not in standard form: edge mismatch {gap:.3e}"
+        )
+    z = np.zeros_like(xs)
+    j1 = F1.jet(np.column_stack([z, xs]), 1)
+    j2 = F2.jet(np.column_stack([xs, z]), 1)
+    return {
+        "F1u": j1[:, 1, 0, :],
+        "F1v": j1[:, 0, 1, :],
+        "F2u": j2[:, 1, 0, :],
+        "F2v": j2[:, 0, 1, :],
+    }
+
+
+def _determinants(j):
+    def det(a, b):
         return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
-    d1 = PiecewisePoly.from_callable(n, deg, lambda x: det_at(x, 1))
-    d2 = PiecewisePoly.from_callable(n, deg, lambda x: det_at(x, 2))
-    d12 = PiecewisePoly.from_callable(n, deg, lambda x: det_at(x, 12))
-    return ExactGluing(d1, d2, d12)
+    return det(j["F1u"], j["F1v"]), det(j["F2u"], j["F2v"]), det(j["F2v"], j["F1u"])
+
+
+def edge_determinants(F1, F2, xs):
+    """The three edge determinants of a standard-form patch pair at xs.
+
+    Returns (d1, d2, d12) with d1(t) = det[d1F1, d2F1](0, t),
+    d2(t) = det[d1F2, d2F2](t, 0) and d12(t) = det[d2F2(t, 0), d1F1(0, t)].
+    On the edge mesh d1 and d2 are piecewise polynomials of degree at most
+    2p-1 and d12 of degree at most 2p; d1 and d2 are positive on a regular
+    geometry. A pair that is not in standard form raises ConformityError.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    return _determinants(_edge_jets(F1, F2, xs))
 
 
 def _fit_sample_points(p, n):
@@ -138,8 +144,7 @@ def _fit_sample_points(p, n):
     return np.concatenate(pts)
 
 
-def _g1_defect(F1, F2, a1, a2, beta, xs):
-    j = _edge_jets(F1, F2, xs)
+def _g1_defect(j, a1, a2, beta, xs):
     res = (
         _pv(a1, xs)[:, None] * j["F2v"]
         + _pv(a2, xs)[:, None] * j["F1u"]
@@ -194,17 +199,15 @@ def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
     found in the null space of a 4-column least-squares matrix;
     the interface is accepted when the relative smallest singular value is
     below ``tol``. Accepted data is rescaled so the alphas are closest to one
-    in L2, beta is recovered from the exact determinants, and the beta split
-    takes the minimum-norm solution.
+    in L2, beta is fitted to the determinants at the same nodes, and the beta
+    split takes the minimum-norm solution.
 
     With ``strict`` (default), rejection raises NotASG1Error; otherwise the
     best-effort data is returned with ``asg1 = False``.
     """
-    eg = exact_gluing(F1, F2)
-    p_deg = F1.space.s1.p
-    n = F1.space.s1.n
-    xs = _fit_sample_points(p_deg, n)
-    D1, D2 = eg.d1(xs), eg.d2(xs)
+    xs = _fit_sample_points(F1.space.s1.p, F1.space.s1.n)
+    jets = _edge_jets(F1, F2, xs)
+    D1, D2, D12 = _determinants(jets)
     if D1.min() <= 0.0 or D2.min() <= 0.0:
         raise ConformityError("edge determinants are not positive; geometry is singular")
 
@@ -240,7 +243,7 @@ def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
                     "gluing sign condition alpha1*alpha2 > 0 cannot be met"
                 )
 
-    g = _pv(a1, xs) * eg.d12(xs) / D1
+    g = _pv(a1, xs) * D12 / D1
     beta = _poly.polyfit(xs, g, 2)
     snap = _SNAP * max(1.0, np.abs(_pv(a1, xs)).max(), np.abs(_pv(a2, xs)).max())
     if np.abs(g).max() <= snap:
@@ -257,7 +260,7 @@ def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
         b1 = np.zeros(2)
         b2 = np.zeros(2)
 
-    defect = _g1_defect(F1, F2, a1, a2, beta, xs)
+    defect = _g1_defect(jets, a1, a2, beta, xs)
     residual = rel_residual if not accepted else defect
     return GluingData(
         alpha1=a1,

@@ -14,7 +14,13 @@ the standard form used by all interface and vertex constructions.
 
 import numpy as np
 
-from .bspline import TensorSpace, TensorSpline, UnivariateSpace, represent_exactly_2d
+from .bspline import (
+    TensorSpace,
+    TensorSpline,
+    UnivariateSpace,
+    _basis_values,
+    represent_exactly,
+)
 from .errors import (
     ConformityError,
     GeometryFormatError,
@@ -301,22 +307,24 @@ def vertex_surrounding_edges(mp, vertex):
 
 
 def refine(mp, factor):
-    """Nested refinement: same geometry represented on a factor-times finer mesh."""
+    """Nested refinement: same geometry represented on a factor-times finer mesh.
+
+    Knot insertion is the fixed matrix R (N_fine, N_coarse) whose column j
+    holds the fine coefficients of coarse basis function j; every net maps
+    to R @ net @ R^T, coordinate by coordinate.
+    """
     if factor < 2:
         raise InvalidConfigError("refinement factor must be >= 2")
     cfg = mp.config
     new_cfg = type(cfg)(cfg.p, cfg.r, cfg.n * factor)
-    u1 = UnivariateSpace(new_cfg.p, new_cfg.r, new_cfg.n)
-    tspace = TensorSpace(u1)
-    patches = []
-    for patch in mp.patches:
-        def sample(u, v, _p=patch):
-            uu, vv = np.broadcast_arrays(u, v)
-            pts = np.column_stack([uu.ravel(), vv.ravel()])
-            return _p.point(pts).reshape(uu.shape + (2,))
-
-        net = represent_exactly_2d(tspace, sample)
-        patches.append(Patch(tspace, net))
+    coarse = UnivariateSpace(cfg.p, cfg.r, cfg.n)
+    fine = UnivariateSpace(new_cfg.p, new_cfg.r, new_cfg.n)
+    R = represent_exactly(fine, lambda x: _basis_values(coarse, x))
+    tspace = TensorSpace(fine)
+    patches = [
+        Patch(tspace, np.moveaxis(R @ np.moveaxis(patch.net, -1, 0) @ R.T, 0, -1))
+        for patch in mp.patches
+    ]
     return MultiPatch(new_cfg, patches, mp.edges, mp.vertices, check=False)
 
 

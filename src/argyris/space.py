@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .bspline import UnivariateSpace, TensorSpace, derived_edge_spaces, \
-    represent_exactly
+from .bspline import UnivariateSpace, TensorSpace, _basis_values, \
+    derived_edge_spaces, represent_exactly
 from .errors import ArgyrisError, InvalidConfigError
 from .gluing import boundary_gluing, fit_asg1, transversal_vector
 from .multipatch import rotate_net, standard_form_vertex
@@ -180,15 +180,6 @@ class _EdgeSlot:
         self.b1 = b1
         self.a2 = a2
         self.b2 = b2
-
-
-def _basis_values(space, pts, d=0):
-    """(m, N) values of the d-th derivatives of all basis functions at pts."""
-    first, ders = space.basis_ders(pts, d)
-    out = np.zeros((len(pts), space.N))
-    cols = first[:, None] + np.arange(space.p + 1)[None, :]
-    np.put_along_axis(out, cols, ders[:, d, :], axis=1)
-    return out
 
 
 def _columns(grids, rot):
@@ -389,9 +380,14 @@ class ArgyrisSpace:
         nslots = nu if vertex.is_interior else nu + 1
         for ell in range(nslots):
             if vertex.is_interior or 0 < ell < nu:
+                # the interface between patches ell-1 and ell was fitted with
+                # the edge's first listed side as patch 1; reverse otherwise
+                corner = vertex.corners[(ell - 1) % nu]
+                edge = mp.edge_of_side[corner]
+                g = self.edge_assembly[edge.id].gluing
+                if edge.locals[0] != corner:
+                    g = g.reversed()
                 Pprev = rotated[(ell - 1) % nu]
-                Pnext = rotated[ell % nu]
-                g = fit_asg1(Pprev, Pnext, tol=self.tol)
                 jet = Pprev.jet(np.zeros((1, 2)), 2)[0]
                 t0, t0p = jet[0, 1], jet[0, 2]
                 d, dp = transversal_vector(g, Pprev, np.array([0.0]))

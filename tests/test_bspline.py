@@ -259,24 +259,6 @@ def test_dual_locality():
     assert dual_functional(sp, j, f) == 0.0
 
 
-# --- piecewise Chebyshev helper ----------------------------------------------
-
-
-def test_piecewise_poly_exact_capture_and_derivative():
-    from argyris import PiecewisePoly
-
-    n = 4
-    # a genuinely piecewise function: polynomial of degree 3 per element
-    sp = UnivariateSpace(3, 1, n)
-    rng = np.random.default_rng(7)
-    s = Spline(sp, rng.normal(size=sp.N))
-    pp = PiecewisePoly.from_callable(n, 3, s)
-    xs = rng.uniform(0, 1, 200)
-    assert np.abs(pp(xs) - s(xs)).max() < 1e-13
-    dp = pp.derivative()
-    assert np.abs(dp(xs) - s(xs, deriv=1)).max() < 1e-12
-
-
 def test_tensor_jet_matrix_matches_spline_jet():
     space = TensorSpace(UnivariateSpace(3, 1, 4))
     rng = np.random.default_rng(5)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from argyris.cli import main
 
@@ -166,3 +167,35 @@ def test_space_audit_passes(capsys):
     )
     assert code == 0
     assert "audit PASS" in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_one(capsys, tol):
+    # a NaN tolerance used to turn every verdict into NOT AS-G1 with exit 0
+    code, out, err = run(
+        capsys, "gluing", "--builtin", "two_patch_bilinear", "--tol", tol
+    )
+    assert code == 1
+    assert out == ""
+    assert "--tol" in err
+
+
+def test_space_audit_zero_samples_exits_one(capsys):
+    code, _, err = run(
+        capsys,
+        "space", "audit", "--builtin", "two_patch_bilinear", "--samples", "0",
+    )
+    assert code == 1
+    assert "sample" in err
+
+
+def test_sample_unreadable_coeffs_exits_one(capsys, tmp_path):
+    f = tmp_path / "c.txt"
+    f.write_text("abc\n")
+    code, _, err = run(
+        capsys,
+        "sample", "--builtin", "two_patch_bilinear", "--coeffs", str(f),
+        "--output", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert "coefficient file" in err

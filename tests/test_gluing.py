@@ -7,7 +7,7 @@ from argyris import (
     SpaceConfig,
     boundary_gluing,
     builtin_geometry,
-    exact_gluing,
+    edge_determinants,
     fit_asg1,
     standard_form_edge,
     transversal_vector,
@@ -21,18 +21,18 @@ def interface_pair(mp, k=0):
 
 def test_translated_squares_determinants(mp_two):
     F1, F2 = interface_pair(mp_two)
-    eg = exact_gluing(F1, F2)
     xs = np.linspace(0, 1, 33)
-    np.testing.assert_allclose(eg.d12(xs), 0.0, atol=1e-14)
-    np.testing.assert_allclose(eg.d1(xs), eg.d2(xs), atol=1e-14)
+    d1, d2, d12 = edge_determinants(F1, F2, xs)
+    np.testing.assert_allclose(d12, 0.0, atol=1e-14)
+    np.testing.assert_allclose(d1, d2, atol=1e-14)
     # patch 1 here is the identity square: unit Jacobian determinant
-    np.testing.assert_allclose(eg.d1(xs), 1.0, atol=1e-14)
+    np.testing.assert_allclose(d1, 1.0, atol=1e-14)
 
 
 def test_determinants_match_finite_difference_oracle(mp_three):
     F1, F2 = interface_pair(mp_three)
-    eg = exact_gluing(F1, F2)
     xs = np.linspace(1e-3, 1 - 1e-3, 100)
+    e1, e2, e12 = edge_determinants(F1, F2, xs)
     eps = 1e-6
 
     def fd_central(F, uv, axis):
@@ -58,15 +58,15 @@ def test_determinants_match_finite_difference_oracle(mp_three):
     d2 = b1[:, 0] * b2[:, 1] - b1[:, 1] * b2[:, 0]
     d12 = b2[:, 0] * a1[:, 1] - b2[:, 1] * a1[:, 0]
     scale = max(1.0, np.abs(d1).max())
-    assert np.abs(eg.d1(xs) - d1).max() < 1e-9 * scale
-    assert np.abs(eg.d2(xs) - d2).max() < 1e-9 * scale
-    assert np.abs(eg.d12(xs) - d12).max() < 1e-9 * scale
+    assert np.abs(e1 - d1).max() < 1e-9 * scale
+    assert np.abs(e2 - d2).max() < 1e-9 * scale
+    assert np.abs(e12 - d12).max() < 1e-9 * scale
 
 
-def test_exact_gluing_requires_standard_form(mp_two):
+def test_edge_determinants_require_standard_form(mp_two):
     F1, F2 = interface_pair(mp_two)
     with pytest.raises(ConformityError):
-        exact_gluing(F1, F1)
+        edge_determinants(F1, F1, np.linspace(0, 1, 5))
 
 
 def test_parametric_continuity_special_case(mp_two):

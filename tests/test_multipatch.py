@@ -152,18 +152,20 @@ def test_refine_dimension_growth():
     assert UnivariateSpace(3, 1, 4).N == 10
 
 
-def test_refine_three_patch_geometry_invariant(mp_three):
-    fine = refine(refine(mp_three, 2), 2)
+def test_refine_three_patch_geometry_invariant(mp_three, mp_curved):
+    # the curved nets are not bilinear, so they exercise general knot insertion
     rng = np.random.default_rng(2)
     uv = rng.uniform(0, 1, (100, 2))
-    for i in range(3):
-        np.testing.assert_allclose(
-            fine.patches[i].point(uv), mp_three.patches[i].point(uv), atol=1e-12
-        )
-    for i in range(3):
-        coarse_min = check_regularity(mp_three.patches[i], 33)
-        fine_min = check_regularity(fine.patches[i], 33)
-        assert fine_min >= coarse_min - 1e-10
+    for coarse in (mp_three, mp_curved):
+        fine = refine(refine(coarse, 2), 2)
+        for i in range(len(coarse.patches)):
+            np.testing.assert_allclose(
+                fine.patches[i].point(uv), coarse.patches[i].point(uv), atol=1e-12
+            )
+        for i in range(len(coarse.patches)):
+            coarse_min = check_regularity(coarse.patches[i], 33)
+            fine_min = check_regularity(fine.patches[i], 33)
+            assert fine_min >= coarse_min - 1e-10
 
 
 @pytest.mark.parametrize(

@@ -396,3 +396,29 @@ def test_linear_alpha_interface_space(mp_asymmetric):
     assert rep.max_c2_jump < 1e-8
     M = biorthogonality_matrix(sp)
     assert np.abs(M - np.eye(sp.dim)).max() < 1e-9
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["mp_two", "mp_three", "mp_five", "mp_lshape", "mp_curved", "mp_asymmetric"],
+)
+def test_vertex_slots_reuse_edge_gluing(request, fixture):
+    # each interface is fitted once; every vertex slot, in either orientation,
+    # must carry the data a fresh fit of its own patch pair gives
+    from argyris import fit_asg1
+
+    sp = ArgyrisSpace(request.getfixturevalue(fixture))
+    checked = 0
+    for asm in sp.vertex_assembly.values():
+        nu = asm.vertex.valence
+        for ell, slot in enumerate(asm.slots):
+            if not (asm.vertex.is_interior or 0 < ell < nu):
+                continue
+            g = fit_asg1(asm.rotated[ell - 1], asm.rotated[ell % nu])
+            for got, want in (
+                (slot.a1, g.alpha1), (slot.b1, g.beta1),
+                (slot.a2, g.alpha2), (slot.b2, g.beta2),
+            ):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+            checked += 1
+    assert checked > 0
