@@ -5,7 +5,9 @@ one order more smoothness, and degree p-1 with the same smoothness), exact
 representation of a member of a univariate space from samples (which also
 yields conversions, knot insertion and products with linear polynomials as
 fixed matrices), and local dual functionals that are exact on the span of the
-basis.
+basis. Tensor-product splines are evaluated at scattered points (``jet``) or,
+by sum factorization over per-direction basis tables, on tensor grids
+(``grid_jet``).
 """
 
 from dataclasses import dataclass
@@ -453,6 +455,27 @@ class TensorSpline:
         if self.coeffs.ndim == 2:
             return np.einsum("mai,mij,mbj->mab", d1, W, d2)
         return np.einsum("mai,mijc,mbj->mabc", d1, W, d2)
+
+    def grid_jet(self, x1, x2, nderiv):
+        """``jet`` on the tensor grid x1 x x2, by sum factorization.
+
+        Equals ``jet(uv, nderiv)`` for the x1-major flattened grid
+        ``uv[q1 * len(x2) + q2] = (x1[q1], x2[q2])``, with the same one-sided
+        limits at breakpoints. Each derivative pair (a, b) is the product
+        ``A_a @ coeffs @ B_b^T`` of dense per-direction collocation tables
+        (Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME 2015), so the
+        basis is evaluated len(x1) + len(x2) times instead of len(x1) *
+        len(x2) times.
+        """
+        x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+        x2 = np.atleast_1d(np.asarray(x2, dtype=float))
+        B = np.stack([_basis_values(self.space.s2, x2, b) for b in range(nderiv + 1)])
+        # CB[i, q2, b, ...] = sum_j coeffs[i, j, ...] B_b[q2, j]
+        CB = np.einsum("brj,ij...->irb...", B, self.coeffs, optimize=True)
+        out = np.empty((len(x1),) + CB.shape[1:2] + (nderiv + 1,) + CB.shape[2:])
+        for a in range(nderiv + 1):
+            out[:, :, a] = np.tensordot(_basis_values(self.space.s1, x1, a), CB, axes=1)
+        return out.reshape((len(x1) * len(x2),) + out.shape[2:])
 
     def __call__(self, uv):
         return self.jet(uv, 0)[:, 0, 0]

@@ -129,14 +129,17 @@ def _cmd_fit(args):
 
     mp = _geometry(args)
     space = ArgyrisSpace(mp, tol=args.tol)
-    rule = QuadratureRule(space.config.n, args.quadrature or space.config.p + 2)
+    rule = None
+    if args.quadrature is not None:
+        rule = QuadratureRule(space.config.n, args.quadrature)
     res = l2_fit(space, cos_sin_field(mp), rule)
     print(f"h 1/{round(1 / res.h)}")
     print(f"dim {res.dim}")
     print(f"rel_l2_error {res.rel_error:.3e}")
     print(f"galerkin_residual {res.galerkin_residual:.3e}", file=sys.stderr)
     print(
-        f"assemble {res.assemble_seconds:.2f}s solve {res.solve_seconds:.2f}s",
+        f"assemble {res.assemble_seconds:.2f}s solve {res.solve_seconds:.2f}s "
+        f"error {res.error_seconds:.2f}s cg {res.cg_iterations}",
         file=sys.stderr,
     )
     if args.output:
@@ -154,7 +157,8 @@ def _cmd_converge(args):
     for r in results:
         print(
             f"n={round(1 / r.h)} assemble {r.assemble_seconds:.2f}s "
-            f"solve {r.solve_seconds:.2f}s",
+            f"solve {r.solve_seconds:.2f}s error {r.error_seconds:.2f}s "
+            f"cg {r.cg_iterations}",
             file=sys.stderr,
         )
     if args.csv:
@@ -164,6 +168,8 @@ def _cmd_converge(args):
 
 
 def _cmd_sample(args):
+    if args.grid < 1:
+        raise InvalidConfigError(f"--grid must be at least 1, got {args.grid}")
     mp = _geometry(args)
     space = ArgyrisSpace(mp, tol=args.tol)
     if args.basis is not None:
@@ -182,18 +188,19 @@ def _cmd_sample(args):
             raise InvalidConfigError(
                 f"coefficient file has {coeffs.shape[0]} entries, need {space.dim}"
             )
-    m = args.grid
-    t = np.linspace(0.0, 1.0, m)
+    t = np.linspace(0.0, 1.0, args.grid)
     uv = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+    order = 1 if args.derivs else 0
     header = "xi1,xi2,x1,x2,value" + (",dx1,dx2" if args.derivs else "")
     for i in range(len(mp.patches)):
-        x = mp.patches[i].point(uv)
-        jet = space.evaluate(coeffs, i, uv, 1 if args.derivs else 0)
+        geo = mp.patches[i].grid_jet(t, t, order)
+        jet = space.tspace.spline(space.combine(coeffs, i)).grid_jet(t, t, order)
+        x = geo[:, 0, 0]
         cols = [uv[:, 0], uv[:, 1], x[:, 0], x[:, 1], jet[:, 0, 0]]
         if args.derivs:
             from .space import physical_derivatives
 
-            _, grad, _ = physical_derivatives(mp.patches[i].jet(uv, 1), jet)
+            _, grad, _ = physical_derivatives(geo, jet)
             cols += [grad[:, 0], grad[:, 1]]
         path = f"{args.output}_patch{i}.csv"
         with open(path, "w", encoding="utf-8") as fh:

@@ -12,7 +12,9 @@ the space.
 Fields that are members of the space are sampled through the extraction
 matrices, several members at once when given a coefficient matrix; the
 functionals applied once to the identity coefficient block give the
-biorthogonality matrix D C.
+biorthogonality matrix D C. Both field classes also sample whole tensor
+grids by sum factorization (``grid_values``), which the L2 fit uses; the
+functionals here sample scattered points (``values``).
 """
 
 import numpy as np
@@ -60,6 +62,11 @@ class AnalyticField:
         x = self.geometry.patches[patch].point(uv)
         return np.asarray(self._value(x), dtype=float)
 
+    def grid_values(self, patch, x1, x2):
+        """Values on the x1-major flattened tensor grid x1 x x2."""
+        x = self.geometry.patches[patch].grid_jet(x1, x2, 0)[:, 0, 0]
+        return np.asarray(self._value(x), dtype=float)
+
     def gradients(self, patch, uv):
         if self._grad is None:
             raise InvalidConfigError("field has no gradient sampler")
@@ -95,6 +102,12 @@ class SpaceField:
     def values(self, patch, uv):
         fj, _ = self._jets(patch, np.atleast_2d(uv), 0)
         return fj[:, 0, 0]
+
+    def grid_values(self, patch, x1, x2):
+        """Values on the x1-major flattened tensor grid x1 x x2, for a
+        dense coefficient vector or matrix."""
+        grid = self.space.tspace.spline(self.space.combine(self.coeffs, patch))
+        return grid.grid_jet(x1, x2, 0)[:, 0, 0]
 
     def gradients(self, patch, uv):
         fj, gj = self._jets(patch, np.atleast_2d(uv), 1)

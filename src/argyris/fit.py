@@ -4,8 +4,15 @@ Element-wise tensor Gauss quadrature, contracted over all elements of a
 patch at once, gives each patch's |det DF|-weighted tensor B-spline mass
 M_i and load vector b_i; the space's extraction matrices C_i turn them into
 the mass matrix sum_i C_i^T M_i C_i and the load vector sum_i C_i^T b_i.
+The quadrature nodes of a patch form a tensor grid, so the patch map and its
+Jacobian, the target field and the fitted member are sampled there by sum
+factorization (``Patch.grid_jet``, ``grid_values`` of the field classes):
+per-direction basis tables instead of a basis evaluation at every node. With
+A0 the (m, N) basis values at the m nodes of one direction, b_i is
+A0^T (W o z) A0 for the weights W and target samples z on the grid.
 The normal equations are diagonally scaled and solved by conjugate
-gradients. The convergence driver fits a target function on a sequence of
+gradients; ``FitResult`` records the iteration count and the time of each
+stage. The convergence driver fits a target function on a sequence of
 nested refinements and tabulates errors with estimated convergence rates
 ecr = log2(e_coarse / e_fine).
 """
@@ -17,6 +24,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .bspline import _basis_values
+from .duality import AnalyticField, SpaceField
 from .errors import InvalidConfigError, NumericalError
 from .multipatch import CORNER_UV, refine
 from .space import ArgyrisSpace, physical_derivatives
@@ -38,8 +47,10 @@ class QuadratureRule:
     """Per-element tensor Gauss rule on [0, 1], ``order`` points per direction."""
 
     def __init__(self, n, order):
+        if n < 1:
+            raise InvalidConfigError(f"quadrature needs n >= 1 elements, got {n}")
         if order < 1:
-            raise InvalidConfigError("quadrature order must be positive")
+            raise InvalidConfigError(f"quadrature order must be positive, got {order}")
         x, w = np.polynomial.legendre.leggauss(order)
         self.n = n
         self.order = order
@@ -59,16 +70,28 @@ def _element_dofs(usp):
     return np.arange(usp.n)[:, None] * (usp.p - usp.r) + np.arange(usp.p + 1)
 
 
-def _patch_quadrature(space, i, rule):
-    """Quadrature points (m, 2) of one patch, xi1 major, and their weights
-    times |det DF| as an (n, g, n, g) array over (e1, q1, e2, q2)."""
+def _check_rule(space, rule):
+    """The given rule, or the default p+2 points per direction, checked
+    against the mesh of the space."""
+    if rule is None:
+        return QuadratureRule(space.config.n, space.config.p + 2)
+    if rule.n != space.config.n:
+        raise InvalidConfigError(
+            f"quadrature rule is for n={rule.n} elements, the space has "
+            f"n={space.config.n}"
+        )
+    return rule
+
+
+def _patch_weights(space, i, rule):
+    """Quadrature weights times |det DF| on the tensor grid of one patch, as
+    an (n, g, n, g) array over (e1, q1, e2, q2)."""
     x = rule.nodes.ravel()
-    uv = np.column_stack([np.repeat(x, len(x)), np.tile(x, len(x))])
-    J = space.geometry.patches[i].jacobian(uv)
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1]
+    J = space.geometry.patches[i].grid_jet(x, x, 1)
+    det = J[:, 1, 0, 0] * J[:, 0, 1, 1] - J[:, 1, 0, 1] * J[:, 0, 1, 0]
     w = rule.weights.ravel()
     W = np.abs(det) * np.outer(w, w).ravel()
-    return uv, W.reshape((rule.n, rule.order) * 2)
+    return W.reshape((rule.n, rule.order) * 2)
 
 
 def _patch_mass(space, i, rule):
@@ -76,7 +99,7 @@ def _patch_mass(space, i, rule):
     one patch, from one contraction over all elements."""
     N = space.N
     T = _basis_tables(space.usp, rule)
-    _, W = _patch_quadrature(space, i, rule)
+    W = _patch_weights(space, i, rule)
     TT = np.einsum("eqi,eqj->eqij", T, T)
     # local[e1, e2, i1, j1, i2, j2]: element (e1, e2), rows (i1, i2), cols (j1, j2)
     local = np.einsum("aqij,aqbr,brkl->abijkl", TT, W, TT, optimize=True)
@@ -91,7 +114,7 @@ def _patch_mass(space, i, rule):
 
 def assemble_mass(space, rule=None):
     """Sparse symmetric mass matrix sum_patches int phi_a phi_b |det DF|."""
-    rule = rule or QuadratureRule(space.config.n, space.config.p + 2)
+    rule = _check_rule(space, rule)
     M = scipy.sparse.csr_matrix((space.dim, space.dim))
     for i, C in enumerate(space.C):
         M = M + C.T @ _patch_mass(space, i, rule) @ C
@@ -99,33 +122,31 @@ def assemble_mass(space, rule=None):
 
 
 def assemble_rhs(space, fld, rule=None):
-    """Load vector int z phi_a |det DF| for a field with value samplers."""
-    rule = rule or QuadratureRule(space.config.n, space.config.p + 2)
-    N = space.N
-    T = _basis_tables(space.usp, rule)
-    dof = _element_dofs(space.usp)
-    rows = (dof[:, :, None, None] * N + dof[None, None, :, :]).ravel()
+    """Load vector int z phi_a |det DF| for a field with grid samplers.
+
+    On each patch the tensor B-spline load vector is A0^T (W o z) A0, with
+    A0 the (m, N) basis values at the m quadrature nodes per direction.
+    """
+    rule = _check_rule(space, rule)
+    x = rule.nodes.ravel()
+    A0 = _basis_values(space.usp, x)
     rhs = np.zeros(space.dim)
     for i, C in enumerate(space.C):
-        uv, W = _patch_quadrature(space, i, rule)
-        z = np.asarray(fld.values(i, uv), dtype=float).reshape(W.shape)
-        local = np.einsum("aqi,aqbr,brk->aibk", T, W * z, T, optimize=True)
-        rhs += C.T @ np.bincount(rows, weights=local.ravel(), minlength=N * N)
+        Wz = _patch_weights(space, i, rule).ravel() * fld.grid_values(i, x, x)
+        rhs += C.T @ (A0.T @ Wz.reshape(len(x), len(x)) @ A0).ravel()
     return rhs
 
 
 def _integral_sq(space, coeffs, fld, rule):
     """int (u_c - z)^2 and int z^2 by the same element-wise quadrature."""
-    T = _basis_tables(space.usp, rule)
-    dof = _element_dofs(space.usp)
+    x = rule.nodes.ravel()
+    u_c = SpaceField(space, coeffs)
     total = 0.0
     zz = 0.0
     for i in range(len(space.C)):
-        uv, W = _patch_quadrature(space, i, rule)
-        z = np.asarray(fld.values(i, uv), dtype=float).reshape(W.shape)
-        grid = space.combine(coeffs, i)
-        local = grid[dof[:, :, None, None], dof[None, None, :, :]]
-        u = np.einsum("aqi,aibk,brk->aqbr", T, local, T, optimize=True)
+        W = _patch_weights(space, i, rule).ravel()
+        z = fld.grid_values(i, x, x)
+        u = u_c.grid_values(i, x, x)
         zz += float((W * z**2).sum())
         total += float((W * (u - z) ** 2).sum())
     return total, zz
@@ -140,15 +161,26 @@ class FitResult:
     galerkin_residual: float
     assemble_seconds: float
     solve_seconds: float
+    error_seconds: float
+    cg_iterations: int
 
 
 def _solve_scaled(M, rhs):
+    """Solution of M c = rhs and the number of CG iterations it took."""
     d = np.asarray(M.diagonal())
     if np.any(d <= 0.0):
         raise NumericalError("mass diagonal is not positive")
     s = 1.0 / np.sqrt(d)
     A = scipy.sparse.diags(s) @ M @ scipy.sparse.diags(s)
-    y, info = scipy.sparse.linalg.cg(A, s * rhs, rtol=1e-12, atol=0.0, maxiter=2000)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    y, info = scipy.sparse.linalg.cg(
+        A, s * rhs, rtol=1e-12, atol=0.0, maxiter=2000, callback=count
+    )
     if info != 0:
         lam_max = scipy.sparse.linalg.eigsh(
             A, k=1, which="LA", return_eigenvectors=False, tol=1e-2
@@ -160,7 +192,7 @@ def _solve_scaled(M, rhs):
             f"conjugate gradients did not converge (info={info}, "
             f"condition estimate {lam_max / max(lam_min, 1e-300):.3e})"
         )
-    return s * y
+    return s * y, iterations
 
 
 def l2_fit(space, fld, rule=None):
@@ -171,16 +203,17 @@ def l2_fit(space, fld, rule=None):
     orders finer than the assembly rule, so the reported value is
     quadrature-saturated at every level.
     """
-    rule = rule or QuadratureRule(space.config.n, space.config.p + 2)
+    rule = _check_rule(space, rule)
     t0 = time.perf_counter()
     M = assemble_mass(space, rule)
     rhs = assemble_rhs(space, fld, rule)
     t1 = time.perf_counter()
-    coeffs = _solve_scaled(M, rhs)
+    coeffs, iterations = _solve_scaled(M, rhs)
     t2 = time.perf_counter()
-    res = float(np.linalg.norm(M @ coeffs - rhs) / max(np.linalg.norm(rhs), 1e-300))
     err_rule = QuadratureRule(rule.n, rule.order + 3)
     err2, zz = _integral_sq(space, coeffs, fld, err_rule)
+    t3 = time.perf_counter()
+    res = float(np.linalg.norm(M @ coeffs - rhs) / max(np.linalg.norm(rhs), 1e-300))
     rel = float(np.sqrt(max(err2, 0.0) / zz)) if zz > 0 else float(np.sqrt(max(err2, 0.0)))
     return FitResult(
         coeffs=coeffs,
@@ -190,6 +223,8 @@ def l2_fit(space, fld, rule=None):
         galerkin_residual=res,
         assemble_seconds=t1 - t0,
         solve_seconds=t2 - t1,
+        error_seconds=t3 - t2,
+        cg_iterations=iterations,
     )
 
 
@@ -236,7 +271,10 @@ def convergence_study(mp, make_field, levels, tol=1e-9, rule_order=None):
 
     ``make_field(geometry)`` binds the target function to each refined
     geometry; levels are h, h/2, h/4, ... starting from the input mesh.
+    ``rule_order`` Gauss points per direction replace the default p+2.
     """
+    if levels < 1:
+        raise InvalidConfigError(f"need at least one level, got {levels}")
     table = ConvergenceTable()
     results = []
     current = mp
@@ -244,9 +282,9 @@ def convergence_study(mp, make_field, levels, tol=1e-9, rule_order=None):
         if lvl > 0:
             current = refine(current, 2)
         space = ArgyrisSpace(current, tol=tol)
-        rule = QuadratureRule(
-            space.config.n, rule_order or space.config.p + 2
-        )
+        rule = None
+        if rule_order is not None:
+            rule = QuadratureRule(space.config.n, rule_order)
         r = l2_fit(space, make_field(current), rule)
         table.add(r.h, r.dim, r.rel_error)
         results.append(r)
@@ -271,8 +309,6 @@ def cos_sin_field(mp):
         out[:, 0, 1] = out[:, 1, 0] = -2.0 * np.sin(x[:, 0]) * np.cos(x[:, 1])
         out[:, 1, 1] = -2.0 * np.cos(x[:, 0]) * np.sin(x[:, 1])
         return out
-
-    from .duality import AnalyticField
 
     return AnalyticField(mp, value, grad, hess)
 

@@ -78,6 +78,10 @@ class Patch:
         """Map derivatives: D[q, a, b, :] = d^a d^b F / dxi1^a dxi2^b."""
         return self._spline.jet(uv, nderiv)
 
+    def grid_jet(self, x1, x2, nderiv):
+        """``jet`` on the x1-major flattened tensor grid x1 x x2."""
+        return self._spline.grid_jet(x1, x2, nderiv)
+
     def jacobian(self, uv):
         """J[q, :, d] is the column d F / dxi_d."""
         j = self._spline.jet(uv, 1)
@@ -216,9 +220,8 @@ def check_regularity(patch, m):
     if m < 2:
         raise InvalidConfigError("need at least a 2 x 2 sample grid")
     t = np.linspace(0.0, 1.0, m)
-    uv = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
-    J = patch.jacobian(uv)
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1]
+    J = patch.grid_jet(t, t, 1)
+    det = J[:, 1, 0, 0] * J[:, 0, 1, 1] - J[:, 1, 0, 1] * J[:, 0, 1, 0]
     return float(det.min())
 
 

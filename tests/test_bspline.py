@@ -268,3 +268,22 @@ def test_tensor_jet_matrix_matches_spline_jet():
         want = TensorSpline(space, coeffs).jet(uv, d)
         got = space.jet_matrix(uv, d) @ coeffs.reshape(-1, 3)
         np.testing.assert_allclose(got.reshape(want.shape), want, rtol=1e-13, atol=1e-12)
+
+
+@pytest.mark.parametrize("extra", [(), (2,)])
+def test_tensor_grid_jet_matches_spline_jet(extra):
+    # unequal factors and grid lengths, so a swapped direction shows; the
+    # grids hold 0, 1 and every breakpoint, where one-sided limits differ
+    space = TensorSpace(UnivariateSpace(3, 1, 4), UnivariateSpace(4, 2, 3))
+    rng = np.random.default_rng(6)
+    coeffs = rng.normal(size=space.shape + extra)
+    x1 = np.concatenate([np.arange(5) / 4, rng.uniform(0, 1, 3)])
+    x2 = np.concatenate([np.arange(4) / 3, rng.uniform(0, 1, 2)])
+    uv = np.column_stack([np.repeat(x1, len(x2)), np.tile(x2, len(x1))])
+    spline = TensorSpline(space, coeffs)
+    for d in (0, 1, 2):
+        want = spline.jet(uv, d)
+        got = spline.grid_jet(x1, x2, d)
+        assert got.shape == want.shape
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)

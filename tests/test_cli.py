@@ -83,13 +83,14 @@ def test_fit_command(capsys):
     assert code == 0
     assert "rel_l2_error" in out
     assert "h 1/4" in out
-    # timings stay off the data stream
+    # timings and CG iterations stay off the data stream
     assert "solve" in err and "solve" not in out
+    assert " error " in err and " cg " in err and " cg " not in out
 
 
 def test_converge_command(capsys, tmp_path):
     csv = tmp_path / "table.csv"
-    code, out, _ = run(
+    code, out, err = run(
         capsys,
         "converge",
         "--builtin",
@@ -102,6 +103,8 @@ def test_converge_command(capsys, tmp_path):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 4  # header + 3 rows
+    assert len(err.splitlines()) == 3  # one timing line per level
+    assert all(" error " in ln and " cg " in ln for ln in err.splitlines())
     last = lines[-1].split()
     assert 3.7 <= float(last[-1]) <= 4.3
     body = csv.read_text().splitlines()
@@ -199,3 +202,37 @@ def test_sample_unreadable_coeffs_exits_one(capsys, tmp_path):
     )
     assert code == 1
     assert "coefficient file" in err
+
+
+def test_fit_zero_quadrature_exits_one(capsys):
+    # --quadrature 0 used to fall back to the default p+2 points silently
+    code, out, err = run(
+        capsys, "fit", "--builtin", "two_patch_bilinear", "--quadrature", "0"
+    )
+    assert code == 1
+    assert out == ""
+    assert "quadrature" in err
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_converge_nonpositive_levels_exits_one(capsys, levels):
+    # used to print an empty table with exit 0
+    code, out, err = run(
+        capsys, "converge", "--builtin", "two_patch_bilinear", "--levels", levels
+    )
+    assert code == 1
+    assert out == ""
+    assert "level" in err
+
+
+@pytest.mark.parametrize("grid", ["-3", "0"])
+def test_sample_nonpositive_grid_exits_one(capsys, tmp_path, grid):
+    # -3 used to raise a numpy ValueError, 0 to write header-only files
+    code, _, err = run(
+        capsys,
+        "sample", "--builtin", "two_patch_bilinear", "--basis", "0",
+        "--grid", grid, "--output", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert "--grid" in err
+    assert not list(tmp_path.iterdir())

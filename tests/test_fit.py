@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 import scipy.sparse
 
 from argyris import (
     AnalyticField,
     ConvergenceTable,
+    Patch,
     QuadratureRule,
     SpaceField,
     assemble_mass,
@@ -13,6 +15,7 @@ from argyris import (
     l2_fit,
     smoothness_report,
 )
+from argyris.errors import InvalidConfigError
 from argyris.space import ArgyrisFunction, BasisId
 
 
@@ -27,6 +30,29 @@ def test_quadrature_polynomial_exactness():
     for k in range(2 * g):
         got = (rule.weights * rule.nodes**k).sum()
         assert abs(got - 1.0 / (k + 1)) < 1e-14
+
+
+def test_quadrature_rule_needs_elements():
+    with pytest.raises(InvalidConfigError):
+        QuadratureRule(0, 5)
+
+
+def test_quadrature_rule_must_match_mesh(sp_two):
+    # a rule for another mesh used to fail inside scipy with a bare ValueError
+    rule = QuadratureRule(sp_two.config.n + 1, 5)
+    fld = cos_sin_field(sp_two.geometry)
+    with pytest.raises(InvalidConfigError):
+        assemble_mass(sp_two, rule)
+    with pytest.raises(InvalidConfigError):
+        assemble_rhs(sp_two, fld, rule)
+    with pytest.raises(InvalidConfigError):
+        l2_fit(sp_two, fld, rule)
+
+
+def test_convergence_study_rejects_zero_rule_order(mp_two):
+    # order 0 used to fall back to the default p+2 points silently
+    with pytest.raises(InvalidConfigError):
+        convergence_study(mp_two, cos_sin_field, 1, rule_order=0)
 
 
 def test_mass_symmetric_and_positive_definite(sp_three):
@@ -89,6 +115,8 @@ def test_in_space_fit_reproduces_coefficients(sp_three):
     assert res.rel_error < 1e-10
     assert np.abs(res.coeffs - c).max() < 1e-8
     assert res.galerkin_residual < 1e-10
+    assert res.cg_iterations > 0
+    assert res.error_seconds >= 0.0
 
 
 def test_zero_target(sp_three):
@@ -97,6 +125,20 @@ def test_zero_target(sp_three):
     res = l2_fit(sp_three, zero)
     assert np.abs(res.coeffs).max() < 1e-14
     assert res.rel_error == 0.0
+    assert res.cg_iterations == 0
+
+
+def test_fit_evaluates_the_map_on_tensor_grids_only(sp_three, monkeypatch):
+    # the fit samples the patch map only through Patch.grid_jet
+    fld = cos_sin_field(sp_three.geometry)
+
+    def pointwise(*args):
+        raise AssertionError("pointwise evaluation of the patch map")
+
+    for name in ("point", "jacobian", "jet"):
+        monkeypatch.setattr(Patch, name, pointwise)
+    res = l2_fit(sp_three, fld)
+    assert 0.0 < res.rel_error < 1e-2
 
 
 def test_fit_errors_decrease_under_refinement(mp_three):

@@ -8,16 +8,23 @@ patch edge within 30 degrees of its grid direction and at least 0.5 long,
 so every corner Jacobian determinant stays above 0.125.
 """
 
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from argyris import (
     ArgyrisSpace,
     SpaceConfig,
+    SpaceField,
     TensorSpace,
     UnivariateSpace,
     biorthogonality_matrix,
     infer_topology,
+    load_geometry,
+    project,
+    save_geometry,
     smoothness_report,
     space_dimension,
 )
@@ -56,3 +63,21 @@ def test_jittered_grid_space(moves):
     M = biorthogonality_matrix(space)
     assert np.abs(M - np.eye(space.dim)).max() < 1e-9
     assert smoothness_report(space).passed()
+    # the projector reproduces a random member of the space
+    c = np.random.default_rng(0).standard_normal(space.dim)
+    assert np.abs(project(space, SpaceField(space, c)) - c).max() < 1e-9
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(grid_moves)
+def test_jittered_grid_save_load_roundtrip(moves):
+    mp = jittered_grid(SpaceConfig(3, 1, 4), moves)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "geo.txt")
+        save_geometry(mp, path)
+        back = load_geometry(path)
+    assert back.config == mp.config
+    for a, b in zip(mp.patches, back.patches):
+        assert a.net.tobytes() == b.net.tobytes()
+    assert [e.locals for e in back.edges] == [e.locals for e in mp.edges]
+    assert [v.corners for v in back.vertices] == [v.corners for v in mp.vertices]
