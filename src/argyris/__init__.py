@@ -25,10 +25,10 @@ from .duality import (
     AnalyticField,
     SpaceField,
     biorthogonality_matrix,
-    edge_dual,
-    patch_dual,
+    edge_duals,
+    patch_duals,
     project,
-    vertex_dual,
+    vertex_duals,
 )
 from .fit import (
     ConvergenceTable,
@@ -59,6 +59,7 @@ from .multipatch import (
     load_geometry,
     refine,
     rotate_net,
+    rotate_uv,
     save_geometry,
     standard_form_edge,
     standard_form_vertex,

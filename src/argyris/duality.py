@@ -1,48 +1,40 @@
 """Dual functionals for the three basis families and the global projector.
 
-Each basis function owns one functional: patch-interior functions pair with
-tensor products of univariate local-interpolation duals applied to the
-pullback; edge trace functions pair with S+ duals of the edge trace; edge
-derivative functions pair with S- duals of the scaled transversal derivative
-(h/p) grad(phi) . d along the edge; vertex functions pair with scaled point
-derivatives at the vertex. Summing coefficient-times-basis over all
-functionals yields the global projector, which reproduces every member of
-the space.
+Each basis function owns one functional, and the functionals of one entity
+share their samples, so they are applied one entity at a time: the functionals
+of a patch are tensor products of univariate local-interpolation duals applied
+to the pullback, all sampled on one tensor grid; those of an edge are S+ duals
+of the edge trace and S- duals of the scaled transversal derivative
+(h/p) grad(phi) . d, all sampled along one side; those of a vertex are the six
+scaled point derivatives at the vertex. Concatenated in the order of the basis
+they give the global projector, which reproduces every member of the space.
 
-Fields that are members of the space are sampled through the extraction
-matrices, several members at once when given a coefficient matrix; the
+A field is sampled through ``grid_values`` on a tensor grid (the patch
+functionals and the L2 fit) and through ``jets`` at scattered points (the
+edge and vertex functionals): physical value, gradient and Hessian up to the
+requested order. Members of the space are sampled through the extraction
+matrices, several members at once when given a coefficient matrix, so the
 functionals applied once to the identity coefficient block give the
-biorthogonality matrix D C. Both field classes also sample whole tensor
-grids by sum factorization (``grid_values``), which the L2 fit uses; the
-functionals here sample scattered points (``values``).
+biorthogonality matrix D C.
 """
 
 import numpy as np
-import scipy.sparse
 
 from .bspline import dual_functional_weights
 from .errors import InvalidConfigError
 from .gluing import transversal_vector
-from .multipatch import CORNER_UV
-from .space import physical_derivatives
+from .multipatch import CORNER_UV, rotate_uv
+from .space import _edge_index_set, physical_derivatives
 
 __all__ = [
     "AnalyticField",
     "SpaceField",
-    "patch_dual",
-    "edge_dual",
-    "vertex_dual",
+    "patch_duals",
+    "edge_duals",
+    "vertex_duals",
     "project",
     "biorthogonality_matrix",
 ]
-
-
-def rotate_uv(uv, k):
-    """Apply the quarter-turn map k times to parametric points."""
-    uv = np.atleast_2d(np.asarray(uv, dtype=float))
-    for _ in range(k % 4):
-        uv = np.column_stack([1.0 - uv[:, 1], uv[:, 0]])
-    return uv
 
 
 class AnalyticField:
@@ -54,39 +46,31 @@ class AnalyticField:
 
     def __init__(self, geometry, value, grad=None, hess=None):
         self.geometry = geometry
-        self._value = value
-        self._grad = grad
-        self._hess = hess
+        self._samplers = (value, grad, hess)
 
-    def values(self, patch, uv):
+    def jets(self, patch, uv, order):
+        """Value, then gradient (order >= 1), then Hessian (order 2)."""
+        samplers = self._samplers[: order + 1]
+        if any(s is None for s in samplers):
+            raise InvalidConfigError(
+                f"field has no derivative sampler of order {order}"
+            )
         x = self.geometry.patches[patch].point(uv)
-        return np.asarray(self._value(x), dtype=float)
+        return tuple(np.asarray(s(x), dtype=float) for s in samplers)
 
     def grid_values(self, patch, x1, x2):
         """Values on the x1-major flattened tensor grid x1 x x2."""
         x = self.geometry.patches[patch].grid_jet(x1, x2, 0)[:, 0, 0]
-        return np.asarray(self._value(x), dtype=float)
-
-    def gradients(self, patch, uv):
-        if self._grad is None:
-            raise InvalidConfigError("field has no gradient sampler")
-        x = self.geometry.patches[patch].point(uv)
-        return np.asarray(self._grad(x), dtype=float)
-
-    def hessians(self, patch, uv):
-        if self._hess is None:
-            raise InvalidConfigError("field has no Hessian sampler")
-        x = self.geometry.patches[patch].point(uv)
-        return np.asarray(self._hess(x), dtype=float)
+        return np.asarray(self._samplers[0](x), dtype=float)
 
 
 class SpaceField:
     """Member of the space given by a coefficient vector.
 
-    A (dim, k) coefficient matrix, dense or sparse, stands for k members at
-    once; every sample then carries an axis of length k after the first.
-    Samples come from the sparse jet matrices of the patch's tensor B-splines
-    times its extraction matrix.
+    A (dim, k) coefficient matrix stands for k members at once; every sample
+    then carries an axis of length k after the first. Samples come from the
+    sparse jet matrices of the patch's tensor B-splines times its extraction
+    matrix.
     """
 
     def __init__(self, space, coeffs):
@@ -94,93 +78,76 @@ class SpaceField:
         self.geometry = space.geometry
         self.coeffs = coeffs
 
-    def _jets(self, patch, uv, order):
+    def jets(self, patch, uv, order):
+        """Value, then gradient (order >= 1), then Hessian (order 2); values
+        alone need no patch map."""
+        uv = np.atleast_2d(uv)
         fj = self.space.evaluate(self.coeffs, patch, uv, order)
+        if order == 0:
+            return (fj[:, 0, 0],)
         gj = self.geometry.patches[patch].jet(uv, order)
-        return fj, gj
-
-    def values(self, patch, uv):
-        fj, _ = self._jets(patch, np.atleast_2d(uv), 0)
-        return fj[:, 0, 0]
+        return physical_derivatives(gj, fj)[: order + 1]
 
     def grid_values(self, patch, x1, x2):
-        """Values on the x1-major flattened tensor grid x1 x x2, for a
-        dense coefficient vector or matrix."""
+        """Values on the x1-major flattened tensor grid x1 x x2."""
         grid = self.space.tspace.spline(self.space.combine(self.coeffs, patch))
         return grid.grid_jet(x1, x2, 0)[:, 0, 0]
 
-    def gradients(self, patch, uv):
-        fj, gj = self._jets(patch, np.atleast_2d(uv), 1)
-        _, grad, _ = physical_derivatives(gj, fj)
-        return grad
 
-    def hessians(self, patch, uv):
-        fj, gj = self._jets(patch, np.atleast_2d(uv), 2)
-        _, _, hess = physical_derivatives(gj, fj)
-        return hess
+def _stacked_duals(space, indices):
+    """Sample points and (k, m) weights of the duals of the given basis
+    functions, each sampling m points; the points are stacked (k*m,)."""
+    pts, w = zip(*(dual_functional_weights(space, j) for j in indices))
+    return np.concatenate(pts), np.array(w)
 
 
-def patch_dual(space, patch, j, field):
-    """Tensor-product local dual of the pullback onto one patch."""
-    j1, j2 = j
-    pts1, w1 = dual_functional_weights(space.usp, j1)
-    pts2, w2 = dual_functional_weights(space.usp, j2)
-    uv = np.column_stack(
-        [np.repeat(pts1, len(pts2)), np.tile(pts2, len(pts1))]
-    )
-    vals = field.values(patch, uv)
-    vals = vals.reshape((len(pts1), len(pts2)) + vals.shape[1:])
-    return np.einsum("i,ij...,j->...", w1, vals, w2)
+def _contract(w, vals):
+    """Apply (k, m) weights to k stacked runs of m samples each."""
+    return np.einsum("am,am...->a...", w, vals.reshape(w.shape + vals.shape[1:]))
 
 
-def edge_dual(space, eid, index, field):
-    """Edge functional: S+ dual of the trace, or S- dual of the scaled
-    transversal derivative, both sampled from the first standard-form patch."""
-    j, s = index
+def patch_duals(space, i, field):
+    """Tensor-product local duals of the pullback onto patch i.
+
+    One tensor grid of all interior indices' dual points per direction;
+    entry (j1, j2) contracts its (p+1, p+1) block with the two weight rows.
+    """
+    x, w = _stacked_duals(space.usp, range(2, space.N - 2))
+    k, m = w.shape
+    vals = field.grid_values(i, x, x)
+    vals = vals.reshape((k, m, k, m) + vals.shape[1:])
+    out = np.einsum("ai,aibj...,bj->ab...", w, vals, w)
+    return out.reshape((k * k,) + out.shape[2:])
+
+
+def edge_duals(space, eid, field):
+    """S+ duals of the trace, then S- duals of the scaled transversal
+    derivative, sampled in one pass along the first standard-form side."""
+    idx = _edge_index_set(space.sminus.N)
+    tp, tw = _stacked_duals(space.splus, [j for j, s in idx if s == 0])
+    dp, dw = _stacked_duals(space.sminus, [j for j, s in idx if s == 1])
     asm = space.edge_assembly[eid]
     ipatch, rot = asm.side1
-    if s == 0:
-        pts, w = dual_functional_weights(space.splus, j)
-        uv = rotate_uv(np.column_stack([np.zeros_like(pts), pts]), rot)
-        return w @ field.values(ipatch, uv)
-    pts, w = dual_functional_weights(space.sminus, j)
-    uv = rotate_uv(np.column_stack([np.zeros_like(pts), pts]), rot)
-    d, _ = transversal_vector(asm.gluing, asm.P1, pts)
-    grads = field.gradients(ipatch, uv)
+    t = np.concatenate([tp, dp])
+    uv = rotate_uv(np.column_stack([np.zeros_like(t), t]), rot)
+    val, grad = field.jets(ipatch, uv, 1)
+    d, _ = transversal_vector(asm.gluing, asm.P1, dp)
     hp = space.config.h / space.config.p
-    return w @ (hp * np.einsum("m...i,mi->m...", grads, d))
+    deriv = hp * np.einsum("m...i,mi->m...", grad[len(tp) :], d)
+    return np.concatenate([_contract(tw, val[: len(tp)]), _contract(dw, deriv)])
 
 
-def vertex_dual(space, vid, j, field):
-    """Scaled point derivative at the vertex: d^j phi(x) / sigma^|j|."""
-    j1, j2 = j
+def vertex_duals(space, vid, field):
+    """Scaled point derivatives d^j phi(x) / sigma^|j| at the vertex, in
+    ``VERTEX_INDEX_ORDER``."""
     asm = space.vertex_assembly[vid]
     ipatch, corner = asm.vertex.corners[0]
-    uv = CORNER_UV[corner : corner + 1]
-    order = j1 + j2
-    if order == 0:
-        val = field.values(ipatch, uv)[0]
-    elif order == 1:
-        g = field.gradients(ipatch, uv)[0]
-        val = g[..., 0] if j1 else g[..., 1]
-    else:
-        H = field.hessians(ipatch, uv)[0]
-        val = H[..., 0, 0] if j1 == 2 else (H[..., 1, 1] if j2 == 2 else H[..., 0, 1])
-    return val / asm.sigma**order
-
-
-def dual_apply(space, a, field):
-    """Apply the functional paired with basis function a.
-
-    Returns a number for a single field and a length-k vector for a
-    SpaceField of k members.
-    """
-    fid = space.functions[a].id
-    if fid.kind == "patch":
-        return patch_dual(space, fid.owner, fid.index, field)
-    if fid.kind == "edge":
-        return edge_dual(space, fid.owner, fid.index, field)
-    return vertex_dual(space, fid.owner, fid.index, field)
+    val, g, H = field.jets(ipatch, CORNER_UV[corner : corner + 1], 2)
+    s = asm.sigma
+    g, H = g[0] / s, H[0] / s**2
+    return np.stack(
+        [val[0], g[..., 0], g[..., 1], H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]]
+    )
 
 
 def project(space, field):
@@ -189,7 +156,11 @@ def project(space, field):
     Reproduces members of the space; for general C2 fields it is a local
     quasi-interpolant. A SpaceField of k members gives a (dim, k) matrix.
     """
-    return np.array([dual_apply(space, a, field) for a in range(space.dim)])
+    mp = space.geometry
+    blocks = [patch_duals(space, i, field) for i in range(len(mp.patches))]
+    blocks += [edge_duals(space, e.id, field) for e in mp.edges]
+    blocks += [vertex_duals(space, v.id, field) for v in mp.vertices]
+    return np.concatenate(blocks)
 
 
 def biorthogonality_matrix(space):
@@ -199,5 +170,4 @@ def biorthogonality_matrix(space):
     coefficient block; the result equals the identity when basis and dual
     basis are biorthogonal.
     """
-    basis = SpaceField(space, scipy.sparse.identity(space.dim, format="csr"))
-    return project(space, basis)
+    return project(space, SpaceField(space, np.eye(space.dim)))

@@ -27,7 +27,7 @@ import scipy.sparse.linalg
 from .bspline import _basis_values
 from .duality import AnalyticField, SpaceField
 from .errors import InvalidConfigError, NumericalError
-from .multipatch import CORNER_UV, refine
+from .multipatch import CORNER_UV, refine, rotate_uv
 from .space import ArgyrisSpace, physical_derivatives
 
 __all__ = [
@@ -356,8 +356,6 @@ def smoothness_report(space, coeffs=None, samples_per_edge=200):
     max(1, local magnitude). The jets of all basis functions are evaluated
     at once, as the identity coefficient block.
     """
-    from .duality import rotate_uv
-
     if samples_per_edge < 1:
         raise InvalidConfigError(
             f"need at least one sample per edge, got {samples_per_edge}"

@@ -34,6 +34,7 @@ __all__ = [
     "VertexRecord",
     "MultiPatch",
     "rotate_net",
+    "rotate_uv",
     "check_regularity",
     "standard_form_edge",
     "standard_form_vertex",
@@ -56,6 +57,14 @@ def rotate_net(net, k):
     for _ in range(k % 4):
         out = out[::-1].swapaxes(0, 1)
     return np.ascontiguousarray(out)
+
+
+def rotate_uv(uv, k):
+    """Apply the quarter-turn map k times to parametric points."""
+    uv = np.atleast_2d(np.asarray(uv, dtype=float))
+    for _ in range(k % 4):
+        uv = np.column_stack([1.0 - uv[:, 1], uv[:, 0]])
+    return uv
 
 
 class Patch:
@@ -506,9 +515,13 @@ def load_geometry(path, config_cls=None):
     r = take_kv("r")
     n = take_kv("n")
     cfg = config_cls(p, r, n)
+    # a net needs N*N lines; refuse a size the file cannot hold before the
+    # spline space allocates for it
+    N = (p - r) * (n - 1) + p + 1
+    if N * N > len(lines):
+        raise GeometryFormatError(f"{path}: too short for {N}x{N} control nets")
     u1 = UnivariateSpace(p, r, n)
     tspace = TensorSpace(u1)
-    N = u1.N
 
     npatch = take_kv("patches")
     patches = []

@@ -549,18 +549,14 @@ class ArgyrisSpace:
 
         Returns an (m, nderiv+1, nderiv+1) array of mixed partial
         derivatives; pair it with the patch Jacobian for physical ones. A
-        (dim, k) coefficient matrix, dense or sparse, adds a trailing axis of
-        length k.
+        (dim, k) coefficient matrix adds a trailing axis of length k.
         """
         if not 0 <= patch < len(self.C):
             raise InvalidConfigError(f"patch index {patch} out of range")
-        if not scipy.sparse.issparse(coeffs):
-            coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = np.asarray(coeffs, dtype=float)
         self._check_coeffs(coeffs)
         uv = np.atleast_2d(uv)
         jets = self.tspace.jet_matrix(uv, nderiv) @ (self.C[patch] @ coeffs)
-        if scipy.sparse.issparse(jets):
-            jets = jets.toarray()
         return jets.reshape((len(uv), nderiv + 1, nderiv + 1) + coeffs.shape[1:])
 
     def function_jet(self, a, patch, uv, nderiv=0):

@@ -1,17 +1,25 @@
 import numpy as np
 
 from argyris import (
+    VERTEX_INDEX_ORDER,
     AnalyticField,
+    Patch,
     SpaceField,
-    edge_dual,
-    patch_dual,
+    edge_duals,
+    patch_duals,
     project,
-    vertex_dual,
+    vertex_duals,
 )
 
 
 def ids_where(space, pred):
     return [a for a, fn in enumerate(space.functions) if pred(fn.id)]
+
+
+def position(space, a):
+    """Position of basis function a in the block of its owning entity."""
+    fid = space.functions[a].id
+    return ids_where(space, lambda i: (i.kind, i.owner) == (fid.kind, fid.owner)).index(a)
 
 
 def basis_field(space, b):
@@ -24,44 +32,43 @@ def basis_field(space, b):
 def test_patch_dual_biorthogonal_on_own_family(sp_two):
     patch_ids = ids_where(sp_two, lambda i: i.kind == "patch" and i.owner == 0)
     for a in patch_ids[:6]:
-        fid = sp_two.functions[a].id
         for b in patch_ids[:6]:
-            val = patch_dual(sp_two, 0, fid.index, basis_field(sp_two, b))
+            val = patch_duals(sp_two, 0, basis_field(sp_two, b))[position(sp_two, a)]
             assert abs(val - (1.0 if a == b else 0.0)) < 1e-12
 
 
 def test_patch_dual_kills_edge_and_vertex_functions(sp_two):
     others = ids_where(sp_two, lambda i: i.kind != "patch")
-    fid = sp_two.functions[ids_where(sp_two, lambda i: i.kind == "patch")[0]].id
+    a = ids_where(sp_two, lambda i: i.kind == "patch")[0]
+    fid = sp_two.functions[a].id
     for b in others:
         if fid.owner not in sp_two.functions[b].support:
             continue
-        assert abs(patch_dual(sp_two, fid.owner, fid.index, basis_field(sp_two, b))) < 1e-11
+        val = patch_duals(sp_two, fid.owner, basis_field(sp_two, b))[position(sp_two, a)]
+        assert abs(val) < 1e-11
 
 
 def test_patch_dual_of_zero(sp_two):
     zero = SpaceField(sp_two, np.zeros(sp_two.dim))
     fid = sp_two.functions[0].id
-    assert patch_dual(sp_two, fid.owner, fid.index, zero) == 0.0
+    assert patch_duals(sp_two, fid.owner, zero)[position(sp_two, 0)] == 0.0
 
 
 def test_edge_dual_biorthogonal_within_edge(sp_two):
     eid = sp_two.geometry.interfaces()[0].id
     edge_ids = ids_where(sp_two, lambda i: i.kind == "edge" and i.owner == eid)
     for a in edge_ids:
-        fa = sp_two.functions[a].id
         for b in edge_ids:
-            val = edge_dual(sp_two, eid, fa.index, basis_field(sp_two, b))
+            val = edge_duals(sp_two, eid, basis_field(sp_two, b))[position(sp_two, a)]
             assert abs(val - (1.0 if a == b else 0.0)) < 1e-10
 
 
 def test_edge_dual_kills_patch_interior(sp_two):
     eid = sp_two.geometry.interfaces()[0].id
-    fa = sp_two.functions[
-        ids_where(sp_two, lambda i: i.kind == "edge" and i.owner == eid)[0]
-    ].id
+    a = ids_where(sp_two, lambda i: i.kind == "edge" and i.owner == eid)[0]
     for b in ids_where(sp_two, lambda i: i.kind == "patch")[:10]:
-        assert abs(edge_dual(sp_two, eid, fa.index, basis_field(sp_two, b))) < 1e-12
+        val = edge_duals(sp_two, eid, basis_field(sp_two, b))[position(sp_two, a)]
+        assert abs(val) < 1e-12
 
 
 def test_edge_dual_kills_endpoint_vertex_functions(sp_two):
@@ -69,9 +76,8 @@ def test_edge_dual_kills_endpoint_vertex_functions(sp_two):
     edge_ids = ids_where(sp_two, lambda i: i.kind == "edge" and i.owner == eid)
     vertex_ids = ids_where(sp_two, lambda i: i.kind == "vertex")
     for a in edge_ids:
-        fa = sp_two.functions[a].id
         for b in vertex_ids:
-            val = edge_dual(sp_two, eid, fa.index, basis_field(sp_two, b))
+            val = edge_duals(sp_two, eid, basis_field(sp_two, b))[position(sp_two, a)]
             assert abs(val) < 1e-10
 
 
@@ -79,19 +85,18 @@ def test_vertex_dual_delta(sp_two):
     for v in sp_two.geometry.vertices:
         vids = ids_where(sp_two, lambda i: i.kind == "vertex" and i.owner == v.id)
         for a in vids:
-            fa = sp_two.functions[a].id
             for b in vids:
-                val = vertex_dual(sp_two, v.id, fa.index, basis_field(sp_two, b))
+                duals = vertex_duals(sp_two, v.id, basis_field(sp_two, b))
+                val = duals[position(sp_two, a)]
                 assert abs(val - (1.0 if a == b else 0.0)) < 1e-9
 
 
 def test_vertex_dual_kills_edge_interior(sp_two):
     v = sp_two.geometry.vertices[0]
-    fa = sp_two.functions[
-        ids_where(sp_two, lambda i: i.kind == "vertex" and i.owner == v.id)[0]
-    ].id
+    a = ids_where(sp_two, lambda i: i.kind == "vertex" and i.owner == v.id)[0]
     for b in ids_where(sp_two, lambda i: i.kind == "edge"):
-        assert abs(vertex_dual(sp_two, v.id, fa.index, basis_field(sp_two, b))) < 1e-10
+        val = vertex_duals(sp_two, v.id, basis_field(sp_two, b))[position(sp_two, a)]
+        assert abs(val) < 1e-10
 
 
 def test_vertex_dual_of_linear_coordinate(sp_two):
@@ -104,7 +109,7 @@ def test_vertex_dual_of_linear_coordinate(sp_two):
     )
     v = mp.vertices[0]
     sig = sp_two.sigma(v.id)
-    got = vertex_dual(sp_two, v.id, (1, 0), fld)
+    got = vertex_duals(sp_two, v.id, fld)[VERTEX_INDEX_ORDER.index((1, 0))]
     assert abs(got - 1.0 / sig) < 1e-13
 
 
@@ -135,3 +140,21 @@ def test_project_reproduces_single_basis_functions(sp_two):
         e = np.zeros(sp_two.dim)
         e[b] = 1.0
         assert np.abs(c - e).max() < 1e-9
+
+
+def test_space_field_values_need_no_patch_map(sp_three, monkeypatch):
+    # values of a member come from its extraction matrices alone
+    c = np.random.default_rng(5).standard_normal(sp_three.dim)
+    fld = SpaceField(sp_three, c)
+    uv = np.random.default_rng(6).random((7, 2))
+    expected = [sp_three.evaluate(c, i, uv)[:, 0, 0] for i in range(3)]
+
+    def pointwise(*args):
+        raise AssertionError("pointwise evaluation of the patch map")
+
+    for name in ("point", "jet"):
+        monkeypatch.setattr(Patch, name, pointwise)
+    for i in range(3):
+        assert np.array_equal(fld.jets(i, uv, 0)[0], expected[i])
+        block = ids_where(sp_three, lambda f: f.kind == "patch" and f.owner == i)
+        assert np.abs(patch_duals(sp_three, i, fld) - c[block]).max() < 1e-9

@@ -87,7 +87,7 @@ def reference_mass_rhs(space, fld, rule):
         J = patch.jacobian(uv)
         det = np.abs(J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1])
         det = det.reshape(n, g, n, g)
-        z = np.asarray(fld.values(i, uv)).reshape(n, g, n, g)
+        z = np.asarray(fld.jets(i, uv, 0)[0]).reshape(n, g, n, g)
         for e1 in range(n):
             for e2 in range(n):
                 W = grids[:, e1 * mult : e1 * mult + p + 1, e2 * mult : e2 * mult + p + 1]

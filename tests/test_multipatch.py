@@ -272,6 +272,17 @@ def test_load_rejects_non_finite_coordinates(mp_two, tmp_path):
             load_geometry(path)
 
 
+def test_load_rejects_nets_larger_than_the_file(mp_two, tmp_path):
+    # a huge degree or element count is refused before anything is allocated
+    path = tmp_path / "geo.txt"
+    save_geometry(mp_two, path)
+    text = path.read_text()
+    for old, new in [("p 3", "p 100000"), ("n 4", "n 1000000000000000"), ("r 1", "r -7")]:
+        path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+        with pytest.raises(GeometryFormatError, match="too short"):
+            load_geometry(path)
+
+
 def test_nan_control_point_fails_regularity(mp_two):
     patches = list(mp_two.patches)
     net = patches[0].net.copy()

@@ -1,4 +1,4 @@
-"""Properties of the space over generated geometries.
+"""Properties of the space over generated geometries and geometry files.
 
 The geometries are 2x2 grids of bilinear patches with every grid point moved
 by at most 0.25. Bilinear multi-patch geometries are always AS-G1 (Collin,
@@ -6,8 +6,15 @@ Sangalli & Takacs, CAGD 2016), and the grid has an interior vertex of
 valence 4, which no builtin geometry has. A move of at most 0.25 keeps each
 patch edge within 30 degrees of its grid direction and at least 0.5 long,
 so every corner Jacobian determinant stays above 0.125.
+
+The geometry files are a saved three-patch geometry with a few lines
+deleted, duplicated, swapped or cut off, or a few tokens replaced; the
+command line must answer each with exit code 0, 1 or 2.
 """
 
+import contextlib
+import functools
+import io
 import os
 import tempfile
 
@@ -16,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from argyris import (
     ArgyrisSpace,
+    builtin_geometry,
     SpaceConfig,
     SpaceField,
     TensorSpace,
@@ -28,9 +36,15 @@ from argyris import (
     smoothness_report,
     space_dimension,
 )
+from argyris.cli import main
 from conftest import bilinear_patch
 
 MAX_SHIFT = 0.25
+
+# valid (p, r, n) for the smooth-space build, other degrees and smoothness
+CONFIGS = [
+    SpaceConfig(*c) for c in [(3, 1, 4), (4, 2, 3), (4, 1, 2), (5, 1, 2), (5, 3, 4)]
+]
 
 # one (distance, angle) move per point of the 3x3 grid
 grid_moves = st.lists(
@@ -55,9 +69,9 @@ def jittered_grid(config, moves):
 
 
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
-@given(grid_moves)
-def test_jittered_grid_space(moves):
-    mp = jittered_grid(SpaceConfig(3, 1, 4), moves)
+@given(grid_moves, st.sampled_from(CONFIGS))
+def test_jittered_grid_space(moves, config):
+    mp = jittered_grid(config, moves)
     space = ArgyrisSpace(mp)
     assert space.dim == space_dimension(mp)[0]
     M = biorthogonality_matrix(space)
@@ -81,3 +95,65 @@ def test_jittered_grid_save_load_roundtrip(moves):
         assert a.net.tobytes() == b.net.tobytes()
     assert [e.locals for e in back.edges] == [e.locals for e in mp.edges]
     assert [v.corners for v in back.vertices] == [v.corners for v in mp.vertices]
+
+
+# replacement tokens: malformed, non-finite, small and huge numbers, and
+# keywords in the wrong place
+TOKENS = ["", "-1", "0", "1", "2", "5", "9", "1000000000000000", "0.5", "1e300",
+          "nan", "inf", "x", "patch", "edge", "vertex", "interior", "boundary"]
+
+# a line is picked by an index into the file, negative ones from the end
+line_index = st.integers(-10**6, 10**6)
+file_mutation = st.one_of(
+    st.tuples(st.just("delete"), line_index),
+    st.tuples(st.just("duplicate"), line_index),
+    st.tuples(st.just("swap"), line_index, line_index),
+    st.tuples(st.just("truncate"), line_index),
+    st.tuples(st.just("token"), line_index, st.integers(0, 12), st.sampled_from(TOKENS)),
+)
+
+
+def mutate(lines, mutations):
+    lines = list(lines)
+    for kind, at, *rest in mutations:
+        if not lines:
+            break
+        k = at % len(lines)
+        if kind == "delete":
+            del lines[k]
+        elif kind == "duplicate":
+            lines.insert(k, lines[k])
+        elif kind == "swap":
+            m = rest[0] % len(lines)
+            lines[k], lines[m] = lines[m], lines[k]
+        elif kind == "truncate":
+            lines = lines[:k]
+        else:
+            tokens = lines[k].split() or [""]
+            tokens[rest[0] % len(tokens)] = rest[1]
+            lines[k] = " ".join(tokens)
+    return lines
+
+
+@functools.cache
+def three_patch_lines():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "geo.txt")
+        mp = builtin_geometry("three_patch_bilinear", SpaceConfig(3, 1, 4))
+        save_geometry(mp, path)
+        with open(path) as fh:
+            return tuple(fh.read().splitlines())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(file_mutation, min_size=1, max_size=3))
+def test_mutated_geometry_file_exit_codes(mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "geo.txt")
+        with open(path, "w") as fh:
+            fh.write("\n".join(mutate(three_patch_lines(), mutations)) + "\n")
+        for command in (["geom", "check"], ["space", "dim"], ["gluing"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(command + ["--geometry", path])
+            assert code in (0, 1, 2), (command, mutations)

@@ -10,9 +10,8 @@ from argyris import (
     space_dimension,
     refine,
 )
-from argyris.duality import rotate_uv
 from argyris.errors import InvalidConfigError
-from argyris.multipatch import CORNER_UV
+from argyris.multipatch import CORNER_UV, rotate_uv
 from conftest import square_grid_geometry
 
 
