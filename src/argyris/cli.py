@@ -34,7 +34,7 @@ _VALIDATION_ERRORS = (
     GeometryFormatError,
     NotInSpaceError,
     NotASG1Error,
-    FileNotFoundError,
+    OSError,
 )
 
 

@@ -294,7 +294,11 @@ def transversal_vector(g, F1, xs):
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     z = np.zeros_like(xs)
-    jet = F1.jet(np.column_stack([z, xs]), 2)
+    return _transversal_from_jet(g, F1.jet(np.column_stack([z, xs]), 2), xs)
+
+
+def _transversal_from_jet(g, jet, xs):
+    """``transversal_vector`` from the order-2 jets of patch 1 at (0, xs)."""
     F1u, F1v = jet[:, 1, 0, :], jet[:, 0, 1, :]
     F1uv, F1vv = jet[:, 1, 1, :], jet[:, 0, 2, :]
     a1 = g.alpha1_at(xs)[:, None]

@@ -9,16 +9,23 @@ three families:
 
 * patch-interior functions: single B-splines with two vanishing coefficient
   layers on every side of their patch;
-* edge functions: built on the trace space S+ (degree p, smoothness r+1) and
-  the transversal-derivative space S- (degree p-1, smoothness r), coupled
-  across an interface through its linear gluing data;
-* vertex functions: six per vertex, produced by an alternating sum of local
-  Hermite projectors that interpolates value, gradient and Hessian at the
-  vertex from every surrounding patch.
+* edge functions: on each side of an edge, the two coefficient layers next
+  to it are one fixed linear map of the function's trace coefficients T in
+  S+ (degree p, smoothness r+1) and of its transversal-derivative
+  coefficients V in S- (degree p-1, smoothness r), through the edge's
+  linear gluing data; edge function j is this map at a unit T or V;
+* vertex functions: six per vertex, the alternating-sum Hermite interpolants
+  of the scaled C2 data diag(sigma^|j|). Each edge slot around the vertex
+  has a (5, 6) matrix taking a C2 datum to the end values of T and V, and
+  each patch corner a (4, 6) matrix taking it to the jet whose 2x2 corner
+  coefficients both slots share; a function is the layers of its two slots
+  minus that corner block.
 
-All products entering the pullbacks (alpha times an S- spline, beta times a
-derivative of an S+ spline) are degree p piecewise polynomials of smoothness
-r, so the extraction matrices are exact up to rounding.
+The columns are written as sparse triplets straight from these layers, with
+the rows found by the index permutation of the patch's standard-form
+rotation. All products entering the pullbacks (alpha times an S- spline,
+beta times a derivative of an S+ spline) are degree p piecewise polynomials
+of smoothness r, so the extraction matrices are exact up to rounding.
 """
 
 from dataclasses import dataclass
@@ -29,7 +36,7 @@ import scipy.sparse
 from .bspline import UnivariateSpace, TensorSpace, _basis_values, \
     derived_edge_spaces, represent_exactly
 from .errors import ArgyrisError, InvalidConfigError
-from .gluing import boundary_gluing, fit_asg1, transversal_vector
+from .gluing import _transversal_from_jet, boundary_gluing, fit_asg1
 from .multipatch import rotate_net, standard_form_vertex
 
 __all__ = [
@@ -69,6 +76,8 @@ class C2Data:
             1.0 + np.abs(self.hess).max()
         ):
             raise InvalidConfigError("Hessian data must be symmetric")
+        if not all(np.isfinite(x).all() for x in (self.value, self.grad, self.hess)):
+            raise InvalidConfigError("C2 data must be finite")
 
 
 class ArgyrisFunction:
@@ -140,53 +149,79 @@ def _edge_index_set(Nm):
 class _EdgeAssembly:
     """Standard-form data of one edge, kept for dual functionals."""
 
-    __slots__ = ("edge", "side1", "side2", "P1", "P2", "gluing")
+    __slots__ = ("side1", "side2", "P1", "gluing")
 
-    def __init__(self, edge, side1, side2, P1, P2, gluing):
-        self.edge = edge
+    def __init__(self, side1, side2, P1, gluing):
         self.side1 = side1  # (patch index, rotation applied)
         self.side2 = side2
         self.P1 = P1
-        self.P2 = P2
         self.gluing = gluing
 
 
 class _VertexAssembly:
-    """Standard-form data of one vertex: rotated patches and edge slots."""
+    """Standard-form data of one vertex: rotated patches, edge slots and the
+    (4, 6) corner-data matrix of every surrounding patch."""
 
-    __slots__ = ("vertex", "rotated", "sigma", "point", "slots")
+    __slots__ = ("vertex", "rotated", "sigma", "slots", "corner_data")
 
-    def __init__(self, vertex, rotated, sigma, point, slots):
+    def __init__(self, vertex, rotated, sigma, slots, corner_data):
         self.vertex = vertex
         self.rotated = rotated
         self.sigma = sigma
-        self.point = point
         self.slots = slots
+        self.corner_data = corner_data
 
 
 class _EdgeSlot:
-    """One edge around a vertex: tangent/transversal data at the vertex and
-    the gluing polynomials seen from the patches before (role 1) and after
-    (role 2) the edge in counterclockwise order."""
+    """One edge around a vertex: its (5, 6) edge-data matrix and the gluing
+    polynomials seen from the patches before (role 1) and after (role 2) the
+    edge in counterclockwise order."""
 
-    __slots__ = ("t0", "t0p", "d0", "d0p", "a1", "b1", "a2", "b2")
+    __slots__ = ("data", "a1", "b1", "a2", "b2")
 
-    def __init__(self, t0, t0p, d0, d0p, a1, b1, a2, b2):
-        self.t0 = t0
-        self.t0p = t0p
-        self.d0 = d0
-        self.d0p = d0p
+    def __init__(self, data, a1, b1, a2, b2):
+        self.data = data
         self.a1 = a1  # alpha/beta monomial coeffs per role; None when absent
         self.b1 = b1
         self.a2 = a2
         self.b2 = b2
 
 
-def _columns(grids, rot):
-    """Extraction columns (N*N, k) of k coefficient grids stacked as (N, N, k)
-    in the frame of a patch rotated by ``rot`` quarter turns."""
-    grids = rotate_net(grids, (4 - rot) % 4)
-    return scipy.sparse.coo_matrix(grids.reshape(-1, grids.shape[-1]))
+# Linear forms in a C2 datum (v, g0, g1, H00, H01, H11) at the vertex: its
+# value, its derivative g.a along a curve with velocity a, and its mixed
+# second derivative a^T H b + g.ab along a map with first derivatives a, b
+# and mixed derivative ab.
+_VALUE = np.eye(6)[0]
+
+
+def _d1(a):
+    return np.array([0.0, a[0], a[1], 0.0, 0.0, 0.0])
+
+
+def _d2(a, b, ab):
+    return np.array(
+        [0.0, ab[0], ab[1], a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[1] * b[1]]
+    )
+
+
+def _edge_data(t0, t0p, d0, d0p, hp):
+    """(5, 6) edge data of a slot at the vertex: value, first and second
+    tangential derivative, then the first two (h/p)-scaled transversal ones,
+    for a trace with tangent t0, t0' and transversal direction d0, d0'."""
+    return np.stack(
+        [_VALUE, _d1(t0), _d2(t0, t0, t0p), hp * _d1(d0), hp * _d2(t0, d0, d0p)]
+    )
+
+
+def _coo(size, pieces):
+    """Sparse columns (size, k) from pieces (rows, values) with values of
+    shape rows.shape + (k,), keeping nonzero values only; no row may repeat."""
+    rows = np.concatenate([r.ravel() for r, _ in pieces])
+    vals = np.concatenate([v.reshape(r.size, -1) for r, v in pieces])
+    i, cols = np.nonzero(vals)
+    return scipy.sparse.coo_matrix(
+        (vals[i, cols], (rows[i], cols)), shape=(size, vals.shape[1])
+    )
 
 
 class ArgyrisSpace:
@@ -208,6 +243,10 @@ class ArgyrisSpace:
         self.splus, self.sminus = derived_edge_spaces(self.usp)
         self.N = self.usp.N
         self.shape = (self.N, self.N)
+        # _rows[k][a, b]: extraction row of position (a, b) of a patch's grid
+        # seen in the frame rotated by k quarter turns
+        self._rows = [rotate_net(np.arange(self.N**2).reshape(self.shape), k)
+                      for k in range(4)]
 
         # S+ basis and its derivative, re-expressed in S^{p,r} and S-
         self._rep_plus = represent_exactly(
@@ -223,14 +262,19 @@ class ArgyrisSpace:
             self.usp, lambda x: x[:, None] * _basis_values(self.sminus, x)
         )  # both (N, N-)
 
-        # corner Hermite matrix: [f(0); f'(0)] = M @ (first two coefficients)
+        # corner Hermite map: the 2x2 corner coefficients of a tensor spline,
+        # flattened, are this matrix times its flattened jet (f, f_v, f_u, f_uv)
         _, ders = self.usp.basis_ders(np.array([0.0]), 1)
-        self._corner_inv = np.linalg.inv(ders[0][:2, :2])
-        # endpoint bases of S+ (order 2) and S- (order 1)
+        inv = np.linalg.inv(ders[0][:2, :2])
+        self._corner_map = np.kron(inv, inv)
+        # S+ coefficients (N+, 3) of the spline with end jet (f, f', f'') at 0
+        # and vanishing elsewhere, and the S- ones (N-, 2) for the jet (f, f')
         _, dp = self.splus.basis_ders(np.array([0.0]), 2)
-        self._aplus = np.linalg.inv(dp[0][:3, :3])
+        self._aplus = np.zeros((self.splus.N, 3))
+        self._aplus[:3] = np.linalg.inv(dp[0][:3, :3])
         _, dm = self.sminus.basis_ders(np.array([0.0]), 1)
-        self._aminus = np.linalg.inv(dm[0][:2, :2])
+        self._aminus = np.zeros((self.sminus.N, 2))
+        self._aminus[:2] = np.linalg.inv(dm[0][:2, :2])
 
         self.functions = []
         self.index_of = {}
@@ -299,10 +343,10 @@ class ArgyrisSpace:
             P1 = mp.patches[i1].rotate(k1)
             P2 = mp.patches[i2].rotate((k2 - 1) % 4)
             g = fit_asg1(P1, P2, tol=self.tol)
-            return _EdgeAssembly(edge, (i1, k1), (i2, (k2 - 1) % 4), P1, P2, g)
+            return _EdgeAssembly((i1, k1), (i2, (k2 - 1) % 4), P1, g)
         (i1, k1), = edge.locals
         P1 = mp.patches[i1].rotate(k1)
-        return _EdgeAssembly(edge, (i1, k1), None, P1, None, boundary_gluing(P1))
+        return _EdgeAssembly((i1, k1), None, P1, boundary_gluing(P1))
 
     def _mult_rep(self, sminus_coeffs, lin):
         """Coefficients in S^{p,r} of (lin[0] + lin[1]*x) times an S- spline.
@@ -310,59 +354,52 @@ class ArgyrisSpace:
         Accepts a matrix of splines (one per column)."""
         return (lin[0] * self._E + lin[1] * self._X) @ sminus_coeffs
 
-    def _edge_side_layers(self, gl, role):
-        """Coefficient layers of all edge basis functions on one side.
+    def _side_layers(self, T, V, alpha, beta, role):
+        """The two coefficient layers (2, N, k) next to an edge on one side.
 
-        Returns (U0, U1, W): U0/U1 are (N, N+) with column j the S^{p,r}
-        coefficients of b+_j and of beta*(b+_j)', W is (N, N-) with column j
-        the coefficients of alpha*b-_j.
+        Column f maps S+ trace coefficients T[:, f] and S- coefficients
+        V[:, f] of the (h/p)-scaled transversal derivative to
+
+            u0 = T,   u1 = u0 - (h/p) beta T' +- alpha V
+
+        in S^{p,r}, with + on the patch before the edge (role 1) and - on the
+        patch after it (role 2).
         """
-        if role == 1:
-            alpha = np.asarray(gl.alpha1)
-            beta = np.asarray(gl.beta1)
-        else:
-            alpha = np.asarray(gl.alpha2)
-            beta = np.asarray(gl.beta2)
-        U0 = self._rep_plus
-        U1 = self._mult_rep(self._der_plus, beta)
-        W = self._mult_rep(np.eye(self.sminus.N), alpha)
-        return U0, U1, W
+        hp = self.config.h / self.config.p
+        u0 = self._rep_plus @ T
+        u1 = u0 - hp * self._mult_rep(self._der_plus @ T, beta)
+        w = self._mult_rep(V, alpha)
+        return np.stack([u0, u1 + w if role == 1 else u1 - w])
 
     def build_edge_functions(self, eid):
         """Edge basis: traces from S+ and transversal derivatives from S-.
 
-        On the first standard-form patch the pullback occupies the first two
-        coefficient layers next to the edge,
-
-            b+_j(xi2) (b0 + b1)(xi1) - beta1(xi2) (b+_j)'(xi2) (h/p) b1(xi1)
-
-        for the trace family and alpha1(xi2) b-_j(xi2) b1(xi1) for the
-        derivative family; the second patch carries the mirrored form with
-        -alpha2. Boundary edges use the first form with alpha = 1, beta = 0.
+        The trace function (j, 0) has the layers of T = e_j, V = 0 and the
+        derivative function (j, 1) those of T = 0, V = e_j, on the {xi1 = 0}
+        side of the first standard-form patch (role 1) and on the {xi2 = 0}
+        side of the second (role 2). Boundary edges use role 1 with
+        alpha = 1, beta = 0.
         """
         asm = self._edge_assembly_for(eid)
         self.edge_assembly[eid] = asm
-        N = self.N
-        hp = self.config.h / self.config.p
         idx = _edge_index_set(self.sminus.N)
-        trace = [j for j, s in idx if s == 0]
-        deriv = [j for j, s in idx if s == 1]
-        nt = len(trace)
+        k = len(idx)
+        T = np.zeros((self.splus.N, k))
+        V = np.zeros((self.sminus.N, k))
+        for f, (j, s) in enumerate(idx):
+            (V if s else T)[j, f] = 1.0
 
-        sides = [(asm.side1, 1)]
+        g = asm.gluing
+        sides = [(asm.side1, 1, g.alpha1, g.beta1)]
         if asm.side2 is not None:
-            sides.append((asm.side2, 2))
+            sides.append((asm.side2, 2, g.alpha2, g.beta2))
         columns = {}
-        for (ipatch, rot), role in sides:
-            U0, U1, W = self._edge_side_layers(asm.gluing, role)
-            # layers {xi1 = 0} and the next one; the second side is the transpose
-            grids = np.zeros((N, N, len(idx)))
-            grids[0, :, :nt] = U0[:, trace]
-            grids[1, :, :nt] = U0[:, trace] - hp * U1[:, trace]
-            grids[1, :, nt:] = W[:, deriv] if role == 1 else -W[:, deriv]
-            if role == 2:
-                grids = grids.swapaxes(0, 1)
-            columns[ipatch] = _columns(grids, rot)
+        for (ipatch, rot), role, alpha, beta in sides:
+            # layers {xi1 = 0, 1} of the first patch, {xi2 = 0, 1} of the second
+            R = self._rows[rot]
+            rows = R[:2] if role == 1 else R[:, :2].T
+            layers = self._side_layers(T, V, alpha, beta, role)
+            columns[ipatch] = _coo(self.N**2, [(rows, layers)])
         return [BasisId("edge", eid, j) for j in idx], columns
 
     def _vertex_assembly_for(self, vid):
@@ -371,11 +408,20 @@ class ArgyrisSpace:
         rotated = standard_form_vertex(mp, vertex)
         nu = vertex.valence
         h, p = self.config.h, self.config.p
+        hp = h / p
 
-        grads = [P.jacobian(np.zeros((1, 2)))[0] for P in rotated]
-        sigma = 1.0 / (h / (p * nu) * sum(np.linalg.norm(g) for g in grads))
-        point = rotated[0].corner(0)
+        # jets[ell][a, b] = d^a d^b F / dxi1^a dxi2^b of rotated patch ell at
+        # the vertex; sigma, the slots and the corner data are read from them
+        jets = [P.jet(np.zeros((1, 2)), 2)[0] for P in rotated]
+        jacobians = [np.stack([J[1, 0], J[0, 1]], axis=-1) for J in jets]
+        sigma = 1.0 / (h / (p * nu) * sum(np.linalg.norm(Jac) for Jac in jacobians))
+        # the jet (f, f_v, f_u, f_uv) of the datum pulled back to each patch
+        corner_data = [
+            np.stack([_VALUE, _d1(J[0, 1]), _d1(J[1, 0]), _d2(J[1, 0], J[0, 1], J[1, 1])])
+            for J in jets
+        ]
 
+        one, zero = np.array([1.0, 0.0]), np.zeros(2)
         slots = []
         nslots = nu if vertex.is_interior else nu + 1
         for ell in range(nslots):
@@ -387,116 +433,60 @@ class ArgyrisSpace:
                 g = self.edge_assembly[edge.id].gluing
                 if edge.locals[0] != corner:
                     g = g.reversed()
-                Pprev = rotated[(ell - 1) % nu]
-                jet = Pprev.jet(np.zeros((1, 2)), 2)[0]
-                t0, t0p = jet[0, 1], jet[0, 2]
-                d, dp = transversal_vector(g, Pprev, np.array([0.0]))
-                slot = _EdgeSlot(
-                    t0, t0p, d[0], dp[0], g.alpha1, g.beta1, g.alpha2, g.beta2
-                )
+                J = jets[(ell - 1) % nu]
+                d, dp = _transversal_from_jet(g, J[None], np.zeros(1))
+                data = _edge_data(J[0, 1], J[0, 2], d[0], dp[0], hp)
+                slot = _EdgeSlot(data, g.alpha1, g.beta1, g.alpha2, g.beta2)
             elif ell == 0:
                 # boundary edge on the {xi2 = 0} side of the first patch
-                jet = rotated[0].jet(np.zeros((1, 2)), 2)[0]
-                one = np.array([1.0, 0.0])
-                zero = np.zeros(2)
-                slot = _EdgeSlot(
-                    jet[1, 0], jet[2, 0], -jet[0, 1], -jet[1, 1],
-                    None, None, one, zero,
-                )
+                J = jets[0]
+                data = _edge_data(J[1, 0], J[2, 0], -J[0, 1], -J[1, 1], hp)
+                slot = _EdgeSlot(data, None, None, one, zero)
             else:
                 # boundary edge on the {xi1 = 0} side of the last patch
-                jet = rotated[nu - 1].jet(np.zeros((1, 2)), 2)[0]
-                one = np.array([1.0, 0.0])
-                zero = np.zeros(2)
-                slot = _EdgeSlot(
-                    jet[0, 1], jet[0, 2], jet[1, 0], jet[1, 1],
-                    one, zero, None, None,
-                )
+                J = jets[nu - 1]
+                data = _edge_data(J[0, 1], J[0, 2], J[1, 0], J[1, 1], hp)
+                slot = _EdgeSlot(data, one, zero, None, None)
             slots.append(slot)
-        return _VertexAssembly(vertex, rotated, sigma, point, slots)
-
-    def _edge_term_grid(self, slot, data, role):
-        """Grid of the local edge-space Hermite interpolant on one patch."""
-        hp = self.config.h / self.config.p
-        g, H = data.grad, data.hess
-        d0v = np.array(
-            [
-                data.value,
-                g @ slot.t0,
-                slot.t0 @ H @ slot.t0 + g @ slot.t0p,
-                hp * (g @ slot.d0),
-                hp * (slot.t0 @ H @ slot.d0 + g @ slot.d0p),
-            ]
-        )
-        tvec = np.zeros(self.splus.N)
-        tvec[:3] = self._aplus @ d0v[:3]
-        wvec = np.zeros(self.sminus.N)
-        wvec[:2] = self._aminus @ d0v[3:]
-
-        alpha, beta = (slot.a1, slot.b1) if role == 1 else (slot.a2, slot.b2)
-        u0 = self._rep_plus @ tvec
-        u1 = self._mult_rep(self._der_plus @ tvec, beta)
-        w = self._mult_rep(wvec, alpha)
-        grid = np.zeros((self.N, self.N))
-        if role == 1:
-            grid[0, :] = u0
-            grid[1, :] = u0 - hp * u1 + w
-        else:
-            grid[:, 0] = u0
-            grid[:, 1] = u0 - hp * u1 - w
-        return grid
-
-    def _corner_term_grid(self, P, data):
-        jet = P.jet(np.zeros((1, 2)), 2)[0]
-        Fu, Fv, Fuv = jet[1, 0], jet[0, 1], jet[1, 1]
-        g, H = data.grad, data.hess
-        fjet = np.array(
-            [
-                [data.value, g @ Fv],
-                [g @ Fu, Fu @ H @ Fv + g @ Fuv],
-            ]
-        )
-        E = self._corner_inv @ fjet @ self._corner_inv.T
-        grid = np.zeros((self.N, self.N))
-        grid[:2, :2] = E
-        return grid
+        return _VertexAssembly(vertex, rotated, sigma, slots, corner_data)
 
     def build_vertex_functions(self, vid):
         """Six functions per vertex, dual to scaled derivatives of order <= 2.
 
-        Each is the alternating-sum Hermite interpolant of C2 data at the
-        vertex: on every surrounding patch, the two local edge-space
-        interpolants minus the corner interpolant they share.
+        Function j is the alternating-sum Hermite interpolant of the C2 datum
+        sigma^|j| e_j, so the six data form diag(sigma^|j|). On every
+        surrounding patch the functions are the side layers of the two edge
+        slots there, with S+ and S- end coefficients given by the slot's edge
+        data times the data, minus the 2x2 corner block of the patch's corner
+        data times the data, which both slots contain.
         """
         asm = self._vertex_assembly_for(vid)
         self.vertex_assembly[vid] = asm
-        sig = asm.sigma
-        data = []
-        for (j1, j2) in VERTEX_INDEX_ORDER:
-            order = j1 + j2
-            val = sig**order if order == 0 else 0.0
-            grad = np.zeros(2)
-            hess = np.zeros((2, 2))
-            if order == 1:
-                grad[0 if j1 else 1] = sig
-            elif order == 2:
-                if (j1, j2) == (2, 0):
-                    hess[0, 0] = sig**2
-                elif (j1, j2) == (0, 2):
-                    hess[1, 1] = sig**2
-                else:
-                    hess[0, 1] = hess[1, 0] = sig**2
-            data.append(C2Data(val, grad, hess))
+        scale = np.array([asm.sigma ** sum(j) for j in VERTEX_INDEX_ORDER])
         nslots = len(asm.slots)
         columns = {}
         for ell, (ipatch, rot) in enumerate(asm.vertex.corners):
-            grids = [
-                -self._corner_term_grid(asm.rotated[ell], d)
-                + self._edge_term_grid(asm.slots[ell], d, role=2)
-                + self._edge_term_grid(asm.slots[(ell + 1) % nslots], d, role=1)
-                for d in data
-            ]
-            columns[ipatch] = _columns(np.stack(grids, axis=-1), rot)
+            layers = {}
+            for slot, role in (
+                (asm.slots[ell], 2), (asm.slots[(ell + 1) % nslots], 1)
+            ):
+                D = slot.data * scale
+                T, V = self._aplus @ D[:3], self._aminus @ D[3:]
+                alpha, beta = (slot.a1, slot.b1) if role == 1 else (slot.a2, slot.b2)
+                layers[role] = self._side_layers(T, V, alpha, beta, role)
+            # the 2x2 corner block lies in both sides' layers and is summed
+            # here, so every position is written once
+            corner = (
+                -(self._corner_map @ (asm.corner_data[ell] * scale)).reshape(2, 2, 6)
+                + layers[2][:, :2].swapaxes(0, 1)
+                + layers[1][:, :2]
+            )
+            R = self._rows[rot]
+            columns[ipatch] = _coo(self.N**2, [
+                (R[:2, :2], corner),
+                (R[:2, 2:], layers[1][:, 2:]),
+                (R[2:, :2].T, layers[2][:, 2:]),
+            ])
         return [BasisId("vertex", vid, j) for j in VERTEX_INDEX_ORDER], columns
 
     def vertex_projector(self, vid, data):
@@ -528,6 +518,8 @@ class ArgyrisSpace:
         return self.dim, dict(self.breakdown)
 
     def sigma(self, vid):
+        if vid not in self.vertex_assembly:
+            raise InvalidConfigError(f"vertex id {vid} out of range")
         return self.vertex_assembly[vid].sigma
 
     def _check_coeffs(self, coeffs):

@@ -56,6 +56,23 @@ def test_missing_geometry_file_exits_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geom", "check", "--geometry", "{dir}"],
+        ["sample", "--builtin", "two_patch_bilinear", "--coeffs", "{dir}",
+         "--output", "{dir}/x"],
+        ["fit", "--builtin", "two_patch_bilinear", "--output", "{dir}"],
+    ],
+)
+def test_directory_paths_exit_one(capsys, tmp_path, argv):
+    # each used to end in a bare IsADirectoryError traceback
+    code, _, err = run(capsys, *[a.format(dir=tmp_path) for a in argv])
+    assert code == 1
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+
+
 def test_malformed_geometry_file_exits_one(capsys, tmp_path):
     from argyris import SpaceConfig, builtin_geometry, save_geometry
 

@@ -245,24 +245,30 @@ def test_vertex_projector_mixed_hessian_slot(sp_three):
         assert np.abs(g1 - g2).max() < 1e-9
 
 
-def test_vertex_delta_property(sp_three):
+@pytest.mark.parametrize(
+    "fixture",
+    ["mp_two", "mp_three", "mp_five", "mp_lshape", "mp_curved", "mp_asymmetric"],
+)
+def test_vertex_delta_property(request, fixture):
+    # covers boundary vertices (first and last slots) and nonzero alpha slopes
     from argyris.space import VERTEX_INDEX_ORDER
 
-    mp = sp_three.geometry
+    sp = ArgyrisSpace(request.getfixturevalue(fixture))
+    mp = sp.geometry
     for v in mp.vertices:
-        sig = sp_three.sigma(v.id)
+        sig = sp.sigma(v.id)
         for (j1, j2) in VERTEX_INDEX_ORDER:
-            a = sp_three.index_of[
+            a = sp.index_of[
                 next(
                     fid
-                    for fid in sp_three.index_of
+                    for fid in sp.index_of
                     if fid.kind == "vertex" and fid.owner == v.id and fid.index == (j1, j2)
                 )
             ]
             for ip, c in v.corners:
                 uv = CORNER_UV[c : c + 1]
                 gj = mp.patches[ip].jet(uv, 2)
-                fj = sp_three.function_jet(a, ip, uv, 2)
+                fj = sp.function_jet(a, ip, uv, 2)
                 val, grad, hess = physical_derivatives(gj, fj)
                 got = {
                     (0, 0): val[0],
@@ -275,6 +281,31 @@ def test_vertex_delta_property(sp_three):
                 for m, value in got.items():
                     want = sig ** (j1 + j2) if m == (j1, j2) else 0.0
                     assert abs(value - want) < 1e-9 * max(1.0, sig ** (j1 + j2))
+
+
+def test_vertex_queries_reject_unknown_ids(sp_three):
+    data = C2Data(1.0, np.zeros(2), np.zeros((2, 2)))
+    for vid in (-1, len(sp_three.geometry.vertices), 99):
+        with pytest.raises(InvalidConfigError):
+            sp_three.sigma(vid)
+        with pytest.raises(InvalidConfigError):
+            sp_three.vertex_projector(vid, data)
+
+
+@pytest.mark.parametrize(
+    "value,grad,hess",
+    [
+        (np.nan, np.zeros(2), np.zeros((2, 2))),
+        (np.inf, np.zeros(2), np.zeros((2, 2))),
+        (0.0, [1.0, np.nan], np.zeros((2, 2))),
+        (0.0, np.zeros(2), [[np.inf, 0.0], [0.0, 1.0]]),
+        (0.0, np.zeros(2), [[1.0, np.nan], [np.nan, 1.0]]),
+    ],
+)
+def test_c2data_rejects_non_finite_entries(value, grad, hess):
+    # NaN data used to give NaN vertex-projector coefficients
+    with pytest.raises(InvalidConfigError):
+        C2Data(value, grad, hess)
 
 
 def test_sigma_formula_on_unit_grid():
@@ -292,6 +323,20 @@ def test_sigma_formula_on_unit_grid():
 
 
 # --- evaluation -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,r,n", [(3, 1, 4), (4, 2, 3)])
+@pytest.mark.parametrize(
+    "name",
+    ["two_patch_bilinear", "three_patch_bilinear", "five_patch_bilinear",
+     "lshape_bilinear", "two_patch_curved_asg1"],
+)
+def test_extraction_matrices_are_canonical_without_stored_zeros(name, p, r, n):
+    # stored zeros or duplicates would change the mass sparsity and CG cost
+    sp = ArgyrisSpace(builtin_geometry(name, SpaceConfig(p, r, n)))
+    for C in sp.C:
+        assert C.has_canonical_format
+        assert C.nnz == np.count_nonzero(C.data)
 
 
 def test_evaluate_unit_vector_matches_basis(sp_three):
