@@ -139,7 +139,8 @@ def _cmd_fit(args):
     print(f"galerkin_residual {res.galerkin_residual:.3e}", file=sys.stderr)
     print(
         f"assemble {res.assemble_seconds:.2f}s solve {res.solve_seconds:.2f}s "
-        f"error {res.error_seconds:.2f}s cg {res.cg_iterations}",
+        f"error {res.error_seconds:.2f}s cg {res.cg_iterations} "
+        f"cond {res.cond_estimate:.3e}",
         file=sys.stderr,
     )
     if args.output:
@@ -158,7 +159,7 @@ def _cmd_converge(args):
         print(
             f"n={round(1 / r.h)} assemble {r.assemble_seconds:.2f}s "
             f"solve {r.solve_seconds:.2f}s error {r.error_seconds:.2f}s "
-            f"cg {r.cg_iterations}",
+            f"cg {r.cg_iterations} cond {r.cond_estimate:.3e}",
             file=sys.stderr,
         )
     if args.csv:

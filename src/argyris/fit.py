@@ -10,23 +10,31 @@ factorization (``Patch.grid_jet``, ``grid_values`` of the field classes):
 per-direction basis tables instead of a basis evaluation at every node. With
 A0 the (m, N) basis values at the m nodes of one direction, b_i is
 A0^T (W o z) A0 for the weights W and target samples z on the grid.
-The normal equations are diagonally scaled and solved by conjugate
-gradients; ``FitResult`` records the iteration count and the time of each
-stage. The convergence driver fits a target function on a sequence of
-nested refinements and tabulates errors with estimated convergence rates
-ecr = log2(e_coarse / e_fine).
+The normal equations are diagonally scaled, A = S M S with S = diag(M)^-1/2,
+and solved by conjugate gradients with a block-diagonal preconditioner that
+follows the two families of the basis. The patch-interior functions, which
+lead the basis, are unit tensor B-splines, so their block of A is close to
+K^ (x) K^ on every patch, with K^ the unit-diagonal 1D B-spline mass of the
+interior indices on [0, 1]; it is inverted by fast diagonalization (Sangalli
+& Tani, SISC 2016). The few edge and vertex functions form the trailing
+block, factored exactly by one sparse LU. At p = 3 CG then needs about 30
+iterations on every mesh. Its coefficients also give a Lanczos estimate of
+the condition number of the preconditioned system; ``FitResult`` records it
+with the iteration count and the time of each stage. The convergence driver
+fits a target function on a sequence of nested refinements and tabulates
+errors with estimated convergence rates ecr = log2(e_coarse / e_fine).
 """
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .bspline import _basis_values
 from .duality import AnalyticField, SpaceField
-from .errors import InvalidConfigError, NumericalError
+from .errors import ArgyrisError, InvalidConfigError, NumericalError
 from .multipatch import CORNER_UV, refine, rotate_uv
 from .space import ArgyrisSpace, physical_derivatives
 
@@ -163,52 +171,156 @@ class FitResult:
     solve_seconds: float
     error_seconds: float
     cg_iterations: int
+    cond_estimate: float
 
 
-def _solve_scaled(M, rhs):
-    """Solution of M c = rhs and the number of CG iterations it took."""
+#: conjugate gradients stop once ||r|| <= CG_RTOL ||b|| on the scaled system
+CG_RTOL = 1e-12
+CG_MAXITER = 2000
+
+
+def _lanczos_condition(inv_alpha, beta):
+    """lambda_max / lambda_min of the Lanczos matrix of the PCG steps taken.
+
+    With alpha_k, beta_k the PCG coefficients, the matrix is tridiagonal with
+    diagonal 1/alpha_k + beta_{k-1}/alpha_{k-1} and off-diagonal
+    sqrt(beta_k)/alpha_k (Saad, Iterative Methods for Sparse Linear Systems,
+    sec. 6.7.3); its extreme eigenvalues approach those of the preconditioned
+    operator. NaN before the first step.
+    """
+    k = len(inv_alpha)
+    if k == 0:
+        return float("nan")
+    ia = np.array(inv_alpha)
+    b = np.array(beta[: k - 1])
+    diag = ia.copy()
+    diag[1:] += b * ia[:-1]
+    off = np.sqrt(b) * ia[:-1]
+    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    if not np.isfinite(T).all():
+        return float("nan")
+    lam = np.linalg.eigvalsh(T)
+    return float(lam[-1] / lam[0]) if lam[0] > 0.0 else float("inf")
+
+
+def _pcg(A, b, precond):
+    """Preconditioned conjugate gradients for A x = b from x = 0.
+
+    Returns x, the number of iterations and the Lanczos condition estimate of
+    the preconditioned operator. Raises NumericalError, with that estimate,
+    when ||r|| does not reach CG_RTOL ||b|| within CG_MAXITER iterations or
+    a step finds p.Ap <= 0, so that A or the preconditioner is not positive
+    definite.
+    """
+    x = np.zeros_like(b)
+    r = b
+    stop = CG_RTOL * np.linalg.norm(b)
+    z = precond(r)
+    rz = r @ z
+    p = z
+    inv_alpha, beta = [], []
+    while np.linalg.norm(r) > stop:
+        if len(inv_alpha) == CG_MAXITER:
+            reason = f"did not converge in {CG_MAXITER} iterations"
+            break
+        q = A @ p
+        inv_alpha.append((p @ q) / rz)
+        if not inv_alpha[-1] > 0.0:
+            reason = f"broke down at iteration {len(inv_alpha)}"
+            break
+        alpha = 1.0 / inv_alpha[-1]
+        x += alpha * p
+        r = r - alpha * q  # not in place: precond may return r itself
+        z = precond(r)
+        rz, rz_old = r @ z, rz
+        beta.append(rz / rz_old)
+        p = z + beta[-1] * p
+    else:
+        return x, len(inv_alpha), _lanczos_condition(inv_alpha, beta)
+    raise NumericalError(
+        f"conjugate gradients {reason} (condition estimate "
+        f"{_lanczos_condition(inv_alpha, beta):.3e})"
+    )
+
+
+def _unit_interior_mass(usp):
+    """K^: the 1D B-spline mass on [0, 1] of the indices 2..N-3, scaled to
+    unit diagonal."""
+    rule = QuadratureRule(usp.n, usp.p + 1)
+    B = _basis_values(usp, rule.nodes.ravel())[:, 2:-2]
+    K = B.T @ (rule.weights.ravel()[:, None] * B)
+    d = 1.0 / np.sqrt(np.diag(K))
+    return d[:, None] * K * d[None, :]
+
+
+def _block_preconditioner(space, A):
+    """Block-diagonal approximate inverse of the Jacobi-scaled mass A.
+
+    The basis starts with the interior B-splines of every patch, (N-4)^2 per
+    patch in row-major (j1, j2) order; their block of A is approximated by
+    K^ (x) K^ on every patch, which ignores the geometry and is inverted by
+    fast diagonalization: with K^ = Q diag(lam) Q^T, a residual block R
+    (N-4, N-4) maps to Q (L o Q^T R Q) Q^T, L = 1 / (lam_i lam_j). The
+    trailing block of the edge and vertex functions is factored exactly by
+    one sparse LU.
+    """
+    from scipy.sparse.linalg import splu  # only the solve needs it
+
+    inner = range(2, space.N - 2)
+    m = len(inner)
+    ni = sum(fn.id.kind == "patch" for fn in space.functions)
+    layout = itertools.product(range(len(space.C)), inner, inner)
+    if ni != len(space.C) * m * m or any(
+        (fn.id.kind, fn.id.owner, fn.id.index) != ("patch", i, (j1, j2))
+        for fn, (i, j1, j2) in zip(space.functions, layout)
+    ):
+        raise ArgyrisError("patch-interior functions do not lead the basis in tensor order")
+    try:
+        lu = splu(A[ni:, ni:].tocsc())
+    except RuntimeError as exc:  # exactly singular
+        raise NumericalError(f"interface block of the mass is singular: {exc}") from exc
+    lam, Q = np.linalg.eigh(_unit_interior_mass(space.usp))  # (0, 0) if N <= 4
+    L = 1.0 / np.outer(lam, lam)
+
+    def apply(r):
+        R = r[:ni].reshape(len(space.C), m, m)
+        return np.concatenate([
+            (Q @ (L * (Q.T @ R @ Q)) @ Q.T).ravel(), lu.solve(r[ni:])
+        ])
+
+    return apply
+
+
+def _solve_scaled(space, M, rhs):
+    """Solution of M c = rhs, the number of PCG iterations it took and the
+    condition estimate of the preconditioned scaled system."""
     d = np.asarray(M.diagonal())
     if np.any(d <= 0.0):
         raise NumericalError("mass diagonal is not positive")
     s = 1.0 / np.sqrt(d)
-    A = scipy.sparse.diags(s) @ M @ scipy.sparse.diags(s)
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    y, info = scipy.sparse.linalg.cg(
-        A, s * rhs, rtol=1e-12, atol=0.0, maxiter=2000, callback=count
-    )
-    if info != 0:
-        lam_max = scipy.sparse.linalg.eigsh(
-            A, k=1, which="LA", return_eigenvectors=False, tol=1e-2
-        )[0]
-        lam_min = scipy.sparse.linalg.eigsh(
-            A, k=1, which="SA", return_eigenvectors=False, tol=1e-2
-        )[0]
-        raise NumericalError(
-            f"conjugate gradients did not converge (info={info}, "
-            f"condition estimate {lam_max / max(lam_min, 1e-300):.3e})"
-        )
-    return s * y, iterations
+    A = M.tocsr(copy=True)  # S M S, scaled in place by columns, then rows
+    A.data *= s[A.indices]
+    A.data *= np.repeat(s, np.diff(A.indptr))
+    y, iterations, cond = _pcg(A, s * rhs, _block_preconditioner(space, A))
+    return s * y, iterations, cond
 
 
 def l2_fit(space, fld, rule=None):
     """Least-squares fit of a field in the smooth space.
 
-    Solves the diagonally scaled normal equations by conjugate gradients;
-    the relative L2 error is integrated with a verification rule three
-    orders finer than the assembly rule, so the reported value is
-    quadrature-saturated at every level.
+    Solves the diagonally scaled normal equations by conjugate gradients to
+    a relative residual of CG_RTOL, preconditioned by fast diagonalization
+    on the patch interiors and an exact sparse LU of the edge and vertex
+    block (see the module docstring); the relative L2 error is integrated
+    with a verification rule three orders finer than the assembly rule, so
+    the reported value is quadrature-saturated at every level.
     """
     rule = _check_rule(space, rule)
     t0 = time.perf_counter()
     M = assemble_mass(space, rule)
     rhs = assemble_rhs(space, fld, rule)
     t1 = time.perf_counter()
-    coeffs, iterations = _solve_scaled(M, rhs)
+    coeffs, iterations, cond = _solve_scaled(space, M, rhs)
     t2 = time.perf_counter()
     err_rule = QuadratureRule(rule.n, rule.order + 3)
     err2, zz = _integral_sq(space, coeffs, fld, err_rule)
@@ -225,6 +337,7 @@ def l2_fit(space, fld, rule=None):
         solve_seconds=t2 - t1,
         error_seconds=t3 - t2,
         cg_iterations=iterations,
+        cond_estimate=cond,
     )
 
 

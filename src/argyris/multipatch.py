@@ -48,7 +48,9 @@ __all__ = [
 CORNER_UV = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
 CONFORMITY_TOL = 1e-12
-CONFORMITY_SAMPLES = 50
+
+#: net index of the control point at each local corner
+_CORNER_INDEX = ((0, 0), (-1, 0), (-1, -1), (0, -1))
 
 
 def rotate_net(net, k):
@@ -101,7 +103,8 @@ class Patch:
         return Patch(self.space, rotate_net(self.net, k))
 
     def corner(self, k):
-        return self.point(CORNER_UV[k : k + 1])[0]
+        """Image of local corner k: its control point, by the clamped knots."""
+        return self.net[_CORNER_INDEX[k]].copy()
 
 
 class EdgeRecord:
@@ -234,11 +237,19 @@ def check_regularity(patch, m):
     return float(det.min())
 
 
-def _edge_gap(p1, p2, samples=CONFORMITY_SAMPLES):
-    t = np.linspace(0.0, 1.0, samples)
-    a = p1.point(np.column_stack([np.zeros_like(t), t]))
-    b = p2.point(np.column_stack([t, np.zeros_like(t)]))
-    return float(np.abs(a - b).max())
+def _edge_gap(p1, p2):
+    """Largest control-point distance between the traces F1(0, t), F2(t, 0).
+
+    On one tensor space both traces are splines in the same clamped space,
+    with coefficients p1.net[0, :] and p2.net[:, 0]; they coincide exactly
+    when these do, and the distance bounds |F1(0, t) - F2(t, 0)|. Patches on
+    different spaces raise ConformityError.
+    """
+    if p1.space != p2.space:
+        raise ConformityError(
+            f"patches on different spline spaces: {p1.space} and {p2.space}"
+        )
+    return float(np.abs(p1.net[0, :] - p2.net[:, 0]).max())
 
 
 def standard_form_edge(mp, edge):

@@ -103,6 +103,7 @@ def test_fit_command(capsys):
     # timings and CG iterations stay off the data stream
     assert "solve" in err and "solve" not in out
     assert " error " in err and " cg " in err and " cg " not in out
+    assert " cond " in err and " cond " not in out
 
 
 def test_converge_command(capsys, tmp_path):
@@ -122,6 +123,7 @@ def test_converge_command(capsys, tmp_path):
     assert len(lines) == 4  # header + 3 rows
     assert len(err.splitlines()) == 3  # one timing line per level
     assert all(" error " in ln and " cg " in ln for ln in err.splitlines())
+    assert all(" cond " in ln for ln in err.splitlines())
     last = lines[-1].split()
     assert 3.7 <= float(last[-1]) <= 4.3
     body = csv.read_text().splitlines()

@@ -1,21 +1,34 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
+import argyris
 from argyris import (
     AnalyticField,
+    ArgyrisSpace,
     ConvergenceTable,
     Patch,
     QuadratureRule,
+    SpaceConfig,
     SpaceField,
+    UnivariateSpace,
     assemble_mass,
     assemble_rhs,
+    builtin_geometry,
     convergence_study,
     cos_sin_field,
     l2_fit,
     smoothness_report,
 )
-from argyris.errors import InvalidConfigError
+from argyris.errors import InvalidConfigError, NumericalError
+from argyris.fit import _block_preconditioner, _pcg
 from argyris.space import ArgyrisFunction, BasisId
 
 
@@ -126,6 +139,94 @@ def test_zero_target(sp_three):
     assert np.abs(res.coeffs).max() < 1e-14
     assert res.rel_error == 0.0
     assert res.cg_iterations == 0
+    assert np.isnan(res.cond_estimate)  # no Krylov step, no estimate
+
+
+AS_G1_BUILTINS = (
+    "two_patch_bilinear",
+    "three_patch_bilinear",
+    "five_patch_bilinear",
+    "lshape_bilinear",
+    "two_patch_curved_asg1",
+)
+
+
+@pytest.mark.parametrize("name", ["five_patch_bilinear", "two_patch_curved_asg1"])
+def test_preconditioned_cg_iterations_stay_bounded(name):
+    # Jacobi scaling alone took 288-532 iterations at n = 4, 8, 16
+    _, results = convergence_study(builtin_geometry(name), cos_sin_field, 3)
+    assert [round(1 / r.h) for r in results] == [4, 8, 16]
+    for r in results:
+        assert 0 < r.cg_iterations <= 40
+        assert 1.0 < r.cond_estimate < 20.0
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (4, 2), (5, 1)])
+@pytest.mark.parametrize("name", AS_G1_BUILTINS)
+def test_preconditioned_solve_matches_direct_solve(name, p, r):
+    mp = builtin_geometry(name, SpaceConfig(p, r, 4))
+    space = ArgyrisSpace(mp)
+    fld = cos_sin_field(mp)
+    res = l2_fit(space, fld)
+    ref = scipy.sparse.linalg.spsolve(
+        assemble_mass(space).tocsc(), assemble_rhs(space, fld)
+    )
+    assert np.linalg.norm(res.coeffs - ref) < 1e-9 * np.linalg.norm(ref)
+
+
+def test_pcg_reports_condition_estimate_when_it_fails():
+    # singular 1D Neumann Laplacian; e_0 has a nonzero mean, so it is not in
+    # the range and CG cannot reach the tolerance
+    n = 8
+    A = scipy.sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                           [-1, 0, 1]).tolil()
+    A[0, 0] = A[-1, -1] = 1.0
+    b = np.eye(n)[0]
+    with pytest.raises(NumericalError, match="condition estimate") as info:
+        _pcg(A.tocsr(), b, lambda res: res)
+    estimate = float(str(info.value).rsplit(" ", 1)[1].rstrip(")"))
+    assert estimate > 1e8
+
+
+def test_pcg_condition_estimate_matches_spectrum():
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+    lam = np.linspace(1.0, 50.0, 30)
+    A = (Q * lam) @ Q.T
+    b = rng.normal(size=30)
+    x, _, cond = _pcg(A, b, lambda res: res)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert abs(cond - 50.0) < 1e-6 * 50.0
+
+
+def test_block_preconditioner_without_interior_block():
+    # N = 4 leaves no interior B-splines: the interface block is all of A
+    k = 6
+    space = SimpleNamespace(
+        N=4,
+        usp=UnivariateSpace(3, 1, 1),
+        C=[None, None],
+        functions=[SimpleNamespace(id=BasisId("edge", 0, (j, 0))) for j in range(k)],
+    )
+    B = np.random.default_rng(6).normal(size=(k, k))
+    A = B @ B.T + k * np.eye(k)
+    apply = _block_preconditioner(space, scipy.sparse.csr_matrix(A))
+    r = np.arange(1.0, k + 1)
+    np.testing.assert_allclose(apply(r), np.linalg.solve(A, r), rtol=1e-12)
+
+
+def test_import_does_not_load_sparse_linalg():
+    # scipy.sparse.linalg costs about 0.1 s of import; only the solve loads it
+    src = str(Path(argyris.__file__).resolve().parents[1])
+    code = (
+        "import sys, argyris; "
+        "print('scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    ).stdout
+    assert out.split() == ["False", "False"]
 
 
 def test_fit_evaluates_the_map_on_tensor_grids_only(sp_three, monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from argyris import (
+    ArgyrisSpace,
     EdgeRecord,
     MultiPatch,
     SpaceConfig,
@@ -281,6 +282,27 @@ def test_load_rejects_nets_larger_than_the_file(mp_two, tmp_path):
         path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
         with pytest.raises(GeometryFormatError, match="too short"):
             load_geometry(path)
+
+
+def test_unvalidated_interface_mismatch_fails_the_build(mp_two):
+    # refine builds with check=False, so the build's conformity check is the
+    # only one such geometries get; it compares interface control points
+    (i1, k1), _ = mp_two.interfaces()[0].locals
+    net = mp_two.patches[i1].rotate(k1).net.copy()
+    net[0, 2, 1] += 1e-9  # an interior control point of the interface trace
+    patches = list(mp_two.patches)
+    patches[i1] = type(patches[i1])(patches[i1].space, net).rotate(-k1)
+    mp = MultiPatch(mp_two.config, patches, mp_two.edges, mp_two.vertices, check=False)
+    with pytest.raises(ConformityError, match="1.000e-09"):
+        ArgyrisSpace(mp)
+
+
+def test_interface_between_different_spaces_rejected(mp_two):
+    patches = list(mp_two.patches)
+    other = TensorSpace(UnivariateSpace(3, 1, mp_two.config.n + 1))
+    patches[1] = bilinear_patch(other, *(patches[1].corner(c) for c in range(4)))
+    with pytest.raises(ConformityError, match="different spline spaces"):
+        MultiPatch(mp_two.config, patches, mp_two.edges, mp_two.vertices)
 
 
 def test_nan_control_point_fails_regularity(mp_two):
