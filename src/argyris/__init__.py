@@ -17,7 +17,7 @@ from .bspline import (
     convert,
     derived_edge_spaces,
     dual_functional,
-    dual_functional_weights,
+    local_duals,
     multiply_by_linear,
     represent_exactly,
 )

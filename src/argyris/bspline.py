@@ -1,17 +1,19 @@
 """Univariate and tensor-product B-spline spaces on [0, 1] with uniform open knots.
 
 Provides basis/derivative evaluation, the derived edge spaces (degree p with
-one order more smoothness, and degree p-1 with the same smoothness), exact
-representation of a member of a univariate space from samples (which also
-yields conversions, knot insertion and products with linear polynomials as
-fixed matrices), and local dual functionals that are exact on the span of the
-basis. Tensor-product splines are evaluated at scattered points (``jet``) or,
-by sum factorization over per-direction basis tables, on tensor grids
-(``grid_jet``).
+one order more smoothness, and degree p-1 with the same smoothness) and one
+cached table of local dual functionals per univariate space (``local_duals``,
+after de Boor & Fix, 1973), which reads every coefficient from samples on one
+element. Exact representation from samples, and with it conversions, knot
+insertion and products with linear polynomials, is that table applied to one
+sample of the function, checked for reproduction. Tensor-product splines are
+evaluated at scattered points (``jet``) or, by sum factorization over
+per-direction basis tables, on tensor grids (``grid_jet``).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -30,7 +32,7 @@ __all__ = [
     "represent_exactly",
     "convert",
     "dual_functional",
-    "dual_functional_weights",
+    "local_duals",
 ]
 
 
@@ -51,6 +53,8 @@ class SpaceConfig:
             raise InvalidConfigError(f"degree must be >= 1, got p={self.p}")
         if self.n < 1:
             raise InvalidConfigError(f"need at least one element, got n={self.n}")
+        if self.r < -1:
+            raise InvalidConfigError(f"continuity must be >= -1, got r={self.r}")
         if self.r > self.p - 1 and self.n > 1:
             raise InvalidConfigError(
                 f"continuity r={self.r} too high for degree p={self.p}"
@@ -79,9 +83,11 @@ class SpaceConfig:
             )
 
 
-def _chebpts(a, b, m):
-    """m Chebyshev points of the first kind mapped to (a, b), ascending."""
+def _chebpts(n, m):
+    """(n, m) array: m Chebyshev points of the first kind, ascending, on each
+    element of the uniform n-element mesh of [0, 1]."""
     t = np.sort(_cheb.chebpts1(m))
+    a, b = np.arange(n)[:, None] / n, np.arange(1, n + 1)[:, None] / n
     return a + (t + 1.0) * 0.5 * (b - a)
 
 
@@ -131,6 +137,8 @@ class UnivariateSpace:
         """Inclusive range (e0, e1) of elements where basis function j is active."""
         if not 0 <= j < self.N:
             raise IndexError(f"basis index {j} out of range for N={self.N}")
+        if self.n == 1:
+            return 0, 0
         mult = self.p - self.r
         e0 = max(0, -(-(j - self.p) // mult))
         e1 = min(self.n - 1, j // mult)
@@ -269,43 +277,33 @@ def _basis_values(space, pts, d=0):
     return out
 
 
+def _drop_noise(a, rel=1e-13):
+    """a with entries |a| <= rel * max(1, max|a|) set to 0: the rounding
+    noise left where an exact coefficient is 0."""
+    return np.where(np.abs(a) <= rel * max(1.0, np.abs(a).max()), 0.0, a)
+
+
 def represent_exactly(space, f, tol=1e-10):
     """Coefficients of a function known to lie in the space.
 
-    Solves a (p+1)x(p+1) interpolation problem at Chebyshev points on every
-    element and reconciles the shared coefficients. A reconciliation mismatch
-    above ``tol`` (relative) means the sampled function is not a member of
-    the space and raises NotInSpaceError.
+    Samples f once, at the dual points of ``local_duals`` and at p+2 further
+    Chebyshev points per element, reads every coefficient through its local
+    dual and drops rounding noise (``_drop_noise``). The spline must then
+    reproduce f at the further points: a misfit above ``tol`` (relative)
+    means f is not a member of the space and raises NotInSpaceError.
 
     ``f`` may return extra trailing axes (several functions at once); the
     result then carries the same trailing shape after the leading axis N.
     """
-    p, n, N = space.p, space.n, space.N
-    acc = cnt = lo = hi = None
-    bp = space.breakpoints
-    for e in range(n):
-        pts = _chebpts(bp[e], bp[e + 1], p + 1)
-        first, ders = space.basis_ders(pts, 0)
-        C = ders[:, 0, :]
-        y = np.asarray(f(pts), dtype=float)
-        if acc is None:
-            acc = np.zeros((N,) + y.shape[1:])
-            cnt = np.zeros(N)
-            lo = np.full(acc.shape, np.inf)
-            hi = np.full(acc.shape, -np.inf)
-        sol = np.linalg.solve(C, y.reshape(p + 1, -1)).reshape(y.shape)
-        sl = slice(first[0], first[0] + p + 1)
-        acc[sl] += sol
-        cnt[sl] += 1
-        lo[sl] = np.minimum(lo[sl], sol)
-        hi[sl] = np.maximum(hi[sl], sol)
-    w = cnt if acc.ndim == 1 else cnt.reshape((N,) + (1,) * (acc.ndim - 1))
-    coeffs = acc / w
-    scale = max(1.0, np.abs(coeffs).max())
-    gap = (hi - lo).max()
-    if gap > tol * scale:
+    duals = local_duals(space)
+    check = _chebpts(space.n, space.p + 2).ravel()
+    m = duals.points.size
+    y = np.asarray(f(np.concatenate([duals.points.ravel(), check])), dtype=float)
+    coeffs = _drop_noise(duals.apply(y[:m]))
+    misfit = np.abs(np.tensordot(_basis_values(space, check), coeffs, 1) - y[m:]).max()
+    if misfit > tol * max(1.0, np.abs(coeffs).max()):
         raise NotInSpaceError(
-            f"element-wise representations disagree by {gap:.3e} "
+            f"local dual representation misses the samples by {misfit:.3e} "
             f"(relative tolerance {tol:.1e}); function is not in {space}"
         )
     return coeffs
@@ -331,37 +329,45 @@ def multiply_by_linear(spline, a, b, tol=1e-10):
     )
 
 
-@lru_cache(maxsize=4096)
-def _dual_data_cached(space, j):
-    p = space.p
-    e0, e1 = space.basis_element_range(j)
-    e = (e0 + e1) // 2
-    bp = space.breakpoints
-    pts = _chebpts(bp[e], bp[e + 1], p + 1)
-    first, ders = space.basis_ders(pts, 0)
-    C = ders[:, 0, :]
-    rhs = np.zeros(p + 1)
-    rhs[j - first[0]] = 1.0
-    w = np.linalg.solve(C.T, rhs)
-    pts.setflags(write=False)
-    w.setflags(write=False)
-    return pts, w
-
-
-def dual_functional_weights(space, j):
-    """Sample points and weights realizing the dual functional of basis j.
-
-    The functional is a local interpolation coordinate: it samples one
-    element inside the support of basis function j at p+1 Chebyshev points,
-    so that lambda_j(sum_m c_m b_m) = c_j for every spline in the space.
+class LocalDuals(NamedTuple):
+    """Read-only table of the local interpolation duals of a space: the
+    Chebyshev points (n, p+1) of every element, the middle element (N,) of
+    each basis function's support and the weights (N, p+1) on it, so that
+    ``weights[j] @ s(points[element[j]])`` is coefficient j of a spline s.
     """
-    return _dual_data_cached(space, j)
+
+    points: np.ndarray
+    element: np.ndarray
+    weights: np.ndarray
+
+    def apply(self, samples, index=slice(None)):
+        """Coefficients ``index`` from samples at ``points.ravel()`` (axis 0)."""
+        local = samples.reshape(self.points.shape + samples.shape[1:])[self.element[index]]
+        return np.einsum("jq,jq...->j...", self.weights[index], local)
+
+
+@lru_cache(maxsize=64)
+def local_duals(space):
+    """The ``LocalDuals`` of a space, from one basis evaluation at all element
+    points and one batched inverse of the (p+1) x (p+1) collocation matrices."""
+    p = space.p
+    points = _chebpts(space.n, p + 1)
+    first, ders = space.basis_ders(points.ravel(), 0)
+    inv = np.linalg.inv(ders[:, 0].reshape(space.n, p + 1, p + 1))
+    element = np.array([sum(space.basis_element_range(j)) // 2 for j in range(space.N)])
+    weights = inv[element, np.arange(space.N) - first[:: p + 1][element]]
+    for a in (points, element, weights):
+        a.setflags(write=False)
+    return LocalDuals(points, element, weights)
 
 
 def dual_functional(space, j, f):
     """Apply the local dual functional of basis j to a function sampler."""
-    pts, w = dual_functional_weights(space, j)
-    return float(w @ np.asarray(f(pts), dtype=float))
+    if not 0 <= j < space.N:
+        raise IndexError(f"basis index {j} out of range for N={space.N}")
+    duals = local_duals(space)
+    pts = duals.points[duals.element[j]]
+    return float(duals.weights[j] @ np.asarray(f(pts), dtype=float))
 
 
 class TensorSpace:

@@ -3,10 +3,12 @@
 Each basis function owns one functional, and the functionals of one entity
 share their samples, so they are applied one entity at a time: the functionals
 of a patch are tensor products of univariate local-interpolation duals applied
-to the pullback, all sampled on one tensor grid; those of an edge are S+ duals
-of the edge trace and S- duals of the scaled transversal derivative
-(h/p) grad(phi) . d, all sampled along one side; those of a vertex are the six
-scaled point derivatives at the vertex. Concatenated in the order of the basis
+to the pullback; those of an edge are S+ duals of the edge trace and S- duals
+of the scaled transversal derivative (h/p) grad(phi) . d; those of a vertex
+are the six scaled point derivatives at the vertex. Patch and edge functionals
+sample every element once at the points of ``bspline.local_duals`` (one
+tensor grid per patch, one pass along one side per edge) and gather each
+function's samples by its element. Concatenated in the order of the basis
 they give the global projector, which reproduces every member of the space.
 
 A field is sampled through ``grid_values`` on a tensor grid (the patch
@@ -20,7 +22,7 @@ biorthogonality matrix D C.
 
 import numpy as np
 
-from .bspline import dual_functional_weights
+from .bspline import local_duals
 from .errors import InvalidConfigError
 from .gluing import transversal_vector
 from .multipatch import CORNER_UV, rotate_uv
@@ -94,38 +96,27 @@ class SpaceField:
         return grid.grid_jet(x1, x2, 0)[:, 0, 0]
 
 
-def _stacked_duals(space, indices):
-    """Sample points and (k, m) weights of the duals of the given basis
-    functions, each sampling m points; the points are stacked (k*m,)."""
-    pts, w = zip(*(dual_functional_weights(space, j) for j in indices))
-    return np.concatenate(pts), np.array(w)
-
-
-def _contract(w, vals):
-    """Apply (k, m) weights to k stacked runs of m samples each."""
-    return np.einsum("am,am...->a...", w, vals.reshape(w.shape + vals.shape[1:]))
-
-
 def patch_duals(space, i, field):
     """Tensor-product local duals of the pullback onto patch i.
 
-    One tensor grid of all interior indices' dual points per direction;
-    entry (j1, j2) contracts its (p+1, p+1) block with the two weight rows.
+    One tensor grid of every element's dual points per direction; the
+    interior indices are read from it one direction at a time.
     """
-    x, w = _stacked_duals(space.usp, range(2, space.N - 2))
-    k, m = w.shape
+    duals = local_duals(space.usp)
+    x = duals.points.ravel()
     vals = field.grid_values(i, x, x)
-    vals = vals.reshape((k, m, k, m) + vals.shape[1:])
-    out = np.einsum("ai,aibj...,bj->ab...", w, vals, w)
-    return out.reshape((k * k,) + out.shape[2:])
+    vals = vals.reshape((len(x), len(x)) + vals.shape[1:])
+    inner = slice(2, space.N - 2)
+    out = duals.apply(duals.apply(vals, inner).swapaxes(0, 1), inner).swapaxes(0, 1)
+    return out.reshape((-1,) + out.shape[2:])
 
 
 def edge_duals(space, eid, field):
     """S+ duals of the trace, then S- duals of the scaled transversal
     derivative, sampled in one pass along the first standard-form side."""
     idx = _edge_index_set(space.sminus.N)
-    tp, tw = _stacked_duals(space.splus, [j for j, s in idx if s == 0])
-    dp, dw = _stacked_duals(space.sminus, [j for j, s in idx if s == 1])
+    plus, minus = local_duals(space.splus), local_duals(space.sminus)
+    tp, dp = plus.points.ravel(), minus.points.ravel()
     asm = space.edge_assembly[eid]
     ipatch, rot = asm.side1
     t = np.concatenate([tp, dp])
@@ -134,7 +125,10 @@ def edge_duals(space, eid, field):
     d, _ = transversal_vector(asm.gluing, asm.P1, dp)
     hp = space.config.h / space.config.p
     deriv = hp * np.einsum("m...i,mi->m...", grad[len(tp) :], d)
-    return np.concatenate([_contract(tw, val[: len(tp)]), _contract(dw, deriv)])
+    return np.concatenate([
+        plus.apply(val[: len(tp)], [j for j, s in idx if s == 0]),
+        minus.apply(deriv, [j for j, s in idx if s == 1]),
+    ])
 
 
 def vertex_duals(space, vid, field):

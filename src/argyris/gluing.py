@@ -140,8 +140,7 @@ def edge_determinants(F1, F2, xs):
 
 def _fit_sample_points(p, n):
     # 2(2p+3) Chebyshev points per element oversample the degree 2p dets
-    pts = [_chebpts(e / n, (e + 1) / n, 2 * (2 * p + 3)) for e in range(n)]
-    return np.concatenate(pts)
+    return _chebpts(n, 2 * (2 * p + 3)).ravel()
 
 
 def _g1_defect(j, a1, a2, beta, xs):

@@ -525,12 +525,12 @@ def load_geometry(path, config_cls=None):
     p = take_kv("p")
     r = take_kv("r")
     n = take_kv("n")
-    cfg = config_cls(p, r, n)
     # a net needs N*N lines; refuse a size the file cannot hold before the
-    # spline space allocates for it
+    # config is checked and the spline space allocates for it
     N = (p - r) * (n - 1) + p + 1
-    if N * N > len(lines):
+    if N > 0 and N * N > len(lines):
         raise GeometryFormatError(f"{path}: too short for {N}x{N} control nets")
+    cfg = config_cls(p, r, n)
     u1 = UnivariateSpace(p, r, n)
     tspace = TensorSpace(u1)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .bspline import UnivariateSpace, TensorSpace, _basis_values, \
+from .bspline import UnivariateSpace, TensorSpace, _basis_values, _drop_noise, \
     derived_edge_spaces, represent_exactly
 from .errors import ArgyrisError, InvalidConfigError
 from .gluing import _transversal_from_jet, boundary_gluing, fit_asg1
@@ -266,15 +266,15 @@ class ArgyrisSpace:
         # flattened, are this matrix times its flattened jet (f, f_v, f_u, f_uv)
         _, ders = self.usp.basis_ders(np.array([0.0]), 1)
         inv = np.linalg.inv(ders[0][:2, :2])
-        self._corner_map = np.kron(inv, inv)
+        self._corner_map = _drop_noise(np.kron(inv, inv))
         # S+ coefficients (N+, 3) of the spline with end jet (f, f', f'') at 0
         # and vanishing elsewhere, and the S- ones (N-, 2) for the jet (f, f')
         _, dp = self.splus.basis_ders(np.array([0.0]), 2)
         self._aplus = np.zeros((self.splus.N, 3))
-        self._aplus[:3] = np.linalg.inv(dp[0][:3, :3])
+        self._aplus[:3] = _drop_noise(np.linalg.inv(dp[0][:3, :3]))
         _, dm = self.sminus.basis_ders(np.array([0.0]), 1)
         self._aminus = np.zeros((self.sminus.N, 2))
-        self._aminus[:2] = np.linalg.inv(dm[0][:2, :2])
+        self._aminus[:2] = _drop_noise(np.linalg.inv(dm[0][:2, :2]))
 
         self.functions = []
         self.index_of = {}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from argyris import (
+    SpaceConfig,
     Spline,
     TensorSpace,
     TensorSpline,
@@ -11,9 +12,11 @@ from argyris import (
     convert,
     derived_edge_spaces,
     dual_functional,
+    local_duals,
     multiply_by_linear,
     represent_exactly,
 )
+from argyris.bspline import _basis_values
 from argyris.errors import DomainError, InvalidConfigError, NotInSpaceError
 
 
@@ -207,11 +210,25 @@ def test_represent_linear_gives_greville_values():
 
 
 def test_represent_rejects_off_mesh_kink():
-    sp = UnivariateSpace(3, 1, 4)  # C^1 splines: kink in f'' off the mesh is fine,
-    # but a kink in f' at a non-knot point is not representable
-    f = lambda x: np.maximum(0.0, x - 0.37) ** 2
-    with pytest.raises(NotInSpaceError):
-        represent_exactly(sp, f)
+    cases = [
+        # C^1 splines: a kink in f' at a non-knot point is not representable
+        (UnivariateSpace(3, 1, 4), lambda x: np.maximum(0.0, x - 0.37) ** 2),
+        # degree p+1 on C^0 cubics: the two element interpolants agree at the
+        # shared knot by symmetry, so only a check off the dual points sees it
+        (UnivariateSpace(3, 0, 2), lambda x: x**4),
+    ]
+    for sp, f in cases:
+        with pytest.raises(NotInSpaceError):
+            represent_exactly(sp, f)
+
+
+def test_represent_drops_rounding_noise():
+    # knot insertion from 4 to 8 elements has exact zeros off the band of
+    # every coarse basis function; none of them may come back as 1e-17
+    coarse, fine = UnivariateSpace(3, 1, 4), UnivariateSpace(3, 1, 8)
+    R = represent_exactly(fine, lambda x: _basis_values(coarse, x))
+    small = (R != 0) & (np.abs(R) <= 1e-13 * np.abs(R).max())
+    assert not small.any()
 
 
 def test_convert_roundtrip():
@@ -227,8 +244,12 @@ def test_convert_roundtrip():
 # --- dual functionals -------------------------------------------------------
 
 
-def test_dual_biorthogonality():
-    sp = UnivariateSpace(3, 1, 4)
+@pytest.mark.parametrize(
+    "p,r,n",
+    [(3, 1, 4), (1, 0, 1), (3, -1, 3), (3, 3, 1), (4, 2, 3), (5, 1, 2), (5, 3, 4)],
+)
+def test_dual_biorthogonality(p, r, n):
+    sp = UnivariateSpace(p, r, n)
     for j in range(sp.N):
         for m in range(sp.N):
             val = dual_functional(sp, j, sp.basis_function(m))
@@ -257,6 +278,26 @@ def test_dual_locality():
         return out
 
     assert dual_functional(sp, j, f) == 0.0
+
+
+def test_local_duals_table_shapes_and_elements():
+    sp = UnivariateSpace(4, 2, 3)
+    duals = local_duals(sp)
+    assert duals.points.shape == (sp.n, sp.p + 1)
+    assert duals.weights.shape == (sp.N, sp.p + 1)
+    for j, e in enumerate(duals.element):
+        e0, e1 = sp.basis_element_range(j)
+        assert e == (e0 + e1) // 2
+    assert not duals.weights.flags.writeable
+    assert local_duals(UnivariateSpace(4, 2, 3)) is duals
+
+
+def test_config_rejects_multiplicity_above_p_plus_one():
+    UnivariateSpace(3, -1, 3)  # discontinuous: multiplicity p+1
+    with pytest.raises(InvalidConfigError):
+        SpaceConfig(3, -2, 3)
+    with pytest.raises(InvalidConfigError):
+        UnivariateSpace(3, -3, 1)
 
 
 def test_tensor_jet_matrix_matches_spline_jet():

@@ -45,6 +45,13 @@ def test_geom_check(capsys):
     assert "conformity OK" in out
 
 
+def test_knot_multiplicity_above_p_plus_one_exits_one(capsys):
+    code, out, err = run(capsys, "geom", "check", "--builtin", "two_patch_bilinear", "--r", "-3")
+    assert code == 1
+    assert "conformity OK" not in out
+    assert "got r=-3" in err
+
+
 def test_unknown_flag_exits_one(capsys):
     assert main(["space", "dim", "--builtin", "no_such_geometry"]) == 1
     assert main(["frobnicate"]) == 1

@@ -158,3 +158,31 @@ def test_space_field_values_need_no_patch_map(sp_three, monkeypatch):
         assert np.array_equal(fld.jets(i, uv, 0)[0], expected[i])
         block = ids_where(sp_three, lambda f: f.kind == "patch" and f.owner == i)
         assert np.abs(patch_duals(sp_three, i, fld) - c[block]).max() < 1e-9
+
+
+def test_duals_sample_every_element_once(sp_three):
+    # patch duals read n(p+1) points per direction, edge duals n(p+1) S+
+    # points and n*p S- points, however many functions share them
+    class CountingField(SpaceField):
+        def __init__(self, space, coeffs):
+            super().__init__(space, coeffs)
+            self.grid, self.points = [], []
+
+        def grid_values(self, patch, x1, x2):
+            self.grid.append((len(x1), len(x2)))
+            return super().grid_values(patch, x1, x2)
+
+        def jets(self, patch, uv, order):
+            self.points.append(len(np.atleast_2d(uv)))
+            return super().jets(patch, uv, order)
+
+    n, p = sp_three.config.n, sp_three.config.p
+    c = np.random.default_rng(7).standard_normal(sp_three.dim)
+    fld = CountingField(sp_three, c)
+    block = ids_where(sp_three, lambda f: f.kind == "patch" and f.owner == 1)
+    assert np.abs(patch_duals(sp_three, 1, fld) - c[block]).max() < 1e-9
+    assert fld.grid == [(n * (p + 1), n * (p + 1))]
+    eid = sp_three.geometry.interfaces()[0].id
+    block = ids_where(sp_three, lambda f: f.kind == "edge" and f.owner == eid)
+    assert np.abs(edge_duals(sp_three, eid, fld) - c[block]).max() < 1e-9
+    assert fld.points == [n * (p + 1) + n * p]

@@ -339,6 +339,25 @@ def test_extraction_matrices_are_canonical_without_stored_zeros(name, p, r, n):
         assert C.nnz == np.count_nonzero(C.data)
 
 
+def test_fixed_maps_hold_no_rounding_noise(sp_three):
+    # exact zeros stay zeros in the 1D maps every extraction column goes through
+    for name in ("_rep_plus", "_der_plus", "_E", "_X", "_aplus", "_aminus", "_corner_map"):
+        a = getattr(sp_three, name)
+        small = (a != 0) & (np.abs(a) <= 1e-13 * max(1.0, np.abs(a).max()))
+        assert not small.any(), name
+
+
+@pytest.mark.parametrize("p,r,n", [(3, 1, 4), (4, 2, 3)])
+@pytest.mark.parametrize("name", ["two_patch_bilinear", "lshape_bilinear"])
+def test_extraction_matrices_store_no_rounding_noise(name, p, r, n):
+    # on axis-aligned squares every exact zero of C comes out as 0; fans keep
+    # a few tiny entries that their trigonometric corner data really hold
+    sp = ArgyrisSpace(builtin_geometry(name, SpaceConfig(p, r, n)))
+    top = max(np.abs(C.data).max() for C in sp.C)
+    for C in sp.C:
+        assert np.abs(C.data).min() >= 1e-14 * top
+
+
 def test_evaluate_unit_vector_matches_basis(sp_three):
     a = ids_of_kind(sp_three, "patch", 2)[5]
     j1, j2 = sp_three.functions[a].id.index
