@@ -8,9 +8,14 @@ element. Exact representation from samples, and with it conversions, knot
 insertion and products with linear polynomials, is that table applied to one
 sample of the function, checked for reproduction. Tensor-product splines are
 evaluated at scattered points (``jet``) or, by sum factorization over
-per-direction basis tables, on tensor grids (``grid_jet``).
+per-direction basis tables, on tensor grids (``grid_jet``). A basis table
+(``_basis_values``) is made once per (space, points, derivative order) and
+returned read-only to every later caller while it is among the last 8 MB of
+tables used.
 """
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -268,12 +273,51 @@ def derived_edge_spaces(space):
     return splus, sminus
 
 
+class _TableCache:
+    """The most recent basis tables, up to ``limit`` bytes in all, keyed by
+    (space, derivative order, point bytes); safe to share between threads."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.nbytes = 0
+        self._tables = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            table = self._tables.get(key)
+            if table is not None:
+                self._tables.move_to_end(key)
+            return table
+
+    def put(self, key, table):
+        with self._lock:
+            if key not in self._tables:
+                self._tables[key] = table
+                self.nbytes += table.nbytes
+            while self.nbytes > self.limit:
+                self.nbytes -= self._tables.popitem(last=False)[1].nbytes
+
+
+_TABLES = _TableCache(8 << 20)
+
+
 def _basis_values(space, pts, d=0):
-    """(m, N) values of the d-th derivatives of all basis functions at pts."""
-    first, ders = space.basis_ders(pts, d)
-    out = np.zeros((len(pts), space.N))
-    cols = first[:, None] + np.arange(space.p + 1)[None, :]
-    np.put_along_axis(out, cols, ders[:, d, :], axis=1)
+    """(m, N) values of the d-th derivatives of all basis functions at pts.
+
+    The table is read-only: an equal (space, points, d) gets the same array
+    back while it is among the last 8 MB of tables used.
+    """
+    pts = np.atleast_1d(np.asarray(pts, dtype=float))
+    key = (space, d, pts.tobytes())
+    out = _TABLES.get(key)
+    if out is None:
+        first, ders = space.basis_ders(pts, d)
+        out = np.zeros((len(pts), space.N))
+        cols = first[:, None] + np.arange(space.p + 1)[None, :]
+        np.put_along_axis(out, cols, ders[:, d, :], axis=1)
+        out.setflags(write=False)
+        _TABLES.put(key, out)
     return out
 
 

@@ -1,15 +1,22 @@
 """L2 approximation on the smooth space and the study harness around it.
 
-Element-wise tensor Gauss quadrature, contracted over all elements of a
-patch at once, gives each patch's |det DF|-weighted tensor B-spline mass
-M_i and load vector b_i; the space's extraction matrices C_i turn them into
-the mass matrix sum_i C_i^T M_i C_i and the load vector sum_i C_i^T b_i.
-The quadrature nodes of a patch form a tensor grid, so the patch map and its
-Jacobian, the target field and the fitted member are sampled there by sum
-factorization (``Patch.grid_jet``, ``grid_values`` of the field classes):
-per-direction basis tables instead of a basis evaluation at every node. With
-A0 the (m, N) basis values at the m nodes of one direction, b_i is
-A0^T (W o z) A0 for the weights W and target samples z on the grid.
+Element-wise tensor Gauss quadrature gives each patch's |det DF|-weighted
+tensor B-spline mass M_i and load vector b_i; the space's extraction
+matrices C_i turn them into the mass matrix sum_i C_i^T M_i C_i and the
+load vector sum_i C_i^T b_i. The quadrature nodes of a patch form a tensor
+grid, so the patch map and its Jacobian, the target field and the fitted
+member are sampled there by sum factorization (``Patch.grid_jet``,
+``grid_values`` of the field classes): per-direction basis tables, each
+made once per (space, nodes, derivative order), instead of a basis
+evaluation at every node. With A0 the (m, N) basis values at the m nodes of
+one direction and W the weights on the node grid, b_i is A0^T (W o z) A0
+for target samples z, and M_i is sum factorized too: with K (m, P) the
+products A0[:, i] A0[:, j] of the P pairs i <= j of 1D basis functions that
+share an element, D = K^T W K (P, P) holds every entry of M_i, which is one
+gather of D into a CSR pattern fixed per univariate space (the Kronecker
+product of the 1D pair patterns). Each patch's C_i^T M_i C_i is symmetrized
+before the patches are summed, so the mass is exactly symmetric without a
+transpose of the whole matrix.
 The normal equations are diagonally scaled, A = S M S with S = diag(M)^-1/2,
 and solved by conjugate gradients with a block-diagonal preconditioner that
 follows the two families of the basis. The patch-interior functions, which
@@ -28,6 +35,7 @@ errors with estimated convergence rates ecr = log2(e_coarse / e_fine).
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse
@@ -67,15 +75,44 @@ class QuadratureRule:
         self.weights = np.broadcast_to(w[None, :] / (2.0 * n), (n, order)).copy()
 
 
-def _basis_tables(usp, rule):
-    """Basis values at all quadrature nodes, (n, g, p+1) per element."""
-    _, ders = usp.basis_ders(rule.nodes.ravel(), 0)
-    return ders[:, 0, :].reshape(rule.n, rule.order, usp.p + 1)
-
-
 def _element_dofs(usp):
     """(n, p+1) indices of the basis functions active on each element."""
     return np.arange(usp.n)[:, None] * (usp.p - usp.r) + np.arange(usp.p + 1)
+
+
+@lru_cache(maxsize=8)
+def _mass_pattern(usp):
+    """CSR pattern of the tensor B-spline mass of one patch, from the 1D
+    pairs of basis functions that share an element; read-only int32 arrays.
+
+    Returns (pairs, indptr, indices, gather): ``pairs`` (2, P) holds the P
+    such pairs (i, j) with i <= j. With K[q, k] the product of the two
+    functions of pair k at 1D node q and W the weights on the node grid, the
+    mass entry of the tensor B-splines (i1, i2) and (j1, j2) is entry
+    (pair of i1, j1; pair of i2, j2) of D = K^T W K, and the CSR matrix
+    (``indptr``, ``indices``), rows i1 * N + i2 and columns j1 * N + j2, has
+    ``data = D.ravel()[gather]``.
+    """
+    N = usp.N
+    dof = _element_dofs(usp)
+    # ordered pairs sharing an element, sorted by (i, j)
+    code = np.unique((dof[:, :, None] * N + dof[:, None, :]).ravel())
+    i, j = np.divmod(code, N)
+    pairs, sym = np.unique(np.minimum(i, j) * N + np.maximum(i, j), return_inverse=True)
+    # grid (a, b) of ordered pairs is row i[a] * N + i[b], column j[a] * N + j[b];
+    # CSR order is by row, then column, which the stable sort keeps
+    order = np.argsort((i[:, None] * N + i[None, :]).ravel(), kind="stable")
+    a, b = np.divmod(order, len(code))
+    counts = np.bincount(i, minlength=N)
+    out = tuple(arr.astype(np.int32) for arr in (
+        np.stack(np.divmod(pairs, N)),
+        np.concatenate([[0], np.cumsum(np.outer(counts, counts).ravel())]),
+        j[a] * N + j[b],
+        sym[a] * len(pairs) + sym[b],
+    ))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def _check_rule(space, rule):
@@ -93,40 +130,41 @@ def _check_rule(space, rule):
 
 def _patch_weights(space, i, rule):
     """Quadrature weights times |det DF| on the tensor grid of one patch, as
-    an (n, g, n, g) array over (e1, q1, e2, q2)."""
+    an (m, m) array over the m nodes of each direction."""
     x = rule.nodes.ravel()
     J = space.geometry.patches[i].grid_jet(x, x, 1)
     det = J[:, 1, 0, 0] * J[:, 0, 1, 1] - J[:, 1, 0, 1] * J[:, 0, 1, 0]
     w = rule.weights.ravel()
     W = np.abs(det) * np.outer(w, w).ravel()
-    return W.reshape((rule.n, rule.order) * 2)
+    return W.reshape(len(x), len(x))
 
 
 def _patch_mass(space, i, rule):
     """|det DF|-weighted mass matrix (N*N, N*N) of the tensor B-splines of
-    one patch, from one contraction over all elements."""
-    N = space.N
-    T = _basis_tables(space.usp, rule)
-    W = _patch_weights(space, i, rule)
-    TT = np.einsum("eqi,eqj->eqij", T, T)
-    # local[e1, e2, i1, j1, i2, j2]: element (e1, e2), rows (i1, i2), cols (j1, j2)
-    local = np.einsum("aqij,aqbr,brkl->abijkl", TT, W, TT, optimize=True)
-    dof = _element_dofs(space.usp)
-    rows = dof[:, None, :, None, None, None] * N + dof[None, :, None, None, :, None]
-    cols = dof[:, None, None, :, None, None] * N + dof[None, :, None, None, None, :]
-    rows, cols = np.broadcast_arrays(rows, cols)
+    one patch: D = K^T W K gathered into the pattern of ``_mass_pattern``."""
+    (p1, p2), indptr, indices, gather = _mass_pattern(space.usp)
+    A0 = _basis_values(space.usp, rule.nodes.ravel())
+    K = A0[:, p1] * A0[:, p2]
+    D = K.T @ (_patch_weights(space, i, rule) @ K)
     return scipy.sparse.csr_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(N * N, N * N)
+        (D.ravel()[gather], indices, indptr), shape=(space.N**2,) * 2
     )
 
 
 def assemble_mass(space, rule=None):
-    """Sparse symmetric mass matrix sum_patches int phi_a phi_b |det DF|."""
+    """Sparse symmetric mass matrix sum_patches int phi_a phi_b |det DF|.
+
+    Each patch's C_i^T M_i C_i is symmetrized before the sum, so the sum is
+    exactly symmetric without a transpose of the full matrix.
+    """
     rule = _check_rule(space, rule)
-    M = scipy.sparse.csr_matrix((space.dim, space.dim))
+    M = None
     for i, C in enumerate(space.C):
-        M = M + C.T @ _patch_mass(space, i, rule) @ C
-    return 0.5 * (M + M.T)
+        B = C.T @ (_patch_mass(space, i, rule) @ C)
+        B = B + B.T
+        M = B if M is None else M + B
+    M.data *= 0.5
+    return M
 
 
 def assemble_rhs(space, fld, rule=None):
@@ -186,13 +224,14 @@ def _lanczos_condition(inv_alpha, beta):
     diagonal 1/alpha_k + beta_{k-1}/alpha_{k-1} and off-diagonal
     sqrt(beta_k)/alpha_k (Saad, Iterative Methods for Sparse Linear Systems,
     sec. 6.7.3); its extreme eigenvalues approach those of the preconditioned
-    operator. NaN before the first step.
+    operator. NaN before the first step, and when some beta_k is not
+    positive and finite, so that the preconditioner is not positive definite.
     """
     k = len(inv_alpha)
-    if k == 0:
-        return float("nan")
     ia = np.array(inv_alpha)
     b = np.array(beta[: k - 1])
+    if k == 0 or not np.all(np.isfinite(b) & (b > 0.0)):
+        return float("nan")
     diag = ia.copy()
     diag[1:] += b * ia[:-1]
     off = np.sqrt(b) * ia[:-1]
@@ -209,8 +248,8 @@ def _pcg(A, b, precond):
     Returns x, the number of iterations and the Lanczos condition estimate of
     the preconditioned operator. Raises NumericalError, with that estimate,
     when ||r|| does not reach CG_RTOL ||b|| within CG_MAXITER iterations or
-    a step finds p.Ap <= 0, so that A or the preconditioner is not positive
-    definite.
+    a step finds r.z <= 0 or p.Ap <= 0, so that A or the preconditioner is
+    not positive definite.
     """
     x = np.zeros_like(b)
     r = b
@@ -224,6 +263,9 @@ def _pcg(A, b, precond):
             reason = f"did not converge in {CG_MAXITER} iterations"
             break
         q = A @ p
+        if not rz > 0.0:  # r.z <= 0: the preconditioner is not positive definite
+            reason = f"broke down at iteration {len(inv_alpha) + 1}"
+            break
         inv_alpha.append((p @ q) / rz)
         if not inv_alpha[-1] > 0.0:
             reason = f"broke down at iteration {len(inv_alpha)}"

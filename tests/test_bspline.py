@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,7 @@ from argyris import (
     multiply_by_linear,
     represent_exactly,
 )
-from argyris.bspline import _basis_values
+from argyris.bspline import _TABLES, _basis_values
 from argyris.errors import DomainError, InvalidConfigError, NotInSpaceError
 
 
@@ -328,3 +330,60 @@ def test_tensor_grid_jet_matches_spline_jet(extra):
         assert got.shape == want.shape
         scale = np.abs(want).max()
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+
+
+def test_basis_tables_are_shared_read_only_and_bounded():
+    space = UnivariateSpace(3, 1, 8)
+    rng = np.random.default_rng(11)
+    x = np.concatenate([np.arange(9) / 8, rng.uniform(0, 1, 20)])
+    for d in (0, 1, 2):
+        table = _basis_values(space, x, d)
+        first, ders = space.basis_ders(x, d)
+        fresh = np.zeros((len(x), space.N))
+        for q in range(len(x)):
+            fresh[q, first[q] : first[q] + 4] = ders[q, d]
+        np.testing.assert_array_equal(table, fresh)
+        assert _basis_values(space, x.copy(), d) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    # distinct point sets, each about 1.2 MB, and one above the whole bound
+    for k in range(20):
+        _basis_values(space, rng.uniform(0, 1, 8000), k % 2)
+        assert _TABLES.nbytes <= _TABLES.limit
+    big = rng.uniform(0, 1, _TABLES.limit // (8 * space.N) + 1)
+    assert _basis_values(space, big).shape == (len(big), space.N)
+    assert _TABLES.nbytes <= _TABLES.limit
+    assert _TABLES.nbytes == sum(t.nbytes for t in _TABLES._tables.values())
+
+
+def test_basis_tables_under_concurrent_callers():
+    # more threads than cores, switching often, on shared and private point
+    # sets; a lost update would leave the byte count off the stored tables
+    space = UnivariateSpace(3, 1, 8)
+    shared = np.linspace(0.0, 1.0, 3000)
+    want = _basis_values(space, shared).copy()
+    errors = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for k in range(30):
+                np.testing.assert_array_equal(_basis_values(space, shared), want)
+                _basis_values(space, rng.uniform(0, 1, 4000), k % 3)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert _TABLES.nbytes == sum(t.nbytes for t in _TABLES._tables.values())
+    assert _TABLES.nbytes <= _TABLES.limit

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import argyris
 from argyris.cli import main
 
 
@@ -238,6 +244,22 @@ def test_fit_zero_quadrature_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert "quadrature" in err
+
+
+def test_singular_mass_exits_two_without_runtime_warning():
+    # one Gauss point per direction makes the mass singular; the failed solve
+    # used to warn on the square root of a negative beta
+    src = str(Path(argyris.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-m", "argyris.cli",
+         "fit", "--builtin", "two_patch_bilinear", "--quadrature", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.startswith("numerical error: conjugate gradients broke down")
 
 
 @pytest.mark.parametrize("levels", ["0", "-1"])

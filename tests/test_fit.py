@@ -28,8 +28,22 @@ from argyris import (
     smoothness_report,
 )
 from argyris.errors import InvalidConfigError, NumericalError
-from argyris.fit import _block_preconditioner, _pcg
+from argyris.fit import (
+    _block_preconditioner,
+    _element_dofs,
+    _lanczos_condition,
+    _patch_mass,
+    _pcg,
+)
 from argyris.space import ArgyrisFunction, BasisId
+
+AS_G1_BUILTINS = (
+    "two_patch_bilinear",
+    "three_patch_bilinear",
+    "five_patch_bilinear",
+    "lshape_bilinear",
+    "two_patch_curved_asg1",
+)
 
 
 def test_quadrature_weights_sum_to_element_area():
@@ -111,14 +125,57 @@ def reference_mass_rhs(space, fld, rule):
     return M, rhs
 
 
-def test_assembly_matches_element_loop_reference(sp_two):
-    rule = QuadratureRule(sp_two.config.n, sp_two.config.p + 2)
-    fld = cos_sin_field(sp_two.geometry)
-    M_ref, rhs_ref = reference_mass_rhs(sp_two, fld, rule)
-    M = assemble_mass(sp_two, rule).toarray()
-    rhs = assemble_rhs(sp_two, fld, rule)
+def check_against_element_loop_reference(space):
+    rule = QuadratureRule(space.config.n, space.config.p + 2)
+    fld = cos_sin_field(space.geometry)
+    M_ref, rhs_ref = reference_mass_rhs(space, fld, rule)
+    M = assemble_mass(space, rule).toarray()
+    rhs = assemble_rhs(space, fld, rule)
     assert np.abs(M - M_ref).max() < 1e-12 * np.abs(M_ref).max()
     assert np.abs(rhs - rhs_ref).max() < 1e-12 * np.abs(rhs_ref).max()
+
+
+def test_assembly_matches_element_loop_reference(sp_two):
+    check_against_element_loop_reference(sp_two)
+
+
+@pytest.mark.parametrize(
+    "name, p, r",
+    [
+        ("two_patch_bilinear", 4, 2),
+        ("two_patch_bilinear", 5, 1),
+        ("two_patch_curved_asg1", 3, 1),
+        ("two_patch_curved_asg1", 4, 2),
+        ("two_patch_curved_asg1", 5, 1),
+    ],
+)
+def test_assembly_matches_element_loop_reference_across_degrees(name, p, r):
+    # the 1D pair pattern of the mass depends on (p, r)
+    check_against_element_loop_reference(
+        ArgyrisSpace(builtin_geometry(name, SpaceConfig(p, r, 4)))
+    )
+
+
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("name", AS_G1_BUILTINS)
+def test_mass_exactly_symmetric_on_every_builtin(name, n):
+    M = assemble_mass(ArgyrisSpace(builtin_geometry(name, SpaceConfig(3, 1, n))))
+    assert (M - M.T).count_nonzero() == 0
+
+
+def test_patch_mass_stores_exactly_the_element_sharing_pairs():
+    space = ArgyrisSpace(builtin_geometry("two_patch_bilinear", SpaceConfig(3, 1, 32)))
+    Mi = _patch_mass(space, 0, QuadratureRule(32, 5))
+    # every (row, col) of tensor B-splines active on a common element
+    N, dof = space.N, _element_dofs(space.usp)
+    act = (dof[:, None, :, None] * N + dof[None, :, None, :]).reshape(32 * 32, -1)
+    expected = np.unique((act[:, :, None] * N**2 + act[:, None, :]).ravel())
+    coo = Mi.tocoo()
+    stored = np.sort(coo.row.astype(np.int64) * N**2 + coo.col)
+    assert Mi.has_canonical_format
+    assert len(expected) == 150544
+    np.testing.assert_array_equal(stored, expected)
+    assert (Mi.data > 0.0).all()  # B-splines overlap on the open element
 
 
 def test_in_space_fit_reproduces_coefficients(sp_three):
@@ -140,15 +197,6 @@ def test_zero_target(sp_three):
     assert res.rel_error == 0.0
     assert res.cg_iterations == 0
     assert np.isnan(res.cond_estimate)  # no Krylov step, no estimate
-
-
-AS_G1_BUILTINS = (
-    "two_patch_bilinear",
-    "three_patch_bilinear",
-    "five_patch_bilinear",
-    "lshape_bilinear",
-    "two_patch_curved_asg1",
-)
 
 
 @pytest.mark.parametrize("name", ["five_patch_bilinear", "two_patch_curved_asg1"])
@@ -186,6 +234,19 @@ def test_pcg_reports_condition_estimate_when_it_fails():
         _pcg(A.tocsr(), b, lambda res: res)
     estimate = float(str(info.value).rsplit(" ", 1)[1].rstrip(")"))
     assert estimate > 1e8
+
+
+@pytest.mark.parametrize("bad", [-0.3, 0.0, np.inf, np.nan])
+def test_lanczos_condition_is_nan_for_a_beta_that_is_not_positive(bad):
+    # a non-positive-definite preconditioner gives beta <= 0; the square root
+    # of it used to warn (an error under the test configuration)
+    assert np.isnan(_lanczos_condition([1.0, 2.0, 1.5], [0.5, bad]))
+
+
+def test_pcg_breaks_down_on_an_indefinite_preconditioner():
+    # a quarter turn gives r.z = 0; dividing by it used to warn
+    with pytest.raises(NumericalError, match="broke down at iteration 1"):
+        _pcg(np.eye(2), np.array([1.0, 0.0]), lambda res: np.array([-res[1], res[0]]))
 
 
 def test_pcg_condition_estimate_matches_spectrum():
