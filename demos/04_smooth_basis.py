@@ -25,27 +25,31 @@ total, parts = space_dimension(mp)
 print(f"dimension {total} = {parts['patch']} patch-interior "
       f"+ {parts['edge']} edge + {parts['vertex']} vertex")
 
+# A basis function is a column index: the basis lists the functions of all
+# patches, then all edges, then all vertices, one contiguous block per entity,
+# and basis_id names the family, owner and local index of any column.
 space = ArgyrisSpace(mp)
 kinds = {}
-for fn in space.functions:
-    kinds[fn.id.kind] = kinds.get(fn.id.kind, 0) + 1
+for a in range(space.dim):
+    kind = space.basis_id(a).kind
+    kinds[kind] = kinds.get(kind, 0) + 1
 print("enumerated:", kinds)
 
 # Edge functions come in two flavors: traces (j, 0) span function values
 # along the interface, derivatives (j, 1) span the transversal slope.
 eid = mp.interfaces()[0].id
 print(f"\ninterface {eid} basis indices:",
-      [fn.id.index for fn in space.functions if fn.id.kind == "edge" and fn.id.owner == eid])
+      [space.basis_id(a).index for a in range(space.dim)[space.block("edge", eid)]])
 
 # Each vertex carries six functions that interpolate value, gradient and
 # Hessian there; their point data is a scaled Kronecker delta.
 v = [v for v in mp.vertices if v.is_interior][0]
 print(f"\nvertex {v.id}: sigma = {space.sigma(v.id):.6f}")
-fn = space.vertex_projector(v.id, C2Data(1.0, np.zeros(2), np.zeros((2, 2))))
+coeffs = space.vertex_projector(v.id, C2Data(1.0, np.zeros(2), np.zeros((2, 2))))
 ip, c = v.corners[0]
 gj = mp.patches[ip].jet(CORNER_UV[c:c + 1], 2)
 from argyris import TensorSpace, TensorSpline
-fj = TensorSpline(TensorSpace(space.usp), fn.dense_grid(space.shape, ip)).jet(
+fj = TensorSpline(TensorSpace(space.usp), space.combine(coeffs, ip)).jet(
     CORNER_UV[c:c + 1], 2)
 val, grad, hess = physical_derivatives(gj, fj)
 print("value-slot interpolant at the vertex: value", round(val[0], 12),

@@ -65,7 +65,6 @@ from .multipatch import (
     standard_form_vertex,
 )
 from .space import (
-    ArgyrisFunction,
     ArgyrisSpace,
     BasisId,
     C2Data,

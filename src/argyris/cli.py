@@ -174,10 +174,7 @@ def _cmd_sample(args):
     mp = _geometry(args)
     space = ArgyrisSpace(mp, tol=args.tol)
     if args.basis is not None:
-        if not 0 <= args.basis < space.dim:
-            raise InvalidConfigError(
-                f"basis index {args.basis} out of range (dim {space.dim})"
-            )
+        space.basis_id(args.basis)  # rejects an index outside 0..dim-1
         coeffs = np.zeros(space.dim)
         coeffs[args.basis] = 1.0
     else:

@@ -102,6 +102,7 @@ def patch_duals(space, i, field):
     One tensor grid of every element's dual points per direction; the
     interior indices are read from it one direction at a time.
     """
+    space.block("patch", i)
     duals = local_duals(space.usp)
     x = duals.points.ravel()
     vals = field.grid_values(i, x, x)
@@ -114,6 +115,7 @@ def patch_duals(space, i, field):
 def edge_duals(space, eid, field):
     """S+ duals of the trace, then S- duals of the scaled transversal
     derivative, sampled in one pass along the first standard-form side."""
+    space.block("edge", eid)
     idx = _edge_index_set(space.sminus.N)
     plus, minus = local_duals(space.splus), local_duals(space.sminus)
     tp, dp = plus.points.ravel(), minus.points.ravel()
@@ -134,6 +136,7 @@ def edge_duals(space, eid, field):
 def vertex_duals(space, vid, field):
     """Scaled point derivatives d^j phi(x) / sigma^|j| at the vertex, in
     ``VERTEX_INDEX_ORDER``."""
+    space.block("vertex", vid)
     asm = space.vertex_assembly[vid]
     ipatch, corner = asm.vertex.corners[0]
     val, g, H = field.jets(ipatch, CORNER_UV[corner : corner + 1], 2)

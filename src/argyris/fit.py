@@ -32,7 +32,6 @@ fits a target function on a sequence of nested refinements and tabulates
 errors with estimated convergence rates ecr = log2(e_coarse / e_fine).
 """
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -42,7 +41,7 @@ import scipy.sparse
 
 from .bspline import _basis_values
 from .duality import AnalyticField, SpaceField
-from .errors import ArgyrisError, InvalidConfigError, NumericalError
+from .errors import InvalidConfigError, NumericalError
 from .multipatch import CORNER_UV, refine, rotate_uv
 from .space import ArgyrisSpace, physical_derivatives
 
@@ -308,15 +307,8 @@ def _block_preconditioner(space, A):
     """
     from scipy.sparse.linalg import splu  # only the solve needs it
 
-    inner = range(2, space.N - 2)
-    m = len(inner)
-    ni = sum(fn.id.kind == "patch" for fn in space.functions)
-    layout = itertools.product(range(len(space.C)), inner, inner)
-    if ni != len(space.C) * m * m or any(
-        (fn.id.kind, fn.id.owner, fn.id.index) != ("patch", i, (j1, j2))
-        for fn, (i, j1, j2) in zip(space.functions, layout)
-    ):
-        raise ArgyrisError("patch-interior functions do not lead the basis in tensor order")
+    m = space.N - 4
+    ni = space.breakdown["patch"]
     try:
         lu = splu(A[ni:, ni:].tocsc())
     except RuntimeError as exc:  # exactly singular
@@ -519,12 +511,10 @@ def smoothness_report(space, coeffs=None, samples_per_edge=200):
     t = np.linspace(0.0, 1.0, samples_per_edge)
     if coeffs is None:
         members = scipy.sparse.identity(space.dim, format="csr")
-        names = [fn.id for fn in space.functions]
     else:
         coeffs = np.asarray(coeffs, dtype=float)
         space._check_coeffs(coeffs)
         members = scipy.sparse.csr_matrix(coeffs.reshape(-1, 1))
-        names = ["coeffs"]
 
     def jets(ipatch, uv, order):
         """Sparse (m * (order+1)**2, k) parametric jets of all members."""
@@ -538,7 +528,9 @@ def smoothness_report(space, coeffs=None, samples_per_edge=200):
         """Name of the first member with the largest positive score."""
         if not len(score) or score.max() <= 0.0:
             return None
-        return names[cols[int(np.argmax(score))]]
+        if coeffs is not None:
+            return "coeffs"
+        return space.basis_id(cols[int(np.argmax(score))])
 
     edge_rows = []
     for e in mp.interfaces():

@@ -26,8 +26,13 @@ the rows found by the index permutation of the patch's standard-form
 rotation. All products entering the pullbacks (alpha times an S- spline,
 beta times a derivative of an S+ spline) are degree p piecewise polynomials
 of smoothness r, so the extraction matrices are exact up to rounding.
+
+The basis is numbered by entity blocks: all patches, then all edges, then all
+vertices, each entity owning a contiguous run whose length depends on (p, r,
+n) alone; ``block`` and ``basis_id`` translate by arithmetic.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +47,6 @@ from .multipatch import rotate_net, standard_form_vertex
 __all__ = [
     "BasisId",
     "C2Data",
-    "ArgyrisFunction",
     "ArgyrisSpace",
     "space_dimension",
     "VERTEX_INDEX_ORDER",
@@ -70,8 +74,13 @@ class C2Data:
     hess: np.ndarray
 
     def __post_init__(self):
-        self.grad = np.asarray(self.grad, dtype=float).reshape(2)
-        self.hess = np.asarray(self.hess, dtype=float).reshape(2, 2)
+        value, grad, hess = (
+            np.asarray(x, dtype=float) for x in (self.value, self.grad, self.hess)
+        )
+        if value.ndim or grad.size != 2 or hess.size != 4:
+            raise InvalidConfigError("C2 data must have shapes (), (2,) and (2, 2)")
+        self.value = float(value)
+        self.grad, self.hess = grad.reshape(2), hess.reshape(2, 2)
         if abs(self.hess[0, 1] - self.hess[1, 0]) > 1e-12 * (
             1.0 + np.abs(self.hess).max()
         ):
@@ -80,34 +89,13 @@ class C2Data:
             raise InvalidConfigError("C2 data must be finite")
 
 
-class ArgyrisFunction:
-    """Member of the space viewed through the extraction matrices.
-
-    ``id`` names it; ``coeffs`` is its coefficient vector in the basis, the
-    unit vector for a basis function.
-    """
-
-    def __init__(self, space, fid, coeffs=None):
-        self.space = space
-        self.id = fid
-        self._coeffs = coeffs
-
-    @property
-    def coeffs(self):
-        if self._coeffs is not None:
-            return self._coeffs
-        unit = np.zeros(self.space.dim)
-        unit[self.space.index_of[self.id]] = 1.0
-        return unit
-
-    @property
-    def support(self):
-        """Patches on which the function is not identically zero."""
-        c = self.coeffs
-        return {i for i in range(len(self.space.C)) if self.space.combine(c, i).any()}
-
-    def dense_grid(self, shape, patch):
-        return self.space.combine(self.coeffs, patch).reshape(shape)
+def _block_sizes(config):
+    """Number of basis functions one patch, one edge and one vertex own."""
+    config.check_argyris()
+    p, r, n = config.p, config.r, config.n
+    N = (p - r) * (n - 1) + p + 1
+    Nm = (p - r - 1) * (n - 1) + p
+    return {"patch": (N - 4) ** 2, "edge": 2 * Nm - 9, "vertex": 6}
 
 
 def space_dimension(mp, config=None):
@@ -117,26 +105,15 @@ def space_dimension(mp, config=None):
     triple; the latter needs an explicit config.
     """
     if isinstance(mp, tuple):
-        n_patches, n_edges, n_vertices = mp
+        counts = mp
         if config is None:
             raise InvalidConfigError("count triples need an explicit config")
     else:
-        n_patches = len(mp.patches)
-        n_edges = len(mp.edges)
-        n_vertices = len(mp.vertices)
+        counts = (len(mp.patches), len(mp.edges), len(mp.vertices))
         config = config or mp.config
-    config.check_argyris()
-    p, r, n = config.p, config.r, config.n
-    N = (p - r) * (n - 1) + p + 1
-    Nm = (p - r - 1) * (n - 1) + p
-    per_patch = (N - 4) ** 2
-    per_edge = 2 * Nm - 9
-    counts = {
-        "patch": n_patches * per_patch,
-        "edge": n_edges * per_edge,
-        "vertex": n_vertices * 6,
-    }
-    return sum(counts.values()), counts
+    sizes = _block_sizes(config)
+    breakdown = {kind: k * sizes[kind] for kind, k in zip(sizes, counts)}
+    return sum(breakdown.values()), breakdown
 
 
 def _edge_index_set(Nm):
@@ -229,7 +206,8 @@ class ArgyrisSpace:
 
     ``C[i]`` is the sparse (N*N, dim) extraction matrix of patch i: column a
     holds the flattened (N, N) tensor-spline coefficient grid of basis
-    function a on that patch.
+    function a on that patch. Column a belongs to the entity whose ``block``
+    holds a; ``basis_id(a)`` names it.
     """
 
     def __init__(self, geometry, tol=1e-9):
@@ -276,45 +254,44 @@ class ArgyrisSpace:
         self._aminus = np.zeros((self.sminus.N, 2))
         self._aminus[:2] = _drop_noise(np.linalg.inv(dm[0][:2, :2]))
 
-        self.functions = []
-        self.index_of = {}
+        self.dim, self.breakdown = space_dimension(geometry, cfg)
+        # family -> (position of its first function, functions per entity)
+        sizes = _block_sizes(cfg)
+        starts = np.cumsum([0, *self.breakdown.values()])
+        self._layout = {kind: (int(a), sizes[kind]) for kind, a in zip(sizes, starts)}
         self.edge_assembly = {}
         self.vertex_assembly = {}
         self.C = self._build()
-
-        expected, breakdown = space_dimension(geometry, cfg)
-        self.breakdown = breakdown
-        if expected != len(self.functions):
-            raise ArgyrisError(
-                f"dimension bookkeeping broke: formula gives {expected}, "
-                f"enumeration gives {len(self.functions)}"
-            )
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
     def _build(self):
-        """Enumerate the basis and assemble the extraction matrices.
+        """Assemble the extraction matrices, entity block by entity block.
 
-        Each builder returns the ids of its functions and, per patch it
-        touches, their extraction columns.
+        Each builder returns its column count and, per patch it touches, its
+        extraction columns, which land in the block of its entity.
         """
         mp = self.geometry
-        families = [self.build_patch_interior(i) for i in range(len(mp.patches))]
-        families += [self.build_edge_functions(e.id) for e in mp.edges]
-        families += [self.build_vertex_functions(v.id) for v in mp.vertices]
+        families = [("patch", i, self.build_patch_interior(i))
+                    for i in range(len(mp.patches))]
+        families += [("edge", e.id, self.build_edge_functions(e.id)) for e in mp.edges]
+        families += [("vertex", v.id, self.build_vertex_functions(v.id))
+                     for v in mp.vertices]
         triplets = [([], [], []) for _ in mp.patches]
-        for ids, columns in families:
-            offset = len(self.functions)
-            for fid in ids:
-                self.index_of[fid] = len(self.functions)
-                self.functions.append(ArgyrisFunction(self, fid))
+        for kind, owner, (k, columns) in families:
+            block = self.block(kind, owner)
+            if k != block.stop - block.start:
+                raise ArgyrisError(
+                    f"dimension bookkeeping broke: formula gives "
+                    f"{block.stop - block.start} functions per {kind}, build gives {k}"
+                )
             for i, cols in columns.items():
                 triplets[i][0].append(cols.row)
-                triplets[i][1].append(cols.col + offset)
+                triplets[i][1].append(cols.col + block.start)
                 triplets[i][2].append(cols.data)
-        shape = (self.N * self.N, len(self.functions))
+        shape = (self.N * self.N, self.dim)
         return [
             scipy.sparse.csr_matrix(
                 (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -326,14 +303,13 @@ class ArgyrisSpace:
     def build_patch_interior(self, i):
         """Unit-coefficient B-splines with indices in {2..N-3}^2."""
         N = self.N
-        inner = range(2, N - 2)
-        ids = [BasisId("patch", i, (j1, j2)) for j1 in inner for j2 in inner]
-        rows = [j1 * N + j2 for j1 in inner for j2 in inner]
-        k = len(rows)
+        inner = np.arange(2, N - 2)
+        rows = (inner[:, None] * N + inner).ravel()
+        k = rows.size
         cols = scipy.sparse.coo_matrix(
             (np.ones(k), (rows, np.arange(k))), shape=(N * N, k)
         )
-        return ids, {i: cols}
+        return k, {i: cols}
 
     def _edge_assembly_for(self, eid):
         mp = self.geometry
@@ -400,7 +376,7 @@ class ArgyrisSpace:
             rows = R[:2] if role == 1 else R[:, :2].T
             layers = self._side_layers(T, V, alpha, beta, role)
             columns[ipatch] = _coo(self.N**2, [(rows, layers)])
-        return [BasisId("edge", eid, j) for j in idx], columns
+        return k, columns
 
     def _vertex_assembly_for(self, vid):
         mp = self.geometry
@@ -487,13 +463,13 @@ class ArgyrisSpace:
                 (R[:2, 2:], layers[1][:, 2:]),
                 (R[2:, :2].T, layers[2][:, 2:]),
             ])
-        return [BasisId("vertex", vid, j) for j in VERTEX_INDEX_ORDER], columns
+        return len(VERTEX_INDEX_ORDER), columns
 
     def vertex_projector(self, vid, data):
         """Alternating-sum Hermite interpolant of C2 data at one vertex.
 
-        It is the combination of the vertex's six basis functions with the
-        data scaled by sigma^-|j| as coefficients, so it matches value,
+        Returns its coefficient vector (dim,): the vertex's six basis
+        functions carry the data scaled by sigma^-|j|, so it matches value,
         gradient and Hessian of the data at the vertex from every surrounding
         patch and is identically zero when the data is zero.
         """
@@ -501,25 +477,51 @@ class ArgyrisSpace:
         slot_data = (data.value, g[0], g[1], H[0, 0], H[0, 1], H[1, 1])
         sig = self.sigma(vid)
         coeffs = np.zeros(self.dim)
-        for j, value in zip(VERTEX_INDEX_ORDER, slot_data):
-            coeffs[self.index_of[BasisId("vertex", vid, j)]] = value / sig ** sum(j)
-        return ArgyrisFunction(self, BasisId("vertex", vid, None), coeffs)
+        coeffs[self.block("vertex", vid)] = [
+            value / sig ** sum(j) for j, value in zip(VERTEX_INDEX_ORDER, slot_data)
+        ]
+        return coeffs
 
     # ------------------------------------------------------------------
     # queries and evaluation
     # ------------------------------------------------------------------
 
-    @property
-    def dim(self):
-        return len(self.functions)
-
     def dimension(self):
         """Total dimension with the per-family breakdown (formula-checked)."""
         return self.dim, dict(self.breakdown)
 
+    def block(self, kind, owner):
+        """Positions of the basis functions that one entity owns: patch,
+        edge or vertex ``owner``."""
+        if kind not in self._layout:
+            raise InvalidConfigError(f"unknown basis family {kind!r}")
+        start, size = self._layout[kind]
+        owner = operator.index(owner)
+        if not 0 <= owner < self.breakdown[kind] // size:
+            raise InvalidConfigError(f"{kind} id {owner} out of range")
+        return slice(start + owner * size, start + (owner + 1) * size)
+
+    def basis_id(self, a):
+        """Family, owning entity and local index of basis function a: (j1, j2)
+        for a patch, (j, 0) trace or (j, 1) derivative for an edge, the
+        derivative order (j1, j2) for a vertex."""
+        a = operator.index(a)
+        if not 0 <= a < self.dim:
+            raise InvalidConfigError(f"basis index {a} out of range (dim {self.dim})")
+        for kind, (start, size) in self._layout.items():
+            if a < start + self.breakdown[kind]:
+                break
+        owner, local = divmod(a - start, size)
+        if kind == "patch":
+            index = (2 + local // (self.N - 4), 2 + local % (self.N - 4))
+        elif kind == "edge":
+            index = _edge_index_set(self.sminus.N)[local]
+        else:
+            index = VERTEX_INDEX_ORDER[local]
+        return BasisId(kind, owner, index)
+
     def sigma(self, vid):
-        if vid not in self.vertex_assembly:
-            raise InvalidConfigError(f"vertex id {vid} out of range")
+        self.block("vertex", vid)
         return self.vertex_assembly[vid].sigma
 
     def _check_coeffs(self, coeffs):
@@ -532,6 +534,7 @@ class ArgyrisSpace:
     def combine(self, coeffs, patch):
         """Dense coefficient grid (N, N) of sum_a coeffs[a] * function_a on a
         patch; a (dim, k) coefficient matrix gives k grids, (N, N, k)."""
+        self.block("patch", patch)
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_coeffs(coeffs)
         return (self.C[patch] @ coeffs).reshape(self.shape + coeffs.shape[1:])
@@ -543,17 +546,12 @@ class ArgyrisSpace:
         derivatives; pair it with the patch Jacobian for physical ones. A
         (dim, k) coefficient matrix adds a trailing axis of length k.
         """
-        if not 0 <= patch < len(self.C):
-            raise InvalidConfigError(f"patch index {patch} out of range")
+        self.block("patch", patch)
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_coeffs(coeffs)
         uv = np.atleast_2d(uv)
         jets = self.tspace.jet_matrix(uv, nderiv) @ (self.C[patch] @ coeffs)
         return jets.reshape((len(uv), nderiv + 1, nderiv + 1) + coeffs.shape[1:])
-
-    def function_jet(self, a, patch, uv, nderiv=0):
-        """Parametric jet of basis function a on one patch (zero off-support)."""
-        return self.evaluate(self.functions[a].coeffs, patch, uv, nderiv)
 
 
 def physical_derivatives(geo_jet, f_jet):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from argyris import (
     VERTEX_INDEX_ORDER,
@@ -10,15 +11,16 @@ from argyris import (
     project,
     vertex_duals,
 )
+from argyris.errors import InvalidConfigError
 
 
 def ids_where(space, pred):
-    return [a for a, fn in enumerate(space.functions) if pred(fn.id)]
+    return [a for a in range(space.dim) if pred(space.basis_id(a))]
 
 
 def position(space, a):
     """Position of basis function a in the block of its owning entity."""
-    fid = space.functions[a].id
+    fid = space.basis_id(a)
     return ids_where(space, lambda i: (i.kind, i.owner) == (fid.kind, fid.owner)).index(a)
 
 
@@ -40,9 +42,10 @@ def test_patch_dual_biorthogonal_on_own_family(sp_two):
 def test_patch_dual_kills_edge_and_vertex_functions(sp_two):
     others = ids_where(sp_two, lambda i: i.kind != "patch")
     a = ids_where(sp_two, lambda i: i.kind == "patch")[0]
-    fid = sp_two.functions[a].id
+    fid = sp_two.basis_id(a)
     for b in others:
-        if fid.owner not in sp_two.functions[b].support:
+        e = basis_field(sp_two, b).coeffs
+        if fid.owner not in {i for i, C in enumerate(sp_two.C) if (C @ e).any()}:
             continue
         val = patch_duals(sp_two, fid.owner, basis_field(sp_two, b))[position(sp_two, a)]
         assert abs(val) < 1e-11
@@ -50,7 +53,7 @@ def test_patch_dual_kills_edge_and_vertex_functions(sp_two):
 
 def test_patch_dual_of_zero(sp_two):
     zero = SpaceField(sp_two, np.zeros(sp_two.dim))
-    fid = sp_two.functions[0].id
+    fid = sp_two.basis_id(0)
     assert patch_duals(sp_two, fid.owner, zero)[position(sp_two, 0)] == 0.0
 
 
@@ -79,6 +82,18 @@ def test_edge_dual_kills_endpoint_vertex_functions(sp_two):
         for b in vertex_ids:
             val = edge_duals(sp_two, eid, basis_field(sp_two, b))[position(sp_two, a)]
             assert abs(val) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "duals,owner",
+    [(patch_duals, -1), (patch_duals, 3), (edge_duals, -1), (edge_duals, 99),
+     (vertex_duals, -1), (vertex_duals, 99)],
+)
+def test_duals_reject_unknown_entity_ids(sp_three, duals, owner):
+    # patch -1 used to alias patch 2, patch 3 gave an IndexError and an
+    # unknown edge or vertex a KeyError
+    with pytest.raises(InvalidConfigError):
+        duals(sp_three, owner, SpaceField(sp_three, np.zeros(sp_three.dim)))
 
 
 def test_vertex_dual_delta(sp_two):

@@ -35,7 +35,6 @@ from argyris.fit import (
     _patch_mass,
     _pcg,
 )
-from argyris.space import ArgyrisFunction, BasisId
 
 AS_G1_BUILTINS = (
     "two_patch_bilinear",
@@ -267,7 +266,7 @@ def test_block_preconditioner_without_interior_block():
         N=4,
         usp=UnivariateSpace(3, 1, 1),
         C=[None, None],
-        functions=[SimpleNamespace(id=BasisId("edge", 0, (j, 0))) for j in range(k)],
+        breakdown={"patch": 0},
     )
     B = np.random.default_rng(6).normal(size=(k, k))
     A = B @ B.T + k * np.eye(k)
@@ -370,19 +369,15 @@ def test_smoothness_report_flags_broken_function(sp_three):
     (i1, k1), _ = e.locals
     grid = np.zeros(space.shape)
     grid[:2, :2] = 1.0  # corner B-splines: nonzero value on two sides of patch i1
-    broken = ArgyrisFunction(space, BasisId("patch", i1, ("broken",)))
-    space.functions = sp_three.functions + [broken]
-    # one more extraction column, nonzero on patch i1 only
-    space.C = [
-        scipy.sparse.hstack(
-            [C, scipy.sparse.csr_matrix(grid.reshape(-1, 1) * (i == i1))]
-        ).tocsr()
-        for i, C in enumerate(sp_three.C)
-    ]
+    # overwrite the first interior function of patch i1, nonzero there only
+    a = space.block("patch", i1).start
+    broken = sp_three.C[i1].tolil()
+    broken[:, a] = grid.reshape(-1, 1)
+    space.C = [broken.tocsr() if i == i1 else C for i, C in enumerate(sp_three.C)]
     rep = smoothness_report(space, samples_per_edge=50)
     assert rep.max_c1_jump > 1e-3
     worst_ids = {row[3] for row in rep.edge_rows}
-    assert broken.id in worst_ids
+    assert space.basis_id(a) in worst_ids
 
 
 def test_curved_geometry_converges_fourth_order(mp_curved):

@@ -12,15 +12,36 @@ from argyris import (
 )
 from argyris.errors import InvalidConfigError
 from argyris.multipatch import CORNER_UV, rotate_uv
+from argyris.space import BasisId, VERTEX_INDEX_ORDER, _edge_index_set
 from conftest import square_grid_geometry
+
+AS_G1_BUILTINS = (
+    "two_patch_bilinear",
+    "three_patch_bilinear",
+    "five_patch_bilinear",
+    "lshape_bilinear",
+    "two_patch_curved_asg1",
+)
 
 
 def ids_of_kind(space, kind, owner=None):
     return [
         a
-        for a, fn in enumerate(space.functions)
-        if fn.id.kind == kind and (owner is None or fn.id.owner == owner)
+        for a, fid in enumerate(map(space.basis_id, range(space.dim)))
+        if fid.kind == kind and (owner is None or fid.owner == owner)
     ]
+
+
+def unit(space, a):
+    """Coefficient vector of basis function a."""
+    e = np.zeros(space.dim)
+    e[a] = 1.0
+    return e
+
+
+def support(space, c):
+    """Patches on which the member with coefficients c is not identically zero."""
+    return {i for i, C in enumerate(space.C) if (C @ c).any()}
 
 
 # --- dimensions ---------------------------------------------------------------
@@ -34,7 +55,7 @@ def test_patch_interior_count(sp_three):
 
 def test_edge_function_count_and_indices(sp_three):
     eid = sp_three.geometry.interfaces()[0].id
-    ids = [sp_three.functions[a].id.index for a in ids_of_kind(sp_three, "edge", eid)]
+    ids = [sp_three.basis_id(a).index for a in ids_of_kind(sp_three, "edge", eid)]
     assert ids == [(3, 0), (2, 1), (3, 1)]
 
 
@@ -65,7 +86,42 @@ def test_five_patch_dimensions(mp_five, n, expected):
 def test_dimension_matches_enumeration(sp_two, sp_three):
     for sp in (sp_two, sp_three):
         total, parts = sp.dimension()
-        assert total == len(sp.functions) == sum(parts.values())
+        assert total == sp.C[0].shape[1] == sum(parts.values())
+
+
+@pytest.mark.parametrize("p,r,n", [(3, 1, 4), (4, 2, 3)])
+@pytest.mark.parametrize("name", AS_G1_BUILTINS)
+def test_entity_blocks_number_the_basis(name, p, r, n):
+    # the blocks tile 0..dim-1 patch by patch, then edge by edge, then vertex
+    # by vertex; basis_id names every column after the block holding it, and
+    # each column lives on the patches that touch its entity only
+    mp = builtin_geometry(name, SpaceConfig(p, r, n))
+    sp = ArgyrisSpace(mp)
+    N = sp.N
+    entities = [("patch", i, [(j1, j2) for j1 in range(2, N - 2) for j2 in range(2, N - 2)],
+                 {i}) for i in range(len(mp.patches))]
+    entities += [("edge", e.id, _edge_index_set(sp.sminus.N), {ip for ip, _ in e.locals})
+                 for e in mp.edges]
+    entities += [("vertex", v.id, list(VERTEX_INDEX_ORDER), {ip for ip, _ in v.corners})
+                 for v in mp.vertices]
+    lives_on = [np.diff(C.tocsc().indptr) > 0 for C in sp.C]  # (dim,) per patch
+    stop = 0
+    for kind, owner, indices, patches in entities:
+        block = sp.block(kind, owner)
+        assert (block.start, block.stop) == (stop, stop + len(indices))
+        stop = block.stop
+        for a, index in zip(range(block.start, block.stop), indices):
+            assert sp.basis_id(a) == BasisId(kind, owner, index)
+            on = {i for i, mask in enumerate(lives_on) if mask[a]}
+            assert on and on <= patches
+    assert stop == sp.dim
+    for a in (sp.dim, -1):
+        with pytest.raises(InvalidConfigError):
+            sp.basis_id(a)
+    for kind, owner in [("patch", -1), ("patch", len(mp.patches)), ("edge", len(mp.edges)),
+                        ("vertex", -1), ("vertex", len(mp.vertices)), ("corner", 0)]:
+        with pytest.raises(InvalidConfigError):
+            sp.block(kind, owner)
 
 
 def test_config_guards():
@@ -91,7 +147,7 @@ def test_patch_functions_vanish_on_patch_boundary(sp_three):
     )
     gj = mp.patches[0].jet(boundary_uv, 2)
     for a in ids_of_kind(sp_three, "patch", 0)[:8]:
-        fj = sp_three.function_jet(a, 0, boundary_uv, 2)
+        fj = sp_three.evaluate(unit(sp_three, a), 0, boundary_uv, 2)
         val, grad, _ = physical_derivatives(gj, fj)
         assert np.abs(val).max() < 1e-13
         assert np.abs(grad).max() < 1e-13
@@ -99,10 +155,10 @@ def test_patch_functions_vanish_on_patch_boundary(sp_three):
 
 def test_patch_function_is_mapped_bspline(sp_three):
     a = ids_of_kind(sp_three, "patch", 1)[0]
-    j1, j2 = sp_three.functions[a].id.index
+    j1, j2 = sp_three.basis_id(a).index
     g = sp_three.usp.greville()
     uv = np.array([[g[j1], g[j2]]])
-    got = sp_three.function_jet(a, 1, uv, 0)[0, 0, 0]
+    got = sp_three.evaluate(unit(sp_three, a), 1, uv, 0)[0, 0, 0]
     _, d1 = sp_three.usp.basis_ders(uv[:, 0], 0)
     _, d2 = sp_three.usp.basis_ders(uv[:, 1], 0)
     f1, _ = sp_three.usp.basis_ders(uv[:, 0], 0)
@@ -131,8 +187,9 @@ def test_interface_functions_are_c1(sp_three):
         gj1 = mp.patches[i1].jet(uv1, 2)
         gj2 = mp.patches[i2].jet(uv2, 2)
         for a in ids_of_kind(sp_three, "edge", e.id):
-            v1, g1, _ = physical_derivatives(gj1, sp_three.function_jet(a, i1, uv1, 2))
-            v2, g2, _ = physical_derivatives(gj2, sp_three.function_jet(a, i2, uv2, 2))
+            e = unit(sp_three, a)
+            v1, g1, _ = physical_derivatives(gj1, sp_three.evaluate(e, i1, uv1, 2))
+            v2, g2, _ = physical_derivatives(gj2, sp_three.evaluate(e, i2, uv2, 2))
             assert np.abs(v1 - v2).max() < 1e-10
             assert np.abs(g1 - g2).max() < 1e-10
 
@@ -146,7 +203,7 @@ def test_edge_functions_vanish_to_second_order_at_endpoints(sp_three):
         uv = rotate_uv(np.column_stack([np.zeros_like(ends[:, 0]), ends[:, 0]]), rot)
         gj = mp.patches[i1].jet(uv, 2)
         for a in ids_of_kind(sp_three, "edge", e.id):
-            fj = sp_three.function_jet(a, i1, uv, 2)
+            fj = sp_three.evaluate(unit(sp_three, a), i1, uv, 2)
             val, grad, hess = physical_derivatives(gj, fj)
             assert np.abs(val).max() < 1e-11
             assert np.abs(grad).max() < 1e-11
@@ -168,8 +225,8 @@ def test_edge_trace_and_transversal_reproduction(sp_three):
         gj = mp.patches[i1].jet(uv, 2)
         d, _ = transversal_vector(asm.gluing, asm.P1, t)
         for a in ids_of_kind(sp_three, "edge", e.id):
-            j, s = sp_three.functions[a].id.index
-            fj = sp_three.function_jet(a, i1, uv, 2)
+            j, s = sp_three.basis_id(a).index
+            fj = sp_three.evaluate(unit(sp_three, a), i1, uv, 2)
             val, grad, _ = physical_derivatives(gj, fj)
             if s == 0:
                 want = sp_three.splus.basis_function(j)(t)
@@ -185,19 +242,19 @@ def test_edge_trace_and_transversal_reproduction(sp_three):
 
 
 def test_vertex_projector_annihilates_zero(sp_three):
-    fn = sp_three.vertex_projector(0, C2Data(0.0, np.zeros(2), np.zeros((2, 2))))
-    assert fn.support == set()
+    c = sp_three.vertex_projector(0, C2Data(0.0, np.zeros(2), np.zeros((2, 2))))
+    assert support(sp_three, c) == set()
 
 
 def test_vertex_projector_value_slot_on_grid(cfg4, mp_grid22):
     sp = ArgyrisSpace(mp_grid22)
     v = [v for v in mp_grid22.vertices if v.is_interior][0]
-    fn = sp.vertex_projector(v.id, C2Data(1.0, np.zeros(2), np.zeros((2, 2))))
-    assert len(fn.support) == 4
-    for ip, c in v.corners:
-        uv = CORNER_UV[c : c + 1]
+    c = sp.vertex_projector(v.id, C2Data(1.0, np.zeros(2), np.zeros((2, 2))))
+    assert len(support(sp, c)) == 4
+    for ip, corner in v.corners:
+        uv = CORNER_UV[corner : corner + 1]
         gj = mp_grid22.patches[ip].jet(uv, 2)
-        grid = fn.dense_grid(sp.shape, ip)
+        grid = sp.combine(c, ip)
         from argyris import TensorSpace, TensorSpline
 
         fj = TensorSpline(TensorSpace(sp.usp), grid).jet(uv, 2)
@@ -211,15 +268,13 @@ def test_vertex_projector_mixed_hessian_slot(sp_three):
     mp = sp_three.geometry
     v = [v for v in mp.vertices if v.is_interior][0]
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
-    fn = sp_three.vertex_projector(v.id, C2Data(0.0, np.zeros(2), H))
+    c = sp_three.vertex_projector(v.id, C2Data(0.0, np.zeros(2), H))
     from argyris import TensorSpace, TensorSpline
 
-    for ip, c in v.corners:
-        uv = CORNER_UV[c : c + 1]
+    for ip, corner in v.corners:
+        uv = CORNER_UV[corner : corner + 1]
         gj = mp.patches[ip].jet(uv, 2)
-        fj = TensorSpline(
-            TensorSpace(sp_three.usp), fn.dense_grid(sp_three.shape, ip)
-        ).jet(uv, 2)
+        fj = TensorSpline(TensorSpace(sp_three.usp), sp_three.combine(c, ip)).jet(uv, 2)
         val, grad, hess = physical_derivatives(gj, fj)
         assert abs(val[0]) < 1e-9
         assert np.abs(grad).max() < 1e-9
@@ -233,12 +288,8 @@ def test_vertex_projector_mixed_hessian_slot(sp_three):
         uv2 = rotate_uv(np.column_stack([t, np.zeros_like(t)]), (k2 - 1) % 4)
         gj1 = mp.patches[i1].jet(uv1, 2)
         gj2 = mp.patches[i2].jet(uv2, 2)
-        f1 = TensorSpline(
-            TensorSpace(sp_three.usp), fn.dense_grid(sp_three.shape, i1)
-        ).jet(uv1, 2)
-        f2 = TensorSpline(
-            TensorSpace(sp_three.usp), fn.dense_grid(sp_three.shape, i2)
-        ).jet(uv2, 2)
+        f1 = TensorSpline(TensorSpace(sp_three.usp), sp_three.combine(c, i1)).jet(uv1, 2)
+        f2 = TensorSpline(TensorSpace(sp_three.usp), sp_three.combine(c, i2)).jet(uv2, 2)
         v1, g1, _ = physical_derivatives(gj1, f1)
         v2, g2, _ = physical_derivatives(gj2, f2)
         assert np.abs(v1 - v2).max() < 1e-9
@@ -251,24 +302,19 @@ def test_vertex_projector_mixed_hessian_slot(sp_three):
 )
 def test_vertex_delta_property(request, fixture):
     # covers boundary vertices (first and last slots) and nonzero alpha slopes
-    from argyris.space import VERTEX_INDEX_ORDER
-
     sp = ArgyrisSpace(request.getfixturevalue(fixture))
     mp = sp.geometry
     for v in mp.vertices:
         sig = sp.sigma(v.id)
         for (j1, j2) in VERTEX_INDEX_ORDER:
-            a = sp.index_of[
-                next(
-                    fid
-                    for fid in sp.index_of
-                    if fid.kind == "vertex" and fid.owner == v.id and fid.index == (j1, j2)
-                )
-            ]
+            a = next(
+                a for a in range(sp.dim)
+                if sp.basis_id(a) == BasisId("vertex", v.id, (j1, j2))
+            )
             for ip, c in v.corners:
                 uv = CORNER_UV[c : c + 1]
                 gj = mp.patches[ip].jet(uv, 2)
-                fj = sp.function_jet(a, ip, uv, 2)
+                fj = sp.evaluate(unit(sp, a), ip, uv, 2)
                 val, grad, hess = physical_derivatives(gj, fj)
                 got = {
                     (0, 0): val[0],
@@ -304,6 +350,20 @@ def test_vertex_queries_reject_unknown_ids(sp_three):
 )
 def test_c2data_rejects_non_finite_entries(value, grad, hess):
     # NaN data used to give NaN vertex-projector coefficients
+    with pytest.raises(InvalidConfigError):
+        C2Data(value, grad, hess)
+
+
+@pytest.mark.parametrize(
+    "value,grad,hess",
+    [
+        (np.array([1.0, 2.0]), np.zeros(2), np.zeros((2, 2))),
+        (0.0, np.zeros(3), np.zeros((2, 2))),
+        (0.0, np.zeros(2), np.zeros((3, 3))),
+    ],
+)
+def test_c2data_rejects_misshapen_entries(value, grad, hess):
+    # an array value used to reach the vertex projector as a bare ValueError
     with pytest.raises(InvalidConfigError):
         C2Data(value, grad, hess)
 
@@ -360,7 +420,7 @@ def test_extraction_matrices_store_no_rounding_noise(name, p, r, n):
 
 def test_evaluate_unit_vector_matches_basis(sp_three):
     a = ids_of_kind(sp_three, "patch", 2)[5]
-    j1, j2 = sp_three.functions[a].id.index
+    j1, j2 = sp_three.basis_id(a).index
     c = np.zeros(sp_three.dim)
     c[a] = 1.0
     rng = np.random.default_rng(0)
@@ -429,6 +489,13 @@ def test_evaluate_gradient_vs_finite_difference(sp_three):
 def test_evaluate_validates_patch_index(sp_three):
     with pytest.raises(InvalidConfigError):
         sp_three.evaluate(np.zeros(sp_three.dim), 17, np.array([[0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("patch", [-1, 3, 17])
+def test_combine_validates_patch_index(sp_three, patch):
+    # -1 used to give the last patch's grid and 3 a bare IndexError
+    with pytest.raises(InvalidConfigError):
+        sp_three.combine(np.zeros(sp_three.dim), patch)
 
 
 @pytest.mark.parametrize("p,r,n", [(5, 2, 2), (4, 1, 2), (4, 2, 3)])
