@@ -7,11 +7,13 @@ after de Boor & Fix, 1973), which reads every coefficient from samples on one
 element. Exact representation from samples, and with it conversions, knot
 insertion and products with linear polynomials, is that table applied to one
 sample of the function, checked for reproduction. Tensor-product splines are
-evaluated at scattered points (``jet``) or, by sum factorization over
-per-direction basis tables, on tensor grids (``grid_jet``). A basis table
-(``_basis_values``) is made once per (space, points, derivative order) and
-returned read-only to every later caller while it is among the last 8 MB of
-tables used.
+evaluated on tensor grids by sum factorization over per-direction basis
+tables (``grid_jet``); sides and corners of a patch are grids with one
+singleton direction. Scattered points go through one sparse jet matrix
+(``TensorSpace.jet_matrix``), of which ``TensorSpline.jet`` is a view. A
+basis table (``_basis_values``) is made once per (space, points, derivative
+order) and returned read-only to every later caller while it is among the
+last 8 MB of tables used.
 """
 
 import threading
@@ -445,7 +447,8 @@ class TensorSpace:
         (q, a, b), in C order, holds d^a/dxi1^a d^b/dxi2^b of every tensor
         basis function at uv[q]; column j1 * N2 + j2 is basis (j1, j2). So
         ``jet_matrix(uv, d) @ coeffs.reshape(N1 * N2, ...)`` reshaped to
-        (m, d+1, d+1, ...) equals ``TensorSpline(space, coeffs).jet(uv, d)``.
+        (m, d+1, d+1, ...) is the jet of a spline at scattered points, which
+        ``TensorSpline.jet`` returns.
         """
         uv = np.atleast_2d(np.asarray(uv, dtype=float))
         s1, s2 = self.s1, self.s2
@@ -481,30 +484,14 @@ class TensorSpline:
         self.coeffs = coeffs
 
     def jet(self, uv, nderiv):
-        """Partial derivatives up to the given order at parametric points.
-
-        Parameters
-        ----------
-        uv : (m, 2) array
-            Parametric evaluation points.
-        nderiv : int
-            Highest derivative order per direction.
-
-        Returns
-        -------
-        (m, nderiv+1, nderiv+1, ...) array ``D`` with
-        ``D[q, a, b]`` = d^a/dxi1^a d^b/dxi2^b of the function at uv[q].
-        """
+        """Partial derivatives up to the given order at parametric points uv
+        (m, 2): ``D[q, a, b]`` = d^a/dxi1^a d^b/dxi2^b of the function at
+        uv[q], shape (m, nderiv+1, nderiv+1, ...), through ``jet_matrix``."""
         uv = np.atleast_2d(np.asarray(uv, dtype=float))
-        s1, s2 = self.space.s1, self.space.s2
-        f1, d1 = s1.basis_ders(uv[:, 0], nderiv)
-        f2, d2 = s2.basis_ders(uv[:, 1], nderiv)
-        i1 = f1[:, None] + np.arange(s1.p + 1)[None, :]
-        i2 = f2[:, None] + np.arange(s2.p + 1)[None, :]
-        W = self.coeffs[i1[:, :, None], i2[:, None, :]]
-        if self.coeffs.ndim == 2:
-            return np.einsum("mai,mij,mbj->mab", d1, W, d2)
-        return np.einsum("mai,mijc,mbj->mabc", d1, W, d2)
+        flat = self.coeffs.reshape(self.space.s1.N * self.space.s2.N, -1)
+        return (self.space.jet_matrix(uv, nderiv) @ flat).reshape(
+            (len(uv), nderiv + 1, nderiv + 1) + self.coeffs.shape[2:]
+        )
 
     def grid_jet(self, x1, x2, nderiv):
         """``jet`` on the tensor grid x1 x x2, by sum factorization.
@@ -515,10 +502,17 @@ class TensorSpline:
         ``A_a @ coeffs @ B_b^T`` of dense per-direction collocation tables
         (Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME 2015), so the
         basis is evaluated len(x1) + len(x2) times instead of len(x1) *
-        len(x2) times.
+        len(x2) times. The shorter direction is contracted first, so a patch
+        side costs one pass over the coefficients.
         """
         x1 = np.atleast_1d(np.asarray(x1, dtype=float))
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
+        if len(x1) < len(x2):  # contract the shorter direction first
+            flip = TensorSpline(TensorSpace(self.space.s2, self.space.s1),
+                                self.coeffs.swapaxes(0, 1))
+            out = flip.grid_jet(x2, x1, nderiv)
+            out = out.reshape((len(x2), len(x1)) + out.shape[1:]).swapaxes(0, 1)
+            return out.swapaxes(2, 3).reshape((len(x1) * len(x2),) + out.shape[2:])
         B = np.stack([_basis_values(self.space.s2, x2, b) for b in range(nderiv + 1)])
         # CB[i, q2, b, ...] = sum_j coeffs[i, j, ...] B_b[q2, j]
         CB = np.einsum("brj,ij...->irb...", B, self.coeffs, optimize=True)

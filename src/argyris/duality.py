@@ -11,13 +11,14 @@ tensor grid per patch, one pass along one side per edge) and gather each
 function's samples by its element. Concatenated in the order of the basis
 they give the global projector, which reproduces every member of the space.
 
-A field is sampled through ``grid_values`` on a tensor grid (the patch
-functionals and the L2 fit) and through ``jets`` at scattered points (the
-edge and vertex functionals): physical value, gradient and Hessian up to the
-requested order. Members of the space are sampled through the extraction
-matrices, several members at once when given a coefficient matrix, so the
-functionals applied once to the identity coefficient block give the
-biorthogonality matrix D C.
+A field is sampled through one method, ``jets``, on a tensor grid: physical
+value, gradient and Hessian up to the requested order. The patch functionals
+and the L2 fit sample the full grid of a patch, the edge functionals a side
+(a grid with one singleton direction, ``rotate_grid``) and the vertex
+functionals a 1 x 1 corner grid. Members of the space are sampled through
+the extraction matrices, several members at once when given a coefficient
+matrix, so the functionals applied once to the identity coefficient block
+give the biorthogonality matrix D C.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .bspline import local_duals
 from .errors import InvalidConfigError
 from .gluing import transversal_vector
-from .multipatch import CORNER_UV, rotate_uv
+from .multipatch import rotate_grid
 from .space import _edge_index_set, physical_derivatives
 
 __all__ = [
@@ -50,20 +51,16 @@ class AnalyticField:
         self.geometry = geometry
         self._samplers = (value, grad, hess)
 
-    def jets(self, patch, uv, order):
-        """Value, then gradient (order >= 1), then Hessian (order 2)."""
+    def jets(self, patch, x1, x2, order):
+        """Value, then gradient (order >= 1), then Hessian (order 2), on the
+        x1-major flattened tensor grid x1 x x2."""
         samplers = self._samplers[: order + 1]
         if any(s is None for s in samplers):
             raise InvalidConfigError(
                 f"field has no derivative sampler of order {order}"
             )
-        x = self.geometry.patches[patch].point(uv)
-        return tuple(np.asarray(s(x), dtype=float) for s in samplers)
-
-    def grid_values(self, patch, x1, x2):
-        """Values on the x1-major flattened tensor grid x1 x x2."""
         x = self.geometry.patches[patch].grid_jet(x1, x2, 0)[:, 0, 0]
-        return np.asarray(self._samplers[0](x), dtype=float)
+        return tuple(np.asarray(s(x), dtype=float) for s in samplers)
 
 
 class SpaceField:
@@ -71,8 +68,8 @@ class SpaceField:
 
     A (dim, k) coefficient matrix stands for k members at once; every sample
     then carries an axis of length k after the first. Samples come from the
-    sparse jet matrices of the patch's tensor B-splines times its extraction
-    matrix.
+    member's coefficient grid on the patch (its extraction matrix times the
+    coefficients), evaluated like the patch map by sum factorization.
     """
 
     def __init__(self, space, coeffs):
@@ -80,20 +77,16 @@ class SpaceField:
         self.geometry = space.geometry
         self.coeffs = coeffs
 
-    def jets(self, patch, uv, order):
-        """Value, then gradient (order >= 1), then Hessian (order 2); values
-        alone need no patch map."""
-        uv = np.atleast_2d(uv)
-        fj = self.space.evaluate(self.coeffs, patch, uv, order)
+    def jets(self, patch, x1, x2, order):
+        """Value, then gradient (order >= 1), then Hessian (order 2), on the
+        x1-major flattened tensor grid x1 x x2; values alone need no patch
+        map."""
+        grid = self.space.tspace.spline(self.space.combine(self.coeffs, patch))
+        fj = grid.grid_jet(x1, x2, order)
         if order == 0:
             return (fj[:, 0, 0],)
-        gj = self.geometry.patches[patch].jet(uv, order)
+        gj = self.geometry.patches[patch].grid_jet(x1, x2, order)
         return physical_derivatives(gj, fj)[: order + 1]
-
-    def grid_values(self, patch, x1, x2):
-        """Values on the x1-major flattened tensor grid x1 x x2."""
-        grid = self.space.tspace.spline(self.space.combine(self.coeffs, patch))
-        return grid.grid_jet(x1, x2, 0)[:, 0, 0]
 
 
 def patch_duals(space, i, field):
@@ -105,7 +98,7 @@ def patch_duals(space, i, field):
     space.block("patch", i)
     duals = local_duals(space.usp)
     x = duals.points.ravel()
-    vals = field.grid_values(i, x, x)
+    vals = field.jets(i, x, x, 0)[0]
     vals = vals.reshape((len(x), len(x)) + vals.shape[1:])
     inner = slice(2, space.N - 2)
     out = duals.apply(duals.apply(vals, inner).swapaxes(0, 1), inner).swapaxes(0, 1)
@@ -122,8 +115,7 @@ def edge_duals(space, eid, field):
     asm = space.edge_assembly[eid]
     ipatch, rot = asm.side1
     t = np.concatenate([tp, dp])
-    uv = rotate_uv(np.column_stack([np.zeros_like(t), t]), rot)
-    val, grad = field.jets(ipatch, uv, 1)
+    val, grad = field.jets(ipatch, *rotate_grid([0.0], t, rot), 1)
     d, _ = transversal_vector(asm.gluing, asm.P1, dp)
     hp = space.config.h / space.config.p
     deriv = hp * np.einsum("m...i,mi->m...", grad[len(tp) :], d)
@@ -139,7 +131,7 @@ def vertex_duals(space, vid, field):
     space.block("vertex", vid)
     asm = space.vertex_assembly[vid]
     ipatch, corner = asm.vertex.corners[0]
-    val, g, H = field.jets(ipatch, CORNER_UV[corner : corner + 1], 2)
+    val, g, H = field.jets(ipatch, *rotate_grid([0.0], [0.0], corner), 2)
     s = asm.sigma
     g, H = g[0] / s, H[0] / s**2
     return np.stack(

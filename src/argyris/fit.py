@@ -5,18 +5,19 @@ tensor B-spline mass M_i and load vector b_i; the space's extraction
 matrices C_i turn them into the mass matrix sum_i C_i^T M_i C_i and the
 load vector sum_i C_i^T b_i. The quadrature nodes of a patch form a tensor
 grid, so the patch map and its Jacobian, the target field and the fitted
-member are sampled there by sum factorization (``Patch.grid_jet``,
-``grid_values`` of the field classes): per-direction basis tables, each
-made once per (space, nodes, derivative order), instead of a basis
-evaluation at every node. With A0 the (m, N) basis values at the m nodes of
-one direction and W the weights on the node grid, b_i is A0^T (W o z) A0
-for target samples z, and M_i is sum factorized too: with K (m, P) the
-products A0[:, i] A0[:, j] of the P pairs i <= j of 1D basis functions that
-share an element, D = K^T W K (P, P) holds every entry of M_i, which is one
-gather of D into a CSR pattern fixed per univariate space (the Kronecker
-product of the 1D pair patterns). Each patch's C_i^T M_i C_i is symmetrized
-before the patches are summed, so the mass is exactly symmetric without a
-transpose of the whole matrix.
+member are sampled there by sum factorization (``Patch.grid_jet``, ``jets``
+of the field classes): per-direction basis tables, each made once per
+(space, nodes, derivative order), instead of a basis evaluation at every
+node. A rule keeps the |det DF| weights of every patch it integrated over,
+so the mass and the load of a fit share them. With A0 the (m, N) basis
+values at the m nodes of one direction and W the weights on the node grid,
+b_i is A0^T (W o z) A0 for target samples z, and M_i is sum factorized too:
+with K (m, P) the products A0[:, i] A0[:, j] of the P pairs i <= j of 1D
+basis functions that share an element, D = K^T W K (P, P) holds every entry
+of M_i, which is one gather of D into a CSR pattern fixed per univariate
+space (the Kronecker product of the 1D pair patterns). Each patch's
+C_i^T M_i C_i is symmetrized before the patches are summed, so the mass is
+exactly symmetric without a transpose of the whole matrix.
 The normal equations are diagonally scaled, A = S M S with S = diag(M)^-1/2,
 and solved by conjugate gradients with a block-diagonal preconditioner that
 follows the two families of the basis. The patch-interior functions, which
@@ -42,7 +43,7 @@ import scipy.sparse
 from .bspline import _basis_values
 from .duality import AnalyticField, SpaceField
 from .errors import InvalidConfigError, NumericalError
-from .multipatch import CORNER_UV, refine, rotate_uv
+from .multipatch import refine, rotate_grid
 from .space import ArgyrisSpace, physical_derivatives
 
 __all__ = [
@@ -72,6 +73,7 @@ class QuadratureRule:
         e = np.arange(n)[:, None]
         self.nodes = (e + (x[None, :] + 1.0) / 2.0) / n  # (n, order)
         self.weights = np.broadcast_to(w[None, :] / (2.0 * n), (n, order)).copy()
+        self._det_weights = {}  # patch -> its weights of ``_patch_weights``
 
 
 def _element_dofs(usp):
@@ -129,13 +131,18 @@ def _check_rule(space, rule):
 
 def _patch_weights(space, i, rule):
     """Quadrature weights times |det DF| on the tensor grid of one patch, as
-    an (m, m) array over the m nodes of each direction."""
-    x = rule.nodes.ravel()
-    J = space.geometry.patches[i].grid_jet(x, x, 1)
-    det = J[:, 1, 0, 0] * J[:, 0, 1, 1] - J[:, 1, 0, 1] * J[:, 0, 1, 0]
-    w = rule.weights.ravel()
-    W = np.abs(det) * np.outer(w, w).ravel()
-    return W.reshape(len(x), len(x))
+    a read-only (m, m) array over the m nodes of each direction, made once
+    per patch and rule."""
+    patch = space.geometry.patches[i]
+    if patch not in rule._det_weights:
+        x = rule.nodes.ravel()
+        J = patch.grid_jet(x, x, 1)
+        det = J[:, 1, 0, 0] * J[:, 0, 1, 1] - J[:, 1, 0, 1] * J[:, 0, 1, 0]
+        w = rule.weights.ravel()
+        W = (np.abs(det) * np.outer(w, w).ravel()).reshape(len(x), len(x))
+        W.setflags(write=False)
+        rule._det_weights[patch] = W
+    return rule._det_weights[patch]
 
 
 def _patch_mass(space, i, rule):
@@ -167,7 +174,7 @@ def assemble_mass(space, rule=None):
 
 
 def assemble_rhs(space, fld, rule=None):
-    """Load vector int z phi_a |det DF| for a field with grid samplers.
+    """Load vector int z phi_a |det DF| for a field with a ``jets`` sampler.
 
     On each patch the tensor B-spline load vector is A0^T (W o z) A0, with
     A0 the (m, N) basis values at the m quadrature nodes per direction.
@@ -177,7 +184,7 @@ def assemble_rhs(space, fld, rule=None):
     A0 = _basis_values(space.usp, x)
     rhs = np.zeros(space.dim)
     for i, C in enumerate(space.C):
-        Wz = _patch_weights(space, i, rule).ravel() * fld.grid_values(i, x, x)
+        Wz = _patch_weights(space, i, rule).ravel() * fld.jets(i, x, x, 0)[0]
         rhs += C.T @ (A0.T @ Wz.reshape(len(x), len(x)) @ A0).ravel()
     return rhs
 
@@ -190,8 +197,8 @@ def _integral_sq(space, coeffs, fld, rule):
     zz = 0.0
     for i in range(len(space.C)):
         W = _patch_weights(space, i, rule).ravel()
-        z = fld.grid_values(i, x, x)
-        u = u_c.grid_values(i, x, x)
+        z = fld.jets(i, x, x, 0)[0]
+        u = u_c.jets(i, x, x, 0)[0]
         zz += float((W * z**2).sum())
         total += float((W * (u - z) ** 2).sum())
     return total, zz
@@ -353,6 +360,7 @@ def l2_fit(space, fld, rule=None):
     t0 = time.perf_counter()
     M = assemble_mass(space, rule)
     rhs = assemble_rhs(space, fld, rule)
+    rule._det_weights.clear()  # shared by mass and load, not needed by the solve
     t1 = time.perf_counter()
     coeffs, iterations, cond = _solve_scaled(space, M, rhs)
     t2 = time.perf_counter()
@@ -495,13 +503,16 @@ class SmoothnessReport:
 
 
 def smoothness_report(space, coeffs=None, samples_per_edge=200):
-    """Two-sided continuity audit of the space (or of one coefficient vector).
+    """Two-sided continuity audit of the space, or of the members given by a
+    coefficient vector (dim,) or the k columns of a matrix (dim, k).
 
     Per interface: max relative jump of values and physical gradients over
     sample points. Per vertex: max relative jump of physical second
     derivatives between all surrounding patches. Relative means divided by
-    max(1, local magnitude). The jets of all basis functions are evaluated
-    at once, as the identity coefficient block.
+    max(1, local magnitude). The jets of all members (for the space, the
+    identity coefficient block) come at once from the sparse jet matrix; the
+    patch maps are sampled by sum factorization on the same side and corner
+    grids.
     """
     if samples_per_edge < 1:
         raise InvalidConfigError(
@@ -514,33 +525,37 @@ def smoothness_report(space, coeffs=None, samples_per_edge=200):
     else:
         coeffs = np.asarray(coeffs, dtype=float)
         space._check_coeffs(coeffs)
-        members = scipy.sparse.csr_matrix(coeffs.reshape(-1, 1))
+        members = scipy.sparse.csr_matrix(coeffs.reshape(space.dim, -1))
 
-    def jets(ipatch, uv, order):
-        """Sparse (m * (order+1)**2, k) parametric jets of all members."""
+    def jets(ipatch, grid, order):
+        """Sparse (m * (order+1)**2, k) parametric jets of all members on the
+        x1-major flattened tensor grid (x1, x2)."""
+        uv = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 2)
         return space.tspace.jet_matrix(uv, order) @ (space.C[ipatch] @ members)
 
-    def physical(ipatch, uv, order, S, cols):
-        fj = S[:, cols].toarray().reshape(len(uv), order + 1, order + 1, len(cols))
-        return physical_derivatives(mp.patches[ipatch].jet(uv, order), fj)
+    def physical(ipatch, grid, order, S, cols):
+        geo = mp.patches[ipatch].grid_jet(*grid, order)
+        fj = S[:, cols].toarray().reshape(len(geo), order + 1, order + 1, len(cols))
+        return physical_derivatives(geo, fj)
 
     def worst(score, cols):
         """Name of the first member with the largest positive score."""
         if not len(score) or score.max() <= 0.0:
             return None
-        if coeffs is not None:
-            return "coeffs"
-        return space.basis_id(cols[int(np.argmax(score))])
+        col = cols[int(np.argmax(score))]
+        if coeffs is None:
+            return space.basis_id(col)
+        return "coeffs" if coeffs.ndim == 1 else f"coeffs[:, {col}]"
 
     edge_rows = []
     for e in mp.interfaces():
         (i1, k1), (i2, k2) = e.locals
-        uv1 = rotate_uv(np.column_stack([np.zeros_like(t), t]), k1)
-        uv2 = rotate_uv(np.column_stack([t, np.zeros_like(t)]), (k2 - 1) % 4)
-        S1, S2 = jets(i1, uv1, 1), jets(i2, uv2, 1)
+        side1 = rotate_grid([0.0], t, k1)
+        side2 = rotate_grid(t, [0.0], (k2 - 1) % 4)
+        S1, S2 = jets(i1, side1, 1), jets(i2, side2, 1)
         cols = np.union1d(S1.indices, S2.indices)  # members seen on the edge
-        v1, g1, _ = physical(i1, uv1, 1, S1, cols)
-        v2, g2, _ = physical(i2, uv2, 1, S2, cols)
+        v1, g1, _ = physical(i1, side1, 1, S1, cols)
+        v2, g2, _ = physical(i2, side2, 1, S2, cols)
         sv = np.maximum(1.0, np.maximum(np.abs(v1).max(0), np.abs(v2).max(0)))
         sg = np.maximum(1.0, np.maximum(np.abs(g1).max((0, 2)), np.abs(g2).max((0, 2))))
         dv = np.abs(v1 - v2).max(0) / sv
@@ -552,11 +567,11 @@ def smoothness_report(space, coeffs=None, samples_per_edge=200):
 
     vertex_rows = []
     for v in mp.vertices:
-        corners = [(ip, CORNER_UV[c : c + 1]) for ip, c in v.corners]
-        S = [jets(ip, uv, 2) for ip, uv in corners]
+        corners = [(ip, rotate_grid([0.0], [0.0], c)) for ip, c in v.corners]
+        S = [jets(ip, grid, 2) for ip, grid in corners]
         cols = np.unique(np.concatenate([s.indices for s in S]))
         hs = np.array(
-            [physical(ip, uv, 2, s, cols)[2][0] for (ip, uv), s in zip(corners, S)]
+            [physical(ip, grid, 2, s, cols)[2][0] for (ip, grid), s in zip(corners, S)]
         )
         scale = np.maximum(1.0, np.abs(hs).max((0, 2, 3)))
         dh = np.abs(hs - hs[0]).max((0, 2, 3)) / scale

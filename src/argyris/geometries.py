@@ -68,10 +68,9 @@ def _composed(tspace, patches, gmap):
     out = []
     for patch in patches:
         def sample(u, v, _p=patch):
-            # (len(v), len(u), 2) values on the tensor grid
-            vv, uu = np.meshgrid(v, u, indexing="ij")
-            pts = np.column_stack([uu.ravel(), vv.ravel()])
-            return gmap(_p.point(pts)).reshape(len(v), len(u), 2)
+            # (len(v), len(u), 2) values on the tensor grid u x v
+            x = gmap(_p.grid_jet(u, v, 0)[:, 0, 0])
+            return x.reshape(len(u), len(v), 2).swapaxes(0, 1)
 
         def v_coeffs(u, _s=sample):
             # (len(u), N, 2): v-direction coefficients at each u sample

@@ -107,9 +107,8 @@ def _edge_jets(F1, F2, xs):
         raise ConformityError(
             f"patch pair is not in standard form: edge mismatch {gap:.3e}"
         )
-    z = np.zeros_like(xs)
-    j1 = F1.jet(np.column_stack([z, xs]), 1)
-    j2 = F2.jet(np.column_stack([xs, z]), 1)
+    j1 = F1.grid_jet([0.0], xs, 1)
+    j2 = F2.grid_jet(xs, [0.0], 1)
     return {
         "F1u": j1[:, 1, 0, :],
         "F1v": j1[:, 0, 1, :],
@@ -292,8 +291,7 @@ def transversal_vector(g, F1, xs):
     the analytic derivative of that quotient.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    z = np.zeros_like(xs)
-    return _transversal_from_jet(g, F1.jet(np.column_stack([z, xs]), 2), xs)
+    return _transversal_from_jet(g, F1.grid_jet([0.0], xs, 2), xs)
 
 
 def _transversal_from_jet(g, jet, xs):

@@ -35,6 +35,7 @@ __all__ = [
     "MultiPatch",
     "rotate_net",
     "rotate_uv",
+    "rotate_grid",
     "check_regularity",
     "standard_form_edge",
     "standard_form_vertex",
@@ -69,6 +70,16 @@ def rotate_uv(uv, k):
     return uv
 
 
+def rotate_grid(x1, x2, k):
+    """Factors (x1, x2) of the image of the tensor grid x1 x x2 under k quarter
+    turns. With one factor a single point (a side or a corner), point q of
+    the x1-major flattened grid maps to point q of the image grid."""
+    x1, x2 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (x1, x2))
+    for _ in range(k % 4):
+        x1, x2 = 1.0 - x2, x1
+    return x1, x2
+
+
 class Patch:
     """Tensor-spline map from [0, 1]^2 into the plane."""
 
@@ -83,20 +94,16 @@ class Patch:
         self._spline = TensorSpline(space, net)
 
     def point(self, uv):
-        return self._spline.jet(uv, 0)[:, 0, 0, :]
+        return self.jet(uv, 0)[:, 0, 0, :]
 
     def jet(self, uv, nderiv):
-        """Map derivatives: D[q, a, b, :] = d^a d^b F / dxi1^a dxi2^b."""
+        """Map derivatives at scattered points uv (m, 2):
+        D[q, a, b, :] = d^a d^b F / dxi1^a dxi2^b."""
         return self._spline.jet(uv, nderiv)
 
     def grid_jet(self, x1, x2, nderiv):
         """``jet`` on the x1-major flattened tensor grid x1 x x2."""
         return self._spline.grid_jet(x1, x2, nderiv)
-
-    def jacobian(self, uv):
-        """J[q, :, d] is the column d F / dxi_d."""
-        j = self._spline.jet(uv, 1)
-        return np.stack([j[:, 1, 0, :], j[:, 0, 1, :]], axis=-1)
 
     def rotate(self, k):
         """Same point set reparametrized by the k-fold quarter turn."""
@@ -216,7 +223,7 @@ class MultiPatch:
         for e in self.edges:
             standard_form_edge(self, e)
         for v in self.vertices:
-            standard_form_vertex(self, v)
+            _check_vertex(self, v)
             vertex_surrounding_edges(self, v)
 
     def interfaces(self):
@@ -237,19 +244,20 @@ def check_regularity(patch, m):
     return float(det.min())
 
 
-def _edge_gap(p1, p2):
-    """Largest control-point distance between the traces F1(0, t), F2(t, 0).
+def _edge_gap(p1, p2, k1=0, k2=0):
+    """Largest control-point distance between the traces F1(0, t), F2(t, 0)
+    of the patches turned k1 and k2 times.
 
-    On one tensor space both traces are splines in the same clamped space,
-    with coefficients p1.net[0, :] and p2.net[:, 0]; they coincide exactly
-    when these do, and the distance bounds |F1(0, t) - F2(t, 0)|. Patches on
-    different spaces raise ConformityError.
+    On one tensor space both traces are splines in the same clamped space;
+    they coincide exactly when their coefficients do, and the distance bounds
+    |F1(0, t) - F2(t, 0)|. Patches on different spaces raise ConformityError.
     """
     if p1.space != p2.space:
         raise ConformityError(
             f"patches on different spline spaces: {p1.space} and {p2.space}"
         )
-    return float(np.abs(p1.net[0, :] - p2.net[:, 0]).max())
+    trace1, trace2 = rotate_net(p1.net, k1)[0, :], rotate_net(p2.net, k2)[:, 0]
+    return float(np.abs(trace1 - trace2).max())
 
 
 def standard_form_edge(mp, edge):
@@ -260,14 +268,12 @@ def standard_form_edge(mp, edge):
     """
     if edge.is_interface:
         (i1, k1), (i2, k2) = edge.locals
-        p1 = mp.patches[i1].rotate(k1)
-        p2 = mp.patches[i2].rotate((k2 - 1) % 4)
-        gap = _edge_gap(p1, p2)
+        gap = _edge_gap(mp.patches[i1], mp.patches[i2], k1, (k2 - 1) % 4)
         if gap > CONFORMITY_TOL:
             raise ConformityError(
                 f"edge {edge.id}: interface parametrizations differ by {gap:.3e}"
             )
-        return p1, p2
+        return mp.patches[i1].rotate(k1), mp.patches[i2].rotate((k2 - 1) % 4)
     (i1, k1), = edge.locals
     return mp.patches[i1].rotate(k1), None
 
@@ -278,17 +284,24 @@ def standard_form_vertex(mp, vertex):
     Returns the counterclockwise list of rotated patches; consecutive ones
     satisfy F_prev(0, t) = F_next(t, 0), cyclically for interior vertices.
     """
-    rotated = [mp.patches[p].rotate(c) for p, c in vertex.corners]
-    x0 = rotated[0].corner(0)
-    for rp in rotated[1:]:
-        if np.abs(rp.corner(0) - x0).max() > CONFORMITY_TOL:
+    _check_vertex(mp, vertex)
+    return [mp.patches[p].rotate(c) for p, c in vertex.corners]
+
+
+def _check_vertex(mp, vertex):
+    """The TopologyError checks of ``standard_form_vertex``, on unrotated
+    patches."""
+    x0 = mp.vertex_point(vertex)
+    for p, c in vertex.corners[1:]:
+        if np.abs(mp.patches[p].corner(c) - x0).max() > CONFORMITY_TOL:
             raise TopologyError(
                 f"vertex {vertex.id}: listed corners map to different points"
             )
-    nu = len(rotated)
+    nu = vertex.valence
     pairs = range(nu) if vertex.is_interior else range(nu - 1)
     for ell in pairs:
-        gap = _edge_gap(rotated[ell], rotated[(ell + 1) % nu])
+        (pa, ca), (pb, cb) = vertex.corners[ell], vertex.corners[(ell + 1) % nu]
+        gap = _edge_gap(mp.patches[pa], mp.patches[pb], ca, cb)
         if gap > CONFORMITY_TOL:
             raise TopologyError(
                 f"vertex {vertex.id}: patches {ell} and {(ell + 1) % nu} around the "
@@ -306,7 +319,6 @@ def standard_form_vertex(mp, vertex):
             raise TopologyError(
                 f"vertex {vertex.id}: boundary vertex list does not end at the boundary"
             )
-    return rotated
 
 
 def vertex_surrounding_edges(mp, vertex):
@@ -393,19 +405,9 @@ def infer_topology(config, patches, tol=1e-12):
     Convenience for geometries authored without explicit topology; the
     result is validated like any other MultiPatch.
     """
-    def side_points(net, s):
-        if s == 0:
-            return net[0, :, :]
-        if s == 1:
-            return net[:, 0, :]
-        if s == 2:
-            return net[-1, :, :]
-        return net[:, -1, :]
-
-    sides = {}
-    for i, patch in enumerate(patches):
-        for s in range(4):
-            sides[(i, s)] = side_points(patch.net, s)
+    # control points of every side, in either orientation (both are matched)
+    sides = {(i, s): rotate_net(patch.net, s)[0] for i, patch in enumerate(patches)
+             for s in range(4)}
     unmatched = set(sides)
     edges = []
     for a in sorted(sides):

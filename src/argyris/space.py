@@ -34,6 +34,7 @@ n) alone; ``block`` and ``basis_id`` translate by arithmetic.
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -42,7 +43,7 @@ from .bspline import UnivariateSpace, TensorSpace, _basis_values, _drop_noise, \
     derived_edge_spaces, represent_exactly
 from .errors import ArgyrisError, InvalidConfigError
 from .gluing import _transversal_from_jet, boundary_gluing, fit_asg1
-from .multipatch import rotate_net, standard_form_vertex
+from .multipatch import _check_vertex, rotate_net
 
 __all__ = [
     "BasisId",
@@ -123,45 +124,35 @@ def _edge_index_set(Nm):
     return trace + deriv
 
 
-class _EdgeAssembly:
+class _EdgeAssembly(NamedTuple):
     """Standard-form data of one edge, kept for dual functionals."""
 
-    __slots__ = ("side1", "side2", "P1", "gluing")
-
-    def __init__(self, side1, side2, P1, gluing):
-        self.side1 = side1  # (patch index, rotation applied)
-        self.side2 = side2
-        self.P1 = P1
-        self.gluing = gluing
+    side1: tuple  # (patch index, rotation applied)
+    side2: tuple
+    P1: object
+    gluing: object
 
 
-class _VertexAssembly:
-    """Standard-form data of one vertex: rotated patches, edge slots and the
-    (4, 6) corner-data matrix of every surrounding patch."""
+class _VertexAssembly(NamedTuple):
+    """Standard-form data of one vertex: sigma, edge slots and the (4, 6)
+    corner-data matrix of every surrounding patch."""
 
-    __slots__ = ("vertex", "rotated", "sigma", "slots", "corner_data")
-
-    def __init__(self, vertex, rotated, sigma, slots, corner_data):
-        self.vertex = vertex
-        self.rotated = rotated
-        self.sigma = sigma
-        self.slots = slots
-        self.corner_data = corner_data
+    vertex: object
+    sigma: float
+    slots: list
+    corner_data: list
 
 
-class _EdgeSlot:
+class _EdgeSlot(NamedTuple):
     """One edge around a vertex: its (5, 6) edge-data matrix and the gluing
     polynomials seen from the patches before (role 1) and after (role 2) the
     edge in counterclockwise order."""
 
-    __slots__ = ("data", "a1", "b1", "a2", "b2")
-
-    def __init__(self, data, a1, b1, a2, b2):
-        self.data = data
-        self.a1 = a1  # alpha/beta monomial coeffs per role; None when absent
-        self.b1 = b1
-        self.a2 = a2
-        self.b2 = b2
+    data: np.ndarray
+    a1: np.ndarray  # alpha/beta monomial coeffs per role; None when absent
+    b1: np.ndarray
+    a2: np.ndarray
+    b2: np.ndarray
 
 
 # Linear forms in a C2 datum (v, g0, g1, H00, H01, H11) at the vertex: its
@@ -240,9 +231,11 @@ class ArgyrisSpace:
             self.usp, lambda x: x[:, None] * _basis_values(self.sminus, x)
         )  # both (N, N-)
 
+        # _ends[a, i]: a-th derivative at 0 of basis function i (corner jets)
+        _, ders = self.usp.basis_ders(np.array([0.0]), 2)
+        self._ends = ders[0][:, :3]
         # corner Hermite map: the 2x2 corner coefficients of a tensor spline,
         # flattened, are this matrix times its flattened jet (f, f_v, f_u, f_uv)
-        _, ders = self.usp.basis_ders(np.array([0.0]), 1)
         inv = np.linalg.inv(ders[0][:2, :2])
         self._corner_map = _drop_noise(np.kron(inv, inv))
         # S+ coefficients (N+, 3) of the spline with end jet (f, f', f'') at 0
@@ -381,14 +374,17 @@ class ArgyrisSpace:
     def _vertex_assembly_for(self, vid):
         mp = self.geometry
         vertex = mp.vertices[vid]
-        rotated = standard_form_vertex(mp, vertex)
+        _check_vertex(mp, vertex)
         nu = vertex.valence
         h, p = self.config.h, self.config.p
         hp = h / p
 
-        # jets[ell][a, b] = d^a d^b F / dxi1^a dxi2^b of rotated patch ell at
-        # the vertex; sigma, the slots and the corner data are read from them
-        jets = [P.jet(np.zeros((1, 2)), 2)[0] for P in rotated]
+        # jets[ell][a, b] = d^a d^b F / dxi1^a dxi2^b at the vertex of patch ell
+        # in its standard-form frame, read off the 3x3 corner block of its net;
+        # sigma, the slots and the corner data are read from them
+        blocks = [mp.patches[i].net.reshape(-1, 2)[self._rows[c][:3, :3]]
+                  for i, c in vertex.corners]
+        jets = [np.einsum("ai,ijc,bj->abc", self._ends, B, self._ends) for B in blocks]
         jacobians = [np.stack([J[1, 0], J[0, 1]], axis=-1) for J in jets]
         sigma = 1.0 / (h / (p * nu) * sum(np.linalg.norm(Jac) for Jac in jacobians))
         # the jet (f, f_v, f_u, f_uv) of the datum pulled back to each patch
@@ -424,7 +420,7 @@ class ArgyrisSpace:
                 data = _edge_data(J[0, 1], J[0, 2], J[1, 0], J[1, 1], hp)
                 slot = _EdgeSlot(data, one, zero, None, None)
             slots.append(slot)
-        return _VertexAssembly(vertex, rotated, sigma, slots, corner_data)
+        return _VertexAssembly(vertex, sigma, slots, corner_data)
 
     def build_vertex_functions(self, vid):
         """Six functions per vertex, dual to scaled derivatives of order <= 2.

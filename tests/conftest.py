@@ -12,6 +12,21 @@ from argyris import (
 )
 
 
+def pointwise_jet(space, coeffs, uv, nderiv):
+    """Jet (m, nderiv+1, nderiv+1, ...) of the tensor spline with coefficient
+    grid ``coeffs`` at points uv (m, 2): the active (p+1) x (p+1) coefficients
+    of every point gathered and contracted with its basis values. A reference
+    independent of ``TensorSpace.jet_matrix`` and ``TensorSpline.grid_jet``."""
+    uv = np.atleast_2d(np.asarray(uv, dtype=float))
+    s1, s2 = space.s1, space.s2
+    f1, d1 = s1.basis_ders(uv[:, 0], nderiv)
+    f2, d2 = s2.basis_ders(uv[:, 1], nderiv)
+    i1 = f1[:, None] + np.arange(s1.p + 1)[None, :]
+    i2 = f2[:, None] + np.arange(s2.p + 1)[None, :]
+    W = np.asarray(coeffs, dtype=float)[i1[:, :, None], i2[:, None, :]]
+    return np.einsum("mai,mij...,mbj->mab...", d1, W, d2)
+
+
 def bilinear_patch(tspace, c00, c10, c11, c01):
     g = tspace.s1.greville()
     u, v = g[:, None, None], g[None, :, None]

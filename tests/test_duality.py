@@ -161,16 +161,19 @@ def test_space_field_values_need_no_patch_map(sp_three, monkeypatch):
     # values of a member come from its extraction matrices alone
     c = np.random.default_rng(5).standard_normal(sp_three.dim)
     fld = SpaceField(sp_three, c)
-    uv = np.random.default_rng(6).random((7, 2))
-    expected = [sp_three.evaluate(c, i, uv)[:, 0, 0] for i in range(3)]
+    x1, x2 = np.random.default_rng(6).random((2, 7))
+    expected = [
+        sp_three.tspace.spline(sp_three.combine(c, i)).grid_jet(x1, x2, 0)[:, 0, 0]
+        for i in range(3)
+    ]
 
     def pointwise(*args):
         raise AssertionError("pointwise evaluation of the patch map")
 
-    for name in ("point", "jet"):
+    for name in ("point", "jet", "grid_jet"):
         monkeypatch.setattr(Patch, name, pointwise)
     for i in range(3):
-        assert np.array_equal(fld.jets(i, uv, 0)[0], expected[i])
+        assert np.array_equal(fld.jets(i, x1, x2, 0)[0], expected[i])
         block = ids_where(sp_three, lambda f: f.kind == "patch" and f.owner == i)
         assert np.abs(patch_duals(sp_three, i, fld) - c[block]).max() < 1e-9
 
@@ -181,15 +184,11 @@ def test_duals_sample_every_element_once(sp_three):
     class CountingField(SpaceField):
         def __init__(self, space, coeffs):
             super().__init__(space, coeffs)
-            self.grid, self.points = [], []
+            self.grid = []
 
-        def grid_values(self, patch, x1, x2):
+        def jets(self, patch, x1, x2, order):
             self.grid.append((len(x1), len(x2)))
-            return super().grid_values(patch, x1, x2)
-
-        def jets(self, patch, uv, order):
-            self.points.append(len(np.atleast_2d(uv)))
-            return super().jets(patch, uv, order)
+            return super().jets(patch, x1, x2, order)
 
     n, p = sp_three.config.n, sp_three.config.p
     c = np.random.default_rng(7).standard_normal(sp_three.dim)
@@ -200,4 +199,4 @@ def test_duals_sample_every_element_once(sp_three):
     eid = sp_three.geometry.interfaces()[0].id
     block = ids_where(sp_three, lambda f: f.kind == "edge" and f.owner == eid)
     assert np.abs(edge_duals(sp_three, eid, fld) - c[block]).max() < 1e-9
-    assert fld.points == [n * (p + 1) + n * p]
+    assert [a * b for a, b in fld.grid[1:]] == [n * (p + 1) + n * p]

@@ -110,10 +110,12 @@ def reference_mass_rhs(space, fld, rule):
     rhs = np.zeros(dim)
     for i, patch in enumerate(space.geometry.patches):
         grids = space.C[i].toarray().T.reshape(dim, N, N)
-        J = patch.jacobian(uv)
+        j = patch.jet(uv, 1)
+        J = np.stack([j[:, 1, 0], j[:, 0, 1]], axis=-1)  # J[q, :, d] = dF / dxi_d
         det = np.abs(J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1])
         det = det.reshape(n, g, n, g)
-        z = np.asarray(fld.jets(i, uv, 0)[0]).reshape(n, g, n, g)
+        x = rule.nodes.ravel()
+        z = np.asarray(fld.jets(i, x, x, 0)[0]).reshape(n, g, n, g)
         for e1 in range(n):
             for e2 in range(n):
                 W = grids[:, e1 * mult : e1 * mult + p + 1, e2 * mult : e2 * mult + p + 1]
@@ -296,7 +298,7 @@ def test_fit_evaluates_the_map_on_tensor_grids_only(sp_three, monkeypatch):
     def pointwise(*args):
         raise AssertionError("pointwise evaluation of the patch map")
 
-    for name in ("point", "jacobian", "jet"):
+    for name in ("point", "jet"):
         monkeypatch.setattr(Patch, name, pointwise)
     res = l2_fit(sp_three, fld)
     assert 0.0 < res.rel_error < 1e-2
@@ -359,25 +361,67 @@ def test_smoothness_report_of_member(sp_three):
     assert rep.passed()
 
 
-def test_smoothness_report_flags_broken_function(sp_three):
-    # negative control: a raw one-sided B-spline is not even C0 across the
-    # interface; the audit must report a large jump for it
+def space_with_broken_function(sp):
+    """Copy of the space whose function a, the first interior function of the
+    first patch of an interface, is replaced by a raw one-sided B-spline;
+    returns (copy, a)."""
     import copy
 
-    space = copy.copy(sp_three)
+    space = copy.copy(sp)
     e = space.geometry.interfaces()[0]
     (i1, k1), _ = e.locals
     grid = np.zeros(space.shape)
     grid[:2, :2] = 1.0  # corner B-splines: nonzero value on two sides of patch i1
     # overwrite the first interior function of patch i1, nonzero there only
     a = space.block("patch", i1).start
-    broken = sp_three.C[i1].tolil()
+    broken = sp.C[i1].tolil()
     broken[:, a] = grid.reshape(-1, 1)
-    space.C = [broken.tocsr() if i == i1 else C for i, C in enumerate(sp_three.C)]
+    space.C = [broken.tocsr() if i == i1 else C for i, C in enumerate(sp.C)]
+    return space, a
+
+
+def test_smoothness_report_flags_broken_function(sp_three):
+    # negative control: a raw one-sided B-spline is not even C0 across the
+    # interface; the audit must report a large jump for it
+    space, a = space_with_broken_function(sp_three)
     rep = smoothness_report(space, samples_per_edge=50)
     assert rep.max_c1_jump > 1e-3
     worst_ids = {row[3] for row in rep.edge_rows}
     assert space.basis_id(a) in worst_ids
+
+
+def test_smoothness_report_of_coefficient_matrix(sp_three):
+    # the k columns of a (dim, k) matrix are k members: every row of the
+    # report is the worst of the k single-column reports and names its column
+    space, a = space_with_broken_function(sp_three)
+    c = np.random.default_rng(29).normal(size=(space.dim, 3))
+    c[:, 1] = np.eye(space.dim)[a]
+    rep = smoothness_report(space, coeffs=c, samples_per_edge=50)
+    singles = [smoothness_report(space, c[:, j], samples_per_edge=50) for j in range(3)]
+    for row, *ones in zip(rep.edge_rows, *(s.edge_rows for s in singles)):
+        assert row[:3] == (ones[0][0], max(o[1] for o in ones), max(o[2] for o in ones))
+        j = int(np.argmax([max(o[1], o[2]) for o in ones]))
+        assert row[3] == f"coeffs[:, {j}]"
+    for row, *ones in zip(rep.vertex_rows, *(s.vertex_rows for s in singles)):
+        assert row[:2] == (ones[0][0], max(o[1] for o in ones))
+    assert rep.max_c1_jump == max(s.max_c1_jump for s in singles) > 1e-3
+    assert rep.max_c2_jump == max(s.max_c2_jump for s in singles)
+    assert "coeffs[:, 1]" in {row[3] for row in rep.edge_rows}
+
+
+def test_fit_makes_the_jacobian_weights_once_per_rule(sp_three, monkeypatch):
+    # mass and load share the |det DF| weights of each patch; the error
+    # integral, on a finer rule, makes its own
+    grid_jet = Patch.grid_jet
+    orders = []
+
+    def counting(self, x1, x2, nderiv):
+        orders.append(nderiv)
+        return grid_jet(self, x1, x2, nderiv)
+
+    monkeypatch.setattr(Patch, "grid_jet", counting)
+    l2_fit(sp_three, cos_sin_field(sp_three.geometry))
+    assert orders.count(1) == 2 * len(sp_three.geometry.patches)
 
 
 def test_curved_geometry_converges_fourth_order(mp_curved):

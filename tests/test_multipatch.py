@@ -132,7 +132,8 @@ def test_regularity_matches_dense_scan(tspace):
     got = check_regularity(quad, 200)
     t = np.linspace(0, 1, 200)
     uv = np.stack(np.meshgrid(t, t, indexing="ij"), -1).reshape(-1, 2)
-    J = quad.jacobian(uv)
+    j = quad.jet(uv, 1)
+    J = np.stack([j[:, 1, 0], j[:, 0, 1]], axis=-1)  # J[q, :, d] = dF / dxi_d
     det = J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1]
     assert abs(got - det.min()) < 1e-10
 
@@ -356,3 +357,17 @@ def test_vertex_surrounding_edges_conventions(mp_three, mp_lshape):
     assert len(ring) == 4
     assert not ring[0].is_interface and not ring[-1].is_interface
     assert ring[1].is_interface and ring[2].is_interface
+
+
+def test_rotate_grid_matches_rotate_uv_on_sides_and_corners():
+    from argyris.multipatch import CORNER_UV, rotate_grid, rotate_uv
+
+    t = np.linspace(0.0, 1.0, 7)
+    for x1, x2 in (([0.0], t), (t, [0.0]), ([0.0], [0.0])):
+        uv = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1).reshape(-1, 2)
+        for k in range(-1, 6):
+            g1, g2 = rotate_grid(x1, x2, k)
+            got = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1).reshape(-1, 2)
+            assert np.array_equal(got, rotate_uv(uv, k))
+    for c in range(4):
+        assert np.array_equal(np.concatenate(rotate_grid([0.0], [0.0], c)), CORNER_UV[c])

@@ -13,6 +13,9 @@ from argyris import (
 from argyris.errors import InvalidConfigError
 from argyris.multipatch import CORNER_UV, rotate_uv
 from argyris.space import BasisId, VERTEX_INDEX_ORDER, _edge_index_set
+from argyris import TensorSpace, UnivariateSpace, bspline
+from argyris.errors import TopologyError
+from argyris.multipatch import MultiPatch, VertexRecord
 from conftest import square_grid_geometry
 
 AS_G1_BUILTINS = (
@@ -544,7 +547,8 @@ def test_vertex_slots_reuse_edge_gluing(request, fixture):
         for ell, slot in enumerate(asm.slots):
             if not (asm.vertex.is_interior or 0 < ell < nu):
                 continue
-            g = fit_asg1(asm.rotated[ell - 1], asm.rotated[ell % nu])
+            pair = asm.vertex.corners[ell - 1], asm.vertex.corners[ell % nu]
+            g = fit_asg1(*(sp.geometry.patches[p].rotate(c) for p, c in pair))
             for got, want in (
                 (slot.a1, g.alpha1), (slot.b1, g.beta1),
                 (slot.a2, g.alpha2), (slot.b2, g.beta2),
@@ -552,3 +556,43 @@ def test_vertex_slots_reuse_edge_gluing(request, fixture):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
             checked += 1
     assert checked > 0
+
+
+def test_build_samples_tensor_grids_only(monkeypatch):
+    # edges and vertices read the patch maps on side and corner grids: no
+    # scattered-point evaluation, and a handful of basis evaluations per
+    # build, with the basis tables and local duals cached or not
+    mp = builtin_geometry("five_patch_bilinear", SpaceConfig(3, 1, 32))
+
+    def scattered(*args):
+        raise AssertionError("scattered-point evaluation in the build")
+
+    monkeypatch.setattr(TensorSpace, "jet_matrix", scattered)
+    basis_ders = UnivariateSpace.basis_ders
+    calls = []
+
+    def counting(self, xs, nderiv):
+        calls.append(nderiv)
+        return basis_ders(self, xs, nderiv)
+
+    monkeypatch.setattr(UnivariateSpace, "basis_ders", counting)
+    for cold in (True, False):
+        if cold:
+            monkeypatch.setattr(bspline, "_TABLES", bspline._TableCache(8 << 20))
+            bspline.local_duals.cache_clear()
+        calls.clear()
+        ArgyrisSpace(mp)
+        assert len(calls) <= 15
+
+
+def test_unvalidated_vertex_out_of_order_fails_the_build(mp_three):
+    # geometries built with check=False (as by refine) get the vertex
+    # standard-form checks from the build alone
+    vertices = [
+        VertexRecord(v.id, v.kind, v.corners[::-1]) if v.is_interior else v
+        for v in mp_three.vertices
+    ]
+    mp = MultiPatch(mp_three.config, mp_three.patches, mp_three.edges, vertices,
+                    check=False)
+    with pytest.raises(TopologyError, match="not consecutive in standard form"):
+        ArgyrisSpace(mp)
