@@ -26,7 +26,7 @@ import numpy as np
 from .bspline import local_duals
 from .errors import InvalidConfigError
 from .gluing import transversal_vector
-from .multipatch import rotate_grid
+from .multipatch import edge_frames, rotate_grid
 from .space import _edge_index_set, physical_derivatives
 
 __all__ = [
@@ -112,11 +112,11 @@ def edge_duals(space, eid, field):
     idx = _edge_index_set(space.sminus.N)
     plus, minus = local_duals(space.splus), local_duals(space.sminus)
     tp, dp = plus.points.ravel(), minus.points.ravel()
-    asm = space.edge_assembly[eid]
-    ipatch, rot = asm.side1
+    (ipatch, rot), *_ = edge_frames(space.geometry.edges[eid])
     t = np.concatenate([tp, dp])
     val, grad = field.jets(ipatch, *rotate_grid([0.0], t, rot), 1)
-    d, _ = transversal_vector(asm.gluing, asm.P1, dp)
+    P1 = space.geometry.patches[ipatch].rotate(rot)
+    d, _ = transversal_vector(space.gluing[eid], P1, dp)
     hp = space.config.h / space.config.p
     deriv = hp * np.einsum("m...i,mi->m...", grad[len(tp) :], d)
     return np.concatenate([
@@ -129,10 +129,9 @@ def vertex_duals(space, vid, field):
     """Scaled point derivatives d^j phi(x) / sigma^|j| at the vertex, in
     ``VERTEX_INDEX_ORDER``."""
     space.block("vertex", vid)
-    asm = space.vertex_assembly[vid]
-    ipatch, corner = asm.vertex.corners[0]
+    ipatch, corner = space.geometry.vertices[vid].corners[0]
     val, g, H = field.jets(ipatch, *rotate_grid([0.0], [0.0], corner), 2)
-    s = asm.sigma
+    s = space.sigma(vid)
     g, H = g[0] / s, H[0] / s**2
     return np.stack(
         [val[0], g[..., 0], g[..., 1], H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]]

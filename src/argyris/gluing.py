@@ -10,11 +10,11 @@ derivatives. An interface is analysis-suitable G1 when alpha1, alpha2 and the
 split beta = alpha1*beta2 + alpha2*beta1 can all be chosen as linear
 polynomials; the fit below decides this from the determinants sampled at
 fixed edge nodes and returns stabilized data (alphas close to one, betas of
-minimal norm). Each interface is fitted once; ``GluingData.reversed`` gives
-the same data seen with the two patches swapped.
+minimal norm). Each interface is fitted once, and its GluingData is all a
+space keeps of the edge; ``GluingData.reversed`` gives the same data seen
+with the two patches swapped, as the vertex functions read it on either side.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +34,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 _SNAP = 1e-11
+#: L2(0, 1) Gram matrix of the coefficients (c0, c1, d0, d1) of two linear
+#: polynomials c0 + c1 x and d0 + d1 x
+_GRAM = np.kron(np.eye(2), [[1.0, 0.5], [0.5, 1.0 / 3.0]])
 
 
 def _pv(coeffs, x):
@@ -56,25 +59,6 @@ class GluingData:
     residual: float
     asg1: bool
 
-    def alpha1_at(self, x):
-        return _pv(self.alpha1, x)
-
-    def alpha2_at(self, x):
-        return _pv(self.alpha2, x)
-
-    def beta1_at(self, x):
-        return _pv(self.beta1, x)
-
-    def beta2_at(self, x):
-        return _pv(self.beta2, x)
-
-    def beta_at(self, x):
-        return _pv(self.beta, x)
-
-    @property
-    def is_boundary(self):
-        return self.alpha2 is None
-
     def reversed(self):
         """Data of the same interface with patch roles swapped.
 
@@ -95,9 +79,9 @@ class GluingData:
 
 
 def _reflect(c):
-    """Monomial coefficients of s -> c(1 - s), by Taylor expansion at 1."""
-    taylor = [_pv(_poly.polyder(c, k), 1.0) / math.factorial(k) for k in range(len(c))]
-    return np.array(taylor) * (-1.0) ** np.arange(len(c))
+    """Monomial coefficients of s -> c(1 - s), for c of degree at most 2."""
+    c0, c1, c2 = (*c, 0.0)[:3]
+    return np.array([c2 + c1 + c0, -(c1 + 2.0 * c2), c2])[: len(c)]
 
 
 def _edge_jets(F1, F2, xs):
@@ -170,10 +154,6 @@ def _split_beta(a1, a2, beta):
     )
     b = np.zeros(3)
     b[: len(beta)] = beta
-    G1 = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])  # L2(0,1) Gram of {1, x}
-    G = np.zeros((4, 4))
-    G[:2, :2] = G1
-    G[2:, 2:] = G1
     U, s, _ = np.linalg.svd(C)
     rank = int(np.sum(s > 1e-12 * s[0]))
     bh = U.T @ b
@@ -183,8 +163,8 @@ def _split_beta(a1, a2, beta):
             "no linear beta split exists: alpha1 and alpha2 share a root"
         )
     Cr = (U.T @ C)[:rank]
-    lam = np.linalg.solve(Cr @ np.linalg.solve(G, Cr.T), bh[:rank])
-    v = np.linalg.solve(G, Cr.T @ lam)
+    lam = np.linalg.solve(Cr @ np.linalg.solve(_GRAM, Cr.T), bh[:rank])
+    v = np.linalg.solve(_GRAM, Cr.T @ lam)
     if np.abs(C @ v - b).max() > 1e-10 * scale:
         raise DegenerateGluingError("beta split constraints could not be met")
     return v[:2].copy(), v[2:].copy()
@@ -225,12 +205,8 @@ def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
     # straight interfaces leave a null space of dimension > 1; pick the
     # representative minimizing ||alpha1 - 1||^2 + ||alpha2 - 1||^2 in L2(0,1)
     V = Vt[-max(nullity, 1):]
-    G1 = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
-    Gt = np.zeros((4, 4))
-    Gt[:2, :2] = G1
-    Gt[2:, 2:] = G1
     ell = np.array([1.0, 0.5, 1.0, 0.5])
-    coef = np.linalg.solve(V @ Gt @ V.T, V @ ell)
+    coef = np.linalg.solve(V @ _GRAM @ V.T, V @ ell)
     v = V.T @ coef
     a1 = v[:2].copy()
     a2 = v[2:].copy()
@@ -271,7 +247,7 @@ def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
     )
 
 
-def boundary_gluing(F1):
+def boundary_gluing():
     """Trivial gluing data for a boundary edge in standard form."""
     return GluingData(
         alpha1=np.array([1.0, 0.0]),
@@ -298,8 +274,8 @@ def _transversal_from_jet(g, jet, xs):
     """``transversal_vector`` from the order-2 jets of patch 1 at (0, xs)."""
     F1u, F1v = jet[:, 1, 0, :], jet[:, 0, 1, :]
     F1uv, F1vv = jet[:, 1, 1, :], jet[:, 0, 2, :]
-    a1 = g.alpha1_at(xs)[:, None]
-    b1 = g.beta1_at(xs)[:, None]
+    a1 = _pv(g.alpha1, xs)[:, None]
+    b1 = _pv(g.beta1, xs)[:, None]
     num = F1u + b1 * F1v
     d = num / a1
     dnum = F1uv + g.beta1[1] * F1v + b1 * F1vv

@@ -8,8 +8,10 @@ corners of a patch are numbered 0..3 counterclockwise starting at the
 
 The quarter-turn reparametrization r(xi1, xi2) = (1 - xi2, xi1) acts on
 coefficient grids as an exact index permutation; rotating a patch k times
-moves side k to {xi1 = 0} and corner k to the parametric origin, which is
-the standard form used by all interface and vertex constructions.
+moves side k to {xi1 = 0} and corner k to the parametric origin. In the
+standard form of a vertex each patch turns by its corner number; in that of
+an interface (decided in ``edge_frames`` alone) the first side turns to
+{xi1 = 0} and the second to {xi2 = 0}, so that F1(0, t) = F2(t, 0).
 """
 
 import numpy as np
@@ -37,6 +39,7 @@ __all__ = [
     "rotate_uv",
     "rotate_grid",
     "check_regularity",
+    "edge_frames",
     "standard_form_edge",
     "standard_form_vertex",
     "refine",
@@ -260,22 +263,32 @@ def _edge_gap(p1, p2, k1=0, k2=0):
     return float(np.abs(trace1 - trace2).max())
 
 
+def edge_frames(edge):
+    """(patch, quarter turns) of each side of an edge in standard form.
+
+    The turns take the first side to {xi1 = 0} and an interface's second
+    side to {xi2 = 0}; on a conforming interface F1(0, t) = F2(t, 0) then.
+    """
+    (i1, k1), *second = edge.locals
+    return ((i1, k1),) + tuple((i2, (k2 - 1) % 4) for i2, k2 in second)
+
+
 def standard_form_edge(mp, edge):
     """Rotate the adjacent patches so the edge satisfies F1(0, t) = F2(t, 0).
 
     For a boundary edge the single patch is rotated so the edge lies on its
     {xi1 = 0} side and the second entry of the pair is None.
     """
+    frames = edge_frames(edge)
     if edge.is_interface:
-        (i1, k1), (i2, k2) = edge.locals
-        gap = _edge_gap(mp.patches[i1], mp.patches[i2], k1, (k2 - 1) % 4)
+        (i1, k1), (i2, k2) = frames
+        gap = _edge_gap(mp.patches[i1], mp.patches[i2], k1, k2)
         if gap > CONFORMITY_TOL:
             raise ConformityError(
                 f"edge {edge.id}: interface parametrizations differ by {gap:.3e}"
             )
-        return mp.patches[i1].rotate(k1), mp.patches[i2].rotate((k2 - 1) % 4)
-    (i1, k1), = edge.locals
-    return mp.patches[i1].rotate(k1), None
+    pair = tuple(mp.patches[i].rotate(k) for i, k in frames)
+    return pair + (None,) * (2 - len(pair))
 
 
 def standard_form_vertex(mp, vertex):
@@ -325,19 +338,17 @@ def vertex_surrounding_edges(mp, vertex):
     """Global edges around a vertex, in the counterclockwise odd-slot order.
 
     For patch valence nu the list has nu+1 entries for a boundary vertex
-    (first and last are boundary edges) and nu entries for an interior one
-    (edge ell sits between patches ell-1 and ell, cyclically).
+    (first and last are boundary edges) and nu entries for an interior one.
+    Edge ell sits between patches ell-1 and ell, cyclically for an interior
+    vertex: edge 0 is on side c0+1 of the first corner (p0, c0).
     """
-    out = []
-    if not vertex.is_interior:
-        p0, c0 = vertex.corners[0]
-        out.append(mp.edge_of_side[(p0, (c0 + 1) % 4)])
-    for p, c in vertex.corners:
-        out.append(mp.edge_of_side[(p, c)])
-    if vertex.is_interior:
-        first = mp.edge_of_side[(vertex.corners[0][0], (vertex.corners[0][1] + 1) % 4)]
-        if out[-1] is not first:
-            raise TopologyError(f"vertex {vertex.id}: edge cycle does not close")
+    p0, c0 = vertex.corners[0]
+    out = [mp.edge_of_side[(p0, (c0 + 1) % 4)]]
+    out += [mp.edge_of_side[pc] for pc in vertex.corners]
+    if vertex.is_interior and out.pop() is not out[0]:
+        raise TopologyError(f"vertex {vertex.id}: edge cycle does not close")
+    if not all(e.is_interface for e in (out if vertex.is_interior else out[1:-1])):
+        raise TopologyError(f"vertex {vertex.id}: consecutive patches share no interface")
     return out
 
 
@@ -399,7 +410,7 @@ def _order_corners(corner_set, edge_of_side):
     return kind, order
 
 
-def infer_topology(config, patches, tol=1e-12):
+def infer_topology(config, patches):
     """Build edge and vertex records from coincident control points.
 
     Convenience for geometries authored without explicit topology; the
@@ -418,9 +429,9 @@ def infer_topology(config, patches, tol=1e-12):
             if b[0] == a[0]:
                 continue
             pa, pb = sides[a], sides[b]
-            if pa.shape == pb.shape and (
-                np.abs(pa - pb).max() <= tol or np.abs(pa - pb[::-1]).max() <= tol
-            ):
+            if pa.shape == pb.shape and min(
+                np.abs(pa - q).max() for q in (pb, pb[::-1])
+            ) <= CONFORMITY_TOL:
                 mate = b
                 break
         if mate is None:
@@ -442,7 +453,7 @@ def infer_topology(config, patches, tol=1e-12):
     groups = []
     for key in sorted(corners):
         for g in groups:
-            if np.abs(corners[key] - corners[g[0]]).max() <= tol:
+            if np.abs(corners[key] - corners[g[0]]).max() <= CONFORMITY_TOL:
                 g.append(key)
                 break
         else:

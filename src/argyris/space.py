@@ -25,7 +25,9 @@ The columns are written as sparse triplets straight from these layers, with
 the rows found by the index permutation of the patch's standard-form
 rotation. All products entering the pullbacks (alpha times an S- spline,
 beta times a derivative of an S+ spline) are degree p piecewise polynomials
-of smoothness r, so the extraction matrices are exact up to rounding.
+of smoothness r, so the extraction matrices are exact up to rounding. Of an
+edge the space keeps only its gluing data ``gluing[eid]``, and of a vertex
+only sigma; the dual functionals and the audit read the rest off the geometry.
 
 The basis is numbered by entity blocks: all patches, then all edges, then all
 vertices, each entity owning a contiguous run whose length depends on (p, r,
@@ -34,7 +36,6 @@ n) alone; ``block`` and ``basis_id`` translate by arithmetic.
 
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -43,7 +44,8 @@ from .bspline import UnivariateSpace, TensorSpace, _basis_values, _drop_noise, \
     derived_edge_spaces, represent_exactly
 from .errors import ArgyrisError, InvalidConfigError
 from .gluing import _transversal_from_jet, boundary_gluing, fit_asg1
-from .multipatch import _check_vertex, rotate_net
+from .multipatch import _check_vertex, edge_frames, rotate_net, \
+    vertex_surrounding_edges
 
 __all__ = [
     "BasisId",
@@ -122,37 +124,6 @@ def _edge_index_set(Nm):
     trace = [(j, 0) for j in range(3, Nm - 2)]
     deriv = [(j, 1) for j in range(2, Nm - 2)]
     return trace + deriv
-
-
-class _EdgeAssembly(NamedTuple):
-    """Standard-form data of one edge, kept for dual functionals."""
-
-    side1: tuple  # (patch index, rotation applied)
-    side2: tuple
-    P1: object
-    gluing: object
-
-
-class _VertexAssembly(NamedTuple):
-    """Standard-form data of one vertex: sigma, edge slots and the (4, 6)
-    corner-data matrix of every surrounding patch."""
-
-    vertex: object
-    sigma: float
-    slots: list
-    corner_data: list
-
-
-class _EdgeSlot(NamedTuple):
-    """One edge around a vertex: its (5, 6) edge-data matrix and the gluing
-    polynomials seen from the patches before (role 1) and after (role 2) the
-    edge in counterclockwise order."""
-
-    data: np.ndarray
-    a1: np.ndarray  # alpha/beta monomial coeffs per role; None when absent
-    b1: np.ndarray
-    a2: np.ndarray
-    b2: np.ndarray
 
 
 # Linear forms in a C2 datum (v, g0, g1, H00, H01, H11) at the vertex: its
@@ -252,8 +223,8 @@ class ArgyrisSpace:
         sizes = _block_sizes(cfg)
         starts = np.cumsum([0, *self.breakdown.values()])
         self._layout = {kind: (int(a), sizes[kind]) for kind, a in zip(sizes, starts)}
-        self.edge_assembly = {}
-        self.vertex_assembly = {}
+        self.gluing = {}  # edge id -> GluingData, the edge's standard-form gluing
+        self._sigma = {}  # vertex id -> sigma
         self.C = self._build()
 
     # ------------------------------------------------------------------
@@ -304,19 +275,6 @@ class ArgyrisSpace:
         )
         return k, {i: cols}
 
-    def _edge_assembly_for(self, eid):
-        mp = self.geometry
-        edge = mp.edges[eid]
-        if edge.is_interface:
-            (i1, k1), (i2, k2) = edge.locals
-            P1 = mp.patches[i1].rotate(k1)
-            P2 = mp.patches[i2].rotate((k2 - 1) % 4)
-            g = fit_asg1(P1, P2, tol=self.tol)
-            return _EdgeAssembly((i1, k1), (i2, (k2 - 1) % 4), P1, g)
-        (i1, k1), = edge.locals
-        P1 = mp.patches[i1].rotate(k1)
-        return _EdgeAssembly((i1, k1), None, P1, boundary_gluing(P1))
-
     def _mult_rep(self, sminus_coeffs, lin):
         """Coefficients in S^{p,r} of (lin[0] + lin[1]*x) times an S- spline.
 
@@ -349,8 +307,14 @@ class ArgyrisSpace:
         side of the second (role 2). Boundary edges use role 1 with
         alpha = 1, beta = 0.
         """
-        asm = self._edge_assembly_for(eid)
-        self.edge_assembly[eid] = asm
+        mp = self.geometry
+        edge = mp.edges[eid]
+        frames = edge_frames(edge)
+        if edge.is_interface:
+            g = fit_asg1(*(mp.patches[i].rotate(k) for i, k in frames), tol=self.tol)
+        else:
+            g = boundary_gluing()
+        self.gluing[eid] = g
         idx = _edge_index_set(self.sminus.N)
         k = len(idx)
         T = np.zeros((self.splus.N, k))
@@ -358,12 +322,9 @@ class ArgyrisSpace:
         for f, (j, s) in enumerate(idx):
             (V if s else T)[j, f] = 1.0
 
-        g = asm.gluing
-        sides = [(asm.side1, 1, g.alpha1, g.beta1)]
-        if asm.side2 is not None:
-            sides.append((asm.side2, 2, g.alpha2, g.beta2))
         columns = {}
-        for (ipatch, rot), role, alpha, beta in sides:
+        roles = ((1, g.alpha1, g.beta1), (2, g.alpha2, g.beta2))
+        for (ipatch, rot), (role, alpha, beta) in zip(frames, roles):
             # layers {xi1 = 0, 1} of the first patch, {xi2 = 0, 1} of the second
             R = self._rows[rot]
             rows = R[:2] if role == 1 else R[:, :2].T
@@ -371,10 +332,21 @@ class ArgyrisSpace:
             columns[ipatch] = _coo(self.N**2, [(rows, layers)])
         return k, columns
 
-    def _vertex_assembly_for(self, vid):
+    def build_vertex_functions(self, vid):
+        """Six functions per vertex, dual to scaled derivatives of order <= 2.
+
+        Function j is the alternating-sum Hermite interpolant of the C2 datum
+        sigma^|j| e_j, so the six data form diag(sigma^|j|). On every
+        surrounding patch the functions are the side layers of the two edge
+        slots there, with S+ and S- end coefficients given by the slot's edge
+        data times the data, minus the 2x2 corner block of the patch's corner
+        data times the data, which both slots contain. Slot ell is edge ell
+        of ``vertex_surrounding_edges``, between patches ell-1 and ell.
+        """
         mp = self.geometry
         vertex = mp.vertices[vid]
         _check_vertex(mp, vertex)
+        ring = vertex_surrounding_edges(mp, vertex)
         nu = vertex.valence
         h, p = self.config.h, self.config.p
         hp = h / p
@@ -387,69 +359,53 @@ class ArgyrisSpace:
         jets = [np.einsum("ai,ijc,bj->abc", self._ends, B, self._ends) for B in blocks]
         jacobians = [np.stack([J[1, 0], J[0, 1]], axis=-1) for J in jets]
         sigma = 1.0 / (h / (p * nu) * sum(np.linalg.norm(Jac) for Jac in jacobians))
-        # the jet (f, f_v, f_u, f_uv) of the datum pulled back to each patch
-        corner_data = [
-            np.stack([_VALUE, _d1(J[0, 1]), _d1(J[1, 0]), _d2(J[1, 0], J[0, 1], J[1, 1])])
-            for J in jets
-        ]
+        self._sigma[vid] = sigma
+        scale = np.array([sigma ** sum(j) for j in VERTEX_INDEX_ORDER])
 
+        # slot ell: its (5, 6) edge data times the data, and the gluing
+        # (alpha, beta) seen from the patch before (role 1) and after (role 2)
         one, zero = np.array([1.0, 0.0]), np.zeros(2)
         slots = []
-        nslots = nu if vertex.is_interior else nu + 1
-        for ell in range(nslots):
-            if vertex.is_interior or 0 < ell < nu:
-                # the interface between patches ell-1 and ell was fitted with
-                # the edge's first listed side as patch 1; reverse otherwise
+        for ell, edge in enumerate(ring):
+            if edge.is_interface:
+                # the interface was fitted with its first listed side as
+                # patch 1; reverse when that is patch ell rather than ell-1
                 corner = vertex.corners[(ell - 1) % nu]
-                edge = mp.edge_of_side[corner]
-                g = self.edge_assembly[edge.id].gluing
+                g = self.gluing[edge.id]
                 if edge.locals[0] != corner:
                     g = g.reversed()
                 J = jets[(ell - 1) % nu]
                 d, dp = _transversal_from_jet(g, J[None], np.zeros(1))
                 data = _edge_data(J[0, 1], J[0, 2], d[0], dp[0], hp)
-                slot = _EdgeSlot(data, g.alpha1, g.beta1, g.alpha2, g.beta2)
+                roles = {1: (g.alpha1, g.beta1), 2: (g.alpha2, g.beta2)}
             elif ell == 0:
                 # boundary edge on the {xi2 = 0} side of the first patch
                 J = jets[0]
                 data = _edge_data(J[1, 0], J[2, 0], -J[0, 1], -J[1, 1], hp)
-                slot = _EdgeSlot(data, None, None, one, zero)
+                roles = {2: (one, zero)}
             else:
                 # boundary edge on the {xi1 = 0} side of the last patch
                 J = jets[nu - 1]
                 data = _edge_data(J[0, 1], J[0, 2], J[1, 0], J[1, 1], hp)
-                slot = _EdgeSlot(data, one, zero, None, None)
-            slots.append(slot)
-        return _VertexAssembly(vertex, sigma, slots, corner_data)
+                roles = {1: (one, zero)}
+            slots.append((data * scale, roles))
 
-    def build_vertex_functions(self, vid):
-        """Six functions per vertex, dual to scaled derivatives of order <= 2.
-
-        Function j is the alternating-sum Hermite interpolant of the C2 datum
-        sigma^|j| e_j, so the six data form diag(sigma^|j|). On every
-        surrounding patch the functions are the side layers of the two edge
-        slots there, with S+ and S- end coefficients given by the slot's edge
-        data times the data, minus the 2x2 corner block of the patch's corner
-        data times the data, which both slots contain.
-        """
-        asm = self._vertex_assembly_for(vid)
-        self.vertex_assembly[vid] = asm
-        scale = np.array([asm.sigma ** sum(j) for j in VERTEX_INDEX_ORDER])
-        nslots = len(asm.slots)
         columns = {}
-        for ell, (ipatch, rot) in enumerate(asm.vertex.corners):
+        for ell, (ipatch, rot) in enumerate(vertex.corners):
             layers = {}
-            for slot, role in (
-                (asm.slots[ell], 2), (asm.slots[(ell + 1) % nslots], 1)
-            ):
-                D = slot.data * scale
+            around = ((slots[ell], 2), (slots[(ell + 1) % len(slots)], 1))
+            for (D, roles), role in around:
                 T, V = self._aplus @ D[:3], self._aminus @ D[3:]
-                alpha, beta = (slot.a1, slot.b1) if role == 1 else (slot.a2, slot.b2)
-                layers[role] = self._side_layers(T, V, alpha, beta, role)
-            # the 2x2 corner block lies in both sides' layers and is summed
-            # here, so every position is written once
+                layers[role] = self._side_layers(T, V, *roles[role], role)
+            # the jet (f, f_v, f_u, f_uv) of the datum pulled back to the
+            # patch; its 2x2 corner block lies in both sides' layers and is
+            # summed here, so every position is written once
+            J = jets[ell]
+            corner_data = np.stack(
+                [_VALUE, _d1(J[0, 1]), _d1(J[1, 0]), _d2(J[1, 0], J[0, 1], J[1, 1])]
+            )
             corner = (
-                -(self._corner_map @ (asm.corner_data[ell] * scale)).reshape(2, 2, 6)
+                -(self._corner_map @ (corner_data * scale)).reshape(2, 2, 6)
                 + layers[2][:, :2].swapaxes(0, 1)
                 + layers[1][:, :2]
             )
@@ -518,7 +474,7 @@ class ArgyrisSpace:
 
     def sigma(self, vid):
         self.block("vertex", vid)
-        return self.vertex_assembly[vid].sigma
+        return self._sigma[vid]
 
     def _check_coeffs(self, coeffs):
         if coeffs.ndim not in (1, 2) or coeffs.shape[0] != self.dim:

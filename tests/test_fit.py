@@ -76,9 +76,10 @@ def test_quadrature_rule_must_match_mesh(sp_two):
 
 
 def test_convergence_study_rejects_zero_rule_order(mp_two):
-    # order 0 used to fall back to the default p+2 points silently
+    # the study always uses the default rule of p+2 points; a rule of order 0
+    # is refused where it is made, not replaced by the default
     with pytest.raises(InvalidConfigError):
-        convergence_study(mp_two, cos_sin_field, 1, rule_order=0)
+        QuadratureRule(mp_two.config.n, 0)
 
 
 def test_mass_symmetric_and_positive_definite(sp_three):

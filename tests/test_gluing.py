@@ -31,10 +31,11 @@ def test_translated_squares_determinants(mp_two):
 
 
 def test_determinants_match_finite_difference_oracle(mp_three):
-    F1, F2 = interface_pair(mp_three)
+    # the patches are bilinear, so the second-order stencils have no
+    # truncation error and the step only trades against rounding: at 1e-6
+    # rounding alone reaches ~2e-9 of the scale, at 1e-4 ~2e-11
     xs = np.linspace(1e-3, 1 - 1e-3, 100)
-    e1, e2, e12 = edge_determinants(F1, F2, xs)
-    eps = 1e-6
+    eps = 1e-4
 
     def point(F, uv):
         # an evaluator independent of the sum factorization under test
@@ -55,17 +56,20 @@ def test_determinants_match_finite_difference_oracle(mp_three):
 
     uv1 = np.column_stack([np.zeros_like(xs), xs])
     uv2 = np.column_stack([xs, np.zeros_like(xs)])
-    a1 = fd_onesided(F1, uv1, 0)
-    a2 = fd_central(F1, uv1, 1)
-    b1 = fd_central(F2, uv2, 0)
-    b2 = fd_onesided(F2, uv2, 1)
-    d1 = a1[:, 0] * a2[:, 1] - a1[:, 1] * a2[:, 0]
-    d2 = b1[:, 0] * b2[:, 1] - b1[:, 1] * b2[:, 0]
-    d12 = b2[:, 0] * a1[:, 1] - b2[:, 1] * a1[:, 0]
-    scale = max(1.0, np.abs(d1).max())
-    assert np.abs(e1 - d1).max() < 1e-9 * scale
-    assert np.abs(e2 - d2).max() < 1e-9 * scale
-    assert np.abs(e12 - d12).max() < 1e-9 * scale
+    for k in range(mp_three.n_interfaces):
+        F1, F2 = interface_pair(mp_three, k)
+        e1, e2, e12 = edge_determinants(F1, F2, xs)
+        a1 = fd_onesided(F1, uv1, 0)
+        a2 = fd_central(F1, uv1, 1)
+        b1 = fd_central(F2, uv2, 0)
+        b2 = fd_onesided(F2, uv2, 1)
+        d1 = a1[:, 0] * a2[:, 1] - a1[:, 1] * a2[:, 0]
+        d2 = b1[:, 0] * b2[:, 1] - b1[:, 1] * b2[:, 0]
+        d12 = b2[:, 0] * a1[:, 1] - b2[:, 1] * a1[:, 0]
+        scale = max(1.0, np.abs(d1).max())
+        assert np.abs(e1 - d1).max() < 1e-9 * scale
+        assert np.abs(e2 - d2).max() < 1e-9 * scale
+        assert np.abs(e12 - d12).max() < 1e-9 * scale
 
 
 def test_edge_determinants_require_standard_form(mp_two):
@@ -105,9 +109,9 @@ def test_g1_residual_invariant(mp_three):
         j1 = F1.jet(np.column_stack([z, xs]), 1)
         j2 = F2.jet(np.column_stack([xs, z]), 1)
         res = (
-            g.alpha1_at(xs)[:, None] * j2[:, 0, 1, :]
-            + g.alpha2_at(xs)[:, None] * j1[:, 1, 0, :]
-            + g.beta_at(xs)[:, None] * j1[:, 0, 1, :]
+            P.polyval(xs, g.alpha1)[:, None] * j2[:, 0, 1, :]
+            + P.polyval(xs, g.alpha2)[:, None] * j1[:, 1, 0, :]
+            + P.polyval(xs, g.beta)[:, None] * j1[:, 0, 1, :]
         )
         scale = (
             np.linalg.norm(j1[:, 1, 0, :], axis=1)
@@ -187,8 +191,8 @@ def test_transversal_defining_identity(mp_three):
         g = fit_asg1(F1, F2)
         d, _ = transversal_vector(g, F1, xs)
         jet = F1.jet(np.column_stack([np.zeros_like(xs), xs]), 1)
-        lhs = g.alpha1_at(xs)[:, None] * d
-        rhs = jet[:, 1, 0, :] + g.beta1_at(xs)[:, None] * jet[:, 0, 1, :]
+        lhs = P.polyval(xs, g.alpha1)[:, None] * d
+        rhs = jet[:, 1, 0, :] + P.polyval(xs, g.beta1)[:, None] * jet[:, 0, 1, :]
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -199,8 +203,8 @@ def test_transversal_two_sided_identity(mp_three):
         g = fit_asg1(F1, F2)
         d, _ = transversal_vector(g, F1, xs)
         jet2 = F2.jet(np.column_stack([xs, np.zeros_like(xs)]), 1)
-        rhs = jet2[:, 0, 1, :] + g.beta2_at(xs)[:, None] * jet2[:, 1, 0, :]
-        assert np.abs(-g.alpha2_at(xs)[:, None] * d - rhs).max() < 1e-10
+        rhs = jet2[:, 0, 1, :] + P.polyval(xs, g.beta2)[:, None] * jet2[:, 1, 0, :]
+        assert np.abs(-P.polyval(xs, g.alpha2)[:, None] * d - rhs).max() < 1e-10
 
 
 def test_transversal_derivative_is_analytic(mp_curved):
@@ -217,14 +221,31 @@ def test_transversal_derivative_is_analytic(mp_curved):
 def test_boundary_gluing(mp_two):
     e = [e for e in mp_two.edges if not e.is_interface][0]
     F1, _ = standard_form_edge(mp_two, e)
-    g = boundary_gluing(F1)
-    assert g.is_boundary
+    g = boundary_gluing()
+    assert g.alpha2 is None
     np.testing.assert_array_equal(g.alpha1, [1.0, 0.0])
     np.testing.assert_array_equal(g.beta1, [0.0, 0.0])
     xs = np.linspace(0, 1, 11)
     d, _ = transversal_vector(g, F1, xs)
     jet = F1.jet(np.column_stack([np.zeros_like(xs), xs]), 1)
     np.testing.assert_allclose(d, jet[:, 1, 0, :], atol=1e-14)
+
+
+def test_reflect_matches_taylor_reference():
+    # the closed form of s -> c(1 - s) against the Taylor expansion at 1,
+    # which adds the same terms in the same order
+    import math
+
+    from argyris.gluing import _reflect
+
+    rng = np.random.default_rng(7)
+    for n in (2, 3):
+        for _ in range(500):
+            c = rng.standard_normal(n) * 10.0 ** rng.integers(-16, 3, n)
+            taylor = [P.polyval(1.0, P.polyder(c, k)) / math.factorial(k) for k in range(n)]
+            np.testing.assert_array_equal(
+                _reflect(c), np.array(taylor) * (-1.0) ** np.arange(n)
+            )
 
 
 def test_beta_split_degenerate_when_inconsistent():

@@ -359,6 +359,38 @@ def test_vertex_surrounding_edges_conventions(mp_three, mp_lshape):
     assert ring[1].is_interface and ring[2].is_interface
 
 
+@pytest.mark.parametrize("fixture", ["mp_three", "mp_five", "mp_lshape", "mp_asymmetric"])
+def test_vertex_surrounding_edges_ring_order(request, fixture):
+    # edge ell of the ring joins side c of the corner (p, c) of patch ell-1
+    # and side c+1 of that of patch ell, for the patches that exist
+    from argyris.multipatch import vertex_surrounding_edges
+
+    mp = request.getfixturevalue(fixture)
+    for v in mp.vertices:
+        nu = v.valence
+        for ell, edge in enumerate(vertex_surrounding_edges(mp, v)):
+            if v.is_interior or ell > 0:
+                assert v.corners[(ell - 1) % nu] in edge.locals
+            if v.is_interior or ell < nu:
+                p, c = v.corners[ell % nu]
+                assert (p, (c + 1) % 4) in edge.locals
+
+
+def test_interface_recorded_as_two_boundary_edges_is_refused(mp_two):
+    # the two patches at each end of the cut still meet geometrically, so
+    # only the vertex's edge ring shows that they share no interface; the
+    # build of an unvalidated copy runs the same check
+    cut = mp_two.interfaces()[0]
+    sides = [e.locals for e in mp_two.edges if e is not cut] + [[s] for s in cut.locals]
+    edges = [EdgeRecord(i, "interface" if len(s) == 2 else "boundary", s)
+             for i, s in enumerate(sides)]
+    with pytest.raises(TopologyError, match="share no interface"):
+        MultiPatch(mp_two.config, mp_two.patches, edges, mp_two.vertices)
+    mp = MultiPatch(mp_two.config, mp_two.patches, edges, mp_two.vertices, check=False)
+    with pytest.raises(TopologyError, match="share no interface"):
+        ArgyrisSpace(mp)
+
+
 def test_rotate_grid_matches_rotate_uv_on_sides_and_corners():
     from argyris.multipatch import CORNER_UV, rotate_grid, rotate_uv
 

@@ -11,7 +11,7 @@ from argyris import (
     refine,
 )
 from argyris.errors import InvalidConfigError
-from argyris.multipatch import CORNER_UV, rotate_uv
+from argyris.multipatch import CORNER_UV, edge_frames, rotate_uv
 from argyris.space import BasisId, VERTEX_INDEX_ORDER, _edge_index_set
 from argyris import TensorSpace, UnivariateSpace, bspline
 from argyris.errors import TopologyError
@@ -201,8 +201,7 @@ def test_edge_functions_vanish_to_second_order_at_endpoints(sp_three):
     mp = sp_three.geometry
     ends = np.array([[0.0], [1.0]])
     for e in mp.edges:
-        asm = sp_three.edge_assembly[e.id]
-        i1, rot = asm.side1
+        (i1, rot), *_ = edge_frames(e)
         uv = rotate_uv(np.column_stack([np.zeros_like(ends[:, 0]), ends[:, 0]]), rot)
         gj = mp.patches[i1].jet(uv, 2)
         for a in ids_of_kind(sp_three, "edge", e.id):
@@ -222,11 +221,10 @@ def test_edge_trace_and_transversal_reproduction(sp_three):
     t = np.linspace(0, 1, 60)
     hp = sp_three.config.h / sp_three.config.p
     for e in mp.interfaces():
-        asm = sp_three.edge_assembly[e.id]
-        i1, rot = asm.side1
+        (i1, rot), *_ = edge_frames(e)
         uv = rotate_uv(np.column_stack([np.zeros_like(t), t]), rot)
         gj = mp.patches[i1].jet(uv, 2)
-        d, _ = transversal_vector(asm.gluing, asm.P1, t)
+        d, _ = transversal_vector(sp_three.gluing[e.id], mp.patches[i1].rotate(rot), t)
         for a in ids_of_kind(sp_three, "edge", e.id):
             j, s = sp_three.basis_id(a).index
             fj = sp_three.evaluate(unit(sp_three, a), i1, uv, 2)
@@ -535,25 +533,36 @@ def test_linear_alpha_interface_space(mp_asymmetric):
     "fixture",
     ["mp_two", "mp_three", "mp_five", "mp_lshape", "mp_curved", "mp_asymmetric"],
 )
-def test_vertex_slots_reuse_edge_gluing(request, fixture):
+def test_vertex_slots_reuse_edge_gluing(request, fixture, monkeypatch):
     # each interface is fitted once; every vertex slot, in either orientation,
     # must carry the data a fresh fit of its own patch pair gives
     from argyris import fit_asg1
 
     sp = ArgyrisSpace(request.getfixturevalue(fixture))
+    side_layers = ArgyrisSpace._side_layers
+    calls = []
+
+    def spy(self, T, V, alpha, beta, role):
+        calls.append((alpha, beta, role))
+        return side_layers(self, T, V, alpha, beta, role)
+
+    monkeypatch.setattr(ArgyrisSpace, "_side_layers", spy)
     checked = 0
-    for asm in sp.vertex_assembly.values():
-        nu = asm.vertex.valence
-        for ell, slot in enumerate(asm.slots):
-            if not (asm.vertex.is_interior or 0 < ell < nu):
+    for v in sp.geometry.vertices:
+        calls.clear()
+        sp.build_vertex_functions(v.id)
+        nu = v.valence
+        # per patch ell: the slot before it (role 2), then the one after (role 1)
+        assert [role for *_, role in calls] == [2, 1] * nu
+        for n, (alpha, beta, role) in enumerate(calls):
+            ell = n // 2 + (role == 1)  # slot ell lies between patches ell-1, ell
+            if not (v.is_interior or 0 < ell < nu):
                 continue
-            pair = asm.vertex.corners[ell - 1], asm.vertex.corners[ell % nu]
+            pair = v.corners[ell - 1], v.corners[ell % nu]
             g = fit_asg1(*(sp.geometry.patches[p].rotate(c) for p, c in pair))
-            for got, want in (
-                (slot.a1, g.alpha1), (slot.b1, g.beta1),
-                (slot.a2, g.alpha2), (slot.b2, g.beta2),
-            ):
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+            want = (g.alpha1, g.beta1) if role == 1 else (g.alpha2, g.beta2)
+            for got, w in zip((alpha, beta), want):
+                np.testing.assert_allclose(got, w, rtol=0, atol=1e-13)
             checked += 1
     assert checked > 0
 
