@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from argyris import (
-    SpaceConfig,
+    UnivariateSpace,
     builtin_geometry,
     check_regularity,
     load_geometry,
@@ -19,7 +19,7 @@ from argyris import (
     standard_form_vertex,
 )
 
-cfg = SpaceConfig(3, 1, 4)
+cfg = UnivariateSpace(3, 1, 4)
 
 for name in ("two_patch_bilinear", "three_patch_bilinear", "five_patch_bilinear",
              "lshape_bilinear"):
@@ -51,7 +51,7 @@ print(f"vertex {v.id} (valence {v.valence}) corners:",
       [np.round(rp.corner(0), 12).tolist() for rp in rotated])
 
 # Nested refinement keeps the geometry bit-for-bit (up to rounding).
-fine = refine(mp, 2)
+fine = refine(mp)
 uv = np.random.default_rng(1).uniform(0, 1, (50, 2))
 gap = max(np.abs(mp.patches[i].point(uv) - fine.patches[i].point(uv)).max()
           for i in range(3))

@@ -6,7 +6,7 @@ Run:  python demos/03_gluing_data.py
 import numpy as np
 
 from argyris import (
-    SpaceConfig,
+    UnivariateSpace,
     builtin_geometry,
     edge_determinants,
     fit_asg1,
@@ -15,7 +15,7 @@ from argyris import (
 )
 from argyris.errors import NotASG1Error
 
-cfg = SpaceConfig(3, 1, 4)
+cfg = UnivariateSpace(3, 1, 4)
 
 # Two translated unit squares meet with parametric continuity: the edge
 # determinants collapse and the fitted data is the trivial one.

@@ -8,7 +8,8 @@ import numpy as np
 from argyris import (
     ArgyrisSpace,
     C2Data,
-    SpaceConfig,
+    TensorSpline,
+    UnivariateSpace,
     builtin_geometry,
     physical_derivatives,
     smoothness_report,
@@ -16,7 +17,7 @@ from argyris import (
 )
 from argyris.multipatch import CORNER_UV
 
-cfg = SpaceConfig(3, 1, 4)
+cfg = UnivariateSpace(3, 1, 4)
 mp = builtin_geometry("three_patch_bilinear", cfg)
 
 # The dimension is pure bookkeeping: it depends only on the topology counts
@@ -48,8 +49,7 @@ print(f"\nvertex {v.id}: sigma = {space.sigma(v.id):.6f}")
 coeffs = space.vertex_projector(v.id, C2Data(1.0, np.zeros(2), np.zeros((2, 2))))
 ip, c = v.corners[0]
 gj = mp.patches[ip].jet(CORNER_UV[c:c + 1], 2)
-from argyris import TensorSpace, TensorSpline
-fj = TensorSpline(TensorSpace(space.usp), space.combine(coeffs, ip)).jet(
+fj = TensorSpline(space.config, space.combine(coeffs, ip)).jet(
     CORNER_UV[c:c + 1], 2)
 val, grad, hess = physical_derivatives(gj, fj)
 print("value-slot interpolant at the vertex: value", round(val[0], 12),

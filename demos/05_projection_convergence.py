@@ -8,8 +8,8 @@ import numpy as np
 from argyris import (
     AnalyticField,
     ArgyrisSpace,
-    SpaceConfig,
     SpaceField,
+    UnivariateSpace,
     builtin_geometry,
     convergence_study,
     cos_sin_field,
@@ -17,7 +17,7 @@ from argyris import (
     project,
 )
 
-cfg = SpaceConfig(3, 1, 4)
+cfg = UnivariateSpace(3, 1, 4)
 mp = builtin_geometry("three_patch_bilinear", cfg)
 space = ArgyrisSpace(mp)
 

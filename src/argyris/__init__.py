@@ -9,9 +9,7 @@ study driver.
 
 from . import errors
 from .bspline import (
-    SpaceConfig,
     Spline,
-    TensorSpace,
     TensorSpline,
     UnivariateSpace,
     convert,

@@ -1,6 +1,9 @@
-"""Univariate and tensor-product B-spline spaces on [0, 1] with uniform open knots.
+"""The univariate B-spline space S^{p,r}_h on [0, 1] with uniform open knots,
+and tensor-product splines on its square.
 
-Provides basis/derivative evaluation, the derived edge spaces (degree p with
+One frozen ``UnivariateSpace(p, r, n)`` is both the configuration of a
+geometry and the space of its patches in both parametric directions. It
+provides basis/derivative evaluation, the derived edge spaces (degree p with
 one order more smoothness, and degree p-1 with the same smoothness) and one
 cached table of local dual functionals per univariate space (``local_duals``,
 after de Boor & Fix, 1973), which reads every coefficient from samples on one
@@ -10,7 +13,7 @@ sample of the function, checked for reproduction. Tensor-product splines are
 evaluated on tensor grids by sum factorization over per-direction basis
 tables (``grid_jet``); sides and corners of a patch are grids with one
 singleton direction. Scattered points go through one sparse jet matrix
-(``TensorSpace.jet_matrix``), of which ``TensorSpline.jet`` is a view. A
+(``UnivariateSpace.jet_matrix``), of which ``TensorSpline.jet`` is a view. A
 basis table (``_basis_values``) is made once per (space, points, derivative
 order) and returned read-only to every later caller while it is among the
 last 8 MB of tables used.
@@ -19,7 +22,7 @@ last 8 MB of tables used.
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -29,10 +32,8 @@ from numpy.polynomial import chebyshev as _cheb
 from .errors import DomainError, InvalidConfigError, NotInSpaceError
 
 __all__ = [
-    "SpaceConfig",
     "UnivariateSpace",
     "Spline",
-    "TensorSpace",
     "TensorSpline",
     "derived_edge_spaces",
     "multiply_by_linear",
@@ -43,12 +44,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpaceConfig:
-    """Degree, smoothness and mesh resolution of a spline space on [0, 1].
+def _chebpts(n, m):
+    """(n, m) array: m Chebyshev points of the first kind, ascending, on each
+    element of the uniform n-element mesh of [0, 1]."""
+    t = np.sort(_cheb.chebpts1(m))
+    a, b = np.arange(n)[:, None] / n, np.arange(1, n + 1)[:, None] / n
+    return a + (t + 1.0) * 0.5 * (b - a)
+
+
+@dataclass(frozen=True, repr=False)
+class UnivariateSpace:
+    """B-spline space of degree p and continuity C^r on a uniform mesh of [0, 1].
 
     ``p`` is the polynomial degree, ``r`` the interior continuity order and
     ``n`` the number of (uniform) elements, so the mesh size is ``h = 1/n``.
+    The open knot vector has boundary multiplicity p+1 and interior
+    multiplicity p-r, giving dimension N = (p-r)(n-1) + p + 1. Equal (p, r, n)
+    give equal spaces, which share every cached table.
     """
 
     p: int
@@ -67,9 +79,22 @@ class SpaceConfig:
                 f"continuity r={self.r} too high for degree p={self.p}"
             )
 
+    def __repr__(self):
+        return f"UnivariateSpace(p={self.p}, r={self.r}, n={self.n}, N={self.N})"
+
     @property
     def h(self):
         return 1.0 / self.n
+
+    @cached_property
+    def N(self):
+        return (self.p - self.r) * (self.n - 1) + self.p + 1
+
+    @cached_property
+    def knots(self):
+        p, n = self.p, self.n
+        interior = np.repeat(np.arange(1, n) / n, p - self.r)
+        return np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)])
 
     def check_argyris(self):
         """Enforce the extra constraints needed by the smooth-space build.
@@ -88,47 +113,6 @@ class SpaceConfig:
                 f"mesh too coarse: need n >= {(4 - self.r) / (self.p - self.r - 1):.3g} "
                 f"elements per direction, got n={self.n}"
             )
-
-
-def _chebpts(n, m):
-    """(n, m) array: m Chebyshev points of the first kind, ascending, on each
-    element of the uniform n-element mesh of [0, 1]."""
-    t = np.sort(_cheb.chebpts1(m))
-    a, b = np.arange(n)[:, None] / n, np.arange(1, n + 1)[:, None] / n
-    return a + (t + 1.0) * 0.5 * (b - a)
-
-
-class UnivariateSpace:
-    """B-spline space of degree p and continuity C^r on a uniform mesh of [0, 1].
-
-    The open knot vector has boundary multiplicity p+1 and interior
-    multiplicity p-r, giving dimension N = (p-r)(n-1) + p + 1.
-    """
-
-    def __init__(self, p, r, n):
-        self.config = SpaceConfig(p, r, n)
-        self.p = p
-        self.r = r
-        self.n = n
-        self.h = 1.0 / n
-        mult = p - r
-        interior = np.repeat(np.arange(1, n) / n, mult)
-        self.knots = np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)])
-        self.N = (p - r) * (n - 1) + p + 1
-        assert self.N == len(self.knots) - p - 1
-        self.breakpoints = np.arange(n + 1) / n
-
-    def __repr__(self):
-        return f"UnivariateSpace(p={self.p}, r={self.r}, n={self.n}, N={self.N})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnivariateSpace)
-            and (self.p, self.r, self.n) == (other.p, other.r, other.n)
-        )
-
-    def __hash__(self):
-        return hash(("UnivariateSpace", self.p, self.r, self.n))
 
     def element_of(self, x):
         """Element index containing x; right-continuous except at x = 1."""
@@ -228,14 +212,38 @@ class UnivariateSpace:
             fac *= p - k
         return first, ders
 
+    def jet_matrix(self, uv, nderiv):
+        """Sparse map from flattened coefficient grids on the square of the
+        space to jets at points.
+
+        Returns an (m * (nderiv+1)**2, N * N) matrix whose row (q, a, b), in C
+        order, holds d^a/dxi1^a d^b/dxi2^b of every tensor basis function at
+        uv[q]; column j1 * N + j2 is basis (j1, j2). So
+        ``jet_matrix(uv, d) @ coeffs.reshape(N * N, ...)`` reshaped to
+        (m, d+1, d+1, ...) is the jet of a tensor spline at scattered points,
+        which ``TensorSpline.jet`` returns.
+        """
+        uv = np.atleast_2d(np.asarray(uv, dtype=float))
+        p, N = self.p, self.N
+        f1, d1 = self.basis_ders(uv[:, 0], nderiv)
+        f2, d2 = self.basis_ders(uv[:, 1], nderiv)
+        i1 = f1[:, None] + np.arange(p + 1)[None, :]
+        i2 = f2[:, None] + np.arange(p + 1)[None, :]
+        vals = np.einsum("mai,mbj->mabij", d1, d2)
+        cols = i1[:, None, None, :, None] * N + i2[:, None, None, None, :]
+        cols = np.broadcast_to(cols, vals.shape)
+        nrows = vals[..., 0, 0].size
+        width = (p + 1) ** 2  # active functions per point
+        return scipy.sparse.csr_matrix(
+            (vals.ravel(), cols.ravel(), np.arange(0, nrows * width + 1, width)),
+            shape=(nrows, N * N),
+        )
+
     def basis_function(self, j):
         """Basis function j as a Spline (unit coefficient vector)."""
         c = np.zeros(self.N)
         c[j] = 1.0
         return Spline(self, c)
-
-    def spline(self, coeffs):
-        return Spline(self, coeffs)
 
 
 class Spline:
@@ -323,20 +331,26 @@ def _basis_values(space, pts, d=0):
     return out
 
 
-def _drop_noise(a, rel=1e-13):
-    """a with entries |a| <= rel * max(1, max|a|) set to 0: the rounding
+#: relative size below which an exactly represented coefficient is rounding
+#: noise of a zero, and relative misfit above which a function is no member
+_NOISE = 1e-13
+_EXACT_TOL = 1e-10
+
+
+def _drop_noise(a):
+    """a with entries |a| <= _NOISE * max(1, max|a|) set to 0: the rounding
     noise left where an exact coefficient is 0."""
-    return np.where(np.abs(a) <= rel * max(1.0, np.abs(a).max()), 0.0, a)
+    return np.where(np.abs(a) <= _NOISE * max(1.0, np.abs(a).max()), 0.0, a)
 
 
-def represent_exactly(space, f, tol=1e-10):
+def represent_exactly(space, f):
     """Coefficients of a function known to lie in the space.
 
     Samples f once, at the dual points of ``local_duals`` and at p+2 further
     Chebyshev points per element, reads every coefficient through its local
     dual and drops rounding noise (``_drop_noise``). The spline must then
-    reproduce f at the further points: a misfit above ``tol`` (relative)
-    means f is not a member of the space and raises NotInSpaceError.
+    reproduce f at the further points: a misfit above ``_EXACT_TOL``
+    (relative) means f is not a member of the space and raises NotInSpaceError.
 
     ``f`` may return extra trailing axes (several functions at once); the
     result then carries the same trailing shape after the leading axis N.
@@ -347,20 +361,20 @@ def represent_exactly(space, f, tol=1e-10):
     y = np.asarray(f(np.concatenate([duals.points.ravel(), check])), dtype=float)
     coeffs = _drop_noise(duals.apply(y[:m]))
     misfit = np.abs(np.tensordot(_basis_values(space, check), coeffs, 1) - y[m:]).max()
-    if misfit > tol * max(1.0, np.abs(coeffs).max()):
+    if misfit > _EXACT_TOL * max(1.0, np.abs(coeffs).max()):
         raise NotInSpaceError(
             f"local dual representation misses the samples by {misfit:.3e} "
-            f"(relative tolerance {tol:.1e}); function is not in {space}"
+            f"(relative tolerance {_EXACT_TOL:.1e}); function is not in {space}"
         )
     return coeffs
 
 
-def convert(spline, target_space, tol=1e-10):
+def convert(spline, target_space):
     """Re-express a spline exactly in a richer space with the same breakpoints."""
-    return Spline(target_space, represent_exactly(target_space, spline, tol=tol))
+    return Spline(target_space, represent_exactly(target_space, spline))
 
 
-def multiply_by_linear(spline, a, b, tol=1e-10):
+def multiply_by_linear(spline, a, b):
     """Exact product of a spline with the linear polynomial a + b*x.
 
     The result lies in the space of one degree higher and the same interior
@@ -371,7 +385,7 @@ def multiply_by_linear(spline, a, b, tol=1e-10):
     target = UnivariateSpace(sp.p + 1, min(r, sp.p), sp.n)
     return Spline(
         target,
-        represent_exactly(target, lambda x: (a + b * x) * spline(x), tol=tol),
+        represent_exactly(target, lambda x: (a + b * x) * spline(x)),
     )
 
 
@@ -416,69 +430,19 @@ def dual_functional(space, j, f):
     return float(duals.weights[j] @ np.asarray(f(pts), dtype=float))
 
 
-class TensorSpace:
-    """Tensor product of two univariate spaces (equal factors in this work)."""
-
-    def __init__(self, s1, s2=None):
-        self.s1 = s1
-        self.s2 = s1 if s2 is None else s2
-        self.shape = (self.s1.N, self.s2.N)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorSpace)
-            and self.s1 == other.s1
-            and self.s2 == other.s2
-        )
-
-    def __hash__(self):
-        return hash(("TensorSpace", self.s1, self.s2))
-
-    def __repr__(self):
-        return f"TensorSpace({self.s1}, {self.s2})"
-
-    def spline(self, coeffs):
-        return TensorSpline(self, coeffs)
-
-    def jet_matrix(self, uv, nderiv):
-        """Sparse map from flattened coefficient grids to jets at points.
-
-        Returns an (m * (nderiv+1)**2, N1 * N2) matrix whose row
-        (q, a, b), in C order, holds d^a/dxi1^a d^b/dxi2^b of every tensor
-        basis function at uv[q]; column j1 * N2 + j2 is basis (j1, j2). So
-        ``jet_matrix(uv, d) @ coeffs.reshape(N1 * N2, ...)`` reshaped to
-        (m, d+1, d+1, ...) is the jet of a spline at scattered points, which
-        ``TensorSpline.jet`` returns.
-        """
-        uv = np.atleast_2d(np.asarray(uv, dtype=float))
-        s1, s2 = self.s1, self.s2
-        f1, d1 = s1.basis_ders(uv[:, 0], nderiv)
-        f2, d2 = s2.basis_ders(uv[:, 1], nderiv)
-        i1 = f1[:, None] + np.arange(s1.p + 1)[None, :]
-        i2 = f2[:, None] + np.arange(s2.p + 1)[None, :]
-        vals = np.einsum("mai,mbj->mabij", d1, d2)
-        cols = i1[:, None, None, :, None] * s2.N + i2[:, None, None, None, :]
-        cols = np.broadcast_to(cols, vals.shape)
-        nrows = vals[..., 0, 0].size
-        width = (s1.p + 1) * (s2.p + 1)  # active functions per point
-        return scipy.sparse.csr_matrix(
-            (vals.ravel(), cols.ravel(), np.arange(0, nrows * width + 1, width)),
-            shape=(nrows, s1.N * s2.N),
-        )
-
-
 class TensorSpline:
-    """Function in a TensorSpace with an (N1, N2) coefficient grid.
+    """Function on the square of a univariate space, stored by its (N, N)
+    coefficient grid.
 
     The last axes of the coefficient array may carry vector components, e.g.
-    an (N1, N2, 2) grid describes a planar map.
+    an (N, N, 2) grid describes a planar map.
     """
 
     def __init__(self, space, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape[:2] != space.shape:
+        if coeffs.shape[:2] != (space.N, space.N):
             raise InvalidConfigError(
-                f"coefficient grid {coeffs.shape} does not match space {space.shape}"
+                f"coefficient grid {coeffs.shape} does not match {space}"
             )
         self.space = space
         self.coeffs = coeffs
@@ -488,7 +452,7 @@ class TensorSpline:
         (m, 2): ``D[q, a, b]`` = d^a/dxi1^a d^b/dxi2^b of the function at
         uv[q], shape (m, nderiv+1, nderiv+1, ...), through ``jet_matrix``."""
         uv = np.atleast_2d(np.asarray(uv, dtype=float))
-        flat = self.coeffs.reshape(self.space.s1.N * self.space.s2.N, -1)
+        flat = self.coeffs.reshape(self.space.N**2, -1)
         return (self.space.jet_matrix(uv, nderiv) @ flat).reshape(
             (len(uv), nderiv + 1, nderiv + 1) + self.coeffs.shape[2:]
         )
@@ -508,18 +472,14 @@ class TensorSpline:
         x1 = np.atleast_1d(np.asarray(x1, dtype=float))
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
         if len(x1) < len(x2):  # contract the shorter direction first
-            flip = TensorSpline(TensorSpace(self.space.s2, self.space.s1),
-                                self.coeffs.swapaxes(0, 1))
+            flip = TensorSpline(self.space, self.coeffs.swapaxes(0, 1))
             out = flip.grid_jet(x2, x1, nderiv)
             out = out.reshape((len(x2), len(x1)) + out.shape[1:]).swapaxes(0, 1)
             return out.swapaxes(2, 3).reshape((len(x1) * len(x2),) + out.shape[2:])
-        B = np.stack([_basis_values(self.space.s2, x2, b) for b in range(nderiv + 1)])
+        B = np.stack([_basis_values(self.space, x2, b) for b in range(nderiv + 1)])
         # CB[i, q2, b, ...] = sum_j coeffs[i, j, ...] B_b[q2, j]
         CB = np.einsum("brj,ij...->irb...", B, self.coeffs, optimize=True)
         out = np.empty((len(x1),) + CB.shape[1:2] + (nderiv + 1,) + CB.shape[2:])
         for a in range(nderiv + 1):
-            out[:, :, a] = np.tensordot(_basis_values(self.space.s1, x1, a), CB, axes=1)
+            out[:, :, a] = np.tensordot(_basis_values(self.space, x1, a), CB, axes=1)
         return out.reshape((len(x1) * len(x2),) + out.shape[2:])
-
-    def __call__(self, uv):
-        return self.jet(uv, 0)[:, 0, 0]

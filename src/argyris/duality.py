@@ -23,7 +23,7 @@ give the biorthogonality matrix D C.
 
 import numpy as np
 
-from .bspline import local_duals
+from .bspline import TensorSpline, local_duals
 from .errors import InvalidConfigError
 from .gluing import transversal_vector
 from .multipatch import edge_frames, rotate_grid
@@ -81,7 +81,7 @@ class SpaceField:
         """Value, then gradient (order >= 1), then Hessian (order 2), on the
         x1-major flattened tensor grid x1 x x2; values alone need no patch
         map."""
-        grid = self.space.tspace.spline(self.space.combine(self.coeffs, patch))
+        grid = TensorSpline(self.space.config, self.space.combine(self.coeffs, patch))
         fj = grid.grid_jet(x1, x2, order)
         if order == 0:
             return (fj[:, 0, 0],)
@@ -96,7 +96,7 @@ def patch_duals(space, i, field):
     interior indices are read from it one direction at a time.
     """
     space.block("patch", i)
-    duals = local_duals(space.usp)
+    duals = local_duals(space.config)
     x = duals.points.ravel()
     vals = field.jets(i, x, x, 0)[0]
     vals = vals.reshape((len(x), len(x)) + vals.shape[1:])

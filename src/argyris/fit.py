@@ -43,6 +43,7 @@ import scipy.sparse
 from .bspline import _basis_values
 from .duality import AnalyticField, SpaceField
 from .errors import InvalidConfigError, NumericalError
+from .gluing import DEFAULT_TOL
 from .multipatch import edge_frames, refine, rotate_grid
 from .space import ArgyrisSpace, physical_derivatives
 
@@ -148,8 +149,8 @@ def _patch_weights(space, i, rule):
 def _patch_mass(space, i, rule):
     """|det DF|-weighted mass matrix (N*N, N*N) of the tensor B-splines of
     one patch: D = K^T W K gathered into the pattern of ``_mass_pattern``."""
-    (p1, p2), indptr, indices, gather = _mass_pattern(space.usp)
-    A0 = _basis_values(space.usp, rule.nodes.ravel())
+    (p1, p2), indptr, indices, gather = _mass_pattern(space.config)
+    A0 = _basis_values(space.config, rule.nodes.ravel())
     K = A0[:, p1] * A0[:, p2]
     D = K.T @ (_patch_weights(space, i, rule) @ K)
     return scipy.sparse.csr_matrix(
@@ -181,7 +182,7 @@ def assemble_rhs(space, fld, rule=None):
     """
     rule = _check_rule(space, rule)
     x = rule.nodes.ravel()
-    A0 = _basis_values(space.usp, x)
+    A0 = _basis_values(space.config, x)
     rhs = np.zeros(space.dim)
     for i, C in enumerate(space.C):
         Wz = _patch_weights(space, i, rule).ravel() * fld.jets(i, x, x, 0)[0]
@@ -320,7 +321,7 @@ def _block_preconditioner(space, A):
         lu = splu(A[ni:, ni:].tocsc())
     except RuntimeError as exc:  # exactly singular
         raise NumericalError(f"interface block of the mass is singular: {exc}") from exc
-    lam, Q = np.linalg.eigh(_unit_interior_mass(space.usp))  # (0, 0) if N <= 4
+    lam, Q = np.linalg.eigh(_unit_interior_mass(space.config))  # (0, 0) if N <= 4
     L = 1.0 / np.outer(lam, lam)
 
     def apply(r):
@@ -421,7 +422,7 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
-def convergence_study(mp, make_field, levels, tol=1e-9):
+def convergence_study(mp, make_field, levels, tol=DEFAULT_TOL):
     """Fit on a sequence of nested dyadic refinements of a geometry.
 
     ``make_field(geometry)`` binds the target function to each refined
@@ -434,7 +435,7 @@ def convergence_study(mp, make_field, levels, tol=1e-9):
     current = mp
     for lvl in range(levels):
         if lvl > 0:
-            current = refine(current, 2)
+            current = refine(current)
         r = l2_fit(ArgyrisSpace(current, tol=tol), make_field(current))
         table.add(r.h, r.dim, r.rel_error)
         results.append(r)
@@ -526,7 +527,7 @@ def smoothness_report(space, coeffs=None, samples_per_edge=200):
         """Sparse (m * (order+1)**2, k) parametric jets of all members on the
         x1-major flattened tensor grid (x1, x2)."""
         uv = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 2)
-        return space.tspace.jet_matrix(uv, order) @ (space.C[ipatch] @ members)
+        return space.config.jet_matrix(uv, order) @ (space.C[ipatch] @ members)
 
     def physical(ipatch, grid, order, S, cols):
         geo = mp.patches[ipatch].grid_jet(*grid, order)

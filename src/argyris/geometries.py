@@ -8,7 +8,7 @@ deliberately does not.
 
 import numpy as np
 
-from .bspline import SpaceConfig, TensorSpace, UnivariateSpace, represent_exactly
+from .bspline import UnivariateSpace, represent_exactly
 from .errors import InvalidConfigError
 from .multipatch import Patch, infer_topology
 
@@ -24,13 +24,9 @@ BUILTIN_NAMES = (
 )
 
 
-def _tensor_space(config):
-    return TensorSpace(UnivariateSpace(config.p, config.r, config.n))
-
-
-def _bilinear_patch(tspace, c00, c10, c11, c01):
+def _bilinear_patch(space, c00, c10, c11, c01):
     # Greville embedding reproduces bilinear maps exactly
-    g = tspace.s1.greville()
+    g = space.greville()
     u, v = g[:, None, None], g[None, :, None]
     c00, c10, c11, c01 = (np.asarray(c, dtype=float) for c in (c00, c10, c11, c01))
     net = (
@@ -39,32 +35,32 @@ def _bilinear_patch(tspace, c00, c10, c11, c01):
         + u * v * c11
         + (1 - u) * v * c01
     )
-    return Patch(tspace, net)
+    return Patch(space, net)
 
 
-def _fan(tspace, npatch, radius=3.0):
-    """npatch quads around the origin inside a regular 2*npatch-gon."""
+def _fan(space, npatch):
+    """npatch quads around the origin inside a regular 2*npatch-gon of
+    radius 3."""
     m = 2 * npatch
     ang = 2.0 * np.pi * np.arange(m) / m
-    ring = radius * np.column_stack([np.cos(ang), np.sin(ang)])
+    ring = 3.0 * np.column_stack([np.cos(ang), np.sin(ang)])
     c = np.zeros(2)
     return [
         _bilinear_patch(
-            tspace, c, ring[2 * k], ring[(2 * k + 1) % m], ring[(2 * k + 2) % m]
+            space, c, ring[2 * k], ring[(2 * k + 1) % m], ring[(2 * k + 2) % m]
         )
         for k in range(npatch)
     ]
 
 
-def _two_squares(tspace):
-    right = _bilinear_patch(tspace, (0, 0), (1, 0), (1, 1), (0, 1))
-    left = _bilinear_patch(tspace, (-1, 0), (0, 0), (0, 1), (-1, 1))
+def _two_squares(space):
+    right = _bilinear_patch(space, (0, 0), (1, 0), (1, 1), (0, 1))
+    left = _bilinear_patch(space, (-1, 0), (0, 0), (0, 1), (-1, 1))
     return [right, left]
 
 
-def _composed(tspace, patches, gmap):
+def _composed(space, patches, gmap):
     """Nets of gmap o patch, represented exactly in v and then in u."""
-    space = tspace.s1
     out = []
     for patch in patches:
         def sample(u, v, _p=patch):
@@ -76,28 +72,28 @@ def _composed(tspace, patches, gmap):
             # (len(u), N, 2): v-direction coefficients at each u sample
             return represent_exactly(space, lambda v: _s(u, v)).swapaxes(0, 1)
 
-        out.append(Patch(tspace, represent_exactly(space, v_coeffs)))
+        out.append(Patch(space, represent_exactly(space, v_coeffs)))
     return out
 
 
 def builtin_geometry(name, config=None):
-    """Construct one of the named test geometries for a given space config."""
-    config = config or SpaceConfig(3, 1, 4)
-    tspace = _tensor_space(config)
+    """Construct one of the named test geometries on the square of a
+    univariate space (default (p, r, n) = (3, 1, 4))."""
+    config = config or UnivariateSpace(3, 1, 4)
 
     if name == "two_patch_bilinear":
-        return infer_topology(config, _two_squares(tspace))
+        return infer_topology(config, _two_squares(config))
 
     if name == "three_patch_bilinear":
-        return infer_topology(config, _fan(tspace, 3))
+        return infer_topology(config, _fan(config, 3))
 
     if name == "five_patch_bilinear":
-        return infer_topology(config, _fan(tspace, 5))
+        return infer_topology(config, _fan(config, 5))
 
     if name == "lshape_bilinear":
-        a = _bilinear_patch(tspace, (-1, -1), (0, -1), (0, 0), (-1, 0))
-        b = _bilinear_patch(tspace, (-1, 0), (0, 0), (0, 1), (-1, 1))
-        c = _bilinear_patch(tspace, (0, 0), (1, 0), (1, 1), (0, 1))
+        a = _bilinear_patch(config, (-1, -1), (0, -1), (0, 0), (-1, 0))
+        b = _bilinear_patch(config, (-1, 0), (0, 0), (0, 1), (-1, 1))
+        c = _bilinear_patch(config, (0, 0), (1, 0), (1, 1), (0, 1))
         return infer_topology(config, [a, b, c])
 
     if name == "two_patch_curved_asg1":
@@ -109,16 +105,16 @@ def builtin_geometry(name, config=None):
                 [x[:, 0] + 0.1 * x[:, 1] ** 2, x[:, 1] + 0.1 * x[:, 0] ** 2]
             )
 
-        return infer_topology(config, _composed(tspace, _two_squares(tspace), gmap))
+        return infer_topology(config, _composed(config, _two_squares(config), gmap))
 
     if name == "two_patch_generic_non_asg1":
         rng = np.random.default_rng(20240811)
         amp = 0.2 / config.n  # keep the perturbed net regular on fine meshes
         patches = []
-        for patch in _two_squares(tspace):
+        for patch in _two_squares(config):
             net = patch.net.copy()
             net[1:-1, 1:-1] += rng.uniform(-amp, amp, net[1:-1, 1:-1].shape)
-            patches.append(Patch(tspace, net))
+            patches.append(Patch(config, net))
         return infer_topology(config, patches)
 
     raise InvalidConfigError(

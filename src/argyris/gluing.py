@@ -183,7 +183,7 @@ def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
     With ``strict`` (default), rejection raises NotASG1Error; otherwise the
     best-effort data is returned with ``asg1 = False``.
     """
-    xs = _fit_sample_points(F1.space.s1.p, F1.space.s1.n)
+    xs = _fit_sample_points(F1.space.p, F1.space.n)
     jets = _edge_jets(F1, F2, xs)
     D1, D2, D12 = _determinants(jets)
     if D1.min() <= 0.0 or D2.min() <= 0.0:

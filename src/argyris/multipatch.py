@@ -1,6 +1,8 @@
 """Planar multi-patch spline geometry.
 
-A MultiPatch bundles tensor-spline patches with explicit topology records:
+A MultiPatch bundles tensor-spline patches, all on the square of the one
+univariate space that is the geometry's ``config``, with explicit topology
+records:
 edges (interfaces between two patches or boundary edges of one patch) and
 vertices (ordered counterclockwise lists of patch corners). Local sides and
 corners of a patch are numbered 0..3 counterclockwise starting at the
@@ -16,13 +18,7 @@ an interface (decided in ``edge_frames`` alone) the first side turns to
 
 import numpy as np
 
-from .bspline import (
-    TensorSpace,
-    TensorSpline,
-    UnivariateSpace,
-    _basis_values,
-    represent_exactly,
-)
+from .bspline import TensorSpline, UnivariateSpace, _basis_values, represent_exactly
 from .errors import (
     ConformityError,
     GeometryFormatError,
@@ -83,30 +79,23 @@ def rotate_grid(x1, x2, k):
     return x1, x2
 
 
-class Patch:
-    """Tensor-spline map from [0, 1]^2 into the plane."""
+class Patch(TensorSpline):
+    """Tensor-spline map from [0, 1]^2 into the plane: its coefficients are
+    the (N, N, 2) control net, and ``jet`` and ``grid_jet`` give
+    D[q, a, b, :] = d^a d^b F / dxi1^a dxi2^b."""
 
     def __init__(self, space, net):
         net = np.asarray(net, dtype=float)
-        if net.shape != space.shape + (2,):
-            raise InvalidConfigError(
-                f"control net {net.shape} does not match space {space.shape}"
-            )
-        self.space = space
-        self.net = net
-        self._spline = TensorSpline(space, net)
+        if net.shape != (space.N, space.N, 2):
+            raise InvalidConfigError(f"control net {net.shape} does not match {space}")
+        super().__init__(space, net)
+
+    @property
+    def net(self):
+        return self.coeffs
 
     def point(self, uv):
         return self.jet(uv, 0)[:, 0, 0, :]
-
-    def jet(self, uv, nderiv):
-        """Map derivatives at scattered points uv (m, 2):
-        D[q, a, b, :] = d^a d^b F / dxi1^a dxi2^b."""
-        return self._spline.jet(uv, nderiv)
-
-    def grid_jet(self, x1, x2, nderiv):
-        """``jet`` on the x1-major flattened tensor grid x1 x x2."""
-        return self._spline.grid_jet(x1, x2, nderiv)
 
     def rotate(self, k):
         """Same point set reparametrized by the k-fold quarter turn."""
@@ -164,13 +153,20 @@ class VertexRecord:
 
 
 class MultiPatch:
-    """Patches plus explicit edge/vertex topology over a shared space config."""
+    """Patches plus explicit edge/vertex topology over one shared univariate
+    space ``config``."""
 
     def __init__(self, config, patches, edges, vertices, check=True):
         self.config = config
         self.patches = list(patches)
         self.edges = list(edges)
         self.vertices = list(vertices)
+        for i, patch in enumerate(self.patches):
+            if patch.space != config:
+                raise ConformityError(
+                    f"patch {i} and the geometry are on different spline spaces: "
+                    f"{patch.space} and {config}"
+                )
         # records are looked up by id, so the ids must be their list positions
         for kind, records in (("edge", self.edges), ("vertex", self.vertices)):
             ids = [rec.id for rec in records]
@@ -352,26 +348,22 @@ def vertex_surrounding_edges(mp, vertex):
     return out
 
 
-def refine(mp, factor):
-    """Nested refinement: same geometry represented on a factor-times finer mesh.
+def refine(mp):
+    """Dyadic refinement: same geometry represented on the mesh of twice as
+    many elements per direction.
 
     Knot insertion is the fixed matrix R (N_fine, N_coarse) whose column j
     holds the fine coefficients of coarse basis function j; every net maps
     to R @ net @ R^T, coordinate by coordinate.
     """
-    if factor < 2:
-        raise InvalidConfigError("refinement factor must be >= 2")
-    cfg = mp.config
-    new_cfg = type(cfg)(cfg.p, cfg.r, cfg.n * factor)
-    coarse = UnivariateSpace(cfg.p, cfg.r, cfg.n)
-    fine = UnivariateSpace(new_cfg.p, new_cfg.r, new_cfg.n)
+    coarse = mp.config
+    fine = UnivariateSpace(coarse.p, coarse.r, 2 * coarse.n)
     R = represent_exactly(fine, lambda x: _basis_values(coarse, x))
-    tspace = TensorSpace(fine)
     patches = [
-        Patch(tspace, np.moveaxis(R @ np.moveaxis(patch.net, -1, 0) @ R.T, 0, -1))
+        Patch(fine, np.moveaxis(R @ np.moveaxis(patch.net, -1, 0) @ R.T, 0, -1))
         for patch in mp.patches
     ]
-    return MultiPatch(new_cfg, patches, mp.edges, mp.vertices, check=False)
+    return MultiPatch(fine, patches, mp.edges, mp.vertices, check=False)
 
 
 def _order_corners(corner_set, edge_of_side):
@@ -475,7 +467,7 @@ FORMAT_VERSION = 1
 
 def save_geometry(mp, path):
     cfg = mp.config
-    N = mp.patches[0].space.shape[0] if mp.patches else 0
+    N = cfg.N
     lines = [f"{FORMAT_HEADER} {FORMAT_VERSION}"]
     lines.append(f"p {cfg.p}")
     lines.append(f"r {cfg.r}")
@@ -499,10 +491,7 @@ def save_geometry(mp, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_geometry(path, config_cls=None):
-    from .bspline import SpaceConfig
-
-    config_cls = config_cls or SpaceConfig
+def load_geometry(path):
     with open(path, encoding="utf-8") as fh:
         raw = fh.readlines()
     lines = [ln.strip() for ln in raw]
@@ -523,12 +512,12 @@ def load_geometry(path, config_cls=None):
         except ValueError as exc:
             raise GeometryFormatError(f"{path}: bad index in {line!r}") from exc
 
-    def take_kv(key, cast=int):
+    def take_kv(key):
         ln = take().split()
         if len(ln) != 2 or ln[0] != key:
             raise GeometryFormatError(f"{path}: expected '{key} <value>', got {ln!r}")
         try:
-            return cast(ln[1])
+            return int(ln[1])
         except ValueError as exc:
             raise GeometryFormatError(f"{path}: bad value for {key}: {ln[1]!r}") from exc
 
@@ -543,9 +532,7 @@ def load_geometry(path, config_cls=None):
     N = (p - r) * (n - 1) + p + 1
     if N > 0 and N * N > len(lines):
         raise GeometryFormatError(f"{path}: too short for {N}x{N} control nets")
-    cfg = config_cls(p, r, n)
-    u1 = UnivariateSpace(p, r, n)
-    tspace = TensorSpace(u1)
+    cfg = UnivariateSpace(p, r, n)
 
     npatch = take_kv("patches")
     patches = []
@@ -571,7 +558,7 @@ def load_geometry(path, config_cls=None):
                     raise GeometryFormatError(
                         f"{path}: non-finite coordinate in patch {i}: {tok!r}"
                     )
-        patches.append(Patch(tspace, net))
+        patches.append(Patch(cfg, net))
 
     nedges = take_kv("edges")
     edges = []

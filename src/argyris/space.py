@@ -40,10 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .bspline import UnivariateSpace, TensorSpace, _basis_values, _drop_noise, \
-    derived_edge_spaces, represent_exactly
+from .bspline import _basis_values, _drop_noise, derived_edge_spaces, represent_exactly
 from .errors import ArgyrisError, InvalidConfigError
-from .gluing import _transversal_from_jet, boundary_gluing, fit_asg1
+from .gluing import DEFAULT_TOL, _transversal_from_jet, boundary_gluing, fit_asg1
 from .multipatch import _check_vertex, edge_frames, rotate_net, \
     vertex_surrounding_edges
 
@@ -96,9 +95,8 @@ def _block_sizes(config):
     """Number of basis functions one patch, one edge and one vertex own."""
     config.check_argyris()
     p, r, n = config.p, config.r, config.n
-    N = (p - r) * (n - 1) + p + 1
     Nm = (p - r - 1) * (n - 1) + p
-    return {"patch": (N - 4) ** 2, "edge": 2 * Nm - 9, "vertex": 6}
+    return {"patch": (config.N - 4) ** 2, "edge": 2 * Nm - 9, "vertex": 6}
 
 
 def space_dimension(mp, config=None):
@@ -169,19 +167,18 @@ class ArgyrisSpace:
     ``C[i]`` is the sparse (N*N, dim) extraction matrix of patch i: column a
     holds the flattened (N, N) tensor-spline coefficient grid of basis
     function a on that patch. Column a belongs to the entity whose ``block``
-    holds a; ``basis_id(a)`` names it.
+    holds a; ``basis_id(a)`` names it. ``config`` is the univariate space of
+    the geometry's patches, and ``splus``, ``sminus`` its edge spaces.
     """
 
-    def __init__(self, geometry, tol=1e-9):
+    def __init__(self, geometry, tol=DEFAULT_TOL):
         cfg = geometry.config
         cfg.check_argyris()
         self.geometry = geometry
         self.config = cfg
         self.tol = tol
-        self.usp = UnivariateSpace(cfg.p, cfg.r, cfg.n)
-        self.tspace = TensorSpace(self.usp)
-        self.splus, self.sminus = derived_edge_spaces(self.usp)
-        self.N = self.usp.N
+        self.splus, self.sminus = derived_edge_spaces(cfg)
+        self.N = cfg.N
         self.shape = (self.N, self.N)
         # _rows[k][a, b]: extraction row of position (a, b) of a patch's grid
         # seen in the frame rotated by k quarter turns
@@ -190,20 +187,20 @@ class ArgyrisSpace:
 
         # S+ basis and its derivative, re-expressed in S^{p,r} and S-
         self._rep_plus = represent_exactly(
-            self.usp, lambda x: _basis_values(self.splus, x)
+            cfg, lambda x: _basis_values(self.splus, x)
         )  # (N, N+)
         self._der_plus = represent_exactly(
             self.sminus, lambda x: _basis_values(self.splus, x, 1)
         )  # (N-, N+)
         # S- basis and x times it in S^{p,r}: the product of (a + b x) with
         # an S- spline v has coefficients (a E + b X) v
-        self._E = represent_exactly(self.usp, lambda x: _basis_values(self.sminus, x))
+        self._E = represent_exactly(cfg, lambda x: _basis_values(self.sminus, x))
         self._X = represent_exactly(
-            self.usp, lambda x: x[:, None] * _basis_values(self.sminus, x)
+            cfg, lambda x: x[:, None] * _basis_values(self.sminus, x)
         )  # both (N, N-)
 
         # _ends[a, i]: a-th derivative at 0 of basis function i (corner jets)
-        _, ders = self.usp.basis_ders(np.array([0.0]), 2)
+        _, ders = cfg.basis_ders(np.array([0.0]), 2)
         self._ends = ders[0][:, :3]
         # corner Hermite map: the 2x2 corner coefficients of a tensor spline,
         # flattened, are this matrix times its flattened jet (f, f_v, f_u, f_uv)
@@ -364,12 +361,17 @@ class ArgyrisSpace:
 
         # slot ell: its (5, 6) edge data times the data, and the gluing
         # (alpha, beta) seen from the patch before (role 1) and after (role 2)
-        one, zero = np.array([1.0, 0.0]), np.zeros(2)
         slots = []
         for ell, edge in enumerate(ring):
-            if edge.is_interface:
-                # the interface was fitted with its first listed side as
-                # patch 1; reverse when that is patch ell rather than ell-1
+            if ell == 0 and not edge.is_interface:
+                # boundary edge on the {xi2 = 0} side of the first patch
+                J = jets[0]
+                data = _edge_data(J[1, 0], J[2, 0], -J[0, 1], -J[1, 1], hp)
+                roles = {2: (np.array([1.0, 0.0]), np.zeros(2))}
+            else:
+                # the edge was fitted with its first listed side as patch 1
+                # (a boundary edge after the last patch: alpha1 = 1, beta1 = 0,
+                # so d = d1F); reverse when that is patch ell rather than ell-1
                 corner = vertex.corners[(ell - 1) % nu]
                 g = self.gluing[edge.id]
                 if edge.locals[0] != corner:
@@ -378,16 +380,6 @@ class ArgyrisSpace:
                 d, dp = _transversal_from_jet(g, J[None], np.zeros(1))
                 data = _edge_data(J[0, 1], J[0, 2], d[0], dp[0], hp)
                 roles = {1: (g.alpha1, g.beta1), 2: (g.alpha2, g.beta2)}
-            elif ell == 0:
-                # boundary edge on the {xi2 = 0} side of the first patch
-                J = jets[0]
-                data = _edge_data(J[1, 0], J[2, 0], -J[0, 1], -J[1, 1], hp)
-                roles = {2: (one, zero)}
-            else:
-                # boundary edge on the {xi1 = 0} side of the last patch
-                J = jets[nu - 1]
-                data = _edge_data(J[0, 1], J[0, 2], J[1, 0], J[1, 1], hp)
-                roles = {1: (one, zero)}
             slots.append((data * scale, roles))
 
         columns = {}
@@ -502,7 +494,7 @@ class ArgyrisSpace:
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_coeffs(coeffs)
         uv = np.atleast_2d(uv)
-        jets = self.tspace.jet_matrix(uv, nderiv) @ (self.C[patch] @ coeffs)
+        jets = self.config.jet_matrix(uv, nderiv) @ (self.C[patch] @ coeffs)
         return jets.reshape((len(uv), nderiv + 1, nderiv + 1) + coeffs.shape[1:])
 
 

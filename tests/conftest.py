@@ -4,8 +4,6 @@ import pytest
 from argyris import (
     ArgyrisSpace,
     Patch,
-    SpaceConfig,
-    TensorSpace,
     UnivariateSpace,
     builtin_geometry,
     infer_topology,
@@ -14,36 +12,35 @@ from argyris import (
 
 def pointwise_jet(space, coeffs, uv, nderiv):
     """Jet (m, nderiv+1, nderiv+1, ...) of the tensor spline with coefficient
-    grid ``coeffs`` at points uv (m, 2): the active (p+1) x (p+1) coefficients
-    of every point gathered and contracted with its basis values. A reference
-    independent of ``TensorSpace.jet_matrix`` and ``TensorSpline.grid_jet``."""
+    grid ``coeffs`` on the square of a univariate space at points uv (m, 2):
+    the active (p+1) x (p+1) coefficients of every point gathered and
+    contracted with its basis values. A reference independent of
+    ``UnivariateSpace.jet_matrix`` and ``TensorSpline.grid_jet``."""
     uv = np.atleast_2d(np.asarray(uv, dtype=float))
-    s1, s2 = space.s1, space.s2
-    f1, d1 = s1.basis_ders(uv[:, 0], nderiv)
-    f2, d2 = s2.basis_ders(uv[:, 1], nderiv)
-    i1 = f1[:, None] + np.arange(s1.p + 1)[None, :]
-    i2 = f2[:, None] + np.arange(s2.p + 1)[None, :]
+    f1, d1 = space.basis_ders(uv[:, 0], nderiv)
+    f2, d2 = space.basis_ders(uv[:, 1], nderiv)
+    i1 = f1[:, None] + np.arange(space.p + 1)[None, :]
+    i2 = f2[:, None] + np.arange(space.p + 1)[None, :]
     W = np.asarray(coeffs, dtype=float)[i1[:, :, None], i2[:, None, :]]
     return np.einsum("mai,mij...,mbj->mab...", d1, W, d2)
 
 
-def bilinear_patch(tspace, c00, c10, c11, c01):
-    g = tspace.s1.greville()
+def bilinear_patch(space, c00, c10, c11, c01):
+    g = space.greville()
     u, v = g[:, None, None], g[None, :, None]
     c00, c10, c11, c01 = (np.asarray(c, float) for c in (c00, c10, c11, c01))
     net = (1 - u) * (1 - v) * c00 + u * (1 - v) * c10 + u * v * c11 + (1 - u) * v * c01
-    return Patch(tspace, net)
+    return Patch(space, net)
 
 
 def square_grid_geometry(config, nx, ny):
     """nx-by-ny grid of unit squares (axis-aligned, identity-like patches)."""
-    ts = TensorSpace(UnivariateSpace(config.p, config.r, config.n))
     patches = []
     for ix in range(nx):
         for iy in range(ny):
             patches.append(
                 bilinear_patch(
-                    ts,
+                    config,
                     (ix, iy),
                     (ix + 1, iy),
                     (ix + 1, iy + 1),
@@ -55,7 +52,7 @@ def square_grid_geometry(config, nx, ny):
 
 @pytest.fixture(scope="session")
 def cfg4():
-    return SpaceConfig(3, 1, 4)
+    return UnivariateSpace(3, 1, 4)
 
 
 @pytest.fixture(scope="session")
@@ -112,7 +109,6 @@ def mp_single(cfg4):
 def mp_asymmetric(cfg4):
     """Two bilinear quads whose interface needs genuinely linear gluing data
     (nonzero alpha slopes and a full-rank beta split)."""
-    ts = TensorSpace(UnivariateSpace(cfg4.p, cfg4.r, cfg4.n))
-    right = bilinear_patch(ts, (0, 0), (1.0, -0.2), (1.3, 1.2), (0, 1))
-    left = bilinear_patch(ts, (-1.1, -0.3), (0, 0), (0, 1), (-0.8, 1.4))
+    right = bilinear_patch(cfg4, (0, 0), (1.0, -0.2), (1.3, 1.2), (0, 1))
+    left = bilinear_patch(cfg4, (-1.1, -0.3), (0, 0), (0, 1), (-0.8, 1.4))
     return infer_topology(cfg4, [right, left])

@@ -16,7 +16,6 @@ from argyris import (
     C2Data,
     ConvergenceTable,
     QuadratureRule,
-    SpaceConfig,
     SpaceField,
     UnivariateSpace,
     assemble_mass,
@@ -56,10 +55,10 @@ def test_criterion_1_dimension_reproduction():
     expect_three = {4: 177, 8: 729, 16: 2985, 32: 12105}
     expect_five = {4: 291, 8: 1211, 16: 4971, 32: 20171}
     for n, want in expect_three.items():
-        total, _ = space_dimension(three, SpaceConfig(3, 1, n))
+        total, _ = space_dimension(three, UnivariateSpace(3, 1, n))
         assert total == want
     for n, want in expect_five.items():
-        total, _ = space_dimension(five, SpaceConfig(3, 1, n))
+        total, _ = space_dimension(five, UnivariateSpace(3, 1, n))
         assert total == want
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -69,7 +68,7 @@ def test_criterion_1_dimension_reproduction():
 @pytest.mark.parametrize("name", ["three_patch_bilinear", "five_patch_bilinear"])
 def test_criterion_2_convergence_order(name):
     t0 = time.perf_counter()
-    mp = builtin_geometry(name, SpaceConfig(3, 1, 4))
+    mp = builtin_geometry(name, UnivariateSpace(3, 1, 4))
     table, _ = convergence_study(mp, cos_sin_field, 4)
     errs = [row[2] for row in table.rows]
     assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -103,7 +102,7 @@ def test_criterion_5_smoothness_suite(name, n, request):
     elif n == 4 and name == "three_patch_bilinear":
         sp = request.getfixturevalue("sp_three")
     else:
-        sp = ArgyrisSpace(builtin_geometry(name, SpaceConfig(3, 1, n)))
+        sp = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(3, 1, n)))
     rep = smoothness_report(sp, samples_per_edge=200)
     assert rep.max_c1_jump < 1e-9
     assert rep.max_c2_jump < 1e-8
@@ -115,11 +114,11 @@ def test_criterion_6_vertex_projector(name, request):
     sp = (
         request.getfixturevalue("sp_three")
         if name == "three_patch_bilinear"
-        else ArgyrisSpace(builtin_geometry(name, SpaceConfig(3, 1, 4)))
+        else ArgyrisSpace(builtin_geometry(name, UnivariateSpace(3, 1, 4)))
     )
     mp = sp.geometry
     rng = np.random.default_rng(6)
-    from argyris import TensorSpace, TensorSpline
+    from argyris import TensorSpline
 
     for v in mp.vertices:
         # exact annihilation of zero data
@@ -134,7 +133,7 @@ def test_criterion_6_vertex_projector(name, request):
             for ip, corner in v.corners:
                 uv = CORNER_UV[corner : corner + 1]
                 gj = mp.patches[ip].jet(uv, 2)
-                fj = TensorSpline(TensorSpace(sp.usp), sp.combine(c, ip)).jet(uv, 2)
+                fj = TensorSpline(sp.config, sp.combine(c, ip)).jet(uv, 2)
                 # physical interpolation up to second order
                 vv, gg, hh = physical_derivatives(gj, fj)
                 assert abs(vv[0] - val) < 1e-9
@@ -158,17 +157,17 @@ def test_criterion_6_vertex_projector(name, request):
 
 def test_criterion_7_asg1_classifier():
     for name in ASG1_BUILTINS:
-        mp = builtin_geometry(name, SpaceConfig(3, 1, 4))
+        mp = builtin_geometry(name, UnivariateSpace(3, 1, 4))
         for e in mp.interfaces():
             g = fit_asg1(*standard_form_edge(mp, e))
             assert g.asg1
             assert g.residual < 1e-10
-    mp = builtin_geometry("two_patch_generic_non_asg1", SpaceConfig(3, 1, 4))
+    mp = builtin_geometry("two_patch_generic_non_asg1", UnivariateSpace(3, 1, 4))
     with pytest.raises(NotASG1Error) as exc:
         fit_asg1(*standard_form_edge(mp, mp.interfaces()[0]))
     assert exc.value.residual >= 1e-4
     # parametric continuity: footnote special case, exact
-    mp = builtin_geometry("two_patch_bilinear", SpaceConfig(3, 1, 4))
+    mp = builtin_geometry("two_patch_bilinear", UnivariateSpace(3, 1, 4))
     g = fit_asg1(*standard_form_edge(mp, mp.interfaces()[0]))
     assert np.array_equal(g.alpha1, [1.0, 0.0]) and np.array_equal(g.alpha2, [1.0, 0.0])
     assert not g.beta.any() and not g.beta1.any() and not g.beta2.any()
@@ -196,7 +195,7 @@ def test_criterion_8_polynomial_reproduction(request):
         elif name == "three_patch_bilinear":
             sp = request.getfixturevalue("sp_three")
         else:
-            sp = ArgyrisSpace(builtin_geometry(name, SpaceConfig(3, 1, 4)))
+            sp = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(3, 1, 4)))
         rule = QuadratureRule(sp.config.n, sp.config.p + 3)
         for tname, f, g in targets:
             fld = AnalyticField(sp.geometry, f, g, zero_hess)

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from argyris import (
-    SpaceConfig,
     Spline,
-    TensorSpace,
     TensorSpline,
     UnivariateSpace,
     convert,
@@ -272,7 +270,7 @@ def test_dual_locality():
     sp = UnivariateSpace(3, 1, 8)
     j = 7
     e0, e1 = sp.basis_element_range(j)
-    supp = (sp.breakpoints[e0], sp.breakpoints[e1 + 1])
+    supp = (e0 / sp.n, (e1 + 1) / sp.n)
 
     def f(x):
         # vanishes on the support of b_j, wiggly elsewhere
@@ -298,15 +296,15 @@ def test_local_duals_table_shapes_and_elements():
 def test_config_rejects_multiplicity_above_p_plus_one():
     UnivariateSpace(3, -1, 3)  # discontinuous: multiplicity p+1
     with pytest.raises(InvalidConfigError):
-        SpaceConfig(3, -2, 3)
+        UnivariateSpace(3, -2, 3)
     with pytest.raises(InvalidConfigError):
         UnivariateSpace(3, -3, 1)
 
 
 def test_tensor_jet_matrix_matches_spline_jet():
-    space = TensorSpace(UnivariateSpace(3, 1, 4))
+    space = UnivariateSpace(3, 1, 4)
     rng = np.random.default_rng(5)
-    coeffs = rng.normal(size=space.shape + (3,))
+    coeffs = rng.normal(size=(space.N, space.N, 3))
     uv = np.vstack([rng.uniform(0, 1, (10, 2)), [[0.0, 1.0], [0.25, 0.5]]])
     for d in (0, 2):
         want = pointwise_jet(space, coeffs, uv, d)
@@ -316,21 +314,25 @@ def test_tensor_jet_matrix_matches_spline_jet():
 
 @pytest.mark.parametrize("extra", [(), (2,)])
 def test_tensor_grid_jet_matches_spline_jet(extra):
-    # unequal factors and grid lengths, so a swapped direction shows; the
-    # grids hold 0, 1 and every breakpoint, where one-sided limits differ
-    space = TensorSpace(UnivariateSpace(3, 1, 4), UnivariateSpace(4, 2, 3))
+    # unequal grid lengths in both orders and asymmetric coefficients, so a
+    # swapped direction in the flipped contraction shows; the grids hold 0, 1
+    # and every breakpoint, where one-sided limits differ
+    space = UnivariateSpace(3, 1, 4)
     rng = np.random.default_rng(6)
-    coeffs = rng.normal(size=space.shape + extra)
-    x1 = np.concatenate([np.arange(5) / 4, rng.uniform(0, 1, 3)])
-    x2 = np.concatenate([np.arange(4) / 3, rng.uniform(0, 1, 2)])
-    uv = np.column_stack([np.repeat(x1, len(x2)), np.tile(x2, len(x1))])
+    coeffs = rng.normal(size=(space.N, space.N) + extra)
+    assert np.abs(coeffs - coeffs.swapaxes(0, 1)).max() > 1.0
+    breaks = np.arange(5) / 4
+    long = np.concatenate([breaks, rng.uniform(0, 1, 3)])
+    short = np.concatenate([breaks[::-1], rng.uniform(0, 1, 1)])
     spline = TensorSpline(space, coeffs)
-    for d in (0, 1, 2):
-        want = pointwise_jet(space, coeffs, uv, d)
-        got = spline.grid_jet(x1, x2, d)
-        assert got.shape == want.shape
-        scale = np.abs(want).max()
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+    for x1, x2 in ((long, short), (short, long)):
+        uv = np.column_stack([np.repeat(x1, len(x2)), np.tile(x2, len(x1))])
+        for d in (0, 1, 2):
+            want = pointwise_jet(space, coeffs, uv, d)
+            got = spline.grid_jet(x1, x2, d)
+            assert got.shape == want.shape
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
 
 
 def test_basis_tables_are_shared_read_only_and_bounded():

@@ -87,10 +87,10 @@ def test_directory_paths_exit_one(capsys, tmp_path, argv):
 
 
 def test_malformed_geometry_file_exits_one(capsys, tmp_path):
-    from argyris import SpaceConfig, builtin_geometry, save_geometry
+    from argyris import UnivariateSpace, builtin_geometry, save_geometry
 
     path = tmp_path / "geo.txt"
-    save_geometry(builtin_geometry("two_patch_bilinear", SpaceConfig(3, 1, 4)), path)
+    save_geometry(builtin_geometry("two_patch_bilinear", UnivariateSpace(3, 1, 4)), path)
     text = path.read_text()
     for bad in (
         text.replace("edge 0 interface", "edge x interface"),
@@ -284,3 +284,26 @@ def test_sample_nonpositive_grid_exits_one(capsys, tmp_path, grid):
     assert code == 1
     assert "--grid" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_layer_one_move_exit_codes(capsys, tmp_path):
+    # a move of control point (1, 4) of patch 0 changes the transversal
+    # derivative along its side 0: the interface is no longer AS-G1, which
+    # is a validation failure (exit 1) for the commands that build the space
+    mp = argyris.builtin_geometry("three_patch_bilinear")
+    patches = list(mp.patches)
+    net = patches[0].net.copy()
+    net[1, 4] += 0.05
+    patches[0] = argyris.Patch(mp.config, net)
+    path = tmp_path / "moved.txt"
+    argyris.save_geometry(argyris.MultiPatch(mp.config, patches, mp.edges, mp.vertices), path)
+    for argv in (("space", "audit"), ("fit",)):
+        code, out, err = run(capsys, *argv, "--geometry", str(path))
+        assert code == 1
+        assert out == ""
+        assert "not analysis-suitable" in err
+    code, out, _ = run(capsys, "gluing", "--geometry", str(path))
+    assert code == 0
+    assert "NOT AS-G1" in out
+    code, out, _ = run(capsys, "space", "dim", "--geometry", str(path))
+    assert code == 0

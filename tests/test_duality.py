@@ -6,6 +6,7 @@ from argyris import (
     AnalyticField,
     Patch,
     SpaceField,
+    TensorSpline,
     edge_duals,
     patch_duals,
     project,
@@ -163,7 +164,7 @@ def test_space_field_values_need_no_patch_map(sp_three, monkeypatch):
     fld = SpaceField(sp_three, c)
     x1, x2 = np.random.default_rng(6).random((2, 7))
     expected = [
-        sp_three.tspace.spline(sp_three.combine(c, i)).grid_jet(x1, x2, 0)[:, 0, 0]
+        TensorSpline(sp_three.config, sp_three.combine(c, i)).grid_jet(x1, x2, 0)[:, 0, 0]
         for i in range(3)
     ]
 

@@ -16,7 +16,6 @@ from argyris import (
     ConvergenceTable,
     Patch,
     QuadratureRule,
-    SpaceConfig,
     SpaceField,
     UnivariateSpace,
     assemble_mass,
@@ -99,7 +98,7 @@ def test_mass_entries_against_refined_quadrature(sp_two):
 def reference_mass_rhs(space, fld, rule):
     """Element-loop reference assembler: on every element, the values of
     each basis function from its coefficient window, one einsum per element."""
-    usp = space.usp
+    usp = space.config
     p, n, g, N, dim = usp.p, usp.n, rule.order, space.N, space.dim
     mult = p - usp.r
     _, ders = usp.basis_ders(rule.nodes.ravel(), 0)
@@ -154,22 +153,22 @@ def test_assembly_matches_element_loop_reference(sp_two):
 def test_assembly_matches_element_loop_reference_across_degrees(name, p, r):
     # the 1D pair pattern of the mass depends on (p, r)
     check_against_element_loop_reference(
-        ArgyrisSpace(builtin_geometry(name, SpaceConfig(p, r, 4)))
+        ArgyrisSpace(builtin_geometry(name, UnivariateSpace(p, r, 4)))
     )
 
 
 @pytest.mark.parametrize("n", [4, 16])
 @pytest.mark.parametrize("name", AS_G1_BUILTINS)
 def test_mass_exactly_symmetric_on_every_builtin(name, n):
-    M = assemble_mass(ArgyrisSpace(builtin_geometry(name, SpaceConfig(3, 1, n))))
+    M = assemble_mass(ArgyrisSpace(builtin_geometry(name, UnivariateSpace(3, 1, n))))
     assert (M - M.T).count_nonzero() == 0
 
 
 def test_patch_mass_stores_exactly_the_element_sharing_pairs():
-    space = ArgyrisSpace(builtin_geometry("two_patch_bilinear", SpaceConfig(3, 1, 32)))
+    space = ArgyrisSpace(builtin_geometry("two_patch_bilinear", UnivariateSpace(3, 1, 32)))
     Mi = _patch_mass(space, 0, QuadratureRule(32, 5))
     # every (row, col) of tensor B-splines active on a common element
-    N, dof = space.N, _element_dofs(space.usp)
+    N, dof = space.N, _element_dofs(space.config)
     act = (dof[:, None, :, None] * N + dof[None, :, None, :]).reshape(32 * 32, -1)
     expected = np.unique((act[:, :, None] * N**2 + act[:, None, :]).ravel())
     coo = Mi.tocoo()
@@ -214,7 +213,7 @@ def test_preconditioned_cg_iterations_stay_bounded(name):
 @pytest.mark.parametrize("p,r", [(3, 1), (4, 2), (5, 1)])
 @pytest.mark.parametrize("name", AS_G1_BUILTINS)
 def test_preconditioned_solve_matches_direct_solve(name, p, r):
-    mp = builtin_geometry(name, SpaceConfig(p, r, 4))
+    mp = builtin_geometry(name, UnivariateSpace(p, r, 4))
     space = ArgyrisSpace(mp)
     fld = cos_sin_field(mp)
     res = l2_fit(space, fld)
@@ -267,7 +266,7 @@ def test_block_preconditioner_without_interior_block():
     k = 6
     space = SimpleNamespace(
         N=4,
-        usp=UnivariateSpace(3, 1, 1),
+        config=UnivariateSpace(3, 1, 1),
         C=[None, None],
         breakdown={"patch": 0},
     )

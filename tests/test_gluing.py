@@ -4,7 +4,7 @@ from numpy.polynomial import polynomial as P
 
 from argyris import (
     Patch,
-    SpaceConfig,
+    UnivariateSpace,
     boundary_gluing,
     builtin_geometry,
     edge_determinants,
@@ -161,7 +161,7 @@ def test_non_asg1_rejected(mp_non_asg1):
 def test_rejection_stable_under_densified_sampling():
     # the smallest singular value stays away from zero as the mesh refines
     for n in (4, 8):
-        mp = builtin_geometry("two_patch_generic_non_asg1", SpaceConfig(3, 1, n))
+        mp = builtin_geometry("two_patch_generic_non_asg1", UnivariateSpace(3, 1, n))
         g = fit_asg1(*interface_pair(mp), strict=False)
         assert g.residual >= 1e-4
 

@@ -5,8 +5,6 @@ from argyris import (
     ArgyrisSpace,
     EdgeRecord,
     MultiPatch,
-    SpaceConfig,
-    TensorSpace,
     UnivariateSpace,
     VertexRecord,
     check_regularity,
@@ -21,30 +19,30 @@ from conftest import bilinear_patch
 
 
 @pytest.fixture(scope="module")
-def tspace():
-    return TensorSpace(UnivariateSpace(3, 1, 2))
+def space():
+    return UnivariateSpace(3, 1, 2)
 
 
-def test_rotate_identity(tspace):
-    patch = bilinear_patch(tspace, (0, 0), (2, 0), (3, 2), (0, 1))
+def test_rotate_identity(space):
+    patch = bilinear_patch(space, (0, 0), (2, 0), (3, 2), (0, 1))
     np.testing.assert_array_equal(patch.rotate(0).net, patch.net)
 
 
-def test_rotate_corner_chase(tspace):
-    patch = bilinear_patch(tspace, (0, 0), (2, 0), (3, 2), (0, 1))
+def test_rotate_corner_chase(space):
+    patch = bilinear_patch(space, (0, 0), (2, 0), (3, 2), (0, 1))
     rot = patch.rotate(1)
     # (F o r)(0,0) = F(1,0)
     np.testing.assert_allclose(rot.corner(0), patch.corner(1), atol=0)
 
 
-def test_rotate_four_times_identity(tspace):
-    patch = bilinear_patch(tspace, (0, 0), (2, 0), (3, 2), (0, 1))
+def test_rotate_four_times_identity(space):
+    patch = bilinear_patch(space, (0, 0), (2, 0), (3, 2), (0, 1))
     rot = patch.rotate(1).rotate(1).rotate(1).rotate(1)
     np.testing.assert_array_equal(rot.net, patch.net)
 
 
-def test_rotate_is_exact_reparametrization(tspace):
-    patch = bilinear_patch(tspace, (0, 0), (2, 0), (3, 2), (0, 1))
+def test_rotate_is_exact_reparametrization(space):
+    patch = bilinear_patch(space, (0, 0), (2, 0), (3, 2), (0, 1))
     rng = np.random.default_rng(0)
     uv = rng.uniform(0, 1, (100, 2))
     for k in range(4):
@@ -122,13 +120,13 @@ def test_regularity_identity(mp_single):
     assert abs(check_regularity(mp_single.patches[0], 20) - 1.0) < 1e-14
 
 
-def test_regularity_degenerate_quad(tspace):
-    bad = bilinear_patch(tspace, (0, 0), (1, 0), (1, 0), (0, 1))
+def test_regularity_degenerate_quad(space):
+    bad = bilinear_patch(space, (0, 0), (1, 0), (1, 0), (0, 1))
     assert check_regularity(bad, 20) <= 0.0
 
 
-def test_regularity_matches_dense_scan(tspace):
-    quad = bilinear_patch(tspace, (0, 0), (2, 0), (3, 2), (0, 1))
+def test_regularity_matches_dense_scan(space):
+    quad = bilinear_patch(space, (0, 0), (2, 0), (3, 2), (0, 1))
     got = check_regularity(quad, 200)
     t = np.linspace(0, 1, 200)
     uv = np.stack(np.meshgrid(t, t, indexing="ij"), -1).reshape(-1, 2)
@@ -139,7 +137,7 @@ def test_regularity_matches_dense_scan(tspace):
 
 
 def test_refine_identity_square(mp_single):
-    fine = refine(mp_single, 2)
+    fine = refine(mp_single)
     rng = np.random.default_rng(1)
     uv = rng.uniform(0, 1, (100, 2))
     np.testing.assert_allclose(
@@ -148,7 +146,6 @@ def test_refine_identity_square(mp_single):
 
 
 def test_refine_dimension_growth():
-    cfg = SpaceConfig(3, 1, 2)
     sp = UnivariateSpace(3, 1, 2)
     assert sp.N == 6
     assert UnivariateSpace(3, 1, 4).N == 10
@@ -159,7 +156,7 @@ def test_refine_three_patch_geometry_invariant(mp_three, mp_curved):
     rng = np.random.default_rng(2)
     uv = rng.uniform(0, 1, (100, 2))
     for coarse in (mp_three, mp_curved):
-        fine = refine(refine(coarse, 2), 2)
+        fine = refine(refine(coarse))
         for i in range(len(coarse.patches)):
             np.testing.assert_allclose(
                 fine.patches[i].point(uv), coarse.patches[i].point(uv), atol=1e-12
@@ -300,10 +297,19 @@ def test_unvalidated_interface_mismatch_fails_the_build(mp_two):
 
 def test_interface_between_different_spaces_rejected(mp_two):
     patches = list(mp_two.patches)
-    other = TensorSpace(UnivariateSpace(3, 1, mp_two.config.n + 1))
+    other = UnivariateSpace(3, 1, mp_two.config.n + 1)
     patches[1] = bilinear_patch(other, *(patches[1].corner(c) for c in range(4)))
     with pytest.raises(ConformityError, match="different spline spaces"):
         MultiPatch(mp_two.config, patches, mp_two.edges, mp_two.vertices)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_patches_off_the_config_space_rejected(mp_three, check):
+    # conforming patches that all lie on a finer space than the config used
+    # to pass validation and build a space of the config's dimension
+    fine = refine(mp_three)
+    with pytest.raises(ConformityError, match="different spline spaces"):
+        MultiPatch(mp_three.config, fine.patches, fine.edges, fine.vertices, check=check)
 
 
 def test_nan_control_point_fails_regularity(mp_two):

@@ -24,9 +24,7 @@ from hypothesis import given, settings, strategies as st
 from argyris import (
     ArgyrisSpace,
     builtin_geometry,
-    SpaceConfig,
     SpaceField,
-    TensorSpace,
     UnivariateSpace,
     biorthogonality_matrix,
     infer_topology,
@@ -43,7 +41,7 @@ MAX_SHIFT = 0.25
 
 # valid (p, r, n) for the smooth-space build, other degrees and smoothness
 CONFIGS = [
-    SpaceConfig(*c) for c in [(3, 1, 4), (4, 2, 3), (4, 1, 2), (5, 1, 2), (5, 3, 4)]
+    UnivariateSpace(*c) for c in [(3, 1, 4), (4, 2, 3), (4, 1, 2), (5, 1, 2), (5, 3, 4)]
 ]
 
 # one (distance, angle) move per point of the 3x3 grid
@@ -59,9 +57,8 @@ def jittered_grid(config, moves):
     shift = (r * np.array([np.cos(theta), np.sin(theta)])).T.reshape(3, 3, 2)
     pts = np.stack(np.meshgrid([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], indexing="ij"), -1)
     pts = pts + shift
-    ts = TensorSpace(UnivariateSpace(config.p, config.r, config.n))
     patches = [
-        bilinear_patch(ts, pts[i, j], pts[i + 1, j], pts[i + 1, j + 1], pts[i, j + 1])
+        bilinear_patch(config, pts[i, j], pts[i + 1, j], pts[i + 1, j + 1], pts[i, j + 1])
         for i in range(2)
         for j in range(2)
     ]
@@ -85,7 +82,7 @@ def test_jittered_grid_space(moves, config):
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
 @given(grid_moves)
 def test_jittered_grid_save_load_roundtrip(moves):
-    mp = jittered_grid(SpaceConfig(3, 1, 4), moves)
+    mp = jittered_grid(UnivariateSpace(3, 1, 4), moves)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "geo.txt")
         save_geometry(mp, path)
@@ -139,7 +136,7 @@ def mutate(lines, mutations):
 def three_patch_lines():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "geo.txt")
-        mp = builtin_geometry("three_patch_bilinear", SpaceConfig(3, 1, 4))
+        mp = builtin_geometry("three_patch_bilinear", UnivariateSpace(3, 1, 4))
         save_geometry(mp, path)
         with open(path) as fh:
             return tuple(fh.read().splitlines())

@@ -4,7 +4,6 @@ import pytest
 from argyris import (
     ArgyrisSpace,
     C2Data,
-    SpaceConfig,
     builtin_geometry,
     physical_derivatives,
     space_dimension,
@@ -13,7 +12,7 @@ from argyris import (
 from argyris.errors import InvalidConfigError
 from argyris.multipatch import CORNER_UV, edge_frames, rotate_uv
 from argyris.space import BasisId, VERTEX_INDEX_ORDER, _edge_index_set
-from argyris import TensorSpace, UnivariateSpace, bspline
+from argyris import Spline, TensorSpline, UnivariateSpace, bspline, load_geometry, save_geometry
 from argyris.errors import TopologyError
 from argyris.multipatch import MultiPatch, VertexRecord
 from conftest import square_grid_geometry
@@ -73,7 +72,7 @@ def test_vertex_function_count(sp_three):
 def test_three_patch_dimensions(mp_three, n, expected):
     mp = mp_three
     while mp.config.n < n:
-        mp = refine(mp, 2)
+        mp = refine(mp)
     total, parts = space_dimension(mp)
     assert total == expected
 
@@ -82,7 +81,7 @@ def test_three_patch_dimensions(mp_three, n, expected):
 def test_five_patch_dimensions(mp_five, n, expected):
     mp = mp_five
     while mp.config.n < n:
-        mp = refine(mp, 2)
+        mp = refine(mp)
     assert space_dimension(mp)[0] == expected
 
 
@@ -98,7 +97,7 @@ def test_entity_blocks_number_the_basis(name, p, r, n):
     # the blocks tile 0..dim-1 patch by patch, then edge by edge, then vertex
     # by vertex; basis_id names every column after the block holding it, and
     # each column lives on the patches that touch its entity only
-    mp = builtin_geometry(name, SpaceConfig(p, r, n))
+    mp = builtin_geometry(name, UnivariateSpace(p, r, n))
     sp = ArgyrisSpace(mp)
     N = sp.N
     entities = [("patch", i, [(j1, j2) for j1 in range(2, N - 2) for j2 in range(2, N - 2)],
@@ -129,9 +128,9 @@ def test_entity_blocks_number_the_basis(name, p, r, n):
 
 def test_config_guards():
     with pytest.raises(InvalidConfigError):
-        ArgyrisSpace(builtin_geometry("two_patch_bilinear", SpaceConfig(3, 1, 2)))
+        ArgyrisSpace(builtin_geometry("two_patch_bilinear", UnivariateSpace(3, 1, 2)))
     with pytest.raises(InvalidConfigError):
-        space_dimension(builtin_geometry("two_patch_bilinear", SpaceConfig(3, 2, 8)))
+        space_dimension(builtin_geometry("two_patch_bilinear", UnivariateSpace(3, 2, 8)))
 
 
 # --- patch-interior functions ---------------------------------------------------
@@ -159,15 +158,15 @@ def test_patch_functions_vanish_on_patch_boundary(sp_three):
 def test_patch_function_is_mapped_bspline(sp_three):
     a = ids_of_kind(sp_three, "patch", 1)[0]
     j1, j2 = sp_three.basis_id(a).index
-    g = sp_three.usp.greville()
+    g = sp_three.config.greville()
     uv = np.array([[g[j1], g[j2]]])
     got = sp_three.evaluate(unit(sp_three, a), 1, uv, 0)[0, 0, 0]
-    _, d1 = sp_three.usp.basis_ders(uv[:, 0], 0)
-    _, d2 = sp_three.usp.basis_ders(uv[:, 1], 0)
-    f1, _ = sp_three.usp.basis_ders(uv[:, 0], 0)
+    _, d1 = sp_three.config.basis_ders(uv[:, 0], 0)
+    _, d2 = sp_three.config.basis_ders(uv[:, 1], 0)
+    f1, _ = sp_three.config.basis_ders(uv[:, 0], 0)
     want = (
-        sp_three.usp.basis_function(j1)(uv[:, 0])
-        * sp_three.usp.basis_function(j2)(uv[:, 1])
+        sp_three.config.basis_function(j1)(uv[:, 0])
+        * sp_three.config.basis_function(j2)(uv[:, 1])
     )[0]
     assert abs(got - want) < 1e-14
 
@@ -256,9 +255,7 @@ def test_vertex_projector_value_slot_on_grid(cfg4, mp_grid22):
         uv = CORNER_UV[corner : corner + 1]
         gj = mp_grid22.patches[ip].jet(uv, 2)
         grid = sp.combine(c, ip)
-        from argyris import TensorSpace, TensorSpline
-
-        fj = TensorSpline(TensorSpace(sp.usp), grid).jet(uv, 2)
+        fj = TensorSpline(sp.config, grid).jet(uv, 2)
         val, grad, hess = physical_derivatives(gj, fj)
         assert abs(val[0] - 1.0) < 1e-11
         assert np.abs(grad).max() < 1e-11
@@ -270,12 +267,10 @@ def test_vertex_projector_mixed_hessian_slot(sp_three):
     v = [v for v in mp.vertices if v.is_interior][0]
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
     c = sp_three.vertex_projector(v.id, C2Data(0.0, np.zeros(2), H))
-    from argyris import TensorSpace, TensorSpline
-
     for ip, corner in v.corners:
         uv = CORNER_UV[corner : corner + 1]
         gj = mp.patches[ip].jet(uv, 2)
-        fj = TensorSpline(TensorSpace(sp_three.usp), sp_three.combine(c, ip)).jet(uv, 2)
+        fj = TensorSpline(sp_three.config, sp_three.combine(c, ip)).jet(uv, 2)
         val, grad, hess = physical_derivatives(gj, fj)
         assert abs(val[0]) < 1e-9
         assert np.abs(grad).max() < 1e-9
@@ -289,8 +284,8 @@ def test_vertex_projector_mixed_hessian_slot(sp_three):
         uv2 = rotate_uv(np.column_stack([t, np.zeros_like(t)]), (k2 - 1) % 4)
         gj1 = mp.patches[i1].jet(uv1, 2)
         gj2 = mp.patches[i2].jet(uv2, 2)
-        f1 = TensorSpline(TensorSpace(sp_three.usp), sp_three.combine(c, i1)).jet(uv1, 2)
-        f2 = TensorSpline(TensorSpace(sp_three.usp), sp_three.combine(c, i2)).jet(uv2, 2)
+        f1 = TensorSpline(sp_three.config, sp_three.combine(c, i1)).jet(uv1, 2)
+        f2 = TensorSpline(sp_three.config, sp_three.combine(c, i2)).jet(uv2, 2)
         v1, g1, _ = physical_derivatives(gj1, f1)
         v2, g2, _ = physical_derivatives(gj2, f2)
         assert np.abs(v1 - v2).max() < 1e-9
@@ -370,10 +365,10 @@ def test_c2data_rejects_misshapen_entries(value, grad, hess):
 
 
 def test_sigma_formula_on_unit_grid():
-    cfg = SpaceConfig(3, 1, 2)  # h = 1/2
+    cfg = UnivariateSpace(3, 1, 2)  # h = 1/2
     mp = square_grid_geometry(cfg, 2, 2)
     # refine to satisfy the mesh assumption? n=2 < 3 violates it; use n=4, h=1/4
-    cfg = SpaceConfig(3, 1, 4)
+    cfg = UnivariateSpace(3, 1, 4)
     mp = square_grid_geometry(cfg, 2, 2)
     sp = ArgyrisSpace(mp)
     v = [v for v in mp.vertices if v.is_interior][0]
@@ -394,7 +389,7 @@ def test_sigma_formula_on_unit_grid():
 )
 def test_extraction_matrices_are_canonical_without_stored_zeros(name, p, r, n):
     # stored zeros or duplicates would change the mass sparsity and CG cost
-    sp = ArgyrisSpace(builtin_geometry(name, SpaceConfig(p, r, n)))
+    sp = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(p, r, n)))
     for C in sp.C:
         assert C.has_canonical_format
         assert C.nnz == np.count_nonzero(C.data)
@@ -413,7 +408,7 @@ def test_fixed_maps_hold_no_rounding_noise(sp_three):
 def test_extraction_matrices_store_no_rounding_noise(name, p, r, n):
     # on axis-aligned squares every exact zero of C comes out as 0; fans keep
     # a few tiny entries that their trigonometric corner data really hold
-    sp = ArgyrisSpace(builtin_geometry(name, SpaceConfig(p, r, n)))
+    sp = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(p, r, n)))
     top = max(np.abs(C.data).max() for C in sp.C)
     for C in sp.C:
         assert np.abs(C.data).min() >= 1e-14 * top
@@ -427,7 +422,7 @@ def test_evaluate_unit_vector_matches_basis(sp_three):
     rng = np.random.default_rng(0)
     uv = rng.uniform(0, 1, (20, 2))
     got = sp_three.evaluate(c, 2, uv, 0)[:, 0, 0]
-    want = sp_three.usp.basis_function(j1)(uv[:, 0]) * sp_three.usp.basis_function(
+    want = sp_three.config.basis_function(j1)(uv[:, 0]) * sp_three.config.basis_function(
         j2
     )(uv[:, 1])
     np.testing.assert_allclose(got, want, atol=1e-14)
@@ -455,7 +450,7 @@ def test_linear_products_match_exact_representation(sp_three):
     v = np.random.default_rng(4).normal(size=sm.N)
     lin = np.array([0.7, -1.3])
     want = represent_exactly(
-        sp_three.usp, lambda x: (lin[0] + lin[1] * x) * sm.spline(v)(x)
+        sp_three.config, lambda x: (lin[0] + lin[1] * x) * Spline(sm, v)(x)
     )
     np.testing.assert_allclose(sp_three._mult_rep(v, lin), want, rtol=0, atol=1e-13)
 
@@ -503,7 +498,7 @@ def test_combine_validates_patch_index(sp_three, patch):
 def test_other_degrees_stay_smooth(p, r, n):
     from argyris import builtin_geometry, smoothness_report
 
-    mp = builtin_geometry("three_patch_bilinear", SpaceConfig(p, r, n))
+    mp = builtin_geometry("three_patch_bilinear", UnivariateSpace(p, r, n))
     sp = ArgyrisSpace(mp)
     total, parts = space_dimension(mp)
     assert total == sp.dim
@@ -571,12 +566,16 @@ def test_build_samples_tensor_grids_only(monkeypatch):
     # edges and vertices read the patch maps on side and corner grids: no
     # scattered-point evaluation, and a handful of basis evaluations per
     # build, with the basis tables and local duals cached or not
-    mp = builtin_geometry("five_patch_bilinear", SpaceConfig(3, 1, 32))
+    mp = builtin_geometry("five_patch_bilinear", UnivariateSpace(3, 1, 32))
 
     def scattered(*args):
         raise AssertionError("scattered-point evaluation in the build")
 
-    monkeypatch.setattr(TensorSpace, "jet_matrix", scattered)
+    # on the class, so every caller (TensorSpline.jet, ArgyrisSpace.evaluate,
+    # smoothness_report) that looks it up at call time meets it
+    monkeypatch.setattr(UnivariateSpace, "jet_matrix", scattered)
+    with pytest.raises(AssertionError, match="scattered"):
+        mp.patches[0].point([[0.5, 0.5]])
     basis_ders = UnivariateSpace.basis_ders
     calls = []
 
@@ -605,3 +604,17 @@ def test_unvalidated_vertex_out_of_order_fails_the_build(mp_three):
                     check=False)
     with pytest.raises(TopologyError, match="not consecutive in standard form"):
         ArgyrisSpace(mp)
+
+
+def test_geometry_and_space_share_one_univariate_space(mp_three, tmp_path):
+    # one frozen (p, r, n) space is the geometry's config, the space of every
+    # patch in both directions, and the univariate space of the smooth space
+    path = tmp_path / "three.txt"
+    save_geometry(mp_three, path)
+    for mp in (mp_three, refine(mp_three), load_geometry(path)):
+        assert isinstance(mp.config, UnivariateSpace)
+        for patch in mp.patches:
+            assert isinstance(patch, TensorSpline)
+            assert patch.space == mp.config
+        assert ArgyrisSpace(mp).config is mp.config
+    assert refine(mp_three).config == UnivariateSpace(3, 1, 8)
