@@ -16,7 +16,6 @@ from argyris import (
     refine,
     save_geometry,
     standard_form_edge,
-    standard_form_vertex,
 )
 
 cfg = UnivariateSpace(3, 1, 4)
@@ -24,8 +23,9 @@ cfg = UnivariateSpace(3, 1, 4)
 for name in ("two_patch_bilinear", "three_patch_bilinear", "five_patch_bilinear",
              "lshape_bilinear"):
     mp = builtin_geometry(name, cfg)
-    print(f"{name}: {len(mp.patches)} patches, {mp.n_interfaces} interfaces, "
-          f"{len(mp.edges) - mp.n_interfaces} boundary edges, "
+    ni = len(mp.interfaces())
+    print(f"{name}: {len(mp.patches)} patches, {ni} interfaces, "
+          f"{len(mp.edges) - ni} boundary edges, "
           f"{len(mp.vertices)} vertices")
 
 mp = builtin_geometry("three_patch_bilinear", cfg)
@@ -43,10 +43,10 @@ a = F1.point(np.column_stack([np.zeros_like(t), t]))
 b = F2.point(np.column_stack([t, np.zeros_like(t)]))
 print(f"\ninterface {e.id} standard-form gap: {np.abs(a - b).max():.2e}")
 
-# Standard form for the interior vertex: all three patches rotated so the
-# vertex sits at their parametric origin.
+# Standard form for the interior vertex: each patch turned by its corner
+# number, so the vertex sits at the parametric origin of all three.
 v = [v for v in mp.vertices if v.is_interior][0]
-rotated = standard_form_vertex(mp, v)
+rotated = [mp.patches[p].rotate(c) for p, c in v.corners]
 print(f"vertex {v.id} (valence {v.valence}) corners:",
       [np.round(rp.corner(0), 12).tolist() for rp in rotated])
 

@@ -60,7 +60,6 @@ from .multipatch import (
     rotate_uv,
     save_geometry,
     standard_form_edge,
-    standard_form_vertex,
 )
 from .space import (
     ArgyrisSpace,

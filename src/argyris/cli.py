@@ -11,30 +11,12 @@ import sys
 
 import numpy as np
 
-from .bspline import TensorSpline, UnivariateSpace
-from .errors import (
-    ArgyrisError,
-    ConformityError,
-    GeometryFormatError,
-    InvalidConfigError,
-    NotASG1Error,
-    NotInSpaceError,
-    TopologyError,
-)
+from .bspline import UnivariateSpace
+from .errors import ArgyrisError, InvalidConfigError, ValidationError
 from .geometries import BUILTIN_NAMES, builtin_geometry
 from .gluing import DEFAULT_TOL, fit_asg1
 from .multipatch import check_regularity, load_geometry, standard_form_edge
 from .space import ArgyrisSpace, space_dimension
-
-_VALIDATION_ERRORS = (
-    InvalidConfigError,
-    TopologyError,
-    ConformityError,
-    GeometryFormatError,
-    NotInSpaceError,
-    NotASG1Error,
-    OSError,
-)
 
 
 def _add_geometry_args(p):
@@ -58,8 +40,8 @@ def _geometry(args):
 def _cmd_geom_check(args):
     mp = _geometry(args)  # validation happens during construction
     print(f"patches {len(mp.patches)}")
-    print(f"interfaces {mp.n_interfaces}")
-    print(f"boundary_edges {len(mp.edges) - mp.n_interfaces}")
+    print(f"interfaces {len(mp.interfaces())}")
+    print(f"boundary_edges {len(mp.edges) - len(mp.interfaces())}")
     print(f"interior_vertices {sum(1 for v in mp.vertices if v.is_interior)}")
     print(f"boundary_vertices {sum(1 for v in mp.vertices if not v.is_interior)}")
     for i, patch in enumerate(mp.patches):
@@ -168,6 +150,8 @@ def _cmd_converge(args):
 
 
 def _cmd_sample(args):
+    from .duality import SpaceField
+
     if args.grid < 1:
         raise InvalidConfigError(f"--grid must be at least 1, got {args.grid}")
     mp = _geometry(args)
@@ -189,16 +173,11 @@ def _cmd_sample(args):
     uv = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
     order = 1 if args.derivs else 0
     header = "xi1,xi2,x1,x2,value" + (",dx1,dx2" if args.derivs else "")
-    for i in range(len(mp.patches)):
-        geo = mp.patches[i].grid_jet(t, t, order)
-        jet = TensorSpline(space.config, space.combine(coeffs, i)).grid_jet(t, t, order)
-        x = geo[:, 0, 0]
-        cols = [uv[:, 0], uv[:, 1], x[:, 0], x[:, 1], jet[:, 0, 0]]
-        if args.derivs:
-            from .space import physical_derivatives
-
-            _, grad, _ = physical_derivatives(geo, jet)
-            cols += [grad[:, 0], grad[:, 1]]
+    field = SpaceField(space, coeffs)
+    for i, patch in enumerate(mp.patches):
+        x = patch.grid_jet(t, t, order)[:, 0, 0]
+        val, *grad = field.jets(i, t, t, order)
+        cols = [uv[:, 0], uv[:, 1], x[:, 0], x[:, 1], val, *(grad[0].T if grad else ())]
         path = f"{args.output}_patch{i}.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
@@ -267,7 +246,7 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArgyrisError as exc:

@@ -135,7 +135,8 @@ def _patch_weights(space, i, rule):
     a read-only (m, m) array over the m nodes of each direction, made once
     per patch and rule."""
     patch = space.geometry.patches[i]
-    if patch not in rule._det_weights:
+    W = rule._det_weights.get(patch)
+    if W is None:
         x = rule.nodes.ravel()
         J = patch.grid_jet(x, x, 1)
         det = J[:, 1, 0, 0] * J[:, 0, 1, 1] - J[:, 1, 0, 1] * J[:, 0, 1, 0]
@@ -143,7 +144,7 @@ def _patch_weights(space, i, rule):
         W = (np.abs(det) * np.outer(w, w).ravel()).reshape(len(x), len(x))
         W.setflags(write=False)
         rule._det_weights[patch] = W
-    return rule._det_weights[patch]
+    return W
 
 
 def _patch_mass(space, i, rule):
@@ -355,9 +356,17 @@ def l2_fit(space, fld, rule=None):
     on the patch interiors and an exact sparse LU of the edge and vertex
     block (see the module docstring); the relative L2 error is integrated
     with a verification rule three orders finer than the assembly rule, so
-    the reported value is quadrature-saturated at every level.
+    the reported value is quadrature-saturated at every level. A rule whose
+    nodes do not determine the univariate space (too few points per element)
+    leaves the mass singular and is refused.
     """
     rule = _check_rule(space, rule)
+    cfg = space.config
+    if np.linalg.matrix_rank(_basis_values(cfg, rule.nodes.ravel())) < cfg.N:
+        raise InvalidConfigError(
+            f"quadrature of {rule.order} points per element gives {cfg.n * rule.order} "
+            f"nodes per direction, which do not determine the {cfg.N} B-splines"
+        )
     t0 = time.perf_counter()
     M = assemble_mass(space, rule)
     rhs = assemble_rhs(space, fld, rule)

@@ -37,7 +37,6 @@ __all__ = [
     "check_regularity",
     "edge_frames",
     "standard_form_edge",
-    "standard_form_vertex",
     "refine",
     "save_geometry",
     "load_geometry",
@@ -189,10 +188,6 @@ class MultiPatch:
         if check:
             self.validate()
 
-    @property
-    def n_interfaces(self):
-        return sum(1 for e in self.edges if e.is_interface)
-
     def validate(self):
         npatch = len(self.patches)
         for e in self.edges:
@@ -222,15 +217,10 @@ class MultiPatch:
         for e in self.edges:
             standard_form_edge(self, e)
         for v in self.vertices:
-            _check_vertex(self, v)
             vertex_surrounding_edges(self, v)
 
     def interfaces(self):
         return [e for e in self.edges if e.is_interface]
-
-    def vertex_point(self, v):
-        p, c = v.corners[0]
-        return self.patches[p].corner(c)
 
 
 def check_regularity(patch, m):
@@ -287,20 +277,21 @@ def standard_form_edge(mp, edge):
     return pair + (None,) * (2 - len(pair))
 
 
-def standard_form_vertex(mp, vertex):
-    """Rotate the surrounding patches so the vertex sits at (0, 0) in each.
+def vertex_surrounding_edges(mp, vertex):
+    """Global edges around a vertex, in the counterclockwise odd-slot order.
 
-    Returns the counterclockwise list of rotated patches; consecutive ones
-    satisfy F_prev(0, t) = F_next(t, 0), cyclically for interior vertices.
+    Raises TopologyError unless the listed corners map to one point,
+    consecutive patches meet in standard form (F_prev(0, t) = F_next(t, 0),
+    cyclically for an interior vertex) and a boundary list starts and ends
+    at the boundary. For patch valence nu the list has nu+1 entries for a
+    boundary vertex (first and last are boundary edges) and nu entries for
+    an interior one. Edge ell sits between patches ell-1 and ell, cyclically
+    for an interior vertex: edge 0 is on side c0+1 of the first corner.
     """
-    _check_vertex(mp, vertex)
-    return [mp.patches[p].rotate(c) for p, c in vertex.corners]
-
-
-def _check_vertex(mp, vertex):
-    """The TopologyError checks of ``standard_form_vertex``, on unrotated
-    patches."""
-    x0 = mp.vertex_point(vertex)
+    p0, c0 = vertex.corners[0]
+    out = [mp.edge_of_side[(p0, (c0 + 1) % 4)]]
+    out += [mp.edge_of_side[pc] for pc in vertex.corners]
+    x0 = mp.patches[p0].corner(c0)
     for p, c in vertex.corners[1:]:
         if np.abs(mp.patches[p].corner(c) - x0).max() > CONFORMITY_TOL:
             raise TopologyError(
@@ -318,29 +309,14 @@ def _check_vertex(mp, vertex):
             )
     if not vertex.is_interior:
         # first patch must start at the boundary and last must end there
-        pb, cb = vertex.corners[0]
-        pa, ca = vertex.corners[-1]
-        if mp.edge_of_side[(pb, (cb + 1) % 4)].is_interface:
+        if out[0].is_interface:
             raise TopologyError(
                 f"vertex {vertex.id}: boundary vertex list does not start at the boundary"
             )
-        if mp.edge_of_side[(pa, ca)].is_interface:
+        if out[-1].is_interface:
             raise TopologyError(
                 f"vertex {vertex.id}: boundary vertex list does not end at the boundary"
             )
-
-
-def vertex_surrounding_edges(mp, vertex):
-    """Global edges around a vertex, in the counterclockwise odd-slot order.
-
-    For patch valence nu the list has nu+1 entries for a boundary vertex
-    (first and last are boundary edges) and nu entries for an interior one.
-    Edge ell sits between patches ell-1 and ell, cyclically for an interior
-    vertex: edge 0 is on side c0+1 of the first corner (p0, c0).
-    """
-    p0, c0 = vertex.corners[0]
-    out = [mp.edge_of_side[(p0, (c0 + 1) % 4)]]
-    out += [mp.edge_of_side[pc] for pc in vertex.corners]
     if vertex.is_interior and out.pop() is not out[0]:
         raise TopologyError(f"vertex {vertex.id}: edge cycle does not close")
     if not all(e.is_interface for e in (out if vertex.is_interior else out[1:-1])):

@@ -43,8 +43,7 @@ import scipy.sparse
 from .bspline import _basis_values, _drop_noise, derived_edge_spaces, represent_exactly
 from .errors import ArgyrisError, InvalidConfigError
 from .gluing import DEFAULT_TOL, _transversal_from_jet, boundary_gluing, fit_asg1
-from .multipatch import _check_vertex, edge_frames, rotate_net, \
-    vertex_surrounding_edges
+from .multipatch import edge_frames, rotate_net, vertex_surrounding_edges
 
 __all__ = [
     "BasisId",
@@ -342,7 +341,6 @@ class ArgyrisSpace:
         """
         mp = self.geometry
         vertex = mp.vertices[vid]
-        _check_vertex(mp, vertex)
         ring = vertex_surrounding_edges(mp, vertex)
         nu = vertex.valence
         h, p = self.config.h, self.config.p
@@ -430,10 +428,6 @@ class ArgyrisSpace:
     # queries and evaluation
     # ------------------------------------------------------------------
 
-    def dimension(self):
-        """Total dimension with the per-family breakdown (formula-checked)."""
-        return self.dim, dict(self.breakdown)
-
     def block(self, kind, owner):
         """Positions of the basis functions that one entity owns: patch,
         edge or vertex ``owner``."""
@@ -509,27 +503,15 @@ def physical_derivatives(geo_jet, f_jet):
     """
     m, d = f_jet.shape[:2]
     extra = f_jet.shape[3:]
-    f = np.moveaxis(f_jet.reshape(m, d, d, int(np.prod(extra, dtype=int))), 3, 1)
-    Fu = geo_jet[:, 1, 0, :]
-    Fv = geo_jet[:, 0, 1, :]
-    J = np.stack([Fu, Fv], axis=-1)[:, None]  # J[:, 0, i, d] = dF_i / dxi_d
-    val = f[:, :, 0, 0]
-    rhs = np.stack([f[:, :, 1, 0], f[:, :, 0, 1]], axis=-1)
-    JT = np.swapaxes(J, 2, 3)
-    grad = np.linalg.solve(JT, rhs[..., None])[..., 0]
+    f = f_jet.reshape(m, d, d, int(np.prod(extra, dtype=int)))
+    # Jinv[q, a, i] = dxi_a / dx_i, so grad^T = (grad_xi f)^T Jinv
+    Jinv = np.linalg.inv(np.stack([geo_jet[:, 1, 0], geo_jet[:, 0, 1]], axis=-1))
+    grad = np.einsum("maf,mai->mfi", np.stack([f[:, 1, 0], f[:, 0, 1]], axis=1), Jinv)
     hess = None
     if d > 2:
-        Hpar = np.empty(f.shape[:2] + (2, 2))
-        Hpar[:, :, 0, 0] = f[:, :, 2, 0]
-        Hpar[:, :, 0, 1] = Hpar[:, :, 1, 0] = f[:, :, 1, 1]
-        Hpar[:, :, 1, 1] = f[:, :, 0, 2]
-        for k in range(2):
-            Fk = np.empty((m, 1, 2, 2))
-            Fk[:, 0, 0, 0] = geo_jet[:, 2, 0, k]
-            Fk[:, 0, 0, 1] = Fk[:, 0, 1, 0] = geo_jet[:, 1, 1, k]
-            Fk[:, 0, 1, 1] = geo_jet[:, 0, 2, k]
-            Hpar -= grad[:, :, k, None, None] * Fk
-        Jinv = np.linalg.inv(J)
-        hess = np.swapaxes(Jinv, 2, 3) @ Hpar @ Jinv
+        # jet index (i1, 2 - i1) of the second derivative d^2 / dxi_a dxi_b
+        i1 = np.array([[2, 1], [1, 0]])
+        H = f[:, i1, 2 - i1] - np.einsum("mfk,mabk->mabf", grad, geo_jet[:, i1, 2 - i1])
+        hess = np.einsum("mai,mabf,mbj->mfij", Jinv, H, Jinv)
         hess = hess.reshape((m,) + extra + (2, 2))
-    return val.reshape((m,) + extra), grad.reshape((m,) + extra + (2,)), hess
+    return f[:, 0, 0].reshape((m,) + extra), grad.reshape((m,) + extra + (2,)), hess

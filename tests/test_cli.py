@@ -246,9 +246,10 @@ def test_fit_zero_quadrature_exits_one(capsys):
     assert "quadrature" in err
 
 
-def test_singular_mass_exits_two_without_runtime_warning():
+def test_singular_mass_exits_one_without_runtime_warning():
     # one Gauss point per direction makes the mass singular; the failed solve
-    # used to warn on the square root of a negative beta
+    # used to warn on the square root of a negative beta, and the rule is now
+    # refused before any solve
     src = str(Path(argyris.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-W", "always::RuntimeWarning", "-m", "argyris.cli",
@@ -256,10 +257,56 @@ def test_singular_mass_exits_two_without_runtime_warning():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         timeout=120,
     )
-    assert proc.returncode == 2
+    assert proc.returncode == 1
     assert proc.stdout == ""
     assert "RuntimeWarning" not in proc.stderr
-    assert proc.stderr.startswith("numerical error: conjugate gradients broke down")
+    assert proc.stderr.startswith("error: quadrature")
+
+
+@pytest.mark.parametrize("builtin", ["two_patch_bilinear", "five_patch_bilinear"])
+def test_fit_quadrature_too_coarse_for_the_space_exits_one(capsys, builtin):
+    # two Gauss points per element do not determine the bicubic C1 space on
+    # four elements, so the mass is singular; the fit used to print a wrong
+    # rel_l2_error with exit 0
+    code, out, err = run(capsys, "fit", "--builtin", builtin, "--quadrature", "2")
+    assert code == 1
+    assert out == ""
+    assert "quadrature" in err
+
+
+VALIDATION_ERRORS = ("InvalidConfigError", "TopologyError", "ConformityError",
+                     "GeometryFormatError", "NotInSpaceError", "NotASG1Error")
+NUMERICAL_ERRORS = ("NumericalError", "DegenerateGluingError", "DomainError")
+
+
+@pytest.mark.parametrize(
+    "name,expected",
+    [(n, 1) for n in VALIDATION_ERRORS] + [(n, 2) for n in NUMERICAL_ERRORS],
+)
+def test_exit_code_follows_the_exception_type(capsys, monkeypatch, name, expected):
+    from argyris import cli, errors
+
+    exc = getattr(errors, name)
+    assert issubclass(exc, errors.ValidationError) == (expected == 1)
+
+    def fail(args):
+        raise exc("injected")
+
+    monkeypatch.setattr(cli, "_cmd_space_dim", fail)
+    code, out, err = run(capsys, "space", "dim", "--builtin", "two_patch_bilinear")
+    assert code == expected
+    assert out == ""
+    prefix = "error: " if expected == 1 else "numerical error: "
+    assert err == prefix + "injected\n"
+
+
+def test_every_library_error_has_a_listed_exit_code():
+    from argyris import errors
+
+    found = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.ArgyrisError)}
+    assert found == {"ArgyrisError", "ValidationError",
+                     *VALIDATION_ERRORS, *NUMERICAL_ERRORS}
 
 
 @pytest.mark.parametrize("levels", ["0", "-1"])

@@ -32,6 +32,7 @@ from argyris.fit import (
     _element_dofs,
     _lanczos_condition,
     _patch_mass,
+    _patch_weights,
     _pcg,
 )
 
@@ -72,6 +73,41 @@ def test_quadrature_rule_must_match_mesh(sp_two):
         assemble_rhs(sp_two, fld, rule)
     with pytest.raises(InvalidConfigError):
         l2_fit(sp_two, fld, rule)
+
+
+@pytest.mark.parametrize(
+    "p,r,n,q,singular",
+    [(3, 1, 4, 2, True), (3, 1, 4, 3, False), (4, 1, 3, 3, True), (4, 1, 3, 4, False)],
+)
+def test_l2_fit_refuses_a_rule_that_leaves_the_mass_singular(p, r, n, q, singular):
+    # q Gauss points per element determine S^{p,r} exactly when the mass is
+    # positive definite; on a singular mass CG used to return one of many
+    # solutions and a wrong error without complaint
+    sp = ArgyrisSpace(builtin_geometry("two_patch_bilinear", UnivariateSpace(p, r, n)))
+    rule = QuadratureRule(n, q)
+    M = assemble_mass(sp, rule).toarray()
+    s = 1.0 / np.sqrt(np.diag(M))
+    assert (np.linalg.eigvalsh(s[:, None] * M * s)[0] < 1e-12) == singular
+    fld = cos_sin_field(sp.geometry)
+    if singular:
+        with pytest.raises(InvalidConfigError, match=f"quadrature of {q} points"):
+            l2_fit(sp, fld, rule)
+    else:
+        assert l2_fit(sp, fld, rule).rel_error < 1e-3
+
+
+def test_patch_weights_survive_a_concurrent_clear(sp_two):
+    # l2_fit clears the weights a rule caches; a second thread sharing the
+    # rule could clear them between the store and the read-back, which used
+    # to raise KeyError; a cache that forgets every store stands for that
+    class Forgetful(dict):
+        def __setitem__(self, key, value):
+            pass
+
+    rule = QuadratureRule(sp_two.config.n, sp_two.config.p + 2)
+    W = _patch_weights(sp_two, 0, rule)
+    rule._det_weights = Forgetful()
+    np.testing.assert_array_equal(_patch_weights(sp_two, 0, rule), W)
 
 
 def test_convergence_study_rejects_zero_rule_order(mp_two):

@@ -56,7 +56,7 @@ def test_determinants_match_finite_difference_oracle(mp_three):
 
     uv1 = np.column_stack([np.zeros_like(xs), xs])
     uv2 = np.column_stack([xs, np.zeros_like(xs)])
-    for k in range(mp_three.n_interfaces):
+    for k in range(len(mp_three.interfaces())):
         F1, F2 = interface_pair(mp_three, k)
         e1, e2, e12 = edge_determinants(F1, F2, xs)
         a1 = fd_onesided(F1, uv1, 0)

@@ -12,7 +12,6 @@ from argyris import (
     refine,
     save_geometry,
     standard_form_edge,
-    standard_form_vertex,
 )
 from argyris.errors import ConformityError, GeometryFormatError, TopologyError
 from conftest import bilinear_patch
@@ -93,7 +92,7 @@ def test_standard_form_vertex_grid(mp_grid22):
     assert len(interior) == 1
     v = interior[0]
     assert v.valence == 4
-    rotated = standard_form_vertex(mp_grid22, v)
+    rotated = [mp_grid22.patches[p].rotate(c) for p, c in v.corners]
     assert len(rotated) == 4
     for rp in rotated:
         np.testing.assert_allclose(rp.corner(0), [1.0, 1.0], atol=1e-14)
@@ -102,13 +101,14 @@ def test_standard_form_vertex_grid(mp_grid22):
 def test_standard_form_vertex_corner(mp_single):
     for v in mp_single.vertices:
         assert v.valence == 1
-        (rp,) = standard_form_vertex(mp_single, v)
-        np.testing.assert_allclose(rp.corner(0), mp_single.vertex_point(v), atol=0)
+        ((p, c),) = v.corners
+        rp = mp_single.patches[p].rotate(c)
+        np.testing.assert_allclose(rp.corner(0), mp_single.patches[p].corner(c), atol=0)
 
 
 def test_standard_form_vertex_three_patch_cyclic(mp_three):
     v = [v for v in mp_three.vertices if v.is_interior][0]
-    rotated = standard_form_vertex(mp_three, v)
+    rotated = [mp_three.patches[p].rotate(c) for p, c in v.corners]
     t = np.linspace(0, 1, 50)
     for ell in range(3):
         a = rotated[ell].point(np.column_stack([np.zeros_like(t), t]))
@@ -181,8 +181,8 @@ def test_builtin_topology_counts(
 ):
     mp = request.getfixturevalue(fixture)
     assert len(mp.patches) == patches
-    assert mp.n_interfaces == interfaces
-    assert len(mp.edges) - mp.n_interfaces == bedges
+    assert len(mp.interfaces()) == interfaces
+    assert len(mp.edges) - len(mp.interfaces()) == bedges
     assert sum(1 for v in mp.vertices if v.is_interior) == ivertices
     assert sum(1 for v in mp.vertices if not v.is_interior) == bvertices
 

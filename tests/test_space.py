@@ -87,7 +87,7 @@ def test_five_patch_dimensions(mp_five, n, expected):
 
 def test_dimension_matches_enumeration(sp_two, sp_three):
     for sp in (sp_two, sp_three):
-        total, parts = sp.dimension()
+        total, parts = sp.dim, sp.breakdown
         assert total == sp.C[0].shape[1] == sum(parts.values())
 
 
@@ -480,6 +480,42 @@ def test_evaluate_gradient_vs_finite_difference(sp_three):
             par = (fp - fm) / (2 * eps)
             want = jet[:, 1, 0] if axis == 0 else jet[:, 0, 1]
             assert np.abs(par - want).max() < 1e-6 * max(1.0, np.abs(par).max())
+
+
+@pytest.mark.parametrize("d", [3, 2])
+def test_physical_derivatives_of_composed_quadratics(mp_curved, d):
+    # f = u o F for k quadratics u(x) = c + g.x + x^T A x / 2 on a curved
+    # patch: the forward chain rule gives the parametric jets, and the
+    # physical ones must be the value, gradient and Hessian of u at F(xi)
+    rng = np.random.default_rng(7)
+    k = 3
+    c, g = rng.normal(size=k), rng.normal(size=(k, 2))
+    A = rng.normal(size=(k, 2, 2))
+    A = A + A.swapaxes(1, 2)
+    t = np.linspace(0.0, 1.0, 9)
+    for patch in mp_curved.patches:
+        geo = patch.grid_jet(t, t, 2)  # (m, 3, 3, 2)
+        x = geo[:, 0, 0]
+        u = c + x @ g.T + 0.5 * np.einsum("mi,kij,mj->mk", x, A, x)
+        du = g + np.einsum("kij,mj->mki", A, x)  # (m, k, 2)
+        F1 = np.stack([geo[:, 1, 0], geo[:, 0, 1]], axis=1)  # (m, a, i)
+        fj = np.zeros((len(x), 3, 3, k))
+        fj[:, 0, 0] = u
+        fj[:, 1, 0] = np.einsum("mki,mi->mk", du, F1[:, 0])
+        fj[:, 0, 1] = np.einsum("mki,mi->mk", du, F1[:, 1])
+        for a1, a2, a, b in ((2, 0, 0, 0), (1, 1, 0, 1), (0, 2, 1, 1)):
+            fj[:, a1, a2] = np.einsum(
+                "kij,mi,mj->mk", A, F1[:, a], F1[:, b]
+            ) + np.einsum("mki,mi->mk", du, geo[:, a1, a2])
+        val, grad, hess = physical_derivatives(geo[:, :d, :d], fj[:, :d, :d])
+        assert val.shape == (len(x), k) and grad.shape == (len(x), k, 2)
+        np.testing.assert_allclose(val, u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, du, rtol=0, atol=1e-12)
+        if d == 2:
+            assert hess is None
+        else:
+            want = np.broadcast_to(A, hess.shape)
+            np.testing.assert_allclose(hess, want, rtol=0, atol=1e-12)
 
 
 def test_evaluate_validates_patch_index(sp_three):
