@@ -25,12 +25,15 @@ lead the basis, are unit tensor B-splines, so their block of A is close to
 K^ (x) K^ on every patch, with K^ the unit-diagonal 1D B-spline mass of the
 interior indices on [0, 1]; it is inverted by fast diagonalization (Sangalli
 & Tani, SISC 2016). The few edge and vertex functions form the trailing
-block, factored exactly by one sparse LU. At p = 3 CG then needs about 30
-iterations on every mesh. Its coefficients also give a Lanczos estimate of
-the condition number of the preconditioned system; ``FitResult`` records it
-with the iteration count and the time of each stage. The convergence driver
-fits a target function on a sequence of nested refinements and tabulates
-errors with estimated convergence rates ecr = log2(e_coarse / e_fine).
+block, solved exactly: an edge function couples to another edge or a vertex
+only near the edge ends, so each edge's other rows are eliminated by a small
+dense inverse onto a separator whose dense Schur complement stops growing
+with n. At p = 3 CG then needs about 30 iterations on every mesh. Its
+coefficients also give a Lanczos estimate of the condition number of the
+preconditioned system; ``FitResult`` records it with the iteration count
+and the time of each stage. The convergence driver fits a target function
+on a sequence of nested refinements and tabulates errors with estimated
+convergence rates ecr = log2(e_coarse / e_fine).
 """
 
 import time
@@ -303,6 +306,50 @@ def _unit_interior_mass(usp):
     return d[:, None] * K * d[None, :]
 
 
+def _interface_solver(G, owner):
+    """Exact solve with the edge and vertex block G (CSR) of A, by
+    elimination of each edge's own rows onto a separator (Toselli & Widlund,
+    *Domain Decomposition Methods*, 2005, ch. 4).
+
+    ``owner`` labels each row of G with its edge, -1 for a vertex row; the
+    rows of one edge are contiguous. The separator S is every vertex row and
+    every row with an entry in a column of another owner. The remaining rows
+    I couple only within their edge, so G_II is block diagonal with one small
+    block per edge, inverted densely into the block-diagonal CSR Binv. With
+    X = Binv G_IS and the dense Schur complement G_SS - G_SI X, a residual
+    (r_I, r_S) maps to y_S = Schur^-1 (r_S - G_SI z) and y_I = z - X y_S,
+    z = Binv r_I. The separator is the rows near the ends of the edges, so
+    its size stops growing with n. Raises NumericalError when an edge block
+    or the Schur complement is singular.
+    """
+    coo = G.tocoo()
+    sep = owner < 0
+    sep[coo.row[owner[coo.row] != owner[coo.col]]] = True
+    I, S = np.flatnonzero(~sep), np.flatnonzero(sep)
+    G_I, G_S = G[I], G[S]
+    G_II = G_I[:, I]
+    cut = np.flatnonzero(np.diff(owner[I])) + 1  # where the next edge's rows start
+    try:
+        Binv = scipy.sparse.block_diag([
+            np.linalg.inv(G_II[a:b, a:b].toarray())
+            for a, b in zip(np.r_[0, cut], np.r_[cut, len(I)])
+        ], format="csr")
+        X = Binv @ G_I[:, S]
+        G_SI = G_S[:, I]
+        Sinv = np.linalg.inv(G_S[:, S].toarray() - (G_SI @ X).toarray())
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"interface block of the mass is singular: {exc}") from exc
+
+    def solve(r):
+        y = np.empty_like(r)
+        z = Binv @ r[I]
+        y[S] = Sinv @ (r[S] - G_SI @ z)
+        y[I] = z - X @ y[S]
+        return y
+
+    return solve
+
+
 def _block_preconditioner(space, A):
     """Block-diagonal approximate inverse of the Jacobi-scaled mass A.
 
@@ -311,24 +358,23 @@ def _block_preconditioner(space, A):
     K^ (x) K^ on every patch, which ignores the geometry and is inverted by
     fast diagonalization: with K^ = Q diag(lam) Q^T, a residual block R
     (N-4, N-4) maps to Q (L o Q^T R Q) Q^T, L = 1 / (lam_i lam_j). The
-    trailing block of the edge and vertex functions is factored exactly by
-    one sparse LU.
+    trailing block of the edge and vertex functions is solved exactly by
+    ``_interface_solver``.
     """
-    from scipy.sparse.linalg import splu  # only the solve needs it
-
     m = space.N - 4
     ni = space.breakdown["patch"]
-    try:
-        lu = splu(A[ni:, ni:].tocsc())
-    except RuntimeError as exc:  # exactly singular
-        raise NumericalError(f"interface block of the mass is singular: {exc}") from exc
+    owner = np.full(A.shape[0] - ni, -1)
+    for e in space.geometry.edges:
+        rows = space.block("edge", e.id)
+        owner[rows.start - ni : rows.stop - ni] = e.id
+    interface = _interface_solver(A[ni:, ni:], owner)
     lam, Q = np.linalg.eigh(_unit_interior_mass(space.config))  # (0, 0) if N <= 4
     L = 1.0 / np.outer(lam, lam)
 
     def apply(r):
         R = r[:ni].reshape(len(space.C), m, m)
         return np.concatenate([
-            (Q @ (L * (Q.T @ R @ Q)) @ Q.T).ravel(), lu.solve(r[ni:])
+            (Q @ (L * (Q.T @ R @ Q)) @ Q.T).ravel(), interface(r[ni:])
         ])
 
     return apply
@@ -353,7 +399,7 @@ def l2_fit(space, fld, rule=None):
 
     Solves the diagonally scaled normal equations by conjugate gradients to
     a relative residual of CG_RTOL, preconditioned by fast diagonalization
-    on the patch interiors and an exact sparse LU of the edge and vertex
+    on the patch interiors and an exact solve with the edge and vertex
     block (see the module docstring); the relative L2 error is integrated
     with a verification rule three orders finer than the assembly rule, so
     the reported value is quadrature-saturated at every level. A rule whose

@@ -297,34 +297,83 @@ def test_pcg_condition_estimate_matches_spectrum():
     assert abs(cond - 50.0) < 1e-6 * 50.0
 
 
-def test_block_preconditioner_without_interior_block():
-    # N = 4 leaves no interior B-splines: the interface block is all of A
-    k = 6
-    space = SimpleNamespace(
+def _space_without_interior_or_edges():
+    # N = 4 leaves no interior B-splines: the interface block is all of A,
+    # and with no edges every row of it is a separator row
+    return SimpleNamespace(
         N=4,
         config=UnivariateSpace(3, 1, 1),
         C=[None, None],
         breakdown={"patch": 0},
+        geometry=SimpleNamespace(edges=[]),
     )
+
+
+def test_block_preconditioner_without_interior_block():
+    k = 6
     B = np.random.default_rng(6).normal(size=(k, k))
     A = B @ B.T + k * np.eye(k)
+    space = _space_without_interior_or_edges()
     apply = _block_preconditioner(space, scipy.sparse.csr_matrix(A))
     r = np.arange(1.0, k + 1)
     np.testing.assert_allclose(apply(r), np.linalg.solve(A, r), rtol=1e-12)
 
 
-def test_import_does_not_load_sparse_linalg():
-    # scipy.sparse.linalg costs about 0.1 s of import; only the solve loads it
+def test_singular_interface_block_raises_numerical_error():
+    with pytest.raises(NumericalError, match="singular"):
+        _block_preconditioner(
+            _space_without_interior_or_edges(), scipy.sparse.csr_matrix(np.ones((6, 6)))
+        )
+
+
+def test_interface_solve_is_exact_and_dense_only_on_the_separator(monkeypatch):
+    mp = builtin_geometry("five_patch_bilinear", UnivariateSpace(3, 1, 16))
+    space = ArgyrisSpace(mp)
+    M = assemble_mass(space)
+    ni = space.breakdown["patch"]
+    G = M[ni:, ni:].toarray()
+    assert len(G) == 471
+    inverted = []
+    inv = np.linalg.inv
+
+    def spy(a):
+        inverted.append(len(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    apply = _block_preconditioner(space, M)
+    # one dense block per edge, then the Schur complement of the 246 rows
+    # that couple to another edge or a vertex
+    assert len(inverted) == len(mp.edges) + 1
+    assert inverted[-1] == 246 and max(inverted[:-1]) < 246
+    r = np.arange(1.0, M.shape[0] + 1)
+    y = apply(r)[ni:]
+    ref = np.linalg.solve(G, r[ni:])
+    assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _loaded_linalg_modules(code):
+    """Whether scipy.sparse.linalg and scipy.linalg are loaded after running
+    ``code`` in a fresh interpreter."""
     src = str(Path(argyris.__file__).resolve().parents[1])
-    code = (
-        "import sys, argyris; "
-        "print('scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules)"
-    )
+    code += "; print('scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        [sys.executable, "-c", "import sys; " + code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     ).stdout
-    assert out.split() == ["False", "False"]
+    return out.split()[-2:]
+
+
+def test_import_does_not_load_sparse_linalg():
+    assert _loaded_linalg_modules("import argyris") == ["False", "False"]
+
+
+def test_fit_path_does_not_load_dense_linear_algebra():
+    code = (
+        "import argyris.cli; "
+        "argyris.cli.main(['converge', '--builtin', 'two_patch_bilinear', '--levels', '2'])"
+    )
+    assert _loaded_linalg_modules(code) == ["False", "False"]
 
 
 def test_fit_evaluates_the_map_on_tensor_grids_only(sp_three, monkeypatch):
