@@ -9,6 +9,7 @@ from argyris import (
     AnalyticField,
     ArgyrisSpace,
     SpaceField,
+    TensorSpline,
     UnivariateSpace,
     builtin_geometry,
     convergence_study,
@@ -38,7 +39,7 @@ cl = project(space, linear)
 uv = rng.uniform(0, 1, (100, 2))
 worst = 0.0
 for i in range(len(mp.patches)):
-    got = space.evaluate(cl, i, uv)[:, 0, 0]
+    got = TensorSpline(space.config, space.combine(cl, i)).jet(uv, 0)[:, 0, 0]
     x = mp.patches[i].point(uv)
     worst = max(worst, np.abs(got - (2.0 + x[:, 0] - 3.0 * x[:, 1])).max())
 print("pointwise residual of the projected linear function:", worst)

@@ -12,11 +12,11 @@ insertion and products with linear polynomials, is that table applied to one
 sample of the function, checked for reproduction. Tensor-product splines are
 evaluated on tensor grids by sum factorization over per-direction basis
 tables (``grid_jet``); sides and corners of a patch are grids with one
-singleton direction. Scattered points go through one sparse jet matrix
-(``UnivariateSpace.jet_matrix``), of which ``TensorSpline.jet`` is a view. A
-basis table (``_basis_values``) is made once per (space, points, derivative
-order) and returned read-only to every later caller while it is among the
-last 8 MB of tables used.
+singleton direction. At scattered points ``TensorSpline.jet`` gathers the
+(p+1) x (p+1) active coefficients of every point and contracts them with
+its basis values in both directions. A basis table (``_basis_values``) is
+made once per (space, points, derivative order) and returned read-only to
+every later caller while it is among the last 8 MB of tables used.
 """
 
 import threading
@@ -26,7 +26,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import DomainError, InvalidConfigError, NotInSpaceError
@@ -211,33 +210,6 @@ class UnivariateSpace:
             ders[:, k, :] *= fac
             fac *= p - k
         return first, ders
-
-    def jet_matrix(self, uv, nderiv):
-        """Sparse map from flattened coefficient grids on the square of the
-        space to jets at points.
-
-        Returns an (m * (nderiv+1)**2, N * N) matrix whose row (q, a, b), in C
-        order, holds d^a/dxi1^a d^b/dxi2^b of every tensor basis function at
-        uv[q]; column j1 * N + j2 is basis (j1, j2). So
-        ``jet_matrix(uv, d) @ coeffs.reshape(N * N, ...)`` reshaped to
-        (m, d+1, d+1, ...) is the jet of a tensor spline at scattered points,
-        which ``TensorSpline.jet`` returns.
-        """
-        uv = np.atleast_2d(np.asarray(uv, dtype=float))
-        p, N = self.p, self.N
-        f1, d1 = self.basis_ders(uv[:, 0], nderiv)
-        f2, d2 = self.basis_ders(uv[:, 1], nderiv)
-        i1 = f1[:, None] + np.arange(p + 1)[None, :]
-        i2 = f2[:, None] + np.arange(p + 1)[None, :]
-        vals = np.einsum("mai,mbj->mabij", d1, d2)
-        cols = i1[:, None, None, :, None] * N + i2[:, None, None, None, :]
-        cols = np.broadcast_to(cols, vals.shape)
-        nrows = vals[..., 0, 0].size
-        width = (p + 1) ** 2  # active functions per point
-        return scipy.sparse.csr_matrix(
-            (vals.ravel(), cols.ravel(), np.arange(0, nrows * width + 1, width)),
-            shape=(nrows, N * N),
-        )
 
     def basis_function(self, j):
         """Basis function j as a Spline (unit coefficient vector)."""
@@ -450,12 +422,15 @@ class TensorSpline:
     def jet(self, uv, nderiv):
         """Partial derivatives up to the given order at parametric points uv
         (m, 2): ``D[q, a, b]`` = d^a/dxi1^a d^b/dxi2^b of the function at
-        uv[q], shape (m, nderiv+1, nderiv+1, ...), through ``jet_matrix``."""
+        uv[q], shape (m, nderiv+1, nderiv+1, ...), from the (p+1) x (p+1)
+        coefficients active at each point."""
         uv = np.atleast_2d(np.asarray(uv, dtype=float))
-        flat = self.coeffs.reshape(self.space.N**2, -1)
-        return (self.space.jet_matrix(uv, nderiv) @ flat).reshape(
-            (len(uv), nderiv + 1, nderiv + 1) + self.coeffs.shape[2:]
-        )
+        f1, d1 = self.space.basis_ders(uv[:, 0], nderiv)
+        f2, d2 = self.space.basis_ders(uv[:, 1], nderiv)
+        span = np.arange(self.space.p + 1)
+        i1, i2 = f1[:, None] + span, f2[:, None] + span
+        active = self.coeffs[i1[:, :, None], i2[:, None, :]]
+        return np.einsum("mai,mij...,mbj->mab...", d1, active, d2)
 
     def grid_jet(self, x1, x2, nderiv):
         """``jet`` on the tensor grid x1 x x2, by sum factorization.

@@ -149,11 +149,15 @@ def _cmd_converge(args):
     return 0
 
 
+#: most samples per direction that ``sample`` writes for each patch
+MAX_SAMPLE_GRID = 1000
+
+
 def _cmd_sample(args):
     from .duality import SpaceField
 
-    if args.grid < 1:
-        raise InvalidConfigError(f"--grid must be at least 1, got {args.grid}")
+    if not 1 <= args.grid <= MAX_SAMPLE_GRID:
+        raise InvalidConfigError(f"--grid must be in 1..{MAX_SAMPLE_GRID}, got {args.grid}")
     mp = _geometry(args)
     space = ArgyrisSpace(mp, tol=args.tol)
     if args.basis is not None:

@@ -11,13 +11,18 @@ of the field classes): per-direction basis tables, each made once per
 node. A rule keeps the |det DF| weights of every patch it integrated over,
 so the mass and the load of a fit share them. With A0 the (m, N) basis
 values at the m nodes of one direction and W the weights on the node grid,
-b_i is A0^T (W o z) A0 for target samples z, and M_i is sum factorized too:
+b_i is A0^T (W o z) A0 for target samples z. The mass is never assembled:
+``assemble_mass`` returns a ``MassOperator`` that applies M_i to a
+coefficient grid U by sum factorization, A0^T (W o (A0 U A0^T)) A0, between
+the products with C_i and C_i^T (Antolin, Buffa, Calabro, Martinelli &
+Sangalli, CMAME 2015; Sangalli & Tani, CMAME 2018). It stores only what the
+preconditioner needs, the diagonal and the block G of the edge and vertex
+functions, both from the table D = K^T W K (P, P) of every entry of M_i,
 with K (m, P) the products A0[:, i] A0[:, j] of the P pairs i <= j of 1D
-basis functions that share an element, D = K^T W K (P, P) holds every entry
-of M_i, which is one gather of D into a CSR pattern fixed per univariate
-space (the Kronecker product of the 1D pair patterns). Each patch's
-C_i^T M_i C_i is symmetrized before the patches are summed, so the mass is
-exactly symmetric without a transpose of the whole matrix.
+basis functions that share an element. The edge and vertex columns live on
+the two coefficient layers next to the sides, so G is built side by side
+from dense blocks of those layers, and each patch's part is added to its
+transpose, so G is exactly symmetric.
 The normal equations are diagonally scaled, A = S M S with S = diag(M)^-1/2,
 and solved by conjugate gradients with a block-diagonal preconditioner that
 follows the two families of the basis. The patch-interior functions, which
@@ -41,19 +46,19 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse
 
-from .bspline import _basis_values
+from .bspline import TensorSpline, _basis_values
 from .duality import AnalyticField, SpaceField
-from .errors import InvalidConfigError, NumericalError
+from .errors import ArgyrisError, InvalidConfigError, NumericalError
 from .gluing import DEFAULT_TOL
 from .multipatch import edge_frames, refine, rotate_grid
-from .space import ArgyrisSpace, physical_derivatives
+from .space import ArgyrisSpace, CSRMatrix, physical_derivatives
 
 __all__ = [
     "QuadratureRule",
     "FitResult",
     "ConvergenceTable",
+    "MassOperator",
     "assemble_mass",
     "assemble_rhs",
     "l2_fit",
@@ -63,14 +68,20 @@ __all__ = [
     "cos_sin_field",
 ]
 
+#: most Gauss points per element and direction a rule may have
+MAX_QUADRATURE_ORDER = 64
+
+
 class QuadratureRule:
     """Per-element tensor Gauss rule on [0, 1], ``order`` points per direction."""
 
     def __init__(self, n, order):
         if n < 1:
             raise InvalidConfigError(f"quadrature needs n >= 1 elements, got {n}")
-        if order < 1:
-            raise InvalidConfigError(f"quadrature order must be positive, got {order}")
+        if not 1 <= order <= MAX_QUADRATURE_ORDER:
+            raise InvalidConfigError(
+                f"quadrature order must be in 1..{MAX_QUADRATURE_ORDER}, got {order}"
+            )
         x, w = np.polynomial.legendre.leggauss(order)
         self.n = n
         self.order = order
@@ -80,6 +91,15 @@ class QuadratureRule:
         self._det_weights = {}  # patch -> its weights of ``_patch_weights``
 
 
+def _distinct(a):
+    """Sorted distinct values of an integer array: np.unique without
+    return_inverse, whose first call imports numpy.ma (about 15 ms)."""
+    a = np.sort(np.ravel(a))
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
 def _element_dofs(usp):
     """(n, p+1) indices of the basis functions active on each element."""
     return np.arange(usp.n)[:, None] * (usp.p - usp.r) + np.arange(usp.p + 1)
@@ -87,37 +107,23 @@ def _element_dofs(usp):
 
 @lru_cache(maxsize=8)
 def _mass_pattern(usp):
-    """CSR pattern of the tensor B-spline mass of one patch, from the 1D
-    pairs of basis functions that share an element; read-only int32 arrays.
+    """The 1D pairs of basis functions that share an element, read-only.
 
-    Returns (pairs, indptr, indices, gather): ``pairs`` (2, P) holds the P
-    such pairs (i, j) with i <= j. With K[q, k] the product of the two
-    functions of pair k at 1D node q and W the weights on the node grid, the
-    mass entry of the tensor B-splines (i1, i2) and (j1, j2) is entry
-    (pair of i1, j1; pair of i2, j2) of D = K^T W K, and the CSR matrix
-    (``indptr``, ``indices``), rows i1 * N + i2 and columns j1 * N + j2, has
-    ``data = D.ravel()[gather]``.
+    Returns (pairs, index): ``pairs`` (2, P) holds the P pairs (i, j) with
+    i <= j, sorted, and ``index`` (N, N) the position in ``pairs`` of
+    (min(i, j), max(i, j)), or -1 (the zero row and column that
+    ``_patch_mass`` appends) where i and j share no element.
     """
     N = usp.N
     dof = _element_dofs(usp)
-    # ordered pairs sharing an element, sorted by (i, j)
-    code = np.unique((dof[:, :, None] * N + dof[:, None, :]).ravel())
-    i, j = np.divmod(code, N)
-    pairs, sym = np.unique(np.minimum(i, j) * N + np.maximum(i, j), return_inverse=True)
-    # grid (a, b) of ordered pairs is row i[a] * N + i[b], column j[a] * N + j[b];
-    # CSR order is by row, then column, which the stable sort keeps
-    order = np.argsort((i[:, None] * N + i[None, :]).ravel(), kind="stable")
-    a, b = np.divmod(order, len(code))
-    counts = np.bincount(i, minlength=N)
-    out = tuple(arr.astype(np.int32) for arr in (
-        np.stack(np.divmod(pairs, N)),
-        np.concatenate([[0], np.cumsum(np.outer(counts, counts).ravel())]),
-        j[a] * N + j[b],
-        sym[a] * len(pairs) + sym[b],
-    ))
-    for arr in out:
+    lo = np.minimum(dof[:, :, None], dof[:, None, :])
+    hi = np.maximum(dof[:, :, None], dof[:, None, :])
+    pairs = np.stack(np.divmod(_distinct(lo * N + hi), N))
+    index = np.full((N, N), -1)
+    index[pairs[0], pairs[1]] = index[pairs[1], pairs[0]] = np.arange(pairs.shape[1])
+    for arr in (pairs, index):
         arr.setflags(write=False)
-    return out
+    return pairs, index
 
 
 def _check_rule(space, rule):
@@ -151,31 +157,175 @@ def _patch_weights(space, i, rule):
 
 
 def _patch_mass(space, i, rule):
-    """|det DF|-weighted mass matrix (N*N, N*N) of the tensor B-splines of
-    one patch: D = K^T W K gathered into the pattern of ``_mass_pattern``."""
-    (p1, p2), indptr, indices, gather = _mass_pattern(space.config)
+    """Table D (P+1, P+1) of every entry of the |det DF|-weighted mass of the
+    tensor B-splines of one patch: with K[q, k] the product of the two 1D
+    functions of pair k of ``_mass_pattern`` at node q, D = K^T W K, plus a
+    zero last row and column, so that the entry of the tensor B-splines
+    (i1, i2) and (j1, j2) is D[index[i1, j1], index[i2, j2]]."""
+    (p1, p2), _ = _mass_pattern(space.config)
     A0 = _basis_values(space.config, rule.nodes.ravel())
     K = A0[:, p1] * A0[:, p2]
-    D = K.T @ (_patch_weights(space, i, rule) @ K)
-    return scipy.sparse.csr_matrix(
-        (D.ravel()[gather], indices, indptr), shape=(space.N**2,) * 2
-    )
+    D = np.zeros((K.shape[1] + 1,) * 2)
+    D[:-1, :-1] = K.T @ (_patch_weights(space, i, rule) @ K)
+    return D
+
+
+@lru_cache(maxsize=8)
+def _frame(usp):
+    """The two coefficient layers next to the four sides of the (N, N) grid
+    of a univariate space, as four disjoint bands, and the pairs of bands
+    whose positions share an element.
+
+    Each band is the tensor product of two index ranges and takes the
+    corner at its start (a pinwheel). Returns (bands, pairs): ``bands``
+    holds the flattened positions of each band; ``pairs`` holds (a, b, ra,
+    rb, at) for bands a <= b, with ra and rb the positions in band a and in
+    band b that share an element with one of the other band, and at
+    (len(ra), len(rb)) the flat indices of their mass entries in a
+    ``_patch_mass`` table.
+    """
+    N = usp.N
+    pairs_1d, index = _mass_pattern(usp)
+    size = pairs_1d.shape[1] + 1  # rows of a _patch_mass table
+    first, last = np.arange(2), np.arange(N - 2, N)
+    ranges = [(first, np.arange(N - 2)), (np.arange(N - 2), last),
+              (last, np.arange(2, N)), (np.arange(2, N), first)]
+    bands = [(A1[:, None] * N + A2).ravel() for A1, A2 in ranges]
+    pairs = []
+    for a, (A1, A2) in enumerate(ranges):
+        for b, (B1, B2) in enumerate(ranges[a:], a):
+            i1 = index[np.ix_(A1, B1)][:, None, :, None]
+            i2 = index[np.ix_(A2, B2)][None, :, None, :]
+            share = ((i1 >= 0) & (i2 >= 0)).reshape(len(A1) * len(A2), -1)
+            ra, rb = np.flatnonzero(share.any(1)), np.flatnonzero(share.any(0))
+            at = ((i1 % size) * size + i2 % size).reshape(share.shape)[np.ix_(ra, rb)]
+            if len(ra):
+                pairs.append((a, b, ra, rb, at))
+    return bands, pairs
+
+
+def _interior_masses(C, D, index, stop):
+    """c_a^T M_i c_a for the columns c_a of C before ``stop``, the interior
+    functions, each one scaled B-spline on a patch."""
+    inside = C.indices < stop
+    col, v = C.indices[inside], C.data[inside]
+    a1, a2 = np.divmod(C.row_ids[inside], len(index))
+    if np.bincount(col, minlength=1).max() > 1:
+        raise ArgyrisError("an interior function is more than one B-spline on a patch")
+    return np.bincount(col, v * v * D[index[a1, a1], index[a2, a2]], stop)
+
+
+def _interface_triplets(C, D, frame, start):
+    """Triplets of the block C_G^T M_i C_G of the columns C_G of C from
+    ``start`` on, the edge and vertex functions, in their local numbering.
+
+    Those columns live on the two layers next to the sides, so they are
+    read as one dense block per band of the ``frame``; each pair of bands
+    that shares an element adds the product of their blocks with the mass
+    entries between them (halved for a band with itself) to one dense block
+    E over the patch's columns, and E + E^T is exactly symmetric.
+    """
+    bands, pairs = frame
+    blocks = []
+    for rows in bands:
+        at, col, val = C.entries(rows)
+        keep = col >= start
+        cols, k = np.unique(col[keep] - start, return_inverse=True)
+        phi = np.zeros((len(rows), len(cols)))
+        phi[at[keep], k] = val[keep]
+        blocks.append((cols, phi))
+    if sum(np.count_nonzero(phi) for _, phi in blocks) != np.count_nonzero(C.indices >= start):
+        raise ArgyrisError("an edge or vertex function reaches beyond the two "
+                           "layers next to the sides of a patch")
+    cols = _distinct(np.concatenate([c for c, _ in blocks]))
+    at = [np.searchsorted(cols, c) for c, _ in blocks]
+    keys, vals = [], []
+    for a, b, ra, rb, entries in pairs:
+        B = blocks[a][1][ra].T @ (D.take(entries) @ blocks[b][1][rb])
+        keys.append((at[a][:, None] * len(cols) + at[b]).ravel())
+        vals.append((0.5 * B if a == b else B).ravel())
+    E = np.bincount(np.concatenate(keys), np.concatenate(vals), len(cols) ** 2)
+    E = E.reshape(len(cols), len(cols))
+    E = E + E.T
+    i, j = np.nonzero(E)
+    return cols[i], cols[j], E[i, j]
+
+
+class MassOperator:
+    """The mass matrix sum_i C_i^T M_i C_i, applied without assembling it.
+
+    ``M @ x`` maps a coefficient vector (dim,) or matrix (dim, k) by the
+    extraction matrices, stacked in ``C`` (patches * N*N, dim), to tensor
+    coefficient grids U_i, applies each patch mass by sum factorization,
+    A0^T (W_i o (A0 U_i A0^T)) A0, with A0 the (m, N) basis values at the m
+    quadrature nodes of a direction and W_i the patch's |det DF| weights on
+    the node grid, and maps back by C^T. Two parts are stored, because the
+    preconditioner needs them: the ``diagonal`` (dim,) and ``interface``,
+    the exactly symmetric block of the edge and vertex functions (the
+    positions ``start``..dim) as a ``CSRMatrix``.
+    """
+
+    def __init__(self, C, A0, W, diagonal, interface, start):
+        self.C = C
+        self._A0 = A0
+        self._W = W  # (patches, m, m)
+        self.diagonal = diagonal
+        self.interface = interface
+        self.start = start
+        self.shape = (len(diagonal),) * 2
+
+    @property
+    def nnz(self):
+        """Stored entries: the diagonal and the interface block."""
+        return len(self.diagonal) + self.interface.nnz
+
+    def scaled(self, s):
+        """The operator diag(s) M diag(s)."""
+        G, t = self.interface, s[self.start :]
+        G = CSRMatrix(G.indptr, G.indices, G.data * (t[G.row_ids] * t[G.indices]), G.shape)
+        C = CSRMatrix(self.C.indptr, self.C.indices, self.C.data * s[self.C.indices],
+                      self.C.shape)
+        return MassOperator(C, self._A0, self._W, self.diagonal * s * s, G, self.start)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        A0, P = self._A0, len(self._W)
+        N = A0.shape[1]
+        U = (self.C @ x).reshape(P, N, N, -1).transpose(3, 0, 1, 2)  # (k, patches, N, N)
+        V = A0.T @ (self._W * (A0 @ U @ A0.T)) @ A0
+        return (V.reshape(len(V), -1) @ self.C).T.reshape(x.shape)
+
+
+def _stack(Cs):
+    """The rows of several ``CSRMatrix`` with equal columns, one after another."""
+    offsets = np.cumsum([0] + [C.nnz for C in Cs])
+    indptr = np.concatenate([[0]] + [C.indptr[1:] + o for C, o in zip(Cs, offsets)])
+    return CSRMatrix(indptr, np.concatenate([C.indices for C in Cs]),
+                     np.concatenate([C.data for C in Cs]),
+                     (sum(C.shape[0] for C in Cs), Cs[0].shape[1]))
 
 
 def assemble_mass(space, rule=None):
-    """Sparse symmetric mass matrix sum_patches int phi_a phi_b |det DF|.
-
-    Each patch's C_i^T M_i C_i is symmetrized before the sum, so the sum is
-    exactly symmetric without a transpose of the full matrix.
-    """
+    """The mass matrix sum_patches int phi_a phi_b |det DF| as a
+    ``MassOperator``: its diagonal and its edge and vertex block are
+    assembled, the rest is applied by sum factorization."""
     rule = _check_rule(space, rule)
-    M = None
+    ni = space.breakdown["patch"]
+    _, index = _mass_pattern(space.config)
+    frame = _frame(space.config)
+    interior = np.zeros(ni)
+    triplets = []
     for i, C in enumerate(space.C):
-        B = C.T @ (_patch_mass(space, i, rule) @ C)
-        B = B + B.T
-        M = B if M is None else M + B
-    M.data *= 0.5
-    return M
+        D = _patch_mass(space, i, rule)
+        interior += _interior_masses(C, D, index, ni)
+        triplets.append(_interface_triplets(C, D, frame, ni))
+    G = CSRMatrix.from_triplets(
+        *(np.concatenate(t) for t in zip(*triplets)), (space.dim - ni,) * 2
+    )
+    diagonal = np.concatenate([interior, G.diagonal()])
+    W = np.stack([_patch_weights(space, i, rule) for i in range(len(space.C))])
+    A0 = _basis_values(space.config, rule.nodes.ravel())
+    return MassOperator(_stack(space.C), A0, W, diagonal, G, ni)
 
 
 def assemble_rhs(space, fld, rule=None):
@@ -190,7 +340,7 @@ def assemble_rhs(space, fld, rule=None):
     rhs = np.zeros(space.dim)
     for i, C in enumerate(space.C):
         Wz = _patch_weights(space, i, rule).ravel() * fld.jets(i, x, x, 0)[0]
-        rhs += C.T @ (A0.T @ Wz.reshape(len(x), len(x)) @ A0).ravel()
+        rhs += (A0.T @ Wz.reshape(len(x), len(x)) @ A0).ravel() @ C
     return rhs
 
 
@@ -306,68 +456,97 @@ def _unit_interior_mass(usp):
     return d[:, None] * K * d[None, :]
 
 
+def _dense_blocks(blocks, shape):
+    """``CSRMatrix`` of dense blocks B at rows R and columns K, given as
+    (R, K, B) with R and K increasing and the rows of each block after those
+    of the one before."""
+    counts = np.zeros(shape[0], dtype=int)
+    for R, K, _ in blocks:
+        counts[R] = len(K)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = [np.zeros(0, dtype=int)] + [np.tile(K, len(R)) for R, K, _ in blocks]
+    data = [np.zeros(0)] + [B.ravel() for *_, B in blocks]
+    return CSRMatrix(indptr, np.concatenate(indices), np.concatenate(data), shape)
+
+
 def _interface_solver(G, owner):
-    """Exact solve with the edge and vertex block G (CSR) of A, by
+    """Exact solve with the edge and vertex block G (``CSRMatrix``) of A, by
     elimination of each edge's own rows onto a separator (Toselli & Widlund,
     *Domain Decomposition Methods*, 2005, ch. 4).
 
     ``owner`` labels each row of G with its edge, -1 for a vertex row; the
     rows of one edge are contiguous. The separator S is every vertex row and
     every row with an entry in a column of another owner. The remaining rows
-    I couple only within their edge, so G_II is block diagonal with one small
-    block per edge, inverted densely into the block-diagonal CSR Binv. With
-    X = Binv G_IS and the dense Schur complement G_SS - G_SI X, a residual
-    (r_I, r_S) maps to y_S = Schur^-1 (r_S - G_SI z) and y_I = z - X y_S,
-    z = Binv r_I. The separator is the rows near the ends of the edges, so
-    its size stops growing with n. Raises NumericalError when an edge block
-    or the Schur complement is singular.
+    I_e of an edge e couple only within the edge, to its rows I_e and S_e,
+    so each edge's dense diagonal block gives the inverse of G_{I_e I_e}
+    and X_e = G_{I_e I_e}^-1 G_{I_e S_e}, and the dense Schur complement is
+    G_SS - sum_e G_{S_e I_e} X_e. A residual r maps to y_S = Schur^-1 (r_S -
+    G_SI z) and y_I = z - X y_S, z = Binv r_I, with Binv, X and G_SI stored
+    as ``CSRMatrix``. The separator is the rows near the ends of the edges,
+    so its size stops growing with n. Raises NumericalError when an edge
+    block or the Schur complement is singular.
     """
-    coo = G.tocoo()
+    n = G.shape[0]
+    row, col, val = G.row_ids, G.indices, G.data
     sep = owner < 0
-    sep[coo.row[owner[coo.row] != owner[coo.col]]] = True
-    I, S = np.flatnonzero(~sep), np.flatnonzero(sep)
-    G_I, G_S = G[I], G[S]
-    G_II = G_I[:, I]
-    cut = np.flatnonzero(np.diff(owner[I])) + 1  # where the next edge's rows start
+    sep[row[owner[row] != owner[col]]] = True
+    S = np.flatnonzero(sep)
+    at = np.cumsum(sep) - 1  # position in S of a separator row
+    schur = np.zeros((len(S), len(S)))
+    both = sep[row] & sep[col]
+    schur[at[row[both]], at[col[both]]] = val[both]
+    binv, x, g_si = [], [], []
     try:
-        Binv = scipy.sparse.block_diag([
-            np.linalg.inv(G_II[a:b, a:b].toarray())
-            for a, b in zip(np.r_[0, cut], np.r_[cut, len(I)])
-        ], format="csr")
-        X = Binv @ G_I[:, S]
-        G_SI = G_S[:, I]
-        Sinv = np.linalg.inv(G_S[:, S].toarray() - (G_SI @ X).toarray())
+        for e in _distinct(owner[~sep]):
+            lo, hi = (np.flatnonzero(owner == e)[[0, -1]] + [0, 1]).tolist()
+            ent = slice(G.indptr[lo], G.indptr[hi])
+            block = np.zeros((hi - lo, hi - lo))
+            inside = (col[ent] >= lo) & (col[ent] < hi)
+            block[row[ent][inside] - lo, col[ent][inside] - lo] = val[ent][inside]
+            i, s = ~sep[lo:hi], sep[lo:hi]
+            I_e, S_e = np.flatnonzero(i) + lo, at[lo:hi][s]
+            inv = np.linalg.inv(block[np.ix_(i, i)])
+            X_e = inv @ block[np.ix_(i, s)]
+            schur[np.ix_(S_e, S_e)] -= block[np.ix_(s, i)] @ X_e
+            binv.append((I_e, I_e, inv))
+            x.append((I_e, S_e, X_e))
+            g_si.append((S_e, I_e, block[np.ix_(s, i)]))
+        Sinv = np.linalg.inv(schur)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"interface block of the mass is singular: {exc}") from exc
+    Binv = _dense_blocks(binv, (n, n))
+    X = _dense_blocks(x, (n, len(S)))
+    G_SI = _dense_blocks(g_si, (len(S), n))
 
     def solve(r):
-        y = np.empty_like(r)
-        z = Binv @ r[I]
-        y[S] = Sinv @ (r[S] - G_SI @ z)
-        y[I] = z - X @ y[S]
+        z = Binv @ r
+        y_S = Sinv @ (r[S] - G_SI @ z)
+        y = z - X @ y_S
+        y[S] = y_S
         return y
 
     return solve
 
 
-def _block_preconditioner(space, A):
-    """Block-diagonal approximate inverse of the Jacobi-scaled mass A.
+def _block_preconditioner(space, G):
+    """Block-diagonal approximate inverse of the Jacobi-scaled mass A, given
+    its edge and vertex block G (``CSRMatrix``).
 
     The basis starts with the interior B-splines of every patch, (N-4)^2 per
     patch in row-major (j1, j2) order; their block of A is approximated by
     K^ (x) K^ on every patch, which ignores the geometry and is inverted by
     fast diagonalization: with K^ = Q diag(lam) Q^T, a residual block R
     (N-4, N-4) maps to Q (L o Q^T R Q) Q^T, L = 1 / (lam_i lam_j). The
-    trailing block of the edge and vertex functions is solved exactly by
+    trailing block G of the edge and vertex functions is solved exactly by
     ``_interface_solver``.
     """
     m = space.N - 4
     ni = space.breakdown["patch"]
-    owner = np.full(A.shape[0] - ni, -1)
+    owner = np.full(G.shape[0], -1)
     for e in space.geometry.edges:
         rows = space.block("edge", e.id)
         owner[rows.start - ni : rows.stop - ni] = e.id
-    interface = _interface_solver(A[ni:, ni:], owner)
+    interface = _interface_solver(G, owner)
     lam, Q = np.linalg.eigh(_unit_interior_mass(space.config))  # (0, 0) if N <= 4
     L = 1.0 / np.outer(lam, lam)
 
@@ -382,15 +561,14 @@ def _block_preconditioner(space, A):
 
 def _solve_scaled(space, M, rhs):
     """Solution of M c = rhs, the number of PCG iterations it took and the
-    condition estimate of the preconditioned scaled system."""
-    d = np.asarray(M.diagonal())
+    condition estimate of the preconditioned scaled system A = S M S,
+    S = diag(M)^-1/2."""
+    d = M.diagonal
     if np.any(d <= 0.0):
         raise NumericalError("mass diagonal is not positive")
     s = 1.0 / np.sqrt(d)
-    A = M.tocsr(copy=True)  # S M S, scaled in place by columns, then rows
-    A.data *= s[A.indices]
-    A.data *= np.repeat(s, np.diff(A.indptr))
-    y, iterations, cond = _pcg(A, s * rhs, _block_preconditioner(space, A))
+    A = M.scaled(s)
+    y, iterations, cond = _pcg(A, s * rhs, _block_preconditioner(space, A.interface))
     return s * y, iterations, cond
 
 
@@ -420,7 +598,7 @@ def l2_fit(space, fld, rule=None):
     t1 = time.perf_counter()
     coeffs, iterations, cond = _solve_scaled(space, M, rhs)
     t2 = time.perf_counter()
-    err_rule = QuadratureRule(rule.n, rule.order + 3)
+    err_rule = QuadratureRule(rule.n, min(rule.order + 3, MAX_QUADRATURE_ORDER))
     err2, zz = _integral_sq(space, coeffs, fld, err_rule)
     t3 = time.perf_counter()
     res = float(np.linalg.norm(M @ coeffs - rhs) / max(np.linalg.norm(rhs), 1e-300))
@@ -553,6 +731,10 @@ class SmoothnessReport:
         return "\n".join(lines)
 
 
+#: most samples per interface side that ``smoothness_report`` takes
+MAX_SAMPLES_PER_EDGE = 10_000
+
+
 def smoothness_report(space, coeffs=None, samples_per_edge=200):
     """Two-sided continuity audit of the space, or of the members given by a
     coefficient vector (dim,) or the k columns of a matrix (dim, k).
@@ -560,34 +742,46 @@ def smoothness_report(space, coeffs=None, samples_per_edge=200):
     Per interface: max relative jump of values and physical gradients over
     sample points. Per vertex: max relative jump of physical second
     derivatives between all surrounding patches. Relative means divided by
-    max(1, local magnitude). The jets of all members (for the space, the
-    identity coefficient block) come at once from the sparse jet matrix; the
-    patch maps are sampled by sum factorization on the same side and corner
-    grids.
+    max(1, local magnitude). Members and patch maps are sampled by sum
+    factorization (``grid_jet``) on the side and corner grids. For the space,
+    the members are the basis functions whose extraction columns touch the
+    two layers next to the side (value and gradient there) or the 3 x 3
+    corner block (second derivatives at the corner), and only those rows of
+    their columns are read.
     """
-    if samples_per_edge < 1:
+    if not 1 <= samples_per_edge <= MAX_SAMPLES_PER_EDGE:
         raise InvalidConfigError(
-            f"need at least one sample per edge, got {samples_per_edge}"
+            f"need 1..{MAX_SAMPLES_PER_EDGE} samples per edge, got {samples_per_edge}"
         )
     mp = space.geometry
+    N = space.N
     t = np.linspace(0.0, 1.0, samples_per_edge)
-    if coeffs is None:
-        members = scipy.sparse.identity(space.dim, format="csr")
-    else:
+    if coeffs is not None:
         coeffs = np.asarray(coeffs, dtype=float)
         space._check_coeffs(coeffs)
-        members = scipy.sparse.csr_matrix(coeffs.reshape(space.dim, -1))
+        members = coeffs.reshape(space.dim, -1)
 
-    def jets(ipatch, grid, order):
-        """Sparse (m * (order+1)**2, k) parametric jets of all members on the
-        x1-major flattened tensor grid (x1, x2)."""
-        uv = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 2)
-        return space.config.jet_matrix(uv, order) @ (space.C[ipatch] @ members)
+    def touched(ipatch, rows):
+        """Sorted columns of the members with a coefficient in the given
+        extraction rows of a patch."""
+        if coeffs is not None:
+            return np.arange(members.shape[1])
+        return _distinct(space.C[ipatch].entries(rows)[1])
 
-    def physical(ipatch, grid, order, S, cols):
-        geo = mp.patches[ipatch].grid_jet(*grid, order)
-        fj = S[:, cols].toarray().reshape(len(geo), order + 1, order + 1, len(cols))
-        return physical_derivatives(geo, fj)
+    def physical(ipatch, grid, order, rows, cols):
+        """Physical jets of the members ``cols`` on a grid of a patch, from
+        their coefficients in the given extraction rows."""
+        if coeffs is not None:  # one at a time: a member's jets do not depend on the others
+            fj = np.stack([
+                TensorSpline(space.config, space.combine(c, ipatch)).grid_jet(*grid, order)
+                for c in members.T
+            ], axis=-1)
+        else:
+            at, col, val = space.C[ipatch].entries(rows)
+            coef = np.zeros((N * N, len(cols)))
+            coef[rows[at], np.searchsorted(cols, col)] = val
+            fj = TensorSpline(space.config, coef.reshape(N, N, -1)).grid_jet(*grid, order)
+        return physical_derivatives(mp.patches[ipatch].grid_jet(*grid, order), fj)
 
     def worst(score, cols):
         """Name of the first member with the largest positive score."""
@@ -601,12 +795,14 @@ def smoothness_report(space, coeffs=None, samples_per_edge=200):
     edge_rows = []
     for e in mp.interfaces():
         (i1, k1), (i2, k2) = edge_frames(e)
-        side1 = rotate_grid([0.0], t, k1)
-        side2 = rotate_grid(t, [0.0], k2)
-        S1, S2 = jets(i1, side1, 1), jets(i2, side2, 1)
-        cols = np.union1d(S1.indices, S2.indices)  # members seen on the edge
-        v1, g1, _ = physical(i1, side1, 1, S1, cols)
-        v2, g2, _ = physical(i2, side2, 1, S2, cols)
+        sides = (
+            (i1, rotate_grid([0.0], t, k1), space._rows[k1][:2].ravel()),
+            (i2, rotate_grid(t, [0.0], k2), space._rows[k2][:, :2].ravel()),
+        )
+        cols = _distinct(np.concatenate([touched(ip, rows) for ip, _, rows in sides]))
+        (v1, g1, _), (v2, g2, _) = (
+            physical(ip, grid, 1, rows, cols) for ip, grid, rows in sides
+        )
         sv = np.maximum(1.0, np.maximum(np.abs(v1).max(0), np.abs(v2).max(0)))
         sg = np.maximum(1.0, np.maximum(np.abs(g1).max((0, 2)), np.abs(g2).max((0, 2))))
         dv = np.abs(v1 - v2).max(0) / sv
@@ -618,12 +814,10 @@ def smoothness_report(space, coeffs=None, samples_per_edge=200):
 
     vertex_rows = []
     for v in mp.vertices:
-        corners = [(ip, rotate_grid([0.0], [0.0], c)) for ip, c in v.corners]
-        S = [jets(ip, grid, 2) for ip, grid in corners]
-        cols = np.unique(np.concatenate([s.indices for s in S]))
-        hs = np.array(
-            [physical(ip, grid, 2, s, cols)[2][0] for (ip, grid), s in zip(corners, S)]
-        )
+        corners = [(ip, rotate_grid([0.0], [0.0], c), space._rows[c][:3, :3].ravel())
+                   for ip, c in v.corners]
+        cols = _distinct(np.concatenate([touched(ip, rows) for ip, _, rows in corners]))
+        hs = np.array([physical(ip, grid, 2, rows, cols)[2][0] for ip, grid, rows in corners])
         scale = np.maximum(1.0, np.abs(hs).max((0, 2, 3)))
         dh = np.abs(hs - hs[0]).max((0, 2, 3)) / scale
         vertex_rows.append((v.id, dh.max(initial=0.0), worst(dh, cols)))

@@ -2,10 +2,11 @@
 
 Every basis function is a fixed tensor-spline coefficient grid on each patch,
 so the space is one linear map per patch from global coefficients to the
-patch's (N, N) coefficient grid. It is stored as a sparse extraction matrix
+patch's (N, N) coefficient grid. It is stored as an extraction matrix
 ``C[i]`` of shape (N*N, dim) per patch (Borden, Scott, Evans & Hughes,
-IJNME 2011); every consumer is a sparse product with it. The columns come in
-three families:
+IJNME 2011), in a minimal numpy CSR type (``CSRMatrix``); every consumer is
+a product of it, or of its transpose, with a dense array. The columns come
+in three families:
 
 * patch-interior functions: single B-splines with two vanishing coefficient
   layers on every side of their patch;
@@ -21,9 +22,9 @@ three families:
   coefficients both slots share; a function is the layers of its two slots
   minus that corner block.
 
-The columns are written as sparse triplets straight from these layers, with
-the rows found by the index permutation of the patch's standard-form
-rotation. All products entering the pullbacks (alpha times an S- spline,
+The columns are written as triplets straight from these layers, with the
+rows found by the index permutation of the patch's standard-form rotation
+(``_rows``). All products entering the pullbacks (alpha times an S- spline,
 beta times a derivative of an S+ spline) are degree p piecewise polynomials
 of smoothness r, so the extraction matrices are exact up to rounding. Of an
 edge the space keeps only its gluing data ``gluing[eid]``, and of a vertex
@@ -36,9 +37,9 @@ n) alone; ``block`` and ``basis_id`` translate by arithmetic.
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from .bspline import _basis_values, _drop_noise, derived_edge_spaces, represent_exactly
 from .errors import ArgyrisError, InvalidConfigError
@@ -47,6 +48,7 @@ from .multipatch import edge_frames, rotate_net, vertex_surrounding_edges
 
 __all__ = [
     "BasisId",
+    "CSRMatrix",
     "C2Data",
     "ArgyrisSpace",
     "space_dimension",
@@ -149,21 +151,108 @@ def _edge_data(t0, t0p, d0, d0p, hp):
     )
 
 
-def _coo(size, pieces):
-    """Sparse columns (size, k) from pieces (rows, values) with values of
-    shape rows.shape + (k,), keeping nonzero values only; no row may repeat."""
+class CSRMatrix:
+    """Compressed sparse rows in numpy: row i holds ``data[indptr[i]:
+    indptr[i+1]]`` in the columns ``indices[indptr[i]:indptr[i+1]]``, sorted
+    and without repeats. Products with dense arrays, ``A @ x`` and
+    ``y @ A``, are index arithmetic; there is no sparse-sparse algebra."""
+
+    __array_ufunc__ = None  # so that ndarray @ CSRMatrix calls __rmatmul__
+
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape = tuple(shape)
+
+    @classmethod
+    def from_triplets(cls, rows, cols, vals, shape):
+        """Values ``vals`` at (rows, cols); repeated positions are summed in
+        the order given and zero sums are dropped."""
+        key, at = np.unique(np.asarray(rows, dtype=np.int64) * shape[1] + cols,
+                            return_inverse=True)
+        vals = np.bincount(at, weights=vals, minlength=len(key)).astype(float, copy=False)
+        keep = vals != 0.0
+        rows, cols = np.divmod(key[keep], shape[1])
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls(indptr, cols, vals[keep], shape)
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+    @cached_property
+    def row_ids(self):
+        """Row of every stored entry (read-only)."""
+        ids = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        ids.setflags(write=False)
+        return ids
+
+    def entries(self, rows):
+        """Stored entries of the given rows: the position of their row in
+        ``rows``, their column and their value."""
+        rows = np.asarray(rows)
+        lo, counts = self.indptr[rows], np.diff(self.indptr)[rows]
+        at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        return np.repeat(np.arange(len(rows)), counts), self.indices[at], self.data[at]
+
+    def diagonal(self):
+        """The entries (i, i) as a dense vector."""
+        out = np.zeros(min(self.shape))
+        on = self.row_ids == self.indices
+        out[self.indices[on]] = self.data[on]
+        return out
+
+    def toarray(self):
+        out = np.zeros(self.shape)
+        out[self.row_ids, self.indices] = self.data
+        return out
+
+    def __matmul__(self, x):
+        """A @ x for a dense vector (n,) or array (n, ...). Each entry of the
+        result adds its terms to 0 one by one in stored order, so a column of
+        x gives the same digits alone as among others."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            # an empty weight array makes bincount return integers
+            terms = self.data * x[self.indices]
+            return np.bincount(self.row_ids, terms, self.shape[0]).astype(float, copy=False)
+        out = np.zeros((self.shape[0],) + x.shape[1:])
+        counts = np.diff(self.indptr)
+        for s in range(counts.max(initial=0)):  # the s-th entry of every row that has one
+            rows = np.flatnonzero(counts > s)
+            at = self.indptr[rows] + s
+            out[rows] += self.data[at].reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.indices[at]]
+        return out
+
+    def __rmatmul__(self, y):
+        """y @ A for a dense vector (m,) or array (..., m), summed in stored
+        order like ``A @ x``."""
+        y = np.asarray(y, dtype=float)
+        flat = y.reshape(-1, self.shape[0])
+        k = len(flat)
+        if k == 1:
+            keys, terms = self.indices, flat[0, self.row_ids] * self.data
+        else:
+            keys = (np.arange(k)[:, None] * self.shape[1] + self.indices).ravel()
+            terms = (flat[:, self.row_ids] * self.data).ravel()
+        out = np.bincount(keys, terms, k * self.shape[1]).astype(float, copy=False)
+        return out.reshape(y.shape[:-1] + (self.shape[1],))
+
+
+def _coo(pieces):
+    """Triplets (rows, columns, values) of the columns given by pieces (rows,
+    values), values of shape rows.shape + (k,), keeping nonzero values only;
+    no row may repeat."""
     rows = np.concatenate([r.ravel() for r, _ in pieces])
     vals = np.concatenate([v.reshape(r.size, -1) for r, v in pieces])
     i, cols = np.nonzero(vals)
-    return scipy.sparse.coo_matrix(
-        (vals[i, cols], (rows[i], cols)), shape=(size, vals.shape[1])
-    )
+    return rows[i], cols, vals[i, cols]
 
 
 class ArgyrisSpace:
     """The assembled smooth space over a validated multi-patch geometry.
 
-    ``C[i]`` is the sparse (N*N, dim) extraction matrix of patch i: column a
+    ``C[i]`` is the (N*N, dim) ``CSRMatrix`` extraction matrix of patch i: column a
     holds the flattened (N, N) tensor-spline coefficient grid of basis
     function a on that patch. Column a belongs to the entity whose ``block``
     holds a; ``basis_id(a)`` names it. ``config`` is the univariate space of
@@ -231,7 +320,8 @@ class ArgyrisSpace:
         """Assemble the extraction matrices, entity block by entity block.
 
         Each builder returns its column count and, per patch it touches, its
-        extraction columns, which land in the block of its entity.
+        extraction columns as triplets (rows, columns, values), which land in
+        the block of its entity.
         """
         mp = self.geometry
         families = [("patch", i, self.build_patch_interior(i))
@@ -247,17 +337,14 @@ class ArgyrisSpace:
                     f"dimension bookkeeping broke: formula gives "
                     f"{block.stop - block.start} functions per {kind}, build gives {k}"
                 )
-            for i, cols in columns.items():
-                triplets[i][0].append(cols.row)
-                triplets[i][1].append(cols.col + block.start)
-                triplets[i][2].append(cols.data)
+            for i, (rows, cols, vals) in columns.items():
+                triplets[i][0].append(rows)
+                triplets[i][1].append(cols + block.start)
+                triplets[i][2].append(vals)
         shape = (self.N * self.N, self.dim)
         return [
-            scipy.sparse.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=shape,
-            )
-            for rows, cols, vals in triplets
+            CSRMatrix.from_triplets(*(np.concatenate(t) for t in ijv), shape)
+            for ijv in triplets
         ]
 
     def build_patch_interior(self, i):
@@ -266,10 +353,7 @@ class ArgyrisSpace:
         inner = np.arange(2, N - 2)
         rows = (inner[:, None] * N + inner).ravel()
         k = rows.size
-        cols = scipy.sparse.coo_matrix(
-            (np.ones(k), (rows, np.arange(k))), shape=(N * N, k)
-        )
-        return k, {i: cols}
+        return k, {i: (rows, np.arange(k), np.ones(k))}
 
     def _mult_rep(self, sminus_coeffs, lin):
         """Coefficients in S^{p,r} of (lin[0] + lin[1]*x) times an S- spline.
@@ -325,7 +409,7 @@ class ArgyrisSpace:
             R = self._rows[rot]
             rows = R[:2] if role == 1 else R[:, :2].T
             layers = self._side_layers(T, V, alpha, beta, role)
-            columns[ipatch] = _coo(self.N**2, [(rows, layers)])
+            columns[ipatch] = _coo([(rows, layers)])
         return k, columns
 
     def build_vertex_functions(self, vid):
@@ -400,7 +484,7 @@ class ArgyrisSpace:
                 + layers[1][:, :2]
             )
             R = self._rows[rot]
-            columns[ipatch] = _coo(self.N**2, [
+            columns[ipatch] = _coo([
                 (R[:2, :2], corner),
                 (R[:2, 2:], layers[1][:, 2:]),
                 (R[2:, :2].T, layers[2][:, 2:]),
@@ -425,7 +509,7 @@ class ArgyrisSpace:
         return coeffs
 
     # ------------------------------------------------------------------
-    # queries and evaluation
+    # queries
     # ------------------------------------------------------------------
 
     def block(self, kind, owner):
@@ -476,20 +560,6 @@ class ArgyrisSpace:
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_coeffs(coeffs)
         return (self.C[patch] @ coeffs).reshape(self.shape + coeffs.shape[1:])
-
-    def evaluate(self, coeffs, patch, uv, nderiv=0):
-        """Parametric jet of a coefficient vector on one patch.
-
-        Returns an (m, nderiv+1, nderiv+1) array of mixed partial
-        derivatives; pair it with the patch Jacobian for physical ones. A
-        (dim, k) coefficient matrix adds a trailing axis of length k.
-        """
-        self.block("patch", patch)
-        coeffs = np.asarray(coeffs, dtype=float)
-        self._check_coeffs(coeffs)
-        uv = np.atleast_2d(uv)
-        jets = self.config.jet_matrix(uv, nderiv) @ (self.C[patch] @ coeffs)
-        return jets.reshape((len(uv), nderiv + 1, nderiv + 1) + coeffs.shape[1:])
 
 
 def physical_derivatives(geo_jet, f_jet):

@@ -4,6 +4,7 @@ import pytest
 from argyris import (
     ArgyrisSpace,
     Patch,
+    TensorSpline,
     UnivariateSpace,
     builtin_geometry,
     infer_topology,
@@ -15,7 +16,7 @@ def pointwise_jet(space, coeffs, uv, nderiv):
     grid ``coeffs`` on the square of a univariate space at points uv (m, 2):
     the active (p+1) x (p+1) coefficients of every point gathered and
     contracted with its basis values. A reference independent of
-    ``UnivariateSpace.jet_matrix`` and ``TensorSpline.grid_jet``."""
+    ``TensorSpline.grid_jet``; ``TensorSpline.jet`` uses the same gather."""
     uv = np.atleast_2d(np.asarray(uv, dtype=float))
     f1, d1 = space.basis_ders(uv[:, 0], nderiv)
     f2, d2 = space.basis_ders(uv[:, 1], nderiv)
@@ -23,6 +24,12 @@ def pointwise_jet(space, coeffs, uv, nderiv):
     i2 = f2[:, None] + np.arange(space.p + 1)[None, :]
     W = np.asarray(coeffs, dtype=float)[i1[:, :, None], i2[:, None, :]]
     return np.einsum("mai,mij...,mbj->mab...", d1, W, d2)
+
+
+def member_jet(space, coeffs, patch, uv, nderiv):
+    """Parametric jet (m, nderiv+1, nderiv+1, ...) on one patch of the member
+    of an ArgyrisSpace with the given coefficients (dim,) or (dim, k)."""
+    return TensorSpline(space.config, space.combine(coeffs, patch)).jet(uv, nderiv)
 
 
 def bilinear_patch(space, c00, c10, c11, c01):

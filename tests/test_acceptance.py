@@ -33,6 +33,7 @@ from argyris import (
 from argyris.errors import NotASG1Error
 from argyris.fit import _integral_sq
 from argyris.multipatch import CORNER_UV
+from conftest import member_jet
 from test_bspline import oracle_deriv, oracle_knots
 
 ASG1_BUILTINS = (
@@ -222,22 +223,23 @@ def test_criterion_9_oracle_equivalences(sp_two):
     # (b) mass entries against a refined-quadrature oracle
     M1 = assemble_mass(sp_two, QuadratureRule(4, 5))
     M2 = assemble_mass(sp_two, QuadratureRule(4, 10))
-    assert np.abs((M1 - M2).toarray()).max() < 1e-10 * np.abs(M2.toarray()).max()
+    eye = np.eye(sp_two.dim)
+    assert np.abs(M1 @ eye - M2 @ eye).max() < 1e-10 * np.abs(M2 @ eye).max()
     # (c) physical gradients against finite differences of the composition
     mp = sp_two.geometry
     c = rng.normal(size=sp_two.dim)
     uv = rng.uniform(0.05, 0.95, (20, 2))
     eps = 1e-6
     for i in range(2):
-        jet = sp_two.evaluate(c, i, uv, 2)
+        jet = member_jet(sp_two, c, i, uv, 2)
         gj = mp.patches[i].jet(uv, 2)
         _, grad, _ = physical_derivatives(gj, jet)
         J = np.stack([gj[:, 1, 0, :], gj[:, 0, 1, :]], axis=-1)
         for axis in range(2):
             d = np.zeros(2)
             d[axis] = eps
-            fp = sp_two.evaluate(c, i, uv + d, 0)[:, 0, 0]
-            fm = sp_two.evaluate(c, i, uv - d, 0)[:, 0, 0]
+            fp = member_jet(sp_two, c, i, uv + d, 0)[:, 0, 0]
+            fm = member_jet(sp_two, c, i, uv - d, 0)[:, 0, 0]
             fd = (fp - fm) / (2 * eps)
             chain = np.einsum("mi,mi->m", grad, J[:, :, axis])
             assert np.abs(fd - chain).max() < 1e-6 * max(1.0, np.abs(fd).max())

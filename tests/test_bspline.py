@@ -301,15 +301,19 @@ def test_config_rejects_multiplicity_above_p_plus_one():
         UnivariateSpace(3, -3, 1)
 
 
-def test_tensor_jet_matrix_matches_spline_jet():
+def test_tensor_jet_matches_spline_jet():
     space = UnivariateSpace(3, 1, 4)
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=(space.N, space.N, 3))
     uv = np.vstack([rng.uniform(0, 1, (10, 2)), [[0.0, 1.0], [0.25, 0.5]]])
     for d in (0, 2):
         want = pointwise_jet(space, coeffs, uv, d)
-        got = space.jet_matrix(uv, d) @ coeffs.reshape(-1, 3)
+        got = TensorSpline(space, coeffs).jet(uv, d)
         np.testing.assert_allclose(got.reshape(want.shape), want, rtol=1e-13, atol=1e-12)
+        # each point alone, as a 1 x 1 tensor grid (sum factorization)
+        for q, (u, v) in enumerate(uv):
+            one = TensorSpline(space, coeffs).grid_jet([u], [v], d)[0]
+            np.testing.assert_allclose(got[q], one, rtol=1e-13, atol=1e-12)
 
 
 @pytest.mark.parametrize("extra", [(), (2,)])

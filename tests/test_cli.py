@@ -333,6 +333,38 @@ def test_sample_nonpositive_grid_exits_one(capsys, tmp_path, grid):
     assert not list(tmp_path.iterdir())
 
 
+def test_huge_quadrature_order_exits_one(capsys):
+    # used to escape as a MemoryError from inside leggauss
+    code, out, err = run(
+        capsys, "fit", "--builtin", "two_patch_bilinear", "--quadrature", "1000000000"
+    )
+    assert code == 1
+    assert out == ""
+    assert "quadrature order" in err
+
+
+def test_huge_sample_grid_exits_one(capsys, tmp_path):
+    # used to ask numpy for 7.28 TiB and escape as a MemoryError
+    code, out, err = run(
+        capsys, "sample", "--builtin", "two_patch_bilinear", "--basis", "0",
+        "--grid", "1000000", "--output", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert out == ""
+    assert "--grid" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_huge_audit_sample_count_exits_one(capsys):
+    # used to ask numpy for 1.49 GiB and escape as a MemoryError
+    code, _, err = run(
+        capsys, "space", "audit", "--builtin", "two_patch_bilinear",
+        "--samples", "100000000",
+    )
+    assert code == 1
+    assert "samples per edge" in err
+
+
 def test_layer_one_move_exit_codes(capsys, tmp_path):
     # a move of control point (1, 4) of patch 0 changes the transversal
     # derivative along its side 0: the interface is no longer AS-G1, which

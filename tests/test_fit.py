@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -26,15 +27,18 @@ from argyris import (
     l2_fit,
     smoothness_report,
 )
+from argyris.cli import main
 from argyris.errors import InvalidConfigError, NumericalError
 from argyris.fit import (
     _block_preconditioner,
     _element_dofs,
     _lanczos_condition,
+    _mass_pattern,
     _patch_mass,
     _patch_weights,
     _pcg,
 )
+from argyris.space import CSRMatrix
 
 AS_G1_BUILTINS = (
     "two_patch_bilinear",
@@ -85,7 +89,7 @@ def test_l2_fit_refuses_a_rule_that_leaves_the_mass_singular(p, r, n, q, singula
     # solutions and a wrong error without complaint
     sp = ArgyrisSpace(builtin_geometry("two_patch_bilinear", UnivariateSpace(p, r, n)))
     rule = QuadratureRule(n, q)
-    M = assemble_mass(sp, rule).toarray()
+    M = assemble_mass(sp, rule) @ np.eye(sp.dim)
     s = 1.0 / np.sqrt(np.diag(M))
     assert (np.linalg.eigvalsh(s[:, None] * M * s)[0] < 1e-12) == singular
     fld = cos_sin_field(sp.geometry)
@@ -119,16 +123,20 @@ def test_convergence_study_rejects_zero_rule_order(mp_two):
 
 def test_mass_symmetric_and_positive_definite(sp_three):
     M = assemble_mass(sp_three)
-    assert (M - M.T).count_nonzero() == 0
-    eig = np.linalg.eigvalsh(M.toarray())
+    G = M.interface.toarray()  # the one stored matrix
+    assert np.count_nonzero(G - G.T) == 0
+    dense = M @ np.eye(sp_three.dim)
+    assert np.abs(dense - dense.T).max() <= 1e-15 * np.abs(dense).max()
+    eig = np.linalg.eigvalsh(dense)
     assert eig.min() > 0.0
 
 
 def test_mass_entries_against_refined_quadrature(sp_two):
     M1 = assemble_mass(sp_two, QuadratureRule(sp_two.config.n, 5))
     M2 = assemble_mass(sp_two, QuadratureRule(sp_two.config.n, 10))
-    d = np.abs((M1 - M2).toarray()).max()
-    assert d < 1e-10 * np.abs(M2.toarray()).max()
+    eye = np.eye(sp_two.dim)
+    d = np.abs(M1 @ eye - M2 @ eye).max()
+    assert d < 1e-10 * np.abs(M2 @ eye).max()
 
 
 def reference_mass_rhs(space, fld, rule):
@@ -166,7 +174,7 @@ def check_against_element_loop_reference(space):
     rule = QuadratureRule(space.config.n, space.config.p + 2)
     fld = cos_sin_field(space.geometry)
     M_ref, rhs_ref = reference_mass_rhs(space, fld, rule)
-    M = assemble_mass(space, rule).toarray()
+    M = assemble_mass(space, rule) @ np.eye(space.dim)
     rhs = assemble_rhs(space, fld, rule)
     assert np.abs(M - M_ref).max() < 1e-12 * np.abs(M_ref).max()
     assert np.abs(rhs - rhs_ref).max() < 1e-12 * np.abs(rhs_ref).max()
@@ -193,26 +201,56 @@ def test_assembly_matches_element_loop_reference_across_degrees(name, p, r):
     )
 
 
+@pytest.mark.parametrize("p,r,n", [(3, 1, 4), (4, 2, 3), (5, 1, 2)])
+@pytest.mark.parametrize("name", AS_G1_BUILTINS)
+def test_matrix_free_mass_matches_element_loop_reference(name, p, r, n):
+    # the operator applied to the identity, its stored diagonal and its stored
+    # edge and vertex block against the dense element-loop mass
+    space = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(p, r, n)))
+    rule = QuadratureRule(n, p + 2)
+    M_ref, _ = reference_mass_rhs(space, cos_sin_field(space.geometry), rule)
+    M = assemble_mass(space, rule)
+    scale = np.abs(M_ref).max()
+    assert np.abs(M @ np.eye(space.dim) - M_ref).max() < 1e-13 * scale
+    assert np.abs(M.diagonal - np.diag(M_ref)).max() < 1e-13 * scale
+    ni = space.breakdown["patch"]
+    G = M.interface.toarray()
+    assert np.abs(G - M_ref[ni:, ni:]).max() < 1e-13 * scale
+    assert np.count_nonzero(G - G.T) == 0
+
+
 @pytest.mark.parametrize("n", [4, 16])
 @pytest.mark.parametrize("name", AS_G1_BUILTINS)
 def test_mass_exactly_symmetric_on_every_builtin(name, n):
+    # the edge and vertex block is the one matrix the operator stores
     M = assemble_mass(ArgyrisSpace(builtin_geometry(name, UnivariateSpace(3, 1, n))))
-    assert (M - M.T).count_nonzero() == 0
+    G = M.interface.toarray()
+    assert np.count_nonzero(G - G.T) == 0
 
 
 def test_patch_mass_stores_exactly_the_element_sharing_pairs():
     space = ArgyrisSpace(builtin_geometry("two_patch_bilinear", UnivariateSpace(3, 1, 32)))
-    Mi = _patch_mass(space, 0, QuadratureRule(32, 5))
+    D = _patch_mass(space, 0, QuadratureRule(32, 5))
     # every (row, col) of tensor B-splines active on a common element
     N, dof = space.N, _element_dofs(space.config)
     act = (dof[:, None, :, None] * N + dof[None, :, None, :]).reshape(32 * 32, -1)
     expected = np.unique((act[:, :, None] * N**2 + act[:, None, :]).ravel())
-    coo = Mi.tocoo()
-    stored = np.sort(coo.row.astype(np.int64) * N**2 + coo.col)
-    assert Mi.has_canonical_format
+    # the table holds one entry per pair of 1D pairs; a tensor entry is
+    # stored where both of its 1D pairs share an element
+    pairs, index = _mass_pattern(space.config)
+    i, j = np.nonzero(index >= 0)
+    rows = i[:, None] * N + i[None, :]
+    cols = j[:, None] * N + j[None, :]
+    stored = np.sort((rows.astype(np.int64) * N**2 + cols).ravel())
+    code = pairs[0] * N + pairs[1]
+    assert (np.diff(code) > 0).all() and (pairs[0] <= pairs[1]).all()
+    assert D.shape == (pairs.shape[1] + 1,) * 2
     assert len(expected) == 150544
     np.testing.assert_array_equal(stored, expected)
-    assert (Mi.data > 0.0).all()  # B-splines overlap on the open element
+    k = index[i, j]
+    assert (D[k[:, None], k[None, :]] > 0.0).all()  # B-splines overlap on the open element
+    assert not D[-1].any() and not D[:, -1].any()  # the entry of pairs that share none
+
 
 
 def test_in_space_fit_reproduces_coefficients(sp_three):
@@ -254,7 +292,8 @@ def test_preconditioned_solve_matches_direct_solve(name, p, r):
     fld = cos_sin_field(mp)
     res = l2_fit(space, fld)
     ref = scipy.sparse.linalg.spsolve(
-        assemble_mass(space).tocsc(), assemble_rhs(space, fld)
+        scipy.sparse.csc_matrix(assemble_mass(space) @ np.eye(space.dim)),
+        assemble_rhs(space, fld),
     )
     assert np.linalg.norm(res.coeffs - ref) < 1e-9 * np.linalg.norm(ref)
 
@@ -264,11 +303,11 @@ def test_pcg_reports_condition_estimate_when_it_fails():
     # the range and CG cannot reach the tolerance
     n = 8
     A = scipy.sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
-                           [-1, 0, 1]).tolil()
+                           [-1, 0, 1]).toarray()
     A[0, 0] = A[-1, -1] = 1.0
     b = np.eye(n)[0]
     with pytest.raises(NumericalError, match="condition estimate") as info:
-        _pcg(A.tocsr(), b, lambda res: res)
+        _pcg(A, b, lambda res: res)
     estimate = float(str(info.value).rsplit(" ", 1)[1].rstrip(")"))
     assert estimate > 1e8
 
@@ -297,6 +336,11 @@ def test_pcg_condition_estimate_matches_spectrum():
     assert abs(cond - 50.0) < 1e-6 * 50.0
 
 
+def _csr(A):
+    rows, cols = np.nonzero(A)
+    return CSRMatrix.from_triplets(rows, cols, A[rows, cols], A.shape)
+
+
 def _space_without_interior_or_edges():
     # N = 4 leaves no interior B-splines: the interface block is all of A,
     # and with no edges every row of it is a separator row
@@ -314,7 +358,7 @@ def test_block_preconditioner_without_interior_block():
     B = np.random.default_rng(6).normal(size=(k, k))
     A = B @ B.T + k * np.eye(k)
     space = _space_without_interior_or_edges()
-    apply = _block_preconditioner(space, scipy.sparse.csr_matrix(A))
+    apply = _block_preconditioner(space, _csr(A))
     r = np.arange(1.0, k + 1)
     np.testing.assert_allclose(apply(r), np.linalg.solve(A, r), rtol=1e-12)
 
@@ -322,7 +366,7 @@ def test_block_preconditioner_without_interior_block():
 def test_singular_interface_block_raises_numerical_error():
     with pytest.raises(NumericalError, match="singular"):
         _block_preconditioner(
-            _space_without_interior_or_edges(), scipy.sparse.csr_matrix(np.ones((6, 6)))
+            _space_without_interior_or_edges(), _csr(np.ones((6, 6)))
         )
 
 
@@ -331,7 +375,7 @@ def test_interface_solve_is_exact_and_dense_only_on_the_separator(monkeypatch):
     space = ArgyrisSpace(mp)
     M = assemble_mass(space)
     ni = space.breakdown["patch"]
-    G = M[ni:, ni:].toarray()
+    G = M.interface.toarray()
     assert len(G) == 471
     inverted = []
     inv = np.linalg.inv
@@ -341,14 +385,17 @@ def test_interface_solve_is_exact_and_dense_only_on_the_separator(monkeypatch):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", spy)
-    apply = _block_preconditioner(space, M)
+    apply = _block_preconditioner(space, M.interface)
     # one dense block per edge, then the Schur complement of the 246 rows
     # that couple to another edge or a vertex
     assert len(inverted) == len(mp.edges) + 1
     assert inverted[-1] == 246 and max(inverted[:-1]) < 246
-    r = np.arange(1.0, M.shape[0] + 1)
+    r = np.arange(1.0, space.dim + 1)
     y = apply(r)[ni:]
+    # G has condition ~1.6e6, so a plain LAPACK solve can itself be off by
+    # ~1e-12; one step of iterative refinement puts the reference below that
     ref = np.linalg.solve(G, r[ni:])
+    ref += np.linalg.solve(G, r[ni:] - G @ ref)
     assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -364,8 +411,57 @@ def _loaded_linalg_modules(code):
     return out.split()[-2:]
 
 
-def test_import_does_not_load_sparse_linalg():
-    assert _loaded_linalg_modules("import argyris") == ["False", "False"]
+#: one run of every subcommand; ``{out}`` is the sample output prefix
+SCIPY_FREE_COMMANDS = (
+    ("converge", "--builtin", "two_patch_bilinear", "--levels", "2"),
+    ("space", "audit", "--builtin", "three_patch_bilinear"),
+    ("fit", "--builtin", "two_patch_curved_asg1"),
+    ("sample", "--builtin", "lshape_bilinear", "--basis", "110", "--grid", "6",
+     "--derivs", "--output", "{out}"),
+    ("geom", "check", "--builtin", "five_patch_bilinear"),
+    ("gluing", "--builtin", "five_patch_bilinear"),
+)
+
+_SCIPY_FREE_RUNNER = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any import of scipy raises ImportError
+import argyris.cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = argyris.cli.main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def _project_dependencies():
+    text = (Path(argyris.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    listed = project.split("dependencies = [", 1)[1].split("]", 1)[0]
+    return [d.strip().strip(",").strip('"') for d in listed.splitlines() if d.strip()]
+
+
+def test_import_does_not_load_sparse_linalg(capsys, tmp_path):
+    # the library needs no scipy at all: every subcommand, in a fresh
+    # interpreter where importing scipy raises, prints what it prints here
+    # and writes the same files
+    argvs = [[a.format(out=tmp_path / "s") for a in argv] for argv in SCIPY_FREE_COMMANDS]
+    src = str(Path(argyris.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUNNER, json.dumps(argvs)], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    isolated = json.loads(proc.stdout)
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert len(written) == 3  # one sample file per patch of the L-shape
+    for argv, (code, out) in zip(argvs, isolated):
+        assert (code, out) == (main(argv), capsys.readouterr().out), argv
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+    deps = _project_dependencies()
+    assert deps and not any(d.startswith("scipy") for d in deps)
 
 
 def test_fit_path_does_not_load_dense_linear_algebra():
@@ -459,9 +555,9 @@ def space_with_broken_function(sp):
     grid[:2, :2] = 1.0  # corner B-splines: nonzero value on two sides of patch i1
     # overwrite the first interior function of patch i1, nonzero there only
     a = space.block("patch", i1).start
-    broken = sp.C[i1].tolil()
-    broken[:, a] = grid.reshape(-1, 1)
-    space.C = [broken.tocsr() if i == i1 else C for i, C in enumerate(sp.C)]
+    broken = sp.C[i1].toarray()
+    broken[:, a] = grid.reshape(-1)
+    space.C = [_csr(broken) if i == i1 else C for i, C in enumerate(sp.C)]
     return space, a
 
 

@@ -15,7 +15,7 @@ from argyris.space import BasisId, VERTEX_INDEX_ORDER, _edge_index_set
 from argyris import Spline, TensorSpline, UnivariateSpace, bspline, load_geometry, save_geometry
 from argyris.errors import TopologyError
 from argyris.multipatch import MultiPatch, VertexRecord
-from conftest import square_grid_geometry
+from conftest import member_jet, square_grid_geometry
 
 AS_G1_BUILTINS = (
     "two_patch_bilinear",
@@ -106,7 +106,7 @@ def test_entity_blocks_number_the_basis(name, p, r, n):
                  for e in mp.edges]
     entities += [("vertex", v.id, list(VERTEX_INDEX_ORDER), {ip for ip, _ in v.corners})
                  for v in mp.vertices]
-    lives_on = [np.diff(C.tocsc().indptr) > 0 for C in sp.C]  # (dim,) per patch
+    lives_on = [np.bincount(C.indices, minlength=sp.dim) > 0 for C in sp.C]  # (dim,) per patch
     stop = 0
     for kind, owner, indices, patches in entities:
         block = sp.block(kind, owner)
@@ -149,7 +149,7 @@ def test_patch_functions_vanish_on_patch_boundary(sp_three):
     )
     gj = mp.patches[0].jet(boundary_uv, 2)
     for a in ids_of_kind(sp_three, "patch", 0)[:8]:
-        fj = sp_three.evaluate(unit(sp_three, a), 0, boundary_uv, 2)
+        fj = member_jet(sp_three, unit(sp_three, a), 0, boundary_uv, 2)
         val, grad, _ = physical_derivatives(gj, fj)
         assert np.abs(val).max() < 1e-13
         assert np.abs(grad).max() < 1e-13
@@ -160,7 +160,7 @@ def test_patch_function_is_mapped_bspline(sp_three):
     j1, j2 = sp_three.basis_id(a).index
     g = sp_three.config.greville()
     uv = np.array([[g[j1], g[j2]]])
-    got = sp_three.evaluate(unit(sp_three, a), 1, uv, 0)[0, 0, 0]
+    got = member_jet(sp_three, unit(sp_three, a), 1, uv, 0)[0, 0, 0]
     _, d1 = sp_three.config.basis_ders(uv[:, 0], 0)
     _, d2 = sp_three.config.basis_ders(uv[:, 1], 0)
     f1, _ = sp_three.config.basis_ders(uv[:, 0], 0)
@@ -190,8 +190,8 @@ def test_interface_functions_are_c1(sp_three):
         gj2 = mp.patches[i2].jet(uv2, 2)
         for a in ids_of_kind(sp_three, "edge", e.id):
             e = unit(sp_three, a)
-            v1, g1, _ = physical_derivatives(gj1, sp_three.evaluate(e, i1, uv1, 2))
-            v2, g2, _ = physical_derivatives(gj2, sp_three.evaluate(e, i2, uv2, 2))
+            v1, g1, _ = physical_derivatives(gj1, member_jet(sp_three, e, i1, uv1, 2))
+            v2, g2, _ = physical_derivatives(gj2, member_jet(sp_three, e, i2, uv2, 2))
             assert np.abs(v1 - v2).max() < 1e-10
             assert np.abs(g1 - g2).max() < 1e-10
 
@@ -204,7 +204,7 @@ def test_edge_functions_vanish_to_second_order_at_endpoints(sp_three):
         uv = rotate_uv(np.column_stack([np.zeros_like(ends[:, 0]), ends[:, 0]]), rot)
         gj = mp.patches[i1].jet(uv, 2)
         for a in ids_of_kind(sp_three, "edge", e.id):
-            fj = sp_three.evaluate(unit(sp_three, a), i1, uv, 2)
+            fj = member_jet(sp_three, unit(sp_three, a), i1, uv, 2)
             val, grad, hess = physical_derivatives(gj, fj)
             assert np.abs(val).max() < 1e-11
             assert np.abs(grad).max() < 1e-11
@@ -226,7 +226,7 @@ def test_edge_trace_and_transversal_reproduction(sp_three):
         d, _ = transversal_vector(sp_three.gluing[e.id], mp.patches[i1].rotate(rot), t)
         for a in ids_of_kind(sp_three, "edge", e.id):
             j, s = sp_three.basis_id(a).index
-            fj = sp_three.evaluate(unit(sp_three, a), i1, uv, 2)
+            fj = member_jet(sp_three, unit(sp_three, a), i1, uv, 2)
             val, grad, _ = physical_derivatives(gj, fj)
             if s == 0:
                 want = sp_three.splus.basis_function(j)(t)
@@ -310,7 +310,7 @@ def test_vertex_delta_property(request, fixture):
             for ip, c in v.corners:
                 uv = CORNER_UV[c : c + 1]
                 gj = mp.patches[ip].jet(uv, 2)
-                fj = sp.evaluate(unit(sp, a), ip, uv, 2)
+                fj = member_jet(sp, unit(sp, a), ip, uv, 2)
                 val, grad, hess = physical_derivatives(gj, fj)
                 got = {
                     (0, 0): val[0],
@@ -391,7 +391,9 @@ def test_extraction_matrices_are_canonical_without_stored_zeros(name, p, r, n):
     # stored zeros or duplicates would change the mass sparsity and CG cost
     sp = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(p, r, n)))
     for C in sp.C:
-        assert C.has_canonical_format
+        # canonical: column indices strictly increasing within each row
+        key = C.row_ids * C.shape[1] + C.indices
+        assert (np.diff(key) > 0).all()
         assert C.nnz == np.count_nonzero(C.data)
 
 
@@ -421,7 +423,7 @@ def test_evaluate_unit_vector_matches_basis(sp_three):
     c[a] = 1.0
     rng = np.random.default_rng(0)
     uv = rng.uniform(0, 1, (20, 2))
-    got = sp_three.evaluate(c, 2, uv, 0)[:, 0, 0]
+    got = member_jet(sp_three, c, 2, uv, 0)[:, 0, 0]
     want = sp_three.config.basis_function(j1)(uv[:, 0]) * sp_three.config.basis_function(
         j2
     )(uv[:, 1])
@@ -433,11 +435,11 @@ def test_coefficient_matrix_is_columnwise(sp_three):
     c = rng.normal(size=(sp_three.dim, 2))
     uv = rng.uniform(0, 1, (7, 2))
     grids = sp_three.combine(c, 1)
-    jets = sp_three.evaluate(c, 1, uv, 2)
+    jets = TensorSpline(sp_three.config, sp_three.combine(c, 1)).jet(uv, 2)
     for k in range(2):
         np.testing.assert_array_equal(grids[..., k], sp_three.combine(c[:, k], 1))
         np.testing.assert_allclose(
-            jets[..., k], sp_three.evaluate(c[:, k], 1, uv, 2), rtol=0, atol=1e-12
+            jets[..., k], member_jet(sp_three, c[:, k], 1, uv, 2), rtol=0, atol=1e-12
         )
 
 
@@ -458,7 +460,7 @@ def test_linear_products_match_exact_representation(sp_three):
 def test_evaluate_zero_coeffs(sp_three):
     c = np.zeros(sp_three.dim)
     uv = np.array([[0.3, 0.7]])
-    assert sp_three.evaluate(c, 0, uv, 1).max() == 0.0
+    assert member_jet(sp_three, c, 0, uv, 1).max() == 0.0
 
 
 def test_evaluate_gradient_vs_finite_difference(sp_three):
@@ -468,15 +470,15 @@ def test_evaluate_gradient_vs_finite_difference(sp_three):
     uv = rng.uniform(0.05, 0.95, (20, 2))
     eps = 1e-6
     for i in range(3):
-        jet = sp_three.evaluate(c, i, uv, 2)
+        jet = member_jet(sp_three, c, i, uv, 2)
         gj = mp.patches[i].jet(uv, 2)
         _, grad, _ = physical_derivatives(gj, jet)
         # physical finite difference through the inverse-free parametric route
         for axis in range(2):
             d = np.zeros(2)
             d[axis] = eps
-            fp = sp_three.evaluate(c, i, uv + d, 0)[:, 0, 0]
-            fm = sp_three.evaluate(c, i, uv - d, 0)[:, 0, 0]
+            fp = member_jet(sp_three, c, i, uv + d, 0)[:, 0, 0]
+            fm = member_jet(sp_three, c, i, uv - d, 0)[:, 0, 0]
             par = (fp - fm) / (2 * eps)
             want = jet[:, 1, 0] if axis == 0 else jet[:, 0, 1]
             assert np.abs(par - want).max() < 1e-6 * max(1.0, np.abs(par).max())
@@ -520,7 +522,7 @@ def test_physical_derivatives_of_composed_quadratics(mp_curved, d):
 
 def test_evaluate_validates_patch_index(sp_three):
     with pytest.raises(InvalidConfigError):
-        sp_three.evaluate(np.zeros(sp_three.dim), 17, np.array([[0.5, 0.5]]))
+        member_jet(sp_three, np.zeros(sp_three.dim), 17, np.array([[0.5, 0.5]]), 0)
 
 
 @pytest.mark.parametrize("patch", [-1, 3, 17])
@@ -607,9 +609,9 @@ def test_build_samples_tensor_grids_only(monkeypatch):
     def scattered(*args):
         raise AssertionError("scattered-point evaluation in the build")
 
-    # on the class, so every caller (TensorSpline.jet, ArgyrisSpace.evaluate,
-    # smoothness_report) that looks it up at call time meets it
-    monkeypatch.setattr(UnivariateSpace, "jet_matrix", scattered)
+    # on the class, so every caller (Patch.point, Patch.jet) that looks it up
+    # at call time meets it
+    monkeypatch.setattr(TensorSpline, "jet", scattered)
     with pytest.raises(AssertionError, match="scattered"):
         mp.patches[0].point([[0.5, 0.5]])
     basis_ders = UnivariateSpace.basis_ders
