@@ -30,15 +30,17 @@ lead the basis, are unit tensor B-splines, so their block of A is close to
 K^ (x) K^ on every patch, with K^ the unit-diagonal 1D B-spline mass of the
 interior indices on [0, 1]; it is inverted by fast diagonalization (Sangalli
 & Tani, SISC 2016). The few edge and vertex functions form the trailing
-block, solved exactly: an edge function couples to another edge or a vertex
-only near the edge ends, so each edge's other rows are eliminated by a small
-dense inverse onto a separator whose dense Schur complement stops growing
-with n. At p = 3 CG then needs about 30 iterations on every mesh. Its
-coefficients also give a Lanczos estimate of the condition number of the
-preconditioned system; ``FitResult`` records it with the iteration count
-and the time of each stage. The convergence driver fits a target function
-on a sequence of nested refinements and tabulates errors with estimated
-convergence rates ecr = log2(e_coarse / e_fine).
+block, solved exactly: its rows, ordered by breadth-first levels from a
+pseudo-peripheral row (Cuthill & McKee, 1969), make it block tridiagonal,
+and block Cholesky needs one small dense factor per level. The order is read
+off the sparsity of the block alone, and the levels stay narrow because each
+function couples only to its neighbours along the interfaces. At p = 3 CG
+then needs about 30 iterations on every mesh. Its coefficients also give a
+Lanczos estimate of the condition number of the preconditioned system;
+``FitResult`` records it with the iteration count and the time of each
+stage. The convergence driver fits a target function on a sequence of
+nested refinements and tabulates errors with estimated convergence rates
+ecr = log2(e_coarse / e_fine).
 """
 
 import time
@@ -456,74 +458,77 @@ def _unit_interior_mass(usp):
     return d[:, None] * K * d[None, :]
 
 
-def _dense_blocks(blocks, shape):
-    """``CSRMatrix`` of dense blocks B at rows R and columns K, given as
-    (R, K, B) with R and K increasing and the rows of each block after those
-    of the one before."""
-    counts = np.zeros(shape[0], dtype=int)
-    for R, K, _ in blocks:
-        counts[R] = len(K)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    indices = [np.zeros(0, dtype=int)] + [np.tile(K, len(R)) for R, K, _ in blocks]
-    data = [np.zeros(0)] + [B.ravel() for *_, B in blocks]
-    return CSRMatrix(indptr, np.concatenate(indices), np.concatenate(data), shape)
+def _levels(G):
+    """The rows of a structurally symmetric ``CSRMatrix`` G grouped by
+    breadth-first distance (Cuthill & McKee, 1969), as a list of sorted row
+    arrays. A stored entry of G joins rows in the same or in adjacent
+    levels, so G is block tridiagonal in this order. Each connected part is
+    swept twice, from its first row and again from the last row that sweep
+    reached, a pseudo-peripheral row, so the levels stay narrow; the next
+    part starts one level further on."""
+    done = np.zeros(G.shape[0], dtype=bool)
+    levels = []
+    while not done.all():
+        start = int(np.argmin(done))
+        for _ in range(2):
+            seen = done.copy()
+            seen[start] = True
+            part = [np.array([start])]
+            while True:
+                reached = G.entries(part[-1])[1]
+                reached = _distinct(reached[~seen[reached]])
+                if not len(reached):
+                    break
+                seen[reached] = True
+                part.append(reached)
+            start = part[-1][-1]
+        done = seen
+        levels += part
+    return levels
 
 
-def _interface_solver(G, owner):
-    """Exact solve with the edge and vertex block G (``CSRMatrix``) of A, by
-    elimination of each edge's own rows onto a separator (Toselli & Widlund,
-    *Domain Decomposition Methods*, 2005, ch. 4).
-
-    ``owner`` labels each row of G with its edge, -1 for a vertex row; the
-    rows of one edge are contiguous. The separator S is every vertex row and
-    every row with an entry in a column of another owner. The remaining rows
-    I_e of an edge e couple only within the edge, to its rows I_e and S_e,
-    so each edge's dense diagonal block gives the inverse of G_{I_e I_e}
-    and X_e = G_{I_e I_e}^-1 G_{I_e S_e}, and the dense Schur complement is
-    G_SS - sum_e G_{S_e I_e} X_e. A residual r maps to y_S = Schur^-1 (r_S -
-    G_SI z) and y_I = z - X y_S, z = Binv r_I, with Binv, X and G_SI stored
-    as ``CSRMatrix``. The separator is the rows near the ends of the edges,
-    so its size stops growing with n. Raises NumericalError when an edge
-    block or the Schur complement is singular.
+def _interface_solver(G):
+    """Exact solve with the edge and vertex block G (``CSRMatrix``) of A by
+    block Cholesky over the levels of ``_levels``, in which G is block
+    tridiagonal: with D_0 = G_00, level k factors D_k = L_k L_k^T, W_k =
+    L_k^-1 G_{k,k+1} and D_{k+1} = G_{k+1,k+1} - W_k^T W_k. A residual r maps
+    by one forward sweep, z_k = L_k^-1 (r_k - W_{k-1}^T z_{k-1}), and one
+    backward sweep, y_k = L_k^-T (z_k - W_k y_{k+1}). The edge and vertex
+    functions couple only to their neighbours, so the levels follow the
+    interfaces and their width stops growing with n. Raises NumericalError
+    when some D_k is not positive definite.
     """
-    n = G.shape[0]
-    row, col, val = G.row_ids, G.indices, G.data
-    sep = owner < 0
-    sep[row[owner[row] != owner[col]]] = True
-    S = np.flatnonzero(sep)
-    at = np.cumsum(sep) - 1  # position in S of a separator row
-    schur = np.zeros((len(S), len(S)))
-    both = sep[row] & sep[col]
-    schur[at[row[both]], at[col[both]]] = val[both]
-    binv, x, g_si = [], [], []
+    levels = _levels(G)
+    level, pos = np.zeros(G.shape[0], dtype=int), np.zeros(G.shape[0], dtype=int)
+    for k, rows in enumerate(levels):
+        level[rows], pos[rows] = k, np.arange(len(rows))
+    bounds = np.cumsum([0] + [len(rows) for rows in levels])
+    Linv, W = [], []
     try:
-        for e in _distinct(owner[~sep]):
-            lo, hi = (np.flatnonzero(owner == e)[[0, -1]] + [0, 1]).tolist()
-            ent = slice(G.indptr[lo], G.indptr[hi])
-            block = np.zeros((hi - lo, hi - lo))
-            inside = (col[ent] >= lo) & (col[ent] < hi)
-            block[row[ent][inside] - lo, col[ent][inside] - lo] = val[ent][inside]
-            i, s = ~sep[lo:hi], sep[lo:hi]
-            I_e, S_e = np.flatnonzero(i) + lo, at[lo:hi][s]
-            inv = np.linalg.inv(block[np.ix_(i, i)])
-            X_e = inv @ block[np.ix_(i, s)]
-            schur[np.ix_(S_e, S_e)] -= block[np.ix_(s, i)] @ X_e
-            binv.append((I_e, I_e, inv))
-            x.append((I_e, S_e, X_e))
-            g_si.append((S_e, I_e, block[np.ix_(s, i)]))
-        Sinv = np.linalg.inv(schur)
+        for k, rows in enumerate(levels):
+            m = len(rows)
+            at, col, val = G.entries(rows)
+            up = level[col] - k  # 0 in G_{k,k}, 1 in G_{k,k+1}, -1 in G_{k,k-1}
+            keep = up >= 0
+            block = np.zeros((m, bounds[min(k + 2, len(levels))] - bounds[k]))
+            block[at[keep], (pos[col] + m * up)[keep]] = val[keep]
+            D = block[:, :m] - W[-1].T @ W[-1] if k else block[:, :m]
+            Linv.append(np.linalg.inv(np.linalg.cholesky(D)))
+            W.append(Linv[-1] @ block[:, m:])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"interface block of the mass is singular: {exc}") from exc
-    Binv = _dense_blocks(binv, (n, n))
-    X = _dense_blocks(x, (n, len(S)))
-    G_SI = _dense_blocks(g_si, (len(S), n))
+    order = np.concatenate(levels)
+    rank = np.argsort(order)  # where each row of G sits in the level order
 
     def solve(r):
-        z = Binv @ r
-        y_S = Sinv @ (r[S] - G_SI @ z)
-        y = z - X @ y_S
-        y[S] = y_S
-        return y
+        r = np.split(r[order], bounds[1:-1])
+        z = [Linv[0] @ r[0]]
+        for k in range(1, len(r)):
+            z.append(Linv[k] @ (r[k] - W[k - 1].T @ z[-1]))
+        y = [Linv[-1].T @ z[-1]]
+        for k in reversed(range(len(z) - 1)):
+            y.append(Linv[k].T @ (z[k] - W[k] @ y[-1]))
+        return np.concatenate(y[::-1])[rank]
 
     return solve
 
@@ -538,15 +543,11 @@ def _block_preconditioner(space, G):
     fast diagonalization: with K^ = Q diag(lam) Q^T, a residual block R
     (N-4, N-4) maps to Q (L o Q^T R Q) Q^T, L = 1 / (lam_i lam_j). The
     trailing block G of the edge and vertex functions is solved exactly by
-    ``_interface_solver``.
+    ``_interface_solver``, from G alone.
     """
     m = space.N - 4
     ni = space.breakdown["patch"]
-    owner = np.full(G.shape[0], -1)
-    for e in space.geometry.edges:
-        rows = space.block("edge", e.id)
-        owner[rows.start - ni : rows.stop - ni] = e.id
-    interface = _interface_solver(G, owner)
+    interface = _interface_solver(G)
     lam, Q = np.linalg.eigh(_unit_interior_mass(space.config))  # (0, 0) if N <= 4
     L = 1.0 / np.outer(lam, lam)
 

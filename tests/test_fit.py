@@ -32,13 +32,16 @@ from argyris.errors import InvalidConfigError, NumericalError
 from argyris.fit import (
     _block_preconditioner,
     _element_dofs,
+    _interface_solver,
     _lanczos_condition,
+    _levels,
     _mass_pattern,
     _patch_mass,
     _patch_weights,
     _pcg,
 )
 from argyris.space import CSRMatrix
+from conftest import square_grid_geometry
 
 AS_G1_BUILTINS = (
     "two_patch_bilinear",
@@ -342,14 +345,12 @@ def _csr(A):
 
 
 def _space_without_interior_or_edges():
-    # N = 4 leaves no interior B-splines: the interface block is all of A,
-    # and with no edges every row of it is a separator row
+    # N = 4 leaves no interior B-splines: the interface block is all of A
     return SimpleNamespace(
         N=4,
         config=UnivariateSpace(3, 1, 1),
         C=[None, None],
         breakdown={"patch": 0},
-        geometry=SimpleNamespace(edges=[]),
     )
 
 
@@ -370,13 +371,15 @@ def test_singular_interface_block_raises_numerical_error():
         )
 
 
-def test_interface_solve_is_exact_and_dense_only_on_the_separator(monkeypatch):
-    mp = builtin_geometry("five_patch_bilinear", UnivariateSpace(3, 1, 16))
-    space = ArgyrisSpace(mp)
-    M = assemble_mass(space)
-    ni = space.breakdown["patch"]
-    G = M.interface.toarray()
-    assert len(G) == 471
+def _refined_solve(G, r):
+    # G has condition ~1.6e6, so a plain LAPACK solve can itself be off by
+    # ~1e-12; one step of iterative refinement puts the reference below that
+    ref = np.linalg.solve(G, r)
+    return ref + np.linalg.solve(G, r - G @ ref)
+
+
+def _spy_on_inverse(monkeypatch):
+    """Sizes of the matrices given to np.linalg.inv from now on."""
     inverted = []
     inv = np.linalg.inv
 
@@ -385,30 +388,87 @@ def test_interface_solve_is_exact_and_dense_only_on_the_separator(monkeypatch):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", spy)
+    return inverted
+
+
+def _level_of_each_row(levels):
+    level = np.full(sum(map(len, levels)), -1)
+    for k, rows in enumerate(levels):
+        level[rows] = k
+    return level
+
+
+def test_interface_solve_is_exact_with_one_narrow_block_per_level(monkeypatch):
+    mp = builtin_geometry("five_patch_bilinear", UnivariateSpace(3, 1, 16))
+    space = ArgyrisSpace(mp)
+    M = assemble_mass(space)
+    ni = space.breakdown["patch"]
+    G = M.interface.toarray()
+    assert len(G) == 471
+    levels = _levels(M.interface)
+    level = _level_of_each_row(levels)
+    assert sorted(np.concatenate(levels)) == list(range(len(G)))
+    # every stored entry joins rows at most one level apart, so G is block
+    # tridiagonal in the level order
+    assert np.abs(level[M.interface.row_ids] - level[M.interface.indices]).max() <= 1
+    inverted = _spy_on_inverse(monkeypatch)
     apply = _block_preconditioner(space, M.interface)
-    # one dense block per edge, then the Schur complement of the 246 rows
-    # that couple to another edge or a vertex
-    assert len(inverted) == len(mp.edges) + 1
-    assert inverted[-1] == 246 and max(inverted[:-1]) < 246
+    # one dense inverse per level, each of a narrow level
+    assert inverted == [len(rows) for rows in levels]
+    assert max(inverted) <= 64
     r = np.arange(1.0, space.dim + 1)
     y = apply(r)[ni:]
-    # G has condition ~1.6e6, so a plain LAPACK solve can itself be off by
-    # ~1e-12; one step of iterative refinement puts the reference below that
-    ref = np.linalg.solve(G, r[ni:])
-    ref += np.linalg.solve(G, r[ni:] - G @ ref)
+    ref = _refined_solve(G, r[ni:])
     assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def _loaded_linalg_modules(code):
-    """Whether scipy.sparse.linalg and scipy.linalg are loaded after running
-    ``code`` in a fresh interpreter."""
+def test_interface_solve_on_a_grid_inverts_only_narrow_blocks(monkeypatch):
+    # on a 10 x 10 grid at n = 4 every interface row couples to another
+    # edge or a vertex; the levels still stay narrow
+    space = ArgyrisSpace(square_grid_geometry(UnivariateSpace(3, 1, 4), 10, 10))
+    G = assemble_mass(space).interface
+    assert G.shape[0] == 1386
+    inverted = _spy_on_inverse(monkeypatch)
+    solve = _interface_solver(G)
+    assert max(inverted) <= 200
+    r = np.arange(1.0, G.shape[0] + 1)
+    ref = _refined_solve(G.toarray(), r)
+    assert np.linalg.norm(solve(r) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_interface_solve_levels_each_connected_part():
+    # two random SPD blocks and three identity rows, interleaved: five
+    # connected parts, each levelled after the one before
+    rng = np.random.default_rng(31)
+    A = np.eye(15)
+    for rows in (np.arange(5), np.arange(8, 15)):
+        B = rng.normal(size=(len(rows), len(rows)))
+        A[np.ix_(rows, rows)] = B @ B.T + len(rows) * np.eye(len(rows))
+    perm = rng.permutation(15)
+    A = A[np.ix_(perm, perm)]
+    G = _csr(A)
+    levels = _levels(G)
+    level = _level_of_each_row(levels)
+    assert sorted(np.concatenate(levels)) == list(range(15))
+    assert np.abs(level[G.row_ids] - level[G.indices]).max() <= 1
+    # each level holds rows of one part: two levels per dense block, one per
+    # identity row
+    part = np.repeat(np.arange(5), [5, 1, 1, 1, 7])[perm]
+    assert [len(np.unique(part[rows])) for rows in levels] == [1] * 7
+    r = np.arange(1.0, 16)
+    np.testing.assert_allclose(_interface_solver(G)(r), np.linalg.solve(A, r), rtol=1e-12)
+
+
+def _loaded_modules(code, *names):
+    """Whether each named module is loaded after running ``code`` in a fresh
+    interpreter."""
     src = str(Path(argyris.__file__).resolve().parents[1])
-    code += "; print('scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules)"
+    code += f"; print(*(name in sys.modules for name in {names!r}))"
     out = subprocess.run(
         [sys.executable, "-c", "import sys; " + code], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     ).stdout
-    return out.split()[-2:]
+    return out.split()[-len(names):]
 
 
 #: one run of every subcommand; ``{out}`` is the sample output prefix
@@ -469,7 +529,17 @@ def test_fit_path_does_not_load_dense_linear_algebra():
         "import argyris.cli; "
         "argyris.cli.main(['converge', '--builtin', 'two_patch_bilinear', '--levels', '2'])"
     )
-    assert _loaded_linalg_modules(code) == ["False", "False"]
+    assert _loaded_modules(code, "scipy.sparse.linalg", "scipy.linalg") == ["False", "False"]
+
+
+def test_space_audit_does_not_load_numpy_random():
+    # its member is a fixed vector: numpy.random costs about 14 ms and 5.6 MB
+    # at its first import
+    code = (
+        "import argyris.cli; "
+        "argyris.cli.main(['space', 'audit', '--builtin', 'three_patch_bilinear'])"
+    )
+    assert _loaded_modules(code, "numpy.random") == ["False"]
 
 
 def test_fit_evaluates_the_map_on_tensor_grids_only(sp_three, monkeypatch):
