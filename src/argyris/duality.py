@@ -17,17 +17,21 @@ and the L2 fit sample the full grid of a patch, the edge functionals a side
 (a grid with one singleton direction, ``rotate_grid``) and the vertex
 functionals a 1 x 1 corner grid. Members of the space are sampled through
 the extraction matrices, several members at once when given a coefficient
-matrix, so the functionals applied once to the identity coefficient block
-give the biorthogonality matrix D C.
+matrix.
+
+The biorthogonality matrix D C is read entity by entity, without a (rows,
+dim) array: an edge's or vertex's functionals, applied once to unit
+coefficients on the rows of one patch they see, multiply those rows of C[i];
+a patch's are one univariate table in both directions over C[i]'s entries.
 """
 
 import numpy as np
 
-from .bspline import TensorSpline, local_duals
+from .bspline import TensorSpline, _basis_values, local_duals
 from .errors import InvalidConfigError
 from .gluing import transversal_vector
 from .multipatch import edge_frames, rotate_grid
-from .space import _edge_index_set, physical_derivatives
+from .space import CSRMatrix, _edge_index_set, physical_derivatives
 
 __all__ = [
     "AnalyticField",
@@ -77,16 +81,31 @@ class SpaceField:
         self.geometry = space.geometry
         self.coeffs = coeffs
 
+    def _grid(self, patch):  # the coefficient grids (N, N) or (N, N, k)
+        return self.space.combine(self.coeffs, patch)
+
     def jets(self, patch, x1, x2, order):
         """Value, then gradient (order >= 1), then Hessian (order 2), on the
         x1-major flattened tensor grid x1 x x2; values alone need no patch
         map."""
-        grid = TensorSpline(self.space.config, self.space.combine(self.coeffs, patch))
-        fj = grid.grid_jet(x1, x2, order)
+        fj = TensorSpline(self.space.config, self._grid(patch)).grid_jet(x1, x2, order)
         if order == 0:
             return (fj[:, 0, 0],)
         gj = self.geometry.patches[patch].grid_jet(x1, x2, order)
         return physical_derivatives(gj, fj)[: order + 1]
+
+
+class _UnitField(SpaceField):
+    """Member k has the one unit coefficient at flat position rows[k] of the
+    grid of whichever patch a functional samples; ``coeffs`` holds these
+    flat (N*N, k) grids."""
+
+    def __init__(self, space, rows):
+        super().__init__(space, np.zeros((space.N**2, len(rows))))
+        self.coeffs[rows, np.arange(len(rows))] = 1.0
+
+    def _grid(self, patch):
+        return self.coeffs.reshape(self.space.shape + (-1,))
 
 
 def patch_duals(space, i, field):
@@ -151,11 +170,48 @@ def project(space, field):
     return np.concatenate(blocks)
 
 
-def biorthogonality_matrix(space):
-    """Matrix D C of all functionals applied to all basis functions.
+def _local_block(space, kind, owner, ipatch, rows):
+    """Triplets of the rows of D C of an edge or vertex whose functionals read
+    only these rows of patch ipatch: the functionals of unit coefficients
+    there times those rows of C[ipatch], over the columns they touch."""
+    duals = edge_duals if kind == "edge" else vertex_duals
+    D = duals(space, owner, _UnitField(space, rows))  # (functionals, rows)
+    at, cols, vals = space.C[ipatch].entries(rows)
+    cols, col_at = np.unique(cols, return_inverse=True)
+    B = np.zeros((len(rows), len(cols)))
+    B[at, col_at] = vals
+    out = space.block(kind, owner).start + np.arange(len(D))
+    return np.repeat(out, len(cols)), np.tile(cols, len(D)), (D @ B).ravel()
 
-    The functionals see every basis function at once as the identity
-    coefficient block; the result equals the identity when basis and dual
-    basis are biorthogonal.
-    """
-    return project(space, SpaceField(space, np.eye(space.dim)))
+
+def _patch_block(space, i):
+    """Triplets of the rows of D C of patch i: (L x L) C[i], with L (N-4, N)
+    the inner local duals applied to the basis, over the stored entries of
+    C[i] and the nonzeros of the two columns of L each one meets."""
+    cfg, N, C = space.config, space.N, space.C[i]
+    duals = local_duals(cfg)
+    L = duals.apply(_basis_values(cfg, duals.points.ravel()), slice(2, N - 2))
+    # nz[:, a]: the rows of the nonzeros of column a of L first; Lnz their values
+    nz = np.argsort(L == 0, axis=0, kind="stable")[: (L != 0).sum(axis=0).max()]
+    Lnz = np.take_along_axis(L, nz, axis=0)
+    a, b = np.divmod(C.row_ids, N)
+    vals = Lnz[:, None, a] * Lnz[None, :, b] * C.data  # (w, w, nnz)
+    k1, k2, at = np.nonzero(vals)
+    rows = space.block("patch", i).start + nz[k1, a[at]] * (N - 4) + nz[k2, b[at]]
+    return rows, C.indices[at], vals[k1, k2, at]
+
+
+def biorthogonality_matrix(space):
+    """Matrix D C of all functionals applied to all basis functions, a (dim, dim)
+    ``CSRMatrix`` read off the rows each functional sees; it equals the
+    identity when basis and dual basis are biorthogonal."""
+    mp, R = space.geometry, space._rows
+    blocks = [_patch_block(space, i) for i in range(len(mp.patches))]
+    for e in mp.edges:
+        (ipatch, rot), *_ = edge_frames(e)
+        blocks.append(_local_block(space, "edge", e.id, ipatch, R[rot][:2].ravel()))
+    for v in mp.vertices:
+        ipatch, corner = v.corners[0]
+        blocks.append(_local_block(space, "vertex", v.id, ipatch, R[corner][:3, :3].ravel()))
+    triplets = (np.concatenate(t) for t in zip(*blocks))
+    return CSRMatrix.from_triplets(*triplets, (space.dim, space.dim))

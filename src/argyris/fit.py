@@ -144,15 +144,17 @@ def _check_rule(space, rule):
 def _patch_weights(space, i, rule):
     """Quadrature weights times |det DF| on the tensor grid of one patch, as
     a read-only (m, m) array over the m nodes of each direction, made once
-    per patch and rule."""
+    per patch and rule; det DF needs first-derivative tables only."""
     patch = space.geometry.patches[i]
     W = rule._det_weights.get(patch)
     if W is None:
         x = rule.nodes.ravel()
-        J = patch.grid_jet(x, x, 1)
-        det = J[:, 1, 0, 0] * J[:, 0, 1, 1] - J[:, 1, 0, 1] * J[:, 0, 1, 0]
+        A0, A1 = (_basis_values(patch.space, x, d) for d in (0, 1))
+        X, Y = np.moveaxis(patch.net, -1, 0)
+        det = ((A1 @ (X @ A0.T)) * (A0 @ (Y @ A1.T))
+               - (A1 @ (Y @ A0.T)) * (A0 @ (X @ A1.T)))
         w = rule.weights.ravel()
-        W = (np.abs(det) * np.outer(w, w).ravel()).reshape(len(x), len(x))
+        W = np.abs(det) * np.outer(w, w)
         W.setflags(write=False)
         rule._det_weights[patch] = W
     return W
@@ -294,7 +296,8 @@ class MassOperator:
         A0, P = self._A0, len(self._W)
         N = A0.shape[1]
         U = (self.C @ x).reshape(P, N, N, -1).transpose(3, 0, 1, 2)  # (k, patches, N, N)
-        V = A0.T @ (self._W * (A0 @ U @ A0.T)) @ A0
+        T = A0 @ U @ A0.T  # weighted in place: one (k, patches, m, m) temporary
+        V = A0.T @ np.multiply(T, self._W, out=T) @ A0
         return (V.reshape(len(V), -1) @ self.C).T.reshape(x.shape)
 
 

@@ -87,7 +87,7 @@ def test_criterion_3_ecr_convention():
 def test_criterion_4_global_biorthogonality(sp_two, sp_three):
     rng = np.random.default_rng(42)
     for sp in (sp_two, sp_three):
-        M = biorthogonality_matrix(sp)
+        M = biorthogonality_matrix(sp).toarray()
         assert np.abs(M - np.eye(sp.dim)).max() < 1e-9
         c = rng.normal(size=sp.dim)
         c2 = project(sp, SpaceField(sp, c))

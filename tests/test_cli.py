@@ -204,6 +204,43 @@ def test_space_audit_passes(capsys):
     assert "audit PASS" in out
 
 
+def test_space_audit_five_patches_at_n16(capsys):
+    # dim 4971: the functionals applied to a dense identity coefficient
+    # block would take about 8 s and 0.9 GB here
+    code, out, _ = run(capsys, "space", "audit", "--builtin", "five_patch_bilinear",
+                       "--n", "16")
+    assert code == 0
+    labels = [line.rsplit(" ", 1)[0] for line in out.splitlines()]
+    assert labels == [
+        "biorthogonality max |M - I|",
+        "projector reproduction error",
+        "max C1 interface jump",
+        "max C2 vertex jump",
+        "audit",
+    ]
+    assert out.endswith("audit PASS\n")
+
+
+def test_space_audit_reads_a_missing_diagonal_as_one(capsys, monkeypatch):
+    # |M - I| comes from the stored entries; an unstored diagonal is a 0
+    import argyris.duality
+    from argyris.space import CSRMatrix
+
+    full = argyris.duality.biorthogonality_matrix
+
+    def without_first_diagonal(space):
+        M = full(space)
+        keep = (M.row_ids != 0) | (M.indices != 0)
+        return CSRMatrix.from_triplets(M.row_ids[keep], M.indices[keep], M.data[keep], M.shape)
+
+    monkeypatch.setattr(argyris.duality, "biorthogonality_matrix", without_first_diagonal)
+    code, out, _ = run(capsys, "space", "audit", "--builtin", "two_patch_bilinear",
+                       "--samples", "40")
+    assert code == 2
+    assert "biorthogonality max |M - I| 1.000e+00\n" in out
+    assert out.endswith("audit FAIL\n")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tol_exits_one(capsys, tol):
     # a NaN tolerance used to turn every verdict into NOT AS-G1 with exit 0

@@ -1,18 +1,26 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from argyris import (
     VERTEX_INDEX_ORDER,
     AnalyticField,
+    ArgyrisSpace,
     Patch,
     SpaceField,
     TensorSpline,
+    UnivariateSpace,
+    biorthogonality_matrix,
+    builtin_geometry,
     edge_duals,
     patch_duals,
     project,
     vertex_duals,
 )
 from argyris.errors import InvalidConfigError
+from argyris.space import CSRMatrix
 
 
 def ids_where(space, pred):
@@ -201,3 +209,57 @@ def test_duals_sample_every_element_once(sp_three):
     block = ids_where(sp_three, lambda f: f.kind == "edge" and f.owner == eid)
     assert np.abs(edge_duals(sp_three, eid, fld) - c[block]).max() < 1e-9
     assert [a * b for a, b in fld.grid[1:]] == [n * (p + 1) + n * p]
+
+
+AS_G1_BUILTINS = ["two_patch_bilinear", "three_patch_bilinear", "five_patch_bilinear",
+                  "lshape_bilinear", "two_patch_curved_asg1"]
+
+
+@pytest.mark.parametrize(
+    "name,degrees",
+    [(name, (3, 1, 4)) for name in AS_G1_BUILTINS]
+    + [("mp_asymmetric", None),
+       ("three_patch_bilinear", (4, 2, 3)), ("three_patch_bilinear", (5, 1, 2))],
+)
+def test_biorthogonality_matrix_matches_dense_identity_reference(request, name, degrees):
+    # the entity-local sparse D C against every functional applied to the
+    # identity coefficient block
+    if degrees is None:
+        mp = request.getfixturevalue(name)
+    else:
+        mp = builtin_geometry(name, UnivariateSpace(*degrees))
+    space = ArgyrisSpace(mp)
+    M = biorthogonality_matrix(space)
+    assert isinstance(M, CSRMatrix) and M.shape == (space.dim, space.dim)
+    ref = project(space, SpaceField(space, np.eye(space.dim)))
+    assert np.abs(M.toarray() - ref).max() <= 1e-13
+
+
+def test_biorthogonality_matrix_sees_a_negated_vertex_column(sp_three):
+    # negate a vertex function on the patch its functionals read: D C must
+    # show it, so the functionals really read C and not the build's intent
+    space = copy.copy(sp_three)
+    ipatch, _ = space.geometry.vertices[0].corners[0]
+    a = space.block("vertex", 0).start
+    C = space.C[ipatch]
+    data = np.where(C.indices == a, -C.data, C.data)
+    space.C = list(space.C)
+    space.C[ipatch] = CSRMatrix(C.indptr, C.indices, data, C.shape)
+    assert np.abs(biorthogonality_matrix(sp_three).toarray() - np.eye(space.dim)).max() < 1e-9
+    M = biorthogonality_matrix(space).toarray()
+    assert np.abs(M - np.eye(space.dim)).max() >= 1.0
+    assert M[a, a] == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_biorthogonality_matrix_memory_five_patches_n16():
+    # D C read off the rows each functional sees; the functionals applied
+    # to a dense identity coefficient block take about 895 MB here
+    space = ArgyrisSpace(builtin_geometry("five_patch_bilinear", UnivariateSpace(3, 1, 16)))
+    tracemalloc.start()
+    try:
+        M = biorthogonality_matrix(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20
+    assert M.shape == (4971, 4971)

@@ -662,15 +662,16 @@ def test_smoothness_report_of_coefficient_matrix(sp_three):
 
 def test_fit_makes_the_jacobian_weights_once_per_rule(sp_three, monkeypatch):
     # mass and load share the |det DF| weights of each patch; the error
-    # integral, on a finer rule, makes its own
-    grid_jet = Patch.grid_jet
+    # integral, on a finer rule, makes its own. Within the fit only the
+    # weights take first-derivative basis tables.
+    basis_values = argyris.fit._basis_values
     orders = []
 
-    def counting(self, x1, x2, nderiv):
-        orders.append(nderiv)
-        return grid_jet(self, x1, x2, nderiv)
+    def counting(space, pts, d=0):
+        orders.append(d)
+        return basis_values(space, pts, d)
 
-    monkeypatch.setattr(Patch, "grid_jet", counting)
+    monkeypatch.setattr(argyris.fit, "_basis_values", counting)
     l2_fit(sp_three, cos_sin_field(sp_three.geometry))
     assert orders.count(1) == 2 * len(sp_three.geometry.patches)
 

@@ -71,7 +71,7 @@ def test_jittered_grid_space(moves, config):
     mp = jittered_grid(config, moves)
     space = ArgyrisSpace(mp)
     assert space.dim == space_dimension(mp)[0]
-    M = biorthogonality_matrix(space)
+    M = biorthogonality_matrix(space).toarray()
     assert np.abs(M - np.eye(space.dim)).max() < 1e-9
     assert smoothness_report(space).passed()
     # the projector reproduces a random member of the space

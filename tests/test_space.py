@@ -558,7 +558,7 @@ def test_linear_alpha_interface_space(mp_asymmetric):
     rep = smoothness_report(sp, samples_per_edge=150)
     assert rep.max_c1_jump < 1e-9
     assert rep.max_c2_jump < 1e-8
-    M = biorthogonality_matrix(sp)
+    M = biorthogonality_matrix(sp).toarray()
     assert np.abs(M - np.eye(sp.dim)).max() < 1e-9
 
 
