@@ -453,7 +453,8 @@ class TensorSpline:
             return out.swapaxes(2, 3).reshape((len(x1) * len(x2),) + out.shape[2:])
         B = np.stack([_basis_values(self.space, x2, b) for b in range(nderiv + 1)])
         # CB[i, q2, b, ...] = sum_j coeffs[i, j, ...] B_b[q2, j]
-        CB = np.einsum("brj,ij...->irb...", B, self.coeffs, optimize=True)
+        CB = np.tensordot(self.coeffs, B, axes=([1], [2]))
+        CB = np.ascontiguousarray(np.moveaxis(CB, (-1, -2), (1, 2)))
         out = np.empty((len(x1),) + CB.shape[1:2] + (nderiv + 1,) + CB.shape[2:])
         for a in range(nderiv + 1):
             out[:, :, a] = np.tensordot(_basis_values(self.space, x1, a), CB, axes=1)

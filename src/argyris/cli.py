@@ -85,8 +85,9 @@ def _cmd_space_dim(args):
 
 def _cmd_space_audit(args):
     from .duality import SpaceField, biorthogonality_matrix, project
-    from .fit import smoothness_report
+    from .fit import _check_samples_per_edge, smoothness_report
 
+    _check_samples_per_edge(args.samples)  # before any work is printed
     mp = _geometry(args)
     space = ArgyrisSpace(mp, tol=args.tol)
     M = biorthogonality_matrix(space)

@@ -19,17 +19,26 @@ functionals a 1 x 1 corner grid. Members of the space are sampled through
 the extraction matrices, several members at once when given a coefficient
 matrix.
 
+What an edge's or vertex's functionals read of the geometry is fixed per
+space, so it is sampled on first use and kept in the space's table
+(``_entity_geometry``): per edge the side grid, the patch map's order-1 jets
+there and the transversal direction d formed from those same jets; per
+vertex the order-2 corner jets. Fields take these jets instead of sampling
+the patch map, so D C and the projector share one sample per entity.
+
 The biorthogonality matrix D C is read entity by entity, without a (rows,
 dim) array: an edge's or vertex's functionals, applied once to unit
 coefficients on the rows of one patch they see, multiply those rows of C[i];
 a patch's are one univariate table in both directions over C[i]'s entries.
+The parametric jets of a unit coefficient are products of one basis-table
+column per direction (``_UnitField``), so no coefficient grid is formed.
 """
 
 import numpy as np
 
 from .bspline import TensorSpline, _basis_values, local_duals
 from .errors import InvalidConfigError
-from .gluing import transversal_vector
+from .gluing import _transversal
 from .multipatch import edge_frames, rotate_grid
 from .space import CSRMatrix, _edge_index_set, physical_derivatives
 
@@ -43,6 +52,9 @@ __all__ = [
     "biorthogonality_matrix",
 ]
 
+#: linear part of one quarter turn of the parameters (``rotate_grid``)
+_TURN = np.array([[0, -1], [1, 0]])
+
 
 class AnalyticField:
     """Scalar field given by physical-coordinate callables.
@@ -55,15 +67,18 @@ class AnalyticField:
         self.geometry = geometry
         self._samplers = (value, grad, hess)
 
-    def jets(self, patch, x1, x2, order):
+    def jets(self, patch, x1, x2, order, geo=None):
         """Value, then gradient (order >= 1), then Hessian (order 2), on the
-        x1-major flattened tensor grid x1 x x2."""
+        x1-major flattened tensor grid x1 x x2. ``geo``, the patch map's
+        ``grid_jet`` on that grid when the caller has it, saves sampling it."""
         samplers = self._samplers[: order + 1]
         if any(s is None for s in samplers):
             raise InvalidConfigError(
                 f"field has no derivative sampler of order {order}"
             )
-        x = self.geometry.patches[patch].grid_jet(x1, x2, 0)[:, 0, 0]
+        if geo is None:
+            geo = self.geometry.patches[patch].grid_jet(x1, x2, 0)
+        x = geo[:, 0, 0]
         return tuple(np.asarray(s(x), dtype=float) for s in samplers)
 
 
@@ -81,31 +96,79 @@ class SpaceField:
         self.geometry = space.geometry
         self.coeffs = coeffs
 
-    def _grid(self, patch):  # the coefficient grids (N, N) or (N, N, k)
-        return self.space.combine(self.coeffs, patch)
+    def _parametric(self, patch, x1, x2, order):
+        """Parametric jets (m, d, d) or (m, d, d, k) on the grid."""
+        grid = self.space.combine(self.coeffs, patch)
+        return TensorSpline(self.space.config, grid).grid_jet(x1, x2, order)
 
-    def jets(self, patch, x1, x2, order):
+    def jets(self, patch, x1, x2, order, geo=None):
         """Value, then gradient (order >= 1), then Hessian (order 2), on the
         x1-major flattened tensor grid x1 x x2; values alone need no patch
-        map."""
-        fj = TensorSpline(self.space.config, self._grid(patch)).grid_jet(x1, x2, order)
+        map. ``geo``, the patch map's ``grid_jet`` on that grid of at least
+        this order when the caller has it, saves sampling it."""
+        fj = self._parametric(patch, x1, x2, order)
         if order == 0:
             return (fj[:, 0, 0],)
-        gj = self.geometry.patches[patch].grid_jet(x1, x2, order)
-        return physical_derivatives(gj, fj)[: order + 1]
+        if geo is None:
+            geo = self.geometry.patches[patch].grid_jet(x1, x2, order)
+        return physical_derivatives(geo, fj)[: order + 1]
 
 
 class _UnitField(SpaceField):
-    """Member k has the one unit coefficient at flat position rows[k] of the
-    grid of whichever patch a functional samples; ``coeffs`` holds these
-    flat (N*N, k) grids."""
+    """Member k has the one unit coefficient at flat position rows[k] = (i, j)
+    of the grid of whichever patch a functional samples. Its parametric jets
+    are B_i^(a)(x1) B_j^(b)(x2): one column of the basis table per direction,
+    in O(len(rows) * (len(x1) + len(x2))) work for a side or a corner."""
 
     def __init__(self, space, rows):
-        super().__init__(space, np.zeros((space.N**2, len(rows))))
-        self.coeffs[rows, np.arange(len(rows))] = 1.0
+        self.space = space
+        self.geometry = space.geometry
+        self.index = np.divmod(rows, space.N)
 
-    def _grid(self, patch):
-        return self.coeffs.reshape(self.space.shape + (-1,))
+    def _parametric(self, patch, x1, x2, order):
+        cfg = self.space.config
+        A, B = (
+            np.stack([_basis_values(cfg, x, a)[:, i] for a in range(order + 1)], axis=1)
+            for x, i in zip((x1, x2), self.index)
+        )  # (len(x1), d, k) and (len(x2), d, k)
+        out = A[:, None, :, None] * B[None, :, None]
+        return out.reshape((-1,) + out.shape[2:])
+
+
+def _entity_geometry(space, kind, owner):
+    """The patch, the grid factors and the patch map's jets there that the
+    functionals of an edge or vertex read, and for an edge the transversal
+    direction d at its S- points; sampled once per space and entity, and
+    kept in the space's table.
+
+    An edge's grid runs along the first standard-form side through its S+
+    and then its S- dual points, with jets of order 1, from which d is
+    formed in the standard-form frame. A vertex's grid is the corner of
+    ``corners[0]``, with jets of order 2.
+    """
+    key = (kind, owner)
+    entry = space._dual_geometry.get(key)
+    if entry is not None:
+        return entry
+    mp = space.geometry
+    if kind == "edge":
+        (ipatch, rot), *_ = edge_frames(mp.edges[owner])
+        tp, dp = (local_duals(s).points.ravel() for s in (space.splus, space.sminus))
+        grid = rotate_grid([0.0], np.concatenate([tp, dp]), rot)
+        jet = mp.patches[ipatch].grid_jet(*grid, 1)
+        # the turned patch is F(rho(xi)), and rho has linear part _TURN^rot
+        DF = np.stack([jet[len(tp) :, 1, 0], jet[len(tp) :, 0, 1]], axis=-1)
+        DF = DF @ np.linalg.matrix_power(_TURN, rot)
+        d = _transversal(space.gluing[owner], DF[..., 0], DF[..., 1], dp)
+        entry = (ipatch, grid, jet, d)
+    else:
+        ipatch, corner = mp.vertices[owner].corners[0]
+        grid = rotate_grid([0.0], [0.0], corner)
+        entry = (ipatch, grid, mp.patches[ipatch].grid_jet(*grid, 2))
+    for a in (*grid, *entry[2:]):
+        a.setflags(write=False)
+    space._dual_geometry[key] = entry
+    return entry
 
 
 def patch_duals(space, i, field):
@@ -130,16 +193,13 @@ def edge_duals(space, eid, field):
     space.block("edge", eid)
     idx = _edge_index_set(space.sminus.N)
     plus, minus = local_duals(space.splus), local_duals(space.sminus)
-    tp, dp = plus.points.ravel(), minus.points.ravel()
-    (ipatch, rot), *_ = edge_frames(space.geometry.edges[eid])
-    t = np.concatenate([tp, dp])
-    val, grad = field.jets(ipatch, *rotate_grid([0.0], t, rot), 1)
-    P1 = space.geometry.patches[ipatch].rotate(rot)
-    d, _ = transversal_vector(space.gluing[eid], P1, dp)
+    ipatch, grid, jet, d = _entity_geometry(space, "edge", eid)
+    val, grad = field.jets(ipatch, *grid, 1, geo=jet)
+    m = plus.points.size
     hp = space.config.h / space.config.p
-    deriv = hp * np.einsum("m...i,mi->m...", grad[len(tp) :], d)
+    deriv = hp * np.einsum("m...i,mi->m...", grad[m:], d)
     return np.concatenate([
-        plus.apply(val[: len(tp)], [j for j, s in idx if s == 0]),
+        plus.apply(val[:m], [j for j, s in idx if s == 0]),
         minus.apply(deriv, [j for j, s in idx if s == 1]),
     ])
 
@@ -148,8 +208,8 @@ def vertex_duals(space, vid, field):
     """Scaled point derivatives d^j phi(x) / sigma^|j| at the vertex, in
     ``VERTEX_INDEX_ORDER``."""
     space.block("vertex", vid)
-    ipatch, corner = space.geometry.vertices[vid].corners[0]
-    val, g, H = field.jets(ipatch, *rotate_grid([0.0], [0.0], corner), 2)
+    ipatch, grid, jet = _entity_geometry(space, "vertex", vid)
+    val, g, H = field.jets(ipatch, *grid, 2, geo=jet)
     s = space.sigma(vid)
     g, H = g[0] / s, H[0] / s**2
     return np.stack(

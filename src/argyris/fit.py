@@ -739,6 +739,14 @@ class SmoothnessReport:
 MAX_SAMPLES_PER_EDGE = 10_000
 
 
+def _check_samples_per_edge(samples_per_edge):
+    """Refuse a sample count ``smoothness_report`` does not take."""
+    if not 1 <= samples_per_edge <= MAX_SAMPLES_PER_EDGE:
+        raise InvalidConfigError(
+            f"need 1..{MAX_SAMPLES_PER_EDGE} samples per edge, got {samples_per_edge}"
+        )
+
+
 def smoothness_report(space, coeffs=None, samples_per_edge=200):
     """Two-sided continuity audit of the space, or of the members given by a
     coefficient vector (dim,) or the k columns of a matrix (dim, k).
@@ -753,10 +761,7 @@ def smoothness_report(space, coeffs=None, samples_per_edge=200):
     corner block (second derivatives at the corner), and only those rows of
     their columns are read.
     """
-    if not 1 <= samples_per_edge <= MAX_SAMPLES_PER_EDGE:
-        raise InvalidConfigError(
-            f"need 1..{MAX_SAMPLES_PER_EDGE} samples per edge, got {samples_per_edge}"
-        )
+    _check_samples_per_edge(samples_per_edge)
     mp = space.geometry
     N = space.N
     t = np.linspace(0.0, 1.0, samples_per_edge)

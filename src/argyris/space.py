@@ -28,7 +28,8 @@ rows found by the index permutation of the patch's standard-form rotation
 beta times a derivative of an S+ spline) are degree p piecewise polynomials
 of smoothness r, so the extraction matrices are exact up to rounding. Of an
 edge the space keeps only its gluing data ``gluing[eid]``, and of a vertex
-only sigma; the dual functionals and the audit read the rest off the geometry.
+only sigma; the dual functionals and the audit read the rest off the geometry
+(the functionals keep what they sampled in ``_dual_geometry``).
 
 The basis is numbered by entity blocks: all patches, then all edges, then all
 vertices, each entity owning a contiguous run whose length depends on (p, r,
@@ -310,6 +311,9 @@ class ArgyrisSpace:
         self._layout = {kind: (int(a), sizes[kind]) for kind, a in zip(sizes, starts)}
         self.gluing = {}  # edge id -> GluingData, the edge's standard-form gluing
         self._sigma = {}  # vertex id -> sigma
+        # (kind, owner) -> the geometry an edge's or vertex's dual functionals
+        # read; filled on first use by ``duality``, never by the build
+        self._dual_geometry = {}
         self.C = self._build()
 
     # ------------------------------------------------------------------
@@ -573,15 +577,18 @@ def physical_derivatives(geo_jet, f_jet):
     """
     m, d = f_jet.shape[:2]
     extra = f_jet.shape[3:]
-    f = f_jet.reshape(m, d, d, int(np.prod(extra, dtype=int)))
+    k = int(np.prod(extra, dtype=int))
+    f = f_jet.reshape(m, d, d, k)
     # Jinv[q, a, i] = dxi_a / dx_i, so grad^T = (grad_xi f)^T Jinv
     Jinv = np.linalg.inv(np.stack([geo_jet[:, 1, 0], geo_jet[:, 0, 1]], axis=-1))
-    grad = np.einsum("maf,mai->mfi", np.stack([f[:, 1, 0], f[:, 0, 1]], axis=1), Jinv)
+    grad = np.stack([f[:, 1, 0], f[:, 0, 1]], axis=-1) @ Jinv  # (m, k, 2)
     hess = None
     if d > 2:
-        # jet index (i1, 2 - i1) of the second derivative d^2 / dxi_a dxi_b
+        # jet index (i1, 2 - i1) of the second derivative d^2 / dxi_a dxi_b;
+        # H[q, f, a, b] = d^2 f / dxi_a dxi_b - grad f . d^2 F / dxi_a dxi_b
         i1 = np.array([[2, 1], [1, 0]])
-        H = f[:, i1, 2 - i1] - np.einsum("mfk,mabk->mabf", grad, geo_jet[:, i1, 2 - i1])
-        hess = np.einsum("mai,mabf,mbj->mfij", Jinv, H, Jinv)
+        F2 = geo_jet[:, i1, 2 - i1].reshape(m, 4, 2)
+        H = f[:, i1, 2 - i1].reshape(m, 4, k).transpose(0, 2, 1) - grad @ F2.transpose(0, 2, 1)
+        hess = Jinv.transpose(0, 2, 1)[:, None] @ H.reshape(m, k, 2, 2) @ Jinv[:, None]
         hess = hess.reshape((m,) + extra + (2, 2))
     return f[:, 0, 0].reshape((m,) + extra), grad.reshape((m,) + extra + (2,)), hess

@@ -253,11 +253,14 @@ def test_non_finite_tol_exits_one(capsys, tol):
 
 
 def test_space_audit_zero_samples_exits_one(capsys):
-    code, _, err = run(
+    # used to build the space and print the biorthogonality and projector
+    # lines before refusing the count
+    code, out, err = run(
         capsys,
         "space", "audit", "--builtin", "two_patch_bilinear", "--samples", "0",
     )
     assert code == 1
+    assert out == ""
     assert "sample" in err
 
 
@@ -394,11 +397,12 @@ def test_huge_sample_grid_exits_one(capsys, tmp_path):
 
 def test_huge_audit_sample_count_exits_one(capsys):
     # used to ask numpy for 1.49 GiB and escape as a MemoryError
-    code, _, err = run(
+    code, out, err = run(
         capsys, "space", "audit", "--builtin", "two_patch_bilinear",
         "--samples", "100000000",
     )
     assert code == 1
+    assert out == ""
     assert "samples per edge" in err
 
 

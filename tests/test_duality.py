@@ -20,6 +20,7 @@ from argyris import (
     vertex_duals,
 )
 from argyris.errors import InvalidConfigError
+from argyris.multipatch import edge_frames
 from argyris.space import CSRMatrix
 
 
@@ -195,9 +196,9 @@ def test_duals_sample_every_element_once(sp_three):
             super().__init__(space, coeffs)
             self.grid = []
 
-        def jets(self, patch, x1, x2, order):
+        def jets(self, patch, x1, x2, order, geo=None):
             self.grid.append((len(x1), len(x2)))
-            return super().jets(patch, x1, x2, order)
+            return super().jets(patch, x1, x2, order, geo)
 
     n, p = sp_three.config.n, sp_three.config.p
     c = np.random.default_rng(7).standard_normal(sp_three.dim)
@@ -249,6 +250,75 @@ def test_biorthogonality_matrix_sees_a_negated_vertex_column(sp_three):
     M = biorthogonality_matrix(space).toarray()
     assert np.abs(M - np.eye(space.dim)).max() >= 1.0
     assert M[a, a] == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_biorthogonality_matrix_cache_holds_geometry_only(sp_three):
+    # D C of the unmutated space fills the geometry table, which the copy
+    # shares; the mutated copy must still read its own C
+    biorthogonality_matrix(sp_three)
+    space = copy.copy(sp_three)
+    assert space._dual_geometry is sp_three._dual_geometry
+    assert {kind for kind, _ in space._dual_geometry} == {"edge", "vertex"}
+    ipatch, _ = space.geometry.vertices[0].corners[0]
+    a = space.block("vertex", 0).start
+    C = space.C[ipatch]
+    data = np.where(C.indices == a, -C.data, C.data)
+    space.C = list(space.C)
+    space.C[ipatch] = CSRMatrix(C.indptr, C.indices, data, C.shape)
+    M = biorthogonality_matrix(space).toarray()
+    assert M[a, a] == pytest.approx(-1.0, abs=1e-9)
+    assert np.abs(biorthogonality_matrix(sp_three).toarray() - np.eye(space.dim)).max() < 1e-9
+
+
+def test_entity_geometry_sampled_once_and_never_at_order_two_on_an_edge(mp_three, monkeypatch):
+    # D C samples each edge's side at order 1 and each vertex's corner at
+    # order 2, once; the projector then reuses those samples, and neither
+    # the build nor a member's values sample them
+    calls = []
+    grid_jet = Patch.grid_jet
+
+    def counting(self, x1, x2, nderiv):
+        calls.append((len(np.atleast_1d(x1)) * len(np.atleast_1d(x2)), nderiv))
+        return grid_jet(self, x1, x2, nderiv)
+
+    monkeypatch.setattr(Patch, "grid_jet", counting)
+    space = ArgyrisSpace(mp_three)
+    assert space._dual_geometry == {}
+    built = len(calls)
+    biorthogonality_matrix(space)
+    sides = calls[built:]
+    n_edges, n_vertices = len(mp_three.edges), len(mp_three.vertices)
+    assert sorted(order for _, order in sides) == [1] * n_edges + [2] * n_vertices
+    assert all(m == 1 for m, order in sides if order == 2)
+    assert all(m > 1 for m, order in sides if order == 1)
+    c = np.cos(np.arange(space.dim))
+    assert np.abs(project(space, SpaceField(space, c)) - c).max() < 1e-9
+    assert calls[built + len(sides):] == []
+
+
+@pytest.mark.parametrize("name,n", [("three_patch_bilinear", 4), ("five_patch_bilinear", 8)])
+def test_unit_field_jets_match_dense_unit_grids(name, n):
+    # the unit jets are products of basis-table columns; the reference
+    # samples one dense (N, N) grid per unit coefficient
+    from argyris.duality import _UnitField, _entity_geometry
+
+    space = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(3, 1, n)))
+    N, R = space.N, space._rows
+    entities = []
+    for e in space.geometry.edges:
+        (ipatch, rot), *_ = edge_frames(e)
+        entities.append((_entity_geometry(space, "edge", e.id), R[rot][:2].ravel()))
+    for v in space.geometry.vertices:
+        _, corner = v.corners[0]
+        entities.append((_entity_geometry(space, "vertex", v.id), R[corner][:3, :3].ravel()))
+    for (ipatch, grid, *_), rows in entities:
+        dense = np.zeros((N * N, len(rows)))
+        dense[rows, np.arange(len(rows))] = 1.0
+        for order in (1, 2):
+            ref = TensorSpline(space.config, dense.reshape(N, N, -1)).grid_jet(*grid, order)
+            got = _UnitField(space, rows)._parametric(ipatch, *grid, order)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-14
 
 
 def test_biorthogonality_matrix_memory_five_patches_n16():
