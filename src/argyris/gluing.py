@@ -270,18 +270,13 @@ def transversal_vector(g, F1, xs):
     return _transversal_from_jet(g, F1.grid_jet([0.0], xs, 2), xs)
 
 
-def _transversal(g, F1u, F1v, xs):
-    """d at (0, xs) from the first derivatives (m, 2) of patch 1 there."""
-    return (F1u + _pv(g.beta1, xs)[:, None] * F1v) / _pv(g.alpha1, xs)[:, None]
-
-
 def _transversal_from_jet(g, jet, xs):
     """``transversal_vector`` from the order-2 jets of patch 1 at (0, xs)."""
     F1u, F1v = jet[:, 1, 0, :], jet[:, 0, 1, :]
     F1uv, F1vv = jet[:, 1, 1, :], jet[:, 0, 2, :]
     a1 = _pv(g.alpha1, xs)[:, None]
     b1 = _pv(g.beta1, xs)[:, None]
-    d = _transversal(g, F1u, F1v, xs)
+    d = (F1u + b1 * F1v) / a1
     dnum = F1uv + g.beta1[1] * F1v + b1 * F1vv
     dp = (dnum - g.alpha1[1] * d) / a1
     return d, dp

@@ -171,11 +171,26 @@ class CSRMatrix:
         key, at = np.unique(np.asarray(rows, dtype=np.int64) * shape[1] + cols,
                             return_inverse=True)
         vals = np.bincount(at, weights=vals, minlength=len(key)).astype(float, copy=False)
+        return cls.from_sorted_triplets(*np.divmod(key, shape[1]), vals, shape)
+
+    @classmethod
+    def from_sorted_triplets(cls, rows, cols, vals, shape):
+        """Values ``vals`` at (rows, cols), given in row order with the
+        columns of each row sorted and distinct; zero values are dropped."""
         keep = vals != 0.0
-        rows, cols = np.divmod(key[keep], shape[1])
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-        return cls(indptr, cols, vals[keep], shape)
+        np.cumsum(np.bincount(rows[keep], minlength=shape[0]), out=indptr[1:])
+        return cls(indptr, cols[keep], vals[keep], shape)
+
+    @classmethod
+    def vstack(cls, blocks):
+        """The blocks, all with the same number of columns, one below the
+        other."""
+        offsets = np.cumsum([0] + [b.nnz for b in blocks])
+        indptr = np.concatenate([[0]] + [b.indptr[1:] + o for b, o in zip(blocks, offsets)])
+        return cls(indptr, np.concatenate([b.indices for b in blocks]),
+                   np.concatenate([b.data for b in blocks]),
+                   (sum(b.shape[0] for b in blocks), blocks[0].shape[1]))
 
     @property
     def nnz(self):
@@ -188,13 +203,21 @@ class CSRMatrix:
         ids.setflags(write=False)
         return ids
 
+    def take(self, rows):
+        """The given rows, in that order, as a (len(rows), ncols) matrix."""
+        rows = np.asarray(rows)
+        lo = self.indptr[rows]
+        counts = self.indptr[rows + 1] - lo
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        at = np.repeat(lo - indptr[:-1], counts) + np.arange(indptr[-1])
+        return CSRMatrix(indptr, self.indices[at], self.data[at], (len(rows), self.shape[1]))
+
     def entries(self, rows):
         """Stored entries of the given rows: the position of their row in
         ``rows``, their column and their value."""
-        rows = np.asarray(rows)
-        lo, counts = self.indptr[rows], np.diff(self.indptr)[rows]
-        at = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        return np.repeat(np.arange(len(rows)), counts), self.indices[at], self.data[at]
+        sub = self.take(rows)
+        return sub.row_ids, sub.indices, sub.data
 
     def diagonal(self):
         """The entries (i, i) as a dense vector."""
@@ -311,8 +334,8 @@ class ArgyrisSpace:
         self._layout = {kind: (int(a), sizes[kind]) for kind, a in zip(sizes, starts)}
         self.gluing = {}  # edge id -> GluingData, the edge's standard-form gluing
         self._sigma = {}  # vertex id -> sigma
-        # (kind, owner) -> the geometry an edge's or vertex's dual functionals
-        # read; filled on first use by ``duality``, never by the build
+        # (kind, "all") -> what the dual functionals of all edges or of all
+        # vertices read; filled on first use by ``duality``, never by the build
         self._dual_geometry = {}
         self.C = self._build()
 
@@ -439,7 +462,7 @@ class ArgyrisSpace:
         # sigma, the slots and the corner data are read from them
         blocks = [mp.patches[i].net.reshape(-1, 2)[self._rows[c][:3, :3]]
                   for i, c in vertex.corners]
-        jets = [np.einsum("ai,ijc,bj->abc", self._ends, B, self._ends) for B in blocks]
+        jets = self._corner_jets(np.array(blocks))
         jacobians = [np.stack([J[1, 0], J[0, 1]], axis=-1) for J in jets]
         sigma = 1.0 / (h / (p * nu) * sum(np.linalg.norm(Jac) for Jac in jacobians))
         self._sigma[vid] = sigma
@@ -494,6 +517,12 @@ class ArgyrisSpace:
                 (R[2:, :2].T, layers[2][:, 2:]),
             ])
         return len(VERTEX_INDEX_ORDER), columns
+
+    def _corner_jets(self, blocks):
+        """d^a d^b f / dxi1^a dxi2^b, a, b <= 2, at the corner (0, 0) of
+        tensor splines f with 3x3 corner coefficient blocks (..., 3, 3, c):
+        (..., 3, 3, c)."""
+        return np.einsum("ai,...ijc,bj->...abc", self._ends, blocks, self._ends)
 
     def vertex_projector(self, vid, data):
         """Alternating-sum Hermite interpolant of C2 data at one vertex.

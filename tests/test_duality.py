@@ -15,13 +15,20 @@ from argyris import (
     biorthogonality_matrix,
     builtin_geometry,
     edge_duals,
+    infer_topology,
     patch_duals,
     project,
     vertex_duals,
 )
+from argyris import duality
+from argyris.bspline import local_duals
+from argyris.duality import _entities, _unit_jets
 from argyris.errors import InvalidConfigError
-from argyris.multipatch import edge_frames
+from argyris.fit import cos_sin_field
+from argyris.geometries import _fan
+from argyris.multipatch import edge_frames, rotate_grid
 from argyris.space import CSRMatrix
+from conftest import square_grid_geometry
 
 
 def ids_where(space, pred):
@@ -190,15 +197,17 @@ def test_space_field_values_need_no_patch_map(sp_three, monkeypatch):
 
 def test_duals_sample_every_element_once(sp_three):
     # patch duals read n(p+1) points per direction, edge duals n(p+1) S+
-    # points and n*p S- points, however many functions share them
+    # points and n*p S- points, however many functions share them; a
+    # member reaches the edge functionals through its coefficients on the
+    # rows the edge sees, not through a sample of its own
     class CountingField(SpaceField):
         def __init__(self, space, coeffs):
             super().__init__(space, coeffs)
             self.grid = []
 
-        def jets(self, patch, x1, x2, order, geo=None):
+        def jets(self, patch, x1, x2, order):
             self.grid.append((len(x1), len(x2)))
-            return super().jets(patch, x1, x2, order, geo)
+            return super().jets(patch, x1, x2, order)
 
     n, p = sp_three.config.n, sp_three.config.p
     c = np.random.default_rng(7).standard_normal(sp_three.dim)
@@ -209,7 +218,10 @@ def test_duals_sample_every_element_once(sp_three):
     eid = sp_three.geometry.interfaces()[0].id
     block = ids_where(sp_three, lambda f: f.kind == "edge" and f.owner == eid)
     assert np.abs(edge_duals(sp_three, eid, fld) - c[block]).max() < 1e-9
-    assert [a * b for a, b in fld.grid[1:]] == [n * (p + 1) + n * p]
+    assert len(fld.grid) == 1
+    edges = _entities(sp_three, "edge")
+    assert edges.jets.shape[:2] == (len(sp_three.geometry.edges), n * (p + 1) + n * p)
+    assert edges.d.shape[1] == n * p
 
 
 AS_G1_BUILTINS = ["two_patch_bilinear", "three_patch_bilinear", "five_patch_bilinear",
@@ -232,6 +244,10 @@ def test_biorthogonality_matrix_matches_dense_identity_reference(request, name, 
     space = ArgyrisSpace(mp)
     M = biorthogonality_matrix(space)
     assert isinstance(M, CSRMatrix) and M.shape == (space.dim, space.dim)
+    # written in CSR order: the columns of each row sorted, none repeated
+    # and no zero stored
+    same_row = M.row_ids[1:] == M.row_ids[:-1]
+    assert np.all(np.diff(M.indices)[same_row] > 0) and np.all(M.data != 0)
     ref = project(space, SpaceField(space, np.eye(space.dim)))
     assert np.abs(M.toarray() - ref).max() <= 1e-13
 
@@ -271,54 +287,85 @@ def test_biorthogonality_matrix_cache_holds_geometry_only(sp_three):
 
 
 def test_entity_geometry_sampled_once_and_never_at_order_two_on_an_edge(mp_three, monkeypatch):
-    # D C samples each edge's side at order 1 and each vertex's corner at
-    # order 2, once; the projector then reuses those samples, and neither
-    # the build nor a member's values sample them
-    calls = []
-    grid_jet = Patch.grid_jet
+    # D C reads the geometry of all edges (order 1) and of all vertices
+    # (order 2) in one stacked sample per kind, off the control points on the
+    # rows they see; the projector then reuses it, and neither the build nor
+    # a member's values sample it
+    units, corners, grids = [], [], []
+    unit_jets, corner_jets, grid_jet = _unit_jets, ArgyrisSpace._corner_jets, Patch.grid_jet
 
-    def counting(self, x1, x2, nderiv):
-        calls.append((len(np.atleast_1d(x1)) * len(np.atleast_1d(x2)), nderiv))
+    def counting_units(space, kind):
+        U = unit_jets(space, kind)
+        units.append((kind, U.shape[1] - 1))
+        return U
+
+    def counting_corners(self, blocks):
+        corners.append(blocks.shape[:-3])
+        return corner_jets(self, blocks)
+
+    def counting_grid(self, x1, x2, nderiv):
+        grids.append(nderiv)
         return grid_jet(self, x1, x2, nderiv)
 
-    monkeypatch.setattr(Patch, "grid_jet", counting)
+    monkeypatch.setattr(duality, "_unit_jets", counting_units)
+    monkeypatch.setattr(ArgyrisSpace, "_corner_jets", counting_corners)
+    monkeypatch.setattr(Patch, "grid_jet", counting_grid)
     space = ArgyrisSpace(mp_three)
-    assert space._dual_geometry == {}
-    built = len(calls)
+    assert space._dual_geometry == {} and units == []
+    built = len(corners), len(grids)
     biorthogonality_matrix(space)
-    sides = calls[built:]
-    n_edges, n_vertices = len(mp_three.edges), len(mp_three.vertices)
-    assert sorted(order for _, order in sides) == [1] * n_edges + [2] * n_vertices
-    assert all(m == 1 for m, order in sides if order == 2)
-    assert all(m > 1 for m, order in sides if order == 1)
+    assert units == [("edge", 1), ("vertex", 2)]
+    assert corners[built[0]:] == [(len(mp_three.vertices), 1)]
+    assert grids[built[1]:] == []
     c = np.cos(np.arange(space.dim))
     assert np.abs(project(space, SpaceField(space, c)) - c).max() < 1e-9
-    assert calls[built + len(sides):] == []
+    assert units == [("edge", 1), ("vertex", 2)]
+    assert corners[built[0]:] == [(len(mp_three.vertices), 1)]
+    assert grids[built[1]:] == []
 
 
 @pytest.mark.parametrize("name,n", [("three_patch_bilinear", 4), ("five_patch_bilinear", 8)])
 def test_unit_field_jets_match_dense_unit_grids(name, n):
-    # the unit jets are products of basis-table columns; the reference
-    # samples one dense (N, N) grid per unit coefficient
-    from argyris.duality import _UnitField, _entity_geometry
-
+    # the unit jets of an entity kind, in the standard-form frame, are
+    # products of basis-table columns. The reference samples one dense
+    # (N, N) grid per unit coefficient on the side or corner of the patch in
+    # its own frame, for each of the four quarter turns, and turns the
+    # derivatives by the chain rule; the stacked patch-map jets match the
+    # turned patches sampled alone
     space = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(3, 1, n)))
-    N, R = space.N, space._rows
-    entities = []
-    for e in space.geometry.edges:
-        (ipatch, rot), *_ = edge_frames(e)
-        entities.append((_entity_geometry(space, "edge", e.id), R[rot][:2].ravel()))
-    for v in space.geometry.vertices:
-        _, corner = v.corners[0]
-        entities.append((_entity_geometry(space, "vertex", v.id), R[corner][:3, :3].ravel()))
-    for (ipatch, grid, *_), rows in entities:
-        dense = np.zeros((N * N, len(rows)))
-        dense[rows, np.arange(len(rows))] = 1.0
-        for order in (1, 2):
-            ref = TensorSpline(space.config, dense.reshape(N, N, -1)).grid_jet(*grid, order)
-            got = _UnitField(space, rows)._parametric(ipatch, *grid, order)
-            assert got.shape == ref.shape
-            assert np.abs(got - ref).max() <= 1e-14
+    N, R, mp = space.N, space._rows, space.geometry
+    side = np.concatenate([local_duals(s).points.ravel() for s in (space.splus, space.sminus)])
+    for kind, pts, block, order in (("edge", side, (slice(0, 2),), 1),
+                                    ("vertex", [0.0], (slice(0, 3), slice(0, 3)), 2)):
+        U = _unit_jets(space, kind)
+        for rot in range(4):
+            rows = R[rot][block].ravel()
+            dense = np.zeros((N * N, len(rows)))
+            dense[rows, np.arange(len(rows))] = 1.0
+            own = TensorSpline(space.config, dense.reshape(N, N, -1))
+            ref = own.grid_jet(*rotate_grid([0.0], pts, rot), order)
+            T = np.linalg.matrix_power(np.array([[0, -1], [1, 0]]), rot)
+            grad = np.stack([ref[:, 1, 0], ref[:, 0, 1]], axis=-1) @ T
+            pairs = [(U[:, 0, 0], ref[:, 0, 0]), (U[:, 1, 0], grad[..., 0]),
+                     (U[:, 0, 1], grad[..., 1])]
+            if order == 2:
+                i1 = np.array([[2, 1], [1, 0]])
+                H = T.T @ np.moveaxis(ref[:, i1, 2 - i1], 3, 1) @ T
+                pairs.append((U[:, i1, 2 - i1], np.moveaxis(H, 1, 3)))
+            assert U.shape == ref.shape
+            # the other three turns evaluate the basis at the far end of the
+            # knot vector: equal up to rounding relative to each derivative
+            for got, want in pairs:
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        table = _entities(space, kind)
+        frames = ([edge_frames(e)[0] for e in mp.edges] if kind == "edge"
+                  else [v.corners[0] for v in mp.vertices])
+        # derivative (a, b) of the map scales like N^(a + b) times its values
+        scale = float(N) ** np.add.outer(range(order + 1), range(order + 1))[..., None]
+        for jets, (ipatch, rot) in zip(table.jets, frames):
+            ref = mp.patches[ipatch].rotate(rot).grid_jet([0.0], pts, order)
+            size = max(1.0, np.abs(ref[:, 0, 0]).max())
+            assert np.all(np.abs(jets - ref) <= 1e-14 * size * scale)
 
 
 def test_biorthogonality_matrix_memory_five_patches_n16():
@@ -333,3 +380,37 @@ def test_biorthogonality_matrix_memory_five_patches_n16():
         tracemalloc.stop()
     assert peak < 60 * 2**20
     assert M.shape == (4971, 4971)
+
+
+def test_single_entity_duals_are_rows_of_the_projector(sp_three):
+    # edge_duals and vertex_duals return their entity's rows of the same
+    # pass over all entities of the kind that the projector makes
+    mp = sp_three.geometry
+    rng = np.random.default_rng(21)
+    fields = [SpaceField(sp_three, rng.standard_normal(sp_three.dim)),
+              SpaceField(sp_three, rng.standard_normal((sp_three.dim, 3))),
+              cos_sin_field(mp)]
+    for field in fields:
+        c = project(sp_three, field)
+        for e in mp.edges:
+            assert np.array_equal(edge_duals(sp_three, e.id, field), c[sp_three.block("edge", e.id)])
+        for v in mp.vertices:
+            assert np.array_equal(vertex_duals(sp_three, v.id, field),
+                                  c[sp_three.block("vertex", v.id)])
+
+
+@pytest.mark.parametrize("degrees", [(3, 1, 4), (4, 2, 6)])
+@pytest.mark.parametrize("patches", ["grid3x3"] + [f"fan{k}" for k in range(3, 9)])
+def test_biorthogonal_and_reproducing_on_grids_and_fans(patches, degrees):
+    # every valence 3..8 at an interior vertex, and boundary and interior
+    # vertices of valence 2..4 on a grid of squares
+    cfg = UnivariateSpace(*degrees)
+    if patches == "grid3x3":
+        mp = square_grid_geometry(cfg, 3, 3)
+    else:
+        mp = infer_topology(cfg, _fan(cfg, int(patches[3:])))
+    space = ArgyrisSpace(mp)
+    M = biorthogonality_matrix(space)
+    assert np.abs(M.toarray() - np.eye(space.dim)).max() <= 1e-12
+    c = np.cos(np.arange(space.dim))
+    assert np.abs(project(space, SpaceField(space, c)) - c).max() <= 1e-12
