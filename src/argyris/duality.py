@@ -118,7 +118,7 @@ class SpaceField:
         (i N + a) N + b."""
         coeffs = np.asarray(self.coeffs, dtype=float)
         self.space._check_coeffs(coeffs)
-        return CSRMatrix.vstack(self.space.C).take(rows) @ coeffs
+        return CSRMatrix.take_stacked(self.space.C, rows) @ coeffs
 
 
 class _Entities(NamedTuple):
@@ -138,13 +138,16 @@ def _side_points(space):
     return [local_duals(s).points.ravel() for s in (space.splus, space.sminus)]
 
 
-def _unit_jets(space, kind):
+def _unit_jets(space, kind, points=None):
     """Parametric jets (m, d, d, r), in the standard-form frame, of the unit
-    coefficients on the r rows an edge (order 1, its side points) or a vertex
-    (order 2, its corner) sees: B_i^(a)(x1) B_j^(b)(x2), one basis-table
-    column per direction. They are the same for every entity of the kind."""
+    coefficients on the r rows an edge (order 1, at the points (0, x2) of its
+    side: the given ``points`` x2, by default the side points of its
+    functionals) or a vertex (order 2, its corner) sees: B_i^(a)(x1)
+    B_j^(b)(x2), one basis-table column per direction. They are the same for
+    every entity of the kind."""
     if kind == "edge":  # layers 0, 1 across the side, all N along it
-        x2, shape, order = np.concatenate(_side_points(space)), (2, space.N), 1
+        x2 = np.concatenate(_side_points(space)) if points is None else points
+        shape, order = (2, space.N), 1
     else:
         x2, shape, order = np.array([0.0]), (3, 3), 2
     A, B = (

@@ -192,6 +192,28 @@ class CSRMatrix:
                    np.concatenate([b.data for b in blocks]),
                    (sum(b.shape[0] for b in blocks), blocks[0].shape[1]))
 
+    @classmethod
+    def take_stacked(cls, blocks, rows):
+        """``vstack(blocks).take(rows)`` for blocks with the same number of
+        rows, without stacking them: only the rows taken are copied."""
+        rows = np.asarray(rows)
+        owner, local = np.divmod(rows, blocks[0].shape[0])
+        order = np.argsort(owner, kind="stable")
+        bounds = np.searchsorted(owner[order], np.arange(len(blocks) + 1))
+        parts, counts = [], np.zeros(len(rows), dtype=np.int64)
+        for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
+            at = order[lo:hi]  # the positions of the rows of this block
+            parts.append((at, block.take(local[at])))
+            counts[at] = np.diff(parts[-1][1].indptr)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=blocks[0].indices.dtype)
+        data = np.empty(indptr[-1])
+        for at, sub in parts:
+            to = np.repeat(indptr[at] - sub.indptr[:-1], counts[at]) + np.arange(sub.nnz)
+            indices[to], data[to] = sub.indices, sub.data
+        return cls(indptr, indices, data, (len(rows), blocks[0].shape[1]))
+
     @property
     def nnz(self):
         return len(self.data)

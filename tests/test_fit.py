@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,7 +41,8 @@ from argyris.fit import (
     _patch_weights,
     _pcg,
 )
-from argyris.space import CSRMatrix
+from argyris.multipatch import edge_frames, rotate_grid
+from argyris.space import VERTEX_INDEX_ORDER, CSRMatrix
 from conftest import square_grid_geometry
 
 AS_G1_BUILTINS = (
@@ -658,6 +660,142 @@ def test_smoothness_report_of_coefficient_matrix(sp_three):
     assert rep.max_c1_jump == max(s.max_c1_jump for s in singles) > 1e-3
     assert rep.max_c2_jump == max(s.max_c2_jump for s in singles)
     assert "coeffs[:, 1]" in {row[3] for row in rep.edge_rows}
+
+
+def sampled_rows(space, c, samples):
+    """The report's rows for the k columns of c (dim, k), each side and corner
+    sampled on its own ``rotate_grid`` grid by the public ``SpaceField.jets``:
+    an oracle independent of the report's one-pass tables."""
+    t = np.linspace(0.0, 1.0, samples)
+    field = SpaceField(space, c)
+
+    def worst(scores):
+        return None if scores.max() <= 0.0 else f"coeffs[:, {int(np.argmax(scores))}]"
+
+    edges = []
+    for e in space.geometry.interfaces():
+        (i1, k1), (i2, k2) = edge_frames(e)
+        (v1, g1), (v2, g2) = (
+            field.jets(i, *rotate_grid(*grid, k), 1)
+            for i, k, grid in ((i1, k1, ([0.0], t)), (i2, k2, (t, [0.0])))
+        )
+        sv = np.maximum(1.0, np.maximum(np.abs(v1).max(0), np.abs(v2).max(0)))
+        sg = np.maximum(1.0, np.maximum(np.abs(g1).max((0, 2)), np.abs(g2).max((0, 2))))
+        dv, dg = np.abs(v1 - v2).max(0) / sv, np.abs(g1 - g2).max((0, 2)) / sg
+        edges.append((e.id, dv.max(), dg.max(), worst(np.maximum(dv, dg))))
+    vertices = []
+    for v in space.geometry.vertices:
+        hs = np.array([field.jets(i, *rotate_grid([0.0], [0.0], k), 2)[2][0]
+                       for i, k in v.corners])
+        dh = np.abs(hs - hs[0]).max((0, 2, 3)) / np.maximum(1.0, np.abs(hs).max((0, 2, 3)))
+        vertices.append((v.id, dh.max(), worst(dh)))
+    return edges, vertices
+
+
+@pytest.mark.parametrize("degrees", [(3, 1, 4), (4, 2, 6)])
+@pytest.mark.parametrize(
+    "name",
+    ["three_patch_bilinear", "five_patch_bilinear", "lshape_bilinear", "two_patch_curved_asg1"],
+)
+def test_smoothness_report_matches_sampling_each_side(name, degrees):
+    # the one-pass rows agree with members sampled side by side and corner
+    # by corner, and name the broken column where it is the worst
+    sp = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(*degrees)))
+    space, a = space_with_broken_function(sp)
+    c = np.random.default_rng(31).normal(size=(space.dim, 3))
+    c[:, 1] = np.eye(space.dim)[a]
+    rep = smoothness_report(space, coeffs=c, samples_per_edge=60)
+    edges, vertices = sampled_rows(space, c, 60)
+    assert len(rep.edge_rows) == len(edges) and len(rep.vertex_rows) == len(vertices)
+    for row, ref in zip(rep.edge_rows, edges):
+        assert row[0] == ref[0]
+        assert abs(row[1] - ref[1]) <= 1e-12 and abs(row[2] - ref[2]) <= 1e-12
+        if max(ref[1], ref[2]) > 1e-6:  # not a tie of rounding-level jumps
+            assert row[3] == ref[3]
+    for row, ref in zip(rep.vertex_rows, vertices):
+        assert row[0] == ref[0] and abs(row[1] - ref[1]) <= 1e-12
+        if ref[1] > 1e-6:
+            assert row[2] == ref[2]
+    # the broken function's corner lies on the boundary of the L shape
+    named = {row[3] for row in rep.edge_rows}
+    assert ("coeffs[:, 1]" in named) == (name != "lshape_bilinear")
+
+
+def negated_vertex_column(sp, j):
+    """Copy of the space, sharing its dual geometry, whose vertex-0 function
+    with derivative index j is negated on the patch of the vertex's first
+    corner; returns (copy, its column)."""
+    import copy
+
+    space = copy.copy(sp)
+    assert space._dual_geometry is sp._dual_geometry
+    ipatch, _ = space.geometry.vertices[0].corners[0]
+    a = space.block("vertex", 0).start + VERTEX_INDEX_ORDER.index(j)
+    C = space.C[ipatch]
+    space.C = list(space.C)
+    space.C[ipatch] = CSRMatrix(C.indptr, C.indices, np.where(C.indices == a, -C.data, C.data),
+                                C.shape)
+    return space, a
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_smoothness_report_fails_a_negated_vertex_column(n):
+    sp = ArgyrisSpace(builtin_geometry("five_patch_bilinear", UnivariateSpace(3, 1, n)))
+    assert smoothness_report(sp).passed()
+    # the value function jumps across the interfaces next to that patch
+    space, a = negated_vertex_column(sp, (0, 0))
+    rep = smoothness_report(space)
+    assert not rep.passed() and rep.max_c1_jump > 0.5
+    # a second-derivative function flips its Hessian at the vertex on one patch
+    space, a = negated_vertex_column(sp, (2, 0))
+    rep = smoothness_report(space)
+    vid, jump, worst, excess = rep.vertex_rows[0]
+    assert not rep.passed() and jump > 0.5 and excess > 1e3 and worst == space.basis_id(a)
+
+
+def test_smoothness_report_memory_does_not_grow_with_the_mesh():
+    # only the rows nonzero at each sample are read: five patches at n = 64
+    # stay within the 6.3 MB the report took before it sampled dense
+    # (N^2, members) coefficient blocks
+    sp = ArgyrisSpace(builtin_geometry("five_patch_bilinear", UnivariateSpace(3, 1, 64)))
+    smoothness_report(sp)  # basis tables made once per process
+    tracemalloc.start()
+    try:
+        rep = smoothness_report(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed() and peak <= 6.3e6
+
+
+def test_take_stacked_is_a_take_from_the_stacked_matrix(sp_three):
+    rows = np.random.default_rng(3).integers(0, len(sp_three.C) * sp_three.N**2, 300)
+    A = CSRMatrix.take_stacked(sp_three.C, rows)
+    B = CSRMatrix.vstack(sp_three.C).take(rows)
+    assert A.shape == B.shape
+    for a, b in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_smoothness_verdict_at_n_256_holds_under_rounding_noise_in_the_nets():
+    # the C2 jumps of members with a large gradient grow like n^3 through the
+    # rounding of the nets; the verdict compares each with its own floor, so
+    # a correct space passes at n = 256 and eps-level noise on every net entry
+    # does not flip it
+    import copy
+
+    sp = ArgyrisSpace(builtin_geometry("five_patch_bilinear", UnivariateSpace(3, 1, 256)))
+    assert smoothness_report(sp).passed()
+    rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
+    for _ in range(3):
+        noisy = copy.copy(sp)
+        noisy.geometry = copy.copy(sp.geometry)
+        noisy.geometry.patches = [
+            Patch(sp.config, P.net * (1.0 + 2.0 * eps * rng.uniform(-1.0, 1.0, P.net.shape)))
+            for P in sp.geometry.patches
+        ]
+        assert smoothness_report(noisy).passed()
 
 
 def test_fit_makes_the_jacobian_weights_once_per_rule(sp_three, monkeypatch):
