@@ -174,6 +174,11 @@ def _cmd_sample(args):
             raise InvalidConfigError(
                 f"coefficient file has {coeffs.shape[0]} entries, need {space.dim}"
             )
+        bad = np.flatnonzero(~np.isfinite(coeffs))
+        if len(bad):
+            raise InvalidConfigError(
+                f"{args.coeffs}: non-finite coefficient {bad[0]}: {float(coeffs[bad[0]])}"
+            )
     t = np.linspace(0.0, 1.0, args.grid)
     uv = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
     order = 1 if args.derivs else 0

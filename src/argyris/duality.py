@@ -10,33 +10,25 @@ d^j phi / sigma^|j| at the corner of ``corners[0]``. Concatenated in the
 order of the basis they give the global projector, which reproduces every
 member of the space.
 
-In its standard-form frame every edge carries the same functionals, and so
-does every vertex: only the geometry and the gluing data differ. So the
-functionals of one kind are applied to all of its entities in one pass, with
-a leading entity axis. What they read is fixed per space and kept in one
-stacked table per kind (``_entities``, in the space's ``_dual_geometry``),
-filled on first use and never by the build. It holds no extraction matrix,
-so a changed ``C`` is always read:
-
-* the rows each entity sees: the two coefficient layers next to an edge, the
-  3x3 corner block of a vertex. In the standard-form frame their unit
-  coefficients have the same parametric jets for every entity of a kind
-  (``_unit_jets``: outer products of basis-table columns), so the frame's
-  quarter turn is only a permutation of the rows;
-* the patch map's jets there: on an edge its control points on those rows
-  times that table, and d = (d1 F + beta1 d2 F) / alpha1 at the S- points;
-  at a vertex the corner jets the build read, so D C shares their rounding;
-* the functionals applied to the unit coefficients, (entities, functionals,
-  rows). For a function on the patch grad(phi) . d is
-  (d1 phi + beta1 d2 phi) / alpha1 in the standard-form frame, so an edge's
-  need only its gluing data; a vertex's take one ``physical_derivatives``
-  call over all vertices.
-
-A member of the space gives these functionals times its coefficients on the
-rows, and D C is them times those rows of the stacked extraction matrix, in
-one batched product per kind, written as its entity blocks' CSR rows in
-order. A field given in physical coordinates is sampled at the stacked
-points and takes the same functionals.
+Each functional reads a member through its coefficients on a few rows of
+the stacked patch grids alone, so the functionals are one sparse matrix D
+(dim, patches N*N), as the basis is one extraction matrix C (de Boor & Fix,
+1973; Borden, Scott, Evans & Hughes, IJNME 2011): the projector of the
+member with coefficients x is D C x, and D C is the biorthogonality matrix.
+A patch row is L (x) L on its (p+1)^2 band positions, with L the inner duals
+applied to the basis. In its standard-form frame every edge carries the same
+functionals, and so does every vertex, so the rows of a kind come from one
+stacked table of its entities (``_entities``): the rows each one sees (the
+two coefficient layers next to an edge, the 3x3 corner block of a vertex),
+the patch map's jets there, and the functionals applied to the unit
+coefficients on those rows, whose parametric jets are the same for every
+entity (``_unit_jets``). For a function on the patch, grad(phi) . d is
+(d1 phi + beta1 d2 phi) / alpha1 in that frame, so an edge's need only its
+gluing data; a vertex's read the corner jets the build read, so D C shares
+their rounding. D and the tables depend on the geometry and the gluing
+only: they are made on first use, never by the build, and kept in the
+space's ``_dual_geometry``, so a changed C is always read. A field given in
+physical coordinates is sampled at the tables' stacked points instead.
 """
 
 from typing import NamedTuple
@@ -93,7 +85,8 @@ class SpaceField:
     A (dim, k) coefficient matrix stands for k members at once; every sample
     then carries an axis of length k after the first. Samples come from the
     member's coefficient grid on the patch (its extraction matrix times the
-    coefficients), evaluated like the patch map by sum factorization.
+    coefficients), evaluated like the patch map by sum factorization; the
+    dual functionals read the grids themselves and sample nothing.
     """
 
     def __init__(self, space, coeffs):
@@ -111,14 +104,6 @@ class SpaceField:
             return (fj[:, 0, 0],)
         geo = self.geometry.patches[patch].grid_jet(x1, x2, order)
         return physical_derivatives(geo, fj)[: order + 1]
-
-    def _on_rows(self, rows):
-        """Coefficients (len(rows),) or (len(rows), k) of the members on rows
-        of the stacked patch grids, where position (a, b) of patch i is row
-        (i N + a) N + b."""
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        self.space._check_coeffs(coeffs)
-        return CSRMatrix.take_stacked(self.space.C, rows) @ coeffs
 
 
 class _Entities(NamedTuple):
@@ -191,8 +176,7 @@ def _entities(space, kind):
     patch-map jets of order 1 there, and d from those jets; a vertex the
     3x3 corner block of ``corners[0]``, jets of order 2 and sigma.
     """
-    key = (kind, "all")
-    table = space._dual_geometry.get(key)
+    table = space._dual_geometry.get(kind)
     if table is not None:
         return table
     mp, N = space.geometry, space.N
@@ -221,22 +205,18 @@ def _entities(space, kind):
         units = np.broadcast_to(U[0], (len(rows),) + U.shape[1:])
         duals = _vertex_functionals(sigma, *physical_derivatives(jets[:, 0], units))
         table = _Entities(rows, jets, None, sigma, duals)
-    table = table._replace(duals=np.ascontiguousarray(table.duals))
     for a in table:
         if a is not None:
             a.setflags(write=False)
-    space._dual_geometry[key] = table
+    space._dual_geometry[kind] = table
     return table
 
 
 def _entity_duals(space, kind, field):
-    """The functionals of every edge or every vertex applied to a field,
-    (entities, functionals, ...), in one pass."""
+    """The functionals of every edge or every vertex applied to a field in
+    physical coordinates, (entities, functionals), in one pass over the
+    stacked points."""
     T = _entities(space, kind)
-    if isinstance(field, SpaceField):
-        K, r = T.rows.shape
-        c = field._on_rows(T.rows.ravel())
-        return (T.duals @ c.reshape(K, r, -1)).reshape(T.duals.shape[:2] + c.shape[1:])
     x = T.jets[:, :, 0, 0]  # (K, m, 2)
     if kind == "vertex":
         return _vertex_functionals(T.sigma, *field.at(x[:, 0], 2))
@@ -246,33 +226,49 @@ def _entity_duals(space, kind, field):
     return _edge_functionals(space, val[:, :tp].T, deriv.T).T
 
 
+def _member_duals(space, field, rows):
+    """The functionals ``rows`` (a slice of the basis) applied to the members
+    of a ``SpaceField``: those rows of D times C times their coefficients."""
+    coeffs = np.asarray(field.coeffs, dtype=float)
+    space._check_coeffs(coeffs)
+    return dual_matrix(space).row_block(rows.start, rows.stop) @ (space.C @ coeffs)
+
+
 def patch_duals(space, i, field):
     """Tensor-product local duals of the pullback onto patch i.
 
-    One tensor grid of every element's dual points per direction; the
-    interior indices are read from it one direction at a time.
+    Of a member, patch i's rows of D C x. A field in physical coordinates is
+    sampled on one tensor grid of every element's dual points per direction,
+    and the interior indices are read from it one direction at a time.
     """
-    space.block("patch", i)
+    block = space.block("patch", i)
+    if isinstance(field, SpaceField):
+        return _member_duals(space, field, block)
     duals = local_duals(space.config)
     x = duals.points.ravel()
-    vals = field.jets(i, x, x, 0)[0]
-    vals = vals.reshape((len(x), len(x)) + vals.shape[1:])
+    vals = field.jets(i, x, x, 0)[0].reshape(len(x), len(x))
     inner = slice(2, space.N - 2)
     out = duals.apply(duals.apply(vals, inner).swapaxes(0, 1), inner).swapaxes(0, 1)
-    return out.reshape((-1,) + out.shape[2:])
+    return out.ravel()
 
 
 def edge_duals(space, eid, field):
     """S+ duals of the trace, then S- duals of the scaled transversal
-    derivative: edge eid's rows of the pass over all edges."""
-    space.block("edge", eid)
+    derivative: edge eid's rows of D C x for a member, else of the pass over
+    all edges."""
+    block = space.block("edge", eid)
+    if isinstance(field, SpaceField):
+        return _member_duals(space, field, block)
     return _entity_duals(space, "edge", field)[eid]
 
 
 def vertex_duals(space, vid, field):
     """Scaled point derivatives d^j phi(x) / sigma^|j| at the vertex, in
-    ``VERTEX_INDEX_ORDER``: vertex vid's rows of the pass over all vertices."""
-    space.block("vertex", vid)
+    ``VERTEX_INDEX_ORDER``: vertex vid's rows of D C x for a member, else of
+    the pass over all vertices."""
+    block = space.block("vertex", vid)
+    if isinstance(field, SpaceField):
+        return _member_duals(space, field, block)
     return _entity_duals(space, "vertex", field)[vid]
 
 
@@ -280,12 +276,13 @@ def project(space, field):
     """Global projector: coefficient a is functional a applied to the field.
 
     Reproduces members of the space; for general C2 fields it is a local
-    quasi-interpolant. A SpaceField of k members gives a (dim, k) matrix.
+    quasi-interpolant. A SpaceField of k members gives a (dim, k) matrix,
+    D C x.
     """
+    if isinstance(field, SpaceField):
+        return _member_duals(space, field, slice(0, space.dim))
     blocks = [patch_duals(space, i, field) for i in range(len(space.geometry.patches))]
-    for kind in ("edge", "vertex"):
-        out = _entity_duals(space, kind, field)
-        blocks.append(out.reshape((-1,) + out.shape[2:]))
+    blocks += [_entity_duals(space, kind, field).ravel() for kind in ("edge", "vertex")]
     return np.concatenate(blocks)
 
 
@@ -302,59 +299,41 @@ def _dual_band(cfg):
     return L, first.reshape(n, k)[e, 0]
 
 
-def _patch_rows(space, S):
-    """Triplets, in CSR order, of the rows of D C of all patches: row (a, b)
-    of patch i is the sum of L[a, s_a + k1] L[b, s_b + k2] C_i[(s_a + k1,
-    s_b + k2)] over L's band, with C_i the rows of patch i in the stacked
-    extraction matrix S."""
-    cfg, N, dim = space.config, space.N, space.dim
-    L, s = _dual_band(cfg)
-    band = s[:, None] + np.arange(cfg.p + 1)  # (N-4, p+1)
+def dual_matrix(space):
+    """D (dim, patches N*N), the dual functionals on the stacked coefficient
+    grids of ``C`` as a ``CSRMatrix``, made once per space. Row (a1, a2) of
+    patch i is L[a1] (x) L[a2] on its band there (``_dual_band``); an edge's
+    or a vertex's rows are its functionals of the unit coefficients on the
+    rows it sees (``_entities``), sorted once per entity, so D comes out in
+    CSR order without a sort."""
+    D = space._dual_geometry.get("D")
+    if D is not None:
+        return D
+    N, p, P = space.N, space.config.p, len(space.geometry.patches)
+    L, s = _dual_band(space.config)
+    band = s[:, None] + np.arange(p + 1)  # (N-4, p+1), increasing along each row
     w = (L[:, None, :, None] * L[None, :, None, :]).reshape((N - 4) ** 2, -1)
     grid = (band[:, None, :, None] * N + band[None, :, None, :]).reshape(w.shape)
-    out, k = np.nonzero(w)  # the stencil of each row of a patch block, in row order
-    patches = np.arange(len(space.C))[:, None]
-    B = S.take((patches * N * N + grid[out, k]).ravel())
-    counts = np.diff(B.indptr)
-    rows = np.repeat((space._layout["patch"][0] + patches * (N - 4) ** 2 + out).ravel(), counts)
-    vals = np.repeat(np.tile(w[out, k], len(space.C)), counts) * B.data
-    key = rows * dim + B.indices
-    order = np.argsort(key, kind="stable")  # rows are grouped: this sorts each row's columns
-    key = key[order]
-    first = np.concatenate([[True], key[1:] != key[:-1]])
-    sums = np.bincount(np.cumsum(first) - 1, weights=vals[order])
-    return rows[first], B.indices[order][first], sums
-
-
-def _entity_rows(space, kind, S):
-    """Triplets, in CSR order, of the rows of D C of all edges or all
-    vertices: each entity's functionals of its unit rows times those rows of
-    the stacked extraction matrix S, over the columns they touch, in one
-    batched product."""
-    T = _entities(space, kind)
-    K, nf, r = T.duals.shape
-    B = S.take(T.rows.ravel())
-    ent, at = np.divmod(B.row_ids, r)
-    # the sorted distinct columns of entity e are cols[lo[e]:lo[e + 1]]
-    key, slot = np.unique(ent * space.dim + B.indices, return_inverse=True)
-    owner, cols = np.divmod(key, space.dim)
-    lo = np.searchsorted(owner, np.arange(K + 1))
-    width = np.diff(lo)
-    local = np.arange(len(key)) - lo[owner]
-    dense = np.zeros((K, r, width.max(initial=0)))
-    dense[ent, at, local[slot]] = B.data
-    e, f, u = np.nonzero(np.broadcast_to(
-        (np.arange(dense.shape[2]) < width[:, None])[:, None], (K, nf, dense.shape[2])
-    ))
-    rows = space._layout[kind][0] + e * nf + f
-    return rows, cols[lo[e] + u], (T.duals @ dense)[e, f, u]
+    a, k = np.nonzero(w)  # the stencil of each row of a patch, in row order
+    # (entries per row, columns, values) of the rows of each kind, in order
+    parts = [(np.tile(np.count_nonzero(w, axis=1), P),
+              (np.arange(P)[:, None] * N * N + grid[a, k]).ravel(), np.tile(w[a, k], P))]
+    for kind in ("edge", "vertex"):
+        T = _entities(space, kind)
+        order = np.argsort(T.rows, axis=1)
+        duals = np.take_along_axis(T.duals, order[:, None], axis=2)
+        e, f, j = np.nonzero(duals)
+        parts.append((np.count_nonzero(duals, axis=2).ravel(),
+                      np.take_along_axis(T.rows, order, axis=1)[e, j], duals[e, f, j]))
+    counts, cols, vals = (np.concatenate(t) for t in zip(*parts))
+    D = CSRMatrix(np.r_[0, np.cumsum(counts)], cols, vals, (space.dim, P * N * N))
+    D.data.setflags(write=False)
+    space._dual_geometry["D"] = D
+    return D
 
 
 def biorthogonality_matrix(space):
-    """Matrix D C of all functionals applied to all basis functions, a (dim, dim)
-    ``CSRMatrix`` read off the rows each functional sees; it equals the
-    identity when basis and dual basis are biorthogonal."""
-    S = CSRMatrix.vstack(space.C)
-    blocks = [_patch_rows(space, S)] + [_entity_rows(space, k, S) for k in ("edge", "vertex")]
-    triplets = (np.concatenate(t) for t in zip(*blocks))
-    return CSRMatrix.from_sorted_triplets(*triplets, (space.dim, space.dim))
+    """Matrix D C of all functionals applied to all basis functions, a (dim,
+    dim) ``CSRMatrix``; it equals the identity when basis and dual basis are
+    biorthogonal."""
+    return dual_matrix(space) @ space.C

@@ -1,13 +1,13 @@
 """L2 approximation on the smooth space and the study harness around it.
 
 Element-wise tensor Gauss quadrature gives each patch's |det DF|-weighted
-tensor B-spline mass M_i and load vector b_i; the space's extraction
-matrices C_i turn them into the mass matrix sum_i C_i^T M_i C_i and the
-load vector sum_i C_i^T b_i. The quadrature nodes of a patch form a tensor
-grid, so the patch map and its Jacobian, the target field and the fitted
-member are sampled there by sum factorization (``Patch.grid_jet``, ``jets``
-of the field classes): per-direction basis tables, each made once per
-(space, nodes, derivative order), instead of a basis evaluation at every
+tensor B-spline mass M_i and load vector b_i; the rows C_i of patch i in the
+space's extraction matrix C turn them into the mass matrix sum_i C_i^T M_i
+C_i and the load vector sum_i C_i^T b_i. The quadrature nodes of a patch
+form a tensor grid, so the patch map and its Jacobian, the target field and
+the fitted member are sampled there by sum factorization (``Patch.grid_jet``,
+``jets`` of the field classes): per-direction basis tables, each made once
+per (space, nodes, derivative order), instead of a basis evaluation at every
 node. A rule keeps the |det DF| weights of every patch it integrated over,
 so the mass and the load of a fit share them. With A0 the (m, N) basis
 values at the m nodes of one direction and W the weights on the node grid,
@@ -232,11 +232,11 @@ def _interface_triplets(C, D, frame, start):
     bands, pairs = frame
     blocks = []
     for rows in bands:
-        at, col, val = C.entries(rows)
-        keep = col >= start
-        cols, k = np.unique(col[keep] - start, return_inverse=True)
+        sub = C.take(rows)
+        keep = sub.indices >= start
+        cols, k = np.unique(sub.indices[keep] - start, return_inverse=True)
         phi = np.zeros((len(rows), len(cols)))
-        phi[at[keep], k] = val[keep]
+        phi[sub.row_ids[keep], k] = sub.data[keep]
         blocks.append((cols, phi))
     if sum(np.count_nonzero(phi) for _, phi in blocks) != np.count_nonzero(C.indices >= start):
         raise ArgyrisError("an edge or vertex function reaches beyond the two "
@@ -259,7 +259,7 @@ class MassOperator:
     """The mass matrix sum_i C_i^T M_i C_i, applied without assembling it.
 
     ``M @ x`` maps a coefficient vector (dim,) or matrix (dim, k) by the
-    extraction matrices, stacked in ``C`` (patches * N*N, dim), to tensor
+    space's extraction matrix ``C`` (patches * N*N, dim) to the tensor
     coefficient grids U_i, applies each patch mass by sum factorization,
     A0^T (W_i o (A0 U_i A0^T)) A0, with A0 the (m, N) basis values at the m
     quadrature nodes of a direction and W_i the patch's |det DF| weights on
@@ -301,15 +301,6 @@ class MassOperator:
         return (V.reshape(len(V), -1) @ self.C).T.reshape(x.shape)
 
 
-def _stack(Cs):
-    """The rows of several ``CSRMatrix`` with equal columns, one after another."""
-    offsets = np.cumsum([0] + [C.nnz for C in Cs])
-    indptr = np.concatenate([[0]] + [C.indptr[1:] + o for C, o in zip(Cs, offsets)])
-    return CSRMatrix(indptr, np.concatenate([C.indices for C in Cs]),
-                     np.concatenate([C.data for C in Cs]),
-                     (sum(C.shape[0] for C in Cs), Cs[0].shape[1]))
-
-
 def assemble_mass(space, rule=None):
     """The mass matrix sum_patches int phi_a phi_b |det DF| as a
     ``MassOperator``: its diagonal and its edge and vertex block are
@@ -320,17 +311,18 @@ def assemble_mass(space, rule=None):
     frame = _frame(space.config)
     interior = np.zeros(ni)
     triplets = []
-    for i, C in enumerate(space.C):
-        D = _patch_mass(space, i, rule)
+    patches = range(len(space.geometry.patches))
+    for i in patches:
+        C, D = space.extraction(i), _patch_mass(space, i, rule)
         interior += _interior_masses(C, D, index, ni)
         triplets.append(_interface_triplets(C, D, frame, ni))
     G = CSRMatrix.from_triplets(
         *(np.concatenate(t) for t in zip(*triplets)), (space.dim - ni,) * 2
     )
     diagonal = np.concatenate([interior, G.diagonal()])
-    W = np.stack([_patch_weights(space, i, rule) for i in range(len(space.C))])
+    W = np.stack([_patch_weights(space, i, rule) for i in patches])
     A0 = _basis_values(space.config, rule.nodes.ravel())
-    return MassOperator(_stack(space.C), A0, W, diagonal, G, ni)
+    return MassOperator(space.C, A0, W, diagonal, G, ni)
 
 
 def assemble_rhs(space, fld, rule=None):
@@ -343,9 +335,9 @@ def assemble_rhs(space, fld, rule=None):
     x = rule.nodes.ravel()
     A0 = _basis_values(space.config, x)
     rhs = np.zeros(space.dim)
-    for i, C in enumerate(space.C):
+    for i in range(len(space.geometry.patches)):
         Wz = _patch_weights(space, i, rule).ravel() * fld.jets(i, x, x, 0)[0]
-        rhs += (A0.T @ Wz.reshape(len(x), len(x)) @ A0).ravel() @ C
+        rhs += (A0.T @ Wz.reshape(len(x), len(x)) @ A0).ravel() @ space.extraction(i)
     return rhs
 
 
@@ -355,7 +347,7 @@ def _integral_sq(space, coeffs, fld, rule):
     u_c = SpaceField(space, coeffs)
     total = 0.0
     zz = 0.0
-    for i in range(len(space.C)):
+    for i in range(len(space.geometry.patches)):
         W = _patch_weights(space, i, rule).ravel()
         z = fld.jets(i, x, x, 0)[0]
         u = u_c.jets(i, x, x, 0)[0]
@@ -478,7 +470,7 @@ def _levels(G):
             seen[start] = True
             part = [np.array([start])]
             while True:
-                reached = G.entries(part[-1])[1]
+                reached = G.take(part[-1]).indices
                 reached = _distinct(reached[~seen[reached]])
                 if not len(reached):
                     break
@@ -510,11 +502,11 @@ def _interface_solver(G):
     try:
         for k, rows in enumerate(levels):
             m = len(rows)
-            at, col, val = G.entries(rows)
-            up = level[col] - k  # 0 in G_{k,k}, 1 in G_{k,k+1}, -1 in G_{k,k-1}
+            sub = G.take(rows)
+            up = level[sub.indices] - k  # 0 in G_{k,k}, 1 in G_{k,k+1}, -1 in G_{k,k-1}
             keep = up >= 0
             block = np.zeros((m, bounds[min(k + 2, len(levels))] - bounds[k]))
-            block[at[keep], (pos[col] + m * up)[keep]] = val[keep]
+            block[sub.row_ids[keep], (pos[sub.indices] + m * up)[keep]] = sub.data[keep]
             D = block[:, :m] - W[-1].T @ W[-1] if k else block[:, :m]
             Linv.append(np.linalg.inv(np.linalg.cholesky(D)))
             W.append(Linv[-1] @ block[:, m:])
@@ -555,7 +547,7 @@ def _block_preconditioner(space, G):
     L = 1.0 / np.outer(lam, lam)
 
     def apply(r):
-        R = r[:ni].reshape(len(space.C), m, m)
+        R = r[:ni].reshape(len(space.geometry.patches), m, m)
         return np.concatenate([
             (Q @ (L * (Q.T @ R @ Q)) @ Q.T).ravel(), interface(r[ni:])
         ])
@@ -686,9 +678,9 @@ def cos_sin_field(mp):
         return 2.0 * np.cos(x[:, 0]) * np.sin(x[:, 1])
 
     def grad(x):
-        return np.column_stack(
+        return np.stack(
             [-2.0 * np.sin(x[:, 0]) * np.sin(x[:, 1]),
-             2.0 * np.cos(x[:, 0]) * np.cos(x[:, 1])]
+             2.0 * np.cos(x[:, 0]) * np.cos(x[:, 1])], axis=1
         )
 
     def hess(x):
@@ -817,8 +809,8 @@ def _report_batches(space, kind, t, members, scores):
     owner = np.repeat(np.arange(len(sides)), count)
     patch = np.array([i for s in sides for i, _ in s])
     rows = np.array([b.ravel() for s in sides for _, b in s])
-    nets = [P.net.reshape(-1, 2) for P in mp.patches]
-    size = np.array([np.abs(net).max() for net in nets])  # what the nets' rounding is relative to
+    nets = np.concatenate([P.net.reshape(-1, 2) for P in mp.patches])  # on the stacked rows
+    size = np.abs(nets).reshape(len(mp.patches), -1).max(1)  # what their rounding is relative to
     d2U = np.abs(U[0]).sum(-1)[[2, 1, 0], [0, 1, 2]].max() if d == 3 else None
     starts = np.flatnonzero(np.diff(group, prepend=-1))
     UT = np.ascontiguousarray(U.transpose(3, 1, 2, 0))  # (nb, d, d, m)
@@ -830,11 +822,11 @@ def _report_batches(space, kind, t, members, scores):
         ents = np.arange(e0, min(len(count), e0 + step))
         s0, s1 = at[e0], at[ents[-1] + 1]
         seen = (patch[s0:s1, None] * N * N + rows[s0:s1])[:, band]  # (sides, G, nb)
+        B = space.C.take(seen.ravel())
         if members is None:
-            B = CSRMatrix.take_stacked(space.C, seen.ravel())
             pos, col, val = B.row_ids, B.indices, B.data
         else:
-            val = (CSRMatrix.take_stacked(space.C, seen.ravel()) @ members).ravel()
+            val = (B @ members).ravel()
             pos, col = np.divmod(np.arange(len(val)), members.shape[1])
         side, g, b = np.unravel_index(pos, seen.shape)
         # the pairs, sorted by (entity, group, column), and their slots
@@ -844,10 +836,9 @@ def _report_batches(space, kind, t, members, scores):
         slot = np.arange(len(key)) - np.repeat(lead, np.diff(np.r_[lead, len(key)]))
         # the band coefficients of the slots, then of the patch map's x and y
         K = slot.max(initial=0) + 1
-        net = np.stack([nets[i][r] for i, r in zip(patch[s0:s1], rows[s0:s1])])
         V = np.zeros((nb, K + 2, s1 - s0, G))
         V[b, slot[pair], side, g] = val
-        V[:, K:] = net[:, band].transpose(2, 3, 0, 1)
+        V[:, K:] = nets[seen].transpose(2, 3, 0, 1)
         f = np.zeros((d, d) + V.shape[1:3] + (m,))  # samples last: long inner loops
         for b, jets in terms:
             Vb = V[b][..., group]

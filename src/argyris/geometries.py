@@ -43,7 +43,7 @@ def _fan(space, npatch):
     radius 3."""
     m = 2 * npatch
     ang = 2.0 * np.pi * np.arange(m) / m
-    ring = 3.0 * np.column_stack([np.cos(ang), np.sin(ang)])
+    ring = 3.0 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     c = np.zeros(2)
     return [
         _bilinear_patch(
@@ -101,8 +101,8 @@ def builtin_geometry(name, config=None):
             raise InvalidConfigError("the curved geometry needs degree p >= 2")
 
         def gmap(x):
-            return np.column_stack(
-                [x[:, 0] + 0.1 * x[:, 1] ** 2, x[:, 1] + 0.1 * x[:, 0] ** 2]
+            return np.stack(
+                [x[:, 0] + 0.1 * x[:, 1] ** 2, x[:, 1] + 0.1 * x[:, 0] ** 2], axis=1
             )
 
         return infer_topology(config, _composed(config, _two_squares(config), gmap))

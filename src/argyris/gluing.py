@@ -189,7 +189,7 @@ def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
     if D1.min() <= 0.0 or D2.min() <= 0.0:
         raise ConformityError("edge determinants are not positive; geometry is singular")
 
-    A = np.column_stack([-D2, -xs * D2, D1, xs * D1])
+    A = np.stack([-D2, -xs * D2, D1, xs * D1], axis=1)
     _, svals, Vt = np.linalg.svd(A, full_matrices=False)
     rel_residual = float(svals[-1] / svals[0])
 

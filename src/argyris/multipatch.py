@@ -64,7 +64,7 @@ def rotate_uv(uv, k):
     """Apply the quarter-turn map k times to parametric points."""
     uv = np.atleast_2d(np.asarray(uv, dtype=float))
     for _ in range(k % 4):
-        uv = np.column_stack([1.0 - uv[:, 1], uv[:, 0]])
+        uv = np.stack([1.0 - uv[:, 1], uv[:, 0]], axis=1)
     return uv
 
 

@@ -1,12 +1,13 @@
 """Construction of the C1 smooth space over an AS-G1 multi-patch domain.
 
 Every basis function is a fixed tensor-spline coefficient grid on each patch,
-so the space is one linear map per patch from global coefficients to the
-patch's (N, N) coefficient grid. It is stored as an extraction matrix
-``C[i]`` of shape (N*N, dim) per patch (Borden, Scott, Evans & Hughes,
-IJNME 2011), in a minimal numpy CSR type (``CSRMatrix``); every consumer is
-a product of it, or of its transpose, with a dense array. The columns come
-in three families:
+so the space is one linear map from global coefficients to the patches'
+(N, N) coefficient grids, stacked one after another: the extraction matrix
+``C`` of shape (patches*N*N, dim) (Borden, Scott, Evans & Hughes, IJNME
+2011), in a minimal numpy CSR type (``CSRMatrix``), with position (a1, a2)
+of patch i in row (i N + a1) N + a2. Every consumer is a product of C, or of
+its transpose, with a dense array, or the product D C with the matrix D of
+the dual functionals (``duality``). The columns come in three families:
 
 * patch-interior functions: single B-splines with two vanishing coefficient
   layers on every side of their patch;
@@ -26,10 +27,10 @@ The columns are written as triplets straight from these layers, with the
 rows found by the index permutation of the patch's standard-form rotation
 (``_rows``). All products entering the pullbacks (alpha times an S- spline,
 beta times a derivative of an S+ spline) are degree p piecewise polynomials
-of smoothness r, so the extraction matrices are exact up to rounding. Of an
+of smoothness r, so the extraction matrix is exact up to rounding. Of an
 edge the space keeps only its gluing data ``gluing[eid]``, and of a vertex
 only sigma; the dual functionals and the audit read the rest off the geometry
-(the functionals keep what they sampled in ``_dual_geometry``).
+(the functionals keep what they read, and D, in ``_dual_geometry``).
 
 The basis is numbered by entity blocks: all patches, then all edges, then all
 vertices, each entity owning a contiguous run whose length depends on (p, r,
@@ -152,11 +153,16 @@ def _edge_data(t0, t0p, d0, d0p, hp):
     )
 
 
+#: rows of A that one step of the sparse product ``A @ B`` reads
+_PRODUCT_ROWS = 1 << 12
+
+
 class CSRMatrix:
     """Compressed sparse rows in numpy: row i holds ``data[indptr[i]:
     indptr[i+1]]`` in the columns ``indices[indptr[i]:indptr[i+1]]``, sorted
     and without repeats. Products with dense arrays, ``A @ x`` and
-    ``y @ A``, are index arithmetic; there is no sparse-sparse algebra."""
+    ``y @ A``, and with another such matrix, ``A @ B``, are index
+    arithmetic."""
 
     __array_ufunc__ = None  # so that ndarray @ CSRMatrix calls __rmatmul__
 
@@ -171,48 +177,10 @@ class CSRMatrix:
         key, at = np.unique(np.asarray(rows, dtype=np.int64) * shape[1] + cols,
                             return_inverse=True)
         vals = np.bincount(at, weights=vals, minlength=len(key)).astype(float, copy=False)
-        return cls.from_sorted_triplets(*np.divmod(key, shape[1]), vals, shape)
-
-    @classmethod
-    def from_sorted_triplets(cls, rows, cols, vals, shape):
-        """Values ``vals`` at (rows, cols), given in row order with the
-        columns of each row sorted and distinct; zero values are dropped."""
         keep = vals != 0.0
-        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[keep], minlength=shape[0]), out=indptr[1:])
-        return cls(indptr, cols[keep], vals[keep], shape)
-
-    @classmethod
-    def vstack(cls, blocks):
-        """The blocks, all with the same number of columns, one below the
-        other."""
-        offsets = np.cumsum([0] + [b.nnz for b in blocks])
-        indptr = np.concatenate([[0]] + [b.indptr[1:] + o for b, o in zip(blocks, offsets)])
-        return cls(indptr, np.concatenate([b.indices for b in blocks]),
-                   np.concatenate([b.data for b in blocks]),
-                   (sum(b.shape[0] for b in blocks), blocks[0].shape[1]))
-
-    @classmethod
-    def take_stacked(cls, blocks, rows):
-        """``vstack(blocks).take(rows)`` for blocks with the same number of
-        rows, without stacking them: only the rows taken are copied."""
-        rows = np.asarray(rows)
-        owner, local = np.divmod(rows, blocks[0].shape[0])
-        order = np.argsort(owner, kind="stable")
-        bounds = np.searchsorted(owner[order], np.arange(len(blocks) + 1))
-        parts, counts = [], np.zeros(len(rows), dtype=np.int64)
-        for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
-            at = order[lo:hi]  # the positions of the rows of this block
-            parts.append((at, block.take(local[at])))
-            counts[at] = np.diff(parts[-1][1].indptr)
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=blocks[0].indices.dtype)
-        data = np.empty(indptr[-1])
-        for at, sub in parts:
-            to = np.repeat(indptr[at] - sub.indptr[:-1], counts[at]) + np.arange(sub.nnz)
-            indices[to], data[to] = sub.indices, sub.data
-        return cls(indptr, indices, data, (len(rows), blocks[0].shape[1]))
+        rows, cols = np.divmod(key[keep], shape[1])
+        indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=shape[0]))]
+        return cls(indptr, cols, vals[keep], shape)
 
     @property
     def nnz(self):
@@ -235,11 +203,12 @@ class CSRMatrix:
         at = np.repeat(lo - indptr[:-1], counts) + np.arange(indptr[-1])
         return CSRMatrix(indptr, self.indices[at], self.data[at], (len(rows), self.shape[1]))
 
-    def entries(self, rows):
-        """Stored entries of the given rows: the position of their row in
-        ``rows``, their column and their value."""
-        sub = self.take(rows)
-        return sub.row_ids, sub.indices, sub.data
+    def row_block(self, start, stop):
+        """The rows start..stop-1 as a (stop - start, ncols) matrix that
+        shares this one's entries."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return CSRMatrix(self.indptr[start : stop + 1] - lo, self.indices[lo:hi],
+                         self.data[lo:hi], (stop - start, self.shape[1]))
 
     def diagonal(self):
         """The entries (i, i) as a dense vector."""
@@ -254,9 +223,11 @@ class CSRMatrix:
         return out
 
     def __matmul__(self, x):
-        """A @ x for a dense vector (n,) or array (n, ...). Each entry of the
-        result adds its terms to 0 one by one in stored order, so a column of
-        x gives the same digits alone as among others."""
+        """A @ x for a dense vector (n,) or array (n, ...), or a ``CSRMatrix``.
+        Each entry of the result adds its terms to 0 one by one in stored
+        order, so a column of x gives the same digits alone as among others."""
+        if isinstance(x, CSRMatrix):
+            return self._times_sparse(x)
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             # an empty weight array makes bincount return integers
@@ -276,13 +247,30 @@ class CSRMatrix:
         y = np.asarray(y, dtype=float)
         flat = y.reshape(-1, self.shape[0])
         k = len(flat)
-        if k == 1:
-            keys, terms = self.indices, flat[0, self.row_ids] * self.data
-        else:
-            keys = (np.arange(k)[:, None] * self.shape[1] + self.indices).ravel()
-            terms = (flat[:, self.row_ids] * self.data).ravel()
+        keys = (np.arange(k)[:, None] * self.shape[1] + self.indices).ravel()
+        terms = (flat[:, self.row_ids] * self.data).ravel()
         out = np.bincount(keys, terms, k * self.shape[1]).astype(float, copy=False)
         return out.reshape(y.shape[:-1] + (self.shape[1],))
+
+    def _times_sparse(self, B):
+        """A @ B: every stored entry (r, k) of A times row k of B, the terms
+        of each (r, column) summed in stored order, exact zeros dropped. A is
+        read ``_PRODUCT_ROWS`` rows at a time, which bounds the temporaries."""
+        ncols, parts = B.shape[1], []
+        for r0 in range(0, max(self.shape[0], 1), _PRODUCT_ROWS):
+            A = self.row_block(r0, min(r0 + _PRODUCT_ROWS, self.shape[0]))
+            Bk = B.take(A.indices)  # the row of B each stored entry of A multiplies
+            key = A.row_ids[Bk.row_ids] * ncols + Bk.indices
+            order = np.argsort(key, kind="stable")  # each row's terms, by column
+            key = key[order]
+            first = np.diff(key, prepend=-1) != 0
+            terms = (A.data[Bk.row_ids] * Bk.data)[order]
+            sums = np.bincount(np.cumsum(first) - 1, terms).astype(float, copy=False)
+            keep = sums != 0.0
+            rows, cols = np.divmod(key[first][keep], ncols)
+            parts.append((np.bincount(rows, minlength=A.shape[0]), cols, sums[keep]))
+        counts, indices, data = (np.concatenate(t) for t in zip(*parts))
+        return CSRMatrix(np.r_[0, np.cumsum(counts)], indices, data, (self.shape[0], ncols))
 
 
 def _coo(pieces):
@@ -298,10 +286,12 @@ def _coo(pieces):
 class ArgyrisSpace:
     """The assembled smooth space over a validated multi-patch geometry.
 
-    ``C[i]`` is the (N*N, dim) ``CSRMatrix`` extraction matrix of patch i: column a
-    holds the flattened (N, N) tensor-spline coefficient grid of basis
-    function a on that patch. Column a belongs to the entity whose ``block``
-    holds a; ``basis_id(a)`` names it. ``config`` is the univariate space of
+    ``C`` is the (patches * N*N, dim) ``CSRMatrix`` extraction matrix: column
+    a holds the flattened (N, N) tensor-spline coefficient grids of basis
+    function a on every patch, one after another, so that row (i N + a1) N +
+    a2 is position (a1, a2) of patch i; ``extraction(i)`` is the rows of
+    patch i. Column a belongs to the entity whose ``block`` holds a;
+    ``basis_id(a)`` names it. ``config`` is the univariate space of
     the geometry's patches, and ``splus``, ``sminus`` its edge spaces.
     """
 
@@ -314,8 +304,8 @@ class ArgyrisSpace:
         self.splus, self.sminus = derived_edge_spaces(cfg)
         self.N = cfg.N
         self.shape = (self.N, self.N)
-        # _rows[k][a, b]: extraction row of position (a, b) of a patch's grid
-        # seen in the frame rotated by k quarter turns
+        # _rows[k][a, b]: row in a patch's extraction matrix of position
+        # (a, b) of its grid seen in the frame rotated by k quarter turns
         self._rows = [rotate_net(np.arange(self.N**2).reshape(self.shape), k)
                       for k in range(4)]
 
@@ -356,8 +346,9 @@ class ArgyrisSpace:
         self._layout = {kind: (int(a), sizes[kind]) for kind, a in zip(sizes, starts)}
         self.gluing = {}  # edge id -> GluingData, the edge's standard-form gluing
         self._sigma = {}  # vertex id -> sigma
-        # (kind, "all") -> what the dual functionals of all edges or of all
-        # vertices read; filled on first use by ``duality``, never by the build
+        # what the dual functionals read of the geometry and the gluing: per
+        # kind the table of all edges or all vertices, and the dual matrix D;
+        # filled on first use by ``duality``, never by the build
         self._dual_geometry = {}
         self.C = self._build()
 
@@ -366,11 +357,12 @@ class ArgyrisSpace:
     # ------------------------------------------------------------------
 
     def _build(self):
-        """Assemble the extraction matrices, entity block by entity block.
+        """Assemble the extraction matrix, entity block by entity block.
 
         Each builder returns its column count and, per patch it touches, its
-        extraction columns as triplets (rows, columns, values), which land in
-        the block of its entity.
+        extraction columns as triplets (rows of the patch's grid, columns,
+        values), which land in the block of its entity and in the rows of the
+        patch.
         """
         mp = self.geometry
         families = [("patch", i, self.build_patch_interior(i))
@@ -378,7 +370,7 @@ class ArgyrisSpace:
         families += [("edge", e.id, self.build_edge_functions(e.id)) for e in mp.edges]
         families += [("vertex", v.id, self.build_vertex_functions(v.id))
                      for v in mp.vertices]
-        triplets = [([], [], []) for _ in mp.patches]
+        triplets = []
         for kind, owner, (k, columns) in families:
             block = self.block(kind, owner)
             if k != block.stop - block.start:
@@ -387,14 +379,9 @@ class ArgyrisSpace:
                     f"{block.stop - block.start} functions per {kind}, build gives {k}"
                 )
             for i, (rows, cols, vals) in columns.items():
-                triplets[i][0].append(rows)
-                triplets[i][1].append(cols + block.start)
-                triplets[i][2].append(vals)
-        shape = (self.N * self.N, self.dim)
-        return [
-            CSRMatrix.from_triplets(*(np.concatenate(t) for t in ijv), shape)
-            for ijv in triplets
-        ]
+                triplets.append((rows + i * self.N**2, cols + block.start, vals))
+        shape = (len(mp.patches) * self.N**2, self.dim)
+        return CSRMatrix.from_triplets(*(np.concatenate(t) for t in zip(*triplets)), shape)
 
     def build_patch_interior(self, i):
         """Unit-coefficient B-splines with indices in {2..N-3}^2."""
@@ -614,7 +601,12 @@ class ArgyrisSpace:
         self.block("patch", patch)
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_coeffs(coeffs)
-        return (self.C[patch] @ coeffs).reshape(self.shape + coeffs.shape[1:])
+        return (self.extraction(patch) @ coeffs).reshape(self.shape + coeffs.shape[1:])
+
+    def extraction(self, patch):
+        """The (N*N, dim) extraction matrix of a patch: its rows of ``C``,
+        sharing their entries."""
+        return self.C.row_block(patch * self.N**2, (patch + 1) * self.N**2)
 
 
 def physical_derivatives(geo_jet, f_jet):

@@ -276,6 +276,27 @@ def test_sample_unreadable_coeffs_exits_one(capsys, tmp_path):
     assert "coefficient file" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_sample_non_finite_coeffs_exits_one(capsys, tmp_path, recwarn, bad):
+    # a NaN entry used to exit 0 and write nan samples, an inf one with a
+    # RuntimeWarning besides
+    dim = argyris.ArgyrisSpace(argyris.builtin_geometry(
+        "two_patch_bilinear", argyris.UnivariateSpace(3, 1, 4))).dim
+    values = np.cos(np.arange(dim)).astype(str)
+    values[7] = bad
+    f = tmp_path / "c.txt"
+    f.write_text("\n".join(values) + "\n")
+    code, out, err = run(
+        capsys,
+        "sample", "--builtin", "two_patch_bilinear", "--coeffs", str(f),
+        "--output", str(tmp_path / "x"),
+    )
+    assert code == 1 and out == ""
+    assert str(f) in err and "non-finite coefficient 7" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_fit_zero_quadrature_exits_one(capsys):
     # --quadrature 0 used to fall back to the default p+2 points silently
     code, out, err = run(

@@ -26,8 +26,9 @@ from argyris.duality import _entities, _unit_jets
 from argyris.errors import InvalidConfigError
 from argyris.fit import cos_sin_field
 from argyris.geometries import _fan
+from argyris.gluing import _pv
 from argyris.multipatch import edge_frames, rotate_grid
-from argyris.space import CSRMatrix
+from argyris.space import CSRMatrix, _edge_index_set
 from conftest import square_grid_geometry
 
 
@@ -62,7 +63,7 @@ def test_patch_dual_kills_edge_and_vertex_functions(sp_two):
     fid = sp_two.basis_id(a)
     for b in others:
         e = basis_field(sp_two, b).coeffs
-        if fid.owner not in {i for i, C in enumerate(sp_two.C) if (C @ e).any()}:
+        if not (sp_two.extraction(fid.owner) @ e).any():
             continue
         val = patch_duals(sp_two, fid.owner, basis_field(sp_two, b))[position(sp_two, a)]
         assert abs(val) < 1e-11
@@ -196,32 +197,81 @@ def test_space_field_values_need_no_patch_map(sp_three, monkeypatch):
 
 
 def test_duals_sample_every_element_once(sp_three):
-    # patch duals read n(p+1) points per direction, edge duals n(p+1) S+
-    # points and n*p S- points, however many functions share them; a
-    # member reaches the edge functionals through its coefficients on the
-    # rows the edge sees, not through a sample of its own
-    class CountingField(SpaceField):
+    # a field in physical coordinates: patch duals read n(p+1) points per
+    # direction, and the edge duals of all edges n(p+1) S+ points and n*p S-
+    # points per edge in one stacked sample, however many functions share
+    # them. A member is never sampled: its functionals are rows of D C x
+    class CountingField(AnalyticField):
+        def __init__(self, geometry):
+            super().__init__(geometry, *cos_sin_field(geometry)._samplers)
+            self.samples = []
+
+        def at(self, x, order):
+            self.samples.append((len(x), order))
+            return super().at(x, order)
+
+    class CountingMember(SpaceField):
         def __init__(self, space, coeffs):
             super().__init__(space, coeffs)
-            self.grid = []
+            self.samples = []
 
         def jets(self, patch, x1, x2, order):
-            self.grid.append((len(x1), len(x2)))
+            self.samples.append((len(x1), len(x2)))
             return super().jets(patch, x1, x2, order)
 
-    n, p = sp_three.config.n, sp_three.config.p
-    c = np.random.default_rng(7).standard_normal(sp_three.dim)
-    fld = CountingField(sp_three, c)
-    block = ids_where(sp_three, lambda f: f.kind == "patch" and f.owner == 1)
-    assert np.abs(patch_duals(sp_three, 1, fld) - c[block]).max() < 1e-9
-    assert fld.grid == [(n * (p + 1), n * (p + 1))]
-    eid = sp_three.geometry.interfaces()[0].id
-    block = ids_where(sp_three, lambda f: f.kind == "edge" and f.owner == eid)
-    assert np.abs(edge_duals(sp_three, eid, fld) - c[block]).max() < 1e-9
-    assert len(fld.grid) == 1
+    mp, (n, p) = sp_three.geometry, (sp_three.config.n, sp_three.config.p)
+    fld = CountingField(mp)
+    c = project(sp_three, cos_sin_field(mp))
+    block = sp_three.block("patch", 1)
+    assert np.array_equal(patch_duals(sp_three, 1, fld), c[block])
+    assert fld.samples == [((n * (p + 1)) ** 2, 0)]
+    eid = mp.interfaces()[0].id
+    assert np.array_equal(edge_duals(sp_three, eid, fld), c[sp_three.block("edge", eid)])
+    assert fld.samples[1:] == [(len(mp.edges) * (n * (p + 1) + n * p), 1)]
     edges = _entities(sp_three, "edge")
-    assert edges.jets.shape[:2] == (len(sp_three.geometry.edges), n * (p + 1) + n * p)
+    assert edges.jets.shape[:2] == (len(mp.edges), n * (p + 1) + n * p)
     assert edges.d.shape[1] == n * p
+    x = np.cos(np.arange(sp_three.dim))
+    member = CountingMember(sp_three, x)
+    assert np.abs(project(sp_three, member) - x).max() < 1e-9
+    assert np.abs(patch_duals(sp_three, 1, member) - x[block]).max() < 1e-9
+    assert member.samples == []
+
+
+def sampled_dual_matrix(space):
+    """D C from samples of the members e_j by the public ``SpaceField.jets``
+    at the points of the local duals: on the tensor grid of every patch, on
+    the first standard-form side of every edge (``rotate_grid``) and at the
+    corner of every vertex; an oracle that never reads D."""
+    mp, cfg = space.geometry, space.config
+    field = SpaceField(space, np.eye(space.dim))
+    duals, inner = local_duals(cfg), slice(2, space.N - 2)
+    x = duals.points.ravel()
+    rows = []
+    for i in range(len(mp.patches)):
+        vals = field.jets(i, x, x, 0)[0].reshape(len(x), len(x), -1)
+        out = duals.apply(duals.apply(vals, inner).swapaxes(0, 1), inner).swapaxes(0, 1)
+        rows.append(out.reshape(-1, space.dim))
+    plus, minus = local_duals(space.splus), local_duals(space.sminus)
+    tp, dp = plus.points.ravel(), minus.points.ravel()
+    idx = _edge_index_set(space.sminus.N)
+    for e in mp.edges:
+        i, k = edge_frames(e)[0]
+        g = space.gluing[e.id]
+        val = field.jets(i, *rotate_grid([0.0], tp, k), 0)[0]
+        grad = field.jets(i, *rotate_grid([0.0], dp, k), 1)[1]  # (m-, dim, 2)
+        F = mp.patches[i].rotate(k).grid_jet([0.0], dp, 1)
+        d = (F[:, 1, 0] + _pv(g.beta1, dp)[:, None] * F[:, 0, 1]) / _pv(g.alpha1, dp)[:, None]
+        deriv = cfg.h / cfg.p * (grad * d[:, None]).sum(-1)
+        rows.append(plus.apply(val, [j for j, s in idx if s == 0]))
+        rows.append(minus.apply(deriv, [j for j, s in idx if s == 1]))
+    for v in mp.vertices:
+        i, k = v.corners[0]
+        val, grad, hess = field.jets(i, *rotate_grid([0.0], [0.0], k), 2)
+        sigma = space.sigma(v.id)
+        g, H = grad[0] / sigma, hess[0] / sigma**2
+        rows.append(np.stack([val[0], g[:, 0], g[:, 1], H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]]))
+    return np.concatenate(rows)
 
 
 AS_G1_BUILTINS = ["two_patch_bilinear", "three_patch_bilinear", "five_patch_bilinear",
@@ -235,8 +285,8 @@ AS_G1_BUILTINS = ["two_patch_bilinear", "three_patch_bilinear", "five_patch_bili
        ("three_patch_bilinear", (4, 2, 3)), ("three_patch_bilinear", (5, 1, 2))],
 )
 def test_biorthogonality_matrix_matches_dense_identity_reference(request, name, degrees):
-    # the entity-local sparse D C against every functional applied to the
-    # identity coefficient block
+    # D C against every functional applied to the identity coefficient
+    # block, sampled independently of D
     if degrees is None:
         mp = request.getfixturevalue(name)
     else:
@@ -248,8 +298,26 @@ def test_biorthogonality_matrix_matches_dense_identity_reference(request, name, 
     # and no zero stored
     same_row = M.row_ids[1:] == M.row_ids[:-1]
     assert np.all(np.diff(M.indices)[same_row] > 0) and np.all(M.data != 0)
-    ref = project(space, SpaceField(space, np.eye(space.dim)))
-    assert np.abs(M.toarray() - ref).max() <= 1e-13
+    assert np.abs(M.toarray() - sampled_dual_matrix(space)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("degrees", [(3, 1, 4), (4, 2, 6)])
+@pytest.mark.parametrize("name", AS_G1_BUILTINS)
+def test_biorthogonality_columns_are_projections_of_basis_functions(name, degrees):
+    # D C and the projector of a member are one code path: column j of D C
+    # is D (C e_j) to the last digit
+    space = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(*degrees)))
+    M = biorthogonality_matrix(space).toarray()
+    for j in range(space.dim):
+        assert np.array_equal(M[:, j], project(space, basis_field(space, j))), j
+    assert np.array_equal(M, project(space, SpaceField(space, np.eye(space.dim))))
+
+
+def negated_on_patch(C, N, ipatch, a):
+    """The stacked extraction matrix C with column a negated in the rows of
+    patch ipatch."""
+    on = (C.row_ids // N**2 == ipatch) & (C.indices == a)
+    return CSRMatrix(C.indptr, C.indices, np.where(on, -C.data, C.data), C.shape)
 
 
 def test_biorthogonality_matrix_sees_a_negated_vertex_column(sp_three):
@@ -258,10 +326,7 @@ def test_biorthogonality_matrix_sees_a_negated_vertex_column(sp_three):
     space = copy.copy(sp_three)
     ipatch, _ = space.geometry.vertices[0].corners[0]
     a = space.block("vertex", 0).start
-    C = space.C[ipatch]
-    data = np.where(C.indices == a, -C.data, C.data)
-    space.C = list(space.C)
-    space.C[ipatch] = CSRMatrix(C.indptr, C.indices, data, C.shape)
+    space.C = negated_on_patch(space.C, space.N, ipatch, a)
     assert np.abs(biorthogonality_matrix(sp_three).toarray() - np.eye(space.dim)).max() < 1e-9
     M = biorthogonality_matrix(space).toarray()
     assert np.abs(M - np.eye(space.dim)).max() >= 1.0
@@ -274,13 +339,10 @@ def test_biorthogonality_matrix_cache_holds_geometry_only(sp_three):
     biorthogonality_matrix(sp_three)
     space = copy.copy(sp_three)
     assert space._dual_geometry is sp_three._dual_geometry
-    assert {kind for kind, _ in space._dual_geometry} == {"edge", "vertex"}
+    assert set(space._dual_geometry) == {"edge", "vertex", "D"}
     ipatch, _ = space.geometry.vertices[0].corners[0]
     a = space.block("vertex", 0).start
-    C = space.C[ipatch]
-    data = np.where(C.indices == a, -C.data, C.data)
-    space.C = list(space.C)
-    space.C[ipatch] = CSRMatrix(C.indptr, C.indices, data, C.shape)
+    space.C = negated_on_patch(space.C, space.N, ipatch, a)
     M = biorthogonality_matrix(space).toarray()
     assert M[a, a] == pytest.approx(-1.0, abs=1e-9)
     assert np.abs(biorthogonality_matrix(sp_three).toarray() - np.eye(space.dim)).max() < 1e-9

@@ -158,7 +158,7 @@ def reference_mass_rhs(space, fld, rule):
     M = np.zeros((dim, dim))
     rhs = np.zeros(dim)
     for i, patch in enumerate(space.geometry.patches):
-        grids = space.C[i].toarray().T.reshape(dim, N, N)
+        grids = space.extraction(i).toarray().T.reshape(dim, N, N)
         j = patch.jet(uv, 1)
         J = np.stack([j[:, 1, 0], j[:, 0, 1]], axis=-1)  # J[q, :, d] = dF / dxi_d
         det = np.abs(J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1])
@@ -351,7 +351,7 @@ def _space_without_interior_or_edges():
     return SimpleNamespace(
         N=4,
         config=UnivariateSpace(3, 1, 1),
-        C=[None, None],
+        geometry=SimpleNamespace(patches=[None, None]),
         breakdown={"patch": 0},
     )
 
@@ -535,13 +535,13 @@ def test_fit_path_does_not_load_dense_linear_algebra():
 
 
 def test_space_audit_does_not_load_numpy_random():
-    # its member is a fixed vector: numpy.random costs about 14 ms and 5.6 MB
-    # at its first import
-    code = (
-        "import argyris.cli; "
-        "argyris.cli.main(['space', 'audit', '--builtin', 'three_patch_bilinear'])"
-    )
-    assert _loaded_modules(code, "numpy.random") == ["False"]
+    # the audit's member is a fixed vector: numpy.random costs about 14 ms
+    # and 5.6 MB at its first import. A plain np.unique imports numpy.ma,
+    # about 15 ms, so neither the audit nor the converge path calls one
+    for argv in (["space", "audit", "--builtin", "three_patch_bilinear"],
+                 ["converge", "--builtin", "two_patch_bilinear", "--levels", "2"]):
+        code = f"import argyris.cli; argyris.cli.main({argv!r})"
+        assert _loaded_modules(code, "numpy.random", "numpy.ma") == ["False", "False"], argv
 
 
 def test_fit_evaluates_the_map_on_tensor_grids_only(sp_three, monkeypatch):
@@ -627,9 +627,9 @@ def space_with_broken_function(sp):
     grid[:2, :2] = 1.0  # corner B-splines: nonzero value on two sides of patch i1
     # overwrite the first interior function of patch i1, nonzero there only
     a = space.block("patch", i1).start
-    broken = sp.C[i1].toarray()
-    broken[:, a] = grid.reshape(-1)
-    space.C = [_csr(broken) if i == i1 else C for i, C in enumerate(sp.C)]
+    broken = sp.C.toarray()
+    broken[i1 * sp.N**2 : (i1 + 1) * sp.N**2, a] = grid.reshape(-1)
+    space.C = _csr(broken)
     return space, a
 
 
@@ -731,10 +731,9 @@ def negated_vertex_column(sp, j):
     assert space._dual_geometry is sp._dual_geometry
     ipatch, _ = space.geometry.vertices[0].corners[0]
     a = space.block("vertex", 0).start + VERTEX_INDEX_ORDER.index(j)
-    C = space.C[ipatch]
-    space.C = list(space.C)
-    space.C[ipatch] = CSRMatrix(C.indptr, C.indices, np.where(C.indices == a, -C.data, C.data),
-                                C.shape)
+    C = space.C
+    on = (C.row_ids // space.N**2 == ipatch) & (C.indices == a)
+    space.C = CSRMatrix(C.indptr, C.indices, np.where(on, -C.data, C.data), C.shape)
     return space, a
 
 
@@ -768,13 +767,18 @@ def test_smoothness_report_memory_does_not_grow_with_the_mesh():
     assert rep.passed() and peak <= 6.3e6
 
 
-def test_take_stacked_is_a_take_from_the_stacked_matrix(sp_three):
-    rows = np.random.default_rng(3).integers(0, len(sp_three.C) * sp_three.N**2, 300)
-    A = CSRMatrix.take_stacked(sp_three.C, rows)
-    B = CSRMatrix.vstack(sp_three.C).take(rows)
-    assert A.shape == B.shape
-    for a, b in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)):
-        np.testing.assert_array_equal(a, b)
+def test_row_block_is_a_take_that_shares_the_entries(sp_three):
+    # a patch's extraction matrix is its rows of the stacked C, not a copy
+    C, N2 = sp_three.C, sp_three.N**2
+    for i in range(len(sp_three.geometry.patches)):
+        A = sp_three.extraction(i)
+        B = C.take(np.arange(i * N2, (i + 1) * N2))
+        assert A.shape == B.shape == (N2, sp_three.dim)
+        for a, b in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)):
+            np.testing.assert_array_equal(a, b)
+        assert np.shares_memory(A.data, C.data) and np.shares_memory(A.indices, C.indices)
+    empty = C.row_block(N2, N2)
+    assert empty.shape == (0, sp_three.dim) and empty.nnz == 0
 
 
 def test_smoothness_verdict_at_n_256_holds_under_rounding_noise_in_the_nets():

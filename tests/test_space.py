@@ -11,7 +11,7 @@ from argyris import (
 )
 from argyris.errors import InvalidConfigError
 from argyris.multipatch import CORNER_UV, edge_frames, rotate_uv
-from argyris.space import BasisId, VERTEX_INDEX_ORDER, _edge_index_set
+from argyris.space import _PRODUCT_ROWS, BasisId, CSRMatrix, VERTEX_INDEX_ORDER, _edge_index_set
 from argyris import Spline, TensorSpline, UnivariateSpace, bspline, load_geometry, save_geometry
 from argyris.errors import TopologyError
 from argyris.multipatch import MultiPatch, VertexRecord
@@ -43,7 +43,7 @@ def unit(space, a):
 
 def support(space, c):
     """Patches on which the member with coefficients c is not identically zero."""
-    return {i for i, C in enumerate(space.C) if (C @ c).any()}
+    return {i for i in range(len(space.geometry.patches)) if (space.extraction(i) @ c).any()}
 
 
 # --- dimensions ---------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_five_patch_dimensions(mp_five, n, expected):
 def test_dimension_matches_enumeration(sp_two, sp_three):
     for sp in (sp_two, sp_three):
         total, parts = sp.dim, sp.breakdown
-        assert total == sp.C[0].shape[1] == sum(parts.values())
+        assert total == sp.C.shape[1] == sum(parts.values())
 
 
 @pytest.mark.parametrize("p,r,n", [(3, 1, 4), (4, 2, 3)])
@@ -106,7 +106,8 @@ def test_entity_blocks_number_the_basis(name, p, r, n):
                  for e in mp.edges]
     entities += [("vertex", v.id, list(VERTEX_INDEX_ORDER), {ip for ip, _ in v.corners})
                  for v in mp.vertices]
-    lives_on = [np.bincount(C.indices, minlength=sp.dim) > 0 for C in sp.C]  # (dim,) per patch
+    lives_on = [np.bincount(sp.extraction(i).indices, minlength=sp.dim) > 0
+                for i in range(len(mp.patches))]  # (dim,) per patch
     stop = 0
     for kind, owner, indices, patches in entities:
         block = sp.block(kind, owner)
@@ -390,11 +391,12 @@ def test_sigma_formula_on_unit_grid():
 def test_extraction_matrices_are_canonical_without_stored_zeros(name, p, r, n):
     # stored zeros or duplicates would change the mass sparsity and CG cost
     sp = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(p, r, n)))
-    for C in sp.C:
-        # canonical: column indices strictly increasing within each row
-        key = C.row_ids * C.shape[1] + C.indices
-        assert (np.diff(key) > 0).all()
-        assert C.nnz == np.count_nonzero(C.data)
+    C = sp.C
+    assert C.shape == (len(sp.geometry.patches) * sp.N**2, sp.dim)
+    # canonical: column indices strictly increasing within each row
+    key = C.row_ids * C.shape[1] + C.indices
+    assert (np.diff(key) > 0).all()
+    assert C.nnz == np.count_nonzero(C.data)
 
 
 def test_fixed_maps_hold_no_rounding_noise(sp_three):
@@ -411,9 +413,7 @@ def test_extraction_matrices_store_no_rounding_noise(name, p, r, n):
     # on axis-aligned squares every exact zero of C comes out as 0; fans keep
     # a few tiny entries that their trigonometric corner data really hold
     sp = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(p, r, n)))
-    top = max(np.abs(C.data).max() for C in sp.C)
-    for C in sp.C:
-        assert np.abs(C.data).min() >= 1e-14 * top
+    assert np.abs(sp.C.data).min() >= 1e-14 * np.abs(sp.C.data).max()
 
 
 def test_evaluate_unit_vector_matches_basis(sp_three):
@@ -656,3 +656,51 @@ def test_geometry_and_space_share_one_univariate_space(mp_three, tmp_path):
             assert patch.space == mp.config
         assert ArgyrisSpace(mp).config is mp.config
     assert refine(mp_three).config == UnivariateSpace(3, 1, 8)
+
+
+# --- sparse product -------------------------------------------------------------
+
+
+def random_csr(rng, shape, density):
+    """A random ``CSRMatrix`` with small integer and fractional entries, and
+    every third row empty."""
+    A = np.where(rng.random(shape) < density, rng.integers(-3, 4, shape) / 4.0
+                 + rng.standard_normal(shape) * (rng.random(shape) < 0.5), 0.0)
+    A[::3] = 0.0
+    rows, cols = np.nonzero(A)
+    return CSRMatrix.from_triplets(rows, cols, A[rows, cols], shape)
+
+
+def assert_csr_order(M):
+    """Columns strictly increasing within each row, no zero stored."""
+    assert M.indptr[0] == 0 and M.indptr[-1] == M.nnz and np.all(np.diff(M.indptr) >= 0)
+    same_row = M.row_ids[1:] == M.row_ids[:-1]
+    assert np.all(np.diff(M.indices)[same_row] > 0) and np.all(M.data != 0.0)
+
+
+@pytest.mark.parametrize("m,k,n,density", [
+    (7, 5, 6, 0.4), (40, 30, 20, 0.1), (30, 40, 20, 0.7), (0, 4, 3, 0.5), (5, 4, 0, 0.5),
+    (2 * _PRODUCT_ROWS + 37, 40, 30, 0.02),  # several row blocks of A
+])
+def test_sparse_product_matches_dense_product(m, k, n, density):
+    rng = np.random.default_rng(m + k + n)
+    A, B = random_csr(rng, (m, k), density), random_csr(rng, (k, n), density)
+    P = A @ B
+    assert isinstance(P, CSRMatrix) and P.shape == (m, n)
+    assert_csr_order(P)
+    np.testing.assert_allclose(P.toarray(), A.toarray() @ B.toarray(), rtol=1e-13, atol=1e-13)
+    # each column is A times that column of B, to the last digit
+    dense = B.toarray()
+    for j in range(min(n, 6)):
+        assert np.array_equal(P.toarray()[:, j], A @ dense[:, j])
+
+
+def test_sparse_product_drops_a_sum_that_cancels_to_zero():
+    # row 0: 1 * 1 + 1 * (-1) = 0 exactly, not stored; row 1 is empty
+    A = CSRMatrix.from_triplets([0, 0, 2], [0, 1, 1], [1.0, 1.0, 2.0], (3, 2))
+    B = CSRMatrix.from_triplets([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 3.0, -1.0, 0.5], (2, 2))
+    P = A @ B
+    assert_csr_order(P)
+    assert P.indptr.tolist() == [0, 1, 1, 3]
+    assert P.indices.tolist() == [1, 0, 1] and P.data.tolist() == [3.5, -2.0, 1.0]
+    assert np.array_equal(P.toarray(), A.toarray() @ B.toarray())
