@@ -12,30 +12,31 @@ member of the space.
 
 Each functional reads a member through its coefficients on a few rows of
 the stacked patch grids alone, so the functionals are one sparse matrix D
-(dim, patches N*N), as the basis is one extraction matrix C (de Boor & Fix,
-1973; Borden, Scott, Evans & Hughes, IJNME 2011): the projector of the
-member with coefficients x is D C x, and D C is the biorthogonality matrix.
-A patch row is L (x) L on its (p+1)^2 band positions, with L the inner duals
-applied to the basis. In its standard-form frame every edge carries the same
-functionals, and so does every vertex, so the rows of a kind come from one
-stacked table of its entities (``_entities``): the rows each one sees (the
-two coefficient layers next to an edge, the 3x3 corner block of a vertex),
-the patch map's jets there, and the functionals applied to the unit
-coefficients on those rows, whose parametric jets are the same for every
-entity (``_unit_jets``). For a function on the patch, grad(phi) . d is
-(d1 phi + beta1 d2 phi) / alpha1 in that frame, so an edge's need only its
-gluing data; a vertex's read the corner jets the build read, so D C shares
-their rounding. D and the tables depend on the geometry and the gluing
-only: they are made on first use, never by the build, and kept in the
-space's ``_dual_geometry``, so a changed C is always read. A field given in
-physical coordinates is sampled at the tables' stacked points instead.
+(dim, patches N*N), as the basis is one extraction matrix C (Borden, Scott,
+Evans & Hughes, IJNME 2011): the projector of the member with coefficients
+x is D C x, and D C is the biorthogonality matrix. The local duals return a
+tensor spline's coefficients exactly (de Boor & Fix, 1973), so a patch row
+is one 1.0. Every edge carries the same functionals in its standard-form
+frame, and so does every vertex, so the rows of a kind come from one
+stacked table (``_entities``): the rows each functional reads (the band of
+one element in the two layers next to an edge, the 3x3 corner block of a
+vertex), the patch map's jets there, and the functionals of the unit
+coefficients on those rows, from one table of the units active at each
+sample that the smoothness audit reads too (``_unit_jets``). For a function
+on the patch, grad(phi) . d is (d1 phi + beta1 d2 phi) / alpha1 in that
+frame, so an edge's need only its gluing data; a vertex's read the corner
+jets the build read, so D C shares their rounding. D and the tables depend
+on the geometry and the gluing only: they are made on first use, never by
+the build, and kept in the space's ``_dual_geometry``, so a changed C is
+always read. A field given in physical coordinates is sampled at the
+tables' stacked points instead.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .bspline import TensorSpline, _basis_values, local_duals
+from .bspline import TensorSpline, local_duals
 from .errors import InvalidConfigError
 from .gluing import _pv
 from .multipatch import edge_frames
@@ -65,13 +66,24 @@ class AnalyticField:
 
     def at(self, x, order):
         """Value, then gradient (order >= 1), then Hessian (order 2) at the
-        physical points x (m, 2)."""
+        physical points x (m, 2), read-only (m,), (m, 2) and (m, 2, 2): a
+        sampler's finite values broadcast to its shape (a constant may do)."""
         samplers = self._samplers[: order + 1]
         if any(s is None for s in samplers):
             raise InvalidConfigError(
                 f"field has no derivative sampler of order {order}"
             )
-        return tuple(np.asarray(s(x), dtype=float) for s in samplers)
+        out = []
+        for k, (s, what) in enumerate(zip(samplers, ("value", "gradient", "Hessian"))):
+            v, shape = np.asarray(s(x), dtype=float), (len(x),) + (2,) * k
+            name = f"field {what} sampler {getattr(s, '__qualname__', s)!r}"
+            try:
+                out.append(np.broadcast_to(v, shape))
+            except ValueError:
+                raise InvalidConfigError(f"{name} returned shape {v.shape}, not {shape}") from None
+            if not np.isfinite(v).all():
+                raise InvalidConfigError(f"{name} returned non-finite values")
+        return tuple(out)
 
     def jets(self, patch, x1, x2, order):
         """``at`` on the x1-major flattened tensor grid x1 x x2 of a patch."""
@@ -110,11 +122,11 @@ class _Entities(NamedTuple):
     """What the functionals of all edges or all vertices read, one entity
     per entry of axis 0."""
 
-    rows: np.ndarray  # (K, r) rows of the stacked patch grids each one sees
+    rows: np.ndarray  # (K, functionals, b) rows of the stacked patch grids each reads
     jets: np.ndarray  # (K, m, d, d, 2) patch-map jets, standard-form frame
     d: np.ndarray | None  # edges: (K, m-, 2) transversal direction, S- points
     sigma: np.ndarray | None  # vertices: (K,) derivative scaling
-    duals: np.ndarray  # (K, functionals, r) functionals of the unit rows
+    duals: np.ndarray  # (K, functionals, b) functionals of the unit rows
 
 
 def _side_points(space):
@@ -124,36 +136,39 @@ def _side_points(space):
 
 
 def _unit_jets(space, kind, points=None):
-    """Parametric jets (m, d, d, r), in the standard-form frame, of the unit
-    coefficients on the r rows an edge (order 1, at the points (0, x2) of its
-    side: the given ``points`` x2, by default the side points of its
-    functionals) or a vertex (order 2, its corner) sees: B_i^(a)(x1)
-    B_j^(b)(x2), one basis-table column per direction. They are the same for
-    every entity of the kind."""
-    if kind == "edge":  # layers 0, 1 across the side, all N along it
+    """Parametric jets (m, d, d, b), in the standard-form frame, of the b
+    unit coefficients active at each of m samples, and their positions (m,
+    b) among the rows an entity sees: for an edge (order 1), the band of
+    2(p+1) in the two layers next to its side at (0, x2), x2 the given
+    ``points`` or by default the side points of its functionals; for a
+    vertex (order 2, ``points`` unread), the 3x3 corner block at its corner. A
+    unit's jets are B_i^(a)(x1) B_j^(b)(x2), the same for every entity."""
+    cfg = space.config
+    if kind == "edge":  # layers 0, 1 across the side, p+1 functions along it
         x2 = np.concatenate(_side_points(space)) if points is None else points
-        shape, order = (2, space.N), 1
+        order, (k, width, stride) = 1, (2, cfg.p + 1, space.N)
     else:
-        x2, shape, order = np.array([0.0]), (3, 3), 2
-    A, B = (
-        np.stack([_basis_values(space.config, x, a)[:, :k] for a in range(order + 1)], axis=1)
-        for x, k in zip(([0.0], x2), shape)
-    )  # (1, d, shape[0]) and (len(x2), d, shape[1])
-    out = A[:, None, :, None, :, None] * B[None, :, None, :, None, :]
-    return out.reshape(len(x2), order + 1, order + 1, -1)
+        x2, order, (k, width, stride) = np.array([0.0]), 2, (3, 3, 3)
+    A = cfg.basis_ders([0.0], order)[1][0, :, :k]  # (d, k) across, from the corner
+    first, B = cfg.basis_ders(x2, order)  # (m, d, p+1) along
+    U = A[None, :, None, :, None] * B[:, None, :, None, :width]
+    pos = np.arange(k)[:, None] * stride + first[:, None, None] + np.arange(width)
+    return U.reshape(len(x2), order + 1, order + 1, -1), pos.reshape(len(x2), -1)
+
+
+def _edge_parts(space):
+    """The S+ duals with the indices of the trace functionals, then the S-."""
+    idx = _edge_index_set(space.sminus.N)
+    return [(local_duals(s), [j for j, t in idx if t == part])
+            for part, s in enumerate((space.splus, space.sminus))]
 
 
 def _edge_functionals(space, val, deriv):
     """S+ duals of trace samples ``val`` at the S+ points, then S- duals of
     (h/p) times transversal-derivative samples ``deriv`` at the S- points,
     both along axis 0; the two parts broadcast against each other."""
-    idx = _edge_index_set(space.sminus.N)
-    plus, minus = local_duals(space.splus), local_duals(space.sminus)
     hp = space.config.h / space.config.p
-    parts = [
-        plus.apply(val, [j for j, s in idx if s == 0]),
-        minus.apply(hp * deriv, [j for j, s in idx if s == 1]),
-    ]
+    parts = [d.apply(f, j) for (d, j), f in zip(_edge_parts(space), (val, hp * deriv))]
     shape = np.broadcast_shapes(*(a.shape[1:] for a in parts))
     return np.concatenate([np.broadcast_to(a, a.shape[:1] + shape) for a in parts])
 
@@ -172,9 +187,10 @@ def _entities(space, kind):
     """The stacked table of all edges or all vertices, in id order; filled on
     first use and kept in the space's ``_dual_geometry``.
 
-    An edge reads the two layers next to the first standard-form side, its
-    patch-map jets of order 1 there, and d from those jets; a vertex the
-    3x3 corner block of ``corners[0]``, jets of order 2 and sigma.
+    An edge reads the band of one element in the two layers next to its
+    first standard-form side per functional, its patch-map jets of order 1
+    there, and d from those jets; a vertex the 3x3 corner block of
+    ``corners[0]``, jets of order 2 and sigma.
     """
     table = space._dual_geometry.get(kind)
     if table is not None:
@@ -184,26 +200,32 @@ def _entities(space, kind):
         frames, block = [edge_frames(e)[0] for e in mp.edges], (slice(0, 2),)
     else:
         frames, block = [v.corners[0] for v in mp.vertices], (slice(0, 3), slice(0, 3))
-    rows = np.array([i * N * N + space._rows[k][block].ravel() for i, k in frames])
-    U = _unit_jets(space, kind)
-    net = np.concatenate([P.net.reshape(-1, 2) for P in mp.patches])[rows]
+    seen = np.array([i * N * N + space._rows[k][block].ravel() for i, k in frames])
+    U, pos = _unit_jets(space, kind)
+    net = np.concatenate([P.net.reshape(-1, 2) for P in mp.patches])[seen[:, pos]]
     if kind == "edge":
-        jets = (U.reshape(-1, U.shape[-1]) @ net).reshape(len(rows), *U.shape[:3], 2)
+        jets = np.einsum("mxyb,kmbc->kmxyc", U, net)
         tp, dp = _side_points(space)
         a1, b1 = (
             np.array([_pv(getattr(space.gluing[e.id], name), dp) for e in mp.edges])[..., None]
             for name in ("alpha1", "beta1")
         )  # (E, m-, 1)
         d = (jets[:, len(tp):, 1, 0] + b1 * jets[:, len(tp):, 0, 1]) / a1
-        unit_d = (U[len(tp):, 1, 0] + b1 * U[len(tp):, 0, 1]) / a1  # (E, m-, r)
+        unit_d = (U[len(tp):, 1, 0] + b1 * U[len(tp):, 0, 1]) / a1  # (E, m-, b)
         duals = _edge_functionals(space, U[: len(tp), None, 0, 0], unit_d.swapaxes(0, 1))
-        table = _Entities(rows, jets, d, None, duals.swapaxes(0, 1))
+        # a functional reads the dual points of one element, which share its
+        # band; the S+ points come element by element
+        (plus, jp), (minus, jm) = _edge_parts(space)
+        band = pos[: plus.points.size : plus.points.shape[1]]
+        element = np.r_[plus.element[jp], minus.element[jm]]
+        table = _Entities(seen[:, band[element]], jets, d, None, duals.swapaxes(0, 1))
     else:
         # the corner jets the build read, so that D C sees its rounding
         jets = space._corner_jets(net.reshape(-1, 1, 3, 3, 2))
         sigma = np.array([space.sigma(v.id) for v in mp.vertices])
-        units = np.broadcast_to(U[0], (len(rows),) + U.shape[1:])
+        units = np.broadcast_to(U[0], (len(seen),) + U.shape[1:])
         duals = _vertex_functionals(sigma, *physical_derivatives(jets[:, 0], units))
+        rows = np.broadcast_to(seen[:, None, pos[0]], duals.shape)
         table = _Entities(rows, jets, None, sigma, duals)
     for a in table:
         if a is not None:
@@ -286,45 +308,29 @@ def project(space, field):
     return np.concatenate(blocks)
 
 
-def _dual_band(cfg):
-    """The band of L (N-4, N), the inner local duals applied to the basis:
-    row a is nonzero only on the p+1 functions s_a, ..., s_a + p active on
-    the element its dual samples. Returns those values (N-4, p+1) and s."""
-    duals = local_duals(cfg)
-    inner = slice(2, cfg.N - 2)
-    first, ders = cfg.basis_ders(duals.points.ravel(), 0)
-    n, k = duals.points.shape
-    e = duals.element[inner]
-    L = np.einsum("jq,jqk->jk", duals.weights[inner], ders[:, 0].reshape(n, k, k)[e])
-    return L, first.reshape(n, k)[e, 0]
-
-
 def dual_matrix(space):
     """D (dim, patches N*N), the dual functionals on the stacked coefficient
-    grids of ``C`` as a ``CSRMatrix``, made once per space. Row (a1, a2) of
-    patch i is L[a1] (x) L[a2] on its band there (``_dual_band``); an edge's
-    or a vertex's rows are its functionals of the unit coefficients on the
-    rows it sees (``_entities``), sorted once per entity, so D comes out in
-    CSR order without a sort."""
+    grids of ``C`` as a ``CSRMatrix``, made once per space. The local duals
+    return a tensor spline's coefficients exactly, so row (a1, a2) of patch
+    i selects its coefficient there: one 1.0 in column i N^2 + a1 N + a2. An
+    edge's or a vertex's rows are its functionals of the unit coefficients
+    on the band each one reads (``_entities``), sorted once per entity, so D
+    comes out in CSR order without a sort."""
     D = space._dual_geometry.get("D")
     if D is not None:
         return D
-    N, p, P = space.N, space.config.p, len(space.geometry.patches)
-    L, s = _dual_band(space.config)
-    band = s[:, None] + np.arange(p + 1)  # (N-4, p+1), increasing along each row
-    w = (L[:, None, :, None] * L[None, :, None, :]).reshape((N - 4) ** 2, -1)
-    grid = (band[:, None, :, None] * N + band[None, :, None, :]).reshape(w.shape)
-    a, k = np.nonzero(w)  # the stencil of each row of a patch, in row order
+    N, P = space.N, len(space.geometry.patches)
+    inner = np.arange(2, N - 2)
+    cols = ((np.arange(P)[:, None, None] * N + inner[:, None]) * N + inner).ravel()
     # (entries per row, columns, values) of the rows of each kind, in order
-    parts = [(np.tile(np.count_nonzero(w, axis=1), P),
-              (np.arange(P)[:, None] * N * N + grid[a, k]).ravel(), np.tile(w[a, k], P))]
+    parts = [(np.ones_like(cols), cols, np.ones(len(cols)))]
     for kind in ("edge", "vertex"):
         T = _entities(space, kind)
-        order = np.argsort(T.rows, axis=1)
-        duals = np.take_along_axis(T.duals, order[:, None], axis=2)
+        order = np.argsort(T.rows, axis=2)
+        duals = np.take_along_axis(T.duals, order, axis=2)
         e, f, j = np.nonzero(duals)
         parts.append((np.count_nonzero(duals, axis=2).ravel(),
-                      np.take_along_axis(T.rows, order, axis=1)[e, j], duals[e, f, j]))
+                      np.take_along_axis(T.rows, order, axis=2)[e, f, j], duals[e, f, j]))
     counts, cols, vals = (np.concatenate(t) for t in zip(*parts))
     D = CSRMatrix(np.r_[0, np.cumsum(counts)], cols, vals, (space.dim, P * N * N))
     D.data.setflags(write=False)

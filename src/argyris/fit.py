@@ -90,7 +90,6 @@ class QuadratureRule:
         e = np.arange(n)[:, None]
         self.nodes = (e + (x[None, :] + 1.0) / 2.0) / n  # (n, order)
         self.weights = np.broadcast_to(w[None, :] / (2.0 * n), (n, order)).copy()
-        self._det_weights = {}  # patch -> its weights of ``_patch_weights``
 
 
 def _distinct(a):
@@ -142,35 +141,30 @@ def _check_rule(space, rule):
 
 
 def _patch_weights(space, i, rule):
-    """Quadrature weights times |det DF| on the tensor grid of one patch, as
-    a read-only (m, m) array over the m nodes of each direction, made once
-    per patch and rule; det DF needs first-derivative tables only."""
+    """Quadrature weights times |det DF| on the tensor grid of one patch, an
+    (m, m) array over the m nodes of each direction; det DF needs
+    first-derivative tables only."""
     patch = space.geometry.patches[i]
-    W = rule._det_weights.get(patch)
-    if W is None:
-        x = rule.nodes.ravel()
-        A0, A1 = (_basis_values(patch.space, x, d) for d in (0, 1))
-        X, Y = np.moveaxis(patch.net, -1, 0)
-        det = ((A1 @ (X @ A0.T)) * (A0 @ (Y @ A1.T))
-               - (A1 @ (Y @ A0.T)) * (A0 @ (X @ A1.T)))
-        w = rule.weights.ravel()
-        W = np.abs(det) * np.outer(w, w)
-        W.setflags(write=False)
-        rule._det_weights[patch] = W
-    return W
+    x = rule.nodes.ravel()
+    A0, A1 = (_basis_values(patch.space, x, d) for d in (0, 1))
+    X, Y = np.moveaxis(patch.net, -1, 0)
+    det = ((A1 @ (X @ A0.T)) * (A0 @ (Y @ A1.T))
+           - (A1 @ (Y @ A0.T)) * (A0 @ (X @ A1.T)))
+    w = rule.weights.ravel()
+    return np.abs(det) * np.outer(w, w)
 
 
-def _patch_mass(space, i, rule):
-    """Table D (P+1, P+1) of every entry of the |det DF|-weighted mass of the
-    tensor B-splines of one patch: with K[q, k] the product of the two 1D
-    functions of pair k of ``_mass_pattern`` at node q, D = K^T W K, plus a
-    zero last row and column, so that the entry of the tensor B-splines
-    (i1, i2) and (j1, j2) is D[index[i1, j1], index[i2, j2]]."""
+def _patch_mass(space, W, rule):
+    """Table D (P+1, P+1) of every entry of the W-weighted mass of the tensor
+    B-splines of one patch: with K[q, k] the product of the two 1D functions
+    of pair k of ``_mass_pattern`` at node q, D = K^T W K, plus a zero last
+    row and column, so that the entry of the tensor B-splines (i1, i2) and
+    (j1, j2) is D[index[i1, j1], index[i2, j2]]."""
     (p1, p2), _ = _mass_pattern(space.config)
     A0 = _basis_values(space.config, rule.nodes.ravel())
     K = A0[:, p1] * A0[:, p2]
     D = np.zeros((K.shape[1] + 1,) * 2)
-    D[:-1, :-1] = K.T @ (_patch_weights(space, i, rule) @ K)
+    D[:-1, :-1] = K.T @ (W @ K)
     return D
 
 
@@ -311,32 +305,36 @@ def assemble_mass(space, rule=None):
     frame = _frame(space.config)
     interior = np.zeros(ni)
     triplets = []
-    patches = range(len(space.geometry.patches))
-    for i in patches:
-        C, D = space.extraction(i), _patch_mass(space, i, rule)
+    W = np.stack([_patch_weights(space, i, rule) for i in range(len(space.geometry.patches))])
+    for i, Wi in enumerate(W):
+        C, D = space.extraction(i), _patch_mass(space, Wi, rule)
         interior += _interior_masses(C, D, index, ni)
         triplets.append(_interface_triplets(C, D, frame, ni))
     G = CSRMatrix.from_triplets(
         *(np.concatenate(t) for t in zip(*triplets)), (space.dim - ni,) * 2
     )
     diagonal = np.concatenate([interior, G.diagonal()])
-    W = np.stack([_patch_weights(space, i, rule) for i in patches])
     A0 = _basis_values(space.config, rule.nodes.ravel())
     return MassOperator(space.C, A0, W, diagonal, G, ni)
 
 
-def assemble_rhs(space, fld, rule=None):
+def assemble_rhs(space, fld, rule=None, *, weights=None):
     """Load vector int z phi_a |det DF| for a field with a ``jets`` sampler.
 
     On each patch the tensor B-spline load vector is A0^T (W o z) A0, with
-    A0 the (m, N) basis values at the m quadrature nodes per direction.
+    A0 the (m, N) basis values at the m quadrature nodes per direction and
+    W the patch's |det DF| weights on the rule: the given ``weights`` of the
+    patches in order (``l2_fit`` passes those its mass was made with), else
+    made here.
     """
     rule = _check_rule(space, rule)
+    if weights is None:
+        weights = (_patch_weights(space, i, rule) for i in range(len(space.geometry.patches)))
     x = rule.nodes.ravel()
     A0 = _basis_values(space.config, x)
     rhs = np.zeros(space.dim)
-    for i in range(len(space.geometry.patches)):
-        Wz = _patch_weights(space, i, rule).ravel() * fld.jets(i, x, x, 0)[0]
+    for i, W in enumerate(weights):
+        Wz = W.ravel() * fld.jets(i, x, x, 0)[0]
         rhs += (A0.T @ Wz.reshape(len(x), len(x)) @ A0).ravel() @ space.extraction(i)
     return rhs
 
@@ -589,8 +587,7 @@ def l2_fit(space, fld, rule=None):
         )
     t0 = time.perf_counter()
     M = assemble_mass(space, rule)
-    rhs = assemble_rhs(space, fld, rule)
-    rule._det_weights.clear()  # shared by mass and load, not needed by the solve
+    rhs = assemble_rhs(space, fld, rule, weights=M._W)
     t1 = time.perf_counter()
     coeffs, iterations, cond = _solve_scaled(space, M, rhs)
     t2 = time.perf_counter()
@@ -767,7 +764,8 @@ def _report_batches(space, kind, t, members, scores):
     (across, along)), sampled at t; a vertex has the 3 x 3 blocks at its
     corners, sampled at the corner. At a sample only the nb band rows of a
     side are nonzero, the same ones for all samples of a group (an element
-    along the side), and their unit jets U are the same on every side. So an
+    along the side), and their unit jets U are the same on every side; both
+    come from ``duality._unit_jets``, the table the dual functionals read. So an
     entity's pairs (member, group) are those with a coefficient stored on a
     band row of one of its sides; a member is 0 elsewhere. The members are
     the basis (``members`` None) or the columns of a coefficient matrix. The
@@ -787,20 +785,15 @@ def _report_batches(space, kind, t, members, scores):
     batch's entities, each pair's entity dim + column, the pairs' maxima of
     each score over their group's samples).
     """
-    mp, R, cfg, N, dim = space.geometry, space._rows, space.config, space.N, space.dim
+    mp, R, N, dim = space.geometry, space._rows, space.N, space.dim
     if kind == "edge":
         sides = [((i1, R[k1][:2]), (i2, R[k2][:, :2].T))
                  for (i1, k1), (i2, k2) in map(edge_frames, mp.interfaces())]
-        first = cfg.element_of(t) * (cfg.p - cfg.r)  # of the active functions, non-decreasing
-        new = np.diff(first, prepend=-1) > 0
-        group = np.cumsum(new) - 1
-        band = first[new][:, None, None] + np.arange(2)[:, None] * N + np.arange(cfg.p + 1)
-        band = band.reshape(len(band), -1)
-        U = np.take_along_axis(_unit_jets(space, "edge", t), band[group][:, None, None], axis=3)
     else:
         sides = [[(i, R[c][:3, :3]) for i, c in v.corners] for v in mp.vertices]
-        U = _unit_jets(space, "vertex")
-        band, group = np.arange(9)[None], np.zeros(1, dtype=np.int64)
+    U, pos = _unit_jets(space, kind, t)  # a vertex is read at its corner alone
+    new = np.r_[True, (pos[1:] != pos[:-1]).any(axis=1)]  # a group's first sample
+    starts, group, band = np.flatnonzero(new), np.cumsum(new) - 1, pos[new]
     if not sides:
         return
     (m, d), (G, nb) = U.shape[:2], band.shape
@@ -812,7 +805,6 @@ def _report_batches(space, kind, t, members, scores):
     nets = np.concatenate([P.net.reshape(-1, 2) for P in mp.patches])  # on the stacked rows
     size = np.abs(nets).reshape(len(mp.patches), -1).max(1)  # what their rounding is relative to
     d2U = np.abs(U[0]).sum(-1)[[2, 1, 0], [0, 1, 2]].max() if d == 3 else None
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
     UT = np.ascontiguousarray(U.transpose(3, 1, 2, 0))  # (nb, d, d, m)
     # the unit jets that are not 0 (at order 1 the mixed one is not read)
     nonzero = UT.any(axis=-1) & (np.add.outer(np.arange(d), np.arange(d)) < d)

@@ -22,7 +22,7 @@ from argyris import (
 )
 from argyris import duality
 from argyris.bspline import local_duals
-from argyris.duality import _entities, _unit_jets
+from argyris.duality import _entities, _unit_jets, dual_matrix
 from argyris.errors import InvalidConfigError
 from argyris.fit import cos_sin_field
 from argyris.geometries import _fan
@@ -313,6 +313,24 @@ def test_biorthogonality_columns_are_projections_of_basis_functions(name, degree
     assert np.array_equal(M, project(space, SpaceField(space, np.eye(space.dim))))
 
 
+@pytest.mark.parametrize("degrees", [(3, 1, 4), (4, 2, 6)])
+@pytest.mark.parametrize("name", AS_G1_BUILTINS)
+def test_dual_matrix_patch_rows_select_their_coefficient(name, degrees):
+    # the local duals return a tensor spline's coefficients exactly, so the
+    # row of patch function (j1, j2) is one stored 1.0 at that position of
+    # its patch grid, and D C's patch rows are identity rows bit for bit
+    space = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(*degrees)))
+    N, n = space.N, space.breakdown["patch"]
+    D = dual_matrix(space).row_block(0, n)
+    ids = [space.basis_id(a) for a in range(n)]
+    assert np.array_equal(D.indptr, np.arange(n + 1))
+    assert np.array_equal(D.indices, [(b.owner * N + b.index[0]) * N + b.index[1] for b in ids])
+    assert np.array_equal(D.data, np.ones(n))
+    M = biorthogonality_matrix(space).row_block(0, n)
+    assert np.array_equal(M.indptr, np.arange(n + 1))
+    assert np.array_equal(M.indices, np.arange(n)) and np.array_equal(M.data, np.ones(n))
+
+
 def negated_on_patch(C, N, ipatch, a):
     """The stacked extraction matrix C with column a negated in the rows of
     patch ipatch."""
@@ -356,10 +374,10 @@ def test_entity_geometry_sampled_once_and_never_at_order_two_on_an_edge(mp_three
     units, corners, grids = [], [], []
     unit_jets, corner_jets, grid_jet = _unit_jets, ArgyrisSpace._corner_jets, Patch.grid_jet
 
-    def counting_units(space, kind):
-        U = unit_jets(space, kind)
+    def counting_units(space, kind, points=None):
+        U, pos = unit_jets(space, kind, points)
         units.append((kind, U.shape[1] - 1))
-        return U
+        return U, pos
 
     def counting_corners(self, blocks):
         corners.append(blocks.shape[:-3])
@@ -389,17 +407,21 @@ def test_entity_geometry_sampled_once_and_never_at_order_two_on_an_edge(mp_three
 @pytest.mark.parametrize("name,n", [("three_patch_bilinear", 4), ("five_patch_bilinear", 8)])
 def test_unit_field_jets_match_dense_unit_grids(name, n):
     # the unit jets of an entity kind, in the standard-form frame, are
-    # products of basis-table columns. The reference samples one dense
-    # (N, N) grid per unit coefficient on the side or corner of the patch in
-    # its own frame, for each of the four quarter turns, and turns the
-    # derivatives by the chain rule; the stacked patch-map jets match the
-    # turned patches sampled alone
+    # products of basis-table columns, stored for the units active at each
+    # sample and scattered here into the dense layout of every row the
+    # entity sees. The reference samples one dense (N, N) grid per unit
+    # coefficient on the side or corner of the patch in its own frame, for
+    # each of the four quarter turns, and turns the derivatives by the chain
+    # rule; the stacked patch-map jets match the turned patches sampled alone
     space = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(3, 1, n)))
     N, R, mp = space.N, space._rows, space.geometry
     side = np.concatenate([local_duals(s).points.ravel() for s in (space.splus, space.sminus)])
     for kind, pts, block, order in (("edge", side, (slice(0, 2),), 1),
                                     ("vertex", [0.0], (slice(0, 3), slice(0, 3)), 2)):
-        U = _unit_jets(space, kind)
+        banded, pos = _unit_jets(space, kind)
+        assert pos.shape == (len(pts), 2 * (space.config.p + 1) if kind == "edge" else 9)
+        U = np.zeros(banded.shape[:3] + (R[0][block].size,))
+        np.put_along_axis(U, np.broadcast_to(pos[:, None, None], banded.shape), banded, axis=3)
         for rot in range(4):
             rows = R[rot][block].ravel()
             dense = np.zeros((N * N, len(rows)))
@@ -442,6 +464,9 @@ def test_biorthogonality_matrix_memory_five_patches_n16():
         tracemalloc.stop()
     assert peak < 60 * 2**20
     assert M.shape == (4971, 4971)
+    # patch rows hold their diagonal alone; 52 974 entries when they kept
+    # the rounding of the univariate dual table
+    assert M.nnz < 2 * space.dim
 
 
 def test_single_entity_duals_are_rows_of_the_projector(sp_three):

@@ -26,6 +26,7 @@ from argyris import (
     convergence_study,
     cos_sin_field,
     l2_fit,
+    project,
     smoothness_report,
 )
 from argyris.cli import main
@@ -105,20 +106,6 @@ def test_l2_fit_refuses_a_rule_that_leaves_the_mass_singular(p, r, n, q, singula
         assert l2_fit(sp, fld, rule).rel_error < 1e-3
 
 
-def test_patch_weights_survive_a_concurrent_clear(sp_two):
-    # l2_fit clears the weights a rule caches; a second thread sharing the
-    # rule could clear them between the store and the read-back, which used
-    # to raise KeyError; a cache that forgets every store stands for that
-    class Forgetful(dict):
-        def __setitem__(self, key, value):
-            pass
-
-    rule = QuadratureRule(sp_two.config.n, sp_two.config.p + 2)
-    W = _patch_weights(sp_two, 0, rule)
-    rule._det_weights = Forgetful()
-    np.testing.assert_array_equal(_patch_weights(sp_two, 0, rule), W)
-
-
 def test_convergence_study_rejects_zero_rule_order(mp_two):
     # the study always uses the default rule of p+2 points; a rule of order 0
     # is refused where it is made, not replaced by the default
@@ -179,10 +166,13 @@ def check_against_element_loop_reference(space):
     rule = QuadratureRule(space.config.n, space.config.p + 2)
     fld = cos_sin_field(space.geometry)
     M_ref, rhs_ref = reference_mass_rhs(space, fld, rule)
-    M = assemble_mass(space, rule) @ np.eye(space.dim)
+    mass = assemble_mass(space, rule)
+    M = mass @ np.eye(space.dim)
     rhs = assemble_rhs(space, fld, rule)
     assert np.abs(M - M_ref).max() < 1e-12 * np.abs(M_ref).max()
     assert np.abs(rhs - rhs_ref).max() < 1e-12 * np.abs(rhs_ref).max()
+    # the load from the weights the mass was made with, as l2_fit takes it
+    np.testing.assert_array_equal(assemble_rhs(space, fld, rule, weights=mass._W), rhs)
 
 
 def test_assembly_matches_element_loop_reference(sp_two):
@@ -235,7 +225,8 @@ def test_mass_exactly_symmetric_on_every_builtin(name, n):
 
 def test_patch_mass_stores_exactly_the_element_sharing_pairs():
     space = ArgyrisSpace(builtin_geometry("two_patch_bilinear", UnivariateSpace(3, 1, 32)))
-    D = _patch_mass(space, 0, QuadratureRule(32, 5))
+    rule = QuadratureRule(32, 5)
+    D = _patch_mass(space, _patch_weights(space, 0, rule), rule)
     # every (row, col) of tensor B-splines active on a common element
     N, dof = space.N, _element_dofs(space.config)
     act = (dof[:, None, :, None] * N + dof[None, :, None, :]).reshape(32 * 32, -1)
@@ -277,6 +268,43 @@ def test_zero_target(sp_three):
     assert res.rel_error == 0.0
     assert res.cg_iterations == 0
     assert np.isnan(res.cond_estimate)  # no Krylov step, no estimate
+
+
+def log_past_the_edge(x):
+    """log(x + 1.5): -inf and nan on the left edge x = -1.5 of three_patch_bilinear."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(x[:, 0] + 1.5)
+
+
+@pytest.mark.parametrize("samplers,match,runs", [
+    ((log_past_the_edge, lambda x: 0.0, lambda x: 0.0), "value sampler .* non-finite",
+     (l2_fit, project)),
+    ((lambda x: np.ones(3), lambda x: 0.0, lambda x: 0.0), r"value sampler .* shape \(3,\)",
+     (l2_fit, project)),
+    ((lambda x: x[:, 0], lambda x: np.ones((len(x), 3)), lambda x: 0.0),
+     r"gradient sampler .* shape \(\d+, 3\)", (project,)),
+    ((lambda x: x[:, 0], lambda x: 0.0, lambda x: np.full((len(x), 2, 2), np.inf)),
+     "Hessian sampler .* non-finite", (project,)),
+])
+def test_analytic_field_samples_are_checked(sp_three, samplers, match, runs):
+    # a sample that is not finite or does not broadcast to its shape is
+    # refused where it is taken, by l2_fit (values only) and project; the
+    # log used to fit nan with zero coefficients and no error
+    fld = AnalyticField(sp_three.geometry, *samplers)
+    for run in runs:
+        with pytest.raises(InvalidConfigError, match=match):
+            run(sp_three, fld)
+
+
+def test_analytic_field_constants_broadcast(sp_three):
+    # a sampler may return a constant for all points, in a fit and in the
+    # projector alike
+    mp = sp_three.geometry
+    full = AnalyticField(mp, lambda x: np.full(len(x), 2.0), lambda x: np.zeros((len(x), 2)),
+                         lambda x: np.zeros((len(x), 2, 2)))
+    const = AnalyticField(mp, lambda x: 2.0, lambda x: np.zeros(2), lambda x: 0.0)
+    np.testing.assert_allclose(project(sp_three, const), project(sp_three, full), atol=1e-14)
+    np.testing.assert_array_equal(l2_fit(sp_three, const).coeffs, l2_fit(sp_three, full).coeffs)
 
 
 @pytest.mark.parametrize("name", ["five_patch_bilinear", "two_patch_curved_asg1"])
