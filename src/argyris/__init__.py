@@ -23,10 +23,7 @@ from .duality import (
     AnalyticField,
     SpaceField,
     biorthogonality_matrix,
-    edge_duals,
-    patch_duals,
     project,
-    vertex_duals,
 )
 from .fit import (
     ConvergenceTable,

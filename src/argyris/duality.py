@@ -7,8 +7,9 @@ duals of the trace and S- duals of the scaled transversal derivative
 (h/p) grad(phi) . d along its first standard-form side, sampled at the S+
 and then the S- dual points; a vertex's are the six scaled derivatives
 d^j phi / sigma^|j| at the corner of ``corners[0]``. Concatenated in the
-order of the basis they give the global projector, which reproduces every
-member of the space.
+order of the basis they give the global projector, ``project``, the one
+function that applies them to a field: it reproduces every member of the
+space, and one entity's functionals are its rows ``space.block(kind, id)``.
 
 Each functional reads a member through its coefficients on a few rows of
 the stacked patch grids alone, so the functionals are one sparse matrix D
@@ -45,9 +46,6 @@ from .space import CSRMatrix, _edge_index_set, physical_derivatives
 __all__ = [
     "AnalyticField",
     "SpaceField",
-    "patch_duals",
-    "edge_duals",
-    "vertex_duals",
     "project",
     "biorthogonality_matrix",
 ]
@@ -248,62 +246,28 @@ def _entity_duals(space, kind, field):
     return _edge_functionals(space, val[:, :tp].T, deriv.T).T
 
 
-def _member_duals(space, field, rows):
-    """The functionals ``rows`` (a slice of the basis) applied to the members
-    of a ``SpaceField``: those rows of D times C times their coefficients."""
-    coeffs = np.asarray(field.coeffs, dtype=float)
-    space._check_coeffs(coeffs)
-    return dual_matrix(space).row_block(rows.start, rows.stop) @ (space.C @ coeffs)
-
-
-def patch_duals(space, i, field):
-    """Tensor-product local duals of the pullback onto patch i.
-
-    Of a member, patch i's rows of D C x. A field in physical coordinates is
-    sampled on one tensor grid of every element's dual points per direction,
-    and the interior indices are read from it one direction at a time.
-    """
-    block = space.block("patch", i)
-    if isinstance(field, SpaceField):
-        return _member_duals(space, field, block)
-    duals = local_duals(space.config)
-    x = duals.points.ravel()
-    vals = field.jets(i, x, x, 0)[0].reshape(len(x), len(x))
-    inner = slice(2, space.N - 2)
-    out = duals.apply(duals.apply(vals, inner).swapaxes(0, 1), inner).swapaxes(0, 1)
-    return out.ravel()
-
-
-def edge_duals(space, eid, field):
-    """S+ duals of the trace, then S- duals of the scaled transversal
-    derivative: edge eid's rows of D C x for a member, else of the pass over
-    all edges."""
-    block = space.block("edge", eid)
-    if isinstance(field, SpaceField):
-        return _member_duals(space, field, block)
-    return _entity_duals(space, "edge", field)[eid]
-
-
-def vertex_duals(space, vid, field):
-    """Scaled point derivatives d^j phi(x) / sigma^|j| at the vertex, in
-    ``VERTEX_INDEX_ORDER``: vertex vid's rows of D C x for a member, else of
-    the pass over all vertices."""
-    block = space.block("vertex", vid)
-    if isinstance(field, SpaceField):
-        return _member_duals(space, field, block)
-    return _entity_duals(space, "vertex", field)[vid]
-
-
 def project(space, field):
     """Global projector: coefficient a is functional a applied to the field.
 
     Reproduces members of the space; for general C2 fields it is a local
     quasi-interpolant. A SpaceField of k members gives a (dim, k) matrix,
-    D C x.
+    D C x. A field in physical coordinates is sampled on one tensor grid of
+    every element's dual points per patch, whose interior indices are read
+    one direction at a time, then at the stacked points of all edges and of
+    all vertices. One entity's functionals are ``project(space,
+    field)[space.block(kind, id)]``.
     """
     if isinstance(field, SpaceField):
-        return _member_duals(space, field, slice(0, space.dim))
-    blocks = [patch_duals(space, i, field) for i in range(len(space.geometry.patches))]
+        coeffs = np.asarray(field.coeffs, dtype=float)
+        space._check_coeffs(coeffs)
+        return dual_matrix(space) @ (space.C @ coeffs)
+    duals = local_duals(space.config)
+    x, inner = duals.points.ravel(), slice(2, space.N - 2)
+    blocks = []
+    for i in range(len(space.geometry.patches)):
+        vals = field.jets(i, x, x, 0)[0].reshape(len(x), len(x))
+        out = duals.apply(duals.apply(vals, inner).swapaxes(0, 1), inner).swapaxes(0, 1)
+        blocks.append(out.ravel())
     blocks += [_entity_duals(space, kind, field).ravel() for kind in ("edge", "vertex")]
     return np.concatenate(blocks)
 

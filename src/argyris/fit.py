@@ -709,22 +709,23 @@ class SmoothnessReport:
 
     A vertex row is (vertex, jump, worst function, excess): excess is the
     largest jump of a member over its own bound max(1e-8, C2_FLOOR_FACTOR *
-    floor), so the vertex passes when it is below 1."""
+    floor), so the vertex passes when it is below 1. A NaN in any row shows
+    in the maxima and fails ``passed``."""
 
     edge_rows: list
     vertex_rows: list
 
     @property
     def max_c1_jump(self):
-        return max((max(r[1], r[2]) for r in self.edge_rows), default=0.0)
+        return float(np.max([r[1:3] for r in self.edge_rows], initial=0.0))
 
     @property
     def max_c2_jump(self):
-        return max((r[1] for r in self.vertex_rows), default=0.0)
+        return float(np.max([r[1] for r in self.vertex_rows], initial=0.0))
 
     @property
     def max_c2_excess(self):
-        return max((r[3] for r in self.vertex_rows), default=0.0)
+        return float(np.max([r[3] for r in self.vertex_rows], initial=0.0))
 
     def passed(self):
         return self.max_c1_jump < 1e-9 and self.max_c2_excess < 1.0

@@ -53,11 +53,12 @@ _CORNER_INDEX = ((0, 0), (-1, 0), (-1, -1), (0, -1))
 
 
 def rotate_net(net, k):
-    """Coefficient grid of (function o r^k) for symmetric uniform knots."""
+    """Coefficient grid of (function o r^k) for symmetric uniform knots, a
+    turned view of ``net``."""
     out = np.asarray(net)
     for _ in range(k % 4):
         out = out[::-1].swapaxes(0, 1)
-    return np.ascontiguousarray(out)
+    return out
 
 
 def rotate_uv(uv, k):
@@ -97,8 +98,9 @@ class Patch(TensorSpline):
         return self.jet(uv, 0)[:, 0, 0, :]
 
     def rotate(self, k):
-        """Same point set reparametrized by the k-fold quarter turn."""
-        return Patch(self.space, rotate_net(self.net, k))
+        """Same point set reparametrized by the k-fold quarter turn, on a
+        contiguous copy of the turned net."""
+        return Patch(self.space, np.ascontiguousarray(rotate_net(self.net, k)))
 
     def corner(self, k):
         """Image of local corner k: its control point, by the clamped knots."""

@@ -37,6 +37,7 @@ vertices, each entity owning a contiguous run whose length depends on (p, r,
 n) alone; ``block`` and ``basis_id`` translate by arithmetic.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -229,17 +230,15 @@ class CSRMatrix:
         if isinstance(x, CSRMatrix):
             return self._times_sparse(x)
         x = np.asarray(x, dtype=float)
+        k = math.prod(x.shape[1:])
         if x.ndim == 1:
-            # an empty weight array makes bincount return integers
-            terms = self.data * x[self.indices]
-            return np.bincount(self.row_ids, terms, self.shape[0]).astype(float, copy=False)
-        out = np.zeros((self.shape[0],) + x.shape[1:])
-        counts = np.diff(self.indptr)
-        for s in range(counts.max(initial=0)):  # the s-th entry of every row that has one
-            rows = np.flatnonzero(counts > s)
-            at = self.indptr[rows] + s
-            out[rows] += self.data[at].reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.indices[at]]
-        return out
+            keys, terms = self.row_ids, self.data * x[self.indices]
+        else:  # entry by entry, so that every (row, column) sums in stored order
+            keys = (self.row_ids[:, None] * k + np.arange(k)).ravel()
+            terms = (self.data[:, None] * x.reshape(len(x), k)[self.indices]).ravel()
+        # an empty weight array makes bincount return integers
+        out = np.bincount(keys, terms, self.shape[0] * k).astype(float, copy=False)
+        return out.reshape((self.shape[0],) + x.shape[1:])
 
     def __rmatmul__(self, y):
         """y @ A for a dense vector (m,) or array (..., m), summed in stored
@@ -594,6 +593,8 @@ class ArgyrisSpace:
                 f"coefficient array has shape {coeffs.shape}, expected "
                 f"({self.dim},) or ({self.dim}, k)"
             )
+        if not np.isfinite(coeffs).all():
+            raise InvalidConfigError("coefficient array has non-finite entries")
 
     def combine(self, coeffs, patch):
         """Dense coefficient grid (N, N) of sum_a coeffs[a] * function_a on a

@@ -8,6 +8,7 @@ import pytest
 
 import argyris
 from argyris.cli import main
+from argyris.multipatch import edge_frames, rotate_net
 
 
 def run(capsys, *argv):
@@ -427,15 +428,20 @@ def test_huge_audit_sample_count_exits_one(capsys):
     assert "samples per edge" in err
 
 
-def test_layer_one_move_exit_codes(capsys, tmp_path):
-    # a move of control point (1, 4) of patch 0 changes the transversal
-    # derivative along its side 0: the interface is no longer AS-G1, which
-    # is a validation failure (exit 1) for the commands that build the space
-    mp = argyris.builtin_geometry("three_patch_bilinear")
+@pytest.mark.parametrize("name", ["two_patch_bilinear", "three_patch_bilinear",
+                                  "five_patch_bilinear", "lshape_bilinear",
+                                  "two_patch_curved_asg1"])
+def test_layer_one_move_exit_codes(capsys, tmp_path, name):
+    # a move of the control point in layer 1 at the middle of the first
+    # interface's first side changes the transversal derivative along it: the
+    # interface is no longer AS-G1, which is a validation failure (exit 1)
+    # for the commands that build the space
+    mp = argyris.builtin_geometry(name)
+    (i, k), _ = edge_frames(mp.interfaces()[0])
     patches = list(mp.patches)
-    net = patches[0].net.copy()
-    net[1, 4] += 0.05
-    patches[0] = argyris.Patch(mp.config, net)
+    net = patches[i].net.copy()
+    rotate_net(net, k)[1, mp.config.N // 2] += 0.05  # the turned view writes into net
+    patches[i] = argyris.Patch(mp.config, net)
     path = tmp_path / "moved.txt"
     argyris.save_geometry(argyris.MultiPatch(mp.config, patches, mp.edges, mp.vertices), path)
     for argv in (("space", "audit"), ("fit",)):

@@ -14,16 +14,12 @@ from argyris import (
     UnivariateSpace,
     biorthogonality_matrix,
     builtin_geometry,
-    edge_duals,
     infer_topology,
-    patch_duals,
     project,
-    vertex_duals,
 )
 from argyris import duality
 from argyris.bspline import local_duals
 from argyris.duality import _entities, _unit_jets, dual_matrix
-from argyris.errors import InvalidConfigError
 from argyris.fit import cos_sin_field
 from argyris.geometries import _fan
 from argyris.gluing import _pv
@@ -53,7 +49,8 @@ def test_patch_dual_biorthogonal_on_own_family(sp_two):
     patch_ids = ids_where(sp_two, lambda i: i.kind == "patch" and i.owner == 0)
     for a in patch_ids[:6]:
         for b in patch_ids[:6]:
-            val = patch_duals(sp_two, 0, basis_field(sp_two, b))[position(sp_two, a)]
+            val = project(sp_two, basis_field(sp_two, b))[sp_two.block("patch", 0)]
+            val = val[position(sp_two, a)]
             assert abs(val - (1.0 if a == b else 0.0)) < 1e-12
 
 
@@ -65,14 +62,15 @@ def test_patch_dual_kills_edge_and_vertex_functions(sp_two):
         e = basis_field(sp_two, b).coeffs
         if not (sp_two.extraction(fid.owner) @ e).any():
             continue
-        val = patch_duals(sp_two, fid.owner, basis_field(sp_two, b))[position(sp_two, a)]
+        val = project(sp_two, basis_field(sp_two, b))[sp_two.block("patch", fid.owner)]
+        val = val[position(sp_two, a)]
         assert abs(val) < 1e-11
 
 
 def test_patch_dual_of_zero(sp_two):
     zero = SpaceField(sp_two, np.zeros(sp_two.dim))
     fid = sp_two.basis_id(0)
-    assert patch_duals(sp_two, fid.owner, zero)[position(sp_two, 0)] == 0.0
+    assert project(sp_two, zero)[sp_two.block("patch", fid.owner)][position(sp_two, 0)] == 0.0
 
 
 def test_edge_dual_biorthogonal_within_edge(sp_two):
@@ -80,7 +78,8 @@ def test_edge_dual_biorthogonal_within_edge(sp_two):
     edge_ids = ids_where(sp_two, lambda i: i.kind == "edge" and i.owner == eid)
     for a in edge_ids:
         for b in edge_ids:
-            val = edge_duals(sp_two, eid, basis_field(sp_two, b))[position(sp_two, a)]
+            val = project(sp_two, basis_field(sp_two, b))[sp_two.block("edge", eid)]
+            val = val[position(sp_two, a)]
             assert abs(val - (1.0 if a == b else 0.0)) < 1e-10
 
 
@@ -88,7 +87,8 @@ def test_edge_dual_kills_patch_interior(sp_two):
     eid = sp_two.geometry.interfaces()[0].id
     a = ids_where(sp_two, lambda i: i.kind == "edge" and i.owner == eid)[0]
     for b in ids_where(sp_two, lambda i: i.kind == "patch")[:10]:
-        val = edge_duals(sp_two, eid, basis_field(sp_two, b))[position(sp_two, a)]
+        val = project(sp_two, basis_field(sp_two, b))[sp_two.block("edge", eid)]
+        val = val[position(sp_two, a)]
         assert abs(val) < 1e-12
 
 
@@ -98,20 +98,9 @@ def test_edge_dual_kills_endpoint_vertex_functions(sp_two):
     vertex_ids = ids_where(sp_two, lambda i: i.kind == "vertex")
     for a in edge_ids:
         for b in vertex_ids:
-            val = edge_duals(sp_two, eid, basis_field(sp_two, b))[position(sp_two, a)]
+            val = project(sp_two, basis_field(sp_two, b))[sp_two.block("edge", eid)]
+            val = val[position(sp_two, a)]
             assert abs(val) < 1e-10
-
-
-@pytest.mark.parametrize(
-    "duals,owner",
-    [(patch_duals, -1), (patch_duals, 3), (edge_duals, -1), (edge_duals, 99),
-     (vertex_duals, -1), (vertex_duals, 99)],
-)
-def test_duals_reject_unknown_entity_ids(sp_three, duals, owner):
-    # patch -1 used to alias patch 2, patch 3 gave an IndexError and an
-    # unknown edge or vertex a KeyError
-    with pytest.raises(InvalidConfigError):
-        duals(sp_three, owner, SpaceField(sp_three, np.zeros(sp_three.dim)))
 
 
 def test_vertex_dual_delta(sp_two):
@@ -119,7 +108,7 @@ def test_vertex_dual_delta(sp_two):
         vids = ids_where(sp_two, lambda i: i.kind == "vertex" and i.owner == v.id)
         for a in vids:
             for b in vids:
-                duals = vertex_duals(sp_two, v.id, basis_field(sp_two, b))
+                duals = project(sp_two, basis_field(sp_two, b))[sp_two.block("vertex", v.id)]
                 val = duals[position(sp_two, a)]
                 assert abs(val - (1.0 if a == b else 0.0)) < 1e-9
 
@@ -128,7 +117,8 @@ def test_vertex_dual_kills_edge_interior(sp_two):
     v = sp_two.geometry.vertices[0]
     a = ids_where(sp_two, lambda i: i.kind == "vertex" and i.owner == v.id)[0]
     for b in ids_where(sp_two, lambda i: i.kind == "edge"):
-        val = vertex_duals(sp_two, v.id, basis_field(sp_two, b))[position(sp_two, a)]
+        val = project(sp_two, basis_field(sp_two, b))[sp_two.block("vertex", v.id)]
+        val = val[position(sp_two, a)]
         assert abs(val) < 1e-10
 
 
@@ -142,7 +132,8 @@ def test_vertex_dual_of_linear_coordinate(sp_two):
     )
     v = mp.vertices[0]
     sig = sp_two.sigma(v.id)
-    got = vertex_duals(sp_two, v.id, fld)[VERTEX_INDEX_ORDER.index((1, 0))]
+    got = project(sp_two, fld)[sp_two.block("vertex", v.id)]
+    got = got[VERTEX_INDEX_ORDER.index((1, 0))]
     assert abs(got - 1.0 / sig) < 1e-13
 
 
@@ -193,7 +184,8 @@ def test_space_field_values_need_no_patch_map(sp_three, monkeypatch):
     for i in range(3):
         assert np.array_equal(fld.jets(i, x1, x2, 0)[0], expected[i])
         block = ids_where(sp_three, lambda f: f.kind == "patch" and f.owner == i)
-        assert np.abs(patch_duals(sp_three, i, fld) - c[block]).max() < 1e-9
+        own = project(sp_three, fld)[sp_three.block("patch", i)]
+        assert np.abs(own - c[block]).max() < 1e-9
 
 
 def test_duals_sample_every_element_once(sp_three):
@@ -222,19 +214,20 @@ def test_duals_sample_every_element_once(sp_three):
     mp, (n, p) = sp_three.geometry, (sp_three.config.n, sp_three.config.p)
     fld = CountingField(mp)
     c = project(sp_three, cos_sin_field(mp))
-    block = sp_three.block("patch", 1)
-    assert np.array_equal(patch_duals(sp_three, 1, fld), c[block])
-    assert fld.samples == [((n * (p + 1)) ** 2, 0)]
-    eid = mp.interfaces()[0].id
-    assert np.array_equal(edge_duals(sp_three, eid, fld), c[sp_three.block("edge", eid)])
-    assert fld.samples[1:] == [(len(mp.edges) * (n * (p + 1) + n * p), 1)]
+    got = project(sp_three, fld)
+    block, edge = sp_three.block("patch", 1), sp_three.block("edge", mp.interfaces()[0].id)
+    assert np.array_equal(got[block], c[block])
+    assert np.array_equal(got[edge], c[edge])
+    # one grid per patch, then all edges and all vertices in one sample each
+    assert fld.samples == [((n * (p + 1)) ** 2, 0)] * len(mp.patches) + [
+        (len(mp.edges) * (n * (p + 1) + n * p), 1), (len(mp.vertices), 2)]
     edges = _entities(sp_three, "edge")
     assert edges.jets.shape[:2] == (len(mp.edges), n * (p + 1) + n * p)
     assert edges.d.shape[1] == n * p
     x = np.cos(np.arange(sp_three.dim))
     member = CountingMember(sp_three, x)
     assert np.abs(project(sp_three, member) - x).max() < 1e-9
-    assert np.abs(patch_duals(sp_three, 1, member) - x[block]).max() < 1e-9
+    assert np.abs(project(sp_three, member)[block] - x[block]).max() < 1e-9
     assert member.samples == []
 
 
@@ -467,23 +460,6 @@ def test_biorthogonality_matrix_memory_five_patches_n16():
     # patch rows hold their diagonal alone; 52 974 entries when they kept
     # the rounding of the univariate dual table
     assert M.nnz < 2 * space.dim
-
-
-def test_single_entity_duals_are_rows_of_the_projector(sp_three):
-    # edge_duals and vertex_duals return their entity's rows of the same
-    # pass over all entities of the kind that the projector makes
-    mp = sp_three.geometry
-    rng = np.random.default_rng(21)
-    fields = [SpaceField(sp_three, rng.standard_normal(sp_three.dim)),
-              SpaceField(sp_three, rng.standard_normal((sp_three.dim, 3))),
-              cos_sin_field(mp)]
-    for field in fields:
-        c = project(sp_three, field)
-        for e in mp.edges:
-            assert np.array_equal(edge_duals(sp_three, e.id, field), c[sp_three.block("edge", e.id)])
-        for v in mp.vertices:
-            assert np.array_equal(vertex_duals(sp_three, v.id, field),
-                                  c[sp_three.block("vertex", v.id)])
 
 
 @pytest.mark.parametrize("degrees", [(3, 1, 4), (4, 2, 6)])

@@ -690,6 +690,31 @@ def test_smoothness_report_of_coefficient_matrix(sp_three):
     assert "coeffs[:, 1]" in {row[3] for row in rep.edge_rows}
 
 
+@pytest.mark.parametrize("column,kind",
+                         [(0, "patch"), (111, "edge"), (153, "vertex"), (176, "vertex")])
+def test_non_finite_coefficients_are_refused(sp_three, column, kind):
+    # a NaN at edge column 111 or vertex column 176 used to pass the audit:
+    # the maxima dropped a NaN that was not the first row's
+    assert sp_three.basis_id(column).kind == kind
+    c = np.cos(np.arange(sp_three.dim))
+    c[column] = np.nan
+    for call in (lambda: smoothness_report(sp_three, coeffs=c, samples_per_edge=50),
+                 lambda: project(sp_three, SpaceField(sp_three, c)),
+                 lambda: sp_three.combine(np.column_stack([np.zeros_like(c), c]), 0)):
+        with pytest.raises(InvalidConfigError, match="non-finite"):
+            call()
+
+
+def test_smoothness_report_with_a_nan_in_its_second_row_does_not_pass():
+    ok, nan = (0, 1e-12, 1e-12, None), (1, 1e-12, np.nan, None)
+    rep = argyris.fit.SmoothnessReport([ok, nan], [])
+    assert not rep.passed() and np.isnan(rep.max_c1_jump)
+    rep = argyris.fit.SmoothnessReport([ok], [(0, 0.0, None, 0.0), (1, np.nan, None, np.nan)])
+    assert not rep.passed() and np.isnan(rep.max_c2_jump) and np.isnan(rep.max_c2_excess)
+    rep = argyris.fit.SmoothnessReport([ok], [(0, 0.0, None, 0.0), (1, 1e-9, None, 0.5)])
+    assert rep.passed() and rep.max_c2_excess == 0.5
+
+
 def sampled_rows(space, c, samples):
     """The report's rows for the k columns of c (dim, k), each side and corner
     sampled on its own ``rotate_grid`` grid by the public ``SpaceField.jets``:

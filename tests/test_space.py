@@ -695,6 +695,22 @@ def test_sparse_product_matches_dense_product(m, k, n, density):
         assert np.array_equal(P.toarray()[:, j], A @ dense[:, j])
 
 
+@pytest.mark.parametrize("k", [0, 1, 3, 17])
+def test_dense_product_columns_match_their_products_alone(k):
+    # A @ X for X (n, k) is A @ X[:, j] in column j bit for bit, every third
+    # row of A empty
+    rng = np.random.default_rng(k)
+    A = random_csr(rng, (40, 30), 0.2)
+    X = rng.standard_normal((30, k))
+    P = A @ X
+    assert P.shape == (40, k) and P.dtype == float
+    for j in range(k):
+        assert np.array_equal(P[:, j], A @ X[:, j])
+    assert not P[::3].any()
+    np.testing.assert_allclose(P, A.toarray() @ X, rtol=1e-13, atol=1e-13)
+    assert np.array_equal((A @ X.reshape(30, 1, k))[:, 0], P)
+
+
 def test_sparse_product_drops_a_sum_that_cancels_to_zero():
     # row 0: 1 * 1 + 1 * (-1) = 0 exactly, not stored; row 1 is empty
     A = CSRMatrix.from_triplets([0, 0, 2], [0, 1, 1], [1.0, 1.0, 2.0], (3, 2))
