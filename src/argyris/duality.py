@@ -255,8 +255,10 @@ def project(space, field):
     every element's dual points per patch, whose interior indices are read
     one direction at a time, then at the stacked points of all edges and of
     all vertices. One entity's functionals are ``project(space,
-    field)[space.block(kind, id)]``.
+    field)[space.block(kind, id)]``. A field bound to another geometry than
+    the space's is refused.
     """
+    space._check_field(field)
     if isinstance(field, SpaceField):
         coeffs = np.asarray(field.coeffs, dtype=float)
         space._check_coeffs(coeffs)

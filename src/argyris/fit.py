@@ -16,13 +16,12 @@ b_i is A0^T (W o z) A0 for target samples z. The mass is never assembled:
 coefficient grid U by sum factorization, A0^T (W o (A0 U A0^T)) A0, between
 the products with C_i and C_i^T (Antolin, Buffa, Calabro, Martinelli &
 Sangalli, CMAME 2015; Sangalli & Tani, CMAME 2018). It stores only what the
-preconditioner needs, the diagonal and the block G of the edge and vertex
-functions, both from the table D = K^T W K (P, P) of every entry of M_i,
-with K (m, P) the products A0[:, i] A0[:, j] of the P pairs i <= j of 1D
-basis functions that share an element. The edge and vertex columns live on
-the two coefficient layers next to the sides, so G is built side by side
-from dense blocks of those layers, and each patch's part is added to its
-transpose, so G is exactly symmetric.
+preconditioner needs. An interior column is one B-spline (a1, a2) times v,
+so the diagonal there is v^2 ((A0^2)^T W A0^2)[a1, a2]. The edge and vertex
+columns live on the two coefficient layers next to the sides, so their
+block G is an integral over the ring of elements next to the sides, summed
+by the same sum factorization over four pinwheel strips of it, and mirrored
+from its upper triangle, so G is exactly symmetric.
 The normal equations are diagonally scaled, A = S M S with S = diag(M)^-1/2,
 and solved by conjugate gradients with a block-diagonal preconditioner that
 follows the two families of the basis. The patch-interior functions, which
@@ -45,7 +44,6 @@ ecr = log2(e_coarse / e_fine).
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,7 +51,7 @@ from .bspline import _basis_values
 from .duality import AnalyticField, SpaceField, _unit_jets
 from .errors import ArgyrisError, InvalidConfigError, NumericalError
 from .gluing import DEFAULT_TOL
-from .multipatch import edge_frames, refine
+from .multipatch import edge_frames, refine, rotate_net
 from .space import ArgyrisSpace, CSRMatrix, physical_derivatives
 
 __all__ = [
@@ -101,32 +99,6 @@ def _distinct(a):
     return a[first]
 
 
-def _element_dofs(usp):
-    """(n, p+1) indices of the basis functions active on each element."""
-    return np.arange(usp.n)[:, None] * (usp.p - usp.r) + np.arange(usp.p + 1)
-
-
-@lru_cache(maxsize=8)
-def _mass_pattern(usp):
-    """The 1D pairs of basis functions that share an element, read-only.
-
-    Returns (pairs, index): ``pairs`` (2, P) holds the P pairs (i, j) with
-    i <= j, sorted, and ``index`` (N, N) the position in ``pairs`` of
-    (min(i, j), max(i, j)), or -1 (the zero row and column that
-    ``_patch_mass`` appends) where i and j share no element.
-    """
-    N = usp.N
-    dof = _element_dofs(usp)
-    lo = np.minimum(dof[:, :, None], dof[:, None, :])
-    hi = np.maximum(dof[:, :, None], dof[:, None, :])
-    pairs = np.stack(np.divmod(_distinct(lo * N + hi), N))
-    index = np.full((N, N), -1)
-    index[pairs[0], pairs[1]] = index[pairs[1], pairs[0]] = np.arange(pairs.shape[1])
-    for arr in (pairs, index):
-        arr.setflags(write=False)
-    return pairs, index
-
-
 def _check_rule(space, rule):
     """The given rule, or the default p+2 points per direction, checked
     against the mesh of the space."""
@@ -154,99 +126,48 @@ def _patch_weights(space, i, rule):
     return np.abs(det) * np.outer(w, w)
 
 
-def _patch_mass(space, W, rule):
-    """Table D (P+1, P+1) of every entry of the W-weighted mass of the tensor
-    B-splines of one patch: with K[q, k] the product of the two 1D functions
-    of pair k of ``_mass_pattern`` at node q, D = K^T W K, plus a zero last
-    row and column, so that the entry of the tensor B-splines (i1, i2) and
-    (j1, j2) is D[index[i1, j1], index[i2, j2]]."""
-    (p1, p2), _ = _mass_pattern(space.config)
-    A0 = _basis_values(space.config, rule.nodes.ravel())
-    K = A0[:, p1] * A0[:, p2]
-    D = np.zeros((K.shape[1] + 1,) * 2)
-    D[:-1, :-1] = K.T @ (W @ K)
-    return D
+def _interface_mass(space, i, W, rule, start):
+    """Triplets (rows, columns, values) of the upper triangle of the block
+    C_G^T M_i C_G of the columns C_G of C from ``start`` on, the edge and
+    vertex functions, in their local numbering.
 
-
-@lru_cache(maxsize=8)
-def _frame(usp):
-    """The two coefficient layers next to the four sides of the (N, N) grid
-    of a univariate space, as four disjoint bands, and the pairs of bands
-    whose positions share an element.
-
-    Each band is the tensor product of two index ranges and takes the
-    corner at its start (a pinwheel). Returns (bands, pairs): ``bands``
-    holds the flattened positions of each band; ``pairs`` holds (a, b, ra,
-    rb, at) for bands a <= b, with ra and rb the positions in band a and in
-    band b that share an element with one of the other band, and at
-    (len(ra), len(rb)) the flat indices of their mass entries in a
-    ``_patch_mass`` table.
+    Those columns live on the two coefficient layers next to the sides,
+    which p - r >= 2 keeps on the ring of elements next to the sides. The
+    ring is cut into pinwheel strips, one per side s, each seen in the frame
+    turned s quarter turns (the symmetric node grid maps onto itself): the
+    elements (0, 0..n-2), or the single element when n = 1. Across a strip
+    only the first p+1 layers are active. The values X of the columns on a
+    strip are the basis tables across (x) along applied to their dense block
+    Z on the active rows, and the strip adds X^T (w o X).
     """
-    N = usp.N
-    pairs_1d, index = _mass_pattern(usp)
-    size = pairs_1d.shape[1] + 1  # rows of a _patch_mass table
-    first, last = np.arange(2), np.arange(N - 2, N)
-    ranges = [(first, np.arange(N - 2)), (np.arange(N - 2), last),
-              (last, np.arange(2, N)), (np.arange(2, N), first)]
-    bands = [(A1[:, None] * N + A2).ravel() for A1, A2 in ranges]
-    pairs = []
-    for a, (A1, A2) in enumerate(ranges):
-        for b, (B1, B2) in enumerate(ranges[a:], a):
-            i1 = index[np.ix_(A1, B1)][:, None, :, None]
-            i2 = index[np.ix_(A2, B2)][None, :, None, :]
-            share = ((i1 >= 0) & (i2 >= 0)).reshape(len(A1) * len(A2), -1)
-            ra, rb = np.flatnonzero(share.any(1)), np.flatnonzero(share.any(0))
-            at = ((i1 % size) * size + i2 % size).reshape(share.shape)[np.ix_(ra, rb)]
-            if len(ra):
-                pairs.append((a, b, ra, rb, at))
-    return bands, pairs
-
-
-def _interior_masses(C, D, index, stop):
-    """c_a^T M_i c_a for the columns c_a of C before ``stop``, the interior
-    functions, each one scaled B-spline on a patch."""
-    inside = C.indices < stop
-    col, v = C.indices[inside], C.data[inside]
-    a1, a2 = np.divmod(C.row_ids[inside], len(index))
-    if np.bincount(col, minlength=1).max() > 1:
-        raise ArgyrisError("an interior function is more than one B-spline on a patch")
-    return np.bincount(col, v * v * D[index[a1, a1], index[a2, a2]], stop)
-
-
-def _interface_triplets(C, D, frame, start):
-    """Triplets of the block C_G^T M_i C_G of the columns C_G of C from
-    ``start`` on, the edge and vertex functions, in their local numbering.
-
-    Those columns live on the two layers next to the sides, so they are
-    read as one dense block per band of the ``frame``; each pair of bands
-    that shares an element adds the product of their blocks with the mass
-    entries between them (halved for a band with itself) to one dense block
-    E over the patch's columns, and E + E^T is exactly symmetric.
-    """
-    bands, pairs = frame
-    blocks = []
-    for rows in bands:
-        sub = C.take(rows)
-        keep = sub.indices >= start
-        cols, k = np.unique(sub.indices[keep] - start, return_inverse=True)
-        phi = np.zeros((len(rows), len(cols)))
-        phi[sub.row_ids[keep], k] = sub.data[keep]
-        blocks.append((cols, phi))
-    if sum(np.count_nonzero(phi) for _, phi in blocks) != np.count_nonzero(C.indices >= start):
+    cfg = space.config
+    p, n, g, N = cfg.p, rule.n, rule.order, space.N
+    C = space.extraction(i)
+    row, col, val = (a[C.indices >= start] for a in (C.row_ids, C.indices, C.data))
+    layer = np.minimum(np.arange(N), np.arange(N)[::-1])  # counted from the nearer side
+    if np.minimum(layer[row // N], layer[row % N]).max(initial=0) > 1:
         raise ArgyrisError("an edge or vertex function reaches beyond the two "
                            "layers next to the sides of a patch")
-    cols = _distinct(np.concatenate([c for c, _ in blocks]))
-    at = [np.searchsorted(cols, c) for c, _ in blocks]
-    keys, vals = [], []
-    for a, b, ra, rb, entries in pairs:
-        B = blocks[a][1][ra].T @ (D.take(entries) @ blocks[b][1][rb])
-        keys.append((at[a][:, None] * len(cols) + at[b]).ravel())
-        vals.append((0.5 * B if a == b else B).ravel())
-    E = np.bincount(np.concatenate(keys), np.concatenate(vals), len(cols) ** 2)
-    E = E.reshape(len(cols), len(cols))
-    E = E + E.T
-    i, j = np.nonzero(E)
-    return cols[i], cols[j], E[i, j]
+    ne = max(n - 1, 1)  # elements along a strip
+    L = (ne - 1) * (p - cfg.r) + p + 1  # functions active on them
+    A0 = _basis_values(cfg, rule.nodes.ravel())
+    across, along = A0[:g, : p + 1], A0[: ne * g, :L]
+    parts = []
+    for s in range(4) if n > 1 else (0,):
+        at = np.full(N * N, -1)  # position of each row in the strip's block
+        at[space._rows[s][: p + 1, :L].ravel()] = np.arange((p + 1) * L)
+        q = at[row]
+        on = q >= 0
+        live, k = np.unique(col[on], return_inverse=True)
+        Z = np.zeros(((p + 1) * L, len(live)))
+        Z[q[on], k] = val[on]
+        Y = along @ Z.reshape(p + 1, L, -1)  # each layer along the strip
+        X = (across @ Y.reshape(p + 1, -1)).reshape(-1, len(live))  # then across it
+        w = rotate_net(W, s)[:g, : ne * g].reshape(-1, 1)
+        E = X.T @ (X * w)
+        r, c = np.nonzero(np.triu(E))
+        parts.append((live[r] - start, live[c] - start, E[r, c]))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 class MassOperator:
@@ -300,22 +221,25 @@ def assemble_mass(space, rule=None):
     ``MassOperator``: its diagonal and its edge and vertex block are
     assembled, the rest is applied by sum factorization."""
     rule = _check_rule(space, rule)
-    ni = space.breakdown["patch"]
-    _, index = _mass_pattern(space.config)
-    frame = _frame(space.config)
-    interior = np.zeros(ni)
-    triplets = []
-    W = np.stack([_patch_weights(space, i, rule) for i in range(len(space.geometry.patches))])
-    for i, Wi in enumerate(W):
-        C, D = space.extraction(i), _patch_mass(space, Wi, rule)
-        interior += _interior_masses(C, D, index, ni)
-        triplets.append(_interface_triplets(C, D, frame, ni))
-    G = CSRMatrix.from_triplets(
-        *(np.concatenate(t) for t in zip(*triplets)), (space.dim - ni,) * 2
-    )
-    diagonal = np.concatenate([interior, G.diagonal()])
+    ni, P, N = space.breakdown["patch"], len(space.geometry.patches), space.N
+    W = np.stack([_patch_weights(space, i, rule) for i in range(P)])
     A0 = _basis_values(space.config, rule.nodes.ravel())
-    return MassOperator(space.C, A0, W, diagonal, G, ni)
+    # an interior column is one B-spline (a1, a2) of patch i times v: its
+    # mass is v^2 ((A0^2)^T W_i A0^2)[a1, a2]
+    C = space.C
+    inside = C.indices < ni
+    col, v = C.indices[inside], C.data[inside]
+    if np.bincount(col, minlength=1).max() > 1:
+        raise ArgyrisError("an interior function is more than one B-spline on a patch")
+    patch, a1, a2 = np.unravel_index(C.row_ids[inside], (P, N, N))
+    interior = np.bincount(col, v * v * (A0.T**2 @ W @ A0**2)[patch, a1, a2], ni)
+    # the upper triangles of all patches, mirrored: G is exactly symmetric
+    rows, cols, vals = map(np.concatenate, zip(*(_interface_mass(space, i, Wi, rule, ni)
+                                                 for i, Wi in enumerate(W))))
+    off = rows != cols
+    G = CSRMatrix.from_triplets(np.r_[rows, cols[off]], np.r_[cols, rows[off]],
+                                np.r_[vals, vals[off]], (space.dim - ni,) * 2)
+    return MassOperator(C, A0, W, np.concatenate([interior, G.diagonal()]), G, ni)
 
 
 def assemble_rhs(space, fld, rule=None, *, weights=None):
@@ -325,9 +249,11 @@ def assemble_rhs(space, fld, rule=None, *, weights=None):
     A0 the (m, N) basis values at the m quadrature nodes per direction and
     W the patch's |det DF| weights on the rule: the given ``weights`` of the
     patches in order (``l2_fit`` passes those its mass was made with), else
-    made here.
+    made here. A field bound to another geometry than the space's is
+    refused.
     """
     rule = _check_rule(space, rule)
+    space._check_field(fld)
     if weights is None:
         weights = (_patch_weights(space, i, rule) for i in range(len(space.geometry.patches)))
     x = rule.nodes.ravel()

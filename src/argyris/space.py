@@ -596,6 +596,12 @@ class ArgyrisSpace:
         if not np.isfinite(coeffs).all():
             raise InvalidConfigError("coefficient array has non-finite entries")
 
+    def _check_field(self, field):
+        """Refuse a field bound to another geometry object than the space's:
+        its samples would be read on the wrong patch maps."""
+        if field.geometry is not self.geometry:
+            raise InvalidConfigError("the field is bound to another geometry than the space")
+
     def combine(self, coeffs, patch):
         """Dense coefficient grid (N, N) of sum_a coeffs[a] * function_a on a
         patch; a (dim, k) coefficient matrix gives k grids, (N, N, k)."""

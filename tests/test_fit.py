@@ -30,16 +30,12 @@ from argyris import (
     smoothness_report,
 )
 from argyris.cli import main
-from argyris.errors import InvalidConfigError, NumericalError
+from argyris.errors import ArgyrisError, InvalidConfigError, NumericalError
 from argyris.fit import (
     _block_preconditioner,
-    _element_dofs,
     _interface_solver,
     _lanczos_condition,
     _levels,
-    _mass_pattern,
-    _patch_mass,
-    _patch_weights,
     _pcg,
 )
 from argyris.multipatch import edge_frames, rotate_grid
@@ -190,17 +186,18 @@ def test_assembly_matches_element_loop_reference(sp_two):
     ],
 )
 def test_assembly_matches_element_loop_reference_across_degrees(name, p, r):
-    # the 1D pair pattern of the mass depends on (p, r)
+    # the layers and functions active on a boundary strip depend on (p, r)
     check_against_element_loop_reference(
         ArgyrisSpace(builtin_geometry(name, UnivariateSpace(p, r, 4)))
     )
 
 
-@pytest.mark.parametrize("p,r,n", [(3, 1, 4), (4, 2, 3), (5, 1, 2)])
+@pytest.mark.parametrize("p,r,n", [(3, 1, 4), (4, 2, 3), (5, 1, 2), (5, 1, 1)])
 @pytest.mark.parametrize("name", AS_G1_BUILTINS)
 def test_matrix_free_mass_matches_element_loop_reference(name, p, r, n):
     # the operator applied to the identity, its stored diagonal and its stored
-    # edge and vertex block against the dense element-loop mass
+    # edge and vertex block against the dense element-loop mass; at n = 1 the
+    # ring of boundary elements is the single element
     space = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(p, r, n)))
     rule = QuadratureRule(n, p + 2)
     M_ref, _ = reference_mass_rhs(space, cos_sin_field(space.geometry), rule)
@@ -223,30 +220,48 @@ def test_mass_exactly_symmetric_on_every_builtin(name, n):
     assert np.count_nonzero(G - G.T) == 0
 
 
-def test_patch_mass_stores_exactly_the_element_sharing_pairs():
-    space = ArgyrisSpace(builtin_geometry("two_patch_bilinear", UnivariateSpace(3, 1, 32)))
-    rule = QuadratureRule(32, 5)
-    D = _patch_mass(space, _patch_weights(space, 0, rule), rule)
-    # every (row, col) of tensor B-splines active on a common element
-    N, dof = space.N, _element_dofs(space.config)
-    act = (dof[:, None, :, None] * N + dof[None, :, None, :]).reshape(32 * 32, -1)
-    expected = np.unique((act[:, :, None] * N**2 + act[:, None, :]).ravel())
-    # the table holds one entry per pair of 1D pairs; a tensor entry is
-    # stored where both of its 1D pairs share an element
-    pairs, index = _mass_pattern(space.config)
-    i, j = np.nonzero(index >= 0)
-    rows = i[:, None] * N + i[None, :]
-    cols = j[:, None] * N + j[None, :]
-    stored = np.sort((rows.astype(np.int64) * N**2 + cols).ravel())
-    code = pairs[0] * N + pairs[1]
-    assert (np.diff(code) > 0).all() and (pairs[0] <= pairs[1]).all()
-    assert D.shape == (pairs.shape[1] + 1,) * 2
-    assert len(expected) == 150544
-    np.testing.assert_array_equal(stored, expected)
-    k = index[i, j]
-    assert (D[k[:, None], k[None, :]] > 0.0).all()  # B-splines overlap on the open element
-    assert not D[-1].any() and not D[:, -1].any()  # the entry of pairs that share none
+@pytest.mark.parametrize("kind,position,match", [
+    # the first interior function of patch 0 on a second row of that patch
+    ("patch", (2, 3), "an interior function is more than one B-spline"),
+    # the first function of edge 0 on a row four layers away from every side
+    ("edge", (5, 5), "an edge or vertex function reaches beyond the two layers"),
+])
+def test_mass_refuses_a_function_outside_its_rows(sp_three, kind, position, match):
+    # a shallow copy of the space whose C stores one more entry, 1.0 at a
+    # row of patch 0 that the column does not reach
+    import copy
 
+    N, C = sp_three.N, sp_three.C
+    row, col = position[0] * N + position[1], sp_three.block(kind, 0).start
+    assert min(position) >= 2 and N - 1 - max(position) >= 2
+    assert col not in C.take([row]).indices
+    space = copy.copy(sp_three)
+    space.C = CSRMatrix.from_triplets(np.r_[C.row_ids, row], np.r_[C.indices, col],
+                                      np.r_[C.data, 1.0], C.shape)
+    assemble_mass(sp_three)
+    with pytest.raises(ArgyrisError, match=match):
+        assemble_mass(space)
+
+
+def test_fields_bound_to_another_geometry_are_refused(sp_three):
+    # a field samples the patch maps of the geometry it is bound to; on
+    # another geometry its samples would silently sit on the wrong patches
+    five = ArgyrisSpace(builtin_geometry("five_patch_bilinear", sp_three.config))
+    others = [cos_sin_field(five.geometry), SpaceField(five, np.ones(five.dim))]
+    for fld in others:
+        with pytest.raises(InvalidConfigError, match="another geometry"):
+            l2_fit(sp_three, fld)
+        with pytest.raises(InvalidConfigError, match="another geometry"):
+            project(sp_three, fld)
+    # an equal copy of the geometry is another object, and refused too
+    import copy
+
+    with pytest.raises(InvalidConfigError, match="another geometry"):
+        assemble_rhs(sp_three, cos_sin_field(copy.copy(sp_three.geometry)))
+    # bound to the space's own geometry, and to a shallow copy of the space
+    assert l2_fit(sp_three, cos_sin_field(sp_three.geometry)).rel_error < 1e-3
+    member = SpaceField(copy.copy(sp_three), np.ones(sp_three.dim))
+    np.testing.assert_allclose(project(sp_three, member), np.ones(sp_three.dim), atol=1e-9)
 
 
 def test_in_space_fit_reproduces_coefficients(sp_three):
