@@ -9,14 +9,10 @@ study driver.
 
 from . import errors
 from .bspline import (
-    Spline,
     TensorSpline,
     UnivariateSpace,
-    convert,
     derived_edge_spaces,
-    dual_functional,
     local_duals,
-    multiply_by_linear,
     represent_exactly,
 )
 from .duality import (
@@ -37,13 +33,7 @@ from .fit import (
     smoothness_report,
 )
 from .geometries import BUILTIN_NAMES, builtin_geometry
-from .gluing import (
-    GluingData,
-    boundary_gluing,
-    edge_determinants,
-    fit_asg1,
-    transversal_vector,
-)
+from .gluing import GluingData, boundary_gluing, fit_asg1
 from .multipatch import (
     EdgeRecord,
     MultiPatch,
@@ -54,7 +44,6 @@ from .multipatch import (
     load_geometry,
     refine,
     rotate_net,
-    rotate_uv,
     save_geometry,
     standard_form_edge,
 )

@@ -7,9 +7,10 @@ provides basis/derivative evaluation, the derived edge spaces (degree p with
 one order more smoothness, and degree p-1 with the same smoothness) and one
 cached table of local dual functionals per univariate space (``local_duals``,
 after de Boor & Fix, 1973), which reads every coefficient from samples on one
-element. Exact representation from samples, and with it conversions, knot
-insertion and products with linear polynomials, is that table applied to one
-sample of the function, checked for reproduction. Tensor-product splines are
+element. Exact representation from samples (``represent_exactly``; a
+conversion, a knot insertion or a product with a linear polynomial is one
+call on a sampler of the result) is that table applied to one sample of the
+function, checked for reproduction. Tensor-product splines are
 evaluated on tensor grids by sum factorization over per-direction basis
 tables (``grid_jet``); sides and corners of a patch are grids with one
 singleton direction. At scattered points ``TensorSpline.jet`` gathers the
@@ -32,13 +33,9 @@ from .errors import DomainError, InvalidConfigError, NotInSpaceError
 
 __all__ = [
     "UnivariateSpace",
-    "Spline",
     "TensorSpline",
     "derived_edge_spaces",
-    "multiply_by_linear",
     "represent_exactly",
-    "convert",
-    "dual_functional",
     "local_duals",
 ]
 
@@ -126,7 +123,7 @@ class UnivariateSpace:
     def basis_element_range(self, j):
         """Inclusive range (e0, e1) of elements where basis function j is active."""
         if not 0 <= j < self.N:
-            raise IndexError(f"basis index {j} out of range for N={self.N}")
+            raise InvalidConfigError(f"basis index {j} out of range for N={self.N}")
         if self.n == 1:
             return 0, 0
         mult = self.p - self.r
@@ -211,31 +208,6 @@ class UnivariateSpace:
             fac *= p - k
         return first, ders
 
-    def basis_function(self, j):
-        """Basis function j as a Spline (unit coefficient vector)."""
-        c = np.zeros(self.N)
-        c[j] = 1.0
-        return Spline(self, c)
-
-
-class Spline:
-    """A spline in a UnivariateSpace, stored by its coefficient vector."""
-
-    def __init__(self, space, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (space.N,):
-            raise InvalidConfigError(
-                f"coefficient vector has length {coeffs.shape}, expected {space.N}"
-            )
-        self.space = space
-        self.coeffs = coeffs
-
-    def __call__(self, xs, deriv=0):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        first, ders = self.space.basis_ders(xs, deriv)
-        idx = first[:, None] + np.arange(self.space.p + 1)[None, :]
-        out = np.einsum("mi,mi->m", ders[:, deriv, :], self.coeffs[idx])
-        return out
 
 def derived_edge_spaces(space):
     """Edge-trace and edge-derivative spaces attached to a spline space.
@@ -341,26 +313,6 @@ def represent_exactly(space, f):
     return coeffs
 
 
-def convert(spline, target_space):
-    """Re-express a spline exactly in a richer space with the same breakpoints."""
-    return Spline(target_space, represent_exactly(target_space, spline))
-
-
-def multiply_by_linear(spline, a, b):
-    """Exact product of a spline with the linear polynomial a + b*x.
-
-    The result lies in the space of one degree higher and the same interior
-    continuity, sharing the breakpoints of the input.
-    """
-    sp = spline.space
-    r = sp.r if sp.n > 1 else sp.p  # single element: any r gives polynomials
-    target = UnivariateSpace(sp.p + 1, min(r, sp.p), sp.n)
-    return Spline(
-        target,
-        represent_exactly(target, lambda x: (a + b * x) * spline(x)),
-    )
-
-
 class LocalDuals(NamedTuple):
     """Read-only table of the local interpolation duals of a space: the
     Chebyshev points (n, p+1) of every element, the middle element (N,) of
@@ -391,15 +343,6 @@ def local_duals(space):
     for a in (points, element, weights):
         a.setflags(write=False)
     return LocalDuals(points, element, weights)
-
-
-def dual_functional(space, j, f):
-    """Apply the local dual functional of basis j to a function sampler."""
-    if not 0 <= j < space.N:
-        raise IndexError(f"basis index {j} out of range for N={space.N}")
-    duals = local_duals(space)
-    pts = duals.points[duals.element[j]]
-    return float(duals.weights[j] @ np.asarray(f(pts), dtype=float))
 
 
 class TensorSpline:

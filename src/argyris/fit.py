@@ -656,15 +656,6 @@ class SmoothnessReport:
     def passed(self):
         return self.max_c1_jump < 1e-9 and self.max_c2_excess < 1.0
 
-    def to_text(self):
-        lines = ["interface  value_jump  gradient_jump  worst_function"]
-        for eid, dv, dg, fid in self.edge_rows:
-            lines.append(f"{eid:>9d}  {dv:>10.3e}  {dg:>13.3e}  {fid}")
-        lines.append("vertex  hessian_jump  over_bound  worst_function")
-        for vid, dh, fid, excess in self.vertex_rows:
-            lines.append(f"{vid:>6d}  {dh:>12.3e}  {excess:>10.3e}  {fid}")
-        return "\n".join(lines)
-
 
 #: most samples per interface side that ``smoothness_report`` takes
 MAX_SAMPLES_PER_EDGE = 10_000

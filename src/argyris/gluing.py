@@ -26,10 +26,8 @@ from .multipatch import CONFORMITY_TOL, _edge_gap
 
 __all__ = [
     "GluingData",
-    "edge_determinants",
     "fit_asg1",
     "boundary_gluing",
-    "transversal_vector",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -102,23 +100,13 @@ def _edge_jets(F1, F2, xs):
 
 
 def _determinants(j):
+    """(d1, d2, d12) with d1(t) = det[d1F1, d2F1](0, t), d2(t) = det[d1F2,
+    d2F2](t, 0) and d12(t) = det[d2F2(t, 0), d1F1(0, t)], from ``_edge_jets``."""
+
     def det(a, b):
         return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
     return det(j["F1u"], j["F1v"]), det(j["F2u"], j["F2v"]), det(j["F2v"], j["F1u"])
-
-
-def edge_determinants(F1, F2, xs):
-    """The three edge determinants of a standard-form patch pair at xs.
-
-    Returns (d1, d2, d12) with d1(t) = det[d1F1, d2F1](0, t),
-    d2(t) = det[d1F2, d2F2](t, 0) and d12(t) = det[d2F2(t, 0), d1F1(0, t)].
-    On the edge mesh d1 and d2 are piecewise polynomials of degree at most
-    2p-1 and d12 of degree at most 2p; d1 and d2 are positive on a regular
-    geometry. A pair that is not in standard form raises ConformityError.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    return _determinants(_edge_jets(F1, F2, xs))
 
 
 def _fit_sample_points(p, n):
@@ -260,18 +248,11 @@ def boundary_gluing():
     )
 
 
-def transversal_vector(g, F1, xs):
-    """Transversal direction d(t) along the edge of patch 1, and its derivative.
-
-    d(t) = (d1F1(0, t) + beta1(t) d2F1(0, t)) / alpha1(t); the derivative is
-    the analytic derivative of that quotient.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    return _transversal_from_jet(g, F1.grid_jet([0.0], xs, 2), xs)
-
-
 def _transversal_from_jet(g, jet, xs):
-    """``transversal_vector`` from the order-2 jets of patch 1 at (0, xs)."""
+    """Transversal direction d(t) along the edge of patch 1, and its
+    derivative, from the order-2 jets of patch 1 at (0, xs):
+    d(t) = (d1F1(0, t) + beta1(t) d2F1(0, t)) / alpha1(t), and d'(t) the
+    analytic derivative of that quotient."""
     F1u, F1v = jet[:, 1, 0, :], jet[:, 0, 1, :]
     F1uv, F1vv = jet[:, 1, 1, :], jet[:, 0, 2, :]
     a1 = _pv(g.alpha1, xs)[:, None]

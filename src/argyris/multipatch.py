@@ -32,7 +32,6 @@ __all__ = [
     "VertexRecord",
     "MultiPatch",
     "rotate_net",
-    "rotate_uv",
     "rotate_grid",
     "check_regularity",
     "edge_frames",
@@ -59,14 +58,6 @@ def rotate_net(net, k):
     for _ in range(k % 4):
         out = out[::-1].swapaxes(0, 1)
     return out
-
-
-def rotate_uv(uv, k):
-    """Apply the quarter-turn map k times to parametric points."""
-    uv = np.atleast_2d(np.asarray(uv, dtype=float))
-    for _ in range(k % 4):
-        uv = np.stack([1.0 - uv[:, 1], uv[:, 0]], axis=1)
-    return uv
 
 
 def rotate_grid(x1, x2, k):

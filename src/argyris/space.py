@@ -104,19 +104,10 @@ def _block_sizes(config):
 
 
 def space_dimension(mp, config=None):
-    """Dimension and per-family breakdown, from topology counts alone.
-
-    ``mp`` may be a MultiPatch or a bare (patches, edges, vertices) count
-    triple; the latter needs an explicit config.
-    """
-    if isinstance(mp, tuple):
-        counts = mp
-        if config is None:
-            raise InvalidConfigError("count triples need an explicit config")
-    else:
-        counts = (len(mp.patches), len(mp.edges), len(mp.vertices))
-        config = config or mp.config
-    sizes = _block_sizes(config)
+    """Dimension and per-family breakdown, from the topology counts of a
+    MultiPatch alone, under its own config or the given one."""
+    counts = (len(mp.patches), len(mp.edges), len(mp.vertices))
+    sizes = _block_sizes(config or mp.config)
     breakdown = {kind: k * sizes[kind] for kind, k in zip(sizes, counts)}
     return sum(breakdown.values()), breakdown
 
@@ -605,7 +596,6 @@ class ArgyrisSpace:
     def combine(self, coeffs, patch):
         """Dense coefficient grid (N, N) of sum_a coeffs[a] * function_a on a
         patch; a (dim, k) coefficient matrix gives k grids, (N, N, k)."""
-        self.block("patch", patch)
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_coeffs(coeffs)
         return (self.extraction(patch) @ coeffs).reshape(self.shape + coeffs.shape[1:])
@@ -613,6 +603,7 @@ class ArgyrisSpace:
     def extraction(self, patch):
         """The (N*N, dim) extraction matrix of a patch: its rows of ``C``,
         sharing their entries."""
+        self.block("patch", patch)
         return self.C.row_block(patch * self.N**2, (patch + 1) * self.N**2)
 
 

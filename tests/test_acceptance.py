@@ -51,8 +51,12 @@ def report(k, name):
 
 def test_criterion_1_dimension_reproduction():
     t0 = time.perf_counter()
-    three = (3, 9, 7)  # patches, edges, vertices
-    five = (5, 15, 11)
+    # the dimension depends on the topology counts alone, read here from the
+    # coarsest geometry under each finer config
+    three = builtin_geometry("three_patch_bilinear", UnivariateSpace(3, 1, 4))
+    five = builtin_geometry("five_patch_bilinear", UnivariateSpace(3, 1, 4))
+    for mp, counts in ((three, (3, 9, 7)), (five, (5, 15, 11))):  # patches, edges, vertices
+        assert (len(mp.patches), len(mp.edges), len(mp.vertices)) == counts
     expect_three = {4: 177, 8: 729, 16: 2985, 32: 12105}
     expect_five = {4: 291, 8: 1211, 16: 4971, 32: 20171}
     for n, want in expect_three.items():

@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 
 from argyris import (
-    Spline,
     TensorSpline,
     UnivariateSpace,
-    convert,
     derived_edge_spaces,
-    dual_functional,
     local_duals,
-    multiply_by_linear,
     represent_exactly,
 )
 from argyris.bspline import _TABLES, _basis_values
@@ -115,10 +111,9 @@ def test_derivative_vs_finite_difference():
     sp = UnivariateSpace(4, 2, 5)
     rng = np.random.default_rng(2)
     c = rng.normal(size=sp.N)
-    s = Spline(sp, c)
     xs = rng.uniform(0.05, 0.95, 100)
-    d = s(xs, deriv=1)
-    fd = (s(xs + 1e-6) - s(xs - 1e-6)) / 2e-6
+    d = _basis_values(sp, xs, 1) @ c
+    fd = (_basis_values(sp, xs + 1e-6) @ c - _basis_values(sp, xs - 1e-6) @ c) / 2e-6
     assert np.abs(d - fd).max() < 1e-6 * max(1.0, np.abs(d).max())
 
 
@@ -147,58 +142,62 @@ def test_derived_spaces_invalid():
 def test_plus_minus_representable_in_parent():
     usp = UnivariateSpace(3, 1, 4)
     splus, sminus = derived_edge_spaces(usp)
-    for j in range(splus.N):
-        b = splus.basis_function(j)
-        coeffs = represent_exactly(usp, b)  # raises if not representable
-        xs = np.linspace(0, 1, 37)
-        np.testing.assert_allclose(Spline(usp, coeffs)(xs), b(xs), atol=1e-13)
-        dcoeffs = represent_exactly(sminus, lambda x, _b=b: _b(x, deriv=1))
-        np.testing.assert_allclose(
-            Spline(sminus, dcoeffs)(xs), b(xs, deriv=1), atol=1e-12 * 12
-        )
+    # every basis function of S+ at once, one column each; raises if one is
+    # not representable
+    coeffs = represent_exactly(usp, lambda x: _basis_values(splus, x))
+    dcoeffs = represent_exactly(sminus, lambda x: _basis_values(splus, x, 1))
+    xs = np.linspace(0, 1, 37)
+    np.testing.assert_allclose(
+        _basis_values(usp, xs) @ coeffs, _basis_values(splus, xs), atol=1e-13
+    )
+    np.testing.assert_allclose(
+        _basis_values(sminus, xs) @ dcoeffs, _basis_values(splus, xs, 1), atol=1e-12 * 12
+    )
 
 
 # --- exact products and conversions ----------------------------------------
+# A product with the linear polynomial a + b x lies in the space of one degree
+# more and the same interior continuity: it is represented there exactly.
 
 
 def test_multiply_constant_spline_by_x_gives_greville():
-    sp = UnivariateSpace(3, 1, 4)
-    one = Spline(sp, np.ones(sp.N))
-    prod = multiply_by_linear(one, 0.0, 1.0)
-    np.testing.assert_allclose(prod.coeffs, prod.space.greville(), atol=1e-13)
+    sp, target = UnivariateSpace(3, 1, 4), UnivariateSpace(4, 1, 4)
+    prod = represent_exactly(target, lambda x: x * (_basis_values(sp, x) @ np.ones(sp.N)))
+    np.testing.assert_allclose(prod, target.greville(), atol=1e-13)
 
 
 def test_multiply_by_one_is_degree_elevation():
-    sp = UnivariateSpace(2, 1, 3)
+    sp, target = UnivariateSpace(2, 1, 3), UnivariateSpace(3, 1, 3)
     rng = np.random.default_rng(3)
-    s = Spline(sp, rng.normal(size=sp.N))
-    prod = multiply_by_linear(s, 1.0, 0.0)
-    assert prod.space.p == 3
+    c = rng.normal(size=sp.N)
+    prod = represent_exactly(target, lambda x: _basis_values(sp, x) @ c)
     xs = np.linspace(0, 1, 50)
-    np.testing.assert_allclose(prod(xs), s(xs), atol=1e-13)
+    np.testing.assert_allclose(
+        _basis_values(target, xs) @ prod, _basis_values(sp, xs) @ c, atol=1e-13
+    )
 
 
 def test_multiply_bernstein_hand_expansion():
     # b0 of degree 1 is (1-x); x(1-x) has degree-2 Bernstein coefficients (0, 1/2, 0)
-    sp = UnivariateSpace(1, 0, 1)
-    b0 = sp.basis_function(0)
-    prod = multiply_by_linear(b0, 0.0, 1.0)
-    np.testing.assert_allclose(prod.coeffs, [0.0, 0.5, 0.0], atol=1e-14)
+    sp, target = UnivariateSpace(1, 0, 1), UnivariateSpace(2, 1, 1)
+    prod = represent_exactly(target, lambda x: x * _basis_values(sp, x)[:, 0])
+    np.testing.assert_allclose(prod, [0.0, 0.5, 0.0], atol=1e-14)
 
 
 def test_multiply_matches_pointwise_product():
     rng = np.random.default_rng(4)
-    sp = UnivariateSpace(4, 2, 3)
-    s = Spline(sp, rng.normal(size=sp.N))
-    prod = multiply_by_linear(s, 0.7, -1.3)
+    sp, target = UnivariateSpace(4, 2, 3), UnivariateSpace(5, 2, 3)
+    c = rng.normal(size=sp.N)
+    prod = represent_exactly(target, lambda x: (0.7 - 1.3 * x) * (_basis_values(sp, x) @ c))
     xs = rng.uniform(0, 1, 50)
-    ref = (0.7 - 1.3 * xs) * s(xs)
-    assert np.abs(prod(xs) - ref).max() < 1e-13 * max(1.0, np.abs(ref).max())
+    ref = (0.7 - 1.3 * xs) * (_basis_values(sp, xs) @ c)
+    got = _basis_values(target, xs) @ prod
+    assert np.abs(got - ref).max() < 1e-13 * max(1.0, np.abs(ref).max())
 
 
 def test_represent_basis_element_is_unit_vector():
     sp = UnivariateSpace(3, 1, 4)
-    c = represent_exactly(sp, sp.basis_function(2))
+    c = represent_exactly(sp, lambda x: _basis_values(sp, x)[:, 2])
     e2 = np.zeros(sp.N)
     e2[2] = 1.0
     np.testing.assert_allclose(c, e2, atol=1e-13)
@@ -236,10 +235,12 @@ def test_convert_roundtrip():
     coarse = UnivariateSpace(2, 1, 5)
     fine = UnivariateSpace(4, 1, 5)
     rng = np.random.default_rng(5)
-    s = Spline(coarse, rng.normal(size=coarse.N))
-    t = convert(s, fine)
+    c = rng.normal(size=coarse.N)
+    t = represent_exactly(fine, lambda x: _basis_values(coarse, x) @ c)
     xs = np.linspace(0, 1, 41)
-    np.testing.assert_allclose(t(xs), s(xs), atol=1e-13)
+    np.testing.assert_allclose(
+        _basis_values(fine, xs) @ t, _basis_values(coarse, xs) @ c, atol=1e-13
+    )
 
 
 # --- dual functionals -------------------------------------------------------
@@ -250,20 +251,20 @@ def test_convert_roundtrip():
     [(3, 1, 4), (1, 0, 1), (3, -1, 3), (3, 3, 1), (4, 2, 3), (5, 1, 2), (5, 3, 4)],
 )
 def test_dual_biorthogonality(p, r, n):
+    # every dual functional on every basis function at once: the identity
     sp = UnivariateSpace(p, r, n)
-    for j in range(sp.N):
-        for m in range(sp.N):
-            val = dual_functional(sp, j, sp.basis_function(m))
-            assert abs(val - (1.0 if m == j else 0.0)) < 1e-12
+    duals = local_duals(sp)
+    table = duals.apply(_basis_values(sp, duals.points.ravel()))
+    assert np.abs(table - np.eye(sp.N)).max() < 1e-12
 
 
 def test_dual_exact_on_random_splines():
     rng = np.random.default_rng(6)
     sp = UnivariateSpace(4, 2, 6)
     c = rng.normal(size=sp.N)
-    s = Spline(sp, c)
-    for j in range(sp.N):
-        assert abs(dual_functional(sp, j, s) - c[j]) < 1e-12
+    duals = local_duals(sp)
+    got = duals.apply(_basis_values(sp, duals.points.ravel()) @ c)
+    assert np.abs(got - c).max() < 1e-12
 
 
 def test_dual_locality():
@@ -278,7 +279,8 @@ def test_dual_locality():
         out[(x >= supp[0]) & (x <= supp[1])] = 0.0
         return out
 
-    assert dual_functional(sp, j, f) == 0.0
+    duals = local_duals(sp)
+    assert duals.apply(f(duals.points.ravel()), [j]).tolist() == [0.0]
 
 
 def test_local_duals_table_shapes_and_elements():
@@ -291,6 +293,9 @@ def test_local_duals_table_shapes_and_elements():
         assert e == (e0 + e1) // 2
     assert not duals.weights.flags.writeable
     assert local_duals(UnivariateSpace(4, 2, 3)) is duals
+    for j in (-1, sp.N):
+        with pytest.raises(InvalidConfigError):
+            sp.basis_element_range(j)
 
 
 def test_config_rejects_multiplicity_above_p_plus_one():

@@ -7,12 +7,11 @@ from argyris import (
     UnivariateSpace,
     boundary_gluing,
     builtin_geometry,
-    edge_determinants,
     fit_asg1,
     standard_form_edge,
-    transversal_vector,
 )
 from argyris.errors import ConformityError, NotASG1Error
+from argyris.gluing import _determinants, _edge_jets, _transversal_from_jet
 from conftest import pointwise_jet
 
 
@@ -20,10 +19,20 @@ def interface_pair(mp, k=0):
     return standard_form_edge(mp, mp.interfaces()[k])
 
 
+def determinants(F1, F2, xs):
+    """(d1, d2, d12) of a standard-form pair at xs, as ``fit_asg1`` reads them."""
+    return _determinants(_edge_jets(F1, F2, xs))
+
+
+def transversal(g, F1, xs):
+    """Transversal vector d and d' along the edge of patch 1, as the space reads them."""
+    return _transversal_from_jet(g, F1.grid_jet([0.0], xs, 2), xs)
+
+
 def test_translated_squares_determinants(mp_two):
     F1, F2 = interface_pair(mp_two)
     xs = np.linspace(0, 1, 33)
-    d1, d2, d12 = edge_determinants(F1, F2, xs)
+    d1, d2, d12 = determinants(F1, F2, xs)
     np.testing.assert_allclose(d12, 0.0, atol=1e-14)
     np.testing.assert_allclose(d1, d2, atol=1e-14)
     # patch 1 here is the identity square: unit Jacobian determinant
@@ -58,7 +67,7 @@ def test_determinants_match_finite_difference_oracle(mp_three):
     uv2 = np.column_stack([xs, np.zeros_like(xs)])
     for k in range(len(mp_three.interfaces())):
         F1, F2 = interface_pair(mp_three, k)
-        e1, e2, e12 = edge_determinants(F1, F2, xs)
+        e1, e2, e12 = determinants(F1, F2, xs)
         a1 = fd_onesided(F1, uv1, 0)
         a2 = fd_central(F1, uv1, 1)
         b1 = fd_central(F2, uv2, 0)
@@ -72,10 +81,10 @@ def test_determinants_match_finite_difference_oracle(mp_three):
         assert np.abs(e12 - d12).max() < 1e-9 * scale
 
 
-def test_edge_determinants_require_standard_form(mp_two):
+def test_fit_requires_standard_form(mp_two):
     F1, F2 = interface_pair(mp_two)
     with pytest.raises(ConformityError):
-        edge_determinants(F1, F1, np.linspace(0, 1, 5))
+        fit_asg1(F1, F1)
 
 
 def test_parametric_continuity_special_case(mp_two):
@@ -179,7 +188,7 @@ def test_transversal_parametric_case(mp_two):
     F1, F2 = interface_pair(mp_two)
     g = fit_asg1(F1, F2)
     xs = np.linspace(0, 1, 21)
-    d, dp = transversal_vector(g, F1, xs)
+    d, dp = transversal(g, F1, xs)
     jet = F1.jet(np.column_stack([np.zeros_like(xs), xs]), 1)
     np.testing.assert_allclose(d, jet[:, 1, 0, :], atol=1e-14)
 
@@ -189,7 +198,7 @@ def test_transversal_defining_identity(mp_three):
     for e in mp_three.interfaces():
         F1, F2 = standard_form_edge(mp_three, e)
         g = fit_asg1(F1, F2)
-        d, _ = transversal_vector(g, F1, xs)
+        d, _ = transversal(g, F1, xs)
         jet = F1.jet(np.column_stack([np.zeros_like(xs), xs]), 1)
         lhs = P.polyval(xs, g.alpha1)[:, None] * d
         rhs = jet[:, 1, 0, :] + P.polyval(xs, g.beta1)[:, None] * jet[:, 0, 1, :]
@@ -201,7 +210,7 @@ def test_transversal_two_sided_identity(mp_three):
     for e in mp_three.interfaces():
         F1, F2 = standard_form_edge(mp_three, e)
         g = fit_asg1(F1, F2)
-        d, _ = transversal_vector(g, F1, xs)
+        d, _ = transversal(g, F1, xs)
         jet2 = F2.jet(np.column_stack([xs, np.zeros_like(xs)]), 1)
         rhs = jet2[:, 0, 1, :] + P.polyval(xs, g.beta2)[:, None] * jet2[:, 1, 0, :]
         assert np.abs(-P.polyval(xs, g.alpha2)[:, None] * d - rhs).max() < 1e-10
@@ -211,9 +220,9 @@ def test_transversal_derivative_is_analytic(mp_curved):
     F1, F2 = interface_pair(mp_curved)
     g = fit_asg1(F1, F2)
     xs = np.linspace(0.05, 0.95, 20)
-    _, dp = transversal_vector(g, F1, xs)
-    dplus, _ = transversal_vector(g, F1, xs + 1e-6)
-    dminus, _ = transversal_vector(g, F1, xs - 1e-6)
+    _, dp = transversal(g, F1, xs)
+    dplus, _ = transversal(g, F1, xs + 1e-6)
+    dminus, _ = transversal(g, F1, xs - 1e-6)
     fd = (dplus - dminus) / 2e-6
     assert np.abs(dp - fd).max() < 1e-6 * max(1.0, np.abs(dp).max())
 
@@ -226,7 +235,7 @@ def test_boundary_gluing(mp_two):
     np.testing.assert_array_equal(g.alpha1, [1.0, 0.0])
     np.testing.assert_array_equal(g.beta1, [0.0, 0.0])
     xs = np.linspace(0, 1, 11)
-    d, _ = transversal_vector(g, F1, xs)
+    d, _ = transversal(g, F1, xs)
     jet = F1.jet(np.column_stack([np.zeros_like(xs), xs]), 1)
     np.testing.assert_allclose(d, jet[:, 1, 0, :], atol=1e-14)
 

@@ -397,8 +397,8 @@ def test_interface_recorded_as_two_boundary_edges_is_refused(mp_two):
         ArgyrisSpace(mp)
 
 
-def test_rotate_grid_matches_rotate_uv_on_sides_and_corners():
-    from argyris.multipatch import CORNER_UV, rotate_grid, rotate_uv
+def test_rotate_grid_matches_quarter_turns_on_sides_and_corners():
+    from argyris.multipatch import CORNER_UV, rotate_grid
 
     t = np.linspace(0.0, 1.0, 7)
     for x1, x2 in (([0.0], t), (t, [0.0]), ([0.0], [0.0])):
@@ -406,6 +406,9 @@ def test_rotate_grid_matches_rotate_uv_on_sides_and_corners():
         for k in range(-1, 6):
             g1, g2 = rotate_grid(x1, x2, k)
             got = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1).reshape(-1, 2)
-            assert np.array_equal(got, rotate_uv(uv, k))
+            want = uv
+            for _ in range(k % 4):  # r(xi1, xi2) = (1 - xi2, xi1), point by point
+                want = np.column_stack([1.0 - want[:, 1], want[:, 0]])
+            assert np.array_equal(got, want)
     for c in range(4):
         assert np.array_equal(np.concatenate(rotate_grid([0.0], [0.0], c)), CORNER_UV[c])

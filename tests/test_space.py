@@ -10,9 +10,11 @@ from argyris import (
     refine,
 )
 from argyris.errors import InvalidConfigError
-from argyris.multipatch import CORNER_UV, edge_frames, rotate_uv
+from argyris.bspline import _basis_values
+from argyris.gluing import _transversal_from_jet
+from argyris.multipatch import CORNER_UV, edge_frames, rotate_grid
 from argyris.space import _PRODUCT_ROWS, BasisId, CSRMatrix, VERTEX_INDEX_ORDER, _edge_index_set
-from argyris import Spline, TensorSpline, UnivariateSpace, bspline, load_geometry, save_geometry
+from argyris import TensorSpline, UnivariateSpace, bspline, load_geometry, save_geometry
 from argyris.errors import TopologyError
 from argyris.multipatch import MultiPatch, VertexRecord
 from conftest import member_jet, square_grid_geometry
@@ -24,6 +26,11 @@ AS_G1_BUILTINS = (
     "lshape_bilinear",
     "two_patch_curved_asg1",
 )
+
+
+def turned(x1, x2, k):
+    """Points (m, 2) of the side or corner grid x1 x x2 after k quarter turns."""
+    return np.column_stack(np.broadcast_arrays(*rotate_grid(x1, x2, k)))
 
 
 def ids_of_kind(space, kind, owner=None):
@@ -166,8 +173,8 @@ def test_patch_function_is_mapped_bspline(sp_three):
     _, d2 = sp_three.config.basis_ders(uv[:, 1], 0)
     f1, _ = sp_three.config.basis_ders(uv[:, 0], 0)
     want = (
-        sp_three.config.basis_function(j1)(uv[:, 0])
-        * sp_three.config.basis_function(j2)(uv[:, 1])
+        _basis_values(sp_three.config, uv[:, 0])[:, j1]
+        * _basis_values(sp_three.config, uv[:, 1])[:, j2]
     )[0]
     assert abs(got - want) < 1e-14
 
@@ -177,8 +184,8 @@ def test_patch_function_is_mapped_bspline(sp_three):
 
 def edge_sample_frames(mp, e, t):
     (i1, k1), (i2, k2) = e.locals
-    uv1 = rotate_uv(np.column_stack([np.zeros_like(t), t]), k1)
-    uv2 = rotate_uv(np.column_stack([t, np.zeros_like(t)]), (k2 - 1) % 4)
+    uv1 = turned(0.0, t, k1)
+    uv2 = turned(t, 0.0, (k2 - 1) % 4)
     return (i1, uv1), (i2, uv2)
 
 
@@ -202,7 +209,7 @@ def test_edge_functions_vanish_to_second_order_at_endpoints(sp_three):
     ends = np.array([[0.0], [1.0]])
     for e in mp.edges:
         (i1, rot), *_ = edge_frames(e)
-        uv = rotate_uv(np.column_stack([np.zeros_like(ends[:, 0]), ends[:, 0]]), rot)
+        uv = turned(0.0, ends[:, 0], rot)
         gj = mp.patches[i1].jet(uv, 2)
         for a in ids_of_kind(sp_three, "edge", e.id):
             fj = member_jet(sp_three, unit(sp_three, a), i1, uv, 2)
@@ -215,26 +222,25 @@ def test_edge_functions_vanish_to_second_order_at_endpoints(sp_three):
 def test_edge_trace_and_transversal_reproduction(sp_three):
     # trace of the (j,0) function along the interface equals b+_j; the scaled
     # transversal derivative of the (j,1) function equals b-_j
-    from argyris.gluing import transversal_vector
-
     mp = sp_three.geometry
     t = np.linspace(0, 1, 60)
     hp = sp_three.config.h / sp_three.config.p
     for e in mp.interfaces():
         (i1, rot), *_ = edge_frames(e)
-        uv = rotate_uv(np.column_stack([np.zeros_like(t), t]), rot)
+        uv = turned(0.0, t, rot)
         gj = mp.patches[i1].jet(uv, 2)
-        d, _ = transversal_vector(sp_three.gluing[e.id], mp.patches[i1].rotate(rot), t)
+        jet = mp.patches[i1].rotate(rot).grid_jet([0.0], t, 2)
+        d, _ = _transversal_from_jet(sp_three.gluing[e.id], jet, t)
         for a in ids_of_kind(sp_three, "edge", e.id):
             j, s = sp_three.basis_id(a).index
             fj = member_jet(sp_three, unit(sp_three, a), i1, uv, 2)
             val, grad, _ = physical_derivatives(gj, fj)
             if s == 0:
-                want = sp_three.splus.basis_function(j)(t)
+                want = _basis_values(sp_three.splus, t)[:, j]
                 assert np.abs(val - want).max() < 1e-10
             else:
                 got = hp * np.einsum("mi,mi->m", grad, d)
-                want = sp_three.sminus.basis_function(j)(t)
+                want = _basis_values(sp_three.sminus, t)[:, j]
                 assert np.abs(got - want).max() < 1e-10
                 assert np.abs(val).max() < 1e-12
 
@@ -281,8 +287,8 @@ def test_vertex_projector_mixed_hessian_slot(sp_three):
     t = np.linspace(0, 1, 200)
     for e in mp.interfaces():
         (i1, k1), (i2, k2) = e.locals
-        uv1 = rotate_uv(np.column_stack([np.zeros_like(t), t]), k1)
-        uv2 = rotate_uv(np.column_stack([t, np.zeros_like(t)]), (k2 - 1) % 4)
+        uv1 = turned(0.0, t, k1)
+        uv2 = turned(t, 0.0, (k2 - 1) % 4)
         gj1 = mp.patches[i1].jet(uv1, 2)
         gj2 = mp.patches[i2].jet(uv2, 2)
         f1 = TensorSpline(sp_three.config, sp_three.combine(c, i1)).jet(uv1, 2)
@@ -424,9 +430,10 @@ def test_evaluate_unit_vector_matches_basis(sp_three):
     rng = np.random.default_rng(0)
     uv = rng.uniform(0, 1, (20, 2))
     got = member_jet(sp_three, c, 2, uv, 0)[:, 0, 0]
-    want = sp_three.config.basis_function(j1)(uv[:, 0]) * sp_three.config.basis_function(
-        j2
-    )(uv[:, 1])
+    want = (
+        _basis_values(sp_three.config, uv[:, 0])[:, j1]
+        * _basis_values(sp_three.config, uv[:, 1])[:, j2]
+    )
     np.testing.assert_allclose(got, want, atol=1e-14)
 
 
@@ -452,7 +459,7 @@ def test_linear_products_match_exact_representation(sp_three):
     v = np.random.default_rng(4).normal(size=sm.N)
     lin = np.array([0.7, -1.3])
     want = represent_exactly(
-        sp_three.config, lambda x: (lin[0] + lin[1] * x) * Spline(sm, v)(x)
+        sp_three.config, lambda x: (lin[0] + lin[1] * x) * (_basis_values(sm, x) @ v)
     )
     np.testing.assert_allclose(sp_three._mult_rep(v, lin), want, rtol=0, atol=1e-13)
 
@@ -525,11 +532,14 @@ def test_evaluate_validates_patch_index(sp_three):
         member_jet(sp_three, np.zeros(sp_three.dim), 17, np.array([[0.5, 0.5]]), 0)
 
 
+@pytest.mark.parametrize("method", ["combine", "extraction"])
 @pytest.mark.parametrize("patch", [-1, 3, 17])
-def test_combine_validates_patch_index(sp_three, patch):
-    # -1 used to give the last patch's grid and 3 a bare IndexError
+def test_combine_validates_patch_index(sp_three, method, patch):
+    # -1 used to give the last patch's grid (extraction: an empty matrix) and
+    # 3 a bare IndexError
+    args = (np.zeros(sp_three.dim), patch) if method == "combine" else (patch,)
     with pytest.raises(InvalidConfigError):
-        sp_three.combine(np.zeros(sp_three.dim), patch)
+        getattr(sp_three, method)(*args)
 
 
 @pytest.mark.parametrize("p,r,n", [(5, 2, 2), (4, 1, 2), (4, 2, 3)])
