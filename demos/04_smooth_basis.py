@@ -48,9 +48,9 @@ v = [v for v in mp.vertices if v.is_interior][0]
 print(f"\nvertex {v.id}: sigma = {space.sigma(v.id):.6f}")
 coeffs = space.vertex_projector(v.id, C2Data(1.0, np.zeros(2), np.zeros((2, 2))))
 ip, c = v.corners[0]
-gj = mp.patches[ip].jet(CORNER_UV[c:c + 1], 2)
-fj = TensorSpline(space.config, space.combine(coeffs, ip)).jet(
-    CORNER_UV[c:c + 1], 2)
+# a corner is a 1 x 1 tensor grid
+gj = mp.patches[ip].grid_jet(*CORNER_UV[c], 2)
+fj = TensorSpline(space.config, space.combine(coeffs, ip)).grid_jet(*CORNER_UV[c], 2)
 val, grad, hess = physical_derivatives(gj, fj)
 print("value-slot interpolant at the vertex: value", round(val[0], 12),
       "gradient", np.round(grad[0], 12), "Hessian max", np.abs(hess).max())

@@ -36,11 +36,11 @@ linear = AnalyticField(
     lambda x: np.zeros((len(x), 2, 2)),
 )
 cl = project(space, linear)
-uv = rng.uniform(0, 1, (100, 2))
+t = rng.uniform(0, 1, 10)  # a random 10 x 10 tensor grid of parameters
 worst = 0.0
 for i in range(len(mp.patches)):
-    got = TensorSpline(space.config, space.combine(cl, i)).jet(uv, 0)[:, 0, 0]
-    x = mp.patches[i].point(uv)
+    got = TensorSpline(space.config, space.combine(cl, i)).grid_jet(t, t, 0)[:, 0, 0]
+    x = mp.patches[i].grid_jet(t, t, 0)[:, 0, 0]
     worst = max(worst, np.abs(got - (2.0 + x[:, 0] - 3.0 * x[:, 1])).max())
 print("pointwise residual of the projected linear function:", worst)
 

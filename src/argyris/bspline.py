@@ -13,13 +13,14 @@ call on a sampler of the result) is that table applied to one sample of the
 function, checked for reproduction. Tensor-product splines are
 evaluated on tensor grids by sum factorization over per-direction basis
 tables (``grid_jet``); sides and corners of a patch are grids with one
-singleton direction. At scattered points ``TensorSpline.jet`` gathers the
-(p+1) x (p+1) active coefficients of every point and contracts them with
-its basis values in both directions. A basis table (``_basis_values``) is
+singleton direction. Every value and derivative comes from one recurrence
+(``UnivariateSpace.basis_ders``): the Cox–de Boor triangle, whose support
+lengths also divide in the derivative rule. A basis table (``_basis_values``) is
 made once per (space, points, derivative order) and returned read-only to
 every later caller while it is among the last 8 MB of tables used.
 """
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -132,81 +133,48 @@ class UnivariateSpace:
         return e0, e1
 
     def basis_ders(self, xs, nderiv):
-        """Evaluate all active basis functions and derivatives at points xs.
+        """First active indices (m,) and derivatives ders (m, nderiv+1, p+1) of
+        the active basis functions at points xs in [0, 1]: ``ders[q, k, i]``
+        is the k-th derivative of function ``first[q] + i`` at ``xs[q]``, 0
+        for k > p. Breakpoints take the right limit, and 1 the left limit.
 
-        Parameters
-        ----------
-        xs : array_like
-            Evaluation points in [0, 1].
-        nderiv : int
-            Highest derivative order requested.
-
-        Returns
-        -------
-        first : (m,) int array
-            Index of the first active basis function at each point.
-        ders : (m, nderiv+1, p+1) array
-            ``ders[q, k, i]`` is the k-th derivative of basis function
-            ``first[q] + i`` at ``xs[q]``. At breakpoints the right limit is
-            used, except at 1 where the left limit is used.
+        The values are the Cox–de Boor triangle in the left/right form (Cox
+        1972, de Boor 1972). Its support lengths t_{i+q} - t_i also divide in
+        the derivative rule d/dx B_{i,q} = q (B_{i,q-1} / (t_{i+q} - t_i) -
+        B_{i+1,q-1} / (t_{i+q+1} - t_{i+1})). k steps of it, with their
+        factors q taken together as p!/(p-k)!, take the degree p-k values to
+        the k-th derivatives (de Boor, *A Practical Guide to Splines*).
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if np.any(xs < -1e-14) or np.any(xs > 1.0 + 1e-14):
-            raise DomainError(f"points outside [0, 1]: {xs.min()}..{xs.max()}")
+        inside = (xs >= -1e-14) & (xs <= 1.0 + 1e-14)
+        if not inside.all():
+            raise DomainError(f"points outside [0, 1]: {xs[~inside][:4]}")
         xs = np.clip(xs, 0.0, 1.0)
-        p = self.p
-        m = len(xs)
-        elem = self.element_of(xs)
-        span = p + elem * (p - self.r)
-        first = span - p
-        knots = self.knots
-
-        nd = min(nderiv, p)
-        ndu = np.empty((m, p + 1, p + 1))
-        ndu[:, 0, 0] = 1.0
-        left = np.empty((m, p + 1))
-        right = np.empty((m, p + 1))
-        for j in range(1, p + 1):
-            left[:, j] = xs - knots[span + 1 - j]
-            right[:, j] = knots[span + j] - xs
-            saved = np.zeros(m)
-            for rr in range(j):
-                ndu[:, j, rr] = right[:, rr + 1] + left[:, j - rr]
-                temp = ndu[:, rr, j - 1] / ndu[:, j, rr]
-                ndu[:, rr, j] = saved + right[:, rr + 1] * temp
-                saved = left[:, j - rr] * temp
-            ndu[:, j, j] = saved
-
+        p, m = self.p, len(xs)
+        span = p + self.element_of(xs) * (p - self.r)
+        k = np.arange(1, p + 1)[:, None]
+        left = xs - self.knots[span + 1 - k]  # left[k-1] = x - t[span+1-k]
+        right = self.knots[span + k] - xs  # right[k-1] = t[span+k] - x
+        # vals[q] (q+1, m): degree-q values; gaps[q] (q, m): supports of degree q-1
+        vals, gaps = [np.ones((1, m))], [None]
+        for q in range(1, p + 1):
+            gaps.append(right[:q] + left[q - 1 :: -1])
+            temp = vals[-1] / gaps[q]
+            v = np.zeros((q + 1, m))
+            v[:q] = right[:q] * temp
+            v[1:] += left[q - 1 :: -1] * temp
+            vals.append(v)
         ders = np.zeros((m, nderiv + 1, p + 1))
-        ders[:, 0, :] = ndu[:, :, p]
-        a = np.empty((m, 2, p + 1))
-        for rr in range(p + 1):
-            s1, s2 = 0, 1
-            a[:, 0, :] = 0.0
-            a[:, 0, 0] = 1.0
-            for k in range(1, nd + 1):
-                d = np.zeros(m)
-                rk = rr - k
-                pk = p - k
-                if rr >= k:
-                    a[:, s2, 0] = a[:, s1, 0] / ndu[:, pk + 1, rk]
-                    d = a[:, s2, 0] * ndu[:, rk, pk]
-                j1 = 1 if rk >= -1 else -rk
-                j2 = k - 1 if rr - 1 <= pk else p - rr
-                for j in range(j1, j2 + 1):
-                    a[:, s2, j] = (a[:, s1, j] - a[:, s1, j - 1]) / ndu[:, pk + 1, rk + j]
-                    d = d + a[:, s2, j] * ndu[:, rk + j, pk]
-                if rr <= pk:
-                    a[:, s2, k] = -a[:, s1, k - 1] / ndu[:, pk + 1, rr]
-                    d = d + a[:, s2, k] * ndu[:, rr, pk]
-                ders[:, k, rr] = d
-                s1, s2 = s2, s1
-
-        fac = float(p)
-        for k in range(1, nd + 1):
-            ders[:, k, :] *= fac
-            fac *= p - k
-        return first, ders
+        ders[:, 0] = vals[p].T
+        for k in range(1, min(nderiv, p) + 1):
+            d = vals[p - k]
+            for q in range(p - k + 1, p + 1):
+                u = (1.0 / gaps[q]) * d
+                d = np.zeros((q + 1, m))
+                d[1:] = u
+                d[:q] -= u
+            ders[:, k] = math.perm(p, k) * d.T
+        return span - p, ders
 
 
 def derived_edge_spaces(space):
@@ -325,7 +293,14 @@ class LocalDuals(NamedTuple):
     weights: np.ndarray
 
     def apply(self, samples, index=slice(None)):
-        """Coefficients ``index`` from samples at ``points.ravel()`` (axis 0)."""
+        """Coefficients ``index`` (a slice, or indices in 0..N-1) from samples
+        at ``points.ravel()`` (axis 0)."""
+        if len(samples) != self.points.size:
+            raise InvalidConfigError(f"need {self.points.size} samples, got {len(samples)}")
+        if not isinstance(index, slice):
+            index = np.asarray(index)
+            if index.size and not 0 <= index.min() <= index.max() < len(self.weights):
+                raise InvalidConfigError(f"coefficient index not in 0..{len(self.weights) - 1}")
         local = samples.reshape(self.points.shape + samples.shape[1:])[self.element[index]]
         return np.einsum("jq,jq...->j...", self.weights[index], local)
 
@@ -362,30 +337,18 @@ class TensorSpline:
         self.space = space
         self.coeffs = coeffs
 
-    def jet(self, uv, nderiv):
-        """Partial derivatives up to the given order at parametric points uv
-        (m, 2): ``D[q, a, b]`` = d^a/dxi1^a d^b/dxi2^b of the function at
-        uv[q], shape (m, nderiv+1, nderiv+1, ...), from the (p+1) x (p+1)
-        coefficients active at each point."""
-        uv = np.atleast_2d(np.asarray(uv, dtype=float))
-        f1, d1 = self.space.basis_ders(uv[:, 0], nderiv)
-        f2, d2 = self.space.basis_ders(uv[:, 1], nderiv)
-        span = np.arange(self.space.p + 1)
-        i1, i2 = f1[:, None] + span, f2[:, None] + span
-        active = self.coeffs[i1[:, :, None], i2[:, None, :]]
-        return np.einsum("mai,mij...,mbj->mab...", d1, active, d2)
-
     def grid_jet(self, x1, x2, nderiv):
-        """``jet`` on the tensor grid x1 x x2, by sum factorization.
-
-        Equals ``jet(uv, nderiv)`` for the x1-major flattened grid
-        ``uv[q1 * len(x2) + q2] = (x1[q1], x2[q2])``, with the same one-sided
-        limits at breakpoints. Each derivative pair (a, b) is the product
-        ``A_a @ coeffs @ B_b^T`` of dense per-direction collocation tables
-        (Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME 2015), so the
-        basis is evaluated len(x1) + len(x2) times instead of len(x1) *
-        len(x2) times. The shorter direction is contracted first, so a patch
-        side costs one pass over the coefficients.
+        """Partial derivatives up to the given order on the tensor grid
+        x1 x x2, by sum factorization: ``D[q, a, b]`` = d^a/dxi1^a d^b/dxi2^b
+        of the function at point q = q1 * len(x2) + q2 of the x1-major
+        flattened grid, shape (len(x1) * len(x2), nderiv+1, nderiv+1, ...),
+        with the one-sided limits of ``basis_ders`` at breakpoints. Each
+        derivative pair (a, b) is the product ``A_a @ coeffs @ B_b^T`` of
+        dense per-direction collocation tables (Antolin, Buffa, Calabro,
+        Martinelli & Sangalli, CMAME 2015), so the basis is evaluated
+        len(x1) + len(x2) times instead of len(x1) * len(x2) times. The
+        shorter direction is contracted first, so a patch side costs one pass
+        over the coefficients.
         """
         x1 = np.atleast_1d(np.asarray(x1, dtype=float))
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))

@@ -72,7 +72,7 @@ def rotate_grid(x1, x2, k):
 
 class Patch(TensorSpline):
     """Tensor-spline map from [0, 1]^2 into the plane: its coefficients are
-    the (N, N, 2) control net, and ``jet`` and ``grid_jet`` give
+    the (N, N, 2) control net, and ``grid_jet`` gives
     D[q, a, b, :] = d^a d^b F / dxi1^a dxi2^b."""
 
     def __init__(self, space, net):
@@ -84,9 +84,6 @@ class Patch(TensorSpline):
     @property
     def net(self):
         return self.coeffs
-
-    def point(self, uv):
-        return self.jet(uv, 0)[:, 0, 0, :]
 
     def rotate(self, k):
         """Same point set reparametrized by the k-fold quarter turn, on a

@@ -4,7 +4,6 @@ import pytest
 from argyris import (
     ArgyrisSpace,
     Patch,
-    TensorSpline,
     UnivariateSpace,
     builtin_geometry,
     infer_topology,
@@ -15,8 +14,8 @@ def pointwise_jet(space, coeffs, uv, nderiv):
     """Jet (m, nderiv+1, nderiv+1, ...) of the tensor spline with coefficient
     grid ``coeffs`` on the square of a univariate space at points uv (m, 2):
     the active (p+1) x (p+1) coefficients of every point gathered and
-    contracted with its basis values. A reference independent of
-    ``TensorSpline.grid_jet``; ``TensorSpline.jet`` uses the same gather."""
+    contracted with its basis values. A reference independent of the sum
+    factorization of ``TensorSpline.grid_jet``."""
     uv = np.atleast_2d(np.asarray(uv, dtype=float))
     f1, d1 = space.basis_ders(uv[:, 0], nderiv)
     f2, d2 = space.basis_ders(uv[:, 1], nderiv)
@@ -29,7 +28,12 @@ def pointwise_jet(space, coeffs, uv, nderiv):
 def member_jet(space, coeffs, patch, uv, nderiv):
     """Parametric jet (m, nderiv+1, nderiv+1, ...) on one patch of the member
     of an ArgyrisSpace with the given coefficients (dim,) or (dim, k)."""
-    return TensorSpline(space.config, space.combine(coeffs, patch)).jet(uv, nderiv)
+    return pointwise_jet(space.config, space.combine(coeffs, patch), uv, nderiv)
+
+
+def patch_point(patch, uv):
+    """Images (m, 2) of the parametric points uv (m, 2) under a Patch."""
+    return pointwise_jet(patch.space, patch.net, uv, 0)[:, 0, 0]
 
 
 def bilinear_patch(space, c00, c10, c11, c01):

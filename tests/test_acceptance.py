@@ -33,7 +33,7 @@ from argyris import (
 from argyris.errors import NotASG1Error
 from argyris.fit import _integral_sq
 from argyris.multipatch import CORNER_UV
-from conftest import member_jet
+from conftest import member_jet, pointwise_jet
 from test_bspline import oracle_deriv, oracle_knots
 
 ASG1_BUILTINS = (
@@ -123,8 +123,6 @@ def test_criterion_6_vertex_projector(name, request):
     )
     mp = sp.geometry
     rng = np.random.default_rng(6)
-    from argyris import TensorSpline
-
     for v in mp.vertices:
         # exact annihilation of zero data
         c = sp.vertex_projector(v.id, C2Data(0.0, np.zeros(2), np.zeros((2, 2))))
@@ -137,8 +135,8 @@ def test_criterion_6_vertex_projector(name, request):
             c = sp.vertex_projector(v.id, C2Data(val, g, H))
             for ip, corner in v.corners:
                 uv = CORNER_UV[corner : corner + 1]
-                gj = mp.patches[ip].jet(uv, 2)
-                fj = TensorSpline(sp.config, sp.combine(c, ip)).jet(uv, 2)
+                gj = pointwise_jet(mp.patches[ip].space, mp.patches[ip].net, uv, 2)
+                fj = pointwise_jet(sp.config, sp.combine(c, ip), uv, 2)
                 # physical interpolation up to second order
                 vv, gg, hh = physical_derivatives(gj, fj)
                 assert abs(vv[0] - val) < 1e-9
@@ -236,7 +234,7 @@ def test_criterion_9_oracle_equivalences(sp_two):
     eps = 1e-6
     for i in range(2):
         jet = member_jet(sp_two, c, i, uv, 2)
-        gj = mp.patches[i].jet(uv, 2)
+        gj = pointwise_jet(mp.patches[i].space, mp.patches[i].net, uv, 2)
         _, grad, _ = physical_derivatives(gj, jet)
         J = np.stack([gj[:, 1, 0, :], gj[:, 0, 1, :]], axis=-1)
         for axis in range(2):

@@ -86,16 +86,22 @@ def test_frozen_oracle_values_p3_r1_n2():
     np.testing.assert_allclose(ders[0, 1], [-3.0, 3.0, 0.0, 0.0], atol=1e-13)
 
 
-@pytest.mark.parametrize("p,r,n", [(3, 1, 2), (3, 1, 4), (4, 2, 3), (2, 1, 5)])
+@pytest.mark.parametrize(
+    "p,r,n",
+    [(3, 1, 2), (3, 1, 4), (4, 2, 3), (2, 1, 5),
+     (1, 0, 3), (3, -1, 3), (4, 1, 1), (5, 1, 2), (6, 2, 3)],
+)
 def test_eval_matches_rational_oracle(p, r, n):
+    # every order 0..p+1 (those above p read 0) at random points, at every
+    # breakpoint (the right limit) and at 1 (the left limit)
     sp = UnivariateSpace(p, r, n)
     kn = oracle_knots(p, r, n)
     rng = np.random.default_rng(1)
     xs = [Fraction(q).limit_denominator(64) for q in rng.uniform(0, 1, 6)]
-    xs += [Fraction(0), Fraction(1), Fraction(1, n)]
+    xs += [Fraction(k, n) for k in range(n + 1)]
     for x in xs:
-        first, ders = sp.basis_ders([float(x)], min(2, p))
-        for k in range(min(2, p) + 1):
+        first, ders = sp.basis_ders([float(x)], p + 1)
+        for k in range(p + 2):
             for i in range(p + 1):
                 ref = float(oracle_deriv(kn, first[0] + i, p, x, k))
                 assert abs(ders[0, k, i] - ref) < 1e-12 * max(1.0, abs(ref))
@@ -103,8 +109,9 @@ def test_eval_matches_rational_oracle(p, r, n):
 
 def test_domain_error():
     sp = UnivariateSpace(3, 1, 2)
-    with pytest.raises(DomainError):
-        sp.basis_ders([1.5], 0)
+    for x in (1.5, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            sp.basis_ders([0.5, x], 0)
 
 
 def test_derivative_vs_finite_difference():
@@ -296,6 +303,12 @@ def test_local_duals_table_shapes_and_elements():
     for j in (-1, sp.N):
         with pytest.raises(InvalidConfigError):
             sp.basis_element_range(j)
+    samples = np.zeros(duals.points.size)
+    for index in ([sp.N], [-1]):
+        with pytest.raises(InvalidConfigError):
+            duals.apply(samples, index)
+    with pytest.raises(InvalidConfigError):
+        duals.apply(np.zeros(duals.points.size + 1))
 
 
 def test_config_rejects_multiplicity_above_p_plus_one():
@@ -313,12 +326,10 @@ def test_tensor_jet_matches_spline_jet():
     uv = np.vstack([rng.uniform(0, 1, (10, 2)), [[0.0, 1.0], [0.25, 0.5]]])
     for d in (0, 2):
         want = pointwise_jet(space, coeffs, uv, d)
-        got = TensorSpline(space, coeffs).jet(uv, d)
-        np.testing.assert_allclose(got.reshape(want.shape), want, rtol=1e-13, atol=1e-12)
         # each point alone, as a 1 x 1 tensor grid (sum factorization)
         for q, (u, v) in enumerate(uv):
             one = TensorSpline(space, coeffs).grid_jet([u], [v], d)[0]
-            np.testing.assert_allclose(got[q], one, rtol=1e-13, atol=1e-12)
+            np.testing.assert_allclose(one, want[q], rtol=1e-13, atol=1e-12)
 
 
 @pytest.mark.parametrize("extra", [(), (2,)])

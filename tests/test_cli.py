@@ -120,6 +120,16 @@ def test_fit_command(capsys):
     assert " cond " in err and " cond " not in out
 
 
+def test_converge_five_patch_stdout_is_pinned(capsys):
+    # the headline study's table, byte for byte: a change that moves a
+    # printed dimension, error or rate digit shows here
+    code, out, _ = run(
+        capsys, "converge", "--builtin", "five_patch_bilinear", "--levels", "4"
+    )
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "converge_five_patch.txt").read_text()
+
+
 def test_converge_command(capsys, tmp_path):
     csv = tmp_path / "table.csv"
     code, out, err = run(

@@ -40,7 +40,7 @@ from argyris.fit import (
 )
 from argyris.multipatch import edge_frames, rotate_grid
 from argyris.space import VERTEX_INDEX_ORDER, CSRMatrix
-from conftest import square_grid_geometry
+from conftest import pointwise_jet, square_grid_geometry
 
 AS_G1_BUILTINS = (
     "two_patch_bilinear",
@@ -142,7 +142,7 @@ def reference_mass_rhs(space, fld, rule):
     rhs = np.zeros(dim)
     for i, patch in enumerate(space.geometry.patches):
         grids = space.extraction(i).toarray().T.reshape(dim, N, N)
-        j = patch.jet(uv, 1)
+        j = pointwise_jet(patch.space, patch.net, uv, 1)
         J = np.stack([j[:, 1, 0], j[:, 0, 1]], axis=-1)  # J[q, :, d] = dF / dxi_d
         det = np.abs(J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1])
         det = det.reshape(n, g, n, g)
@@ -587,15 +587,11 @@ def test_space_audit_does_not_load_numpy_random():
         assert _loaded_modules(code, "numpy.random", "numpy.ma") == ["False", "False"], argv
 
 
-def test_fit_evaluates_the_map_on_tensor_grids_only(sp_three, monkeypatch):
-    # the fit samples the patch map only through Patch.grid_jet
+def test_fit_evaluates_the_map_on_tensor_grids_only(sp_three):
+    # the fit samples the patch map only through Patch.grid_jet: a patch has
+    # no scattered-point evaluator to fall back on
+    assert not any(hasattr(Patch, name) for name in ("point", "jet"))
     fld = cos_sin_field(sp_three.geometry)
-
-    def pointwise(*args):
-        raise AssertionError("pointwise evaluation of the patch map")
-
-    for name in ("point", "jet"):
-        monkeypatch.setattr(Patch, name, pointwise)
     res = l2_fit(sp_three, fld)
     assert 0.0 < res.rel_error < 1e-2
 

@@ -12,7 +12,7 @@ from argyris import (
 )
 from argyris.errors import ConformityError, NotASG1Error
 from argyris.gluing import _determinants, _edge_jets, _transversal_from_jet
-from conftest import pointwise_jet
+from conftest import patch_point, pointwise_jet
 
 
 def interface_pair(mp, k=0):
@@ -46,22 +46,17 @@ def test_determinants_match_finite_difference_oracle(mp_three):
     xs = np.linspace(1e-3, 1 - 1e-3, 100)
     eps = 1e-4
 
-    def point(F, uv):
-        # an evaluator independent of the sum factorization under test
-        return pointwise_jet(F.space, F.net, uv, 0)[:, 0, 0]
-
     def fd_central(F, uv, axis):
         d = np.zeros(2)
         d[axis] = eps
-        return (point(F, uv + d) - point(F, uv - d)) / (2 * eps)
+        return (patch_point(F, uv + d) - patch_point(F, uv - d)) / (2 * eps)
 
     def fd_onesided(F, uv, axis):
         # second-order stencil into the domain (the edge sits on its boundary)
         d = np.zeros(2)
         d[axis] = eps
-        return (-3 * point(F, uv) + 4 * point(F, uv + d) - point(F, uv + 2 * d)) / (
-            2 * eps
-        )
+        f0, f1, f2 = (patch_point(F, uv + k * d) for k in range(3))
+        return (-3 * f0 + 4 * f1 - f2) / (2 * eps)
 
     uv1 = np.column_stack([np.zeros_like(xs), xs])
     uv2 = np.column_stack([xs, np.zeros_like(xs)])
@@ -115,8 +110,8 @@ def test_g1_residual_invariant(mp_three):
         F1, F2 = standard_form_edge(mp_three, e)
         g = fit_asg1(F1, F2)
         z = np.zeros_like(xs)
-        j1 = F1.jet(np.column_stack([z, xs]), 1)
-        j2 = F2.jet(np.column_stack([xs, z]), 1)
+        j1 = pointwise_jet(F1.space, F1.net, np.column_stack([z, xs]), 1)
+        j2 = pointwise_jet(F2.space, F2.net, np.column_stack([xs, z]), 1)
         res = (
             P.polyval(xs, g.alpha1)[:, None] * j2[:, 0, 1, :]
             + P.polyval(xs, g.alpha2)[:, None] * j1[:, 1, 0, :]
@@ -189,7 +184,7 @@ def test_transversal_parametric_case(mp_two):
     g = fit_asg1(F1, F2)
     xs = np.linspace(0, 1, 21)
     d, dp = transversal(g, F1, xs)
-    jet = F1.jet(np.column_stack([np.zeros_like(xs), xs]), 1)
+    jet = pointwise_jet(F1.space, F1.net, np.column_stack([np.zeros_like(xs), xs]), 1)
     np.testing.assert_allclose(d, jet[:, 1, 0, :], atol=1e-14)
 
 
@@ -199,7 +194,7 @@ def test_transversal_defining_identity(mp_three):
         F1, F2 = standard_form_edge(mp_three, e)
         g = fit_asg1(F1, F2)
         d, _ = transversal(g, F1, xs)
-        jet = F1.jet(np.column_stack([np.zeros_like(xs), xs]), 1)
+        jet = pointwise_jet(F1.space, F1.net, np.column_stack([np.zeros_like(xs), xs]), 1)
         lhs = P.polyval(xs, g.alpha1)[:, None] * d
         rhs = jet[:, 1, 0, :] + P.polyval(xs, g.beta1)[:, None] * jet[:, 0, 1, :]
         assert np.abs(lhs - rhs).max() < 1e-12
@@ -211,7 +206,7 @@ def test_transversal_two_sided_identity(mp_three):
         F1, F2 = standard_form_edge(mp_three, e)
         g = fit_asg1(F1, F2)
         d, _ = transversal(g, F1, xs)
-        jet2 = F2.jet(np.column_stack([xs, np.zeros_like(xs)]), 1)
+        jet2 = pointwise_jet(F2.space, F2.net, np.column_stack([xs, np.zeros_like(xs)]), 1)
         rhs = jet2[:, 0, 1, :] + P.polyval(xs, g.beta2)[:, None] * jet2[:, 1, 0, :]
         assert np.abs(-P.polyval(xs, g.alpha2)[:, None] * d - rhs).max() < 1e-10
 
@@ -236,7 +231,7 @@ def test_boundary_gluing(mp_two):
     np.testing.assert_array_equal(g.beta1, [0.0, 0.0])
     xs = np.linspace(0, 1, 11)
     d, _ = transversal(g, F1, xs)
-    jet = F1.jet(np.column_stack([np.zeros_like(xs), xs]), 1)
+    jet = pointwise_jet(F1.space, F1.net, np.column_stack([np.zeros_like(xs), xs]), 1)
     np.testing.assert_allclose(d, jet[:, 1, 0, :], atol=1e-14)
 
 

