@@ -21,6 +21,7 @@ every later caller while it is among the last 8 MB of tables used.
 """
 
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -49,6 +50,15 @@ def _chebpts(n, m):
     return a + (t + 1.0) * 0.5 * (b - a)
 
 
+def _integer(value, name):
+    """``value`` as an int (NumPy integers included); anything else is an
+    ``InvalidConfigError`` naming the parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True, repr=False)
 class UnivariateSpace:
     """B-spline space of degree p and continuity C^r on a uniform mesh of [0, 1].
@@ -65,6 +75,8 @@ class UnivariateSpace:
     n: int
 
     def __post_init__(self):
+        for name in ("p", "r", "n"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.p < 1:
             raise InvalidConfigError(f"degree must be >= 1, got p={self.p}")
         if self.n < 1:
@@ -293,12 +305,14 @@ class LocalDuals(NamedTuple):
     weights: np.ndarray
 
     def apply(self, samples, index=slice(None)):
-        """Coefficients ``index`` (a slice, or indices in 0..N-1) from samples
-        at ``points.ravel()`` (axis 0)."""
+        """Coefficients ``index`` (a slice, or a 1-D integer array of indices
+        in 0..N-1) from samples at ``points.ravel()`` (axis 0)."""
         if len(samples) != self.points.size:
             raise InvalidConfigError(f"need {self.points.size} samples, got {len(samples)}")
         if not isinstance(index, slice):
             index = np.asarray(index)
+            if index.ndim != 1 or index.dtype.kind not in "iu":
+                raise InvalidConfigError("coefficient index must be a slice or a 1-D integer array")
             if index.size and not 0 <= index.min() <= index.max() < len(self.weights):
                 raise InvalidConfigError(f"coefficient index not in 0..{len(self.weights) - 1}")
         local = samples.reshape(self.points.shape + samples.shape[1:])[self.element[index]]

@@ -157,7 +157,7 @@ def _unit_jets(space, kind, points=None):
 def _edge_parts(space):
     """The S+ duals with the indices of the trace functionals, then the S-."""
     idx = _edge_index_set(space.sminus.N)
-    return [(local_duals(s), [j for j, t in idx if t == part])
+    return [(local_duals(s), np.array([j for j, t in idx if t == part], dtype=int))
             for part, s in enumerate((space.splus, space.sminus))]
 
 

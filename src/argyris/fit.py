@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import _basis_values
+from .bspline import _basis_values, _integer
 from .duality import AnalyticField, SpaceField, _unit_jets
 from .errors import ArgyrisError, InvalidConfigError, NumericalError
 from .gluing import DEFAULT_TOL
@@ -76,6 +76,7 @@ class QuadratureRule:
     """Per-element tensor Gauss rule on [0, 1], ``order`` points per direction."""
 
     def __init__(self, n, order):
+        n, order = _integer(n, "n"), _integer(order, "order")
         if n < 1:
             raise InvalidConfigError(f"quadrature needs n >= 1 elements, got {n}")
         if not 1 <= order <= MAX_QUADRATURE_ORDER:
@@ -580,7 +581,7 @@ def convergence_study(mp, make_field, levels, tol=DEFAULT_TOL):
     ``make_field(geometry)`` binds the target function to each refined
     geometry; levels are h, h/2, h/4, ... starting from the input mesh.
     """
-    if levels < 1:
+    if _integer(levels, "levels") < 1:
         raise InvalidConfigError(f"need at least one level, got {levels}")
     table = ConvergenceTable()
     results = []
@@ -667,7 +668,7 @@ _REPORT_BATCH = 1 << 9
 
 def _check_samples_per_edge(samples_per_edge):
     """Refuse a sample count ``smoothness_report`` does not take."""
-    if not 1 <= samples_per_edge <= MAX_SAMPLES_PER_EDGE:
+    if not 1 <= _integer(samples_per_edge, "samples_per_edge") <= MAX_SAMPLES_PER_EDGE:
         raise InvalidConfigError(
             f"need 1..{MAX_SAMPLES_PER_EDGE} samples per edge, got {samples_per_edge}"
         )

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as _poly
 
 from .bspline import _chebpts
-from .errors import ConformityError, DegenerateGluingError, NotASG1Error
+from .errors import ConformityError, DegenerateGluingError, InvalidConfigError, NotASG1Error
 from .multipatch import CONFORMITY_TOL, _edge_gap
 
 __all__ = [
@@ -158,6 +158,12 @@ def _split_beta(a1, a2, beta):
     return v[:2].copy(), v[2:].copy()
 
 
+def _check_tol(tol):
+    """Refuse an AS-G1 acceptance tolerance that is not positive and finite."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidConfigError(f"AS-G1 tolerance must be positive and finite, got {tol}")
+
+
 def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
     """Decide AS-G1 and produce normalized linear gluing data.
 
@@ -171,6 +177,7 @@ def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
     With ``strict`` (default), rejection raises NotASG1Error; otherwise the
     best-effort data is returned with ``asg1 = False``.
     """
+    _check_tol(tol)
     xs = _fit_sample_points(F1.space.p, F1.space.n)
     jets = _edge_jets(F1, F2, xs)
     D1, D2, D12 = _determinants(jets)

@@ -18,7 +18,7 @@ an interface (decided in ``edge_frames`` alone) the first side turns to
 
 import numpy as np
 
-from .bspline import TensorSpline, UnivariateSpace, _basis_values, represent_exactly
+from .bspline import TensorSpline, UnivariateSpace, _basis_values, _integer, represent_exactly
 from .errors import (
     ConformityError,
     GeometryFormatError,
@@ -150,6 +150,8 @@ class MultiPatch:
         self.patches = list(patches)
         self.edges = list(edges)
         self.vertices = list(vertices)
+        if not self.patches:
+            raise TopologyError("a geometry needs at least one patch")
         for i, patch in enumerate(self.patches):
             if patch.space != config:
                 raise ConformityError(
@@ -215,7 +217,7 @@ class MultiPatch:
 
 def check_regularity(patch, m):
     """Minimum Jacobian determinant over an m x m uniform sample grid."""
-    if m < 2:
+    if _integer(m, "m") < 2:
         raise InvalidConfigError("need at least a 2 x 2 sample grid")
     t = np.linspace(0.0, 1.0, m)
     J = patch.grid_jet(t, t, 1)

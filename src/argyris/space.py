@@ -23,14 +23,16 @@ the dual functionals (``duality``). The columns come in three families:
   coefficients both slots share; a function is the layers of its two slots
   minus that corner block.
 
-The columns are written as triplets straight from these layers, with the
-rows found by the index permutation of the patch's standard-form rotation
-(``_rows``). All products entering the pullbacks (alpha times an S- spline,
-beta times a derivative of an S+ spline) are degree p piecewise polynomials
-of smoothness r, so the extraction matrix is exact up to rounding. Of an
-edge the space keeps only its gluing data ``gluing[eid]``, and of a vertex
-only sigma; the dual functionals and the audit read the rest off the geometry
-(the functionals keep what they read, and D, in ``_dual_geometry``).
+Each family is built in one pass, as pieces (rows, columns, values) straight
+from these layers, rows found by the index permutation of the patch's
+standard-form rotation (``_rows``). C is the sum of all pieces, so
+``CSRMatrix.from_triplets`` sums the corner block of two slots. All products
+entering the pullbacks (alpha times an S- spline, beta times a derivative of
+an S+ spline) are degree p piecewise polynomials of smoothness r, so the
+extraction matrix is exact up to rounding. Of an edge the space keeps only
+its gluing data ``gluing[eid]``, and of a vertex only sigma; the dual
+functionals and the audit read the rest off the geometry (the functionals
+keep what they read, and D, in ``_dual_geometry``).
 
 The basis is numbered by entity blocks: all patches, then all edges, then all
 vertices, each entity owning a contiguous run whose length depends on (p, r,
@@ -38,15 +40,14 @@ n) alone; ``block`` and ``basis_id`` translate by arithmetic.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .bspline import _basis_values, _drop_noise, derived_edge_spaces, represent_exactly
-from .errors import ArgyrisError, InvalidConfigError
-from .gluing import DEFAULT_TOL, _transversal_from_jet, boundary_gluing, fit_asg1
+from .bspline import _basis_values, _drop_noise, _integer, derived_edge_spaces, represent_exactly
+from .errors import InvalidConfigError
+from .gluing import DEFAULT_TOL, _check_tol, _transversal_from_jet, boundary_gluing, fit_asg1
 from .multipatch import edge_frames, rotate_net, vertex_surrounding_edges
 
 __all__ = [
@@ -263,16 +264,6 @@ class CSRMatrix:
         return CSRMatrix(np.r_[0, np.cumsum(counts)], indices, data, (self.shape[0], ncols))
 
 
-def _coo(pieces):
-    """Triplets (rows, columns, values) of the columns given by pieces (rows,
-    values), values of shape rows.shape + (k,), keeping nonzero values only;
-    no row may repeat."""
-    rows = np.concatenate([r.ravel() for r, _ in pieces])
-    vals = np.concatenate([v.reshape(r.size, -1) for r, v in pieces])
-    i, cols = np.nonzero(vals)
-    return rows[i], cols, vals[i, cols]
-
-
 class ArgyrisSpace:
     """The assembled smooth space over a validated multi-patch geometry.
 
@@ -286,8 +277,13 @@ class ArgyrisSpace:
     """
 
     def __init__(self, geometry, tol=DEFAULT_TOL):
+        _check_tol(tol)
         cfg = geometry.config
-        cfg.check_argyris()
+        self.dim, self.breakdown = space_dimension(geometry, cfg)  # checks cfg
+        # family -> (position of its first function, functions per entity)
+        sizes = _block_sizes(cfg)
+        starts = np.cumsum([0, *self.breakdown.values()])
+        self._layout = {kind: (int(a), sizes[kind]) for kind, a in zip(sizes, starts)}
         self.geometry = geometry
         self.config = cfg
         self.tol = tol
@@ -329,11 +325,6 @@ class ArgyrisSpace:
         self._aminus = np.zeros((self.sminus.N, 2))
         self._aminus[:2] = _drop_noise(np.linalg.inv(dm[0][:2, :2]))
 
-        self.dim, self.breakdown = space_dimension(geometry, cfg)
-        # family -> (position of its first function, functions per entity)
-        sizes = _block_sizes(cfg)
-        starts = np.cumsum([0, *self.breakdown.values()])
-        self._layout = {kind: (int(a), sizes[kind]) for kind, a in zip(sizes, starts)}
         self.gluing = {}  # edge id -> GluingData, the edge's standard-form gluing
         self._sigma = {}  # vertex id -> sigma
         # what the dual functionals read of the geometry and the gluing: per
@@ -347,45 +338,29 @@ class ArgyrisSpace:
     # ------------------------------------------------------------------
 
     def _build(self):
-        """Assemble the extraction matrix, entity block by entity block.
+        """Assemble the extraction matrix from the pieces of the three families.
 
-        Each builder returns its column count and, per patch it touches, its
-        extraction columns as triplets (rows of the patch's grid, columns,
-        values), which land in the block of its entity and in the rows of the
-        patch.
+        Each builder covers every entity of its family and returns pieces
+        (rows of the stacked patch grids, columns, values), broadcast against
+        each other; their nonzero entries make one ``CSRMatrix``, in which a
+        position written by several pieces holds their sum in piece order.
         """
-        mp = self.geometry
-        families = [("patch", i, self.build_patch_interior(i))
-                    for i in range(len(mp.patches))]
-        families += [("edge", e.id, self.build_edge_functions(e.id)) for e in mp.edges]
-        families += [("vertex", v.id, self.build_vertex_functions(v.id))
-                     for v in mp.vertices]
         triplets = []
-        for kind, owner, (k, columns) in families:
-            block = self.block(kind, owner)
-            if k != block.stop - block.start:
-                raise ArgyrisError(
-                    f"dimension bookkeeping broke: formula gives "
-                    f"{block.stop - block.start} functions per {kind}, build gives {k}"
-                )
-            for i, (rows, cols, vals) in columns.items():
-                triplets.append((rows + i * self.N**2, cols + block.start, vals))
-        shape = (len(mp.patches) * self.N**2, self.dim)
+        for build in (self.build_patch_interior, self.build_edge_functions,
+                      self.build_vertex_functions):
+            for piece in build():
+                rows, cols, vals = np.broadcast_arrays(*piece)
+                keep = vals != 0.0
+                triplets.append((rows[keep], cols[keep], vals[keep]))
+        shape = (len(self.geometry.patches) * self.N**2, self.dim)
         return CSRMatrix.from_triplets(*(np.concatenate(t) for t in zip(*triplets)), shape)
 
-    def build_patch_interior(self, i):
-        """Unit-coefficient B-splines with indices in {2..N-3}^2."""
-        N = self.N
-        inner = np.arange(2, N - 2)
-        rows = (inner[:, None] * N + inner).ravel()
-        k = rows.size
-        return k, {i: (rows, np.arange(k), np.ones(k))}
-
-    def _mult_rep(self, sminus_coeffs, lin):
-        """Coefficients in S^{p,r} of (lin[0] + lin[1]*x) times an S- spline.
-
-        Accepts a matrix of splines (one per column)."""
-        return (lin[0] * self._E + lin[1] * self._X) @ sminus_coeffs
+    def build_patch_interior(self):
+        """Unit-coefficient B-splines with indices in {2..N-3}^2 on every patch."""
+        start, k = self._layout["patch"]
+        i = np.arange(len(self.geometry.patches))[:, None]
+        rows = i * self.N**2 + self._rows[0][2:-2, 2:-2].ravel()
+        return [(rows, start + i * k + np.arange(k), 1.0)]
 
     def _side_layers(self, T, V, alpha, beta, role):
         """The two coefficient layers (2, N, k) next to an edge on one side.
@@ -400,12 +375,12 @@ class ArgyrisSpace:
         """
         hp = self.config.h / self.config.p
         u0 = self._rep_plus @ T
-        u1 = u0 - hp * self._mult_rep(self._der_plus @ T, beta)
-        w = self._mult_rep(V, alpha)
+        u1 = u0 - hp * ((beta[0] * self._E + beta[1] * self._X) @ (self._der_plus @ T))
+        w = (alpha[0] * self._E + alpha[1] * self._X) @ V
         return np.stack([u0, u1 + w if role == 1 else u1 - w])
 
-    def build_edge_functions(self, eid):
-        """Edge basis: traces from S+ and transversal derivatives from S-.
+    def build_edge_functions(self):
+        """Edge basis of all edges: traces from S+, transversal derivatives from S-.
 
         The trace function (j, 0) has the layers of T = e_j, V = 0 and the
         derivative function (j, 1) those of T = 0, V = e_j, on the {xi1 = 0}
@@ -414,31 +389,28 @@ class ArgyrisSpace:
         alpha = 1, beta = 0.
         """
         mp = self.geometry
-        edge = mp.edges[eid]
-        frames = edge_frames(edge)
-        if edge.is_interface:
-            g = fit_asg1(*(mp.patches[i].rotate(k) for i, k in frames), tol=self.tol)
-        else:
-            g = boundary_gluing()
-        self.gluing[eid] = g
         idx = _edge_index_set(self.sminus.N)
-        k = len(idx)
-        T = np.zeros((self.splus.N, k))
-        V = np.zeros((self.sminus.N, k))
+        T = np.zeros((self.splus.N, len(idx)))
+        V = np.zeros((self.sminus.N, len(idx)))
         for f, (j, s) in enumerate(idx):
             (V if s else T)[j, f] = 1.0
+        sides = {1: [], 2: []}  # role -> (rows, edge id, layers) of its sides
+        for edge in mp.edges:
+            frames = edge_frames(edge)
+            if edge.is_interface:
+                g = fit_asg1(*(mp.patches[i].rotate(k) for i, k in frames), tol=self.tol)
+            else:
+                g = boundary_gluing()
+            self.gluing[edge.id] = g
+            roles = ((1, g.alpha1, g.beta1), (2, g.alpha2, g.beta2))
+            for (ipatch, rot), (role, alpha, beta) in zip(frames, roles):
+                # layers {xi1 = 0, 1} of the first patch, {xi2 = 0, 1} of the second
+                R = self._rows[rot] + ipatch * self.N**2
+                rows = R[:2] if role == 1 else R[:, :2].T
+                sides[role].append((rows, edge.id, self._side_layers(T, V, alpha, beta, role)))
+        return [self._stacked("edge", parts) for parts in sides.values() if parts]
 
-        columns = {}
-        roles = ((1, g.alpha1, g.beta1), (2, g.alpha2, g.beta2))
-        for (ipatch, rot), (role, alpha, beta) in zip(frames, roles):
-            # layers {xi1 = 0, 1} of the first patch, {xi2 = 0, 1} of the second
-            R = self._rows[rot]
-            rows = R[:2] if role == 1 else R[:, :2].T
-            layers = self._side_layers(T, V, alpha, beta, role)
-            columns[ipatch] = _coo([(rows, layers)])
-        return k, columns
-
-    def build_vertex_functions(self, vid):
+    def build_vertex_functions(self):
         """Six functions per vertex, dual to scaled derivatives of order <= 2.
 
         Function j is the alternating-sum Hermite interpolant of the C2 datum
@@ -446,76 +418,79 @@ class ArgyrisSpace:
         surrounding patch the functions are the side layers of the two edge
         slots there, with S+ and S- end coefficients given by the slot's edge
         data times the data, minus the 2x2 corner block of the patch's corner
-        data times the data, which both slots contain. Slot ell is edge ell
-        of ``vertex_surrounding_edges``, between patches ell-1 and ell.
+        data times the data, which both slots contain. The three pieces stack,
+        over all corner patches, that block negated, then the slot before the
+        patch (role 2), then the one after it (role 1): C sums each shared
+        position in that order. Slot ell is edge ell of
+        ``vertex_surrounding_edges``, between patches ell-1 and ell.
         """
         mp = self.geometry
-        vertex = mp.vertices[vid]
-        ring = vertex_surrounding_edges(mp, vertex)
-        nu = vertex.valence
         h, p = self.config.h, self.config.p
         hp = h / p
 
         # jets[ell][a, b] = d^a d^b F / dxi1^a dxi2^b at the vertex of patch ell
-        # in its standard-form frame, read off the 3x3 corner block of its net;
-        # sigma, the slots and the corner data are read from them
-        blocks = [mp.patches[i].net.reshape(-1, 2)[self._rows[c][:3, :3]]
-                  for i, c in vertex.corners]
-        jets = self._corner_jets(np.array(blocks))
-        jacobians = [np.stack([J[1, 0], J[0, 1]], axis=-1) for J in jets]
-        sigma = 1.0 / (h / (p * nu) * sum(np.linalg.norm(Jac) for Jac in jacobians))
-        self._sigma[vid] = sigma
-        scale = np.array([sigma ** sum(j) for j in VERTEX_INDEX_ORDER])
+        # in its standard-form frame, read off the 3x3 corner block of its net,
+        # for the corners of all vertices at once; sigma, the slots and the
+        # corner data are read from them
+        corners = [c for vertex in mp.vertices for c in vertex.corners]
+        blocks = [mp.patches[i].net.reshape(-1, 2)[self._rows[c][:3, :3]] for i, c in corners]
+        ends = np.cumsum([vertex.valence for vertex in mp.vertices])[:-1]
+        corner_blocks, before, after = [], [], []  # (rows, vertex id, values)
+        for vertex, jets in zip(mp.vertices, np.split(self._corner_jets(np.array(blocks)), ends)):
+            ring = vertex_surrounding_edges(mp, vertex)
+            nu = vertex.valence
+            jacobians = [np.stack([J[1, 0], J[0, 1]], axis=-1) for J in jets]
+            sigma = 1.0 / (h / (p * nu) * sum(np.linalg.norm(Jac) for Jac in jacobians))
+            self._sigma[vertex.id] = sigma
+            scale = np.array([sigma ** sum(j) for j in VERTEX_INDEX_ORDER])
 
-        # slot ell: its (5, 6) edge data times the data, and the gluing
-        # (alpha, beta) seen from the patch before (role 1) and after (role 2)
-        slots = []
-        for ell, edge in enumerate(ring):
-            if ell == 0 and not edge.is_interface:
-                # boundary edge on the {xi2 = 0} side of the first patch
-                J = jets[0]
-                data = _edge_data(J[1, 0], J[2, 0], -J[0, 1], -J[1, 1], hp)
-                roles = {2: (np.array([1.0, 0.0]), np.zeros(2))}
-            else:
-                # the edge was fitted with its first listed side as patch 1
-                # (a boundary edge after the last patch: alpha1 = 1, beta1 = 0,
-                # so d = d1F); reverse when that is patch ell rather than ell-1
-                corner = vertex.corners[(ell - 1) % nu]
-                g = self.gluing[edge.id]
-                if edge.locals[0] != corner:
-                    g = g.reversed()
-                J = jets[(ell - 1) % nu]
-                d, dp = _transversal_from_jet(g, J[None], np.zeros(1))
-                data = _edge_data(J[0, 1], J[0, 2], d[0], dp[0], hp)
-                roles = {1: (g.alpha1, g.beta1), 2: (g.alpha2, g.beta2)}
-            slots.append((data * scale, roles))
+            # slot ell: its (5, 6) edge data times the data, and the gluing
+            # (alpha, beta) seen from the patch before (role 1) and after (role 2)
+            slots = []
+            for ell, edge in enumerate(ring):
+                if ell == 0 and not edge.is_interface:
+                    # boundary edge on the {xi2 = 0} side of the first patch
+                    J = jets[0]
+                    data = _edge_data(J[1, 0], J[2, 0], -J[0, 1], -J[1, 1], hp)
+                    roles = {2: (np.array([1.0, 0.0]), np.zeros(2))}
+                else:
+                    # the edge was fitted with its first listed side as patch 1
+                    # (a boundary edge after the last patch: alpha1 = 1, beta1 = 0,
+                    # so d = d1F); reverse when that is patch ell rather than ell-1
+                    corner = vertex.corners[(ell - 1) % nu]
+                    g = self.gluing[edge.id]
+                    if edge.locals[0] != corner:
+                        g = g.reversed()
+                    J = jets[(ell - 1) % nu]
+                    d, dp = _transversal_from_jet(g, J[None], np.zeros(1))
+                    data = _edge_data(J[0, 1], J[0, 2], d[0], dp[0], hp)
+                    roles = {1: (g.alpha1, g.beta1), 2: (g.alpha2, g.beta2)}
+                slots.append((data * scale, roles))
 
-        columns = {}
-        for ell, (ipatch, rot) in enumerate(vertex.corners):
-            layers = {}
-            around = ((slots[ell], 2), (slots[(ell + 1) % len(slots)], 1))
-            for (D, roles), role in around:
-                T, V = self._aplus @ D[:3], self._aminus @ D[3:]
-                layers[role] = self._side_layers(T, V, *roles[role], role)
-            # the jet (f, f_v, f_u, f_uv) of the datum pulled back to the
-            # patch; its 2x2 corner block lies in both sides' layers and is
-            # summed here, so every position is written once
-            J = jets[ell]
-            corner_data = np.stack(
-                [_VALUE, _d1(J[0, 1]), _d1(J[1, 0]), _d2(J[1, 0], J[0, 1], J[1, 1])]
-            )
-            corner = (
-                -(self._corner_map @ (corner_data * scale)).reshape(2, 2, 6)
-                + layers[2][:, :2].swapaxes(0, 1)
-                + layers[1][:, :2]
-            )
-            R = self._rows[rot]
-            columns[ipatch] = _coo([
-                (R[:2, :2], corner),
-                (R[:2, 2:], layers[1][:, 2:]),
-                (R[2:, :2].T, layers[2][:, 2:]),
-            ])
-        return len(VERTEX_INDEX_ORDER), columns
+            for ell, (ipatch, rot) in enumerate(vertex.corners):
+                # the jet (f, f_v, f_u, f_uv) of the datum pulled back to the
+                # patch, whose 2x2 corner block both slots' layers contain
+                J = jets[ell]
+                corner_data = np.stack(
+                    [_VALUE, _d1(J[0, 1]), _d1(J[1, 0]), _d2(J[1, 0], J[0, 1], J[1, 1])]
+                )
+                corner = -(self._corner_map @ (corner_data * scale)).reshape(2, 2, 6)
+                R = self._rows[rot] + ipatch * self.N**2
+                corner_blocks.append((R[:2, :2], vertex.id, corner))
+                around = ((slots[ell], 2, before), (slots[(ell + 1) % len(slots)], 1, after))
+                for (D, roles), role, parts in around:
+                    T, V = self._aplus @ D[:3], self._aminus @ D[3:]
+                    rows = R[:2] if role == 1 else R[:, :2].T
+                    parts.append((rows, vertex.id, self._side_layers(T, V, *roles[role], role)))
+        return [self._stacked("vertex", parts) for parts in (corner_blocks, before, after)]
+
+    def _stacked(self, kind, parts):
+        """One piece from parts (rows, owner, values) of entities of one kind,
+        the values (rows.shape + (k,)) in the owner's k columns."""
+        rows, owners, vals = (np.array(t) for t in zip(*parts))
+        start, k = self._layout[kind]
+        cols = start + owners.reshape((-1,) + (1,) * rows.ndim) * k + np.arange(k)
+        return rows[..., None], cols, vals
 
     def _corner_jets(self, blocks):
         """d^a d^b f / dxi1^a dxi2^b, a, b <= 2, at the corner (0, 0) of
@@ -550,7 +525,7 @@ class ArgyrisSpace:
         if kind not in self._layout:
             raise InvalidConfigError(f"unknown basis family {kind!r}")
         start, size = self._layout[kind]
-        owner = operator.index(owner)
+        owner = _integer(owner, f"{kind} id")
         if not 0 <= owner < self.breakdown[kind] // size:
             raise InvalidConfigError(f"{kind} id {owner} out of range")
         return slice(start + owner * size, start + (owner + 1) * size)
@@ -559,7 +534,7 @@ class ArgyrisSpace:
         """Family, owning entity and local index of basis function a: (j1, j2)
         for a patch, (j, 0) trace or (j, 1) derivative for an edge, the
         derivative order (j1, j2) for a vertex."""
-        a = operator.index(a)
+        a = _integer(a, "basis index")
         if not 0 <= a < self.dim:
             raise InvalidConfigError(f"basis index {a} out of range (dim {self.dim})")
         for kind, (start, size) in self._layout.items():

@@ -304,7 +304,8 @@ def test_local_duals_table_shapes_and_elements():
         with pytest.raises(InvalidConfigError):
             sp.basis_element_range(j)
     samples = np.zeros(duals.points.size)
-    for index in ([sp.N], [-1]):
+    # out of range, a scalar, a 2-D array, floats
+    for index in ([sp.N], [-1], 3, [[1, 2]], [1.0]):
         with pytest.raises(InvalidConfigError):
             duals.apply(samples, index)
     with pytest.raises(InvalidConfigError):

@@ -23,6 +23,7 @@ from argyris import (
     assemble_mass,
     assemble_rhs,
     builtin_geometry,
+    check_regularity,
     convergence_study,
     cos_sin_field,
     l2_fit,
@@ -67,6 +68,32 @@ def test_quadrature_polynomial_exactness():
 def test_quadrature_rule_needs_elements():
     with pytest.raises(InvalidConfigError):
         QuadratureRule(0, 5)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda sp: UnivariateSpace(3, 1, 4.0), id="space-n-4.0"),
+    pytest.param(lambda sp: UnivariateSpace(3, 1, 4.5), id="space-n-4.5"),
+    pytest.param(lambda sp: UnivariateSpace(3.0, 1, 4), id="space-p-3.0"),
+    pytest.param(lambda sp: QuadratureRule(4, 2.5), id="rule-order"),
+    pytest.param(lambda sp: QuadratureRule(4.0, 3), id="rule-n"),
+    pytest.param(lambda sp: convergence_study(sp.geometry, cos_sin_field, 1.5), id="levels"),
+    pytest.param(lambda sp: smoothness_report(sp, samples_per_edge=10.5), id="samples"),
+    pytest.param(lambda sp: check_regularity(sp.geometry.patches[0], 10.5), id="regularity"),
+    pytest.param(lambda sp: sp.block("edge", 1.5), id="block"),
+    pytest.param(lambda sp: sp.basis_id(2.0), id="basis-id"),
+])
+def test_integer_parameters_must_be_integers(sp_two, call):
+    # a float count used to pass the range checks and fail later with a bare
+    # TypeError, or, as n of a space, to give a float dimension N
+    with pytest.raises(InvalidConfigError, match="must be an integer"):
+        call(sp_two)
+
+
+def test_numpy_integers_are_integer_parameters(sp_two):
+    space = UnivariateSpace(np.int64(3), np.int32(1), np.int64(4))
+    assert space == UnivariateSpace(3, 1, 4) and type(space.N) is int
+    assert QuadratureRule(np.int64(4), np.int64(3)).nodes.shape == (4, 3)
+    assert sp_two.block("edge", np.int64(0)) == sp_two.block("edge", 0)
 
 
 def test_quadrature_rule_must_match_mesh(sp_two):

@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from argyris import (
+    ArgyrisSpace,
     Patch,
     UnivariateSpace,
     boundary_gluing,
@@ -10,7 +11,7 @@ from argyris import (
     fit_asg1,
     standard_form_edge,
 )
-from argyris.errors import ConformityError, NotASG1Error
+from argyris.errors import ConformityError, InvalidConfigError, NotASG1Error
 from argyris.gluing import _determinants, _edge_jets, _transversal_from_jet
 from conftest import patch_point, pointwise_jet
 
@@ -160,6 +161,18 @@ def test_non_asg1_rejected(mp_non_asg1):
     g = fit_asg1(F1, F2, strict=False)
     assert not g.asg1
     assert g.residual >= 1e-4
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+def test_tolerance_must_be_positive_and_finite(mp_three, mp_single, tol):
+    # a NaN tolerance used to give a verdict on a correct geometry: "relative
+    # fit residual 8.941e-17 >= nan"; the single patch fits no gluing, so the
+    # space checks the tolerance itself
+    with pytest.raises(InvalidConfigError, match="tolerance"):
+        fit_asg1(*interface_pair(mp_three), tol=tol)
+    for mp in (mp_three, mp_single):
+        with pytest.raises(InvalidConfigError, match="tolerance"):
+            ArgyrisSpace(mp, tol=tol)
 
 
 def test_rejection_stable_under_densified_sampling():

@@ -8,6 +8,7 @@ from argyris import (
     UnivariateSpace,
     VertexRecord,
     check_regularity,
+    infer_topology,
     load_geometry,
     refine,
     save_geometry,
@@ -341,6 +342,17 @@ def test_duplicate_side_rejected(mp_two):
     edges = list(mp_two.edges) + [EdgeRecord(len(mp_two.edges), "boundary", [(0, 1)])]
     with pytest.raises(TopologyError):
         MultiPatch(mp_two.config, mp_two.patches, edges, mp_two.vertices, check=False)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_geometry_without_patches_rejected(check):
+    # an empty geometry used to reach the space build, which failed with a
+    # bare TypeError
+    space = UnivariateSpace(3, 1, 4)
+    with pytest.raises(TopologyError, match="at least one patch"):
+        infer_topology(space, [])
+    with pytest.raises(TopologyError, match="at least one patch"):
+        MultiPatch(space, [], [], [], check=check)
 
 
 def test_vertex_distinct_patches():

@@ -451,8 +451,8 @@ def test_coefficient_matrix_is_columnwise(sp_three):
 
 
 def test_linear_products_match_exact_representation(sp_three):
-    # (a + b x) v for an S- spline v, from the fixed E/X matrices, against a
-    # fresh exact representation of the sampled product
+    # (a + b x) v for an S- spline v, from the fixed E/X matrices the side
+    # layers read, against a fresh exact representation of the sampled product
     from argyris import represent_exactly
 
     sm = sp_three.sminus
@@ -461,7 +461,8 @@ def test_linear_products_match_exact_representation(sp_three):
     want = represent_exactly(
         sp_three.config, lambda x: (lin[0] + lin[1] * x) * (_basis_values(sm, x) @ v)
     )
-    np.testing.assert_allclose(sp_three._mult_rep(v, lin), want, rtol=0, atol=1e-13)
+    got = (lin[0] * sp_three._E + lin[1] * sp_three._X) @ v
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_evaluate_zero_coeffs(sp_three):
@@ -590,14 +591,16 @@ def test_vertex_slots_reuse_edge_gluing(request, fixture, monkeypatch):
         return side_layers(self, T, V, alpha, beta, role)
 
     monkeypatch.setattr(ArgyrisSpace, "_side_layers", spy)
-    checked = 0
+    sp.build_vertex_functions()
+    # 2 nu calls per vertex, vertex after vertex
+    assert len(calls) == sum(2 * v.valence for v in sp.geometry.vertices)
+    checked = start = 0
     for v in sp.geometry.vertices:
-        calls.clear()
-        sp.build_vertex_functions(v.id)
         nu = v.valence
+        vertex_calls, start = calls[start : start + 2 * nu], start + 2 * nu
         # per patch ell: the slot before it (role 2), then the one after (role 1)
-        assert [role for *_, role in calls] == [2, 1] * nu
-        for n, (alpha, beta, role) in enumerate(calls):
+        assert [role for *_, role in vertex_calls] == [2, 1] * nu
+        for n, (alpha, beta, role) in enumerate(vertex_calls):
             ell = n // 2 + (role == 1)  # slot ell lies between patches ell-1, ell
             if not (v.is_interior or 0 < ell < nu):
                 continue
