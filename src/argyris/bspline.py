@@ -157,6 +157,9 @@ class UnivariateSpace:
         factors q taken together as p!/(p-k)!, take the degree p-k values to
         the k-th derivatives (de Boor, *A Practical Guide to Splines*).
         """
+        nderiv = _integer(nderiv, "derivative order")
+        if nderiv < 0:
+            raise InvalidConfigError(f"derivative order must be an integer >= 0, got {nderiv}")
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         inside = (xs >= -1e-14) & (xs <= 1.0 + 1e-14)
         if not inside.all():
@@ -274,7 +277,8 @@ def represent_exactly(space, f):
     Chebyshev points per element, reads every coefficient through its local
     dual and drops rounding noise (``_drop_noise``). The spline must then
     reproduce f at the further points: a misfit above ``_EXACT_TOL``
-    (relative) means f is not a member of the space and raises NotInSpaceError.
+    (relative), or a sample that is not finite, means f is not a member of
+    the space and raises NotInSpaceError.
 
     ``f`` may return extra trailing axes (several functions at once); the
     result then carries the same trailing shape after the leading axis N.
@@ -283,6 +287,8 @@ def represent_exactly(space, f):
     check = _chebpts(space.n, space.p + 2).ravel()
     m = duals.points.size
     y = np.asarray(f(np.concatenate([duals.points.ravel(), check])), dtype=float)
+    if not np.isfinite(y).all():
+        raise NotInSpaceError(f"the function has non-finite samples; it is not in {space}")
     coeffs = _drop_noise(duals.apply(y[:m]))
     misfit = np.abs(np.tensordot(_basis_values(space, check), coeffs, 1) - y[m:]).max()
     if misfit > _EXACT_TOL * max(1.0, np.abs(coeffs).max()):
@@ -371,7 +377,8 @@ class TensorSpline:
             out = flip.grid_jet(x2, x1, nderiv)
             out = out.reshape((len(x2), len(x1)) + out.shape[1:]).swapaxes(0, 1)
             return out.swapaxes(2, 3).reshape((len(x1) * len(x2),) + out.shape[2:])
-        B = np.stack([_basis_values(self.space, x2, b) for b in range(nderiv + 1)])
+        top = _basis_values(self.space, x2, nderiv)  # basis_ders checks the order
+        B = np.stack([_basis_values(self.space, x2, b) for b in range(nderiv)] + [top])
         # CB[i, q2, b, ...] = sum_j coeffs[i, j, ...] B_b[q2, j]
         CB = np.tensordot(self.coeffs, B, axes=([1], [2]))
         CB = np.ascontiguousarray(np.moveaxis(CB, (-1, -2), (1, 2)))

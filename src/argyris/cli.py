@@ -30,8 +30,8 @@ def _add_geometry_args(p):
 
 
 def _geometry(args):
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise InvalidConfigError(f"--tol must be positive and finite, got {args.tol}")
+    if not 0 < args.tol < 1:
+        raise InvalidConfigError(f"--tol must lie in (0, 1), got {args.tol}")
     if args.geometry:
         return load_geometry(args.geometry)
     return builtin_geometry(args.builtin, UnivariateSpace(args.p, args.r, args.n))

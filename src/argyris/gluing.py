@@ -159,9 +159,10 @@ def _split_beta(a1, a2, beta):
 
 
 def _check_tol(tol):
-    """Refuse an AS-G1 acceptance tolerance that is not positive and finite."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise InvalidConfigError(f"AS-G1 tolerance must be positive and finite, got {tol}")
+    """Refuse an AS-G1 acceptance tolerance outside (0, 1): the relative
+    singular value is at most 1, so a tolerance of 1 or more accepts all."""
+    if not 0 < tol < 1:
+        raise InvalidConfigError(f"AS-G1 tolerance must lie in (0, 1), got {tol}")
 
 
 def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
@@ -255,16 +256,17 @@ def boundary_gluing():
     )
 
 
-def _transversal_from_jet(g, jet, xs):
+def _transversal_from_jet(alpha1, beta1, jet, xs):
     """Transversal direction d(t) along the edge of patch 1, and its
     derivative, from the order-2 jets of patch 1 at (0, xs):
     d(t) = (d1F1(0, t) + beta1(t) d2F1(0, t)) / alpha1(t), and d'(t) the
-    analytic derivative of that quotient."""
+    analytic derivative of that quotient. The linear alpha1, beta1 are one
+    pair of monomial coefficients (2,), or one pair per point (m, 2)."""
     F1u, F1v = jet[:, 1, 0, :], jet[:, 0, 1, :]
     F1uv, F1vv = jet[:, 1, 1, :], jet[:, 0, 2, :]
-    a1 = _pv(g.alpha1, xs)[:, None]
-    b1 = _pv(g.beta1, xs)[:, None]
+    a1 = (alpha1[..., 0] + alpha1[..., 1] * xs)[:, None]
+    b1 = (beta1[..., 0] + beta1[..., 1] * xs)[:, None]
     d = (F1u + b1 * F1v) / a1
-    dnum = F1uv + g.beta1[1] * F1v + b1 * F1vv
-    dp = (dnum - g.alpha1[1] * d) / a1
+    dnum = F1uv + beta1[..., 1, None] * F1v + b1 * F1vv
+    dp = (dnum - alpha1[..., 1, None] * d) / a1
     return d, dp

@@ -32,7 +32,6 @@ __all__ = [
     "VertexRecord",
     "MultiPatch",
     "rotate_net",
-    "rotate_grid",
     "check_regularity",
     "edge_frames",
     "standard_form_edge",
@@ -58,16 +57,6 @@ def rotate_net(net, k):
     for _ in range(k % 4):
         out = out[::-1].swapaxes(0, 1)
     return out
-
-
-def rotate_grid(x1, x2, k):
-    """Factors (x1, x2) of the image of the tensor grid x1 x x2 under k quarter
-    turns. With one factor a single point (a side or a corner), point q of
-    the x1-major flattened grid maps to point q of the image grid."""
-    x1, x2 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (x1, x2))
-    for _ in range(k % 4):
-        x1, x2 = 1.0 - x2, x1
-    return x1, x2
 
 
 class Patch(TensorSpline):

@@ -18,13 +18,15 @@ the dual functionals (``duality``). The columns come in three families:
   linear gluing data; edge function j is this map at a unit T or V;
 * vertex functions: six per vertex, the alternating-sum Hermite interpolants
   of the scaled C2 data diag(sigma^|j|). Each edge slot around the vertex
-  has a (5, 6) matrix taking a C2 datum to the end values of T and V, and
-  each patch corner a (4, 6) matrix taking it to the jet whose 2x2 corner
-  coefficients both slots share; a function is the layers of its two slots
-  minus that corner block.
+  has a (5, 6) matrix taking a C2 datum to the end values of T and V, one
+  formula for all slots (before a boundary vertex's first corner, on its
+  transposed jets), and each patch corner a (4, 6) matrix taking it to the
+  jet whose 2x2 corner coefficients both slots share; a function is the
+  layers of its two slots minus that corner block.
 
-Each family is built in one pass, as pieces (rows, columns, values) straight
-from these layers, rows found by the index permutation of the patch's
+Each family is built in one pass over stacked arrays, as pieces (rows,
+columns, values) straight from these layers, all its sides in one
+``_side_layers`` call, rows found by the index permutation of the patch's
 standard-form rotation (``_rows``). C is the sum of all pieces, so
 ``CSRMatrix.from_triplets`` sums the corner block of two slots. All products
 entering the pullbacks (alpha times an S- spline, beta times a derivative of
@@ -47,7 +49,8 @@ import numpy as np
 
 from .bspline import _basis_values, _drop_noise, _integer, derived_edge_spaces, represent_exactly
 from .errors import InvalidConfigError
-from .gluing import DEFAULT_TOL, _check_tol, _transversal_from_jet, boundary_gluing, fit_asg1
+from .gluing import (DEFAULT_TOL, GluingData, _check_tol, _transversal_from_jet,
+                     boundary_gluing, fit_asg1)
 from .multipatch import edge_frames, rotate_net, vertex_surrounding_edges
 
 __all__ = [
@@ -120,30 +123,29 @@ def _edge_index_set(Nm):
     return trace + deriv
 
 
-# Linear forms in a C2 datum (v, g0, g1, H00, H01, H11) at the vertex: its
-# value, its derivative g.a along a curve with velocity a, and its mixed
-# second derivative a^T H b + g.ab along a map with first derivatives a, b
-# and mixed derivative ab.
+# Linear forms in a C2 datum (v, g0, g1, H00, H01, H11) at the vertex, for
+# stacks of vectors (..., 2): its value, its derivative g.a along a curve
+# with velocity a, and its mixed second derivative a^T H b + g.ab along a map
+# with first derivatives a, b and mixed derivative ab; each form (..., 6).
 _VALUE = np.eye(6)[0]
 
 
-def _d1(a):
-    return np.array([0.0, a[0], a[1], 0.0, 0.0, 0.0])
-
-
 def _d2(a, b, ab):
-    return np.array(
-        [0.0, ab[0], ab[1], a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[1] * b[1]]
-    )
+    z = np.zeros(a.shape[:-1])
+    return np.stack([z, ab[..., 0], ab[..., 1], a[..., 0] * b[..., 0],
+                     a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0], a[..., 1] * b[..., 1]], axis=-1)
+
+
+def _d1(a):  # g.a: the second-order form at first derivatives 0 and mixed one a
+    return _d2(0.0 * a, 0.0 * a, a)
 
 
 def _edge_data(t0, t0p, d0, d0p, hp):
-    """(5, 6) edge data of a slot at the vertex: value, first and second
+    """(..., 5, 6) edge data of slots at their vertex: value, first and second
     tangential derivative, then the first two (h/p)-scaled transversal ones,
-    for a trace with tangent t0, t0' and transversal direction d0, d0'."""
-    return np.stack(
-        [_VALUE, _d1(t0), _d2(t0, t0, t0p), hp * _d1(d0), hp * _d2(t0, d0, d0p)]
-    )
+    for traces with tangent t0, t0' and transversal direction d0, d0'."""
+    value = np.broadcast_to(_VALUE, t0.shape[:-1] + (6,))
+    return np.stack([value, _d1(t0), _d2(t0, t0, t0p), hp * _d1(d0), hp * _d2(t0, d0, d0p)], -2)
 
 
 #: rows of A that one step of the sparse product ``A @ B`` reads
@@ -292,8 +294,8 @@ class ArgyrisSpace:
         self.shape = (self.N, self.N)
         # _rows[k][a, b]: row in a patch's extraction matrix of position
         # (a, b) of its grid seen in the frame rotated by k quarter turns
-        self._rows = [rotate_net(np.arange(self.N**2).reshape(self.shape), k)
-                      for k in range(4)]
+        self._rows = np.array([rotate_net(np.arange(self.N**2).reshape(self.shape), k)
+                               for k in range(4)])
 
         # S+ basis and its derivative, re-expressed in S^{p,r} and S-
         self._rep_plus = represent_exactly(
@@ -326,7 +328,6 @@ class ArgyrisSpace:
         self._aminus[:2] = _drop_noise(np.linalg.inv(dm[0][:2, :2]))
 
         self.gluing = {}  # edge id -> GluingData, the edge's standard-form gluing
-        self._sigma = {}  # vertex id -> sigma
         # what the dual functionals read of the geometry and the gluing: per
         # kind the table of all edges or all vertices, and the dual matrix D;
         # filled on first use by ``duality``, never by the build
@@ -345,13 +346,14 @@ class ArgyrisSpace:
         each other; their nonzero entries make one ``CSRMatrix``, in which a
         position written by several pieces holds their sum in piece order.
         """
-        triplets = []
-        for build in (self.build_patch_interior, self.build_edge_functions,
-                      self.build_vertex_functions):
-            for piece in build():
-                rows, cols, vals = np.broadcast_arrays(*piece)
-                keep = vals != 0.0
-                triplets.append((rows[keep], cols[keep], vals[keep]))
+        def nonzero(piece):
+            rows, cols, vals = np.broadcast_arrays(*piece)
+            keep = vals != 0.0
+            return rows[keep], cols[keep], vals[keep]
+
+        # map lets go of each family's pieces before the next family is built
+        triplets = [t for build in (self.build_patch_interior, self.build_edge_functions,
+                                    self.build_vertex_functions) for t in map(nonzero, build())]
         shape = (len(self.geometry.patches) * self.N**2, self.dim)
         return CSRMatrix.from_triplets(*(np.concatenate(t) for t in zip(*triplets)), shape)
 
@@ -362,39 +364,45 @@ class ArgyrisSpace:
         rows = i * self.N**2 + self._rows[0][2:-2, 2:-2].ravel()
         return [(rows, start + i * k + np.arange(k), 1.0)]
 
-    def _side_layers(self, T, V, alpha, beta, role):
-        """The two coefficient layers (2, N, k) next to an edge on one side.
+    def _side_layers(self, T, V, alpha, beta, sign, patch, turns):
+        """Rows (S, 2, N) and values (S, 2, N, k) of the two coefficient
+        layers next to an edge, on S sides at once.
 
-        Column f maps S+ trace coefficients T[:, f] and S- coefficients
-        V[:, f] of the (h/p)-scaled transversal derivative to
+        On side s, column f maps S+ trace coefficients T[:, f] and S-
+        coefficients V[:, f] of the (h/p)-scaled transversal derivative (T, V
+        shared by all sides, or (S, N+, k) and (S, N-, k)) to
 
-            u0 = T,   u1 = u0 - (h/p) beta T' +- alpha V
+            u0 = T,   u1 = u0 - (h/p) beta_s T' + sign_s alpha_s V
 
-        in S^{p,r}, with + on the patch before the edge (role 1) and - on the
-        patch after it (role 2).
+        in S^{p,r}, for linear gluing data alpha, beta (S, 2), on the {xi1 = 0}
+        side (sign +1, the patch before the edge) or the {xi2 = 0} side (sign
+        -1, the patch after it) of patch ``patch[s]`` after ``turns[s]`` quarter turns.
         """
         hp = self.config.h / self.config.p
+
+        def times(c, v):  # coefficients of (c0 + c1 x) v for an S- spline v
+            return (c[:, 0, None, None] * self._E + c[:, 1, None, None] * self._X) @ v
+
         u0 = self._rep_plus @ T
-        u1 = u0 - hp * ((beta[0] * self._E + beta[1] * self._X) @ (self._der_plus @ T))
-        w = (alpha[0] * self._E + alpha[1] * self._X) @ V
-        return np.stack([u0, u1 + w if role == 1 else u1 - w])
+        u1 = u0 - hp * times(beta, self._der_plus @ T)
+        sign = sign[:, None, None]
+        u1 += sign * times(alpha, V)
+        rows = np.where(sign > 0, self._rows[turns, :2], self._rows[turns, :, :2].swapaxes(1, 2))
+        return rows + patch[:, None, None] * self.N**2, np.stack(np.broadcast_arrays(u0, u1), axis=1)
 
     def build_edge_functions(self):
         """Edge basis of all edges: traces from S+, transversal derivatives from S-.
 
         The trace function (j, 0) has the layers of T = e_j, V = 0 and the
         derivative function (j, 1) those of T = 0, V = e_j, on the {xi1 = 0}
-        side of the first standard-form patch (role 1) and on the {xi2 = 0}
-        side of the second (role 2). Boundary edges use role 1 with
-        alpha = 1, beta = 0.
+        side of the first standard-form patch (sign +1) and on the {xi2 = 0}
+        side of the second (sign -1), all sides in one ``_side_layers`` call.
+        Boundary edges have one side, with alpha = 1, beta = 0.
         """
         mp = self.geometry
-        idx = _edge_index_set(self.sminus.N)
-        T = np.zeros((self.splus.N, len(idx)))
-        V = np.zeros((self.sminus.N, len(idx)))
-        for f, (j, s) in enumerate(idx):
-            (V if s else T)[j, f] = 1.0
-        sides = {1: [], 2: []}  # role -> (rows, edge id, layers) of its sides
+        j, s = np.array(_edge_index_set(self.sminus.N)).T
+        T, V = (np.eye(n)[:, j] * (s == b) for n, b in ((self.splus.N, 0), (self.sminus.N, 1)))
+        sides = []  # (edge id, patch, turns, sign, alpha, beta) of every side
         for edge in mp.edges:
             frames = edge_frames(edge)
             if edge.is_interface:
@@ -402,13 +410,12 @@ class ArgyrisSpace:
             else:
                 g = boundary_gluing()
             self.gluing[edge.id] = g
-            roles = ((1, g.alpha1, g.beta1), (2, g.alpha2, g.beta2))
-            for (ipatch, rot), (role, alpha, beta) in zip(frames, roles):
-                # layers {xi1 = 0, 1} of the first patch, {xi2 = 0, 1} of the second
-                R = self._rows[rot] + ipatch * self.N**2
-                rows = R[:2] if role == 1 else R[:, :2].T
-                sides[role].append((rows, edge.id, self._side_layers(T, V, alpha, beta, role)))
-        return [self._stacked("edge", parts) for parts in sides.values() if parts]
+            glue = ((1, g.alpha1, g.beta1), (-1, g.alpha2, g.beta2))
+            sides += [(edge.id, *frame, *data) for frame, data in zip(frames, glue)]
+        owner, patch, turns, sign, alpha, beta = (np.array(t) for t in zip(*sides))
+        rows, layers = self._side_layers(T, V, alpha, beta, sign, patch, turns)
+        start, k = self._layout["edge"]
+        return [(rows[..., None], start + owner[:, None, None, None] * k + np.arange(k), layers)]
 
     def build_vertex_functions(self):
         """Six functions per vertex, dual to scaled derivatives of order <= 2.
@@ -418,79 +425,71 @@ class ArgyrisSpace:
         surrounding patch the functions are the side layers of the two edge
         slots there, with S+ and S- end coefficients given by the slot's edge
         data times the data, minus the 2x2 corner block of the patch's corner
-        data times the data, which both slots contain. The three pieces stack,
-        over all corner patches, that block negated, then the slot before the
-        patch (role 2), then the one after it (role 1): C sums each shared
-        position in that order. Slot ell is edge ell of
-        ``vertex_surrounding_edges``, between patches ell-1 and ell.
+        data times the data, which both slots contain.
+
+        One formula gives the edge data of every slot of every vertex: the
+        slot after a corner reads the corner's jets through the gluing of the
+        edge after it, the corner's patch first. The slot before a corner is
+        the previous corner's; before a boundary vertex's first corner it is
+        the formula on that corner's transposed jets with alpha1 = -1,
+        beta1 = 0 (d = -d2F, d' = -d1d2F), its side alpha = 1, beta = 0. The
+        pieces stack the corner blocks negated, then the sides before (sign
+        -1) and after (sign +1) each corner: C sums each position in order.
         """
-        mp = self.geometry
-        h, p = self.config.h, self.config.p
-        hp = h / p
+        mp, N, h, p = self.geometry, self.N, self.config.h, self.config.p
+        corners = np.array([c for vertex in mp.vertices for c in vertex.corners])  # (K, 2)
+        K = len(corners)
+        vid = np.repeat(np.arange(len(mp.vertices)), [v.valence for v in mp.vertices])
+        # jets[c, a, b] = d^a d^b F / dxi1^a dxi2^b at corner c in its
+        # standard-form frame, read off the 3x3 corner block of its net
+        nets = np.concatenate([P.net.reshape(-1, 2) for P in mp.patches])
+        jets = self._corner_jets(nets[corners[:, :1, None] * N**2 + self._rows[corners[:, 1], :3, :3]])
 
-        # jets[ell][a, b] = d^a d^b F / dxi1^a dxi2^b at the vertex of patch ell
-        # in its standard-form frame, read off the 3x3 corner block of its net,
-        # for the corners of all vertices at once; sigma, the slots and the
-        # corner data are read from them
-        corners = [c for vertex in mp.vertices for c in vertex.corners]
-        blocks = [mp.patches[i].net.reshape(-1, 2)[self._rows[c][:3, :3]] for i, c in corners]
-        ends = np.cumsum([vertex.valence for vertex in mp.vertices])[:-1]
-        corner_blocks, before, after = [], [], []  # (rows, vertex id, values)
-        for vertex, jets in zip(mp.vertices, np.split(self._corner_jets(np.array(blocks)), ends)):
+        # the topology walk: slot c < K follows corner c, slot K + b precedes
+        # the first corner of the b-th boundary vertex; before[c] is the slot
+        # preceding corner c
+        glue, before, first = [], [], []
+        for vertex in mp.vertices:
             ring = vertex_surrounding_edges(mp, vertex)
-            nu = vertex.valence
-            jacobians = [np.stack([J[1, 0], J[0, 1]], axis=-1) for J in jets]
-            sigma = 1.0 / (h / (p * nu) * sum(np.linalg.norm(Jac) for Jac in jacobians))
-            self._sigma[vertex.id] = sigma
-            scale = np.array([sigma ** sum(j) for j in VERTEX_INDEX_ORDER])
+            c0 = len(glue)
+            for corner, edge in zip(vertex.corners, ring[1:] + ring[:1]):
+                g = self.gluing[edge.id]
+                glue.append(g if edge.locals[0] == corner else g.reversed())
+            before += [len(glue) - 1 if vertex.is_interior else K + len(first)]
+            before += range(c0, len(glue) - 1)
+            first += [] if vertex.is_interior else [c0]
+        one, zero = np.array([1.0, 0.0]), np.zeros(2)  # boundary slots: alpha1 = -1, alpha2 = 1
+        slots = glue + [GluingData(-one, zero, one, zero, np.zeros(3), 0.0, True)] * len(first)
+        pairs = [(slots[s], g) for s, g in zip(before, glue)]  # sides read alpha2, then alpha1
+        alpha = np.array([x for b, a in pairs for x in (b.alpha2, a.alpha1)])
+        beta = np.array([x for b, a in pairs for x in (b.beta2, a.beta1)])
 
-            # slot ell: its (5, 6) edge data times the data, and the gluing
-            # (alpha, beta) seen from the patch before (role 1) and after (role 2)
-            slots = []
-            for ell, edge in enumerate(ring):
-                if ell == 0 and not edge.is_interface:
-                    # boundary edge on the {xi2 = 0} side of the first patch
-                    J = jets[0]
-                    data = _edge_data(J[1, 0], J[2, 0], -J[0, 1], -J[1, 1], hp)
-                    roles = {2: (np.array([1.0, 0.0]), np.zeros(2))}
-                else:
-                    # the edge was fitted with its first listed side as patch 1
-                    # (a boundary edge after the last patch: alpha1 = 1, beta1 = 0,
-                    # so d = d1F); reverse when that is patch ell rather than ell-1
-                    corner = vertex.corners[(ell - 1) % nu]
-                    g = self.gluing[edge.id]
-                    if edge.locals[0] != corner:
-                        g = g.reversed()
-                    J = jets[(ell - 1) % nu]
-                    d, dp = _transversal_from_jet(g, J[None], np.zeros(1))
-                    data = _edge_data(J[0, 1], J[0, 2], d[0], dp[0], hp)
-                    roles = {1: (g.alpha1, g.beta1), 2: (g.alpha2, g.beta2)}
-                slots.append((data * scale, roles))
+        # sigma per vertex, the scales sigma^|j| per corner, the corner blocks
+        jac = np.stack([jets[:, 1, 0], jets[:, 0, 1]], axis=-1).reshape(K, 1, 4)
+        norms = np.sqrt(jac @ jac.reshape(K, 4, 1)).ravel()  # the Jacobians' Frobenius norms
+        self._sigma = 1.0 / (h / (p * np.bincount(vid)) * np.bincount(vid, norms))
+        scale = np.float_power(self._sigma[:, None], np.sum(VERTEX_INDEX_ORDER, axis=1))[vid]
+        # the jet (f, f_v, f_u, f_uv) of each datum pulled back to the patch
+        u, v = jets[:, 1, 0], jets[:, 0, 1]
+        corner_data = np.stack([np.broadcast_to(_VALUE, (K, 6)), _d1(v), _d1(u),
+                                _d2(u, v, jets[:, 1, 1])], axis=1)
+        corner = -(self._corner_map @ (corner_data * scale[:, None])).reshape(K, 2, 2, 6)
 
-            for ell, (ipatch, rot) in enumerate(vertex.corners):
-                # the jet (f, f_v, f_u, f_uv) of the datum pulled back to the
-                # patch, whose 2x2 corner block both slots' layers contain
-                J = jets[ell]
-                corner_data = np.stack(
-                    [_VALUE, _d1(J[0, 1]), _d1(J[1, 0]), _d2(J[1, 0], J[0, 1], J[1, 1])]
-                )
-                corner = -(self._corner_map @ (corner_data * scale)).reshape(2, 2, 6)
-                R = self._rows[rot] + ipatch * self.N**2
-                corner_blocks.append((R[:2, :2], vertex.id, corner))
-                around = ((slots[ell], 2, before), (slots[(ell + 1) % len(slots)], 1, after))
-                for (D, roles), role, parts in around:
-                    T, V = self._aplus @ D[:3], self._aminus @ D[3:]
-                    rows = R[:2] if role == 1 else R[:, :2].T
-                    parts.append((rows, vertex.id, self._side_layers(T, V, *roles[role], role)))
-        return [self._stacked("vertex", parts) for parts in (corner_blocks, before, after)]
+        # every slot's (5, 6) edge data times the data, and its S+ and S- ends
+        J = np.concatenate([jets, jets[first].swapaxes(1, 2)])
+        a1, b1 = (np.array([getattr(g, n) for g in slots]) for n in ("alpha1", "beta1"))
+        d, dp = _transversal_from_jet(a1, b1, J, np.zeros(len(J)))
+        D = _edge_data(J[:, 0, 1], J[:, 0, 2], d, dp, h / p) * np.r_[scale, scale[first]][:, None]
+        T, V = self._aplus @ D[:, :3], self._aminus @ D[:, 3:]
 
-    def _stacked(self, kind, parts):
-        """One piece from parts (rows, owner, values) of entities of one kind,
-        the values (rows.shape + (k,)) in the owner's k columns."""
-        rows, owners, vals = (np.array(t) for t in zip(*parts))
-        start, k = self._layout[kind]
-        cols = start + owners.reshape((-1,) + (1,) * rows.ndim) * k + np.arange(k)
-        return rows[..., None], cols, vals
+        side = np.stack([before, np.arange(K)], axis=1).ravel()  # the slot of each side
+        patch, turns = np.repeat(corners, 2, axis=0).T
+        rows, layers = self._side_layers(T[side], V[side], alpha, beta, np.tile([-1, 1], K),
+                                         patch, turns)
+        cols = self._layout["vertex"][0] + vid[:, None, None, None] * 6 + np.arange(6)
+        # the rows of the side after a corner start with the corner's 2x2 block
+        return [(rows[1::2, :, :2, None], cols, corner),
+                (rows[..., None], np.repeat(cols, 2, axis=0), layers)]
 
     def _corner_jets(self, blocks):
         """d^a d^b f / dxi1^a dxi2^b, a, b <= 2, at the corner (0, 0) of

@@ -25,6 +25,16 @@ def pointwise_jet(space, coeffs, uv, nderiv):
     return np.einsum("mai,mij...,mbj->mab...", d1, W, d2)
 
 
+def rotate_grid(x1, x2, k):
+    """Factors (x1, x2) of the image of the tensor grid x1 x x2 under k quarter
+    turns. With one factor a single point (a side or a corner), point q of
+    the x1-major flattened grid maps to point q of the image grid."""
+    x1, x2 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (x1, x2))
+    for _ in range(k % 4):
+        x1, x2 = 1.0 - x2, x1
+    return x1, x2
+
+
 def member_jet(space, coeffs, patch, uv, nderiv):
     """Parametric jet (m, nderiv+1, nderiv+1, ...) on one patch of the member
     of an ArgyrisSpace with the given coefficients (dim,) or (dim, k)."""

@@ -229,6 +229,14 @@ def test_represent_rejects_off_mesh_kink():
             represent_exactly(sp, f)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_represent_refuses_non_finite_samples(value):
+    # NaN or inf samples used to come back as non-finite coefficients, since
+    # the misfit check "misfit > tol" is False for NaN
+    with pytest.raises(NotInSpaceError, match="non-finite"):
+        represent_exactly(UnivariateSpace(3, 1, 4), lambda x: np.full_like(x, value))
+
+
 def test_represent_drops_rounding_noise():
     # knot insertion from 4 to 8 elements has exact zeros off the band of
     # every coarse basis function; none of them may come back as 1e-17

@@ -252,12 +252,17 @@ def test_space_audit_reads_a_missing_diagonal_as_one(capsys, monkeypatch):
     assert out.endswith("audit FAIL\n")
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_non_finite_tol_exits_one(capsys, tol):
-    # a NaN tolerance used to turn every verdict into NOT AS-G1 with exit 0
-    code, out, err = run(
-        capsys, "gluing", "--builtin", "two_patch_bilinear", "--tol", tol
-    )
+@pytest.mark.parametrize("tol, builtin", [
+    ("nan", "two_patch_bilinear"),
+    ("inf", "two_patch_bilinear"),
+    ("1", "two_patch_bilinear"),
+    ("2", "two_patch_generic_non_asg1"),
+], ids=["nan", "inf", "1", "2"])
+def test_non_finite_tol_exits_one(capsys, tol, builtin):
+    # a NaN tolerance used to turn every verdict into NOT AS-G1 with exit 0;
+    # a tolerance of 1 or more accepted every interface, and 2 ended in a
+    # DegenerateGluingError (exit 2) on the non-AS-G1 pair
+    code, out, err = run(capsys, "gluing", "--builtin", builtin, "--tol", tol)
     assert code == 1
     assert out == ""
     assert "--tol" in err

@@ -23,9 +23,9 @@ from argyris.duality import _entities, _unit_jets, dual_matrix
 from argyris.fit import cos_sin_field
 from argyris.geometries import _fan
 from argyris.gluing import _pv
-from argyris.multipatch import edge_frames, rotate_grid
+from argyris.multipatch import edge_frames
 from argyris.space import CSRMatrix, _edge_index_set
-from conftest import square_grid_geometry
+from conftest import rotate_grid, square_grid_geometry
 
 
 def ids_where(space, pred):

@@ -39,9 +39,9 @@ from argyris.fit import (
     _levels,
     _pcg,
 )
-from argyris.multipatch import edge_frames, rotate_grid
+from argyris.multipatch import edge_frames
 from argyris.space import VERTEX_INDEX_ORDER, CSRMatrix
-from conftest import pointwise_jet, square_grid_geometry
+from conftest import pointwise_jet, rotate_grid, square_grid_geometry
 
 AS_G1_BUILTINS = (
     "two_patch_bilinear",
@@ -81,10 +81,17 @@ def test_quadrature_rule_needs_elements():
     pytest.param(lambda sp: check_regularity(sp.geometry.patches[0], 10.5), id="regularity"),
     pytest.param(lambda sp: sp.block("edge", 1.5), id="block"),
     pytest.param(lambda sp: sp.basis_id(2.0), id="basis-id"),
+    pytest.param(lambda sp: sp.config.basis_ders([0.5], 1.5), id="basis-ders-order-1.5"),
+    pytest.param(lambda sp: sp.config.basis_ders([0.5], -1), id="basis-ders-order-negative"),
+    pytest.param(lambda sp: sp.geometry.patches[0].grid_jet([0.5], [0.5], 1.5),
+                 id="grid-jet-order-1.5"),
+    pytest.param(lambda sp: sp.geometry.patches[0].grid_jet([0.5], [0.5], -1),
+                 id="grid-jet-order-negative"),
 ])
 def test_integer_parameters_must_be_integers(sp_two, call):
     # a float count used to pass the range checks and fail later with a bare
-    # TypeError, or, as n of a space, to give a float dimension N
+    # TypeError, or, as n of a space, to give a float dimension N; a negative
+    # derivative order used to end in a bare IndexError or ValueError
     with pytest.raises(InvalidConfigError, match="must be an integer"):
         call(sp_two)
 

@@ -27,7 +27,7 @@ def determinants(F1, F2, xs):
 
 def transversal(g, F1, xs):
     """Transversal vector d and d' along the edge of patch 1, as the space reads them."""
-    return _transversal_from_jet(g, F1.grid_jet([0.0], xs, 2), xs)
+    return _transversal_from_jet(g.alpha1, g.beta1, F1.grid_jet([0.0], xs, 2), xs)
 
 
 def test_translated_squares_determinants(mp_two):
@@ -163,11 +163,12 @@ def test_non_asg1_rejected(mp_non_asg1):
     assert g.residual >= 1e-4
 
 
-@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf, 1.0, 2.0])
 def test_tolerance_must_be_positive_and_finite(mp_three, mp_single, tol):
     # a NaN tolerance used to give a verdict on a correct geometry: "relative
     # fit residual 8.941e-17 >= nan"; the single patch fits no gluing, so the
-    # space checks the tolerance itself
+    # space checks the tolerance itself. The relative singular value is at
+    # most 1, so a tolerance of 1 or more would accept every interface
     with pytest.raises(InvalidConfigError, match="tolerance"):
         fit_asg1(*interface_pair(mp_three), tol=tol)
     for mp in (mp_three, mp_single):

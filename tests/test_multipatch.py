@@ -15,7 +15,7 @@ from argyris import (
     standard_form_edge,
 )
 from argyris.errors import ConformityError, GeometryFormatError, TopologyError
-from conftest import bilinear_patch, patch_point, pointwise_jet
+from conftest import bilinear_patch, patch_point, pointwise_jet, rotate_grid
 
 
 @pytest.fixture(scope="module")
@@ -410,7 +410,7 @@ def test_interface_recorded_as_two_boundary_edges_is_refused(mp_two):
 
 
 def test_rotate_grid_matches_quarter_turns_on_sides_and_corners():
-    from argyris.multipatch import CORNER_UV, rotate_grid
+    from argyris.multipatch import CORNER_UV
 
     t = np.linspace(0.0, 1.0, 7)
     for x1, x2 in (([0.0], t), (t, [0.0]), ([0.0], [0.0])):

@@ -12,12 +12,12 @@ from argyris import (
 from argyris.errors import InvalidConfigError
 from argyris.bspline import _basis_values
 from argyris.gluing import _transversal_from_jet
-from argyris.multipatch import CORNER_UV, edge_frames, rotate_grid
+from argyris.multipatch import CORNER_UV, edge_frames
 from argyris.space import _PRODUCT_ROWS, BasisId, CSRMatrix, VERTEX_INDEX_ORDER, _edge_index_set
 from argyris import TensorSpline, UnivariateSpace, bspline, load_geometry, save_geometry
 from argyris.errors import TopologyError
 from argyris.multipatch import MultiPatch, VertexRecord
-from conftest import member_jet, pointwise_jet, square_grid_geometry
+from conftest import member_jet, pointwise_jet, rotate_grid, square_grid_geometry
 
 AS_G1_BUILTINS = (
     "two_patch_bilinear",
@@ -230,7 +230,8 @@ def test_edge_trace_and_transversal_reproduction(sp_three):
         uv = turned(0.0, t, rot)
         gj = pointwise_jet(mp.patches[i1].space, mp.patches[i1].net, uv, 2)
         jet = mp.patches[i1].rotate(rot).grid_jet([0.0], t, 2)
-        d, _ = _transversal_from_jet(sp_three.gluing[e.id], jet, t)
+        g = sp_three.gluing[e.id]
+        d, _ = _transversal_from_jet(g.alpha1, g.beta1, jet, t)
         for a in ids_of_kind(sp_three, "edge", e.id):
             j, s = sp_three.basis_id(a).index
             fj = member_jet(sp_three, unit(sp_three, a), i1, uv, 2)
@@ -579,34 +580,36 @@ def test_linear_alpha_interface_space(mp_asymmetric):
 )
 def test_vertex_slots_reuse_edge_gluing(request, fixture, monkeypatch):
     # each interface is fitted once; every vertex slot, in either orientation,
-    # must carry the data a fresh fit of its own patch pair gives
+    # must carry the data a fresh fit of its own patch pair gives. Each
+    # family takes all its sides in one _side_layers call per build
     from argyris import fit_asg1
 
-    sp = ArgyrisSpace(request.getfixturevalue(fixture))
     side_layers = ArgyrisSpace._side_layers
     calls = []
 
-    def spy(self, T, V, alpha, beta, role):
-        calls.append((alpha, beta, role))
-        return side_layers(self, T, V, alpha, beta, role)
+    def spy(self, T, V, alpha, beta, sign, patch, turns):
+        calls.append((alpha, beta, sign))
+        return side_layers(self, T, V, alpha, beta, sign, patch, turns)
 
     monkeypatch.setattr(ArgyrisSpace, "_side_layers", spy)
-    sp.build_vertex_functions()
-    # 2 nu calls per vertex, vertex after vertex
-    assert len(calls) == sum(2 * v.valence for v in sp.geometry.vertices)
+    sp = ArgyrisSpace(request.getfixturevalue(fixture))
+    assert len(calls) == 2  # the edge family, then the vertex family
+    sides = list(zip(*calls[1]))
+    # 2 nu sides per vertex, vertex after vertex
+    assert len(sides) == sum(2 * v.valence for v in sp.geometry.vertices)
     checked = start = 0
     for v in sp.geometry.vertices:
         nu = v.valence
-        vertex_calls, start = calls[start : start + 2 * nu], start + 2 * nu
-        # per patch ell: the slot before it (role 2), then the one after (role 1)
-        assert [role for *_, role in vertex_calls] == [2, 1] * nu
-        for n, (alpha, beta, role) in enumerate(vertex_calls):
-            ell = n // 2 + (role == 1)  # slot ell lies between patches ell-1, ell
+        vertex_sides, start = sides[start : start + 2 * nu], start + 2 * nu
+        # per patch ell: the slot before it (sign -1), then the one after (sign +1)
+        assert [sign for *_, sign in vertex_sides] == [-1, 1] * nu
+        for n, (alpha, beta, sign) in enumerate(vertex_sides):
+            ell = n // 2 + (sign == 1)  # slot ell lies between patches ell-1, ell
             if not (v.is_interior or 0 < ell < nu):
                 continue
             pair = v.corners[ell - 1], v.corners[ell % nu]
             g = fit_asg1(*(sp.geometry.patches[p].rotate(c) for p, c in pair))
-            want = (g.alpha1, g.beta1) if role == 1 else (g.alpha2, g.beta2)
+            want = (g.alpha1, g.beta1) if sign == 1 else (g.alpha2, g.beta2)
             for got, w in zip((alpha, beta), want):
                 np.testing.assert_allclose(got, w, rtol=0, atol=1e-13)
             checked += 1
