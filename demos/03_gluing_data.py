@@ -16,11 +16,16 @@ def det(a, b):
 
 cfg = UnivariateSpace(3, 1, 4)
 
-# Two translated unit squares meet with parametric continuity: the edge
-# determinants d1 = det[d1F1, d2F1](0, t), d2 = det[d1F2, d2F2](t, 0) and
-# d12 = det[d2F2(t, 0), d1F1(0, t)] collapse, and the fitted data is the
-# trivial one. grid_jet gives the derivatives d^a d^b F of a patch on a grid,
-# here a patch side.
+# The gluing condition alpha1 d2F2 + alpha2 d1F1 + beta d2F1 = 0 along the
+# edge is two scalar equations in the edge determinants
+# d1 = det[d1F1, d2F1](0, t), d2 = det[d1F2, d2F2](t, 0) and
+# d12 = det[d2F2(t, 0), d1F1(0, t)]: the alpha row alpha2 d1 - alpha1 d2 = 0
+# and the beta row alpha1 d12 - beta d1 = 0. fit_asg1 samples both rows as one
+# least-squares system for linear alphas and a quadratic beta; its residual
+# is the relative smallest singular value. Two translated unit squares meet
+# with parametric continuity: d12 vanishes, d1 = d2, and the fitted data is
+# the trivial one. grid_jet gives the derivatives d^a d^b F of a patch on a
+# grid, here a patch side.
 mp = builtin_geometry("two_patch_bilinear", cfg)
 F1, F2 = standard_form_edge(mp, mp.interfaces()[0])
 t = np.linspace(0, 1, 9)
@@ -35,8 +40,8 @@ print("  d12:", np.round(d12, 12))
 g = fit_asg1(F1, F2)
 print("  fitted alpha1:", g.alpha1, "beta:", g.beta, "residual:", g.residual)
 
-# A genuinely angled interface of the three-patch fan: the alphas come out
-# linear, beta splits into two linear parts, and the G1 defect is at rounding.
+# A genuinely angled interface of the three-patch fan: the system has a null
+# vector (residual at rounding), and its beta splits into two linear parts.
 # The transversal vector d = (d1F1 + beta1 d2F1) / alpha1 points across the
 # edge; the derivative edge functions take their S- data along it.
 mp = builtin_geometry("three_patch_bilinear", cfg)
@@ -53,7 +58,7 @@ for e in mp.interfaces():
     print("  transversal d at {0, 1/2, 1}:", np.round(d, 6).tolist())
 
 # The negative control: perturbing interior control points breaks the linear
-# compatibility, and the classifier quantifies by how much.
+# compatibility; the residual stays far from zero and quantifies by how much.
 mp = builtin_geometry("two_patch_generic_non_asg1", cfg)
 F1, F2 = standard_form_edge(mp, mp.interfaces()[0])
 try:

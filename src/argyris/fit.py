@@ -8,8 +8,9 @@ form a tensor grid, so the patch map and its Jacobian, the target field and
 the fitted member are sampled there by sum factorization (``Patch.grid_jet``,
 ``jets`` of the field classes): per-direction basis tables, each made once
 per (space, nodes, derivative order), instead of a basis evaluation at every
-node. A rule keeps the |det DF| weights of every patch it integrated over,
-so the mass and the load of a fit share them. With A0 the (m, N) basis
+node. The mass and the load of a fit share the |det DF| weights of every
+patch: ``l2_fit`` passes those its mass was made with to
+``assemble_rhs(weights=...)``. With A0 the (m, N) basis
 values at the m nodes of one direction and W the weights on the node grid,
 b_i is A0^T (W o z) A0 for target samples z. The mass is never assembled:
 ``assemble_mass`` returns a ``MassOperator`` that applies M_i to a

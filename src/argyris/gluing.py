@@ -1,18 +1,21 @@
 """Gluing data along interfaces.
 
 For a pair of patches in standard form, F1(0, t) = F2(t, 0), the geometric
-compatibility functions solving
+compatibility functions solve
 
-    alpha1(t) d2F2(t, 0) + alpha2(t) d1F1(0, t) + beta(t) d2F1(0, t) = 0
+    alpha1(t) d2F2(t, 0) + alpha2(t) d1F1(0, t) + beta(t) d2F1(0, t) = 0.
 
-are determined up to a common factor by three determinants of edge
-derivatives. An interface is analysis-suitable G1 when alpha1, alpha2 and the
-split beta = alpha1*beta2 + alpha2*beta1 can all be chosen as linear
-polynomials; the fit below decides this from the determinants sampled at
-fixed edge nodes and returns stabilized data (alphas close to one, betas of
-minimal norm). Each interface is fitted once, and its GluingData is all a
-space keeps of the edge; ``GluingData.reversed`` gives the same data seen
-with the two patches swapped, as the vertex functions read it on either side.
+Read in the frame (d1F1, d2F1), this is alpha2*d1 - alpha1*d2 = 0 and
+alpha1*d12 - beta*d1 = 0 in three determinants of edge derivatives. An
+interface is analysis-suitable G1 when both hold with linear alphas and a
+quadratic beta = alpha1*beta2 + alpha2*beta1 with linear beta1, beta2. The
+fit samples both equations at fixed edge nodes as one homogeneous
+least-squares system and decides on its relative smallest singular value,
+which no linear map of the plane changes (each row scales by its det). It
+returns stabilized data (alphas close to one, betas of minimal norm). Each
+interface is fitted once, and its GluingData is all a space keeps of the
+edge; ``GluingData.reversed`` gives the same data seen with the two patches
+swapped, as the vertex functions read it on either side.
 """
 
 from dataclasses import dataclass
@@ -46,7 +49,8 @@ class GluingData:
     """Linear gluing data for one interface (monomial coefficients).
 
     ``alpha2``/``beta2`` are None for boundary edges, which carry the trivial
-    data alpha1 = 1, beta1 = 0.
+    data alpha1 = 1, beta1 = 0. ``residual`` is the relative smallest
+    singular value of the fit, the number compared with the tolerance.
     """
 
     alpha1: np.ndarray
@@ -82,8 +86,10 @@ def _reflect(c):
     return np.array([c2 + c1 + c0, -(c1 + 2.0 * c2), c2])[: len(c)]
 
 
-def _edge_jets(F1, F2, xs):
-    """First derivatives of a standard-form patch pair along the edge."""
+def _edge_determinants(F1, F2, xs):
+    """(d1, d2, d12) along the edge of a standard-form patch pair: d1(t) =
+    det[d1F1, d2F1](0, t), d2(t) = det[d1F2, d2F2](t, 0) and d12(t) =
+    det[d2F2(t, 0), d1F1(0, t)]."""
     gap = _edge_gap(F1, F2)
     if gap > CONFORMITY_TOL:
         raise ConformityError(
@@ -91,22 +97,12 @@ def _edge_jets(F1, F2, xs):
         )
     j1 = F1.grid_jet([0.0], xs, 1)
     j2 = F2.grid_jet(xs, [0.0], 1)
-    return {
-        "F1u": j1[:, 1, 0, :],
-        "F1v": j1[:, 0, 1, :],
-        "F2u": j2[:, 1, 0, :],
-        "F2v": j2[:, 0, 1, :],
-    }
-
-
-def _determinants(j):
-    """(d1, d2, d12) with d1(t) = det[d1F1, d2F1](0, t), d2(t) = det[d1F2,
-    d2F2](t, 0) and d12(t) = det[d2F2(t, 0), d1F1(0, t)], from ``_edge_jets``."""
 
     def det(a, b):
         return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
-    return det(j["F1u"], j["F1v"]), det(j["F2u"], j["F2v"]), det(j["F2v"], j["F1u"])
+    F1u, F1v, F2u, F2v = j1[:, 1, 0], j1[:, 0, 1], j2[:, 1, 0], j2[:, 0, 1]
+    return det(F1u, F1v), det(F2u, F2v), det(F2v, F1u)
 
 
 def _fit_sample_points(p, n):
@@ -114,23 +110,15 @@ def _fit_sample_points(p, n):
     return _chebpts(n, 2 * (2 * p + 3)).ravel()
 
 
-def _g1_defect(j, a1, a2, beta, xs):
-    res = (
-        _pv(a1, xs)[:, None] * j["F2v"]
-        + _pv(a2, xs)[:, None] * j["F1u"]
-        + _pv(beta, xs)[:, None] * j["F1v"]
-    )
-    scale = (np.linalg.norm(j["F1u"], axis=1) + np.linalg.norm(j["F1v"], axis=1)).max()
-    return float(np.linalg.norm(res, axis=1).max() / scale)
-
-
 def _split_beta(a1, a2, beta):
     """Linear (beta1, beta2) with a1*beta2 + a2*beta1 = beta, minimal L2 norm.
 
     The 3x4 coefficient system is underdetermined; when alpha1 and alpha2
     share a root it also loses rank, and a linear split exists only if beta
-    stays consistent with the reduced system (otherwise the interface
-    violates the relative-primality assumption and we refuse it).
+    stays consistent with it (otherwise the interface violates the
+    relative-primality assumption and we refuse it). With _GRAM = R^T R the
+    minimum L2(0, 1) norm solution v is R^-1 times the minimum Euclidean norm
+    solution w of (C R^-1) w = beta.
     """
     # constraint matrix on (b1_0, b1_1, b2_0, b2_1), rows = monomial coefficients
     C = np.array(
@@ -142,20 +130,14 @@ def _split_beta(a1, a2, beta):
     )
     b = np.zeros(3)
     b[: len(beta)] = beta
-    U, s, _ = np.linalg.svd(C)
-    rank = int(np.sum(s > 1e-12 * s[0]))
-    bh = U.T @ b
-    scale = max(1.0, np.abs(b).max())
-    if rank < 3 and np.abs(bh[rank:]).max() > 1e-10 * scale:
+    L = np.linalg.cholesky(_GRAM)
+    w = np.linalg.lstsq(np.linalg.solve(L, C.T).T, b, rcond=1e-12)[0]
+    v = np.linalg.solve(L.T, w)
+    if np.abs(C @ v - b).max() > 1e-10 * max(1.0, np.abs(b).max()):
         raise DegenerateGluingError(
             "no linear beta split exists: alpha1 and alpha2 share a root"
         )
-    Cr = (U.T @ C)[:rank]
-    lam = np.linalg.solve(Cr @ np.linalg.solve(_GRAM, Cr.T), bh[:rank])
-    v = np.linalg.solve(_GRAM, Cr.T @ lam)
-    if np.abs(C @ v - b).max() > 1e-10 * scale:
-        raise DegenerateGluingError("beta split constraints could not be met")
-    return v[:2].copy(), v[2:].copy()
+    return v[:2], v[2:]
 
 
 def _check_tol(tol):
@@ -168,44 +150,44 @@ def _check_tol(tol):
 def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
     """Decide AS-G1 and produce normalized linear gluing data.
 
-    A linear pair (p, q) minimizing ||d1*q - d2*p|| over dense edge samples is
-    found in the null space of a 4-column least-squares matrix;
-    the interface is accepted when the relative smallest singular value is
-    below ``tol``. Accepted data is rescaled so the alphas are closest to one
-    in L2, beta is fitted to the determinants at the same nodes, and the beta
-    split takes the minimum-norm solution.
+    The linear alphas and the quadratic beta are the null vector of one
+    7-column least-squares matrix, two rows per edge sample:
+    alpha2*d1 - alpha1*d2 = 0 and alpha1*d12 - beta*d1 = 0. The interface is
+    accepted when the relative smallest singular value is below ``tol``.
+    Accepted data is rescaled so the alphas are closest to one in L2, and
+    the beta split takes the minimum-norm solution.
 
     With ``strict`` (default), rejection raises NotASG1Error; otherwise the
     best-effort data is returned with ``asg1 = False``.
     """
     _check_tol(tol)
     xs = _fit_sample_points(F1.space.p, F1.space.n)
-    jets = _edge_jets(F1, F2, xs)
-    D1, D2, D12 = _determinants(jets)
+    D1, D2, D12 = _edge_determinants(F1, F2, xs)
     if D1.min() <= 0.0 or D2.min() <= 0.0:
         raise ConformityError("edge determinants are not positive; geometry is singular")
 
-    A = np.stack([-D2, -xs * D2, D1, xs * D1], axis=1)
+    # columns: monomial coefficients of alpha1 (2), alpha2 (2) and beta (3)
+    mono, z = np.vander(xs, 3, increasing=True), np.zeros((len(xs), 3))
+    A = np.block([[-D2[:, None] * mono[:, :2], D1[:, None] * mono[:, :2], z],
+                  [D12[:, None] * mono[:, :2], z[:, :2], -D1[:, None] * mono]])
     _, svals, Vt = np.linalg.svd(A, full_matrices=False)
-    rel_residual = float(svals[-1] / svals[0])
-
+    residual = float(svals[-1] / svals[0])
     nullity = int(np.sum(svals < tol * svals[0]))
     accepted = nullity >= 1
     if not accepted and strict:
         raise NotASG1Error(
             f"interface is not analysis-suitable G1: relative fit residual "
-            f"{rel_residual:.3e} >= {tol:.1e}",
-            residual=rel_residual,
+            f"{residual:.3e} >= {tol:.1e}",
+            residual=residual,
         )
 
     # straight interfaces leave a null space of dimension > 1; pick the
     # representative minimizing ||alpha1 - 1||^2 + ||alpha2 - 1||^2 in L2(0,1)
     V = Vt[-max(nullity, 1):]
+    Va = V[:, :4]
     ell = np.array([1.0, 0.5, 1.0, 0.5])
-    coef = np.linalg.solve(V @ _GRAM @ V.T, V @ ell)
-    v = V.T @ coef
-    a1 = v[:2].copy()
-    a2 = v[2:].copy()
+    v = V.T @ np.linalg.solve(Va @ _GRAM @ Va.T, Va @ ell)
+    a1, a2, beta = v[:2], v[2:4], v[4:]
     if accepted:
         for a in (a1, a2):
             if _pv(a, 0.0) <= 0.0 or _pv(a, 1.0) <= 0.0:
@@ -213,25 +195,17 @@ def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
                     "gluing sign condition alpha1*alpha2 > 0 cannot be met"
                 )
 
-    g = _pv(a1, xs) * D12 / D1
-    beta = _poly.polyfit(xs, g, 2)
+    b1 = np.zeros(2)
+    b2 = np.zeros(2)
     snap = _SNAP * max(1.0, np.abs(_pv(a1, xs)).max(), np.abs(_pv(a2, xs)).max())
-    if np.abs(g).max() <= snap:
+    if np.abs(_pv(beta, xs)).max() <= snap:
         beta = np.zeros(3)
-        b1 = np.zeros(2)
-        b2 = np.zeros(2)
         one = np.array([1.0, 0.0])
         if np.abs(a1 - one).max() <= _SNAP and np.abs(a2 - one).max() <= _SNAP:
             a1, a2 = one.copy(), one.copy()
     elif accepted:
         b1, b2 = _split_beta(a1, a2, beta)
-    else:
-        # rejected: report the alphas and the unsplit quadratic only
-        b1 = np.zeros(2)
-        b2 = np.zeros(2)
-
-    defect = _g1_defect(jets, a1, a2, beta, xs)
-    residual = rel_residual if not accepted else defect
+    # a rejected interface reports the alphas and the unsplit quadratic only
     return GluingData(
         alpha1=a1,
         beta1=b1,

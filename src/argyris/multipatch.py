@@ -189,8 +189,7 @@ class MultiPatch:
                 if (p, c) not in self.vertex_of_corner:
                     raise TopologyError(f"corner ({p},{c}) belongs to no vertex")
         for i, patch in enumerate(self.patches):
-            m = 10 * self.config.n + 1
-            d = check_regularity(patch, min(m, 101))
+            d = _min_jacobian(patch)
             if not d > 0.0:  # also catches NaN
                 raise ConformityError(
                     f"patch {i} is singular or flipped: min Jacobian det {d:.3e}"
@@ -212,6 +211,12 @@ def check_regularity(patch, m):
     J = patch.grid_jet(t, t, 1)
     det = J[:, 1, 0, 0] * J[:, 0, 1, 1] - J[:, 1, 0, 1] * J[:, 0, 1, 0]
     return float(det.min())
+
+
+def _min_jacobian(patch):
+    """Minimum Jacobian determinant on the grid that validation samples: ten
+    points per element, at most 101 per direction."""
+    return check_regularity(patch, min(10 * patch.space.n + 1, 101))
 
 
 def _edge_gap(p1, p2, k1=0, k2=0):

@@ -52,6 +52,21 @@ def test_geom_check(capsys):
     assert "conformity OK" in out
 
 
+def test_geom_check_samples_the_validation_grid(capsys):
+    # geom check prints the minimum Jacobian over the grid that validation
+    # samples (at most 101 per direction); a 10n + 1 grid of its own took
+    # 173 MiB at n = 128 and grew like n^2
+    import tracemalloc
+
+    tracemalloc.start()
+    code, out, _ = run(capsys, "geom", "check", "--builtin", "two_patch_bilinear", "--n", "128")
+    peak = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    assert code == 0
+    assert "patch 1 min_jacobian" in out
+    assert peak <= 10.0
+
+
 def test_knot_multiplicity_above_p_plus_one_exits_one(capsys):
     code, out, err = run(capsys, "geom", "check", "--builtin", "two_patch_bilinear", "--r", "-3")
     assert code == 1
@@ -443,19 +458,29 @@ def test_huge_audit_sample_count_exits_one(capsys):
     assert "samples per edge" in err
 
 
-@pytest.mark.parametrize("name", ["two_patch_bilinear", "three_patch_bilinear",
-                                  "five_patch_bilinear", "lshape_bilinear",
-                                  "two_patch_curved_asg1"])
-def test_layer_one_move_exit_codes(capsys, tmp_path, name):
+LAYER_ONE_BUILTINS = ["two_patch_bilinear", "three_patch_bilinear", "five_patch_bilinear",
+                      "lshape_bilinear", "two_patch_curved_asg1"]
+
+
+@pytest.mark.parametrize(
+    "name, along",
+    [pytest.param(n, False, id=n) for n in LAYER_ONE_BUILTINS]
+    + [pytest.param(n, True, id=f"{n}-along") for n in LAYER_ONE_BUILTINS],
+)
+def test_layer_one_move_exit_codes(capsys, tmp_path, name, along):
     # a move of the control point in layer 1 at the middle of the first
     # interface's first side changes the transversal derivative along it: the
     # interface is no longer AS-G1, which is a validation failure (exit 1)
-    # for the commands that build the space
+    # for the commands that build the space. A move along the interface
+    # keeps the alphas and breaks only beta; it used to pass the alpha test
+    # and fail the beta split (exit 2, "alpha1 and alpha2 share a root")
     mp = argyris.builtin_geometry(name)
     (i, k), _ = edge_frames(mp.interfaces()[0])
     patches = list(mp.patches)
     net = patches[i].net.copy()
-    rotate_net(net, k)[1, mp.config.N // 2] += 0.05  # the turned view writes into net
+    view, j = rotate_net(net, k), mp.config.N // 2  # the turned view writes into net
+    t = view[0, j + 1] - view[0, j - 1]
+    view[1, j] += 0.05 * t / np.linalg.norm(t) if along else 0.05
     patches[i] = argyris.Patch(mp.config, net)
     path = tmp_path / "moved.txt"
     argyris.save_geometry(argyris.MultiPatch(mp.config, patches, mp.edges, mp.vertices), path)

@@ -4,6 +4,7 @@ from numpy.polynomial import polynomial as P
 
 from argyris import (
     ArgyrisSpace,
+    MultiPatch,
     Patch,
     UnivariateSpace,
     boundary_gluing,
@@ -12,17 +13,14 @@ from argyris import (
     standard_form_edge,
 )
 from argyris.errors import ConformityError, InvalidConfigError, NotASG1Error
-from argyris.gluing import _determinants, _edge_jets, _transversal_from_jet
+from argyris.geometries import BUILTIN_NAMES
+from argyris.gluing import _edge_determinants, _transversal_from_jet
+from argyris.multipatch import edge_frames, rotate_net
 from conftest import patch_point, pointwise_jet
 
 
 def interface_pair(mp, k=0):
     return standard_form_edge(mp, mp.interfaces()[k])
-
-
-def determinants(F1, F2, xs):
-    """(d1, d2, d12) of a standard-form pair at xs, as ``fit_asg1`` reads them."""
-    return _determinants(_edge_jets(F1, F2, xs))
 
 
 def transversal(g, F1, xs):
@@ -33,7 +31,7 @@ def transversal(g, F1, xs):
 def test_translated_squares_determinants(mp_two):
     F1, F2 = interface_pair(mp_two)
     xs = np.linspace(0, 1, 33)
-    d1, d2, d12 = determinants(F1, F2, xs)
+    d1, d2, d12 = _edge_determinants(F1, F2, xs)
     np.testing.assert_allclose(d12, 0.0, atol=1e-14)
     np.testing.assert_allclose(d1, d2, atol=1e-14)
     # patch 1 here is the identity square: unit Jacobian determinant
@@ -63,7 +61,7 @@ def test_determinants_match_finite_difference_oracle(mp_three):
     uv2 = np.column_stack([xs, np.zeros_like(xs)])
     for k in range(len(mp_three.interfaces())):
         F1, F2 = interface_pair(mp_three, k)
-        e1, e2, e12 = determinants(F1, F2, xs)
+        e1, e2, e12 = _edge_determinants(F1, F2, xs)
         a1 = fd_onesided(F1, uv1, 0)
         a2 = fd_central(F1, uv1, 1)
         b1 = fd_central(F2, uv2, 0)
@@ -163,6 +161,23 @@ def test_non_asg1_rejected(mp_non_asg1):
     assert g.residual >= 1e-4
 
 
+def test_slide_along_interface_rejected(mp_two):
+    # sliding layer 1 along the interface by a cubic in the Greville
+    # abscissae keeps alpha2*d1 = alpha1*d2 with linear alphas, but
+    # alpha1*d12/d1 is no quadratic: a fit of the alphas alone accepted this
+    # interface (residual 4.6e-2) and built a space with C1 jump 9.3e-2
+    cfg = mp_two.config
+    (i, k), _ = edge_frames(mp_two.interfaces()[0])
+    patches = list(mp_two.patches)
+    net = patches[i].net.copy()
+    view, g = rotate_net(net, k), cfg.greville()
+    t = view[0, -1] - view[0, 0]
+    view[1] += (0.2 * (g**3 - 1.5 * g**2 + 0.5 * g))[:, None] * (t / np.linalg.norm(t))
+    patches[i] = Patch(cfg, net)
+    with pytest.raises(NotASG1Error):
+        ArgyrisSpace(MultiPatch(cfg, patches, mp_two.edges, mp_two.vertices))
+
+
 @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf, 1.0, 2.0])
 def test_tolerance_must_be_positive_and_finite(mp_three, mp_single, tol):
     # a NaN tolerance used to give a verdict on a correct geometry: "relative
@@ -184,13 +199,24 @@ def test_rejection_stable_under_densified_sampling():
         assert g.residual >= 1e-4
 
 
-def test_scale_equivariance(mp_three):
-    F1, F2 = interface_pair(mp_three)
-    g = fit_asg1(F1, F2)
-    gs = fit_asg1(Patch(F1.space, 2.0 * F1.net), Patch(F2.space, 2.0 * F2.net))
-    assert gs.asg1 == g.asg1
-    np.testing.assert_allclose(gs.alpha1, g.alpha1, atol=1e-12)
-    np.testing.assert_allclose(gs.alpha2, g.alpha2, atol=1e-12)
+def test_scale_equivariance(cfg4):
+    # each row of the fit is a determinant, which a linear map L of the plane
+    # scales by det L: the verdict, the alphas and the relative residual stay
+    c, s = np.cos(0.7), np.sin(0.7)
+    maps = [np.diag([1e3, 1.0]), np.diag([1.0, 1e-2]), np.array([[1.0, 3.0], [0.0, 1.0]]),
+            np.array([[c, -s], [s, c]])]
+    for name in BUILTIN_NAMES:
+        mp = builtin_geometry(name, cfg4)
+        for e in mp.interfaces():
+            F1, F2 = standard_form_edge(mp, e)
+            g = fit_asg1(F1, F2, strict=False)
+            for L in maps:
+                gs = fit_asg1(*(Patch(F.space, F.net @ L.T) for F in (F1, F2)), strict=False)
+                assert gs.asg1 == g.asg1
+                np.testing.assert_allclose(gs.alpha1, g.alpha1, atol=1e-12)
+                np.testing.assert_allclose(gs.alpha2, g.alpha2, atol=1e-12)
+                if not g.asg1:
+                    np.testing.assert_allclose(gs.residual, g.residual, rtol=1e-12)
 
 
 def test_transversal_parametric_case(mp_two):
