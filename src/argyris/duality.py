@@ -40,7 +40,7 @@ import numpy as np
 from .bspline import TensorSpline, local_duals
 from .errors import InvalidConfigError
 from .gluing import _pv
-from .multipatch import edge_frames
+from .multipatch import _knot_insertion, edge_frames
 from .space import CSRMatrix, _edge_index_set, physical_derivatives
 
 __all__ = [
@@ -302,6 +302,34 @@ def dual_matrix(space):
     D.data.setflags(write=False)
     space._dual_geometry["D"] = D
     return D
+
+
+def _prolong(space, member):
+    """Coefficients in ``space`` of ``member``, a ``SpaceField`` of one
+    member of a coarser space that ``space`` refines: D applied to its
+    coefficient grids after knot insertion, (R (x) R)(C_H c_H), with R from
+    ``multipatch._knot_insertion``. Under refinement with the same gluing the
+    spaces nest, so the member comes back exactly. A member of another p or
+    r, of another patch count or of a mesh whose n does not divide the fine
+    n is refused. D and its tables serve this call alone: they are not kept
+    in ``_dual_geometry``."""
+    coarse, fine, P = member.space, space.config, len(space.geometry.patches)
+    cfg = coarse.config
+    if ((cfg.p, cfg.r) != (fine.p, fine.r) or fine.n % cfg.n
+            or len(coarse.geometry.patches) != P):
+        raise InvalidConfigError(
+            f"a member of {cfg} on {len(coarse.geometry.patches)} patches does not "
+            f"nest in {fine} on {P}"
+        )
+    coeffs = np.asarray(member.coeffs, dtype=float)
+    coarse._check_coeffs(coeffs)
+    R = _knot_insertion(cfg, fine)
+    grids = R @ (coarse.C @ coeffs).reshape(P, cfg.N, cfg.N) @ R.T
+    kept = dict(space._dual_geometry)
+    x = dual_matrix(space) @ grids.ravel()
+    space._dual_geometry.clear()  # in place: a copy of the space shares it
+    space._dual_geometry.update(kept)
+    return x
 
 
 def biorthogonality_matrix(space):

@@ -23,24 +23,16 @@ columns live on the two coefficient layers next to the sides, so their
 block G is an integral over the ring of elements next to the sides, summed
 by the same sum factorization over four pinwheel strips of it, and mirrored
 from its upper triangle, so G is exactly symmetric.
-The normal equations are diagonally scaled, A = S M S with S = diag(M)^-1/2,
-and solved by conjugate gradients with a block-diagonal preconditioner that
-follows the two families of the basis. The patch-interior functions, which
-lead the basis, are unit tensor B-splines, so their block of A is close to
-K^ (x) K^ on every patch, with K^ the unit-diagonal 1D B-spline mass of the
-interior indices on [0, 1]; it is inverted by fast diagonalization (Sangalli
-& Tani, SISC 2016). The few edge and vertex functions form the trailing
-block, solved exactly: its rows, ordered by breadth-first levels from a
-pseudo-peripheral row (Cuthill & McKee, 1969), make it block tridiagonal,
-and block Cholesky needs one small dense factor per level. The order is read
-off the sparsity of the block alone, and the levels stay narrow because each
-function couples only to its neighbours along the interfaces. At p = 3 CG
-then needs about 30 iterations on every mesh. Its coefficients also give a
-Lanczos estimate of the condition number of the preconditioned system;
-``FitResult`` records it with the iteration count and the time of each
-stage. The convergence driver fits a target function on a sequence of
-nested refinements and tabulates errors with estimated convergence rates
-ecr = log2(e_coarse / e_fine).
+The normal equations are solved by preconditioned conjugate gradients
+(``solver``); ``FitResult`` records the iteration count, the Lanczos
+condition estimate and the time of each stage. A fit may start CG from a
+member of a coarser space that its space refines: the spaces nest under
+refinement with the same gluing, so the member is written exactly in the
+finer space, as D_h (R (x) R)(C_H c_H) with R the knot insertion and D_h
+the dual functionals (``duality._prolong``). The convergence driver fits a
+target function on a sequence of nested dyadic refinements, each level
+started from the fit of the level before (nested iteration), and tabulates
+errors with estimated convergence rates ecr = log2(e_coarse / e_fine).
 """
 
 import time
@@ -49,10 +41,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bspline import _basis_values, _integer
-from .duality import AnalyticField, SpaceField, _unit_jets
-from .errors import ArgyrisError, InvalidConfigError, NumericalError
+from .duality import AnalyticField, SpaceField, _prolong, _unit_jets
+from .errors import ArgyrisError, InvalidConfigError
 from .gluing import DEFAULT_TOL
 from .multipatch import edge_frames, refine, rotate_net
+from .solver import _solve_scaled
 from .space import ArgyrisSpace, CSRMatrix, physical_derivatives
 
 __all__ = [
@@ -92,15 +85,6 @@ class QuadratureRule:
         self.weights = np.broadcast_to(w[None, :] / (2.0 * n), (n, order)).copy()
 
 
-def _distinct(a):
-    """Sorted distinct values of an integer array: np.unique without
-    return_inverse, whose first call imports numpy.ma (about 15 ms)."""
-    a = np.sort(np.ravel(a))
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = a[1:] != a[:-1]
-    return a[first]
-
-
 def _check_rule(space, rule):
     """The given rule, or the default p+2 points per direction, checked
     against the mesh of the space."""
@@ -122,10 +106,15 @@ def _patch_weights(space, i, rule):
     x = rule.nodes.ravel()
     A0, A1 = (_basis_values(patch.space, x, d) for d in (0, 1))
     X, Y = np.moveaxis(patch.net, -1, 0)
-    det = ((A1 @ (X @ A0.T)) * (A0 @ (Y @ A1.T))
-           - (A1 @ (Y @ A0.T)) * (A0 @ (X @ A1.T)))
+    det = A1 @ (X @ A0.T)  # formed in place: the grid is large at the error rule
+    det *= A0 @ (Y @ A1.T)
+    t = A1 @ (Y @ A0.T)
+    t *= A0 @ (X @ A1.T)
+    det -= t
+    np.abs(det, out=det)
     w = rule.weights.ravel()
-    return np.abs(det) * np.outer(w, w)
+    det *= np.outer(w, w)
+    return det
 
 
 def _interface_mass(space, i, W, rule, start):
@@ -296,215 +285,23 @@ class FitResult:
     cond_estimate: float
 
 
-#: conjugate gradients stop once ||r|| <= CG_RTOL ||b|| on the scaled system
-CG_RTOL = 1e-12
-CG_MAXITER = 2000
-
-
-def _lanczos_condition(inv_alpha, beta):
-    """lambda_max / lambda_min of the Lanczos matrix of the PCG steps taken.
-
-    With alpha_k, beta_k the PCG coefficients, the matrix is tridiagonal with
-    diagonal 1/alpha_k + beta_{k-1}/alpha_{k-1} and off-diagonal
-    sqrt(beta_k)/alpha_k (Saad, Iterative Methods for Sparse Linear Systems,
-    sec. 6.7.3); its extreme eigenvalues approach those of the preconditioned
-    operator. NaN before the first step, and when some beta_k is not
-    positive and finite, so that the preconditioner is not positive definite.
-    """
-    k = len(inv_alpha)
-    ia = np.array(inv_alpha)
-    b = np.array(beta[: k - 1])
-    if k == 0 or not np.all(np.isfinite(b) & (b > 0.0)):
-        return float("nan")
-    diag = ia.copy()
-    diag[1:] += b * ia[:-1]
-    off = np.sqrt(b) * ia[:-1]
-    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    if not np.isfinite(T).all():
-        return float("nan")
-    lam = np.linalg.eigvalsh(T)
-    return float(lam[-1] / lam[0]) if lam[0] > 0.0 else float("inf")
-
-
-def _pcg(A, b, precond):
-    """Preconditioned conjugate gradients for A x = b from x = 0.
-
-    Returns x, the number of iterations and the Lanczos condition estimate of
-    the preconditioned operator. Raises NumericalError, with that estimate,
-    when ||r|| does not reach CG_RTOL ||b|| within CG_MAXITER iterations or
-    a step finds r.z <= 0 or p.Ap <= 0, so that A or the preconditioner is
-    not positive definite.
-    """
-    x = np.zeros_like(b)
-    r = b
-    stop = CG_RTOL * np.linalg.norm(b)
-    z = precond(r)
-    rz = r @ z
-    p = z
-    inv_alpha, beta = [], []
-    while np.linalg.norm(r) > stop:
-        if len(inv_alpha) == CG_MAXITER:
-            reason = f"did not converge in {CG_MAXITER} iterations"
-            break
-        q = A @ p
-        if not rz > 0.0:  # r.z <= 0: the preconditioner is not positive definite
-            reason = f"broke down at iteration {len(inv_alpha) + 1}"
-            break
-        inv_alpha.append((p @ q) / rz)
-        if not inv_alpha[-1] > 0.0:
-            reason = f"broke down at iteration {len(inv_alpha)}"
-            break
-        alpha = 1.0 / inv_alpha[-1]
-        x += alpha * p
-        r = r - alpha * q  # not in place: precond may return r itself
-        z = precond(r)
-        rz, rz_old = r @ z, rz
-        beta.append(rz / rz_old)
-        p = z + beta[-1] * p
-    else:
-        return x, len(inv_alpha), _lanczos_condition(inv_alpha, beta)
-    raise NumericalError(
-        f"conjugate gradients {reason} (condition estimate "
-        f"{_lanczos_condition(inv_alpha, beta):.3e})"
-    )
-
-
-def _unit_interior_mass(usp):
-    """K^: the 1D B-spline mass on [0, 1] of the indices 2..N-3, scaled to
-    unit diagonal."""
-    rule = QuadratureRule(usp.n, usp.p + 1)
-    B = _basis_values(usp, rule.nodes.ravel())[:, 2:-2]
-    K = B.T @ (rule.weights.ravel()[:, None] * B)
-    d = 1.0 / np.sqrt(np.diag(K))
-    return d[:, None] * K * d[None, :]
-
-
-def _levels(G):
-    """The rows of a structurally symmetric ``CSRMatrix`` G grouped by
-    breadth-first distance (Cuthill & McKee, 1969), as a list of sorted row
-    arrays. A stored entry of G joins rows in the same or in adjacent
-    levels, so G is block tridiagonal in this order. Each connected part is
-    swept twice, from its first row and again from the last row that sweep
-    reached, a pseudo-peripheral row, so the levels stay narrow; the next
-    part starts one level further on."""
-    done = np.zeros(G.shape[0], dtype=bool)
-    levels = []
-    while not done.all():
-        start = int(np.argmin(done))
-        for _ in range(2):
-            seen = done.copy()
-            seen[start] = True
-            part = [np.array([start])]
-            while True:
-                reached = G.take(part[-1]).indices
-                reached = _distinct(reached[~seen[reached]])
-                if not len(reached):
-                    break
-                seen[reached] = True
-                part.append(reached)
-            start = part[-1][-1]
-        done = seen
-        levels += part
-    return levels
-
-
-def _interface_solver(G):
-    """Exact solve with the edge and vertex block G (``CSRMatrix``) of A by
-    block Cholesky over the levels of ``_levels``, in which G is block
-    tridiagonal: with D_0 = G_00, level k factors D_k = L_k L_k^T, W_k =
-    L_k^-1 G_{k,k+1} and D_{k+1} = G_{k+1,k+1} - W_k^T W_k. A residual r maps
-    by one forward sweep, z_k = L_k^-1 (r_k - W_{k-1}^T z_{k-1}), and one
-    backward sweep, y_k = L_k^-T (z_k - W_k y_{k+1}). The edge and vertex
-    functions couple only to their neighbours, so the levels follow the
-    interfaces and their width stops growing with n. Raises NumericalError
-    when some D_k is not positive definite.
-    """
-    levels = _levels(G)
-    level, pos = np.zeros(G.shape[0], dtype=int), np.zeros(G.shape[0], dtype=int)
-    for k, rows in enumerate(levels):
-        level[rows], pos[rows] = k, np.arange(len(rows))
-    bounds = np.cumsum([0] + [len(rows) for rows in levels])
-    Linv, W = [], []
-    try:
-        for k, rows in enumerate(levels):
-            m = len(rows)
-            sub = G.take(rows)
-            up = level[sub.indices] - k  # 0 in G_{k,k}, 1 in G_{k,k+1}, -1 in G_{k,k-1}
-            keep = up >= 0
-            block = np.zeros((m, bounds[min(k + 2, len(levels))] - bounds[k]))
-            block[sub.row_ids[keep], (pos[sub.indices] + m * up)[keep]] = sub.data[keep]
-            D = block[:, :m] - W[-1].T @ W[-1] if k else block[:, :m]
-            Linv.append(np.linalg.inv(np.linalg.cholesky(D)))
-            W.append(Linv[-1] @ block[:, m:])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"interface block of the mass is singular: {exc}") from exc
-    order = np.concatenate(levels)
-    rank = np.argsort(order)  # where each row of G sits in the level order
-
-    def solve(r):
-        r = np.split(r[order], bounds[1:-1])
-        z = [Linv[0] @ r[0]]
-        for k in range(1, len(r)):
-            z.append(Linv[k] @ (r[k] - W[k - 1].T @ z[-1]))
-        y = [Linv[-1].T @ z[-1]]
-        for k in reversed(range(len(z) - 1)):
-            y.append(Linv[k].T @ (z[k] - W[k] @ y[-1]))
-        return np.concatenate(y[::-1])[rank]
-
-    return solve
-
-
-def _block_preconditioner(space, G):
-    """Block-diagonal approximate inverse of the Jacobi-scaled mass A, given
-    its edge and vertex block G (``CSRMatrix``).
-
-    The basis starts with the interior B-splines of every patch, (N-4)^2 per
-    patch in row-major (j1, j2) order; their block of A is approximated by
-    K^ (x) K^ on every patch, which ignores the geometry and is inverted by
-    fast diagonalization: with K^ = Q diag(lam) Q^T, a residual block R
-    (N-4, N-4) maps to Q (L o Q^T R Q) Q^T, L = 1 / (lam_i lam_j). The
-    trailing block G of the edge and vertex functions is solved exactly by
-    ``_interface_solver``, from G alone.
-    """
-    m = space.N - 4
-    ni = space.breakdown["patch"]
-    interface = _interface_solver(G)
-    lam, Q = np.linalg.eigh(_unit_interior_mass(space.config))  # (0, 0) if N <= 4
-    L = 1.0 / np.outer(lam, lam)
-
-    def apply(r):
-        R = r[:ni].reshape(len(space.geometry.patches), m, m)
-        return np.concatenate([
-            (Q @ (L * (Q.T @ R @ Q)) @ Q.T).ravel(), interface(r[ni:])
-        ])
-
-    return apply
-
-
-def _solve_scaled(space, M, rhs):
-    """Solution of M c = rhs, the number of PCG iterations it took and the
-    condition estimate of the preconditioned scaled system A = S M S,
-    S = diag(M)^-1/2."""
-    d = M.diagonal
-    if np.any(d <= 0.0):
-        raise NumericalError("mass diagonal is not positive")
-    s = 1.0 / np.sqrt(d)
-    A = M.scaled(s)
-    y, iterations, cond = _pcg(A, s * rhs, _block_preconditioner(space, A.interface))
-    return s * y, iterations, cond
-
-
-def l2_fit(space, fld, rule=None):
+def l2_fit(space, fld, rule=None, *, start=None):
     """Least-squares fit of a field in the smooth space.
 
     Solves the diagonally scaled normal equations by conjugate gradients to
     a relative residual of CG_RTOL, preconditioned by fast diagonalization
     on the patch interiors and an exact solve with the edge and vertex
-    block (see the module docstring); the relative L2 error is integrated
+    block (``solver``); the relative L2 error is integrated
     with a verification rule three orders finer than the assembly rule, so
     the reported value is quadrature-saturated at every level. A rule whose
     nodes do not determine the univariate space (too few points per element)
     leaves the mass singular and is refused.
+
+    ``start``, a ``SpaceField`` of one member of a coarser space that this
+    one refines (the fit of the level before, say), is where CG starts: the
+    member written exactly in this space (``duality._prolong``), which the
+    solve stage and its ``solve_seconds`` include. A start that does not
+    nest is refused, and nothing of it is kept once prolonged.
     """
     rule = _check_rule(space, rule)
     cfg = space.config
@@ -517,12 +314,18 @@ def l2_fit(space, fld, rule=None):
     M = assemble_mass(space, rule)
     rhs = assemble_rhs(space, fld, rule, weights=M._W)
     t1 = time.perf_counter()
-    coeffs, iterations, cond = _solve_scaled(space, M, rhs)
+    if start is not None and not (isinstance(start, SpaceField) and np.ndim(start.coeffs) == 1):
+        raise InvalidConfigError("a start must be a SpaceField of one member")
+    x0 = None if start is None else _prolong(space, start)
+    del start  # the coarser level, freed here when the caller holds none of it
+    coeffs, iterations, cond = _solve_scaled(space, M, rhs, x0)
     t2 = time.perf_counter()
+    res = float(np.linalg.norm(M @ coeffs - rhs) / max(np.linalg.norm(rhs), 1e-300))
+    del M, rhs  # freed before the error integral, whose finer grids set the peak
+    t3 = time.perf_counter()
     err_rule = QuadratureRule(rule.n, min(rule.order + 3, MAX_QUADRATURE_ORDER))
     err2, zz = _integral_sq(space, coeffs, fld, err_rule)
-    t3 = time.perf_counter()
-    res = float(np.linalg.norm(M @ coeffs - rhs) / max(np.linalg.norm(rhs), 1e-300))
+    t4 = time.perf_counter()
     rel = float(np.sqrt(max(err2, 0.0) / zz)) if zz > 0 else float(np.sqrt(max(err2, 0.0)))
     return FitResult(
         coeffs=coeffs,
@@ -532,7 +335,7 @@ def l2_fit(space, fld, rule=None):
         galerkin_residual=res,
         assemble_seconds=t1 - t0,
         solve_seconds=t2 - t1,
-        error_seconds=t3 - t2,
+        error_seconds=t4 - t3,
         cg_iterations=iterations,
         cond_estimate=cond,
     )
@@ -580,17 +383,23 @@ def convergence_study(mp, make_field, levels, tol=DEFAULT_TOL):
     """Fit on a sequence of nested dyadic refinements of a geometry.
 
     ``make_field(geometry)`` binds the target function to each refined
-    geometry; levels are h, h/2, h/4, ... starting from the input mesh.
+    geometry; levels are h, h/2, h/4, ... starting from the input mesh. The
+    spaces nest, so every level after the first starts CG from the fit of
+    the level before (nested iteration: Brandt, Math. Comp. 1977).
     """
     if _integer(levels, "levels") < 1:
         raise InvalidConfigError(f"need at least one level, got {levels}")
     table = ConvergenceTable()
     results = []
-    current = mp
+    current, coarser = mp, []
     for lvl in range(levels):
         if lvl > 0:
             current = refine(current)
-        r = l2_fit(ArgyrisSpace(current, tol=tol), make_field(current))
+        space = ArgyrisSpace(current, tol=tol)
+        # popped, so that l2_fit holds the coarser level alone and frees it
+        # before the solve
+        r = l2_fit(space, make_field(current), start=coarser.pop() if coarser else None)
+        coarser.append(SpaceField(space, r.coeffs))
         table.add(r.h, r.dim, r.rel_error)
         results.append(r)
     return table, results

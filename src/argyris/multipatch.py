@@ -16,6 +16,8 @@ an interface (decided in ``edge_frames`` alone) the first side turns to
 {xi1 = 0} and the second to {xi2 = 0}, so that F1(0, t) = F2(t, 0).
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .bspline import TensorSpline, UnivariateSpace, _basis_values, _integer, represent_exactly
@@ -310,17 +312,28 @@ def vertex_surrounding_edges(mp, vertex):
     return out
 
 
+@lru_cache(maxsize=16)
+def _knot_insertion(coarse, fine):
+    """Knot insertion from ``coarse`` into a ``fine`` space that contains it:
+    the read-only matrix R (fine.N, coarse.N) whose column j holds the fine
+    coefficients of coarse basis function j. Made once per pair of spaces,
+    for ``refine`` and for the prolongation of members of the smooth space
+    (``duality._prolong``)."""
+    R = represent_exactly(fine, lambda x: _basis_values(coarse, x))
+    R.setflags(write=False)
+    return R
+
+
 def refine(mp):
     """Dyadic refinement: same geometry represented on the mesh of twice as
     many elements per direction.
 
-    Knot insertion is the fixed matrix R (N_fine, N_coarse) whose column j
-    holds the fine coefficients of coarse basis function j; every net maps
-    to R @ net @ R^T, coordinate by coordinate.
+    Every net maps to R @ net @ R^T, coordinate by coordinate, with R the
+    knot insertion of ``_knot_insertion``.
     """
     coarse = mp.config
     fine = UnivariateSpace(coarse.p, coarse.r, 2 * coarse.n)
-    R = represent_exactly(fine, lambda x: _basis_values(coarse, x))
+    R = _knot_insertion(coarse, fine)
     patches = [
         Patch(fine, np.moveaxis(R @ np.moveaxis(patch.net, -1, 0) @ R.T, 0, -1))
         for patch in mp.patches

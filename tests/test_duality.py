@@ -16,14 +16,15 @@ from argyris import (
     builtin_geometry,
     infer_topology,
     project,
+    refine,
 )
 from argyris import duality
 from argyris.bspline import local_duals
-from argyris.duality import _entities, _unit_jets, dual_matrix
+from argyris.duality import _entities, _prolong, _unit_jets, dual_matrix
 from argyris.fit import cos_sin_field
 from argyris.geometries import _fan
 from argyris.gluing import _pv
-from argyris.multipatch import edge_frames
+from argyris.multipatch import _knot_insertion, edge_frames
 from argyris.space import CSRMatrix, _edge_index_set
 from conftest import rotate_grid, square_grid_geometry
 
@@ -323,6 +324,39 @@ def test_dual_matrix_patch_rows_select_their_coefficient(name, degrees):
     M = biorthogonality_matrix(space).row_block(0, n)
     assert np.array_equal(M.indptr, np.arange(n + 1))
     assert np.array_equal(M.indices, np.arange(n)) and np.array_equal(M.data, np.ones(n))
+
+
+@pytest.mark.parametrize("degrees", [(3, 1, 4), (4, 2, 6)])
+@pytest.mark.parametrize("name", AS_G1_BUILTINS)
+def test_spaces_nest_under_refinement(name, degrees):
+    # every coarse basis function, its grids refined by knot insertion, is a
+    # member of the space on the refined geometry: C_h D_h gives the refined
+    # grids back. Columns go a block at a time to bound the dense arrays.
+    coarse = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(*degrees)))
+    fine = ArgyrisSpace(refine(coarse.geometry))
+    P, Nc = len(coarse.geometry.patches), coarse.N
+    R = _knot_insertion(coarse.config, fine.config)
+    assert R.shape == (fine.N, Nc) and not R.flags.writeable
+    D, worst = dual_matrix(fine), 0.0
+    for cols in np.array_split(np.arange(coarse.dim), -(-coarse.dim // 128)):
+        grids = (coarse.C @ np.eye(coarse.dim)[:, cols]).T.reshape(len(cols), P, Nc, Nc)
+        refined = (R @ grids @ R.T).reshape(len(cols), -1).T
+        worst = max(worst, np.abs(fine.C @ (D @ refined) - refined).max() / np.abs(refined).max())
+    assert worst <= 1e-12
+
+
+def test_prolongation_reproduces_a_member_and_keeps_no_dual_matrix(sp_three):
+    c = np.cos(np.arange(sp_three.dim))
+    fine = ArgyrisSpace(refine(sp_three.geometry))
+    x = _prolong(fine, SpaceField(sp_three, c))
+    assert fine._dual_geometry == {}  # D_h served the prolongation alone
+    R = _knot_insertion(sp_three.config, fine.config)
+    grids = R @ (sp_three.C @ c).reshape(-1, sp_three.N, sp_three.N) @ R.T
+    assert np.abs(fine.C @ x - grids.ravel()).max() < 1e-12 * np.abs(grids).max()
+    # a dual matrix made before stays, and the same space gives c back
+    D = dual_matrix(sp_three)
+    np.testing.assert_allclose(_prolong(sp_three, SpaceField(sp_three, c)), c, rtol=0, atol=1e-12)
+    assert dual_matrix(sp_three) is D
 
 
 def negated_on_patch(C, N, ipatch, a):

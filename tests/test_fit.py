@@ -28,18 +28,20 @@ from argyris import (
     cos_sin_field,
     l2_fit,
     project,
+    refine,
     smoothness_report,
 )
 from argyris.cli import main
+from argyris.duality import _prolong
 from argyris.errors import ArgyrisError, InvalidConfigError, NumericalError
-from argyris.fit import (
+from argyris.multipatch import _knot_insertion, edge_frames
+from argyris.solver import (
     _block_preconditioner,
     _interface_solver,
     _lanczos_condition,
     _levels,
     _pcg,
 )
-from argyris.multipatch import edge_frames
 from argyris.space import VERTEX_INDEX_ORDER, CSRMatrix
 from conftest import pointwise_jet, rotate_grid, square_grid_geometry
 
@@ -319,6 +321,72 @@ def test_zero_target(sp_three):
     assert np.isnan(res.cond_estimate)  # no Krylov step, no estimate
 
 
+def test_start_at_the_solution_takes_no_iteration(sp_three):
+    # the target is a member, so the fit is the member: started there, CG
+    # stops before its first step and has no estimate, from the same space
+    # (refined zero times) and from a coarser one
+    c = np.cos(np.arange(sp_three.dim))
+    res = l2_fit(sp_three, SpaceField(sp_three, c), start=SpaceField(sp_three, c))
+    assert res.cg_iterations == 0 and np.isnan(res.cond_estimate)
+    assert np.abs(res.coeffs - c).max() < 1e-12
+    fine = ArgyrisSpace(refine(sp_three.geometry))
+    member = _prolong(fine, SpaceField(sp_three, c))
+    res = l2_fit(fine, SpaceField(fine, member), start=SpaceField(sp_three, c))
+    assert res.cg_iterations == 0 and np.isnan(res.cond_estimate)
+    assert np.abs(res.coeffs - member).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", AS_G1_BUILTINS)
+def test_fit_started_from_the_coarser_fit(name):
+    # nested iteration: from the n = 4 fit, the n = 8 fit takes fewer
+    # iterations and stops at the same solution
+    coarse = ArgyrisSpace(builtin_geometry(name))
+    start = SpaceField(coarse, l2_fit(coarse, cos_sin_field(coarse.geometry)).coeffs)
+    fine = ArgyrisSpace(refine(coarse.geometry))
+    fld = cos_sin_field(fine.geometry)
+    cold, warm = l2_fit(fine, fld), l2_fit(fine, fld, start=start)
+    assert warm.cg_iterations < cold.cg_iterations
+    assert np.abs(warm.coeffs - cold.coeffs).max() <= 1e-9 * np.abs(cold.coeffs).max()
+    assert warm.rel_error == pytest.approx(cold.rel_error, rel=1e-6)
+
+
+@pytest.mark.parametrize("fine,name,coarse", [
+    pytest.param((3, 1, 8), "two_patch_bilinear", (4, 1, 4), id="p"),
+    pytest.param((5, 1, 8), "two_patch_bilinear", (5, 2, 4), id="r"),
+    pytest.param((3, 1, 8), "three_patch_bilinear", (3, 1, 4), id="patches"),
+    pytest.param((3, 1, 8), "two_patch_bilinear", (3, 1, 3), id="n"),
+])
+def test_start_that_does_not_nest_is_refused(fine, name, coarse):
+    space = ArgyrisSpace(builtin_geometry("two_patch_bilinear", UnivariateSpace(*fine)))
+    other = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(*coarse)))
+    with pytest.raises(InvalidConfigError, match="does not nest"):
+        l2_fit(space, cos_sin_field(space.geometry), start=SpaceField(other, np.ones(other.dim)))
+
+
+@pytest.mark.parametrize("start", [
+    pytest.param(lambda sp: np.ones(sp.dim), id="array"),
+    pytest.param(lambda sp: SpaceField(sp, np.ones((sp.dim, 2))), id="two-members"),
+])
+def test_start_must_be_one_member(sp_three, start):
+    with pytest.raises(InvalidConfigError, match="one member"):
+        l2_fit(sp_three, cos_sin_field(sp_three.geometry), start=start(sp_three))
+
+
+def test_convergence_study_starts_each_level_from_the_last(monkeypatch):
+    # each level after the first starts from the fit before it, and the
+    # knot insertion of each refinement is made once, for refine and the
+    # prolongation together
+    calls = []
+    represent = argyris.multipatch.represent_exactly
+    monkeypatch.setattr(argyris.multipatch, "represent_exactly",
+                        lambda *a: calls.append(a[0]) or represent(*a))
+    _knot_insertion.cache_clear()
+    _, results = convergence_study(builtin_geometry("five_patch_bilinear"), cos_sin_field, 3)
+    iterations = [r.cg_iterations for r in results]
+    assert iterations[0] >= 30 and max(iterations[1:]) <= 23, iterations
+    assert [c.n for c in calls] == [8, 16]
+
+
 def log_past_the_edge(x):
     """log(x + 1.5): -inf and nan on the left edge x = -1.5 of three_patch_bilinear."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -416,6 +484,21 @@ def test_pcg_condition_estimate_matches_spectrum():
     x, _, cond = _pcg(A, b, lambda res: res)
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
     assert abs(cond - 50.0) < 1e-6 * 50.0
+
+
+def test_pcg_from_an_initial_iterate_keeps_the_stop_rule():
+    # ||r|| <= CG_RTOL ||b|| whatever the start; the iterate is updated in
+    # place, and a start that already meets the rule takes no step
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+    A = (Q * np.linspace(1.0, 50.0, 30)) @ Q.T
+    b = rng.normal(size=30)
+    x0 = _pcg(A, b, lambda res: res)[0] + 1e-4 * rng.normal(size=30)
+    y, warm, cond = _pcg(A, b, lambda res: res, x0)
+    assert y is x0 and 0 < warm and np.isfinite(cond)
+    assert np.linalg.norm(A @ y - b) <= 1e-12 * np.linalg.norm(b)
+    _, none, cond = _pcg(A, b, lambda res: res, np.linalg.solve(A, b))
+    assert none == 0 and np.isnan(cond)
 
 
 def _csr(A):
