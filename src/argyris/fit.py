@@ -31,7 +31,8 @@ refinement with the same gluing, so the member is written exactly in the
 finer space, as D_h (R (x) R)(C_H c_H) with R the knot insertion and D_h
 the dual functionals (``duality._prolong``). The convergence driver fits a
 target function on a sequence of nested dyadic refinements, each level
-started from the fit of the level before (nested iteration), and tabulates
+built on the gluing data fitted once on the coarsest mesh and started from
+the fit of the level before (nested iteration), and tabulates
 errors with estimated convergence rates ecr = log2(e_coarse / e_fine).
 """
 
@@ -384,21 +385,24 @@ def convergence_study(mp, make_field, levels, tol=DEFAULT_TOL):
 
     ``make_field(geometry)`` binds the target function to each refined
     geometry; levels are h, h/2, h/4, ... starting from the input mesh. The
-    spaces nest, so every level after the first starts CG from the fit of
-    the level before (nested iteration: Brandt, Math. Comp. 1977).
+    gluing data are fitted once, on the input mesh: they belong to the map,
+    which refinement keeps, so every later level is built from them
+    (``ArgyrisSpace._refined``) and AS-G1 is decided once for the study.
+    The spaces nest, so every level after the first starts CG from the fit
+    of the level before (nested iteration: Brandt, Math. Comp. 1977).
     """
     if _integer(levels, "levels") < 1:
         raise InvalidConfigError(f"need at least one level, got {levels}")
     table = ConvergenceTable()
     results = []
-    current, coarser = mp, []
+    space, coarser = ArgyrisSpace(mp, tol=tol), []
     for lvl in range(levels):
         if lvl > 0:
-            current = refine(current)
-        space = ArgyrisSpace(current, tol=tol)
+            space = space._refined(refine(space.geometry))
         # popped, so that l2_fit holds the coarser level alone and frees it
         # before the solve
-        r = l2_fit(space, make_field(current), start=coarser.pop() if coarser else None)
+        r = l2_fit(space, make_field(space.geometry),
+                   start=coarser.pop() if coarser else None)
         coarser.append(SpaceField(space, r.coeffs))
         table.add(r.h, r.dim, r.rel_error)
         results.append(r)

@@ -11,14 +11,19 @@ interface is analysis-suitable G1 when both hold with linear alphas and a
 quadratic beta = alpha1*beta2 + alpha2*beta1 with linear beta1, beta2. The
 fit samples both equations at fixed edge nodes as one homogeneous
 least-squares system and decides on its relative smallest singular value,
-which no linear map of the plane changes (each row scales by its det). It
-returns stabilized data (alphas close to one, betas of minimal norm). Each
+which no linear map of the plane changes (each row scales by its det). The
+same samples certify that d1 and d2 are positive on the whole edge: per
+element they determine the Bernstein coefficients of the determinant, which
+bound it (Xu, Mourrain, Duvigneau & Galligo, CMAME 2011). It returns
+stabilized data (alphas close to one, betas of minimal norm). Each
 interface is fitted once, and its GluingData is all a space keeps of the
 edge; ``GluingData.reversed`` gives the same data seen with the two patches
 swapped, as the vertex functions read it on either side.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as _poly
@@ -35,6 +40,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 _SNAP = 1e-11
+#: halvings of an element the edge-determinant certificate may take
+_MAX_HALVINGS = 12
 #: L2(0, 1) Gram matrix of the coefficients (c0, c1, d0, d1) of two linear
 #: polynomials c0 + c1 x and d0 + d1 x
 _GRAM = np.kron(np.eye(2), [[1.0, 0.5], [0.5, 1.0 / 3.0]])
@@ -110,6 +117,67 @@ def _fit_sample_points(p, n):
     return _chebpts(n, 2 * (2 * p + 3)).ravel()
 
 
+@lru_cache(maxsize=None)
+def _bernstein_fit(p):
+    """The (2p+1, 2(2p+3)) matrix that takes the samples of a polynomial of
+    degree at most 2p at one element's ``_fit_sample_points`` to its
+    Bernstein coefficients on that element (read-only)."""
+    t = _chebpts(1, 2 * (2 * p + 3)).ravel()[:, None]
+    k = np.arange(2 * p + 1)
+    binom = np.array([math.comb(2 * p, j) for j in k], dtype=float)
+    B = np.linalg.pinv(binom * t**k * (1.0 - t) ** (2 * p - k))
+    B.setflags(write=False)
+    return B
+
+
+def _halves(c):
+    """Bernstein coefficients (2k, d+1) of the left halves, then the right
+    halves, of k polynomials with coefficients c (k, d+1) (de Casteljau)."""
+    left, right = [c[:, 0]], [c[:, -1]]
+    while c.shape[1] > 1:
+        c = 0.5 * (c[:, :-1] + c[:, 1:])
+        left.append(c[:, 0])
+        right.append(c[:, -1])
+    return np.concatenate([np.stack(left, axis=1), np.stack(right[::-1], axis=1)])
+
+
+def _certify_positive(D, p, name):
+    """Prove the edge determinant ``name`` positive on the whole edge from
+    its samples D at ``_fit_sample_points(p, n)``; returns the halvings the
+    proof took.
+
+    Per element the samples determine the determinant, a polynomial of
+    degree at most 2p, and ``_bernstein_fit`` gives its Bernstein
+    coefficients, whose minimum bounds it from below. An element with all
+    coefficients positive is certified; the others are halved by de
+    Casteljau, whose end coefficients are values of the polynomial, up to
+    ``_MAX_HALVINGS`` times. A sample or value <= 0 proves a fold; an
+    element still undecided at the last depth is refused. NaN is never
+    certified.
+    """
+    if not np.all(D > 0.0):
+        raise ConformityError("edge determinants are not positive; geometry is singular")
+    c = D.reshape(-1, 2 * (2 * p + 3)) @ _bernstein_fit(p).T
+    elem = np.arange(len(c))
+    for depth in range(_MAX_HALVINGS + 1):
+        undecided = ~np.all(c > 0.0, axis=1)
+        c, elem = c[undecided], elem[undecided]
+        if not len(c):
+            return depth
+        ends = np.all(c[:, [0, -1]] > 0.0, axis=1)
+        if not ends.all():
+            raise ConformityError(
+                f"edge determinant {name} is not positive on element {elem[~ends][0]}; "
+                "geometry is singular"
+            )
+        if depth < _MAX_HALVINGS:
+            c, elem = _halves(c), np.tile(elem, 2)
+    raise ConformityError(
+        f"edge determinant {name} is not certified positive on element {elem[0]} "
+        f"of {len(D) // (2 * (2 * p + 3))} after {_MAX_HALVINGS} halvings"
+    )
+
+
 def _split_beta(a1, a2, beta):
     """Linear (beta1, beta2) with a1*beta2 + a2*beta1 = beta, minimal L2 norm.
 
@@ -150,7 +218,12 @@ def _check_tol(tol):
 def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
     """Decide AS-G1 and produce normalized linear gluing data.
 
-    The linear alphas and the quadratic beta are the null vector of one
+    The edge determinants d1 and d2 are first certified positive on the
+    whole edge from the fit's own samples (``_certify_positive``): a sample
+    <= 0, NaN included, or an element the certificate cannot decide raises
+    ConformityError. So positivity holds on the whole edge, not only at the
+    samples, and the data serve every refinement of the same map. The
+    linear alphas and the quadratic beta are the null vector of one
     7-column least-squares matrix, two rows per edge sample:
     alpha2*d1 - alpha1*d2 = 0 and alpha1*d12 - beta*d1 = 0. The interface is
     accepted when the relative smallest singular value is below ``tol``.
@@ -163,8 +236,8 @@ def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
     _check_tol(tol)
     xs = _fit_sample_points(F1.space.p, F1.space.n)
     D1, D2, D12 = _edge_determinants(F1, F2, xs)
-    if D1.min() <= 0.0 or D2.min() <= 0.0:
-        raise ConformityError("edge determinants are not positive; geometry is singular")
+    for D, name in ((D1, "d1"), (D2, "d2")):
+        _certify_positive(D, F1.space.p, name)
 
     # columns: monomial coefficients of alpha1 (2), alpha2 (2) and beta (3)
     mono, z = np.vander(xs, 3, increasing=True), np.zeros((len(xs), 3))

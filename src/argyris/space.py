@@ -32,7 +32,8 @@ standard-form rotation (``_rows``). C is the sum of all pieces, so
 entering the pullbacks (alpha times an S- spline, beta times a derivative of
 an S+ spline) are degree p piecewise polynomials of smoothness r, so the
 extraction matrix is exact up to rounding. Of an edge the space keeps only
-its gluing data ``gluing[eid]``, and of a vertex only sigma; the dual
+its gluing data ``gluing[eid]``, which also build the space on the
+refinement of its geometry (``_refined``), and of a vertex only sigma; the dual
 functionals and the audit read the rest off the geometry (the functionals
 keep what they read, and D, in ``_dual_geometry``).
 
@@ -48,10 +49,11 @@ from functools import cached_property
 import numpy as np
 
 from .bspline import _basis_values, _drop_noise, _integer, derived_edge_spaces, represent_exactly
-from .errors import InvalidConfigError
+from .errors import ConformityError, InvalidConfigError
 from .gluing import (DEFAULT_TOL, GluingData, _check_tol, _transversal_from_jet,
                      boundary_gluing, fit_asg1)
-from .multipatch import edge_frames, rotate_net, vertex_surrounding_edges
+from .multipatch import (CONFORMITY_TOL, _knot_insertion, edge_frames, rotate_net,
+                         vertex_surrounding_edges)
 
 __all__ = [
     "BasisId",
@@ -327,12 +329,42 @@ class ArgyrisSpace:
         self._aminus = np.zeros((self.sminus.N, 2))
         self._aminus[:2] = _drop_noise(np.linalg.inv(dm[0][:2, :2]))
 
-        self.gluing = {}  # edge id -> GluingData, the edge's standard-form gluing
+        # edge id -> GluingData, the edge's standard-form gluing; a space made
+        # by ``_refined`` starts with the data of the space it refines
+        self.gluing = self.__dict__.get("gluing", {})
         # what the dual functionals read of the geometry and the gluing: per
         # kind the table of all edges or all vertices, and the dual matrix D;
         # filled on first use by ``duality``, never by the build
         self._dual_geometry = {}
         self.C = self._build()
+
+    def _refined(self, geometry):
+        """The space on ``geometry``, the dyadic refinement ``refine`` of this
+        space's geometry, built on this space's gluing data.
+
+        The gluing data belong to the map, which refinement keeps, and
+        ``fit_asg1`` certified the edge determinants on the whole edge and
+        decided AS-G1 exactly per element, so a refit would return the same
+        data up to rounding. A geometry that is not this refinement is
+        refused: the data would not be its own.
+        """
+        cfg, fine, coarse = self.config, geometry.config, self.geometry
+        nested = ((fine.p, fine.r, fine.n) == (cfg.p, cfg.r, 2 * cfg.n)
+                  and len(geometry.patches) == len(coarse.patches)
+                  and [(e.id, e.locals) for e in geometry.edges]
+                  == [(e.id, e.locals) for e in coarse.edges])
+        if nested:
+            R = _knot_insertion(cfg, fine)
+            nested = all(
+                np.abs(R @ np.moveaxis(P.net, -1, 0) @ R.T - np.moveaxis(Q.net, -1, 0)).max()
+                <= CONFORMITY_TOL * max(1.0, np.abs(P.net).max())
+                for P, Q in zip(coarse.patches, geometry.patches))
+        if not nested:
+            raise InvalidConfigError("geometry is not the refinement of this space's geometry")
+        space = object.__new__(type(self))
+        space.gluing = dict(self.gluing)
+        space.__init__(geometry, self.tol)
+        return space
 
     # ------------------------------------------------------------------
     # construction
@@ -405,10 +437,14 @@ class ArgyrisSpace:
         sides = []  # (edge id, patch, turns, sign, alpha, beta) of every side
         for edge in mp.edges:
             frames = edge_frames(edge)
-            if edge.is_interface:
-                g = fit_asg1(*(mp.patches[i].rotate(k) for i, k in frames), tol=self.tol)
-            else:
+            g = self.gluing.get(edge.id)  # carried over by ``_refined``
+            if g is None and not edge.is_interface:
                 g = boundary_gluing()
+            elif g is None:
+                try:
+                    g = fit_asg1(*(mp.patches[i].rotate(k) for i, k in frames), tol=self.tol)
+                except ConformityError as exc:
+                    raise ConformityError(f"interface {edge.id}: {exc}") from None
             self.gluing[edge.id] = g
             glue = ((1, g.alpha1, g.beta1), (-1, g.alpha2, g.beta2))
             sides += [(edge.id, *frame, *data) for frame, data in zip(frames, glue)]

@@ -387,6 +387,19 @@ def test_convergence_study_starts_each_level_from_the_last(monkeypatch):
     assert [c.n for c in calls] == [8, 16]
 
 
+def test_convergence_study_fits_the_gluing_once(monkeypatch, capsys):
+    # the gluing data belong to the map, which refine keeps: the four-level
+    # headline study fits each of the five interfaces once (20 fits while
+    # every level refitted them), and prints its pinned table byte for byte
+    fit = argyris.space.fit_asg1
+    fits = []
+    monkeypatch.setattr(argyris.space, "fit_asg1", lambda *a, **k: fits.append(1) or fit(*a, **k))
+    assert main(["converge", "--builtin", "five_patch_bilinear", "--levels", "4"]) == 0
+    assert len(fits) == 5
+    out = capsys.readouterr().out
+    assert out == (Path(__file__).parent / "data" / "converge_five_patch.txt").read_text()
+
+
 def log_past_the_edge(x):
     """log(x + 1.5): -inf and nan on the left edge x = -1.5 of three_patch_bilinear."""
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -10,11 +10,17 @@ from argyris import (
     boundary_gluing,
     builtin_geometry,
     fit_asg1,
+    infer_topology,
+    load_geometry,
+    represent_exactly,
+    save_geometry,
     standard_form_edge,
 )
+from argyris.cli import main
 from argyris.errors import ConformityError, InvalidConfigError, NotASG1Error
 from argyris.geometries import BUILTIN_NAMES
-from argyris.gluing import _edge_determinants, _transversal_from_jet
+from argyris.gluing import (_certify_positive, _edge_determinants, _fit_sample_points,
+                            _transversal_from_jet)
 from argyris.multipatch import edge_frames, rotate_net
 from conftest import patch_point, pointwise_jet
 
@@ -303,3 +309,120 @@ def test_beta_split_degenerate_when_inconsistent():
     b1, b2 = _split_beta(np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
     np.testing.assert_allclose(b1, [0.5, 0.0], atol=1e-14)
     np.testing.assert_allclose(b2, [0.5, 0.0], atol=1e-14)
+
+
+def mirrored_fold(cfg):
+    """A standard-form pair mirrored across the straight interface x = 0, so
+    alpha = 1 and beta = 0, whose edge determinants d1 = d2 = 1 + K((t - a)^2
+    - eps) dip below zero between two adjacent fit samples and are positive
+    at all of them. Patch 1 is y = v and x = the identity net plus the
+    normal offset (h/p) K((t - a)^2 - eps) on layer 1 and beyond, so det DF
+    = x_u < 0 only next to (0, a); the gap is the one whose middle lies
+    farthest from the validation grid, which therefore misses the fold."""
+    p, n, h = cfg.p, cfg.n, cfg.h
+    xs = _fit_sample_points(p, n)
+    grid = np.linspace(0.0, 1.0, 10 * n + 1)
+    mids, half = 0.5 * (xs[1:] + xs[:-1]), 0.5 * np.diff(xs)
+    k = np.argmax(np.abs(mids[:, None] - grid).min(axis=1) / half)
+    a, eps = mids[k], 0.5 * half[k] ** 2  # below the squared distance to every sample
+    K = 2.0 / eps  # d(a) = -1
+    X = np.repeat(cfg.greville()[:, None], cfg.N, axis=1)
+    X[1:] += represent_exactly(cfg, lambda t: (h / p) * K * ((t - a) ** 2 - eps))
+    Y = np.repeat(cfg.greville()[None, :], cfg.N, axis=0)
+    F1 = Patch(cfg, np.stack([X, Y], axis=-1))
+    F2 = Patch(cfg, np.stack([-X, Y], axis=-1).swapaxes(0, 1))
+    D1, D2, D12 = _edge_determinants(F1, F2, xs)
+    assert D1.min() > 0.0 and D2.min() > 0.0 and np.abs(D12).max() < 1e-15 * D1.max()
+    t = np.linspace(a - half[k], a + half[k], 101)
+    assert _edge_determinants(F1, F2, t)[0].min() < -0.99
+    return F1, F2
+
+
+def test_fold_between_the_fit_samples_is_refused(cfg4, tmp_path, capsys):
+    # every sample of the fit reads d1, d2 > 0, so a sampled sign test
+    # accepted this pair as AS-G1 with alpha = 1, beta = 0; the Bernstein
+    # certificate finds the fold, and so does the CLI (exit 1)
+    F1, F2 = mirrored_fold(cfg4)
+    with pytest.raises(ConformityError, match="d1 is not positive on element 2"):
+        fit_asg1(F1, F2)
+    path = tmp_path / "fold.txt"
+    save_geometry(infer_topology(cfg4, [F1, F2]), path)  # validation passes
+    assert main(["gluing", "--geometry", str(path)]) == 1
+    assert "edge determinant d1 is not positive" in capsys.readouterr().err
+    with pytest.raises(ConformityError, match="interface .*: edge determinant d1"):
+        ArgyrisSpace(load_geometry(path))
+
+
+@pytest.mark.parametrize("p,r,n", [(3, 1, 4), (4, 2, 6), (5, 1, 8), (3, 1, 3)])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_edge_determinants_certified_without_halving(name, p, r, n):
+    # at the degree settings the CI audits run, the Bernstein coefficients of
+    # every element are positive at once
+    mp = builtin_geometry(name, UnivariateSpace(p, r, n))
+    xs = _fit_sample_points(p, n)
+    for e in mp.interfaces():
+        D1, D2, _ = _edge_determinants(*standard_form_edge(mp, e), xs)
+        assert _certify_positive(D1, p, "d1") == _certify_positive(D2, p, "d2") == 0
+
+
+def test_certificate_halves_an_undecided_element_and_stops_at_its_depth():
+    # (t - 1/2)^2 + c on one element: for small c > 0 the middle Bernstein
+    # coefficient is negative, and halving decides it; a double root (c = 0)
+    # reaches a zero end value, and a root pair closer than the last halving
+    # stays undecided and is refused
+    p, xs = 3, _fit_sample_points(3, 1)
+
+    def d(c, a=0.5):
+        return (xs - a) ** 2 + c
+
+    assert _certify_positive(d(1e-2), p, "d1") == 1
+    with pytest.raises(ConformityError, match="not positive on element 0"):
+        _certify_positive(d(0.0), p, "d1")
+    with pytest.raises(ConformityError, match="not certified positive on element 0 of 1"):
+        _certify_positive(d(-1e-12, a=0.5 + 2.0**-14), p, "d1")
+    # two elements, both still undecided after one halving: the fold is
+    # named on its own element, 1, not on the first undecided one
+    x2 = _fit_sample_points(p, 2)
+    D = np.where(x2 < 0.5, (x2 - 1 / 6) ** 2 + 1e-6, (x2 - 0.75) ** 2 - 1e-4)
+    with pytest.raises(ConformityError, match="not positive on element 1;"):
+        _certify_positive(D, p, "d2")
+    for bad in (np.nan, np.inf):
+        D = d(1e-2)
+        D[3] = bad
+        with pytest.raises(ConformityError):
+            _certify_positive(D, p, "d1")
+
+
+def test_bernstein_fit_and_halves_reproduce_the_polynomial():
+    # the fixed matrix recovers the Bernstein coefficients of any degree 2p
+    # polynomial from one element's samples, and the two halves describe the
+    # same polynomial on [0, 1/2] and [1/2, 1]
+    import math
+
+    from argyris.gluing import _bernstein_fit, _halves
+
+    def bernstein(c, t):
+        d = c.shape[1] - 1
+        k = np.arange(d + 1)
+        binom = np.array([math.comb(d, j) for j in k])
+        return (binom * t[:, None] ** k * (1 - t[:, None]) ** (d - k)) @ c.T
+
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 1.0, 9)
+    for p in (3, 4, 5):
+        c = rng.standard_normal((3, 2 * p + 1))
+        samples = bernstein(c, _fit_sample_points(p, 1)).T
+        np.testing.assert_allclose(samples @ _bernstein_fit(p).T, c, atol=1e-12)
+        h = _halves(c)
+        np.testing.assert_allclose(bernstein(h[:3], t), bernstein(c, t / 2), atol=1e-13)
+        np.testing.assert_allclose(bernstein(h[3:], t), bernstein(c, (1 + t) / 2), atol=1e-13)
+
+
+def test_nan_control_point_is_a_conformity_error(mp_two):
+    # the NaN made every sample NaN, NaN <= 0 is False, and the fit stopped
+    # in the SVD with a bare LinAlgError ("SVD did not converge")
+    F1, F2 = interface_pair(mp_two)
+    net = F1.net.copy()
+    net[2, 5] = np.nan
+    with pytest.raises(ConformityError, match="not positive"):
+        fit_asg1(Patch(F1.space, net), F2)

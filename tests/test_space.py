@@ -16,7 +16,7 @@ from argyris.multipatch import CORNER_UV, edge_frames
 from argyris.space import _PRODUCT_ROWS, BasisId, CSRMatrix, VERTEX_INDEX_ORDER, _edge_index_set
 from argyris import TensorSpline, UnivariateSpace, bspline, load_geometry, save_geometry
 from argyris.errors import TopologyError
-from argyris.multipatch import MultiPatch, VertexRecord
+from argyris.multipatch import MultiPatch, Patch, VertexRecord
 from conftest import member_jet, pointwise_jet, rotate_grid, square_grid_geometry
 
 AS_G1_BUILTINS = (
@@ -663,6 +663,57 @@ def test_geometry_and_space_share_one_univariate_space(mp_three, tmp_path):
             assert patch.space == mp.config
         assert ArgyrisSpace(mp).config is mp.config
     assert refine(mp_three).config == UnivariateSpace(3, 1, 8)
+
+
+GLUING_FIELDS = ("alpha1", "beta1", "alpha2", "beta2", "beta")
+
+
+@pytest.mark.parametrize("config,levels", [((3, 1, 4), 3), ((4, 2, 6), 2), ((5, 1, 8), 2)])
+@pytest.mark.parametrize("name", AS_G1_BUILTINS)
+def test_refined_space_on_carried_gluing_matches_a_rebuild(name, config, levels):
+    # a space on refined geometry built from the coarse space's gluing data
+    # is the space a fresh fit on the refined geometry gives: same dim, every
+    # column of C and all gluing data within 1e-12 (worst seen 4.9e-13 for
+    # C, 7.0e-13 for the data)
+    import scipy.sparse
+
+    def csc(C):
+        return scipy.sparse.csr_matrix((C.data, C.indices, C.indptr), shape=C.shape).tocsc()
+
+    carried = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(*config)))
+    for _ in range(levels):
+        carried = carried._refined(refine(carried.geometry))
+        fresh = ArgyrisSpace(carried.geometry)
+        assert carried.dim == fresh.dim
+        A, B = csc(carried.C), csc(fresh.C)
+        scale = abs(B).max(axis=0).toarray().ravel()
+        assert np.all(abs(A - B).max(axis=0).toarray().ravel() <= 1e-12 * scale)
+        assert carried.gluing.keys() == fresh.gluing.keys()
+        for eid, g in fresh.gluing.items():
+            for f in GLUING_FIELDS:
+                if getattr(g, f) is not None:
+                    np.testing.assert_allclose(getattr(carried.gluing[eid], f), getattr(g, f),
+                                               rtol=0, atol=1e-12)
+
+
+def test_refined_space_fits_no_gluing_and_refuses_other_geometry(mp_three, mp_two, monkeypatch):
+    # the carried data serve the refinement of the space's own geometry
+    # alone: another mesh, map or topology would get data that are not its own
+    import argyris.space
+
+    sp = ArgyrisSpace(mp_three)
+    moved = refine(mp_three)
+    net = moved.patches[0].net.copy()
+    net[3, 3] += 1e-3
+    moved.patches[0] = Patch(moved.config, net)
+    for other in (mp_three, refine(refine(mp_three)), refine(mp_two), moved):
+        with pytest.raises(InvalidConfigError, match="not the refinement"):
+            sp._refined(other)
+    fits = []
+    monkeypatch.setattr(argyris.space, "fit_asg1", lambda *a, **k: fits.append(a))
+    fine = sp._refined(refine(mp_three))
+    assert fits == [] and fine.tol == sp.tol
+    assert all(fine.gluing[e] is g for e, g in sp.gluing.items())
 
 
 # --- sparse product -------------------------------------------------------------
