@@ -20,9 +20,11 @@ Sangalli, CMAME 2015; Sangalli & Tani, CMAME 2018). It stores only what the
 preconditioner needs. An interior column is one B-spline (a1, a2) times v,
 so the diagonal there is v^2 ((A0^2)^T W A0^2)[a1, a2]. The edge and vertex
 columns live on the two coefficient layers next to the sides, so their
-block G is an integral over the ring of elements next to the sides, summed
-by the same sum factorization over four pinwheel strips of it, and mirrored
-from its upper triangle, so G is exactly symmetric.
+block G is an integral over the ring of elements next to the sides. It is
+assembled element by element, each element's few columns by the same sum
+factorization, batched over the elements and summed by
+``CSRMatrix.from_triplets``, so G costs O(n); it is mirrored from its upper
+triangle, so it is exactly symmetric.
 The normal equations are solved by preconditioned conjugate gradients
 (``solver``); ``FitResult`` records the iteration count, the Lanczos
 condition estimate and the time of each stage. A fit may start CG from a
@@ -47,7 +49,7 @@ from .errors import ArgyrisError, InvalidConfigError
 from .gluing import DEFAULT_TOL
 from .multipatch import edge_frames, refine, rotate_net
 from .solver import _solve_scaled
-from .space import ArgyrisSpace, CSRMatrix, physical_derivatives
+from .space import ArgyrisSpace, CSRMatrix, _sorted, physical_derivatives
 
 __all__ = [
     "QuadratureRule",
@@ -118,48 +120,89 @@ def _patch_weights(space, i, rule):
     return det
 
 
-def _interface_mass(space, i, W, rule, start):
-    """Triplets (rows, columns, values) of the upper triangle of the block
-    C_G^T M_i C_G of the columns C_G of C from ``start`` on, the edge and
-    vertex functions, in their local numbering.
+#: most elements whose blocks of G are formed in one batch
+_ELEMENTS_PER_BATCH = 64
+
+
+def _interface_mass(space, W, rule, start):
+    """The block G = sum_i C_G^T M_i C_G of the columns C_G of C from
+    ``start`` on, the edge and vertex functions, as a ``CSRMatrix`` in their
+    local numbering, with W the patches' weights (``_patch_weights``).
 
     Those columns live on the two coefficient layers next to the sides,
     which p - r >= 2 keeps on the ring of elements next to the sides. The
     ring is cut into pinwheel strips, one per side s, each seen in the frame
     turned s quarter turns (the symmetric node grid maps onto itself): the
-    elements (0, 0..n-2), or the single element when n = 1. Across a strip
-    only the first p+1 layers are active. The values X of the columns on a
-    strip are the basis tables across (x) along applied to their dense block
-    Z on the active rows, and the strip adds X^T (w o X).
+    elements (0, 0..n-2), or the single element when n = 1. An element e of
+    a strip has g^2 nodes and (p+1)^2 active rows; the block Z_e of the K
+    columns that touch those rows takes the values X_e = (across (x)
+    along_e) Z_e there, and the element adds the upper triangle of
+    X_e^T (w_e o X_e). The elements are batched, so G costs O(n), and G is
+    mirrored once from the summed upper triangle, so it is exactly symmetric.
     """
-    cfg = space.config
+    cfg, C = space.config, space.C
     p, n, g, N = cfg.p, rule.n, rule.order, space.N
-    C = space.extraction(i)
-    row, col, val = (a[C.indices >= start] for a in (C.row_ids, C.indices, C.data))
+    mult, ne, sides, size = p - cfg.r, max(n - 1, 1), 4 if n > 1 else 1, space.dim - start
+    entry = np.flatnonzero(C.indices >= start)
+    patch, a, b = np.unravel_index(C.row_ids[entry], (len(W), N, N))
     layer = np.minimum(np.arange(N), np.arange(N)[::-1])  # counted from the nearer side
-    if np.minimum(layer[row // N], layer[row % N]).max(initial=0) > 1:
+    if np.minimum(layer[a], layer[b]).max(initial=0) > 1:
         raise ArgyrisError("an edge or vertex function reaches beyond the two "
                            "layers next to the sides of a patch")
-    ne = max(n - 1, 1)  # elements along a strip
-    L = (ne - 1) * (p - cfg.r) + p + 1  # functions active on them
-    A0 = _basis_values(cfg, rule.nodes.ravel())
-    across, along = A0[:g, : p + 1], A0[: ne * g, :L]
+    # each entry on every element e of every strip s whose rows hold it, at
+    # its row (a, b - e mult) there, with (a, b) its position in frame s;
+    # the elements are numbered e first, so that the end elements, which
+    # meet the most columns, come together
     parts = []
-    for s in range(4) if n > 1 else (0,):
-        at = np.full(N * N, -1)  # position of each row in the strip's block
-        at[space._rows[s][: p + 1, :L].ravel()] = np.arange((p + 1) * L)
-        q = at[row]
-        on = q >= 0
-        live, k = np.unique(col[on], return_inverse=True)
-        Z = np.zeros(((p + 1) * L, len(live)))
-        Z[q[on], k] = val[on]
-        Y = along @ Z.reshape(p + 1, L, -1)  # each layer along the strip
-        X = (across @ Y.reshape(p + 1, -1)).reshape(-1, len(live))  # then across it
-        w = rotate_net(W, s)[:g, : ne * g].reshape(-1, 1)
-        E = X.T @ (X * w)
-        r, c = np.nonzero(np.triu(E))
-        parts.append((live[r] - start, live[c] - start, E[r, c]))
-    return tuple(map(np.concatenate, zip(*parts)))
+    for s in range(sides):
+        on = np.flatnonzero(a <= p)
+        e = b[on] // mult - np.arange(-(-(p + 1) // mult))[:, None]
+        t, k = np.nonzero((e >= 0) & (e < ne) & (b[on] - e * mult <= p))
+        e, k = e[t, k], on[k]
+        parts.append(((e * len(W) + patch[k]) * sides + s, a[k] * (p + 1) + b[k] - e * mult, entry[k]))
+        a, b = b, N - 1 - a  # a quarter turn, as in rotate_net
+    el, local, entry = map(np.concatenate, zip(*parts))
+    del parts, patch, a, b, on, e, t, k
+    # sorted by element and column: the K columns that touch each element in
+    # order, and each entry's slot among them
+    key, by = _sorted(el * size + C.indices[entry] - start, len(W) * sides * ne * size)
+    local, val, new = local[by], C.data[entry[by]], np.diff(key, prepend=-1) != 0
+    el, column = np.divmod(key[new], size)
+    count = np.bincount(el, minlength=len(W) * sides * ne)
+    first = np.cumsum(count) - count
+    slot = np.cumsum(new) - 1
+    el = el[slot]
+    slot -= first[el]
+    del key, by, entry, new
+    cut = np.searchsorted(el, np.arange(0, len(count) + _ELEMENTS_PER_BATCH, _ELEMENTS_PER_BATCH))
+    # the element tables: across, along_e, and w_e in the frame of its strip
+    A0 = _basis_values(cfg, rule.nodes.ravel())
+    e = np.arange(ne)[:, None, None]
+    along = A0[e * g + np.arange(g)[:, None], e * mult + np.arange(p + 1)]  # (ne, g, p+1)
+    w = np.stack([rotate_net(W.transpose(1, 2, 0), s)[:g, : ne * g] for s in range(sides)])
+    w = w.reshape(sides, g, ne, g, -1).transpose(2, 4, 0, 1, 3).reshape(-1, g * g, 1)
+    # the upper triangle of every element's block, a batch of elements at a
+    # time, each padded to the most columns in its batch
+    parts = []
+    for lo, i0, i1 in zip(range(0, len(count), _ELEMENTS_PER_BATCH), cut, cut[1:]):
+        ids = np.arange(lo, min(lo + _ELEMENTS_PER_BATCH, len(count)))
+        K = count[ids].max()
+        Z = np.zeros((len(ids), p + 1, p + 1, K))
+        Z.reshape(len(ids), -1, K)[el[i0:i1] - lo, local[i0:i1], slot[i0:i1]] = val[i0:i1]
+        X = (along[ids // (len(W) * sides), None] @ Z).reshape(len(ids), p + 1, -1)
+        X = (A0[:g, : p + 1] @ X).reshape(len(ids), g * g, K)
+        r, c = np.nonzero(np.arange(K)[:, None] <= np.arange(K))
+        keep = c < count[ids, None]  # no padded column
+        k = column[first[ids, None] + np.minimum(np.arange(K), count[ids, None] - 1)]
+        E = (X.transpose(0, 2, 1) @ (X * w[ids]))[:, r, c]
+        parts.append((k[:, r][keep], k[:, c][keep], E[keep]))
+    del el, local, val, slot, Z, X, E
+    rows, cols, vals = map(np.concatenate, zip(*parts))
+    del parts
+    U = CSRMatrix.from_triplets(rows, cols, vals, (size, size))
+    off = U.row_ids != U.indices
+    return CSRMatrix.from_triplets(np.r_[U.row_ids, U.indices[off]], np.r_[U.indices, U.row_ids[off]],
+                                   np.r_[U.data, U.data[off]], U.shape)
 
 
 class MassOperator:
@@ -173,7 +216,9 @@ class MassOperator:
     the node grid, and maps back by C^T. Two parts are stored, because the
     preconditioner needs them: the ``diagonal`` (dim,) and ``interface``,
     the exactly symmetric block of the edge and vertex functions (the
-    positions ``start``..dim) as a ``CSRMatrix``.
+    positions ``start``..dim) as a ``CSRMatrix``, assembled element by
+    element over the ring next to the sides (``_interface_mass``). ``M @ x``
+    refuses an x whose length is not dim.
     """
 
     def __init__(self, C, A0, W, diagonal, interface, start):
@@ -200,6 +245,9 @@ class MassOperator:
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
+        if x.ndim == 0 or len(x) != self.shape[1]:
+            raise InvalidConfigError(f"the mass applies to {self.shape[1]} coefficients, "
+                                     f"got an array of shape {x.shape}")
         A0, P = self._A0, len(self._W)
         N = A0.shape[1]
         U = (self.C @ x).reshape(P, N, N, -1).transpose(3, 0, 1, 2)  # (k, patches, N, N)
@@ -211,7 +259,8 @@ class MassOperator:
 def assemble_mass(space, rule=None):
     """The mass matrix sum_patches int phi_a phi_b |det DF| as a
     ``MassOperator``: its diagonal and its edge and vertex block are
-    assembled, the rest is applied by sum factorization."""
+    assembled, the block element by element in O(n) time and memory, and
+    the rest is applied by sum factorization."""
     rule = _check_rule(space, rule)
     ni, P, N = space.breakdown["patch"], len(space.geometry.patches), space.N
     W = np.stack([_patch_weights(space, i, rule) for i in range(P)])
@@ -225,12 +274,7 @@ def assemble_mass(space, rule=None):
         raise ArgyrisError("an interior function is more than one B-spline on a patch")
     patch, a1, a2 = np.unravel_index(C.row_ids[inside], (P, N, N))
     interior = np.bincount(col, v * v * (A0.T**2 @ W @ A0**2)[patch, a1, a2], ni)
-    # the upper triangles of all patches, mirrored: G is exactly symmetric
-    rows, cols, vals = map(np.concatenate, zip(*(_interface_mass(space, i, Wi, rule, ni)
-                                                 for i, Wi in enumerate(W))))
-    off = rows != cols
-    G = CSRMatrix.from_triplets(np.r_[rows, cols[off]], np.r_[cols, rows[off]],
-                                np.r_[vals, vals[off]], (space.dim - ni,) * 2)
+    G = _interface_mass(space, W, rule, ni)
     return MassOperator(C, A0, W, np.concatenate([interior, G.diagonal()]), G, ni)
 
 
@@ -241,18 +285,23 @@ def assemble_rhs(space, fld, rule=None, *, weights=None):
     A0 the (m, N) basis values at the m quadrature nodes per direction and
     W the patch's |det DF| weights on the rule: the given ``weights`` of the
     patches in order (``l2_fit`` passes those its mass was made with), else
-    made here. A field bound to another geometry than the space's is
-    refused.
+    made here. Weights that are not one (m, m) grid per patch, and a field
+    bound to another geometry than the space's, are refused.
     """
     rule = _check_rule(space, rule)
     space._check_field(fld)
+    P, m = len(space.geometry.patches), rule.nodes.size
     if weights is None:
-        weights = (_patch_weights(space, i, rule) for i in range(len(space.geometry.patches)))
+        weights = (_patch_weights(space, i, rule) for i in range(P))
+    else:
+        weights = list(weights) if np.iterable(weights) else []
+        if [np.shape(W) for W in weights] != [(m, m)] * P:
+            raise InvalidConfigError(f"weights must be {P} patch grids of shape ({m}, {m})")
     x = rule.nodes.ravel()
     A0 = _basis_values(space.config, x)
     rhs = np.zeros(space.dim)
     for i, W in enumerate(weights):
-        Wz = W.ravel() * fld.jets(i, x, x, 0)[0]
+        Wz = np.ravel(W) * fld.jets(i, x, x, 0)[0]
         rhs += (A0.T @ Wz.reshape(len(x), len(x)) @ A0).ravel() @ space.extraction(i)
     return rhs
 

@@ -9,8 +9,9 @@ interior indices on [0, 1]; it is inverted by fast diagonalization (Sangalli
 & Tani, SISC 2016). The few edge and vertex functions form the trailing
 block, solved exactly: its rows, ordered by breadth-first levels from a
 pseudo-peripheral row (Cuthill & McKee, 1969), make it block tridiagonal,
-and block Cholesky needs one small dense factor per level. The order is read
-off the sparsity of the block alone, and the levels stay narrow because each
+and block Cholesky needs one small dense factor per level; a solve is then
+one matrix-vector product per level and sweep. The order is read off the
+sparsity of the block alone, and the levels stay narrow because each
 function couples only to its neighbours along the interfaces. At p = 3 CG
 then needs about 30 iterations from zero on every mesh, and about half as
 many at n = 32 from the prolonged fit of n = 16 (nested iteration: Brandt,
@@ -152,17 +153,22 @@ def _interface_solver(G):
     tridiagonal: with D_0 = G_00, level k factors D_k = L_k L_k^T, W_k =
     L_k^-1 G_{k,k+1} and D_{k+1} = G_{k+1,k+1} - W_k^T W_k. A residual r maps
     by one forward sweep, z_k = L_k^-1 (r_k - W_{k-1}^T z_{k-1}), and one
-    backward sweep, y_k = L_k^-T (z_k - W_k y_{k+1}). The edge and vertex
-    functions couple only to their neighbours, so the levels follow the
-    interfaces and their width stops growing with n. Raises NumericalError
-    when some D_k is not positive definite.
+    backward sweep, y_k = L_k^-T (z_k - W_k y_{k+1}), each level of each
+    sweep one product with the level's rows of the sweep's factor, made
+    once here. The edge and vertex functions couple only to their
+    neighbours, so the levels follow the interfaces and their width stops
+    growing with n. Raises NumericalError when some D_k is not positive
+    definite.
     """
     levels = _levels(G)
     level, pos = np.zeros(G.shape[0], dtype=int), np.zeros(G.shape[0], dtype=int)
     for k, rows in enumerate(levels):
         level[rows], pos[rows] = k, np.arange(len(rows))
     bounds = np.cumsum([0] + [len(rows) for rows in levels])
-    Linv, W = [], []
+    # the rows of level k of the two sweeps' factors: z_k = F_k (z_{k-1}, r_k)
+    # with F_k = [-L_k^-1 W_{k-1}^T, L_k^-1], and y_k = B_k (z_k, y_{k+1})
+    # with B_k = [L_k^-T, -L_k^-T W_k]
+    F, B = [], []
     try:
         for k, rows in enumerate(levels):
             m = len(rows)
@@ -171,23 +177,29 @@ def _interface_solver(G):
             keep = up >= 0
             block = np.zeros((m, bounds[min(k + 2, len(levels))] - bounds[k]))
             block[sub.row_ids[keep], (pos[sub.indices] + m * up)[keep]] = sub.data[keep]
-            D = block[:, :m] - W[-1].T @ W[-1] if k else block[:, :m]
-            Linv.append(np.linalg.inv(np.linalg.cholesky(D)))
-            W.append(Linv[-1] @ block[:, m:])
+            D = block[:, :m] - W.T @ W if k else block[:, :m]
+            Linv = np.linalg.inv(np.linalg.cholesky(D))
+            F.append(np.concatenate([-Linv @ W.T, Linv], axis=1) if k else Linv)
+            W = Linv @ block[:, m:]
+            B.append(np.concatenate([Linv.T, -Linv.T @ W], axis=1))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"interface block of the mass is singular: {exc}") from exc
-    order = np.concatenate(levels)
-    rank = np.argsort(order)  # where each row of G sits in the level order
+    # the work vector t holds r_0, z_0, r_1, z_1, ..., so that each product
+    # reads one pair (z_{k-1}, r_k) or (z_k, y_{k+1}) of t; y_k overwrites r_k
+    t = np.zeros(2 * G.shape[0])
+    c = np.ravel([2 * bounds[:-1], bounds[:-1] + bounds[1:]], order="F")
+    pair = [t[c[max(2 * k - 1, 0)] : c[2 * k + 1] if k < len(F) else None] for k in range(len(F) + 1)]
+    forward = [(Fk, pair[k], pair[k + 1][: len(Fk)]) for k, Fk in enumerate(F)]
+    backward = [(Bk, pair[k + 1], pair[k][-len(Bk) :]) for k, Bk in enumerate(B)]
+    where = 2 * bounds[level] + pos  # each row of G in t
 
     def solve(r):
-        r = np.split(r[order], bounds[1:-1])
-        z = [Linv[0] @ r[0]]
-        for k in range(1, len(r)):
-            z.append(Linv[k] @ (r[k] - W[k - 1].T @ z[-1]))
-        y = [Linv[-1].T @ z[-1]]
-        for k in reversed(range(len(z) - 1)):
-            y.append(Linv[k].T @ (z[k] - W[k] @ y[-1]))
-        return np.concatenate(y[::-1])[rank]
+        t[where] = r
+        for Fk, x, out in forward:
+            Fk.dot(x, out=out)
+        for Bk, x, out in reversed(backward):
+            Bk.dot(x, out=out)
+        return t[where]
 
     return solve
 

@@ -34,6 +34,7 @@ from argyris import (
 from argyris.cli import main
 from argyris.duality import _prolong
 from argyris.errors import ArgyrisError, InvalidConfigError, NumericalError
+from argyris.fit import _interface_mass, _patch_weights
 from argyris.multipatch import _knot_insertion, edge_frames
 from argyris.solver import (
     _block_preconditioner,
@@ -228,12 +229,14 @@ def test_assembly_matches_element_loop_reference_across_degrees(name, p, r):
     )
 
 
-@pytest.mark.parametrize("p,r,n", [(3, 1, 4), (4, 2, 3), (5, 1, 2), (5, 1, 1)])
+@pytest.mark.parametrize("p,r,n", [(3, 1, 4), (4, 2, 3), (5, 1, 2), (5, 1, 1), (3, 1, 8)])
 @pytest.mark.parametrize("name", AS_G1_BUILTINS)
 def test_matrix_free_mass_matches_element_loop_reference(name, p, r, n):
     # the operator applied to the identity, its stored diagonal and its stored
     # edge and vertex block against the dense element-loop mass; at n = 1 the
-    # ring of boundary elements is the single element
+    # ring of boundary elements is the single element, and at n = 8 a strip
+    # of seven elements has middle elements with the full window of columns
+    # and end elements that carry the vertex functions
     space = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(p, r, n)))
     rule = QuadratureRule(n, p + 2)
     M_ref, _ = reference_mass_rhs(space, cos_sin_field(space.geometry), rule)
@@ -254,6 +257,45 @@ def test_mass_exactly_symmetric_on_every_builtin(name, n):
     M = assemble_mass(ArgyrisSpace(builtin_geometry(name, UnivariateSpace(3, 1, n))))
     G = M.interface.toarray()
     assert np.count_nonzero(G - G.T) == 0
+
+
+def test_interface_mass_memory_grows_linearly_with_the_mesh():
+    # G is summed element by element over the ring next to the sides, a
+    # batch of elements at a time: its memory grows like n. Forming a dense
+    # (columns x columns) block per strip took 1.86 MiB at n = 32 and
+    # 6.39 MiB at n = 64 (3.4x)
+    peaks = []
+    for n in (32, 64):
+        space = ArgyrisSpace(builtin_geometry("five_patch_bilinear", UnivariateSpace(3, 1, n)))
+        rule = QuadratureRule(n, 5)
+        W = np.stack([_patch_weights(space, i, rule) for i in range(5)])
+        tracemalloc.start()
+        G = _interface_mass(space, W, rule, space.breakdown["patch"])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert G.shape == (space.dim - space.breakdown["patch"],) * 2
+    assert peaks[1] <= 2.5 * peaks[0], peaks
+
+
+def test_load_refuses_weights_that_do_not_match_the_patches(sp_three):
+    # weights for two of three patches gave a load vector wrong by 0.81
+    # without complaint; a wrong grid and an extra patch gave a bare
+    # ValueError and IndexError
+    fld = cos_sin_field(sp_three.geometry)
+    W = assemble_mass(sp_three)._W
+    for bad in (W[:2], W[:, 1:, 1:], np.concatenate([W, W[:1]]), [W[0], W[1], W[2][1:]], 1.0):
+        with pytest.raises(InvalidConfigError, match="weights must be 3 patch grids"):
+            assemble_rhs(sp_three, fld, weights=bad)
+    np.testing.assert_array_equal(assemble_rhs(sp_three, fld, weights=list(W)),
+                                  assemble_rhs(sp_three, fld))
+
+
+def test_mass_refuses_coefficients_of_another_length(sp_three):
+    M = assemble_mass(sp_three)
+    for bad in (np.ones(sp_three.dim - 1), np.ones((sp_three.dim + 1, 2)), 1.0):
+        with pytest.raises(InvalidConfigError, match=f"applies to {sp_three.dim} coefficients"):
+            M @ bad
+    assert (M @ np.ones((sp_three.dim, 2))).shape == (sp_three.dim, 2)
 
 
 @pytest.mark.parametrize("kind,position,match", [
