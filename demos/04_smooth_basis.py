@@ -56,8 +56,9 @@ print("value-slot interpolant at the vertex: value", round(val[0], 12),
       "gradient", np.round(grad[0], 12), "Hessian max", np.abs(hess).max())
 
 # The audit measures two-sided jumps of every basis function: values and
-# physical gradients across interfaces, second derivatives at vertices.
-rep = smoothness_report(space, samples_per_edge=100)
+# physical gradients across interfaces, at 3p points of every element, which
+# decide C1 there, and second derivatives at vertices.
+rep = smoothness_report(space)
 print(f"\nsmoothness audit: max C1 jump {rep.max_c1_jump:.2e}, "
       f"max C2 vertex jump {rep.max_c2_jump:.2e}")
 print("audit passed:", rep.passed())

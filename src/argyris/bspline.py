@@ -50,6 +50,15 @@ def _chebpts(n, m):
     return a + (t + 1.0) * 0.5 * (b - a)
 
 
+def _real(value, name):
+    """``value`` as a float array; a complex one is an ``InvalidConfigError``
+    naming it, not cut to its real part."""
+    value = np.asarray(value)
+    if np.iscomplexobj(value):
+        raise InvalidConfigError(f"{name} is complex; the space is real")
+    return value.astype(float, copy=False)
+
+
 def _integer(value, name):
     """``value`` as an int (NumPy integers included); anything else is an
     ``InvalidConfigError`` naming the parameter."""

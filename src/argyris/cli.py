@@ -14,7 +14,7 @@ import numpy as np
 from .bspline import UnivariateSpace
 from .errors import ArgyrisError, InvalidConfigError, ValidationError
 from .geometries import BUILTIN_NAMES, builtin_geometry
-from .gluing import DEFAULT_TOL, fit_asg1
+from .gluing import fit_asg1
 from .multipatch import _min_jacobian, load_geometry, standard_form_edge
 from .space import ArgyrisSpace, space_dimension
 
@@ -26,12 +26,9 @@ def _add_geometry_args(p):
     p.add_argument("--p", type=int, default=3, help="spline degree (default 3)")
     p.add_argument("--r", type=int, default=1, help="spline regularity (default 1)")
     p.add_argument("--n", type=int, default=4, help="elements per direction (default 4)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="AS-G1 acceptance tolerance")
 
 
 def _geometry(args):
-    if not 0 < args.tol < 1:
-        raise InvalidConfigError(f"--tol must lie in (0, 1), got {args.tol}")
     if args.geometry:
         return load_geometry(args.geometry)
     return builtin_geometry(args.builtin, UnivariateSpace(args.p, args.r, args.n))
@@ -55,7 +52,7 @@ def _cmd_gluing(args):
     mp = _geometry(args)
     for e in mp.interfaces():
         F1, F2 = standard_form_edge(mp, e)
-        g = fit_asg1(F1, F2, tol=args.tol, strict=False)
+        g = fit_asg1(F1, F2, strict=False)
         verdict = "AS-G1" if g.asg1 else "NOT AS-G1"
         print(f"interface {e.id}: {verdict} residual {g.residual:.3e}")
         for name, c in (
@@ -85,11 +82,10 @@ def _cmd_space_dim(args):
 
 def _cmd_space_audit(args):
     from .duality import SpaceField, biorthogonality_matrix, project
-    from .fit import _check_samples_per_edge, smoothness_report
+    from .fit import smoothness_report
 
-    _check_samples_per_edge(args.samples)  # before any work is printed
     mp = _geometry(args)
-    space = ArgyrisSpace(mp, tol=args.tol)
+    space = ArgyrisSpace(mp)
     M = biorthogonality_matrix(space)
     off = M.row_ids != M.indices  # M.diagonal() reads 0 where none is stored
     dev = max(np.abs(M.data[off]).max(initial=0.0), np.abs(M.diagonal() - 1.0).max())
@@ -98,7 +94,7 @@ def _cmd_space_audit(args):
     c2 = project(space, SpaceField(space, c))
     rep = np.abs(c2 - c).max() / max(1.0, np.abs(c).max())
     print(f"projector reproduction error {rep:.3e}")
-    audit = smoothness_report(space, samples_per_edge=args.samples)
+    audit = smoothness_report(space)
     print(f"max C1 interface jump {audit.max_c1_jump:.3e}")
     print(f"max C2 vertex jump {audit.max_c2_jump:.3e}")
     ok = dev < 1e-9 and rep < 1e-9 and audit.passed()
@@ -110,7 +106,7 @@ def _cmd_fit(args):
     from .fit import QuadratureRule, cos_sin_field, l2_fit
 
     mp = _geometry(args)
-    space = ArgyrisSpace(mp, tol=args.tol)
+    space = ArgyrisSpace(mp)
     rule = None
     if args.quadrature is not None:
         rule = QuadratureRule(space.config.n, args.quadrature)
@@ -135,7 +131,7 @@ def _cmd_converge(args):
     from .fit import convergence_study, cos_sin_field
 
     mp = _geometry(args)
-    table, results = convergence_study(mp, cos_sin_field, args.levels, tol=args.tol)
+    table, results = convergence_study(mp, cos_sin_field, args.levels)
     print(table.to_text())
     for r in results:
         print(
@@ -160,7 +156,7 @@ def _cmd_sample(args):
     if not 1 <= args.grid <= MAX_SAMPLE_GRID:
         raise InvalidConfigError(f"--grid must be in 1..{MAX_SAMPLE_GRID}, got {args.grid}")
     mp = _geometry(args)
-    space = ArgyrisSpace(mp, tol=args.tol)
+    space = ArgyrisSpace(mp)
     if args.basis is not None:
         space.basis_id(args.basis)  # rejects an index outside 0..dim-1
         coeffs = np.zeros(space.dim)
@@ -221,7 +217,6 @@ def build_parser():
     sd.set_defaults(func=_cmd_space_dim)
     sa = ssub.add_parser("audit", help="biorthogonality and smoothness suite")
     _add_geometry_args(sa)
-    sa.add_argument("--samples", type=int, default=100, help="samples per interface")
     sa.set_defaults(func=_cmd_space_audit)
 
     ft = sub.add_parser("fit", help="single L2 fit of the benchmark target")

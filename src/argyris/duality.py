@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bspline import TensorSpline, local_duals
+from .bspline import TensorSpline, _real, local_duals
 from .errors import InvalidConfigError
 from .gluing import _pv
 from .multipatch import _knot_insertion, edge_frames
@@ -73,8 +73,8 @@ class AnalyticField:
             )
         out = []
         for k, (s, what) in enumerate(zip(samplers, ("value", "gradient", "Hessian"))):
-            v, shape = np.asarray(s(x), dtype=float), (len(x),) + (2,) * k
             name = f"field {what} sampler {getattr(s, '__qualname__', s)!r}"
+            v, shape = _real(s(x), name), (len(x),) + (2,) * k
             try:
                 out.append(np.broadcast_to(v, shape))
             except ValueError:
@@ -260,9 +260,7 @@ def project(space, field):
     """
     space._check_field(field)
     if isinstance(field, SpaceField):
-        coeffs = np.asarray(field.coeffs, dtype=float)
-        space._check_coeffs(coeffs)
-        return dual_matrix(space) @ (space.C @ coeffs)
+        return dual_matrix(space) @ (space.C @ space._coeffs(field.coeffs))
     duals = local_duals(space.config)
     x, inner = duals.points.ravel(), slice(2, space.N - 2)
     blocks = []
@@ -321,10 +319,8 @@ def _prolong(space, member):
             f"a member of {cfg} on {len(coarse.geometry.patches)} patches does not "
             f"nest in {fine} on {P}"
         )
-    coeffs = np.asarray(member.coeffs, dtype=float)
-    coarse._check_coeffs(coeffs)
     R = _knot_insertion(cfg, fine)
-    grids = R @ (coarse.C @ coeffs).reshape(P, cfg.N, cfg.N) @ R.T
+    grids = R @ (coarse.C @ coarse._coeffs(member.coeffs)).reshape(P, cfg.N, cfg.N) @ R.T
     kept = dict(space._dual_geometry)
     x = dual_matrix(space) @ grids.ravel()
     space._dual_geometry.clear()  # in place: a copy of the space shares it

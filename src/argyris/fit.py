@@ -43,10 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import _basis_values, _integer
+from .bspline import _basis_values, _chebpts, _integer
 from .duality import AnalyticField, SpaceField, _prolong, _unit_jets
 from .errors import ArgyrisError, InvalidConfigError
-from .gluing import DEFAULT_TOL
 from .multipatch import edge_frames, refine, rotate_net
 from .solver import _solve_scaled
 from .space import ArgyrisSpace, CSRMatrix, _sorted, physical_derivatives
@@ -405,7 +404,7 @@ class ConvergenceTable:
         if self.rows:
             prev = self.rows[-1]
             if err > 0 and prev[2] > IN_SPACE_FLOOR and err > IN_SPACE_FLOOR:
-                ecr = float(np.log2(prev[2] / err))
+                ecr = self.ecr_convention(prev[2], err)
         self.rows.append((h, dim, err, ecr))
 
     @staticmethod
@@ -429,7 +428,7 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
-def convergence_study(mp, make_field, levels, tol=DEFAULT_TOL):
+def convergence_study(mp, make_field, levels):
     """Fit on a sequence of nested dyadic refinements of a geometry.
 
     ``make_field(geometry)`` binds the target function to each refined
@@ -444,7 +443,7 @@ def convergence_study(mp, make_field, levels, tol=DEFAULT_TOL):
         raise InvalidConfigError(f"need at least one level, got {levels}")
     table = ConvergenceTable()
     results = []
-    space, coarser = ArgyrisSpace(mp, tol=tol), []
+    space, coarser = ArgyrisSpace(mp), []
     for lvl in range(levels):
         if lvl > 0:
             space = space._refined(refine(space.geometry))
@@ -521,33 +520,24 @@ class SmoothnessReport:
         return self.max_c1_jump < 1e-9 and self.max_c2_excess < 1.0
 
 
-#: most samples per interface side that ``smoothness_report`` takes
-MAX_SAMPLES_PER_EDGE = 10_000
-
 #: most (side, sample) points one batch of ``smoothness_report`` samples,
 #: unless one entity has more; a batch holds whole entities
 _REPORT_BATCH = 1 << 9
 
 
-def _check_samples_per_edge(samples_per_edge):
-    """Refuse a sample count ``smoothness_report`` does not take."""
-    if not 1 <= _integer(samples_per_edge, "samples_per_edge") <= MAX_SAMPLES_PER_EDGE:
-        raise InvalidConfigError(
-            f"need 1..{MAX_SAMPLES_PER_EDGE} samples per edge, got {samples_per_edge}"
-        )
-
-
-def _report_batches(space, kind, t, members, scores):
+def _report_batches(space, kind, members, scores):
     """Scores of the members of every interface (``kind`` "edge") or vertex,
     one batch of whole entities after another.
 
     An interface has two sides, the two layers next to it in the
     standard-form frame of either patch (side 2 transposed, so that both are
-    (across, along)), sampled at t; a vertex has the 3 x 3 blocks at its
-    corners, sampled at the corner. At a sample only the nb band rows of a
-    side are nonzero, the same ones for all samples of a group (an element
-    along the side), and their unit jets U are the same on every side; both
-    come from ``duality._unit_jets``, the table the dual functionals read. So an
+    (across, along)), sampled at the 3p Chebyshev points of every element; a
+    vertex has the 3 x 3 blocks at its corners, sampled at the corner. So
+    the samples come in groups of a fixed count, the 3p of an element or
+    the one of a corner. At a sample only the nb band rows of a side are
+    nonzero, the same ones for all samples of a group, and their unit jets
+    U are the same on every side; both come from ``duality._unit_jets``, the
+    table the dual functionals read. So an
     entity's pairs (member, group) are those with a coefficient stored on a
     band row of one of its sides; a member is 0 elsewhere. The members are
     the basis (``members`` None) or the columns of a coefficient matrix. The
@@ -567,17 +557,18 @@ def _report_batches(space, kind, t, members, scores):
     batch's entities, each pair's entity dim + column, the pairs' maxima of
     each score over their group's samples).
     """
-    mp, R, N, dim = space.geometry, space._rows, space.N, space.dim
+    mp, R, N, dim, p = space.geometry, space._rows, space.N, space.dim, space.config.p
     if kind == "edge":
         sides = [((i1, R[k1][:2]), (i2, R[k2][:, :2].T))
                  for (i1, k1), (i2, k2) in map(edge_frames, mp.interfaces())]
     else:
         sides = [[(i, R[c][:3, :3]) for i, c in v.corners] for v in mp.vertices]
-    U, pos = _unit_jets(space, kind, t)  # a vertex is read at its corner alone
-    new = np.r_[True, (pos[1:] != pos[:-1]).any(axis=1)]  # a group's first sample
-    starts, group, band = np.flatnonzero(new), np.cumsum(new) - 1, pos[new]
     if not sides:
         return
+    # a vertex is read at its corner alone, one sample in one group
+    U, pos = _unit_jets(space, kind, _chebpts(space.config.n, 3 * p).ravel())
+    per = 3 * p if kind == "edge" else 1  # samples per group
+    band = pos[::per]  # (groups, nb), the band rows of each group
     (m, d), (G, nb) = U.shape[:2], band.shape
     count = np.array([len(s) for s in sides])
     at = np.r_[0, np.cumsum(count)]  # the sides of entity e are at[e]:at[e + 1]
@@ -587,9 +578,9 @@ def _report_batches(space, kind, t, members, scores):
     nets = np.concatenate([P.net.reshape(-1, 2) for P in mp.patches])  # on the stacked rows
     size = np.abs(nets).reshape(len(mp.patches), -1).max(1)  # what their rounding is relative to
     d2U = np.abs(U[0]).sum(-1)[[2, 1, 0], [0, 1, 2]].max() if d == 3 else None
-    UT = np.ascontiguousarray(U.transpose(3, 1, 2, 0))  # (nb, d, d, m)
+    UT = np.ascontiguousarray(U.transpose(3, 1, 2, 0)).reshape(nb, d, d, G, per)
     # the unit jets that are not 0 (at order 1 the mixed one is not read)
-    nonzero = UT.any(axis=-1) & (np.add.outer(np.arange(d), np.arange(d)) < d)
+    nonzero = UT.any(axis=(-2, -1)) & (np.add.outer(np.arange(d), np.arange(d)) < d)
     terms = [(b, list(zip(*np.nonzero(nonzero[b])))) for b in range(nb)]
     step = max(1, _REPORT_BATCH // (count.max() * m))
     for e0 in range(0, len(count), step):
@@ -613,12 +604,11 @@ def _report_batches(space, kind, t, members, scores):
         V = np.zeros((nb, K + 2, s1 - s0, G))
         V[b, slot[pair], side, g] = val
         V[:, K:] = nets[seen].transpose(2, 3, 0, 1)
-        f = np.zeros((d, d) + V.shape[1:3] + (m,))  # samples last: long inner loops
+        f = np.zeros((d, d) + V.shape[1:] + (per,))  # a group's samples last
         for b, jets in terms:
-            Vb = V[b][..., group]
             for a, c in jets:
-                f[a, c] += UT[b, a, c] * Vb
-        f = f.transpose(3, 4, 0, 1, 2).reshape(-1, d, d, K + 2)
+                f[a, c] += UT[b, a, c] * V[b, ..., None]
+        f = f.transpose(3, 4, 5, 0, 1, 2).reshape(-1, d, d, K + 2)
         out = physical_derivatives(f[..., K:], f[..., :K])
         # each pair on every side of its entity, (entities, sides); an entity
         # with fewer sides than another repeats its last, which moves no maximum
@@ -632,21 +622,27 @@ def _report_batches(space, kind, t, members, scores):
             floor = np.finfo(float).eps * d2U * jinv**2 * size[patch[s0:s1], None]
             floor = floor[side, ..., None]
         e, g = np.divmod(eg, G)
-        per_pair = [np.maximum.reduceat(a, starts, axis=1)[e, g, slot] for a in scores(*out, floor)]
+        per_pair = [a.reshape(len(a), G, per, -1).max(2)[e, g, slot] for a in scores(*out, floor)]
         yield ents, (e0 + e) * dim + col, per_pair
 
 
-def smoothness_report(space, coeffs=None, samples_per_edge=200):
+def smoothness_report(space, coeffs=None):
     """Two-sided continuity audit of the space, or of the members given by a
     coefficient vector (dim,) or the k columns of a matrix (dim, k).
 
     Per interface: max relative jump of values and physical gradients over
-    sample points. Per vertex: max relative jump of physical second
-    derivatives between all surrounding patches. Relative means divided by
-    max(1, local magnitude). For the space, the members of an interface or a
-    vertex are the basis functions whose extraction columns touch the two
-    layers next to its sides or the 3 x 3 blocks at its corners, in sorted
-    order (the first of equal worst jumps is named).
+    the 3p Chebyshev points of every element. These decide C1 (Peters,
+    "Geometric continuity", Handbook of CAGD, 2002): on an element the value
+    jump is a polynomial of degree p, and once the values agree the gradient
+    jump vanishes where the (x, y, f) tangent vectors of both sides are
+    coplanar, a determinant of degree at most 3p - 1. So a member whose
+    jumps vanish at the samples is C1 on the whole interface. Per vertex: max
+    relative jump of physical second derivatives between all surrounding
+    patches. Relative means divided by max(1, local magnitude). For the
+    space, the members of an interface or a vertex are the basis functions
+    whose extraction columns touch the two layers next to its sides or the
+    3 x 3 blocks at its corners, in sorted order (the first of equal worst
+    jumps is named).
 
     Like the dual functionals, the report reads each kind in one pass in the
     standard-form frame (Collin, Sangalli & Takacs, CAGD 2016): both sides of
@@ -656,8 +652,8 @@ def smoothness_report(space, coeffs=None, samples_per_edge=200):
     member is sampled only at the samples where one of its coefficients on
     the rows nonzero there is stored (``_report_batches``). One
     ``physical_derivatives`` call serves all sides or all corners of a batch
-    of entities, so the report costs about the same at every n, and nothing
-    of size N^2 or N per member is formed.
+    of entities, so an interface costs O(n) and nothing of size N^2 or N per
+    member is formed.
 
     Rounding of the control nets perturbs d^2 F, and the physical Hessian
     subtracts grad f . d^2 F, so a C2 jump has a floor that grows like n^3
@@ -669,19 +665,16 @@ def smoothness_report(space, coeffs=None, samples_per_edge=200):
     passes when every member's jump is below max(1e-8, C2_FLOOR_FACTOR *
     floor). The C2 jump reported is the raw one.
     """
-    _check_samples_per_edge(samples_per_edge)
-    t = np.linspace(0.0, 1.0, samples_per_edge)
     members = None
     if coeffs is not None:
-        coeffs = np.asarray(coeffs, dtype=float)
-        space._check_coeffs(coeffs)
+        coeffs = space._coeffs(coeffs)
         members = coeffs.reshape(space.dim, -1)
 
     def per_entity(kind, scores):
         """(entity, each of its members' scores, their columns) for every
         entity of a kind in order: a member's score is the maximum over its
         pairs."""
-        for ents, member, values in _report_batches(space, kind, t, members, scores):
+        for ents, member, values in _report_batches(space, kind, members, scores):
             order = np.argsort(member, kind="stable")
             member = member[order]
             starts = np.flatnonzero(np.diff(member, prepend=-1))

@@ -11,7 +11,10 @@ interface is analysis-suitable G1 when both hold with linear alphas and a
 quadratic beta = alpha1*beta2 + alpha2*beta1 with linear beta1, beta2. The
 fit samples both equations at fixed edge nodes as one homogeneous
 least-squares system and decides on its relative smallest singular value,
-which no linear map of the plane changes (each row scales by its det). The
+which no linear map of the plane changes (each row scales by its det),
+against the fixed ``ASG1_TOL``: the space exists on exact AS-G1 interfaces
+alone (Collin, Sangalli & Takacs, CAGD 2016), where it is at rounding level,
+and a looser bound would build a space that is not C1. The
 same samples certify that d1 and d2 are positive on the whole edge: per
 element they determine the Bernstein coefficients of the determinant, which
 bound it (Xu, Mourrain, Duvigneau & Galligo, CMAME 2011). It returns
@@ -29,7 +32,7 @@ import numpy as np
 from numpy.polynomial import polynomial as _poly
 
 from .bspline import _chebpts
-from .errors import ConformityError, DegenerateGluingError, InvalidConfigError, NotASG1Error
+from .errors import ConformityError, DegenerateGluingError, NotASG1Error
 from .multipatch import CONFORMITY_TOL, _edge_gap
 
 __all__ = [
@@ -38,7 +41,8 @@ __all__ = [
     "boundary_gluing",
 ]
 
-DEFAULT_TOL = 1e-9
+#: the relative smallest singular value below which an interface is AS-G1
+ASG1_TOL = 1e-9
 _SNAP = 1e-11
 #: halvings of an element the edge-determinant certificate may take
 _MAX_HALVINGS = 12
@@ -208,14 +212,7 @@ def _split_beta(a1, a2, beta):
     return v[:2], v[2:]
 
 
-def _check_tol(tol):
-    """Refuse an AS-G1 acceptance tolerance outside (0, 1): the relative
-    singular value is at most 1, so a tolerance of 1 or more accepts all."""
-    if not 0 < tol < 1:
-        raise InvalidConfigError(f"AS-G1 tolerance must lie in (0, 1), got {tol}")
-
-
-def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
+def fit_asg1(F1, F2, strict=True):
     """Decide AS-G1 and produce normalized linear gluing data.
 
     The edge determinants d1 and d2 are first certified positive on the
@@ -226,14 +223,14 @@ def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
     linear alphas and the quadratic beta are the null vector of one
     7-column least-squares matrix, two rows per edge sample:
     alpha2*d1 - alpha1*d2 = 0 and alpha1*d12 - beta*d1 = 0. The interface is
-    accepted when the relative smallest singular value is below ``tol``.
+    accepted when the relative smallest singular value is below the fixed
+    ``ASG1_TOL`` (why it is fixed: the module docstring).
     Accepted data is rescaled so the alphas are closest to one in L2, and
     the beta split takes the minimum-norm solution.
 
     With ``strict`` (default), rejection raises NotASG1Error; otherwise the
     best-effort data is returned with ``asg1 = False``.
     """
-    _check_tol(tol)
     xs = _fit_sample_points(F1.space.p, F1.space.n)
     D1, D2, D12 = _edge_determinants(F1, F2, xs)
     for D, name in ((D1, "d1"), (D2, "d2")):
@@ -245,12 +242,12 @@ def fit_asg1(F1, F2, tol=DEFAULT_TOL, strict=True):
                   [D12[:, None] * mono[:, :2], z[:, :2], -D1[:, None] * mono]])
     _, svals, Vt = np.linalg.svd(A, full_matrices=False)
     residual = float(svals[-1] / svals[0])
-    nullity = int(np.sum(svals < tol * svals[0]))
+    nullity = int(np.sum(svals < ASG1_TOL * svals[0]))
     accepted = nullity >= 1
     if not accepted and strict:
         raise NotASG1Error(
             f"interface is not analysis-suitable G1: relative fit residual "
-            f"{residual:.3e} >= {tol:.1e}",
+            f"{residual:.3e} >= {ASG1_TOL:.1e}",
             residual=residual,
         )
 

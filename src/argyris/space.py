@@ -48,10 +48,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .bspline import _basis_values, _drop_noise, _integer, derived_edge_spaces, represent_exactly
+from .bspline import (_basis_values, _drop_noise, _integer, _real, derived_edge_spaces,
+                      represent_exactly)
 from .errors import ConformityError, InvalidConfigError
-from .gluing import (DEFAULT_TOL, GluingData, _check_tol, _transversal_from_jet,
-                     boundary_gluing, fit_asg1)
+from .gluing import GluingData, _transversal_from_jet, boundary_gluing, fit_asg1
 from .multipatch import (CONFORMITY_TOL, _knot_insertion, edge_frames, rotate_net,
                          vertex_surrounding_edges)
 
@@ -294,8 +294,7 @@ class ArgyrisSpace:
     the geometry's patches, and ``splus``, ``sminus`` its edge spaces.
     """
 
-    def __init__(self, geometry, tol=DEFAULT_TOL):
-        _check_tol(tol)
+    def __init__(self, geometry):
         cfg = geometry.config
         self.dim, self.breakdown = space_dimension(geometry, cfg)  # checks cfg
         # family -> (position of its first function, functions per entity)
@@ -304,7 +303,6 @@ class ArgyrisSpace:
         self._layout = {kind: (int(a), sizes[kind]) for kind, a in zip(sizes, starts)}
         self.geometry = geometry
         self.config = cfg
-        self.tol = tol
         self.splus, self.sminus = derived_edge_spaces(cfg)
         self.N = cfg.N
         self.shape = (self.N, self.N)
@@ -377,7 +375,7 @@ class ArgyrisSpace:
             raise InvalidConfigError("geometry is not the refinement of this space's geometry")
         space = object.__new__(type(self))
         space.gluing = dict(self.gluing)
-        space.__init__(geometry, self.tol)
+        space.__init__(geometry)
         return space
 
     # ------------------------------------------------------------------
@@ -456,7 +454,7 @@ class ArgyrisSpace:
                 g = boundary_gluing()
             elif g is None:
                 try:
-                    g = fit_asg1(*(mp.patches[i].rotate(k) for i, k in frames), tol=self.tol)
+                    g = fit_asg1(*(mp.patches[i].rotate(k) for i, k in frames))
                 except ConformityError as exc:
                     raise ConformityError(f"interface {edge.id}: {exc}") from None
             self.gluing[edge.id] = g
@@ -602,7 +600,9 @@ class ArgyrisSpace:
         self.block("vertex", vid)
         return self._sigma[vid]
 
-    def _check_coeffs(self, coeffs):
+    def _coeffs(self, coeffs):
+        """``coeffs`` as a real (dim,) or (dim, k) array of finite values."""
+        coeffs = _real(coeffs, "coefficient array")
         if coeffs.ndim not in (1, 2) or coeffs.shape[0] != self.dim:
             raise InvalidConfigError(
                 f"coefficient array has shape {coeffs.shape}, expected "
@@ -610,6 +610,7 @@ class ArgyrisSpace:
             )
         if not np.isfinite(coeffs).all():
             raise InvalidConfigError("coefficient array has non-finite entries")
+        return coeffs
 
     def _check_field(self, field):
         """Refuse a field bound to another geometry object than the space's:
@@ -620,8 +621,7 @@ class ArgyrisSpace:
     def combine(self, coeffs, patch):
         """Dense coefficient grid (N, N) of sum_a coeffs[a] * function_a on a
         patch; a (dim, k) coefficient matrix gives k grids, (N, N, k)."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        self._check_coeffs(coeffs)
+        coeffs = self._coeffs(coeffs)
         return (self.extraction(patch) @ coeffs).reshape(self.shape + coeffs.shape[1:])
 
     def extraction(self, patch):

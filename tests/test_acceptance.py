@@ -108,7 +108,7 @@ def test_criterion_5_smoothness_suite(name, n, request):
         sp = request.getfixturevalue("sp_three")
     else:
         sp = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(3, 1, n)))
-    rep = smoothness_report(sp, samples_per_edge=200)
+    rep = smoothness_report(sp)
     assert rep.max_c1_jump < 1e-9
     assert rep.max_c2_jump < 1e-8
     report(5, f"C1/C2 smoothness of every basis function, {name} n={n}")

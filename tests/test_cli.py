@@ -223,8 +223,6 @@ def test_space_audit_passes(capsys):
         "two_patch_bilinear",
         "--n",
         "4",
-        "--samples",
-        "40",
     )
     assert code == 0
     assert "audit PASS" in out
@@ -260,39 +258,29 @@ def test_space_audit_reads_a_missing_diagonal_as_one(capsys, monkeypatch):
         return CSRMatrix.from_triplets(M.row_ids[keep], M.indices[keep], M.data[keep], M.shape)
 
     monkeypatch.setattr(argyris.duality, "biorthogonality_matrix", without_first_diagonal)
-    code, out, _ = run(capsys, "space", "audit", "--builtin", "two_patch_bilinear",
-                       "--samples", "40")
+    code, out, _ = run(capsys, "space", "audit", "--builtin", "two_patch_bilinear")
     assert code == 2
     assert "biorthogonality max |M - I| 1.000e+00\n" in out
     assert out.endswith("audit FAIL\n")
 
 
-@pytest.mark.parametrize("tol, builtin", [
-    ("nan", "two_patch_bilinear"),
-    ("inf", "two_patch_bilinear"),
-    ("1", "two_patch_bilinear"),
-    ("2", "two_patch_generic_non_asg1"),
-], ids=["nan", "inf", "1", "2"])
-def test_non_finite_tol_exits_one(capsys, tol, builtin):
-    # a NaN tolerance used to turn every verdict into NOT AS-G1 with exit 0;
-    # a tolerance of 1 or more accepted every interface, and 2 ended in a
-    # DegenerateGluingError (exit 2) on the non-AS-G1 pair
-    code, out, err = run(capsys, "gluing", "--builtin", builtin, "--tol", tol)
+@pytest.mark.parametrize("command, knob", [
+    *((c, ["--tol", "0.042"]) for c in ("geom check", "gluing", "space dim", "space audit",
+                                        "fit", "converge", "sample")),
+    ("space audit", ["--samples", "20"]),
+])
+def test_removed_knobs_are_unknown_options(capsys, tmp_path, command, knob):
+    # the AS-G1 tolerance and the audit's sample count are fixed by the
+    # library: a loose tolerance built a space that is not C1 (0.042 gives
+    # dim 129 on two_patch_generic_non_asg1, C1 jump 0.43), a fixed count let
+    # broken columns fall between samples, and both needed range checks
+    extra = ["--basis", "0", "--output", str(tmp_path / "x")] if command == "sample" else []
+    code, out, err = run(capsys, *command.split(), "--builtin", "two_patch_generic_non_asg1",
+                         *extra, *knob)
     assert code == 1
     assert out == ""
-    assert "--tol" in err
-
-
-def test_space_audit_zero_samples_exits_one(capsys):
-    # used to build the space and print the biorthogonality and projector
-    # lines before refusing the count
-    code, out, err = run(
-        capsys,
-        "space", "audit", "--builtin", "two_patch_bilinear", "--samples", "0",
-    )
-    assert code == 1
-    assert out == ""
-    assert "sample" in err
+    assert f"unrecognized arguments: {' '.join(knob)}" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sample_unreadable_coeffs_exits_one(capsys, tmp_path):
@@ -445,17 +433,6 @@ def test_huge_sample_grid_exits_one(capsys, tmp_path):
     assert out == ""
     assert "--grid" in err
     assert not list(tmp_path.iterdir())
-
-
-def test_huge_audit_sample_count_exits_one(capsys):
-    # used to ask numpy for 1.49 GiB and escape as a MemoryError
-    code, out, err = run(
-        capsys, "space", "audit", "--builtin", "two_patch_bilinear",
-        "--samples", "100000000",
-    )
-    assert code == 1
-    assert out == ""
-    assert "samples per edge" in err
 
 
 LAYER_ONE_BUILTINS = ["two_patch_bilinear", "three_patch_bilinear", "five_patch_bilinear",

@@ -31,6 +31,7 @@ from argyris import (
     refine,
     smoothness_report,
 )
+from argyris.bspline import _chebpts
 from argyris.cli import main
 from argyris.duality import _prolong
 from argyris.errors import ArgyrisError, InvalidConfigError, NumericalError
@@ -80,7 +81,6 @@ def test_quadrature_rule_needs_elements():
     pytest.param(lambda sp: QuadratureRule(4, 2.5), id="rule-order"),
     pytest.param(lambda sp: QuadratureRule(4.0, 3), id="rule-n"),
     pytest.param(lambda sp: convergence_study(sp.geometry, cos_sin_field, 1.5), id="levels"),
-    pytest.param(lambda sp: smoothness_report(sp, samples_per_edge=10.5), id="samples"),
     pytest.param(lambda sp: check_regularity(sp.geometry.patches[0], 10.5), id="regularity"),
     pytest.param(lambda sp: sp.block("edge", 1.5), id="block"),
     pytest.param(lambda sp: sp.basis_id(2.0), id="basis-id"),
@@ -457,11 +457,16 @@ def log_past_the_edge(x):
      r"gradient sampler .* shape \(\d+, 3\)", (project,)),
     ((lambda x: x[:, 0], lambda x: 0.0, lambda x: np.full((len(x), 2, 2), np.inf)),
      "Hessian sampler .* non-finite", (project,)),
+    ((lambda x: (1.0 + 1j) * x[:, 0], lambda x: 0.0, lambda x: 0.0), "value sampler .* complex",
+     (l2_fit, project)),
+    ((lambda x: x[:, 0], lambda x: np.full((len(x), 2), 1j), lambda x: 0.0),
+     "gradient sampler .* complex", (project,)),
 ])
 def test_analytic_field_samples_are_checked(sp_three, samplers, match, runs):
-    # a sample that is not finite or does not broadcast to its shape is
-    # refused where it is taken, by l2_fit (values only) and project; the
-    # log used to fit nan with zero coefficients and no error
+    # a sample that is not finite, is complex or does not broadcast to its
+    # shape is refused where it is taken, by l2_fit (values only) and
+    # project; the log used to fit nan with zero coefficients and no error,
+    # and a complex sample was cut to its real part with a ComplexWarning
     fld = AnalyticField(sp_three.geometry, *samplers)
     for run in runs:
         with pytest.raises(InvalidConfigError, match=match):
@@ -810,7 +815,7 @@ def test_quadrature_saturation(sp_three):
 
 
 def test_smoothness_report_per_basis(sp_three):
-    rep = smoothness_report(sp_three, samples_per_edge=50)
+    rep = smoothness_report(sp_three)
     assert rep.max_c1_jump < 1e-9
     assert rep.max_c2_jump < 1e-8
     assert rep.passed()
@@ -819,7 +824,7 @@ def test_smoothness_report_per_basis(sp_three):
 def test_smoothness_report_of_member(sp_three):
     rng = np.random.default_rng(23)
     c = rng.normal(size=sp_three.dim)
-    rep = smoothness_report(sp_three, coeffs=c, samples_per_edge=50)
+    rep = smoothness_report(sp_three, coeffs=c)
     assert rep.passed()
 
 
@@ -846,7 +851,7 @@ def test_smoothness_report_flags_broken_function(sp_three):
     # negative control: a raw one-sided B-spline is not even C0 across the
     # interface; the audit must report a large jump for it
     space, a = space_with_broken_function(sp_three)
-    rep = smoothness_report(space, samples_per_edge=50)
+    rep = smoothness_report(space)
     assert rep.max_c1_jump > 1e-3
     worst_ids = {row[3] for row in rep.edge_rows}
     assert space.basis_id(a) in worst_ids
@@ -858,8 +863,8 @@ def test_smoothness_report_of_coefficient_matrix(sp_three):
     space, a = space_with_broken_function(sp_three)
     c = np.random.default_rng(29).normal(size=(space.dim, 3))
     c[:, 1] = np.eye(space.dim)[a]
-    rep = smoothness_report(space, coeffs=c, samples_per_edge=50)
-    singles = [smoothness_report(space, c[:, j], samples_per_edge=50) for j in range(3)]
+    rep = smoothness_report(space, coeffs=c)
+    singles = [smoothness_report(space, c[:, j]) for j in range(3)]
     for row, *ones in zip(rep.edge_rows, *(s.edge_rows for s in singles)):
         assert row[:3] == (ones[0][0], max(o[1] for o in ones), max(o[2] for o in ones))
         j = int(np.argmax([max(o[1], o[2]) for o in ones]))
@@ -879,11 +884,28 @@ def test_non_finite_coefficients_are_refused(sp_three, column, kind):
     assert sp_three.basis_id(column).kind == kind
     c = np.cos(np.arange(sp_three.dim))
     c[column] = np.nan
-    for call in (lambda: smoothness_report(sp_three, coeffs=c, samples_per_edge=50),
+    for call in (lambda: smoothness_report(sp_three, coeffs=c),
                  lambda: project(sp_three, SpaceField(sp_three, c)),
                  lambda: sp_three.combine(np.column_stack([np.zeros_like(c), c]), 0)):
         with pytest.raises(InvalidConfigError, match="non-finite"):
             call()
+
+
+def test_complex_coefficients_are_refused(sp_three):
+    # each of these used to cut c + 1j d to its real part c with a
+    # ComplexWarning alone: combine and project returned the values of c
+    c = np.cos(np.arange(sp_three.dim))
+    z = c + 1j * np.sin(np.arange(sp_three.dim))
+    fine = ArgyrisSpace(refine(sp_three.geometry))
+    for call in (lambda: sp_three.combine(z, 0),
+                 lambda: project(sp_three, SpaceField(sp_three, z)),
+                 lambda: smoothness_report(sp_three, coeffs=z),
+                 lambda: l2_fit(fine, cos_sin_field(fine.geometry), start=SpaceField(sp_three, z))):
+        with pytest.raises(InvalidConfigError, match="coefficient array is complex"):
+            call()
+    # a complex dtype is refused even where every imaginary part is 0
+    with pytest.raises(InvalidConfigError, match="complex"):
+        sp_three.combine(c.astype(complex), 0)
 
 
 def test_smoothness_report_with_a_nan_in_its_second_row_does_not_pass():
@@ -896,11 +918,12 @@ def test_smoothness_report_with_a_nan_in_its_second_row_does_not_pass():
     assert rep.passed() and rep.max_c2_excess == 0.5
 
 
-def sampled_rows(space, c, samples):
+def sampled_rows(space, c):
     """The report's rows for the k columns of c (dim, k), each side and corner
-    sampled on its own ``rotate_grid`` grid by the public ``SpaceField.jets``:
-    an oracle independent of the report's one-pass tables."""
-    t = np.linspace(0.0, 1.0, samples)
+    sampled on its own ``rotate_grid`` grid by the public ``SpaceField.jets``,
+    at the report's 3p Chebyshev points per element: an oracle independent
+    of the report's one-pass tables."""
+    t = _chebpts(space.config.n, 3 * space.config.p).ravel()
     field = SpaceField(space, c)
 
     def worst(scores):
@@ -938,8 +961,8 @@ def test_smoothness_report_matches_sampling_each_side(name, degrees):
     space, a = space_with_broken_function(sp)
     c = np.random.default_rng(31).normal(size=(space.dim, 3))
     c[:, 1] = np.eye(space.dim)[a]
-    rep = smoothness_report(space, coeffs=c, samples_per_edge=60)
-    edges, vertices = sampled_rows(space, c, 60)
+    rep = smoothness_report(space, coeffs=c)
+    edges, vertices = sampled_rows(space, c)
     assert len(rep.edge_rows) == len(edges) and len(rep.vertex_rows) == len(vertices)
     for row, ref in zip(rep.edge_rows, edges):
         assert row[0] == ref[0]

@@ -7,12 +7,17 @@ valence 4, which no builtin geometry has. A move of at most 0.25 keeps each
 patch edge within 30 degrees of its grid direction and at least 0.5 long,
 so every corner Jacobian determinant stays above 0.125.
 
+On two_patch_bilinear at n = 64 and 256, one edge column scaled by 1.01 on
+one patch is a space that is not C1, which the smoothness report must fail
+wherever the column lies.
+
 The geometry files are a saved three-patch geometry with a few lines
 deleted, duplicated, swapped or cut off, or a few tokens replaced; the
 command line must answer each with exit code 0, 1 or 2.
 """
 
 import contextlib
+import copy
 import functools
 import io
 import os
@@ -35,6 +40,7 @@ from argyris import (
     space_dimension,
 )
 from argyris.cli import main
+from argyris.space import CSRMatrix
 from conftest import bilinear_patch
 
 MAX_SHIFT = 0.25
@@ -92,6 +98,27 @@ def test_jittered_grid_save_load_roundtrip(moves):
         assert a.net.tobytes() == b.net.tobytes()
     assert [e.locals for e in back.edges] == [e.locals for e in mp.edges]
     assert [v.corners for v in back.vertices] == [v.corners for v in mp.vertices]
+
+
+@functools.cache
+def two_patch_space(n):
+    return ArgyrisSpace(builtin_geometry("two_patch_bilinear", UnivariateSpace(3, 1, n)))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([64, 256]), st.integers(0, 10**6), st.sampled_from([0, 1]))
+def test_report_fails_every_perturbed_edge_column(n, at, patch):
+    # a trace (j, 0) or derivative (j, 1) column scaled on one patch breaks
+    # value or gradient continuity on its support; 3p points per element
+    # see every support, where a fixed count of equispaced samples let some
+    # fall between them once elements outnumbered the samples
+    space = copy.copy(two_patch_space(n))
+    block = space.block("edge", space.geometry.interfaces()[0].id)
+    a = block.start + at % (block.stop - block.start)
+    C = space.C
+    on = (C.row_ids // space.N**2 == patch) & (C.indices == a)
+    space.C = CSRMatrix(C.indptr, C.indices, np.where(on, 1.01 * C.data, C.data), C.shape)
+    assert not smoothness_report(space).passed(), space.basis_id(a)
 
 
 # replacement tokens: malformed, non-finite, small and huge numbers, and
