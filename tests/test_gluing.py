@@ -9,18 +9,20 @@ from argyris import (
     UnivariateSpace,
     boundary_gluing,
     builtin_geometry,
+    convergence_study,
     fit_asg1,
     infer_topology,
     load_geometry,
     represent_exactly,
     save_geometry,
+    smoothness_report,
     standard_form_edge,
 )
 from argyris.cli import main
 from argyris.errors import ConformityError, NotASG1Error
 from argyris.geometries import BUILTIN_NAMES
-from argyris.gluing import (_certify_positive, _edge_determinants, _fit_sample_points,
-                            _transversal_from_jet)
+from argyris.gluing import (ASG1_TOL, _certify_positive, _edge_determinants,
+                            _fit_sample_points, _transversal_from_jet)
 from argyris.multipatch import edge_frames, rotate_net
 from conftest import patch_point, pointwise_jet
 
@@ -182,6 +184,31 @@ def test_slide_along_interface_rejected(mp_two):
     patches[i] = Patch(cfg, net)
     with pytest.raises(NotASG1Error):
         ArgyrisSpace(MultiPatch(cfg, patches, mp_two.edges, mp_two.vertices))
+
+
+def test_space_refuses_the_interface_a_loose_tolerance_accepted(mp_non_asg1):
+    # a tolerance of 0.042 used to build dim 129 here with C1 jump 0.43; the
+    # fixed tolerance refuses it with the residual it measured
+    with pytest.raises(NotASG1Error) as exc:
+        ArgyrisSpace(mp_non_asg1)
+    assert ASG1_TOL == 1e-9
+    assert exc.value.residual > 1e-2 > ASG1_TOL
+
+
+@pytest.mark.parametrize("call", ["fit_asg1", "ArgyrisSpace", "convergence_study",
+                                  "smoothness_report"])
+def test_removed_knobs_are_unknown_keywords(mp_three, call):
+    # the AS-G1 tolerance and the audit's sample points are fixed by the
+    # library; neither can be passed any more
+    calls = {
+        "fit_asg1": lambda: fit_asg1(*interface_pair(mp_three), tol=0.042),
+        "ArgyrisSpace": lambda: ArgyrisSpace(mp_three, tol=0.042),
+        "convergence_study": lambda: convergence_study(mp_three, None, 1, tol=0.042),
+        "smoothness_report": lambda: smoothness_report(ArgyrisSpace(mp_three),
+                                                       samples_per_edge=20),
+    }
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        calls[call]()
 
 
 def test_rejection_stable_under_densified_sampling():
