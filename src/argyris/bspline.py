@@ -17,7 +17,9 @@ singleton direction. Every value and derivative comes from one recurrence
 (``UnivariateSpace.basis_ders``): the Cox–de Boor triangle, whose support
 lengths also divide in the derivative rule. A basis table (``_basis_values``) is
 made once per (space, points, derivative order) and returned read-only to
-every later caller while it is among the last 8 MB of tables used.
+every later caller while it is among the last 8 MB of tables used, and so
+is the unit-jet table through which every reader of an edge strip or a
+corner block forms jets (``_unit_jets``, ``_strip_jets``).
 """
 
 import math
@@ -264,6 +266,54 @@ def _basis_values(space, pts, d=0):
         np.put_along_axis(out, cols, ders[:, d, :], axis=1)
         out.setflags(write=False)
         _TABLES.put(key, out)
+    return out
+
+
+class _UnitJets(NamedTuple):
+    """Jets (b, d, d, m), d = order + 1, of the b unit coefficients active at
+    m points (0, x2) on the d layers next to the side {xi1 = 0}, and their
+    positions (b, m) in the layers, flattened: unit (i, j) has jets
+    B_i^(a)(0) B_j^(c)(x2), 0 for a + c > order. Units whose jets vanish at
+    every point are left out, so x2 = 0 reads the d x d corner block."""
+
+    jets: np.ndarray
+    pos: np.ndarray
+    nbytes = property(lambda self: self.jets.nbytes + self.pos.nbytes)
+
+
+def _unit_jets(space, points, order):
+    """The ``_UnitJets`` at the points along a side, from one ``basis_ders``
+    call, read-only and cached like ``_basis_values``."""
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    key = ("units", space, order, points.tobytes())
+    table = _TABLES.get(key)
+    if table is None:
+        d = order + 1
+        first, ders = space.basis_ders(np.r_[0.0, points], order)
+        A, first, B = ders[0, :, :d].T, first[1:], ders[1:].T  # (i, a), (j, c, m)
+        along = np.flatnonzero(B.any(axis=(1, 2)))
+        low = np.add.outer(np.arange(d), np.arange(d)) <= order
+        U = A[:, None, :, None, None] * B[along][None, :, None] * low[:, :, None]
+        pos = np.arange(d)[:, None, None] * space.N + first + along[:, None]
+        table = _UnitJets(U.reshape(-1, d, d, len(points)), pos.reshape(-1, len(points)))
+        for a in table:
+            a.setflags(write=False)
+        _TABLES.put(key, table)
+    return table
+
+
+def _strip_jets(units, values):
+    """Jets out[a, c] = sum_r units[r, a, c] values[r], (d, d, ...), of the
+    coefficients ``values`` (b, ...) on the rows of unit jets ``units`` (b,
+    d, d, ...). As the unit jets sum to those of 1, the terms, added one row
+    at a time, take differences from row 0 and the value adds row 0 back, so
+    derivatives round neither at the coefficients' size nor by other rows."""
+    d = units.shape[1]
+    out = np.zeros((d, d) + np.broadcast_shapes(units.shape[3:], values.shape[1:]))
+    for r, a, c in zip(*np.nonzero(units.reshape(units.shape[:3] + (-1,)).any(-1))):
+        if r:
+            out[a, c] += units[r, a, c] * (values[r] - values[0])
+    out[0, 0] += values[0]
     return out
 
 

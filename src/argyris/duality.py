@@ -19,28 +19,27 @@ x is D C x, and D C is the biorthogonality matrix. The local duals return a
 tensor spline's coefficients exactly (de Boor & Fix, 1973), so a patch row
 is one 1.0. Every edge carries the same functionals in its standard-form
 frame, and so does every vertex, so the rows of a kind come from one
-stacked table (``_entities``): the rows each functional reads (the band of
-one element in the two layers next to an edge, the 3x3 corner block of a
-vertex), the patch map's jets there, and the functionals of the unit
-coefficients on those rows, from one table of the units active at each
-sample that the smoothness audit reads too (``_unit_jets``). For a function
-on the patch, grad(phi) . d is (d1 phi + beta1 d2 phi) / alpha1 in that
-frame, so an edge's need only its gluing data; a vertex's read the corner
-jets the build read, so D C shares their rounding. D and the tables depend
-on the geometry and the gluing only: they are made on first use, never by
-the build, and kept in the space's ``_dual_geometry``, so a changed C is
-always read. A field given in physical coordinates is sampled at the
-tables' stacked points instead.
+stacked table (``_entities``) of the rows each functional reads off
+``space._strips`` (the band of one element in the two layers next to an
+edge, the 3x3 corner block of a vertex), the patch map's jets there
+(``space._map_jets``, as the build and the audit read them) and the
+functionals of the unit coefficients, from the unit-jet table
+``bspline._unit_jets``. For a function on the patch, grad(phi) . d is (d1
+phi + beta1 d2 phi) / alpha1 in that frame, so an edge's need only its
+gluing data. D and the tables depend on the geometry and the gluing only:
+they are made on first use, never by the build, and kept in the space's
+``_dual_geometry``, so a changed C is always read. A field given in
+physical coordinates is sampled at the tables' stacked points instead.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .bspline import TensorSpline, _real, local_duals
+from .bspline import TensorSpline, _real, _unit_jets, local_duals
 from .errors import InvalidConfigError
 from .gluing import _pv
-from .multipatch import _knot_insertion, edge_frames
+from .multipatch import _knot_insertion
 from .space import CSRMatrix, _edge_index_set, physical_derivatives
 
 __all__ = [
@@ -127,33 +126,6 @@ class _Entities(NamedTuple):
     duals: np.ndarray  # (K, functionals, b) functionals of the unit rows
 
 
-def _side_points(space):
-    """Where an edge's functionals sample its standard-form side {xi1 = 0}:
-    the S+ dual points, then the S- dual points."""
-    return [local_duals(s).points.ravel() for s in (space.splus, space.sminus)]
-
-
-def _unit_jets(space, kind, points=None):
-    """Parametric jets (m, d, d, b), in the standard-form frame, of the b
-    unit coefficients active at each of m samples, and their positions (m,
-    b) among the rows an entity sees: for an edge (order 1), the band of
-    2(p+1) in the two layers next to its side at (0, x2), x2 the given
-    ``points`` or by default the side points of its functionals; for a
-    vertex (order 2, ``points`` unread), the 3x3 corner block at its corner. A
-    unit's jets are B_i^(a)(x1) B_j^(b)(x2), the same for every entity."""
-    cfg = space.config
-    if kind == "edge":  # layers 0, 1 across the side, p+1 functions along it
-        x2 = np.concatenate(_side_points(space)) if points is None else points
-        order, (k, width, stride) = 1, (2, cfg.p + 1, space.N)
-    else:
-        x2, order, (k, width, stride) = np.array([0.0]), 2, (3, 3, 3)
-    A = cfg.basis_ders([0.0], order)[1][0, :, :k]  # (d, k) across, from the corner
-    first, B = cfg.basis_ders(x2, order)  # (m, d, p+1) along
-    U = A[None, :, None, :, None] * B[:, None, :, None, :width]
-    pos = np.arange(k)[:, None] * stride + first[:, None, None] + np.arange(width)
-    return U.reshape(len(x2), order + 1, order + 1, -1), pos.reshape(len(x2), -1)
-
-
 def _edge_parts(space):
     """The S+ duals with the indices of the trace functionals, then the S-."""
     idx = _edge_index_set(space.sminus.N)
@@ -193,37 +165,36 @@ def _entities(space, kind):
     table = space._dual_geometry.get(kind)
     if table is not None:
         return table
-    mp, N = space.geometry, space.N
+    owner, sign, rows = space._strips(kind)
+    rows, owner = rows[sign > 0], owner[sign > 0]  # an edge's first side, every corner
+    if kind == "edge":  # sampled at the S+ dual points, then at the S- ones
+        (plus, jp), (minus, jm) = _edge_parts(space)
+        tp, dp = plus.points.ravel(), minus.points.ravel()
+        points, order = np.r_[tp, dp], 1
+    else:  # corners[0] of every vertex
+        rows, points, order = rows[np.unique(owner, return_index=True)[1]], [0.0], 2
+    seen = rows.reshape(len(rows), -1)
+    U, pos = _unit_jets(space.config, points, order)  # (b, d, d, m), (b, m)
+    jets = space._map_jets(rows, points, order)
     if kind == "edge":
-        frames, block = [edge_frames(e)[0] for e in mp.edges], (slice(0, 2),)
-    else:
-        frames, block = [v.corners[0] for v in mp.vertices], (slice(0, 3), slice(0, 3))
-    seen = np.array([i * N * N + space._rows[k][block].ravel() for i, k in frames])
-    U, pos = _unit_jets(space, kind)
-    net = np.concatenate([P.net.reshape(-1, 2) for P in mp.patches])[seen[:, pos]]
-    if kind == "edge":
-        jets = np.einsum("mxyb,kmbc->kmxyc", U, net)
-        tp, dp = _side_points(space)
-        a1, b1 = (
-            np.array([_pv(getattr(space.gluing[e.id], name), dp) for e in mp.edges])[..., None]
-            for name in ("alpha1", "beta1")
-        )  # (E, m-, 1)
+        a1, b1 = (np.array([_pv(getattr(space.gluing[e.id], name), dp)
+                            for e in space.geometry.edges])[..., None]
+                  for name in ("alpha1", "beta1"))  # (E, m-, 1)
         d = (jets[:, len(tp):, 1, 0] + b1 * jets[:, len(tp):, 0, 1]) / a1
-        unit_d = (U[len(tp):, 1, 0] + b1 * U[len(tp):, 0, 1]) / a1  # (E, m-, b)
-        duals = _edge_functionals(space, U[: len(tp), None, 0, 0], unit_d.swapaxes(0, 1))
+        unit_d = (U[:, 1, 0, len(tp):].T + b1 * U[:, 0, 1, len(tp):].T) / a1  # (E, m-, b)
+        duals = _edge_functionals(space, U[:, None, 0, 0, : len(tp)].T, unit_d.swapaxes(0, 1))
         # a functional reads the dual points of one element, which share its
         # band; the S+ points come element by element
-        (plus, jp), (minus, jm) = _edge_parts(space)
-        band = pos[: plus.points.size : plus.points.shape[1]]
+        band = pos[:, : plus.points.size : plus.points.shape[1]].T
         element = np.r_[plus.element[jp], minus.element[jm]]
         table = _Entities(seen[:, band[element]], jets, d, None, duals.swapaxes(0, 1))
     else:
         # the corner jets the build read, so that D C sees its rounding
-        jets = space._corner_jets(net.reshape(-1, 1, 3, 3, 2))
-        sigma = np.array([space.sigma(v.id) for v in mp.vertices])
-        units = np.broadcast_to(U[0], (len(seen),) + U.shape[1:])
+        sigma = space._sigma
+        unit = np.moveaxis(U[..., 0], 0, -1)  # (d, d, b), the same at every corner
+        units = np.broadcast_to(unit, (len(seen),) + unit.shape)
         duals = _vertex_functionals(sigma, *physical_derivatives(jets[:, 0], units))
-        rows = np.broadcast_to(seen[:, None, pos[0]], duals.shape)
+        rows = np.broadcast_to(seen[:, None, pos[:, 0]], duals.shape)
         table = _Entities(rows, jets, None, sigma, duals)
     for a in table:
         if a is not None:

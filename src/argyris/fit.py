@@ -43,10 +43,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import _basis_values, _chebpts, _integer
-from .duality import AnalyticField, SpaceField, _prolong, _unit_jets
+from .bspline import _basis_values, _chebpts, _integer, _real, _strip_jets, _unit_jets
+from .duality import AnalyticField, SpaceField, _prolong
 from .errors import ArgyrisError, InvalidConfigError
-from .multipatch import edge_frames, refine, rotate_net
+from .multipatch import refine, rotate_net
 from .solver import _solve_scaled
 from .space import ArgyrisSpace, CSRMatrix, _sorted, physical_derivatives
 
@@ -217,7 +217,7 @@ class MassOperator:
     the exactly symmetric block of the edge and vertex functions (the
     positions ``start``..dim) as a ``CSRMatrix``, assembled element by
     element over the ring next to the sides (``_interface_mass``). ``M @ x``
-    refuses an x whose length is not dim.
+    refuses an x whose length is not dim, or a complex one.
     """
 
     def __init__(self, C, A0, W, diagonal, interface, start):
@@ -243,7 +243,7 @@ class MassOperator:
         return MassOperator(C, self._A0, self._W, self.diagonal * s * s, G, self.start)
 
     def __matmul__(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _real(x, "the operand of the mass")
         if x.ndim == 0 or len(x) != self.shape[1]:
             raise InvalidConfigError(f"the mass applies to {self.shape[1]} coefficients, "
                                      f"got an array of shape {x.shape}")
@@ -529,23 +529,17 @@ def _report_batches(space, kind, members, scores):
     """Scores of the members of every interface (``kind`` "edge") or vertex,
     one batch of whole entities after another.
 
-    An interface has two sides, the two layers next to it in the
-    standard-form frame of either patch (side 2 transposed, so that both are
-    (across, along)), sampled at the 3p Chebyshev points of every element; a
-    vertex has the 3 x 3 blocks at its corners, sampled at the corner. So
-    the samples come in groups of a fixed count, the 3p of an element or
-    the one of a corner. At a sample only the nb band rows of a side are
-    nonzero, the same ones for all samples of a group, and their unit jets
-    U are the same on every side; both come from ``duality._unit_jets``, the
-    table the dual functionals read. So an
-    entity's pairs (member, group) are those with a coefficient stored on a
-    band row of one of its sides; a member is 0 elsewhere. The members are
+    An interface has two sides and a vertex its corners (``space._strips``),
+    sampled at the 3p Chebyshev points of every element or at the corner,
+    so the samples come in groups of 3p or of one. At a sample only the nb
+    band rows of a side are nonzero, the same for all samples of a group,
+    with the unit jets of ``bspline._unit_jets``, the table the dual
+    functionals read. So an entity's pairs (member, group) are those with a
+    coefficient stored on a band row of one of its sides. The members are
     the basis (``members`` None) or the columns of a coefficient matrix. The
     pairs of an (entity, group) take slots 0, 1, ... in column order on every
-    side, and a slot's jets are the sum over the band rows of its
-    coefficient there times their unit jets, one row at a time, so a
-    member's digits do not depend on the others; the patch map's jets are
-    its control points on the band rows times the same jets. One
+    side; the slots' jets are their band coefficients read by
+    ``_strip_jets``, and the patch map's are ``space._map_jets``. One
     ``physical_derivatives`` call takes every (side, sample, slot) of a batch
     of at most ``_REPORT_BATCH`` (side, sample) points.
 
@@ -557,36 +551,31 @@ def _report_batches(space, kind, members, scores):
     batch's entities, each pair's entity dim + column, the pairs' maxima of
     each score over their group's samples).
     """
-    mp, R, N, dim, p = space.geometry, space._rows, space.N, space.dim, space.config.p
-    if kind == "edge":
-        sides = [((i1, R[k1][:2]), (i2, R[k2][:, :2].T))
-                 for (i1, k1), (i2, k2) in map(edge_frames, mp.interfaces())]
-    else:
-        sides = [[(i, R[c][:3, :3]) for i, c in v.corners] for v in mp.vertices]
-    if not sides:
+    mp, N, dim, p = space.geometry, space.N, space.dim, space.config.p
+    owner, sign, rows = space._strips(kind)
+    # both sides of every interface, or a vertex's corners, one sample in one group
+    edge = kind == "edge"
+    keep = np.array([e.is_interface for e in mp.edges])[owner] if edge else sign > 0
+    points, order, per = ((_chebpts(space.config.n, 3 * p).ravel(), 1, 3 * p) if edge
+                          else ([0.0], 2, 1))
+    if not keep.any():
         return
-    # a vertex is read at its corner alone, one sample in one group
-    U, pos = _unit_jets(space, kind, _chebpts(space.config.n, 3 * p).ravel())
-    per = 3 * p if kind == "edge" else 1  # samples per group
-    band = pos[::per]  # (groups, nb), the band rows of each group
-    (m, d), (G, nb) = U.shape[:2], band.shape
-    count = np.array([len(s) for s in sides])
+    owner, rows = np.unique(owner[keep], return_inverse=True)[1], rows[keep]
+    # what the rounding of each side's net is relative to
+    size = np.abs(space._net).reshape(len(mp.patches), -1).max(1)[rows[:, 0, 0] // N**2]
+    rows = rows.reshape(len(rows), -1)
+    U, pos = _unit_jets(space.config, points, order)  # (nb, d, d, m), (nb, m)
+    band = pos[:, ::per].T  # (groups, nb), the band rows of each group
+    (nb, d, _, m), G = U.shape, len(band)
+    count = np.bincount(owner)
     at = np.r_[0, np.cumsum(count)]  # the sides of entity e are at[e]:at[e + 1]
-    owner = np.repeat(np.arange(len(sides)), count)
-    patch = np.array([i for s in sides for i, _ in s])
-    rows = np.array([b.ravel() for s in sides for _, b in s])
-    nets = np.concatenate([P.net.reshape(-1, 2) for P in mp.patches])  # on the stacked rows
-    size = np.abs(nets).reshape(len(mp.patches), -1).max(1)  # what their rounding is relative to
-    d2U = np.abs(U[0]).sum(-1)[[2, 1, 0], [0, 1, 2]].max() if d == 3 else None
-    UT = np.ascontiguousarray(U.transpose(3, 1, 2, 0)).reshape(nb, d, d, G, per)
-    # the unit jets that are not 0 (at order 1 the mixed one is not read)
-    nonzero = UT.any(axis=(-2, -1)) & (np.add.outer(np.arange(d), np.arange(d)) < d)
-    terms = [(b, list(zip(*np.nonzero(nonzero[b])))) for b in range(nb)]
+    d2U = np.abs(U[..., 0]).sum(0)[[2, 1, 0], [0, 1, 2]].max() if d == 3 else None
+    UT = U.reshape(nb, d, d, G, per)
     step = max(1, _REPORT_BATCH // (count.max() * m))
     for e0 in range(0, len(count), step):
         ents = np.arange(e0, min(len(count), e0 + step))
         s0, s1 = at[e0], at[ents[-1] + 1]
-        seen = (patch[s0:s1, None] * N * N + rows[s0:s1])[:, band]  # (sides, G, nb)
+        seen = rows[s0:s1][:, band]  # (sides, G, nb)
         B = space.C.take(seen.ravel())
         if members is None:
             pos, col, val = B.row_ids, B.indices, B.data
@@ -599,17 +588,13 @@ def _report_batches(space, kind, members, scores):
         eg, col = np.divmod(key, dim)
         lead = np.flatnonzero(np.diff(eg, prepend=-1))
         slot = np.arange(len(key)) - np.repeat(lead, np.diff(np.r_[lead, len(key)]))
-        # the band coefficients of the slots, then of the patch map's x and y
+        # the band coefficients of the slots; their jets with a group's samples last
         K = slot.max(initial=0) + 1
-        V = np.zeros((nb, K + 2, s1 - s0, G))
+        V = np.zeros((nb, K, s1 - s0, G))
         V[b, slot[pair], side, g] = val
-        V[:, K:] = nets[seen].transpose(2, 3, 0, 1)
-        f = np.zeros((d, d) + V.shape[1:] + (per,))  # a group's samples last
-        for b, jets in terms:
-            for a, c in jets:
-                f[a, c] += UT[b, a, c] * V[b, ..., None]
-        f = f.transpose(3, 4, 5, 0, 1, 2).reshape(-1, d, d, K + 2)
-        out = physical_derivatives(f[..., K:], f[..., :K])
+        f = _strip_jets(UT, V[..., None]).transpose(3, 4, 5, 0, 1, 2).reshape(-1, d, d, K)
+        geo = space._map_jets(rows[s0:s1], points, order).reshape(-1, d, d, 2)
+        out = physical_derivatives(geo, f)
         # each pair on every side of its entity, (entities, sides); an entity
         # with fewer sides than another repeats its last, which moves no maximum
         side = at[ents, None] + np.arange(count[ents].max())
@@ -617,9 +602,9 @@ def _report_batches(space, kind, members, scores):
         out = [a if a is None else a.reshape((s1 - s0, m) + a.shape[1:])[side] for a in out]
         floor = None
         if d2U is not None:
-            J = np.stack([f[:, 1, 0, K:], f[:, 0, 1, K:]], axis=-1)
+            J = np.stack([geo[:, 1, 0], geo[:, 0, 1]], axis=-1)
             jinv = np.linalg.norm(np.linalg.inv(J), 2, axis=(1, 2)).reshape(-1, m)
-            floor = np.finfo(float).eps * d2U * jinv**2 * size[patch[s0:s1], None]
+            floor = np.finfo(float).eps * d2U * jinv**2 * size[s0:s1, None]
             floor = floor[side, ..., None]
         e, g = np.divmod(eg, G)
         per_pair = [a.reshape(len(a), G, per, -1).max(2)[e, g, slot] for a in scores(*out, floor)]
@@ -645,15 +630,9 @@ def smoothness_report(space, coeffs=None):
     jumps is named).
 
     Like the dual functionals, the report reads each kind in one pass in the
-    standard-form frame (Collin, Sangalli & Takacs, CAGD 2016): both sides of
-    every interface see the same unit jets at the samples, and every corner
-    the same ones at the vertex (``duality._unit_jets``). The patch maps'
-    jets are their control points on the rows times that table, and a
-    member is sampled only at the samples where one of its coefficients on
-    the rows nonzero there is stored (``_report_batches``). One
-    ``physical_derivatives`` call serves all sides or all corners of a batch
-    of entities, so an interface costs O(n) and nothing of size N^2 or N per
-    member is formed.
+    standard-form frame (Collin, Sangalli & Takacs, CAGD 2016), a member only
+    where it is nonzero (``_report_batches``), so an interface costs O(n) and
+    nothing of size N^2 or N per member is formed.
 
     Rounding of the control nets perturbs d^2 F, and the physical Hessian
     subtracts grad f . d^2 F, so a C2 jump has a floor that grows like n^3

@@ -17,7 +17,9 @@ alone (Collin, Sangalli & Takacs, CAGD 2016), where it is at rounding level,
 and a looser bound would build a space that is not C1. The
 same samples certify that d1 and d2 are positive on the whole edge: per
 element they determine the Bernstein coefficients of the determinant, which
-bound it (Xu, Mourrain, Duvigneau & Galligo, CMAME 2011). It returns
+bound it (Xu, Mourrain, Duvigneau & Galligo, CMAME 2011); the edge
+derivatives come from the two layers of each net next to the edge alone
+(``bspline._strip_jets``). It returns
 stabilized data (alphas close to one, betas of minimal norm). Each
 interface is fitted once, and its GluingData is all a space keeps of the
 edge; ``GluingData.reversed`` gives the same data seen with the two patches
@@ -31,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as _poly
 
-from .bspline import _chebpts
+from .bspline import _chebpts, _strip_jets, _unit_jets
 from .errors import ConformityError, DegenerateGluingError, NotASG1Error
 from .multipatch import CONFORMITY_TOL, _edge_gap
 
@@ -100,19 +102,20 @@ def _reflect(c):
 def _edge_determinants(F1, F2, xs):
     """(d1, d2, d12) along the edge of a standard-form patch pair: d1(t) =
     det[d1F1, d2F1](0, t), d2(t) = det[d1F2, d2F2](t, 0) and d12(t) =
-    det[d2F2(t, 0), d1F1(0, t)]."""
+    det[d2F2(t, 0), d1F1(0, t)], from F1.net[:2] and F2.net[:, :2]."""
     gap = _edge_gap(F1, F2)
     if gap > CONFORMITY_TOL:
         raise ConformityError(
             f"patch pair is not in standard form: edge mismatch {gap:.3e}"
         )
-    j1 = F1.grid_jet([0.0], xs, 1)
-    j2 = F2.grid_jet(xs, [0.0], 1)
+    T = _unit_jets(F1.space, xs, 1)
+    j1, j2 = (_strip_jets(T.jets[..., None], layers.reshape(-1, 2)[T.pos])
+              for layers in (F1.net[:2], F2.net[:, :2].swapaxes(0, 1)))
 
     def det(a, b):
         return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
-    F1u, F1v, F2u, F2v = j1[:, 1, 0], j1[:, 0, 1], j2[:, 1, 0], j2[:, 0, 1]
+    F1u, F1v, F2u, F2v = j1[1, 0], j1[0, 1], j2[0, 1], j2[1, 0]
     return det(F1u, F1v), det(F2u, F2v), det(F2v, F1u)
 
 

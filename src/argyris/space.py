@@ -26,8 +26,9 @@ the dual functionals (``duality``). The columns come in three families:
 
 Each family is built in one pass over stacked arrays, as pieces (rows,
 columns, values) straight from these layers, all its sides in one
-``_side_layers`` call, rows found by the index permutation of the patch's
-standard-form rotation (``_rows``). C is the sum of all pieces, so
+``_side_layers`` call. ``_strips`` gives the rows next to every edge side
+and vertex corner to the build, the dual functionals and the audit, and
+``_map_jets`` the patch maps' jets there. C is the sum of all pieces, so
 ``CSRMatrix.from_triplets`` sums the corner block of two slots. All products
 entering the pullbacks (alpha times an S- spline, beta times a derivative of
 an S+ spline) are degree p piecewise polynomials of smoothness r, so the
@@ -48,8 +49,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bspline import (_basis_values, _drop_noise, _integer, _real, derived_edge_spaces,
-                      represent_exactly)
+from .bspline import (_basis_values, _drop_noise, _integer, _real, _strip_jets, _unit_jets,
+                      derived_edge_spaces, represent_exactly)
 from .errors import ConformityError, InvalidConfigError
 from .gluing import GluingData, _transversal_from_jet, boundary_gluing, fit_asg1
 from .multipatch import (CONFORMITY_TOL, _knot_insertion, edge_frames, rotate_net,
@@ -234,12 +235,12 @@ class CSRMatrix:
         return out
 
     def __matmul__(self, x):
-        """A @ x for a dense vector (n,) or array (n, ...), or a ``CSRMatrix``.
+        """A @ x for a dense real vector (n,) or array (n, ...), or a ``CSRMatrix``.
         Each entry of the result adds its terms to 0 one by one in stored
         order, so a column of x gives the same digits alone as among others."""
         if isinstance(x, CSRMatrix):
             return self._times_sparse(x)
-        x = np.asarray(x, dtype=float)
+        x = _real(x, "the operand of a sparse product")
         k = math.prod(x.shape[1:])
         if x.ndim == 1:
             keys, terms = self.row_ids, self.data * x[self.indices]
@@ -251,9 +252,9 @@ class CSRMatrix:
         return out.reshape((self.shape[0],) + x.shape[1:])
 
     def __rmatmul__(self, y):
-        """y @ A for a dense vector (m,) or array (..., m), summed in stored
+        """y @ A for a dense real vector (m,) or array (..., m), summed in stored
         order like ``A @ x``."""
-        y = np.asarray(y, dtype=float)
+        y = _real(y, "the operand of a sparse product")
         flat = y.reshape(-1, self.shape[0])
         k = len(flat)
         keys = (np.arange(k)[:, None] * self.shape[1] + self.indices).ravel()
@@ -325,11 +326,9 @@ class ArgyrisSpace:
             cfg, lambda x: x[:, None] * _basis_values(self.sminus, x)
         )  # both (N, N-)
 
-        # _ends[a, i]: a-th derivative at 0 of basis function i (corner jets)
-        _, ders = cfg.basis_ders(np.array([0.0]), 2)
-        self._ends = ders[0][:, :3]
         # corner Hermite map: the 2x2 corner coefficients of a tensor spline,
         # flattened, are this matrix times its flattened jet (f, f_v, f_u, f_uv)
+        _, ders = cfg.basis_ders(np.array([0.0]), 1)
         inv = np.linalg.inv(ders[0][:2, :2])
         self._corner_map = _drop_noise(np.kron(inv, inv))
         # S+ coefficients (N+, 3) of the spline with end jet (f, f', f'') at 0
@@ -348,6 +347,8 @@ class ArgyrisSpace:
         # kind the table of all edges or all vertices, and the dual matrix D;
         # filled on first use by ``duality``, never by the build
         self._dual_geometry = {}
+        # the control points of all patches on the rows of the stacked grids
+        self._net = np.concatenate([P.net.reshape(-1, 2) for P in geometry.patches])
         self.C = self._build()
 
     def _refined(self, geometry):
@@ -408,9 +409,32 @@ class ArgyrisSpace:
         rows = i * self.N**2 + self._rows[0][2:-2, 2:-2].ravel()
         return [(rows, start + i * k + np.arange(k), 1.0)]
 
-    def _side_layers(self, T, V, alpha, beta, sign, patch, turns):
-        """Rows (S, 2, N) and values (S, 2, N, k) of the two coefficient
-        layers next to an edge, on S sides at once.
+    def _strips(self, kind):
+        """Owner (S,), sign (S,) and rows (S, L, N) of the L layers next to
+        every edge side (L = 2), or both sides of every vertex corner (L = 3):
+        the {xi1 = 0} side (+1) or the transposed {xi2 = 0} side (-1) of a
+        standard-form frame, an edge's in ``edge_frames`` order, a corner's
+        before (-1) and after (+1) it, layer 0 on the side."""
+        mp = self.geometry
+        if kind == "edge":
+            sides = [(e.id, i, k, s) for e in mp.edges for (i, k), s in zip(edge_frames(e), (1, -1))]
+        else:
+            sides = [(v.id, i, k, s) for v in mp.vertices for i, k in v.corners for s in (-1, 1)]
+        owner, patch, turns, sign = (np.array(t) for t in zip(*sides))
+        L, R = (2 if kind == "edge" else 3), self._rows
+        rows = np.where(sign[:, None, None] > 0, R[turns, :L], R[turns, :, :L].swapaxes(1, 2))
+        return owner, sign, rows + patch[:, None, None] * self.N**2
+
+    def _map_jets(self, rows, points, order):
+        """Patch-map jets (S, m, d, d, 2), d = order + 1, at the points (0,
+        x2) of S sides with ``_strips`` rows (S, L, N), or (S, L N)."""
+        T = _unit_jets(self.config, points, order)
+        net = self._net[rows.reshape(len(rows), -1)[:, T.pos]].swapaxes(0, 1)  # (b, S, m, 2)
+        return _strip_jets(T.jets[:, :, :, None, :, None], net).transpose(2, 3, 0, 1, 4)
+
+    def _side_layers(self, T, V, alpha, beta, sign):
+        """Values (S, 2, N, k) of the two coefficient layers next to an edge,
+        on S sides at once.
 
         On side s, column f maps S+ trace coefficients T[:, f] and S-
         coefficients V[:, f] of the (h/p)-scaled transversal derivative (T, V
@@ -420,7 +444,7 @@ class ArgyrisSpace:
 
         in S^{p,r}, for linear gluing data alpha, beta (S, 2), on the {xi1 = 0}
         side (sign +1, the patch before the edge) or the {xi2 = 0} side (sign
-        -1, the patch after it) of patch ``patch[s]`` after ``turns[s]`` quarter turns.
+        -1, the patch after it) of ``_strips``.
         """
         hp = self.config.h / self.config.p
 
@@ -429,10 +453,8 @@ class ArgyrisSpace:
 
         u0 = self._rep_plus @ T
         u1 = u0 - hp * times(beta, self._der_plus @ T)
-        sign = sign[:, None, None]
-        u1 += sign * times(alpha, V)
-        rows = np.where(sign > 0, self._rows[turns, :2], self._rows[turns, :, :2].swapaxes(1, 2))
-        return rows + patch[:, None, None] * self.N**2, np.stack(np.broadcast_arrays(u0, u1), axis=1)
+        u1 += sign[:, None, None] * times(alpha, V)
+        return np.stack(np.broadcast_arrays(u0, u1), axis=1)
 
     def build_edge_functions(self):
         """Edge basis of all edges: traces from S+, transversal derivatives from S-.
@@ -446,22 +468,19 @@ class ArgyrisSpace:
         mp = self.geometry
         j, s = np.array(_edge_index_set(self.sminus.N)).T
         T, V = (np.eye(n)[:, j] * (s == b) for n, b in ((self.splus.N, 0), (self.sminus.N, 1)))
-        sides = []  # (edge id, patch, turns, sign, alpha, beta) of every side
-        for edge in mp.edges:
-            frames = edge_frames(edge)
-            g = self.gluing.get(edge.id)  # carried over by ``_refined``
-            if g is None and not edge.is_interface:
-                g = boundary_gluing()
-            elif g is None:
-                try:
-                    g = fit_asg1(*(mp.patches[i].rotate(k) for i, k in frames))
-                except ConformityError as exc:
-                    raise ConformityError(f"interface {edge.id}: {exc}") from None
-            self.gluing[edge.id] = g
-            glue = ((1, g.alpha1, g.beta1), (-1, g.alpha2, g.beta2))
-            sides += [(edge.id, *frame, *data) for frame, data in zip(frames, glue)]
-        owner, patch, turns, sign, alpha, beta = (np.array(t) for t in zip(*sides))
-        rows, layers = self._side_layers(T, V, alpha, beta, sign, patch, turns)
+        for edge in mp.edges:  # ``_refined`` carries the data over
+            if edge.id in self.gluing or not edge.is_interface:
+                self.gluing.setdefault(edge.id, boundary_gluing())
+                continue
+            try:
+                self.gluing[edge.id] = fit_asg1(*(mp.patches[i].rotate(k)
+                                                  for i, k in edge_frames(edge)))
+            except ConformityError as exc:
+                raise ConformityError(f"interface {edge.id}: {exc}") from None
+        owner, sign, rows = self._strips("edge")
+        glue = [(g.alpha1, g.beta1) if s > 0 else (g.alpha2, g.beta2)
+                for g, s in zip((self.gluing[e] for e in owner), sign)]
+        layers = self._side_layers(T, V, *(np.array(t) for t in zip(*glue)), sign)
         start, k = self._layout["edge"]
         return [(rows[..., None], start + owner[:, None, None, None] * k + np.arange(k), layers)]
 
@@ -484,14 +503,13 @@ class ArgyrisSpace:
         pieces stack the corner blocks negated, then the sides before (sign
         -1) and after (sign +1) each corner: C sums each position in order.
         """
-        mp, N, h, p = self.geometry, self.N, self.config.h, self.config.p
-        corners = np.array([c for vertex in mp.vertices for c in vertex.corners])  # (K, 2)
-        K = len(corners)
-        vid = np.repeat(np.arange(len(mp.vertices)), [v.valence for v in mp.vertices])
+        mp, h, p = self.geometry, self.config.h, self.config.p
+        owner, sign, rows = self._strips("vertex")
+        vid = owner[sign > 0]
+        K = len(vid)
         # jets[c, a, b] = d^a d^b F / dxi1^a dxi2^b at corner c in its
         # standard-form frame, read off the 3x3 corner block of its net
-        nets = np.concatenate([P.net.reshape(-1, 2) for P in mp.patches])
-        jets = self._corner_jets(nets[corners[:, :1, None] * N**2 + self._rows[corners[:, 1], :3, :3]])
+        jets = self._map_jets(rows[sign > 0], [0.0], 2)[:, 0]
 
         # the topology walk: slot c < K follows corner c, slot K + b precedes
         # the first corner of the b-th boundary vertex; before[c] is the slot
@@ -531,19 +549,11 @@ class ArgyrisSpace:
         T, V = self._aplus @ D[:, :3], self._aminus @ D[:, 3:]
 
         side = np.stack([before, np.arange(K)], axis=1).ravel()  # the slot of each side
-        patch, turns = np.repeat(corners, 2, axis=0).T
-        rows, layers = self._side_layers(T[side], V[side], alpha, beta, np.tile([-1, 1], K),
-                                         patch, turns)
+        layers = self._side_layers(T[side], V[side], alpha, beta, sign)
         cols = self._layout["vertex"][0] + vid[:, None, None, None] * 6 + np.arange(6)
         # the rows of the side after a corner start with the corner's 2x2 block
-        return [(rows[1::2, :, :2, None], cols, corner),
-                (rows[..., None], np.repeat(cols, 2, axis=0), layers)]
-
-    def _corner_jets(self, blocks):
-        """d^a d^b f / dxi1^a dxi2^b, a, b <= 2, at the corner (0, 0) of
-        tensor splines f with 3x3 corner coefficient blocks (..., 3, 3, c):
-        (..., 3, 3, c)."""
-        return np.einsum("ai,...ijc,bj->...abc", self._ends, blocks, self._ends)
+        return [(rows[1::2, :2, :2, None], cols, corner),
+                (rows[:, :2, :, None], np.repeat(cols, 2, axis=0), layers)]
 
     def vertex_projector(self, vid, data):
         """Alternating-sum Hermite interpolant of C2 data at one vertex.

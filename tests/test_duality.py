@@ -19,8 +19,8 @@ from argyris import (
     refine,
 )
 from argyris import duality
-from argyris.bspline import local_duals
-from argyris.duality import _entities, _prolong, _unit_jets, dual_matrix
+from argyris.bspline import _unit_jets, local_duals
+from argyris.duality import _entities, _prolong, dual_matrix
 from argyris.fit import cos_sin_field
 from argyris.geometries import _fan
 from argyris.gluing import _pv
@@ -399,36 +399,36 @@ def test_entity_geometry_sampled_once_and_never_at_order_two_on_an_edge(mp_three
     # (order 2) in one stacked sample per kind, off the control points on the
     # rows they see; the projector then reuses it, and neither the build nor
     # a member's values sample it
-    units, corners, grids = [], [], []
-    unit_jets, corner_jets, grid_jet = _unit_jets, ArgyrisSpace._corner_jets, Patch.grid_jet
+    units, maps, grids = [], [], []
+    unit_jets, map_jets, grid_jet = _unit_jets, ArgyrisSpace._map_jets, Patch.grid_jet
 
-    def counting_units(space, kind, points=None):
-        U, pos = unit_jets(space, kind, points)
-        units.append((kind, U.shape[1] - 1))
-        return U, pos
+    def counting_units(space, points, order):
+        units.append(order)
+        return unit_jets(space, points, order)
 
-    def counting_corners(self, blocks):
-        corners.append(blocks.shape[:-3])
-        return corner_jets(self, blocks)
+    def counting_maps(self, rows, points, order):
+        maps.append((len(rows), order))
+        return map_jets(self, rows, points, order)
 
     def counting_grid(self, x1, x2, nderiv):
         grids.append(nderiv)
         return grid_jet(self, x1, x2, nderiv)
 
     monkeypatch.setattr(duality, "_unit_jets", counting_units)
-    monkeypatch.setattr(ArgyrisSpace, "_corner_jets", counting_corners)
+    monkeypatch.setattr(ArgyrisSpace, "_map_jets", counting_maps)
     monkeypatch.setattr(Patch, "grid_jet", counting_grid)
     space = ArgyrisSpace(mp_three)
     assert space._dual_geometry == {} and units == []
-    built = len(corners), len(grids)
+    built = len(maps), len(grids)
     biorthogonality_matrix(space)
-    assert units == [("edge", 1), ("vertex", 2)]
-    assert corners[built[0]:] == [(len(mp_three.vertices), 1)]
+    stacked = [(len(mp_three.edges), 1), (len(mp_three.vertices), 2)]
+    assert units == [1, 2]
+    assert maps[built[0]:] == stacked
     assert grids[built[1]:] == []
     c = np.cos(np.arange(space.dim))
     assert np.abs(project(space, SpaceField(space, c)) - c).max() < 1e-9
-    assert units == [("edge", 1), ("vertex", 2)]
-    assert corners[built[0]:] == [(len(mp_three.vertices), 1)]
+    assert units == [1, 2]
+    assert maps[built[0]:] == stacked
     assert grids[built[1]:] == []
 
 
@@ -445,9 +445,10 @@ def test_unit_field_jets_match_dense_unit_grids(name, n):
     N, R, mp = space.N, space._rows, space.geometry
     side = np.concatenate([local_duals(s).points.ravel() for s in (space.splus, space.sminus)])
     for kind, pts, block, order in (("edge", side, (slice(0, 2),), 1),
-                                    ("vertex", [0.0], (slice(0, 3), slice(0, 3)), 2)):
-        banded, pos = _unit_jets(space, kind)
-        assert pos.shape == (len(pts), 2 * (space.config.p + 1) if kind == "edge" else 9)
+                                    ("vertex", [0.0], (slice(0, 3),), 2)):
+        banded, pos = _unit_jets(space.config, pts, order)
+        assert pos.shape == (2 * (space.config.p + 1) if kind == "edge" else 9, len(pts))
+        banded, pos = banded.transpose(3, 1, 2, 0), pos.T  # samples first, units last
         U = np.zeros(banded.shape[:3] + (R[0][block].size,))
         np.put_along_axis(U, np.broadcast_to(pos[:, None, None], banded.shape), banded, axis=3)
         for rot in range(4):
@@ -472,12 +473,15 @@ def test_unit_field_jets_match_dense_unit_grids(name, n):
         table = _entities(space, kind)
         frames = ([edge_frames(e)[0] for e in mp.edges] if kind == "edge"
                   else [v.corners[0] for v in mp.vertices])
-        # derivative (a, b) of the map scales like N^(a + b) times its values
-        scale = float(N) ** np.add.outer(range(order + 1), range(order + 1))[..., None]
+        # derivative (a, b) of the map scales like N^(a + b) times its values;
+        # the table holds the derivatives of total order <= order, 0 above
+        total = np.add.outer(range(order + 1), range(order + 1))[..., None]
+        scale, low = float(N) ** total, total <= order
         for jets, (ipatch, rot) in zip(table.jets, frames):
             ref = mp.patches[ipatch].rotate(rot).grid_jet([0.0], pts, order)
             size = max(1.0, np.abs(ref[:, 0, 0]).max())
-            assert np.all(np.abs(jets - ref) <= 1e-14 * size * scale)
+            assert np.all(np.abs(jets - ref) <= 1e-14 * size * scale, where=low)
+            assert np.all(jets[:, ~low[..., 0]] == 0.0)
 
 
 def test_biorthogonality_matrix_memory_five_patches_n16():

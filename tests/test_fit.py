@@ -908,6 +908,20 @@ def test_complex_coefficients_are_refused(sp_three):
         sp_three.combine(c.astype(complex), 0)
 
 
+def test_complex_operands_of_the_products_are_refused(sp_three):
+    # M @ (c + 1j d) used to equal M @ c, and C @ (c + 1j d) to equal C @ c,
+    # with a ComplexWarning alone
+    c = np.cos(np.arange(sp_three.dim))
+    z = c + 1j * np.sin(np.arange(sp_three.dim))
+    y = np.ones(sp_three.C.shape[0]) + 1j
+    M = assemble_mass(sp_three)
+    for call in (lambda: M @ z, lambda: M @ np.column_stack([z, c]),
+                 lambda: sp_three.C @ z, lambda: y @ sp_three.C):
+        with pytest.raises(InvalidConfigError, match="operand .* is complex"):
+            call()
+    assert np.array_equal(M @ c.astype(int), M @ c.astype(int).astype(float))
+
+
 def test_smoothness_report_with_a_nan_in_its_second_row_does_not_pass():
     ok, nan = (0, 1e-12, 1e-12, None), (1, 1e-12, np.nan, None)
     rep = argyris.fit.SmoothnessReport([ok, nan], [])

@@ -18,6 +18,7 @@ from argyris import (
     smoothness_report,
     standard_form_edge,
 )
+from argyris.bspline import _strip_jets, _unit_jets
 from argyris.cli import main
 from argyris.errors import ConformityError, NotASG1Error
 from argyris.geometries import BUILTIN_NAMES
@@ -367,6 +368,41 @@ def test_fold_between_the_fit_samples_is_refused(cfg4, tmp_path, capsys):
         ArgyrisSpace(load_geometry(path))
 
 
+@pytest.mark.parametrize("p,r,n", [(3, 1, 4), (4, 2, 6)])
+def test_strip_reader_matches_grid_jet_at_every_turn(p, r, n):
+    # the one reader of the layers next to a side against the reference sum
+    # factorization over the whole net: on random nets, at all four quarter
+    # turns of both sides, the jets on the two (order 1) and three (order 2)
+    # layers next to {xi1 = 0}, and the fit's d1, d2 and d12 from the two
+    # layers of each side, agree to 1e-13 relative
+    cfg = UnivariateSpace(p, r, n)
+    rng = np.random.default_rng(7)
+    xs = _fit_sample_points(p, n)
+
+    def det(a, b):
+        return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+
+    for k1 in range(4):
+        for k2 in range(4):
+            F1 = Patch(cfg, rng.standard_normal((cfg.N, cfg.N, 2))).rotate(k1)
+            net = rotate_net(rng.standard_normal((cfg.N, cfg.N, 2)), k2).copy()
+            net[:, 0] = F1.net[0]  # the traces agree: F1(0, t) = F2(t, 0)
+            F2 = Patch(cfg, net)
+            for order in (1, 2):
+                T = _unit_jets(cfg, xs, order)
+                got = _strip_jets(T.jets[..., None], F1.net[: order + 1].reshape(-1, 2)[T.pos])
+                ref = F1.grid_jet([0.0], xs, order)
+                for a in range(order + 1):
+                    for c in range(order + 1 - a):
+                        scale = np.abs(ref[:, a, c]).max()
+                        assert np.abs(got[a, c] - ref[:, a, c]).max() <= 1e-13 * scale
+            j1, j2 = F1.grid_jet([0.0], xs, 1), F2.grid_jet(xs, [0.0], 1)
+            F1u, F1v, F2u, F2v = j1[:, 1, 0], j1[:, 0, 1], j2[:, 1, 0], j2[:, 0, 1]
+            refs = det(F1u, F1v), det(F2u, F2v), det(F2v, F1u)
+            for got, want in zip(_edge_determinants(F1, F2, xs), refs):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("p,r,n", [(3, 1, 4), (4, 2, 6), (5, 1, 8), (3, 1, 3)])
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_edge_determinants_certified_without_halving(name, p, r, n):
@@ -434,9 +470,22 @@ def test_bernstein_fit_and_halves_reproduce_the_polynomial():
 
 def test_nan_control_point_is_a_conformity_error(mp_two):
     # the NaN made every sample NaN, NaN <= 0 is False, and the fit stopped
-    # in the SVD with a bare LinAlgError ("SVD did not converge")
+    # in the SVD with a bare LinAlgError ("SVD did not converge"). The fit
+    # reads the two layers next to the edge, so the NaN sits on layer 1
     F1, F2 = interface_pair(mp_two)
     net = F1.net.copy()
-    net[2, 5] = np.nan
+    net[1, 5] = np.nan
     with pytest.raises(ConformityError, match="not positive"):
         fit_asg1(Patch(F1.space, net), F2)
+
+
+def test_nan_control_point_off_the_fit_layers_fails_validation(mp_two):
+    # a NaN on layer 2 of the first patch of the interface, which the fit
+    # never reads, is refused when the geometry is validated
+    i, k = edge_frames(mp_two.interfaces()[0])[0]
+    net = mp_two.patches[i].net.copy()
+    rotate_net(net, k)[2, 5] = np.nan  # a view: writes into net
+    patches = list(mp_two.patches)
+    patches[i] = Patch(mp_two.config, net)
+    with pytest.raises(ConformityError):
+        MultiPatch(mp_two.config, patches, mp_two.edges, mp_two.vertices)

@@ -587,9 +587,9 @@ def test_vertex_slots_reuse_edge_gluing(request, fixture, monkeypatch):
     side_layers = ArgyrisSpace._side_layers
     calls = []
 
-    def spy(self, T, V, alpha, beta, sign, patch, turns):
+    def spy(self, T, V, alpha, beta, sign):
         calls.append((alpha, beta, sign))
-        return side_layers(self, T, V, alpha, beta, sign, patch, turns)
+        return side_layers(self, T, V, alpha, beta, sign)
 
     monkeypatch.setattr(ArgyrisSpace, "_side_layers", spy)
     sp = ArgyrisSpace(request.getfixturevalue(fixture))
@@ -636,6 +636,22 @@ def test_build_samples_tensor_grids_only(monkeypatch):
         calls.clear()
         ArgyrisSpace(mp)
         assert len(calls) <= 15
+
+
+def test_build_samples_no_tensor_grid(monkeypatch):
+    # the gluing fit, the corner jets and the rest of the build read the
+    # patch maps' control points on the layers next to a side through the
+    # unit-jet table alone; grid_jet serves tensor grids and the tests
+    names = ("two_patch_bilinear", "three_patch_bilinear", "five_patch_bilinear",
+             "lshape_bilinear", "two_patch_curved_asg1")
+    geometries = [builtin_geometry(name, UnivariateSpace(3, 1, 4)) for name in names]
+
+    def refuse(self, x1, x2, nderiv):
+        raise AssertionError("the build sampled a tensor grid")
+
+    monkeypatch.setattr(TensorSpline, "grid_jet", refuse)
+    for mp in geometries:
+        assert ArgyrisSpace(mp).gluing
 
 
 def test_unvalidated_vertex_out_of_order_fails_the_build(mp_three):
