@@ -46,9 +46,9 @@ import numpy as np
 from .bspline import _basis_values, _chebpts, _integer, _real, _strip_jets, _unit_jets
 from .duality import AnalyticField, SpaceField, _prolong
 from .errors import ArgyrisError, InvalidConfigError
-from .multipatch import refine, rotate_net
-from .solver import _solve_scaled
-from .space import ArgyrisSpace, CSRMatrix, _sorted, physical_derivatives
+from .multipatch import refine
+from .solver import _interface_mass, _mass_apply, _solve_scaled
+from .space import ArgyrisSpace, CSRMatrix, physical_derivatives
 
 __all__ = [
     "QuadratureRule",
@@ -102,106 +102,30 @@ def _check_rule(space, rule):
 
 def _patch_weights(space, i, rule):
     """Quadrature weights times |det DF| on the tensor grid of one patch, an
-    (m, m) array over the m nodes of each direction; det DF needs
-    first-derivative tables only."""
+    (m, m) array over the m nodes of each direction."""
+    return next(_weight_blocks(space, i, rule, rule.nodes.size))[1]
+
+
+def _weight_blocks(space, i, rule, step):
+    """``_patch_weights`` in blocks of ``step`` rows of the grid, as (rows,
+    weights, A0[rows], X A0^T, Y A0^T) with X, Y the coordinates of the net,
+    which give the positions of the block. det DF needs first-derivative
+    tables only, and the products of the net with the tables are made once."""
     patch = space.geometry.patches[i]
-    x = rule.nodes.ravel()
+    x, w = rule.nodes.ravel(), rule.weights.ravel()
     A0, A1 = (_basis_values(patch.space, x, d) for d in (0, 1))
     X, Y = np.moveaxis(patch.net, -1, 0)
-    det = A1 @ (X @ A0.T)  # formed in place: the grid is large at the error rule
-    det *= A0 @ (Y @ A1.T)
-    t = A1 @ (Y @ A0.T)
-    t *= A0 @ (X @ A1.T)
-    det -= t
-    np.abs(det, out=det)
-    w = rule.weights.ravel()
-    det *= np.outer(w, w)
-    return det
-
-
-#: most elements whose blocks of G are formed in one batch
-_ELEMENTS_PER_BATCH = 64
-
-
-def _interface_mass(space, W, rule, start):
-    """The block G = sum_i C_G^T M_i C_G of the columns C_G of C from
-    ``start`` on, the edge and vertex functions, as a ``CSRMatrix`` in their
-    local numbering, with W the patches' weights (``_patch_weights``).
-
-    Those columns live on the two coefficient layers next to the sides,
-    which p - r >= 2 keeps on the ring of elements next to the sides. The
-    ring is cut into pinwheel strips, one per side s, each seen in the frame
-    turned s quarter turns (the symmetric node grid maps onto itself): the
-    elements (0, 0..n-2), or the single element when n = 1. An element e of
-    a strip has g^2 nodes and (p+1)^2 active rows; the block Z_e of the K
-    columns that touch those rows takes the values X_e = (across (x)
-    along_e) Z_e there, and the element adds the upper triangle of
-    X_e^T (w_e o X_e). The elements are batched, so G costs O(n), and G is
-    mirrored once from the summed upper triangle, so it is exactly symmetric.
-    """
-    cfg, C = space.config, space.C
-    p, n, g, N = cfg.p, rule.n, rule.order, space.N
-    mult, ne, sides, size = p - cfg.r, max(n - 1, 1), 4 if n > 1 else 1, space.dim - start
-    entry = np.flatnonzero(C.indices >= start)
-    patch, a, b = np.unravel_index(C.row_ids[entry], (len(W), N, N))
-    layer = np.minimum(np.arange(N), np.arange(N)[::-1])  # counted from the nearer side
-    if np.minimum(layer[a], layer[b]).max(initial=0) > 1:
-        raise ArgyrisError("an edge or vertex function reaches beyond the two "
-                           "layers next to the sides of a patch")
-    # each entry on every element e of every strip s whose rows hold it, at
-    # its row (a, b - e mult) there, with (a, b) its position in frame s;
-    # the elements are numbered e first, so that the end elements, which
-    # meet the most columns, come together
-    parts = []
-    for s in range(sides):
-        on = np.flatnonzero(a <= p)
-        e = b[on] // mult - np.arange(-(-(p + 1) // mult))[:, None]
-        t, k = np.nonzero((e >= 0) & (e < ne) & (b[on] - e * mult <= p))
-        e, k = e[t, k], on[k]
-        parts.append(((e * len(W) + patch[k]) * sides + s, a[k] * (p + 1) + b[k] - e * mult, entry[k]))
-        a, b = b, N - 1 - a  # a quarter turn, as in rotate_net
-    el, local, entry = map(np.concatenate, zip(*parts))
-    del parts, patch, a, b, on, e, t, k
-    # sorted by element and column: the K columns that touch each element in
-    # order, and each entry's slot among them
-    key, by = _sorted(el * size + C.indices[entry] - start, len(W) * sides * ne * size)
-    local, val, new = local[by], C.data[entry[by]], np.diff(key, prepend=-1) != 0
-    el, column = np.divmod(key[new], size)
-    count = np.bincount(el, minlength=len(W) * sides * ne)
-    first = np.cumsum(count) - count
-    slot = np.cumsum(new) - 1
-    el = el[slot]
-    slot -= first[el]
-    del key, by, entry, new
-    cut = np.searchsorted(el, np.arange(0, len(count) + _ELEMENTS_PER_BATCH, _ELEMENTS_PER_BATCH))
-    # the element tables: across, along_e, and w_e in the frame of its strip
-    A0 = _basis_values(cfg, rule.nodes.ravel())
-    e = np.arange(ne)[:, None, None]
-    along = A0[e * g + np.arange(g)[:, None], e * mult + np.arange(p + 1)]  # (ne, g, p+1)
-    w = np.stack([rotate_net(W.transpose(1, 2, 0), s)[:g, : ne * g] for s in range(sides)])
-    w = w.reshape(sides, g, ne, g, -1).transpose(2, 4, 0, 1, 3).reshape(-1, g * g, 1)
-    # the upper triangle of every element's block, a batch of elements at a
-    # time, each padded to the most columns in its batch
-    parts = []
-    for lo, i0, i1 in zip(range(0, len(count), _ELEMENTS_PER_BATCH), cut, cut[1:]):
-        ids = np.arange(lo, min(lo + _ELEMENTS_PER_BATCH, len(count)))
-        K = count[ids].max()
-        Z = np.zeros((len(ids), p + 1, p + 1, K))
-        Z.reshape(len(ids), -1, K)[el[i0:i1] - lo, local[i0:i1], slot[i0:i1]] = val[i0:i1]
-        X = (along[ids // (len(W) * sides), None] @ Z).reshape(len(ids), p + 1, -1)
-        X = (A0[:g, : p + 1] @ X).reshape(len(ids), g * g, K)
-        r, c = np.nonzero(np.arange(K)[:, None] <= np.arange(K))
-        keep = c < count[ids, None]  # no padded column
-        k = column[first[ids, None] + np.minimum(np.arange(K), count[ids, None] - 1)]
-        E = (X.transpose(0, 2, 1) @ (X * w[ids]))[:, r, c]
-        parts.append((k[:, r][keep], k[:, c][keep], E[keep]))
-    del el, local, val, slot, Z, X, E
-    rows, cols, vals = map(np.concatenate, zip(*parts))
-    del parts
-    U = CSRMatrix.from_triplets(rows, cols, vals, (size, size))
-    off = U.row_ids != U.indices
-    return CSRMatrix.from_triplets(np.r_[U.row_ids, U.indices[off]], np.r_[U.indices, U.row_ids[off]],
-                                   np.r_[U.data, U.data[off]], U.shape)
+    XA0, XA1, YA0, YA1 = X @ A0.T, X @ A1.T, Y @ A0.T, Y @ A1.T
+    for rows in (slice(lo, lo + step) for lo in range(0, len(x), step)):
+        a0, a1 = A0[rows], A1[rows]
+        det = a1 @ XA0  # formed in place
+        det *= a0 @ YA1
+        t = a1 @ YA0
+        t *= a0 @ XA1
+        det -= t
+        np.abs(det, out=det)
+        det *= np.outer(w[rows], w)
+        yield rows, det, a0, XA0, YA0
 
 
 class MassOperator:
@@ -213,46 +137,45 @@ class MassOperator:
     A0^T (W_i o (A0 U_i A0^T)) A0, with A0 the (m, N) basis values at the m
     quadrature nodes of a direction and W_i the patch's |det DF| weights on
     the node grid, and maps back by C^T. Two parts are stored, because the
-    preconditioner needs them: the ``diagonal`` (dim,) and ``interface``,
-    the exactly symmetric block of the edge and vertex functions (the
-    positions ``start``..dim) as a ``CSRMatrix``, assembled element by
-    element over the ring next to the sides (``_interface_mass``). ``M @ x``
-    refuses an x whose length is not dim, or a complex one.
+    preconditioner needs them: the ``diagonal`` (dim,), ``interface``, the
+    exactly symmetric block of the edge and vertex functions (the positions
+    ``start``..dim), and ``coupling``, the block of the interior rows in
+    those columns, both as ``CSRMatrix`` and assembled element by element
+    over the ring next to the sides (``_interface_mass``). ``M @ x`` is
+    ``solver._mass_apply``; it refuses an x whose length is not dim, or a
+    complex one.
     """
 
-    def __init__(self, C, A0, W, diagonal, interface, start):
+    def __init__(self, C, A0, W, diagonal, interface, coupling, start):
         self.C = C
         self._A0 = A0
         self._W = W  # (patches, m, m)
         self.diagonal = diagonal
         self.interface = interface
+        self.coupling = coupling
         self.start = start
         self.shape = (len(diagonal),) * 2
 
     @property
     def nnz(self):
-        """Stored entries: the diagonal and the interface block."""
-        return len(self.diagonal) + self.interface.nnz
+        """Stored entries: the diagonal, the interface block and the coupling."""
+        return len(self.diagonal) + self.interface.nnz + self.coupling.nnz
 
     def scaled(self, s):
         """The operator diag(s) M diag(s)."""
-        G, t = self.interface, s[self.start :]
+        G, A, t = self.interface, self.coupling, s[self.start :]
         G = CSRMatrix(G.indptr, G.indices, G.data * (t[G.row_ids] * t[G.indices]), G.shape)
+        A = CSRMatrix(A.indptr, A.indices, A.data * (s[A.row_ids] * t[A.indices]), A.shape)
         C = CSRMatrix(self.C.indptr, self.C.indices, self.C.data * s[self.C.indices],
                       self.C.shape)
-        return MassOperator(C, self._A0, self._W, self.diagonal * s * s, G, self.start)
+        return MassOperator(C, self._A0, self._W, self.diagonal * s * s, G, A, self.start)
 
     def __matmul__(self, x):
         x = _real(x, "the operand of the mass")
         if x.ndim == 0 or len(x) != self.shape[1]:
             raise InvalidConfigError(f"the mass applies to {self.shape[1]} coefficients, "
                                      f"got an array of shape {x.shape}")
-        A0, P = self._A0, len(self._W)
-        N = A0.shape[1]
-        U = (self.C @ x).reshape(P, N, N, -1).transpose(3, 0, 1, 2)  # (k, patches, N, N)
-        T = A0 @ U @ A0.T  # weighted in place: one (k, patches, m, m) temporary
-        V = A0.T @ np.multiply(T, self._W, out=T) @ A0
-        return (V.reshape(len(V), -1) @ self.C).T.reshape(x.shape)
+        return _mass_apply(self, x[0].size)(x)
 
 
 def assemble_mass(space, rule=None):
@@ -273,8 +196,8 @@ def assemble_mass(space, rule=None):
         raise ArgyrisError("an interior function is more than one B-spline on a patch")
     patch, a1, a2 = np.unravel_index(C.row_ids[inside], (P, N, N))
     interior = np.bincount(col, v * v * (A0.T**2 @ W @ A0**2)[patch, a1, a2], ni)
-    G = _interface_mass(space, W, rule, ni)
-    return MassOperator(C, A0, W, np.concatenate([interior, G.diagonal()]), G, ni)
+    G, coupling = _interface_mass(space, W, rule, ni)
+    return MassOperator(C, A0, W, np.concatenate([interior, G.diagonal()]), G, coupling, ni)
 
 
 def assemble_rhs(space, fld, rule=None, *, weights=None):
@@ -306,17 +229,20 @@ def assemble_rhs(space, fld, rule=None, *, weights=None):
 
 
 def _integral_sq(space, coeffs, fld, rule):
-    """int (u_c - z)^2 and int z^2 by the same element-wise quadrature."""
+    """int (u_c - z)^2 and int z^2 by the same element-wise quadrature, in
+    one pass over blocks of each patch's grid rows (``_weight_blocks``). A
+    target with ``at`` is read at the positions the weights' products give."""
     x = rule.nodes.ravel()
-    u_c = SpaceField(space, coeffs)
-    total = 0.0
-    zz = 0.0
+    A0 = _basis_values(space.config, x)
+    step = max(1, (1 << 17) // (8 * len(x)))  # no block is a memory map of its own
+    total = zz = 0.0
     for i in range(len(space.geometry.patches)):
-        W = _patch_weights(space, i, rule).ravel()
-        z = fld.jets(i, x, x, 0)[0]
-        u = u_c.jets(i, x, x, 0)[0]
-        zz += float((W * z**2).sum())
-        total += float((W * (u - z) ** 2).sum())
+        UA0 = space.combine(coeffs, i) @ A0.T
+        for rows, W, a0, XA0, YA0 in _weight_blocks(space, i, rule, step):
+            z = (fld.at(np.stack([(a0 @ XA0).ravel(), (a0 @ YA0).ravel()], 1), 0)[0]
+                 if hasattr(fld, "at") else fld.jets(i, x[rows], x, 0)[0]).reshape(W.shape)
+            zz += float((W * z**2).sum())
+            total += float((W * (a0 @ UA0 - z) ** 2).sum())
     return total, zz
 
 

@@ -1,28 +1,32 @@
 """Preconditioned conjugate gradients for the mass of an L2 fit.
 
 The normal equations are diagonally scaled, A = S M S with S = diag(M)^-1/2,
-and solved by conjugate gradients with a block-diagonal preconditioner that
-follows the two families of the basis. The patch-interior functions, which
-lead the basis, are unit tensor B-splines, so their block of A is close to
-K^ (x) K^ on every patch, with K^ the unit-diagonal 1D B-spline mass of the
-interior indices on [0, 1]; it is inverted by fast diagonalization (Sangalli
-& Tani, SISC 2016). The few edge and vertex functions form the trailing
-block, solved exactly: its rows, ordered by breadth-first levels from a
-pseudo-peripheral row (Cuthill & McKee, 1969), make it block tridiagonal,
-and block Cholesky needs one small dense factor per level; a solve is then
-one matrix-vector product per level and sweep. The order is read off the
-sparsity of the block alone, and the levels stay narrow because each
-function couples only to its neighbours along the interfaces. At p = 3 CG
-then needs about 30 iterations from zero on every mesh, and about half as
-many at n = 32 from the prolonged fit of n = 16 (nested iteration: Brandt,
-Math. Comp. 1977). Its coefficients also give a Lanczos estimate of the
-condition number of the preconditioned system.
+and solved by conjugate gradients, preconditioned by symmetric block
+Gauss-Seidel over the two families of the basis. The patch-interior
+functions, which lead the basis, are unit tensor B-splines, so their block
+of A is close to K^ (x) K^ on every patch, with K^ the unit-diagonal 1D
+B-spline mass of the interior indices on [0, 1]; it is inverted by fast
+diagonalization (Sangalli & Tani, SISC 2016). The few edge and vertex
+functions form the trailing block, solved exactly: its rows, ordered by
+breadth-first levels from a pseudo-peripheral row (Cuthill & McKee, 1969),
+make it block tridiagonal, and block Cholesky needs one small dense factor
+per level; a solve is then one matrix-vector product per level and sweep.
+The order is read off the sparsity of the block alone, and the levels stay
+narrow because each function couples only to its neighbours along the
+interfaces. The sweeps couple the two blocks through the interior rows'
+block of the edge and vertex columns. At p = 3 CG then needs about 16
+iterations from zero on every mesh, and 7 at n = 32 from the prolonged fit
+of n = 16 (nested iteration: Brandt, Math. Comp. 1977). Its coefficients
+also give a Lanczos estimate of the condition number of the preconditioned
+system. A solve makes its work arrays once and updates them in place.
 """
 
 import numpy as np
 
 from .bspline import _basis_values
-from .errors import NumericalError
+from .errors import ArgyrisError, NumericalError
+from .multipatch import rotate_net
+from .space import CSRMatrix, _sorted
 
 
 def _distinct(a):
@@ -63,28 +67,30 @@ def _lanczos_condition(inv_alpha, beta):
     return float(lam[-1] / lam[0]) if lam[0] > 0.0 else float("inf")
 
 
-def _pcg(A, b, precond, x0=None):
-    """Preconditioned conjugate gradients for A x = b from x = x0 (default 0),
-    updated in place.
+def _pcg(apply, b, precond, x0=None):
+    """Preconditioned conjugate gradients for A x = b, with ``apply(v)`` = A v,
+    from x = x0 (default 0), updated in place.
 
     Returns x, the number of iterations and the Lanczos condition estimate of
     the preconditioned operator. Raises NumericalError, with that estimate,
     when ||r|| does not reach CG_RTOL ||b|| within CG_MAXITER iterations or
     a step finds r.z <= 0 or p.Ap <= 0, so that A or the preconditioner is
-    not positive definite.
+    not positive definite. ``apply`` and ``precond`` may return r itself or
+    an array of their own that their next call overwrites; a product A p
+    is work space once used.
     """
     x = np.zeros_like(b) if x0 is None else x0
-    r = b if x0 is None else b - A @ x
+    r = b.copy() if x0 is None else b - apply(x)
     stop = CG_RTOL * np.linalg.norm(b)
     z = precond(r)
     rz = r @ z
-    p = z
+    p = z.copy()
     inv_alpha, beta = [], []
     while np.linalg.norm(r) > stop:
         if len(inv_alpha) == CG_MAXITER:
             reason = f"did not converge in {CG_MAXITER} iterations"
             break
-        q = A @ p
+        q = apply(p)
         if not rz > 0.0:  # r.z <= 0: the preconditioner is not positive definite
             reason = f"broke down at iteration {len(inv_alpha) + 1}"
             break
@@ -93,12 +99,13 @@ def _pcg(A, b, precond, x0=None):
             reason = f"broke down at iteration {len(inv_alpha)}"
             break
         alpha = 1.0 / inv_alpha[-1]
-        x += alpha * p
-        r = r - alpha * q  # not in place: precond may return r itself
+        r -= np.multiply(q, alpha, out=q)
+        x += np.multiply(p, alpha, out=q)
         z = precond(r)
         rz, rz_old = r @ z, rz
         beta.append(rz / rz_old)
-        p = z + beta[-1] * p
+        p *= beta[-1]
+        p += z
     else:
         return x, len(inv_alpha), _lanczos_condition(inv_alpha, beta)
     raise NumericalError(
@@ -204,29 +211,185 @@ def _interface_solver(G):
     return solve
 
 
-def _block_preconditioner(space, G):
-    """Block-diagonal approximate inverse of the Jacobi-scaled mass A, given
-    its edge and vertex block G (``CSRMatrix``).
+#: most elements whose blocks of G are formed in one batch
+_ELEMENTS_PER_BATCH = 64
 
-    The basis starts with the interior B-splines of every patch, (N-4)^2 per
-    patch in row-major (j1, j2) order; their block of A is approximated by
-    K^ (x) K^ on every patch, which ignores the geometry and is inverted by
-    fast diagonalization: with K^ = Q diag(lam) Q^T, a residual block R
-    (N-4, N-4) maps to Q (L o Q^T R Q) Q^T, L = 1 / (lam_i lam_j). The
-    trailing block G of the edge and vertex functions is solved exactly by
-    ``_interface_solver``, from G alone.
+
+def _interface_mass(space, W, rule, start):
+    """The block G = sum_i C_G^T M_i C_G of the columns C_G of C from
+    ``start`` on, the edge and vertex functions, in their local numbering,
+    and the block C_I^T M_i C_G of the interior columns C_I before ``start``
+    in them, the coupling, both as ``CSRMatrix``, with W the patches'
+    weights (``_patch_weights``).
+
+    Those columns live on the two coefficient layers next to the sides,
+    which p - r >= 2 keeps on the ring of elements next to the sides. The
+    ring is cut into pinwheel strips, one per side s, each seen in the frame
+    turned s quarter turns (the symmetric node grid maps onto itself): the
+    elements (0, 0..n-2), or the single element when n = 1. An element e of
+    a strip has g^2 nodes and (p+1)^2 active rows; the block Z_e of the K
+    columns that touch those rows takes the values X_e = (across (x)
+    along_e) Z_e there, and the rows' mass with them is Y_e = (across (x)
+    along_e)^T (w_e o X_e). The element adds the upper triangle of Z_e^T Y_e
+    to G and the rows of Y_e that are interior B-splines, times their
+    coefficient, to the coupling, which is summed patch by patch. The
+    elements are batched, so both cost O(n). G is mirrored from its summed
+    upper triangle with one sort of its columns, so it is exactly symmetric.
     """
-    m = space.N - 4
-    ni = space.breakdown["patch"]
+    cfg, C = space.config, space.C
+    p, n, g, N, P = cfg.p, rule.n, rule.order, space.N, len(W)
+    mult, ne, sides, size = p - cfg.r, max(n - 1, 1), 4 if n > 1 else 1, space.dim - start
+    per = ne * sides  # elements on the ring of a patch
+    entry = np.flatnonzero(C.indices >= start)
+    patch, a, b = np.unravel_index(C.row_ids[entry], (P, N, N))
+    layer = np.minimum(np.arange(N), np.arange(N)[::-1])  # counted from the nearer side
+    if np.minimum(layer[a], layer[b]).max(initial=0) > 1:
+        raise ArgyrisError("an edge or vertex function reaches beyond the two "
+                           "layers next to the sides of a patch")
+    # each entry on every element e of every strip s whose rows hold it, at
+    # its row (a, b - e mult) there, with (a, b) its position in frame s
+    parts = []
+    for s in range(sides):
+        on = np.flatnonzero(a <= p)
+        e = b[on] // mult - np.arange(-(-(p + 1) // mult))[:, None]
+        t, k = np.nonzero((e >= 0) & (e < ne) & (b[on] - e * mult <= p))
+        e, k = e[t, k], on[k]
+        parts.append(((patch[k] * ne + e) * sides + s, a[k] * (p + 1) + b[k] - e * mult, entry[k]))
+        a, b = b, N - 1 - a  # a quarter turn, as in rotate_net
+    el, local, entry = map(np.concatenate, zip(*parts))
+    del parts, patch, a, b, on, e, t, k
+    # sorted by element and column: the K columns that touch each element in
+    # order, and each entry's slot among them
+    key, by = _sorted(el * size + C.indices[entry] - start, P * per * size)
+    local, val, new = local[by], C.data[entry[by]], np.diff(key, prepend=-1) != 0
+    el, column = np.divmod(key[new], size)
+    count = np.bincount(el, minlength=P * per)
+    first = np.cumsum(count) - count
+    slot = np.cumsum(new) - 1
+    el = el[slot]
+    slot -= first[el]
+    del key, by, entry, new
+    # the interior rows of every element, by element: the element, the row's
+    # place there, and the row's one entry of C (its column and value)
+    ids = np.arange(P * per)[:, None]
+    a, b = np.divmod(np.arange((p + 1) ** 2), p + 1)
+    b = ids // sides % ne * mult + b
+    inner, at = np.nonzero((a >= 2) & (a <= N - 3) & (b >= 2) & (b <= N - 3))
+    turned = np.stack([rotate_net(np.arange(N * N).reshape(N, N), s) for s in range(sides)])
+    at_c = C.indptr[inner // per * N * N + turned[inner % sides, a[at], b[inner, at]]]
+    # batches of elements of one patch each, padded to the most columns in the batch
+    lo = (np.arange(P)[:, None] * per + np.arange(0, per, _ELEMENTS_PER_BATCH)).ravel()
+    hi = np.minimum(lo + _ELEMENTS_PER_BATCH, lo // per * per + per)
+    A0 = _basis_values(cfg, rule.nodes.ravel())
+    e = np.arange(ne)[:, None, None]
+    along = A0[e * g + np.arange(g)[:, None], e * mult + np.arange(p + 1)]  # (ne, g, p+1)
+    w = np.stack([rotate_net(W.transpose(1, 2, 0), s)[:g, : ne * g] for s in range(sides)])
+    w = w.reshape(sides, g, ne, g, -1).transpose(4, 2, 0, 1, 3).reshape(-1, g * g, 1)
+    parts, pieces, cparts = [], [], []
+    for lo, hi, i0, i1, j0, j1 in zip(lo, hi, np.searchsorted(el, lo), np.searchsorted(el, hi),
+                                      np.searchsorted(inner, lo), np.searchsorted(inner, hi)):
+        ids, K = np.arange(lo, hi), count[lo:hi].max()
+        Z = np.zeros((len(ids), p + 1, p + 1, K))
+        Z.reshape(len(ids), -1, K)[el[i0:i1] - lo, local[i0:i1], slot[i0:i1]] = val[i0:i1]
+        along_e = along[ids // sides % ne, None]
+        X = (A0[:g, : p + 1] @ (along_e @ Z).reshape(len(ids), p + 1, -1)).reshape(len(ids), -1, K)
+        wX = X * w[ids]
+        Y = (A0[:g, : p + 1].T @ wX.reshape(len(ids), g, -1))
+        Y = (along_e.transpose(0, 1, 3, 2) @ Y.reshape(len(ids), p + 1, g, K)).reshape(len(ids), -1, K)
+        k = column[first[ids, None] + np.minimum(np.arange(K), count[ids, None] - 1)]
+        real = np.arange(K) < count[ids, None]  # no padded column
+        r, c = np.nonzero(np.arange(K)[:, None] <= np.arange(K))
+        E = (X.transpose(0, 2, 1) @ wX)[:, r, c]
+        parts.append((k[:, r][real[:, c]], k[:, c][real[:, c]], E[real[:, c]]))
+        t = inner[j0:j1] - lo
+        cparts.append((np.broadcast_to(C.indices[at_c[j0:j1], None], (j1 - j0, K))[real[t]],
+                       k[t][real[t]], (C.data[at_c[j0:j1], None] * Y[t, at[j0:j1]])[real[t]]))
+        if hi % per == 0:  # the patch is done: its rows of the coupling are summed
+            rows, cols, vals = map(np.concatenate, zip(*cparts))
+            pieces.append(CSRMatrix.from_triplets(rows - lo // per * (N - 4) ** 2, cols, vals, ((N - 4) ** 2, size)))
+            cparts = []
+    del el, local, val, slot, Z, X, Y, E, cparts
+    indptr = np.r_[0, np.cumsum(np.concatenate([np.diff(q.indptr) for q in pieces]))]
+    coupling = CSRMatrix(indptr, *(np.concatenate([getattr(q, a) for q in pieces]) for a in ("indices", "data")),
+                         (start, size))
+    del pieces
+    U = CSRMatrix.from_triplets(*map(np.concatenate, zip(*parts)), (size, size))
+    del parts
+    # row i of G is column i of U's strict upper triangle, which a sort of
+    # its columns alone puts in row order, then row i of U
+    off = np.flatnonzero(U.row_ids != U.indices)
+    low = off[_sorted(U.indices[off], size)[1]]
+    cum = np.cumsum(np.bincount(U.indices[off], minlength=size))
+    at = np.r_[np.arange(len(low)) + U.indptr[U.indices[low]], np.arange(U.nnz) + cum[U.row_ids]]
+    indices, data = np.empty_like(at), np.empty(len(at))
+    indices[at], data[at] = np.r_[U.row_ids[low], U.indices], np.r_[U.data[low], U.data]
+    return CSRMatrix(U.indptr + np.r_[0, cum], indices, data, U.shape), coupling
+
+
+def _block_preconditioner(space, G, coupling):
+    """Symmetric block Gauss-Seidel approximate inverse of the Jacobi-scaled
+    mass A, given its edge and vertex block G and the block A_IG of the
+    interior rows in those columns (``CSRMatrix``).
+
+    The interior block, (N-4)^2 unit B-splines per patch in row-major (j1,
+    j2) order, is approximated by P_I^-1 = K^ (x) K^ on every patch: with
+    K^ = Q diag(lam) Q^T, P_I maps a residual block R (N-4, N-4) to
+    Q (L o Q^T R Q) Q^T, L = 1 / (lam_i lam_j). G is solved exactly by
+    ``_interface_solver``. A residual (r_I, r_G) maps to z_I = P_I r_I,
+    z_G = G^-1 (r_G - A_GI z_I) and y_I = z_I - P_I A_IG z_G (Axelsson,
+    Iterative Solution Methods, 1994; Eijkhout & Vassilevski, SIAM Review
+    33, 1991): K^T diag(P_I, G^-1) K with K = [I 0; -A_GI P_I I], positive
+    definite whenever P_I and G are, also where curved patches leave P_I
+    inexact. Every apply returns the same vector, overwritten by the next.
+    """
+    P, m, ni = len(space.geometry.patches), space.N - 4, space.breakdown["patch"]
     interface = _interface_solver(G)
     lam, Q = np.linalg.eigh(_unit_interior_mass(space.config))  # (0, 0) if N <= 4
     L = 1.0 / np.outer(lam, lam)
+    rows, cols, vals = coupling.row_ids, coupling.indices, coupling.data
+    y, t = np.empty(ni + G.shape[0]), np.empty(coupling.nnz)
+    yI, yG = y[:ni].reshape(P, m, m), y[ni:]
+    B1, B2 = np.empty((P, m, m)), np.empty((P, m, m))
+
+    def interior(R, out):  # out may be B2
+        np.matmul(np.matmul(Q.T, R, out=B1), Q, out=B2)
+        np.matmul(np.matmul(Q, np.multiply(L, B2, out=B2), out=B1), Q.T, out=out)
 
     def apply(r):
-        R = r[:ni].reshape(len(space.geometry.patches), m, m)
-        return np.concatenate([
-            (Q @ (L * (Q.T @ R @ Q)) @ Q.T).ravel(), interface(r[ni:])
-        ])
+        interior(r[:ni].reshape(P, m, m), yI)
+        np.multiply(np.take(y, rows, out=t, mode="clip"), vals, out=t)
+        yG[:] = interface(r[ni:] - np.bincount(cols, t, len(yG)))
+        np.multiply(np.take(yG, cols, out=t, mode="clip"), vals, out=t)
+        interior(np.bincount(rows, t, ni).reshape(P, m, m), B2)
+        np.subtract(yI, B2, out=yI)
+        return y
+
+    return apply
+
+
+def _mass_apply(M, k=1):
+    """x -> M x for a ``MassOperator`` M and x of shape (dim,), or (dim, k),
+    with the work arrays made once: the terms of the products with C and
+    C^T, each summed in stored order by a bincount, whose outputs are the
+    only arrays an apply makes, and per patch i A0 U_i, T = W_i o (A0 U_i
+    A0^T), A0^T T and V_i = A0^T T A0. ``M @ x`` is one call of it."""
+    C, A0, W = M.C, M._A0, M._W
+    (rows, dim), (P, m, _), N = C.shape, W.shape, A0.shape[1]
+    into = C.row_ids if k == 1 else (C.row_ids[:, None] * k + np.arange(k)).ravel()
+    back = C.indices if k == 1 else (np.arange(k)[:, None] * dim + C.indices).ravel()
+    t, AU, T, V = np.empty(C.nnz * k), np.empty((k, m, N)), np.empty((k, m, m)), np.empty((k, P, N, N))
+    TA = AU.reshape(k, N, m)  # A0^T T overwrites A0 U, which it no longer needs
+
+    def apply(x):
+        np.take(x.reshape(dim, k), C.indices, axis=0, out=t.reshape(-1, k), mode="clip")
+        np.multiply(t.reshape(-1, k), C.data[:, None], out=t.reshape(-1, k))
+        U = np.bincount(into, t, rows * k).reshape(P, N, N, k).transpose(3, 0, 1, 2)
+        for i in range(P):  # A0^T (W_i o (A0 U_i A0^T)) A0, one patch at a time
+            np.matmul(np.matmul(A0, U[:, i], out=AU), A0.T, out=T)
+            np.matmul(np.matmul(A0.T, np.multiply(T, W[i], out=T), out=TA), A0, out=V[:, i])
+        np.take(V.reshape(k, rows), C.row_ids, axis=1, out=t.reshape(k, -1), mode="clip")
+        np.multiply(t.reshape(k, -1), C.data, out=t.reshape(k, -1))
+        return np.bincount(back, t, k * dim).reshape(k, dim).T.reshape(x.shape)
 
     return apply
 
@@ -235,7 +398,8 @@ def _solve_scaled(space, M, rhs, x0=None):
     """Solution of M c = rhs from c = x0 (default 0), the number of PCG
     iterations it took and the condition estimate of the preconditioned
     scaled system A = S M S, S = diag(M)^-1/2. A given x0 is overwritten
-    and returned as the solution: a fit at n = 32 keeps no second vector."""
+    and returned as the solution: a fit at n = 32 keeps no second vector.
+    The work arrays belong to this solve: threads share none of them."""
     d = M.diagonal
     if np.any(d <= 0.0):
         raise NumericalError("mass diagonal is not positive")
@@ -243,6 +407,7 @@ def _solve_scaled(space, M, rhs, x0=None):
     A = M.scaled(s)
     if x0 is not None:
         x0 /= s
-    y, iterations, cond = _pcg(A, s * rhs, _block_preconditioner(space, A.interface), x0)
+    precond = _block_preconditioner(space, A.interface, A.coupling)
+    y, iterations, cond = _pcg(_mass_apply(A), s * rhs, precond, x0)
     y *= s
     return y, iterations, cond

@@ -31,8 +31,12 @@ from argyris import (
     builtin_geometry,
     SpaceField,
     UnivariateSpace,
+    assemble_mass,
+    assemble_rhs,
     biorthogonality_matrix,
+    cos_sin_field,
     infer_topology,
+    l2_fit,
     load_geometry,
     project,
     save_geometry,
@@ -98,6 +102,21 @@ def test_jittered_grid_save_load_roundtrip(moves):
         assert a.net.tobytes() == b.net.tobytes()
     assert [e.locals for e in back.edges] == [e.locals for e in mp.edges]
     assert [v.corners for v in back.vertices] == [v.corners for v in mp.vertices]
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(grid_moves)
+def test_jittered_grid_fit_converges_under_gauss_seidel(moves):
+    # jittered bilinear patches are not parallelograms, so the fast
+    # diagonalization of the interior block is inexact there: the symmetric
+    # Gauss-Seidel preconditioner stays positive definite and well
+    # conditioned (2.7 when it was added), and the fit is the direct solve's
+    mp = jittered_grid(UnivariateSpace(3, 1, 4), moves)
+    space, fld = ArgyrisSpace(mp), cos_sin_field(mp)
+    res = l2_fit(space, fld)
+    assert 0 < res.cg_iterations <= 20 and 1.0 < res.cond_estimate < 4.0
+    ref = np.linalg.solve(assemble_mass(space) @ np.eye(space.dim), assemble_rhs(space, fld))
+    assert np.linalg.norm(res.coeffs - ref) < 1e-9 * np.linalg.norm(ref)
 
 
 @functools.cache
