@@ -5,37 +5,31 @@ tensor B-spline mass M_i and load vector b_i; the rows C_i of patch i in the
 space's extraction matrix C turn them into the mass matrix sum_i C_i^T M_i
 C_i and the load vector sum_i C_i^T b_i. The quadrature nodes of a patch
 form a tensor grid, so the patch map and its Jacobian, the target field and
-the fitted member are sampled there by sum factorization (``Patch.grid_jet``,
-``jets`` of the field classes): per-direction basis tables, each made once
-per (space, nodes, derivative order), instead of a basis evaluation at every
-node. The mass and the load of a fit share the |det DF| weights of every
-patch: ``l2_fit`` passes those its mass was made with to
-``assemble_rhs(weights=...)``. With A0 the (m, N) basis
-values at the m nodes of one direction and W the weights on the node grid,
-b_i is A0^T (W o z) A0 for target samples z. The mass is never assembled:
-``assemble_mass`` returns a ``MassOperator`` that applies M_i to a
-coefficient grid U by sum factorization, A0^T (W o (A0 U A0^T)) A0, between
-the products with C_i and C_i^T (Antolin, Buffa, Calabro, Martinelli &
-Sangalli, CMAME 2015; Sangalli & Tani, CMAME 2018). It stores only what the
-preconditioner needs. An interior column is one B-spline (a1, a2) times v,
-so the diagonal there is v^2 ((A0^2)^T W A0^2)[a1, a2]. The edge and vertex
-columns live on the two coefficient layers next to the sides, so their
-block G is an integral over the ring of elements next to the sides. It is
-assembled element by element, each element's few columns by the same sum
-factorization, batched over the elements and summed by
-``CSRMatrix.from_triplets``, so G costs O(n); it is mirrored from its upper
-triangle, so it is exactly symmetric.
-The normal equations are solved by preconditioned conjugate gradients
-(``solver``); ``FitResult`` records the iteration count, the Lanczos
-condition estimate and the time of each stage. A fit may start CG from a
-member of a coarser space that its space refines: the spaces nest under
-refinement with the same gluing, so the member is written exactly in the
-finer space, as D_h (R (x) R)(C_H c_H) with R the knot insertion and D_h
-the dual functionals (``duality._prolong``). The convergence driver fits a
-target function on a sequence of nested dyadic refinements, each level
-built on the gluing data fitted once on the coarsest mesh and started from
-the fit of the level before (nested iteration), and tabulates
-errors with estimated convergence rates ecr = log2(e_coarse / e_fine).
+the fitted member are sampled there by sum factorization: per-direction
+basis tables, each made once per (space, nodes, derivative order), instead
+of a basis evaluation at every node. The mass and the load of a fit share
+the |det DF| weights of every patch. With A0 the (m, N) basis values at the
+m nodes of one direction and W the weights on the node grid, b_i is A0^T
+(W o z) A0 for target samples z. The mass is never assembled: a
+``MassOperator`` applies M_i to a coefficient grid U by sum factorization,
+A0^T (W o (A0 U A0^T)) A0, between the products with C_i and C_i^T
+(Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME 2015; Sangalli &
+Tani, CMAME 2018), and stores only what the preconditioner needs: the
+diagonal, which is v^2 ((A0^2)^T W A0^2)[a1, a2] at an interior column (one
+B-spline (a1, a2) times v), and the blocks of the edge and vertex columns,
+assembled element by element over the ring next to the sides in O(n)
+(``solver._interface_mass``). The normal equations are solved by
+preconditioned conjugate gradients (``solver``); ``FitResult`` records the
+iteration count, the Lanczos condition estimate and the time of each stage.
+A fit may start CG from a member of a coarser space that its space refines:
+the spaces nest under refinement with the same gluing, so the member is
+written exactly in the finer space, as D_h (R (x) R)(C_H c_H) with R the
+knot insertion and D_h the dual functionals (``duality._prolong``). The
+convergence driver fits a target function on a sequence of nested dyadic
+refinements, each level built on the gluing data fitted once on the
+coarsest mesh and started from the fit of the level before (nested
+iteration), and tabulates errors with estimated convergence rates ecr =
+log2(e_coarse / e_fine).
 """
 
 import time
@@ -107,10 +101,10 @@ def _patch_weights(space, i, rule):
 
 
 def _weight_blocks(space, i, rule, step):
-    """``_patch_weights`` in blocks of ``step`` rows of the grid, as (rows,
-    weights, A0[rows], X A0^T, Y A0^T) with X, Y the coordinates of the net,
-    which give the positions of the block. det DF needs first-derivative
-    tables only, and the products of the net with the tables are made once."""
+    """``_patch_weights`` by blocks of ``step`` grid rows, as (rows, weights,
+    A0[rows], X A0^T, Y A0^T) with X, Y the net's coordinates, which give
+    the block's positions. det DF needs first-derivative tables only, and
+    the products of the net with the tables are made once."""
     patch = space.geometry.patches[i]
     x, w = rule.nodes.ravel(), rule.weights.ravel()
     A0, A1 = (_basis_values(patch.space, x, d) for d in (0, 1))
@@ -118,14 +112,8 @@ def _weight_blocks(space, i, rule, step):
     XA0, XA1, YA0, YA1 = X @ A0.T, X @ A1.T, Y @ A0.T, Y @ A1.T
     for rows in (slice(lo, lo + step) for lo in range(0, len(x), step)):
         a0, a1 = A0[rows], A1[rows]
-        det = a1 @ XA0  # formed in place
-        det *= a0 @ YA1
-        t = a1 @ YA0
-        t *= a0 @ XA1
-        det -= t
-        np.abs(det, out=det)
-        det *= np.outer(w[rows], w)
-        yield rows, det, a0, XA0, YA0
+        det = np.abs((a1 @ XA0) * (a0 @ YA1) - (a1 @ YA0) * (a0 @ XA1))
+        yield rows, np.multiply(det, np.outer(w[rows], w), out=det), a0, XA0, YA0
 
 
 class MassOperator:
@@ -136,14 +124,12 @@ class MassOperator:
     coefficient grids U_i, applies each patch mass by sum factorization,
     A0^T (W_i o (A0 U_i A0^T)) A0, with A0 the (m, N) basis values at the m
     quadrature nodes of a direction and W_i the patch's |det DF| weights on
-    the node grid, and maps back by C^T. Two parts are stored, because the
-    preconditioner needs them: the ``diagonal`` (dim,), ``interface``, the
-    exactly symmetric block of the edge and vertex functions (the positions
-    ``start``..dim), and ``coupling``, the block of the interior rows in
-    those columns, both as ``CSRMatrix`` and assembled element by element
-    over the ring next to the sides (``_interface_mass``). ``M @ x`` is
-    ``solver._mass_apply``; it refuses an x whose length is not dim, or a
-    complex one.
+    the node grid, and maps back by C^T (``solver._mass_apply``). What the
+    preconditioner needs is stored: the ``diagonal`` (dim,), ``interface``,
+    the exactly symmetric block of the edge and vertex functions (positions
+    ``start``..dim), and ``coupling``, the interior rows of those columns,
+    both ``CSRMatrix`` (``_interface_mass``). ``M @ x`` refuses an x whose
+    length is not dim, or a complex one.
     """
 
     def __init__(self, C, A0, W, diagonal, interface, coupling, start):
@@ -180,9 +166,9 @@ class MassOperator:
 
 def assemble_mass(space, rule=None):
     """The mass matrix sum_patches int phi_a phi_b |det DF| as a
-    ``MassOperator``: its diagonal and its edge and vertex block are
-    assembled, the block element by element in O(n) time and memory, and
-    the rest is applied by sum factorization."""
+    ``MassOperator``: its diagonal and the blocks of its edge and vertex
+    columns are assembled, in O(n) time and memory, and the rest is applied
+    by sum factorization."""
     rule = _check_rule(space, rule)
     ni, P, N = space.breakdown["patch"], len(space.geometry.patches), space.N
     W = np.stack([_patch_weights(space, i, rule) for i in range(P)])

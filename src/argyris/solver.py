@@ -5,20 +5,18 @@ and solved by conjugate gradients, preconditioned by symmetric block
 Gauss-Seidel over the two families of the basis. The patch-interior
 functions, which lead the basis, are unit tensor B-splines, so their block
 of A is close to K^ (x) K^ on every patch, with K^ the unit-diagonal 1D
-B-spline mass of the interior indices on [0, 1]; it is inverted by fast
+B-spline mass of the interior indices on [0, 1], inverted by fast
 diagonalization (Sangalli & Tani, SISC 2016). The few edge and vertex
 functions form the trailing block, solved exactly: its rows, ordered by
 breadth-first levels from a pseudo-peripheral row (Cuthill & McKee, 1969),
 make it block tridiagonal, and block Cholesky needs one small dense factor
-per level; a solve is then one matrix-vector product per level and sweep.
-The order is read off the sparsity of the block alone, and the levels stay
-narrow because each function couples only to its neighbours along the
-interfaces. The sweeps couple the two blocks through the interior rows'
-block of the edge and vertex columns. At p = 3 CG then needs about 16
-iterations from zero on every mesh, and 7 at n = 32 from the prolonged fit
-of n = 16 (nested iteration: Brandt, Math. Comp. 1977). Its coefficients
-also give a Lanczos estimate of the condition number of the preconditioned
-system. A solve makes its work arrays once and updates them in place.
+per level, read off the block's sparsity alone; the levels stay narrow
+because each function couples only to its neighbours along the interfaces.
+That block and its coupling to the interior rows are assembled over the
+ring of elements next to the sides. At p = 3 CG needs about 16 iterations
+from zero, and 7 at n = 32 from the prolonged fit of n = 16 (nested
+iteration: Brandt, Math. Comp. 1977); its coefficients give a Lanczos
+estimate of the condition number. A solve makes its work arrays once.
 """
 
 import numpy as np
@@ -76,8 +74,7 @@ def _pcg(apply, b, precond, x0=None):
     when ||r|| does not reach CG_RTOL ||b|| within CG_MAXITER iterations or
     a step finds r.z <= 0 or p.Ap <= 0, so that A or the preconditioner is
     not positive definite. ``apply`` and ``precond`` may return r itself or
-    an array of their own that their next call overwrites; a product A p
-    is work space once used.
+    an array their next call overwrites; A p is work space once used.
     """
     x = np.zeros_like(b) if x0 is None else x0
     r = b.copy() if x0 is None else b - apply(x)
@@ -171,19 +168,24 @@ def _interface_solver(G):
     level, pos = np.zeros(G.shape[0], dtype=int), np.zeros(G.shape[0], dtype=int)
     for k, rows in enumerate(levels):
         level[rows], pos[rows] = k, np.arange(len(rows))
-    bounds = np.cumsum([0] + [len(rows) for rows in levels])
+    size = np.array([len(rows) for rows in levels])
+    bounds = np.r_[0, np.cumsum(size)]
+    # the entries of G_{k,k} and G_{k,k+1}, by level k, at their place in
+    # the level's block [G_{k,k}, G_{k,k+1}]
+    up = level[G.indices] - level[G.row_ids]  # 0 in G_{k,k}, 1 in G_{k,k+1}, -1 in G_{k,k-1}
+    e = np.flatnonzero(up >= 0)
+    e = e[np.argsort(level[G.row_ids[e]], kind="stable")]
+    cut = np.searchsorted(level[G.row_ids[e]], np.arange(len(levels) + 1))
+    row, col = pos[G.row_ids[e]], pos[G.indices[e]] + up[e] * size[level[G.row_ids[e]]]
     # the rows of level k of the two sweeps' factors: z_k = F_k (z_{k-1}, r_k)
     # with F_k = [-L_k^-1 W_{k-1}^T, L_k^-1], and y_k = B_k (z_k, y_{k+1})
     # with B_k = [L_k^-T, -L_k^-T W_k]
     F, B = [], []
     try:
-        for k, rows in enumerate(levels):
-            m = len(rows)
-            sub = G.take(rows)
-            up = level[sub.indices] - k  # 0 in G_{k,k}, 1 in G_{k,k+1}, -1 in G_{k,k-1}
-            keep = up >= 0
+        for k, m in enumerate(size):
             block = np.zeros((m, bounds[min(k + 2, len(levels))] - bounds[k]))
-            block[sub.row_ids[keep], (pos[sub.indices] + m * up)[keep]] = sub.data[keep]
+            at = slice(cut[k], cut[k + 1])
+            block[row[at], col[at]] = G.data[e[at]]
             D = block[:, :m] - W.T @ W if k else block[:, :m]
             Linv = np.linalg.inv(np.linalg.cholesky(D))
             F.append(np.concatenate([-Linv @ W.T, Linv], axis=1) if k else Linv)
@@ -211,30 +213,29 @@ def _interface_solver(G):
     return solve
 
 
-#: most elements whose blocks of G are formed in one batch
-_ELEMENTS_PER_BATCH = 64
+#: most elements whose blocks of G are formed in one batch, and fewest
+#: elements whose coupling rows are summed at once
+_ELEMENTS_PER_BATCH, _COUPLING_BATCH = 64, 256
 
 
 def _interface_mass(space, W, rule, start):
     """The block G = sum_i C_G^T M_i C_G of the columns C_G of C from
-    ``start`` on, the edge and vertex functions, in their local numbering,
-    and the block C_I^T M_i C_G of the interior columns C_I before ``start``
-    in them, the coupling, both as ``CSRMatrix``, with W the patches'
-    weights (``_patch_weights``).
+    ``start`` on, the edge and vertex functions, in their own numbering,
+    and the coupling C_I^T M_i C_G of the interior columns C_I to them, as
+    ``CSRMatrix``, with W the patches' weights (``fit._patch_weights``).
 
     Those columns live on the two coefficient layers next to the sides,
     which p - r >= 2 keeps on the ring of elements next to the sides. The
     ring is cut into pinwheel strips, one per side s, each seen in the frame
     turned s quarter turns (the symmetric node grid maps onto itself): the
-    elements (0, 0..n-2), or the single element when n = 1. An element e of
-    a strip has g^2 nodes and (p+1)^2 active rows; the block Z_e of the K
-    columns that touch those rows takes the values X_e = (across (x)
-    along_e) Z_e there, and the rows' mass with them is Y_e = (across (x)
-    along_e)^T (w_e o X_e). The element adds the upper triangle of Z_e^T Y_e
-    to G and the rows of Y_e that are interior B-splines, times their
-    coefficient, to the coupling, which is summed patch by patch. The
-    elements are batched, so both cost O(n). G is mirrored from its summed
-    upper triangle with one sort of its columns, so it is exactly symmetric.
+    elements (0, 0..n-2), or the single element when n = 1. On an element,
+    the block Z_e of the K columns that touch its (p+1)^2 rows has the
+    values X_e = (across (x) along_e) Z_e at its g^2 nodes, and the rows'
+    mass with them is Y_e = (across (x) along_e)^T (w_e o X_e). G sums the
+    upper triangles of X_e^T (w_e o X_e) and is mirrored from that with one
+    sort of its columns, so it is exactly symmetric; the coupling sums, patch
+    by patch, the rows of Y_e at interior B-splines times their coefficient.
+    The elements are batched, so both cost O(n).
     """
     cfg, C = space.config, space.C
     p, n, g, N, P = cfg.p, rule.n, rule.order, space.N, len(W)
@@ -277,15 +278,18 @@ def _interface_mass(space, W, rule, start):
     inner, at = np.nonzero((a >= 2) & (a <= N - 3) & (b >= 2) & (b <= N - 3))
     turned = np.stack([rotate_net(np.arange(N * N).reshape(N, N), s) for s in range(sides)])
     at_c = C.indptr[inner // per * N * N + turned[inner % sides, a[at], b[inner, at]]]
-    # batches of elements of one patch each, padded to the most columns in the batch
-    lo = (np.arange(P)[:, None] * per + np.arange(0, per, _ELEMENTS_PER_BATCH)).ravel()
-    hi = np.minimum(lo + _ELEMENTS_PER_BATCH, lo // per * per + per)
+    # batches of whole patches, or of parts of one patch, each padded to the
+    # most columns in the batch
+    group = max(1, _ELEMENTS_PER_BATCH // per) * per
+    lo = np.concatenate([np.arange(g, min(g + group, P * per), _ELEMENTS_PER_BATCH)
+                         for g in range(0, P * per, group)])
+    hi = np.minimum(lo + _ELEMENTS_PER_BATCH, np.minimum(lo // group * group + group, P * per))
     A0 = _basis_values(cfg, rule.nodes.ravel())
     e = np.arange(ne)[:, None, None]
     along = A0[e * g + np.arange(g)[:, None], e * mult + np.arange(p + 1)]  # (ne, g, p+1)
     w = np.stack([rotate_net(W.transpose(1, 2, 0), s)[:g, : ne * g] for s in range(sides)])
     w = w.reshape(sides, g, ne, g, -1).transpose(4, 2, 0, 1, 3).reshape(-1, g * g, 1)
-    parts, pieces, cparts = [], [], []
+    parts, pieces, cparts, done = [], [], [], 0
     for lo, hi, i0, i1, j0, j1 in zip(lo, hi, np.searchsorted(el, lo), np.searchsorted(el, hi),
                                       np.searchsorted(inner, lo), np.searchsorted(inner, hi)):
         ids, K = np.arange(lo, hi), count[lo:hi].max()
@@ -304,15 +308,14 @@ def _interface_mass(space, W, rule, start):
         t = inner[j0:j1] - lo
         cparts.append((np.broadcast_to(C.indices[at_c[j0:j1], None], (j1 - j0, K))[real[t]],
                        k[t][real[t]], (C.data[at_c[j0:j1], None] * Y[t, at[j0:j1]])[real[t]]))
-        if hi % per == 0:  # the patch is done: its rows of the coupling are summed
+        # once enough are waiting, the coupling rows of the patches done are summed
+        if (hi % group == 0 and len(cparts) * _ELEMENTS_PER_BATCH >= _COUPLING_BATCH) or hi == P * per:
             rows, cols, vals = map(np.concatenate, zip(*cparts))
-            pieces.append(CSRMatrix.from_triplets(rows - lo // per * (N - 4) ** 2, cols, vals, ((N - 4) ** 2, size)))
-            cparts = []
+            q = CSRMatrix.from_triplets(rows - done, cols, vals, (hi // per * (N - 4) ** 2 - done, size))
+            pieces, cparts, done = pieces + [(np.diff(q.indptr), q.indices, q.data)], [], done + q.shape[0]
     del el, local, val, slot, Z, X, Y, E, cparts
-    indptr = np.r_[0, np.cumsum(np.concatenate([np.diff(q.indptr) for q in pieces]))]
-    coupling = CSRMatrix(indptr, *(np.concatenate([getattr(q, a) for q in pieces]) for a in ("indices", "data")),
-                         (start, size))
-    del pieces
+    counts, indices, data = map(np.concatenate, zip(*pieces))
+    coupling = CSRMatrix(np.r_[0, np.cumsum(counts)], indices, data, (start, size))
     U = CSRMatrix.from_triplets(*map(np.concatenate, zip(*parts)), (size, size))
     del parts
     # row i of G is column i of U's strict upper triangle, which a sort of
@@ -328,19 +331,17 @@ def _interface_mass(space, W, rule, start):
 
 def _block_preconditioner(space, G, coupling):
     """Symmetric block Gauss-Seidel approximate inverse of the Jacobi-scaled
-    mass A, given its edge and vertex block G and the block A_IG of the
-    interior rows in those columns (``CSRMatrix``).
-
-    The interior block, (N-4)^2 unit B-splines per patch in row-major (j1,
-    j2) order, is approximated by P_I^-1 = K^ (x) K^ on every patch: with
-    K^ = Q diag(lam) Q^T, P_I maps a residual block R (N-4, N-4) to
-    Q (L o Q^T R Q) Q^T, L = 1 / (lam_i lam_j). G is solved exactly by
-    ``_interface_solver``. A residual (r_I, r_G) maps to z_I = P_I r_I,
-    z_G = G^-1 (r_G - A_GI z_I) and y_I = z_I - P_I A_IG z_G (Axelsson,
-    Iterative Solution Methods, 1994; Eijkhout & Vassilevski, SIAM Review
-    33, 1991): K^T diag(P_I, G^-1) K with K = [I 0; -A_GI P_I I], positive
-    definite whenever P_I and G are, also where curved patches leave P_I
-    inexact. Every apply returns the same vector, overwritten by the next.
+    mass A, given its edge and vertex block G and the interior rows' block
+    A_IG in those columns (``CSRMatrix``). The interior block, (N-4)^2 unit
+    B-splines per patch in row-major (j1, j2) order, is approximated by
+    P_I^-1 = K^ (x) K^ on every patch: with K^ = Q diag(lam) Q^T, P_I maps
+    a block R (N-4, N-4) to Q (L o Q^T R Q) Q^T, L = 1 / (lam_i lam_j); G is
+    solved exactly (``_interface_solver``). A residual (r_I, r_G) maps to
+    z_I = P_I r_I, z_G = G^-1 (r_G - A_GI z_I), y_I = z_I - P_I A_IG z_G
+    (Axelsson, Iterative Solution Methods, 1994; Eijkhout & Vassilevski,
+    SIAM Review 33, 1991): K^T diag(P_I, G^-1) K with K = [I 0; -A_GI P_I
+    I], positive definite whenever P_I and G are, so also on curved patches,
+    where P_I is inexact. Each apply overwrites the vector it returns.
     """
     P, m, ni = len(space.geometry.patches), space.N - 4, space.breakdown["patch"]
     interface = _interface_solver(G)
