@@ -112,8 +112,14 @@ def _weight_blocks(space, i, rule, step):
     XA0, XA1, YA0, YA1 = X @ A0.T, X @ A1.T, Y @ A0.T, Y @ A1.T
     for rows in (slice(lo, lo + step) for lo in range(0, len(x), step)):
         a0, a1 = A0[rows], A1[rows]
-        det = np.abs((a1 @ XA0) * (a0 @ YA1) - (a1 @ YA0) * (a0 @ XA1))
-        yield rows, np.multiply(det, np.outer(w[rows], w), out=det), a0, XA0, YA0
+        det = a1 @ XA0  # formed in place: the assembly rule's grid is large
+        det *= a0 @ YA1
+        t = a1 @ YA0
+        t *= a0 @ XA1
+        det -= t
+        np.abs(det, out=det)
+        det *= np.outer(w[rows], w)
+        yield rows, det, a0, XA0, YA0
 
 
 class MassOperator:
@@ -151,7 +157,8 @@ class MassOperator:
         """The operator diag(s) M diag(s)."""
         G, A, t = self.interface, self.coupling, s[self.start :]
         G = CSRMatrix(G.indptr, G.indices, G.data * (t[G.row_ids] * t[G.indices]), G.shape)
-        A = CSRMatrix(A.indptr, A.indices, A.data * (s[A.row_ids] * t[A.indices]), A.shape)
+        si = np.repeat(s[: self.start], np.diff(A.indptr))  # s at the row of every entry
+        A = CSRMatrix(A.indptr, A.indices, A.data * (si * t[A.indices]), A.shape)
         C = CSRMatrix(self.C.indptr, self.C.indices, self.C.data * s[self.C.indices],
                       self.C.shape)
         return MassOperator(C, self._A0, self._W, self.diagonal * s * s, G, A, self.start)

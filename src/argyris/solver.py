@@ -213,9 +213,8 @@ def _interface_solver(G):
     return solve
 
 
-#: most elements whose blocks of G are formed in one batch, and fewest
-#: elements whose coupling rows are summed at once
-_ELEMENTS_PER_BATCH, _COUPLING_BATCH = 64, 256
+#: most elements whose blocks of G are formed in one batch
+_ELEMENTS_PER_BATCH = 64
 
 
 def _interface_mass(space, W, rule, start):
@@ -278,6 +277,7 @@ def _interface_mass(space, W, rule, start):
     inner, at = np.nonzero((a >= 2) & (a <= N - 3) & (b >= 2) & (b <= N - 3))
     turned = np.stack([rotate_net(np.arange(N * N).reshape(N, N), s) for s in range(sides)])
     at_c = C.indptr[inner // per * N * N + turned[inner % sides, a[at], b[inner, at]]]
+    icol, ival = C.indices[at_c], C.data[at_c, None]
     # batches of whole patches, or of parts of one patch, each padded to the
     # most columns in the batch
     group = max(1, _ELEMENTS_PER_BATCH // per) * per
@@ -289,31 +289,34 @@ def _interface_mass(space, W, rule, start):
     along = A0[e * g + np.arange(g)[:, None], e * mult + np.arange(p + 1)]  # (ne, g, p+1)
     w = np.stack([rotate_net(W.transpose(1, 2, 0), s)[:g, : ne * g] for s in range(sides)])
     w = w.reshape(sides, g, ne, g, -1).transpose(4, 2, 0, 1, 3).reshape(-1, g * g, 1)
-    parts, pieces, cparts, done = [], [], [], 0
-    for lo, hi, i0, i1, j0, j1 in zip(lo, hi, np.searchsorted(el, lo), np.searchsorted(el, hi),
-                                      np.searchsorted(inner, lo), np.searchsorted(inner, hi)):
+    across = A0[:g, : p + 1]
+    parts, pieces, cparts, done, upper = [], [], [], 0, {}
+    for lo, hi, i0, i1, j0, j1 in zip(lo, hi, el.searchsorted(lo), el.searchsorted(hi),
+                                      inner.searchsorted(lo), inner.searchsorted(hi)):
         ids, K = np.arange(lo, hi), count[lo:hi].max()
-        Z = np.zeros((len(ids), p + 1, p + 1, K))
-        Z.reshape(len(ids), -1, K)[el[i0:i1] - lo, local[i0:i1], slot[i0:i1]] = val[i0:i1]
+        Z = np.zeros((hi - lo, p + 1, p + 1, K))
+        Z.reshape(hi - lo, -1, K)[el[i0:i1] - lo, local[i0:i1], slot[i0:i1]] = val[i0:i1]
         along_e = along[ids // sides % ne, None]
-        X = (A0[:g, : p + 1] @ (along_e @ Z).reshape(len(ids), p + 1, -1)).reshape(len(ids), -1, K)
-        wX = X * w[ids]
-        Y = (A0[:g, : p + 1].T @ wX.reshape(len(ids), g, -1))
-        Y = (along_e.transpose(0, 1, 3, 2) @ Y.reshape(len(ids), p + 1, g, K)).reshape(len(ids), -1, K)
-        k = column[first[ids, None] + np.minimum(np.arange(K), count[ids, None] - 1)]
-        real = np.arange(K) < count[ids, None]  # no padded column
-        r, c = np.nonzero(np.arange(K)[:, None] <= np.arange(K))
-        E = (X.transpose(0, 2, 1) @ wX)[:, r, c]
-        parts.append((k[:, r][real[:, c]], k[:, c][real[:, c]], E[real[:, c]]))
+        X = (across @ (along_e @ Z).reshape(hi - lo, p + 1, -1)).reshape(hi - lo, -1, K)
+        wX = X * w[lo:hi]
+        Y = (across.T @ wX.reshape(hi - lo, g, -1)).reshape(hi - lo, p + 1, g, K)
+        Y = (along_e.transpose(0, 1, 3, 2) @ Y).reshape(hi - lo, -1, K)
+        k = column[first[lo:hi, None] + np.minimum(np.arange(K), count[lo:hi, None] - 1)]
+        real = np.arange(K) < count[lo:hi, None]  # no padded column
+        if K not in upper:
+            upper[K] = (np.arange(K)[:, None] <= np.arange(K)).nonzero()
+        r, c = upper[K]
+        keep = real[:, c]
+        parts.append((k[:, r][keep], k[:, c][keep], (X.transpose(0, 2, 1) @ wX)[:, r, c][keep]))
         t = inner[j0:j1] - lo
-        cparts.append((np.broadcast_to(C.indices[at_c[j0:j1], None], (j1 - j0, K))[real[t]],
-                       k[t][real[t]], (C.data[at_c[j0:j1], None] * Y[t, at[j0:j1]])[real[t]]))
-        # once enough are waiting, the coupling rows of the patches done are summed
-        if (hi % group == 0 and len(cparts) * _ELEMENTS_PER_BATCH >= _COUPLING_BATCH) or hi == P * per:
+        keep = real[t]
+        cparts.append((icol[j0:j1].repeat(K)[keep.ravel()], k[t][keep],
+                       (ival[j0:j1] * Y[t, at[j0:j1]])[keep]))
+        if hi % group == 0 or hi == P * per:  # its patches are done: sum their coupling rows
             rows, cols, vals = map(np.concatenate, zip(*cparts))
             q = CSRMatrix.from_triplets(rows - done, cols, vals, (hi // per * (N - 4) ** 2 - done, size))
             pieces, cparts, done = pieces + [(np.diff(q.indptr), q.indices, q.data)], [], done + q.shape[0]
-    del el, local, val, slot, Z, X, Y, E, cparts
+    del el, local, val, slot, Z, X, wX, Y, cparts
     counts, indices, data = map(np.concatenate, zip(*pieces))
     coupling = CSRMatrix(np.r_[0, np.cumsum(counts)], indices, data, (start, size))
     U = CSRMatrix.from_triplets(*map(np.concatenate, zip(*parts)), (size, size))
