@@ -276,8 +276,9 @@ def _interface_mass(space, W, rule, start):
     b = ids // sides % ne * mult + b
     inner, at = np.nonzero((a >= 2) & (a <= N - 3) & (b >= 2) & (b <= N - 3))
     turned = np.stack([rotate_net(np.arange(N * N).reshape(N, N), s) for s in range(sides)])
-    at_c = C.indptr[inner // per * N * N + turned[inner % sides, a[at], b[inner, at]]]
-    icol, ival = C.indices[at_c], C.data[at_c, None]
+    icol = C.indptr[inner // per * N * N + turned[inner % sides, a[at], b[inner, at]]]
+    icol, ival = C.indices[icol], C.data[icol, None]
+    del a, b, turned
     # batches of whole patches, or of parts of one patch, each padded to the
     # most columns in the batch
     group = max(1, _ELEMENTS_PER_BATCH // per) * per
@@ -312,15 +313,15 @@ def _interface_mass(space, W, rule, start):
         keep = real[t]
         cparts.append((icol[j0:j1].repeat(K)[keep.ravel()], k[t][keep],
                        (ival[j0:j1] * Y[t, at[j0:j1]])[keep]))
+        del Z, X, wX, Y
         if hi % group == 0 or hi == P * per:  # its patches are done: sum their coupling rows
-            rows, cols, vals = map(np.concatenate, zip(*cparts))
+            (rows, cols, vals), cparts = map(np.concatenate, zip(*cparts)), []
             q = CSRMatrix.from_triplets(rows - done, cols, vals, (hi // per * (N - 4) ** 2 - done, size))
-            pieces, cparts, done = pieces + [(np.diff(q.indptr), q.indices, q.data)], [], done + q.shape[0]
-    del el, local, val, slot, Z, X, wX, Y, cparts
-    counts, indices, data = map(np.concatenate, zip(*pieces))
-    coupling = CSRMatrix(np.r_[0, np.cumsum(counts)], indices, data, (start, size))
-    U = CSRMatrix.from_triplets(*map(np.concatenate, zip(*parts)), (size, size))
-    del parts
+            pieces, done = pieces + [(np.diff(q.indptr), q.indices, q.data)], done + q.shape[0]
+    del el, local, val, slot, column, first, inner, at, icol, ival, w, cparts
+    (rows, cols, vals), parts = map(np.concatenate, zip(*parts)), None
+    U = CSRMatrix.from_triplets(rows, cols, vals, (size, size))
+    del rows, cols, vals
     # row i of G is column i of U's strict upper triangle, which a sort of
     # its columns alone puts in row order, then row i of U
     off = np.flatnonzero(U.row_ids != U.indices)
@@ -329,7 +330,10 @@ def _interface_mass(space, W, rule, start):
     at = np.r_[np.arange(len(low)) + U.indptr[U.indices[low]], np.arange(U.nnz) + cum[U.row_ids]]
     indices, data = np.empty_like(at), np.empty(len(at))
     indices[at], data[at] = np.r_[U.row_ids[low], U.indices], np.r_[U.data[low], U.data]
-    return CSRMatrix(U.indptr + np.r_[0, cum], indices, data, U.shape), coupling
+    G = CSRMatrix(U.indptr + np.r_[0, cum], indices, data, U.shape)
+    del U, off, low, at
+    counts, indices, data = map(np.concatenate, zip(*pieces))
+    return G, CSRMatrix(np.r_[0, np.cumsum(counts)], indices, data, (start, size))
 
 
 def _block_preconditioner(space, G, coupling):
