@@ -3,33 +3,29 @@
 Element-wise tensor Gauss quadrature gives each patch's |det DF|-weighted
 tensor B-spline mass M_i and load vector b_i; the rows C_i of patch i in the
 space's extraction matrix C turn them into the mass matrix sum_i C_i^T M_i
-C_i and the load vector sum_i C_i^T b_i. The quadrature nodes of a patch
-form a tensor grid, so the patch map and its Jacobian, the target field and
-the fitted member are sampled there by sum factorization: per-direction
-basis tables, each made once per (space, nodes, derivative order), instead
-of a basis evaluation at every node. The mass and the load of a fit share
-the |det DF| weights of every patch. With A0 the (m, N) basis values at the
-m nodes of one direction and W the weights on the node grid, b_i is A0^T
-(W o z) A0 for target samples z. The mass is never assembled: a
-``MassOperator`` applies M_i to a coefficient grid U by sum factorization,
-A0^T (W o (A0 U A0^T)) A0, between the products with C_i and C_i^T
-(Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME 2015; Sangalli &
-Tani, CMAME 2018), and stores only what the preconditioner needs: the
-diagonal, which is v^2 ((A0^2)^T W A0^2)[a1, a2] at an interior column (one
-B-spline (a1, a2) times v), and the blocks of the edge and vertex columns,
-assembled element by element over the ring next to the sides in O(n)
+C_i and the load vector sum_i C_i^T b_i. The patch map, the target and the
+fitted member are sampled on each patch's tensor grid of nodes by sum
+factorization, from per-direction basis tables made once per (space, nodes,
+derivative order); mass and load share the |det DF| weights. With A0 the
+(m, N) basis values at the m nodes of one direction and W the weights on
+the node grid, b_i is A0^T (W o z) A0 for target samples z. The mass is
+never assembled: a ``MassOperator`` applies M_i to a coefficient grid U by
+sum factorization, A0^T (W o (A0 U A0^T)) A0, between the products with C_i
+and C_i^T (Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME 2015;
+Sangalli & Tani, CMAME 2018), and stores only what the preconditioner
+needs: the diagonal, v^2 ((A0^2)^T W A0^2)[a1, a2] at an interior column
+(one B-spline (a1, a2) times v), and the blocks of the edge and vertex
+columns, assembled over the ring next to the sides in O(n)
 (``solver._interface_mass``). The normal equations are solved by
 preconditioned conjugate gradients (``solver``); ``FitResult`` records the
 iteration count, the Lanczos condition estimate and the time of each stage.
-A fit may start CG from a member of a coarser space that its space refines:
-the spaces nest under refinement with the same gluing, so the member is
-written exactly in the finer space, as D_h (R (x) R)(C_H c_H) with R the
-knot insertion and D_h the dual functionals (``duality._prolong``). The
-convergence driver fits a target function on a sequence of nested dyadic
-refinements, each level built on the gluing data fitted once on the
-coarsest mesh and started from the fit of the level before (nested
-iteration), and tabulates errors with estimated convergence rates ecr =
-log2(e_coarse / e_fine).
+A fit may start CG from a member of a coarser space that its space refines,
+written exactly in the finer space as D_h (R (x) R)(C_H c_H), R the knot
+insertion and D_h the dual functionals (``duality._prolong``). The
+convergence driver fits a target on nested dyadic refinements, each level
+built on the gluing data fitted once on the coarsest mesh and started from
+the fit before (nested iteration), and tabulates errors with estimated
+convergence rates ecr = log2(e_coarse / e_fine).
 """
 
 import time
@@ -102,9 +98,8 @@ def _patch_weights(space, i, rule):
 
 def _weight_blocks(space, i, rule, step):
     """``_patch_weights`` by blocks of ``step`` grid rows, as (rows, weights,
-    A0[rows], X A0^T, Y A0^T) with X, Y the net's coordinates, which give
-    the block's positions. det DF needs first-derivative tables only, and
-    the products of the net with the tables are made once."""
+    A0[rows], X A0^T, Y A0^T), X and Y the net's coordinates; the products
+    of the net with the first-derivative tables are made once."""
     patch = space.geometry.patches[i]
     x, w = rule.nodes.ravel(), rule.weights.ravel()
     A0, A1 = (_basis_values(patch.space, x, d) for d in (0, 1))
@@ -128,14 +123,12 @@ class MassOperator:
     ``M @ x`` maps a coefficient vector (dim,) or matrix (dim, k) by the
     space's extraction matrix ``C`` (patches * N*N, dim) to the tensor
     coefficient grids U_i, applies each patch mass by sum factorization,
-    A0^T (W_i o (A0 U_i A0^T)) A0, with A0 the (m, N) basis values at the m
-    quadrature nodes of a direction and W_i the patch's |det DF| weights on
-    the node grid, and maps back by C^T (``solver._mass_apply``). What the
-    preconditioner needs is stored: the ``diagonal`` (dim,), ``interface``,
-    the exactly symmetric block of the edge and vertex functions (positions
-    ``start``..dim), and ``coupling``, the interior rows of those columns,
-    both ``CSRMatrix`` (``_interface_mass``). ``M @ x`` refuses an x whose
-    length is not dim, or a complex one.
+    A0^T (W_i o (A0 U_i A0^T)) A0, and maps back by C^T
+    (``solver._mass_apply``); it refuses an x whose length is not dim, or a
+    complex one. Stored for the preconditioner: the ``diagonal`` (dim,),
+    ``interface``, the exactly symmetric block of the edge and vertex
+    functions (positions ``start``..dim), and ``coupling``, the interior
+    rows of those columns, both ``CSRMatrix`` (``_interface_mass``).
     """
 
     def __init__(self, C, A0, W, diagonal, interface, coupling, start):

@@ -2,21 +2,18 @@
 
 The normal equations are diagonally scaled, A = S M S with S = diag(M)^-1/2,
 and solved by conjugate gradients, preconditioned by symmetric block
-Gauss-Seidel over the two families of the basis. The patch-interior
-functions, which lead the basis, are unit tensor B-splines, so their block
-of A is close to K^ (x) K^ on every patch, with K^ the unit-diagonal 1D
-B-spline mass of the interior indices on [0, 1], inverted by fast
-diagonalization (Sangalli & Tani, SISC 2016). The few edge and vertex
-functions form the trailing block, solved exactly: its rows, ordered by
-breadth-first levels from a pseudo-peripheral row (Cuthill & McKee, 1969),
-make it block tridiagonal, and block Cholesky needs one small dense factor
-per level, read off the block's sparsity alone; the levels stay narrow
-because each function couples only to its neighbours along the interfaces.
-That block and its coupling to the interior rows are assembled over the
-ring of elements next to the sides. At p = 3 CG needs about 16 iterations
-from zero, and 7 at n = 32 from the prolonged fit of n = 16 (nested
-iteration: Brandt, Math. Comp. 1977); its coefficients give a Lanczos
-estimate of the condition number. A solve makes its work arrays once.
+Gauss-Seidel over the two families of the basis. The patch interiors'
+block is close to K^ (x) K^ on every patch, K^ the unit-diagonal 1D
+B-spline mass of the interior indices on [0, 1], and is inverted by fast
+diagonalization (Sangalli & Tani, SISC 2016). The edge and vertex block is
+solved exactly: breadth-first levels of its rows from a pseudo-peripheral
+row (Cuthill & McKee, 1969) make it block tridiagonal, with one small dense
+factor per level, and they stay narrow because each function couples only
+to its neighbours along the interfaces. That block and its coupling to the
+interior rows are assembled over the ring of elements next to the sides.
+At p = 3 CG takes about 16 iterations from zero, and 7 at n = 32 from the
+prolonged fit of n = 16 (nested iteration: Brandt, Math. Comp. 1977); its
+coefficients give a Lanczos estimate of the condition number.
 """
 
 import numpy as np
@@ -73,8 +70,8 @@ def _pcg(apply, b, precond, x0=None):
     the preconditioned operator. Raises NumericalError, with that estimate,
     when ||r|| does not reach CG_RTOL ||b|| within CG_MAXITER iterations or
     a step finds r.z <= 0 or p.Ap <= 0, so that A or the preconditioner is
-    not positive definite. ``apply`` and ``precond`` may return r itself or
-    an array their next call overwrites; A p is work space once used.
+    not positive definite. ``precond`` may return r, and either callable an
+    array that its next call overwrites; A p is work space once used.
     """
     x = np.zeros_like(b) if x0 is None else x0
     r = b.copy() if x0 is None else b - apply(x)
@@ -227,14 +224,13 @@ def _interface_mass(space, W, rule, start):
     which p - r >= 2 keeps on the ring of elements next to the sides. The
     ring is cut into pinwheel strips, one per side s, each seen in the frame
     turned s quarter turns (the symmetric node grid maps onto itself): the
-    elements (0, 0..n-2), or the single element when n = 1. On an element,
-    the block Z_e of the K columns that touch its (p+1)^2 rows has the
-    values X_e = (across (x) along_e) Z_e at its g^2 nodes, and the rows'
-    mass with them is Y_e = (across (x) along_e)^T (w_e o X_e). G sums the
-    upper triangles of X_e^T (w_e o X_e) and is mirrored from that with one
-    sort of its columns, so it is exactly symmetric; the coupling sums, patch
-    by patch, the rows of Y_e at interior B-splines times their coefficient.
-    The elements are batched, so both cost O(n).
+    elements (0, 0..n-2), or the single element when n = 1. The block Z_e of
+    the K columns that touch an element's (p+1)^2 rows has the values X_e =
+    (across (x) along_e) Z_e at its g^2 nodes. G sums the upper triangles of
+    X_e^T (w_e o X_e), batched over elements, and is mirrored with one sort
+    of its columns, so it is exactly symmetric; the coupling sums, a few
+    patches at a time, the rows of (across (x) along_e)^T (w_e o X_e) at
+    interior B-splines times their coefficient. Both cost O(n).
     """
     cfg, C = space.config, space.C
     p, n, g, N, P = cfg.p, rule.n, rule.order, space.N, len(W)
@@ -291,22 +287,19 @@ def _interface_mass(space, W, rule, start):
     w = np.stack([rotate_net(W.transpose(1, 2, 0), s)[:g, : ne * g] for s in range(sides)])
     w = w.reshape(sides, g, ne, g, -1).transpose(4, 2, 0, 1, 3).reshape(-1, g * g, 1)
     across = A0[:g, : p + 1]
-    parts, pieces, cparts, done, upper = [], [], [], 0, {}
+    parts, pieces, cparts, done = [], [], [], 0
     for lo, hi, i0, i1, j0, j1 in zip(lo, hi, el.searchsorted(lo), el.searchsorted(hi),
                                       inner.searchsorted(lo), inner.searchsorted(hi)):
-        ids, K = np.arange(lo, hi), count[lo:hi].max()
+        K, along_e = count[lo:hi].max(), along[np.arange(lo, hi) // sides % ne, None]
         Z = np.zeros((hi - lo, p + 1, p + 1, K))
         Z.reshape(hi - lo, -1, K)[el[i0:i1] - lo, local[i0:i1], slot[i0:i1]] = val[i0:i1]
-        along_e = along[ids // sides % ne, None]
         X = (across @ (along_e @ Z).reshape(hi - lo, p + 1, -1)).reshape(hi - lo, -1, K)
         wX = X * w[lo:hi]
         Y = (across.T @ wX.reshape(hi - lo, g, -1)).reshape(hi - lo, p + 1, g, K)
         Y = (along_e.transpose(0, 1, 3, 2) @ Y).reshape(hi - lo, -1, K)
         k = column[first[lo:hi, None] + np.minimum(np.arange(K), count[lo:hi, None] - 1)]
         real = np.arange(K) < count[lo:hi, None]  # no padded column
-        if K not in upper:
-            upper[K] = (np.arange(K)[:, None] <= np.arange(K)).nonzero()
-        r, c = upper[K]
+        r, c = (np.arange(K)[:, None] <= np.arange(K)).nonzero()
         keep = real[:, c]
         parts.append((k[:, r][keep], k[:, c][keep], (X.transpose(0, 2, 1) @ wX)[:, r, c][keep]))
         t = inner[j0:j1] - lo
@@ -341,14 +334,12 @@ def _block_preconditioner(space, G, coupling):
     mass A, given its edge and vertex block G and the interior rows' block
     A_IG in those columns (``CSRMatrix``). The interior block, (N-4)^2 unit
     B-splines per patch in row-major (j1, j2) order, is approximated by
-    P_I^-1 = K^ (x) K^ on every patch: with K^ = Q diag(lam) Q^T, P_I maps
-    a block R (N-4, N-4) to Q (L o Q^T R Q) Q^T, L = 1 / (lam_i lam_j); G is
-    solved exactly (``_interface_solver``). A residual (r_I, r_G) maps to
-    z_I = P_I r_I, z_G = G^-1 (r_G - A_GI z_I), y_I = z_I - P_I A_IG z_G
-    (Axelsson, Iterative Solution Methods, 1994; Eijkhout & Vassilevski,
-    SIAM Review 33, 1991): K^T diag(P_I, G^-1) K with K = [I 0; -A_GI P_I
-    I], positive definite whenever P_I and G are, so also on curved patches,
-    where P_I is inexact. Each apply overwrites the vector it returns.
+    P_I^-1 = K^ (x) K^: with K^ = Q diag(lam) Q^T, P_I R = Q (L o Q^T R Q)
+    Q^T, L = 1 / (lam_i lam_j). A residual (r_I, r_G) maps to z_I = P_I r_I,
+    z_G = G^-1 (r_G - A_GI z_I), y_I = z_I - P_I A_IG z_G (Axelsson, 1994;
+    Eijkhout & Vassilevski, SIAM Review 33, 1991), which is K^T diag(P_I,
+    G^-1) K with K = [I 0; -A_GI P_I I]: positive definite whenever P_I and
+    G are, also on curved patches. Each apply overwrites the vector it returns.
     """
     P, m, ni = len(space.geometry.patches), space.N - 4, space.breakdown["patch"]
     interface = _interface_solver(G)
@@ -376,11 +367,10 @@ def _block_preconditioner(space, G, coupling):
 
 
 def _mass_apply(M, k=1):
-    """x -> M x for a ``MassOperator`` M and x of shape (dim,), or (dim, k),
-    with the work arrays made once: the terms of the products with C and
-    C^T, each summed in stored order by a bincount, whose outputs are the
-    only arrays an apply makes, and per patch i A0 U_i, T = W_i o (A0 U_i
-    A0^T), A0^T T and V_i = A0^T T A0. ``M @ x`` is one call of it."""
+    """x -> M x for a ``MassOperator`` M and x (dim,) or (dim, k), in work
+    arrays made once: the terms of the products with C and C^T, each summed
+    in stored order by a bincount (whose outputs are the only arrays an
+    apply makes), and A0 U_i, W_i o (A0 U_i A0^T) per patch i."""
     C, A0, W = M.C, M._A0, M._W
     (rows, dim), (P, m, _), N = C.shape, W.shape, A0.shape[1]
     into = C.row_ids if k == 1 else (C.row_ids[:, None] * k + np.arange(k)).ravel()
@@ -406,8 +396,7 @@ def _solve_scaled(space, M, rhs, x0=None):
     """Solution of M c = rhs from c = x0 (default 0), the number of PCG
     iterations it took and the condition estimate of the preconditioned
     scaled system A = S M S, S = diag(M)^-1/2. A given x0 is overwritten
-    and returned as the solution: a fit at n = 32 keeps no second vector.
-    The work arrays belong to this solve: threads share none of them."""
+    and returned as the solution. The work arrays belong to this solve."""
     d = M.diagonal
     if np.any(d <= 0.0):
         raise NumericalError("mass diagonal is not positive")

@@ -5,7 +5,8 @@ by at most 0.25. Bilinear multi-patch geometries are always AS-G1 (Collin,
 Sangalli & Takacs, CAGD 2016), and the grid has an interior vertex of
 valence 4, which no builtin geometry has. A move of at most 0.25 keeps each
 patch edge within 30 degrees of its grid direction and at least 0.5 long,
-so every corner Jacobian determinant stays above 0.125.
+so every corner Jacobian determinant stays above 0.125. The patches are not
+parallelograms, so the fit's preconditioner is inexact on their interiors.
 
 On two_patch_bilinear at n = 64 and 256, one edge column scaled by 1.01 on
 one patch is a space that is not C1, which the smoothness report must fail
