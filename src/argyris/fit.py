@@ -92,29 +92,21 @@ def _check_rule(space, rule):
 
 def _patch_weights(space, i, rule):
     """Quadrature weights times |det DF| on the tensor grid of one patch, an
-    (m, m) array over the m nodes of each direction."""
-    return next(_weight_blocks(space, i, rule, rule.nodes.size))[1]
-
-
-def _weight_blocks(space, i, rule, step):
-    """``_patch_weights`` by blocks of ``step`` grid rows, as (rows, weights,
-    A0[rows], X A0^T, Y A0^T), X and Y the net's coordinates; the products
-    of the net with the first-derivative tables are made once."""
+    (m, m) array over the m nodes of each direction; det DF needs
+    first-derivative tables only."""
     patch = space.geometry.patches[i]
-    x, w = rule.nodes.ravel(), rule.weights.ravel()
+    x = rule.nodes.ravel()
     A0, A1 = (_basis_values(patch.space, x, d) for d in (0, 1))
     X, Y = np.moveaxis(patch.net, -1, 0)
-    XA0, XA1, YA0, YA1 = X @ A0.T, X @ A1.T, Y @ A0.T, Y @ A1.T
-    for rows in (slice(lo, lo + step) for lo in range(0, len(x), step)):
-        a0, a1 = A0[rows], A1[rows]
-        det = a1 @ XA0  # formed in place: the assembly rule's grid is large
-        det *= a0 @ YA1
-        t = a1 @ YA0
-        t *= a0 @ XA1
-        det -= t
-        np.abs(det, out=det)
-        det *= np.outer(w[rows], w)
-        yield rows, det, a0, XA0, YA0
+    det = A1 @ (X @ A0.T)  # formed in place: the grid is large
+    det *= A0 @ (Y @ A1.T)
+    t = A1 @ (Y @ A0.T)
+    t *= A0 @ (X @ A1.T)
+    det -= t
+    np.abs(det, out=det)
+    w = rule.weights.ravel()
+    det *= np.outer(w, w)
+    return det
 
 
 class MassOperator:
@@ -214,21 +206,38 @@ def assemble_rhs(space, fld, rule=None, *, weights=None):
     return rhs
 
 
+#: most elements whose grid rows the error integral takes at a time
+_ERROR_ELEMENTS = 4
+
+
 def _integral_sq(space, coeffs, fld, rule):
     """int (u_c - z)^2 and int z^2 by the same element-wise quadrature, in
-    one pass over blocks of each patch's grid rows (``_weight_blocks``). A
-    target with ``at`` is read at the positions the weights' products give."""
-    x = rule.nodes.ravel()
-    A0 = _basis_values(space.config, x)
-    step = max(1, (1 << 17) // (8 * len(x)))  # no block is a memory map of its own
+    one pass over each patch, ``_ERROR_ELEMENTS`` elements' grid rows at a
+    time. A row of the tables A0 and A1 is nonzero only at the p+1
+    B-splines of its element, so the rows' |det DF| weights, positions and
+    member values are two products of the elements' blocks of A0 and A1
+    with X A0^T, Y A0^T, X A1^T, Y A1^T and U A0^T, formed once per patch
+    (X, Y the net's coordinates, U the member's grid). A target with ``at``
+    is read at the positions, any other by its ``jets``."""
+    x, w, g, m = rule.nodes.ravel(), rule.weights.ravel(), rule.order, rule.nodes.size
+    p, mult = space.config.p, space.config.p - space.config.r
+    rows = np.arange(m).reshape(rule.n, g)
+    cols = np.arange(rule.n)[:, None] * mult + np.arange(p + 1)  # each element's B-splines
     total = zz = 0.0
-    for i in range(len(space.geometry.patches)):
-        UA0 = space.combine(coeffs, i) @ A0.T
-        for rows, W, a0, XA0, YA0 in _weight_blocks(space, i, rule, step):
-            z = (fld.at(np.stack([(a0 @ XA0).ravel(), (a0 @ YA0).ravel()], 1), 0)[0]
-                 if hasattr(fld, "at") else fld.jets(i, x[rows], x, 0)[0]).reshape(W.shape)
+    for i, patch in enumerate(space.geometry.patches):
+        A0, A1 = (_basis_values(patch.space, x, d) for d in (0, 1))
+        X, Y = np.moveaxis(patch.net, -1, 0)
+        R = np.concatenate([X @ A0.T, Y @ A0.T, X @ A1.T, Y @ A1.T,
+                            space.combine(coeffs, i) @ A0.T], axis=1)
+        A0, A1 = (A[rows[:, :, None], cols[:, None]] for A in (A0, A1))  # (n, g, p+1)
+        for e in (slice(e, e + _ERROR_ELEMENTS) for e in range(0, rule.n, _ERROR_ELEMENTS)):
+            x0, y0, xd, yd, u = (A0[e] @ R[cols[e]]).reshape(-1, 5, m).transpose(1, 0, 2)
+            x1, y1 = (A1[e] @ R[cols[e], : 2 * m]).reshape(-1, 2, m).transpose(1, 0, 2)
+            W = np.abs(x1 * yd - y1 * xd) * np.outer(w[rows[e]], w)
+            z = (fld.at(np.stack([x0.ravel(), y0.ravel()], 1), 0)[0] if hasattr(fld, "at")
+                 else fld.jets(i, x[rows[e]].ravel(), x, 0)[0]).reshape(W.shape)
             zz += float((W * z**2).sum())
-            total += float((W * (a0 @ UA0 - z) ** 2).sum())
+            total += float((W * (u - z) ** 2).sum())
     return total, zz
 
 
