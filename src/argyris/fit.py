@@ -92,21 +92,35 @@ def _check_rule(space, rule):
 
 def _patch_weights(space, i, rule):
     """Quadrature weights times |det DF| on the tensor grid of one patch, an
-    (m, m) array over the m nodes of each direction; det DF needs
-    first-derivative tables only."""
-    patch = space.geometry.patches[i]
-    x = rule.nodes.ravel()
+    (m, m) array over the m nodes of each direction."""
+    return next(_patch_blocks(space, i, rule, rule.n))[1]
+
+
+def _patch_blocks(space, i, rule, step, grid=None):
+    """``_patch_weights`` by blocks of ``step`` elements' grid rows, as (rows,
+    weights, x, y, u) with x, y the positions and u the values of the
+    coefficient grid ``grid`` (N, N), if given. A row of the tables A0 and
+    A1 is nonzero only at the p+1 B-splines of its element, so a block is
+    two products of the elements' blocks of A0 and A1 with X A0^T, Y A0^T,
+    X A1^T, Y A1^T and grid A0^T (X, Y the net's coordinates), formed once
+    per patch; det DF needs first-derivative tables only."""
+    patch, cfg = space.geometry.patches[i], space.config
+    x, w, m = rule.nodes.ravel(), rule.weights.ravel(), rule.nodes.size
+    rows = np.arange(m).reshape(rule.n, rule.order)
+    cols = np.arange(rule.n)[:, None] * (cfg.p - cfg.r) + np.arange(cfg.p + 1)  # (n, p+1)
     A0, A1 = (_basis_values(patch.space, x, d) for d in (0, 1))
     X, Y = np.moveaxis(patch.net, -1, 0)
-    det = A1 @ (X @ A0.T)  # formed in place: the grid is large
-    det *= A0 @ (Y @ A1.T)
-    t = A1 @ (Y @ A0.T)
-    t *= A0 @ (X @ A1.T)
-    det -= t
-    np.abs(det, out=det)
-    w = rule.weights.ravel()
-    det *= np.outer(w, w)
-    return det
+    R = np.concatenate([F @ A.T for A, F in [(A0, X), (A0, Y), (A1, X), (A1, Y)]
+                        + ([(A0, grid)] if grid is not None else [])], axis=1)
+    A0, A1 = (A[rows[:, :, None], cols[:, None]] for A in (A0, A1))  # (n, g, p+1)
+    for e in (slice(e, e + step) for e in range(0, rule.n, step)):
+        x0, y0, xd, yd, *u = (A0[e] @ R[cols[e]]).reshape(-1, len(R.T) // m, m).transpose(1, 0, 2)
+        x1, y1 = (A1[e] @ R[cols[e], : 2 * m]).reshape(-1, 2, m).transpose(1, 0, 2)
+        det = x1 * yd
+        det -= y1 * xd
+        np.abs(det, out=det)
+        det *= np.outer(w[rows[e]], w)
+        yield rows[e], det, x0, y0, *u
 
 
 class MassOperator:
@@ -213,29 +227,15 @@ _ERROR_ELEMENTS = 4
 def _integral_sq(space, coeffs, fld, rule):
     """int (u_c - z)^2 and int z^2 by the same element-wise quadrature, in
     one pass over each patch, ``_ERROR_ELEMENTS`` elements' grid rows at a
-    time. A row of the tables A0 and A1 is nonzero only at the p+1
-    B-splines of its element, so the rows' |det DF| weights, positions and
-    member values are two products of the elements' blocks of A0 and A1
-    with X A0^T, Y A0^T, X A1^T, Y A1^T and U A0^T, formed once per patch
-    (X, Y the net's coordinates, U the member's grid). A target with ``at``
-    is read at the positions, any other by its ``jets``."""
-    x, w, g, m = rule.nodes.ravel(), rule.weights.ravel(), rule.order, rule.nodes.size
-    p, mult = space.config.p, space.config.p - space.config.r
-    rows = np.arange(m).reshape(rule.n, g)
-    cols = np.arange(rule.n)[:, None] * mult + np.arange(p + 1)  # each element's B-splines
+    time (``_patch_blocks``). A target with ``at`` is read at the rows'
+    positions, any other by its ``jets``."""
+    x = rule.nodes.ravel()
     total = zz = 0.0
-    for i, patch in enumerate(space.geometry.patches):
-        A0, A1 = (_basis_values(patch.space, x, d) for d in (0, 1))
-        X, Y = np.moveaxis(patch.net, -1, 0)
-        R = np.concatenate([X @ A0.T, Y @ A0.T, X @ A1.T, Y @ A1.T,
-                            space.combine(coeffs, i) @ A0.T], axis=1)
-        A0, A1 = (A[rows[:, :, None], cols[:, None]] for A in (A0, A1))  # (n, g, p+1)
-        for e in (slice(e, e + _ERROR_ELEMENTS) for e in range(0, rule.n, _ERROR_ELEMENTS)):
-            x0, y0, xd, yd, u = (A0[e] @ R[cols[e]]).reshape(-1, 5, m).transpose(1, 0, 2)
-            x1, y1 = (A1[e] @ R[cols[e], : 2 * m]).reshape(-1, 2, m).transpose(1, 0, 2)
-            W = np.abs(x1 * yd - y1 * xd) * np.outer(w[rows[e]], w)
+    for i in range(len(space.geometry.patches)):
+        grid = space.combine(coeffs, i)
+        for rows, W, x0, y0, u in _patch_blocks(space, i, rule, _ERROR_ELEMENTS, grid):
             z = (fld.at(np.stack([x0.ravel(), y0.ravel()], 1), 0)[0] if hasattr(fld, "at")
-                 else fld.jets(i, x[rows[e]].ravel(), x, 0)[0]).reshape(W.shape)
+                 else fld.jets(i, x[rows].ravel(), x, 0)[0]).reshape(W.shape)
             zz += float((W * z**2).sum())
             total += float((W * (u - z) ** 2).sum())
     return total, zz
