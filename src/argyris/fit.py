@@ -110,11 +110,11 @@ def _patch_blocks(space, i, rule, step, grid=None):
     cols = np.arange(rule.n)[:, None] * (cfg.p - cfg.r) + np.arange(cfg.p + 1)  # (n, p+1)
     A0, A1 = (_basis_values(patch.space, x, d) for d in (0, 1))
     X, Y = np.moveaxis(patch.net, -1, 0)
-    R = np.concatenate([F @ A.T for A, F in [(A0, X), (A0, Y), (A1, X), (A1, Y)]
-                        + ([(A0, grid)] if grid is not None else [])], axis=1)
+    R = [X @ A0.T, Y @ A0.T, X @ A1.T, Y @ A1.T] + ([] if grid is None else [grid @ A0.T])
+    R = np.concatenate(R, axis=1)
     A0, A1 = (A[rows[:, :, None], cols[:, None]] for A in (A0, A1))  # (n, g, p+1)
     for e in (slice(e, e + step) for e in range(0, rule.n, step)):
-        x0, y0, xd, yd, *u = (A0[e] @ R[cols[e]]).reshape(-1, len(R.T) // m, m).transpose(1, 0, 2)
+        x0, y0, xd, yd, *u = (A0[e] @ R[cols[e]]).reshape(-1, R.shape[1] // m, m).transpose(1, 0, 2)
         x1, y1 = (A1[e] @ R[cols[e], : 2 * m]).reshape(-1, 2, m).transpose(1, 0, 2)
         det = x1 * yd
         det -= y1 * xd
@@ -259,9 +259,10 @@ def l2_fit(space, fld, rule=None, *, start=None):
     """Least-squares fit of a field in the smooth space.
 
     Solves the diagonally scaled normal equations by conjugate gradients to
-    a relative residual of CG_RTOL, preconditioned by fast diagonalization
-    on the patch interiors and an exact solve with the edge and vertex
-    block (``solver``); the relative L2 error is integrated
+    a relative residual of CG_RTOL, preconditioned by symmetric block
+    Gauss-Seidel over fast diagonalization on the patch interiors and an
+    exact solve with the edge and vertex block (``solver``); the relative
+    L2 error is integrated
     with a verification rule three orders finer than the assembly rule, so
     the reported value is quadrature-saturated at every level. A rule whose
     nodes do not determine the univariate space (too few points per element)
