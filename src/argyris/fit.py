@@ -236,9 +236,9 @@ def _integral_sq(space, coeffs, fld, rule):
         for rows, W, x0, y0, u in _patch_blocks(space, i, rule, _ERROR_ELEMENTS, grid):
             z = (fld.at(np.stack([x0.ravel(), y0.ravel()], 1), 0)[0] if hasattr(fld, "at")
                  else fld.jets(i, x[rows].ravel(), x, 0)[0]).reshape(W.shape)
-            zz += float((W * z**2).sum())
-            total += float((W * (u - z) ** 2).sum())
-    return total, zz
+            u -= z
+            zz, total = zz + np.vdot(W, z * z), total + np.vdot(W, u * u)
+    return float(total), float(zz)
 
 
 @dataclass

@@ -16,6 +16,8 @@ prolonged fit of n = 16 (nested iteration: Brandt, Math. Comp. 1977); its
 coefficients give a Lanczos estimate of the condition number.
 """
 
+import math
+
 import numpy as np
 
 from .bspline import _basis_values
@@ -228,9 +230,9 @@ def _interface_mass(space, W, rule, start):
     the K columns that touch an element's (p+1)^2 rows has the values X_e =
     (across (x) along_e) Z_e at its g^2 nodes. G sums the upper triangles of
     X_e^T (w_e o X_e), batched over elements, and is mirrored with one sort
-    of its columns, so it is exactly symmetric; the coupling sums, a few
-    patches at a time, the rows of (across (x) along_e)^T (w_e o X_e) at
-    interior B-splines times their coefficient. Both cost O(n).
+    of its columns, so it is exactly symmetric; the coupling sums the rows
+    of (across (x) along_e)^T (w_e o X_e) at interior B-splines times their
+    coefficient. Both cost O(n).
     """
     cfg, C = space.config, space.C
     p, n, g, N, P = cfg.p, rule.n, rule.order, space.N, len(W)
@@ -275,19 +277,16 @@ def _interface_mass(space, W, rule, start):
     icol = C.indptr[inner // per * N * N + turned[inner % sides, a[at], b[inner, at]]]
     icol, ival = C.indices[icol], C.data[icol, None]
     del a, b, turned
-    # batches of whole patches, or of parts of one patch, each padded to the
-    # most columns in the batch
-    group = max(1, _ELEMENTS_PER_BATCH // per) * per
-    lo = np.concatenate([np.arange(g, min(g + group, P * per), _ELEMENTS_PER_BATCH)
-                         for g in range(0, P * per, group)])
-    hi = np.minimum(lo + _ELEMENTS_PER_BATCH, np.minimum(lo // group * group + group, P * per))
+    # batches of elements, each padded to the most columns in the batch
+    lo = np.arange(0, P * per, _ELEMENTS_PER_BATCH)
+    hi = np.minimum(lo + _ELEMENTS_PER_BATCH, P * per)
     A0 = _basis_values(cfg, rule.nodes.ravel())
     e = np.arange(ne)[:, None, None]
     along = A0[e * g + np.arange(g)[:, None], e * mult + np.arange(p + 1)]  # (ne, g, p+1)
     w = np.stack([rotate_net(W.transpose(1, 2, 0), s)[:g, : ne * g] for s in range(sides)])
     w = w.reshape(sides, g, ne, g, -1).transpose(4, 2, 0, 1, 3).reshape(-1, g * g, 1)
     across = A0[:g, : p + 1]
-    parts, pieces, cparts, done = [], [], [], 0
+    parts, cparts = [], []
     for lo, hi, i0, i1, j0, j1 in zip(lo, hi, el.searchsorted(lo), el.searchsorted(hi),
                                       inner.searchsorted(lo), inner.searchsorted(hi)):
         K, along_e = count[lo:hi].max(), along[np.arange(lo, hi) // sides % ne, None]
@@ -307,11 +306,9 @@ def _interface_mass(space, W, rule, start):
         cparts.append((icol[j0:j1].repeat(K)[keep.ravel()], k[t][keep],
                        (ival[j0:j1] * Y[t, at[j0:j1]])[keep]))
         del Z, X, wX, Y
-        if hi % group == 0 or hi == P * per:  # its patches are done: sum their coupling rows
-            (rows, cols, vals), cparts = map(np.concatenate, zip(*cparts)), []
-            q = CSRMatrix.from_triplets(rows - done, cols, vals, (hi // per * (N - 4) ** 2 - done, size))
-            pieces, done = pieces + [(np.diff(q.indptr), q.indices, q.data)], done + q.shape[0]
-    del el, local, val, slot, column, first, inner, at, icol, ival, w, cparts
+    del el, local, val, slot, column, first, inner, at, icol, ival, w
+    coupling = CSRMatrix.from_triplets(*map(np.concatenate, zip(*cparts)), (start, size))
+    del cparts
     (rows, cols, vals), parts = map(np.concatenate, zip(*parts)), None
     U = CSRMatrix.from_triplets(rows, cols, vals, (size, size))
     del rows, cols, vals
@@ -324,12 +321,19 @@ def _interface_mass(space, W, rule, start):
     indices, data = np.empty_like(at), np.empty(len(at))
     indices[at], data[at] = np.r_[U.row_ids[low], U.indices], np.r_[U.data[low], U.data]
     G = CSRMatrix(U.indptr + np.r_[0, cum], indices, data, U.shape)
-    del U, off, low, at
-    counts, indices, data = map(np.concatenate, zip(*pieces))
-    return G, CSRMatrix(np.r_[0, np.cumsum(counts)], indices, data, (start, size))
+    return G, coupling
 
 
-def _block_preconditioner(space, G, coupling):
+def _work(work, i, shape):
+    """A view of the given shape into the flat array work[i], which is first
+    replaced by a larger one if it is too small: applies that run one after
+    the other share their scratch space."""
+    if work[i].size < math.prod(shape):
+        work[i] = np.empty(math.prod(shape))
+    return work[i][: math.prod(shape)].reshape(shape)
+
+
+def _block_preconditioner(space, G, coupling, work=None):
     """Symmetric block Gauss-Seidel approximate inverse of the Jacobi-scaled
     mass A, given its edge and vertex block G and the interior rows' block
     A_IG in those columns (``CSRMatrix``). The interior block, (N-4)^2 unit
@@ -339,16 +343,18 @@ def _block_preconditioner(space, G, coupling):
     z_G = G^-1 (r_G - A_GI z_I), y_I = z_I - P_I A_IG z_G (Axelsson, 1994;
     Eijkhout & Vassilevski, SIAM Review 33, 1991), which is K^T diag(P_I,
     G^-1) K with K = [I 0; -A_GI P_I I]: positive definite whenever P_I and
-    G are, also on curved patches. Each apply overwrites the vector it returns.
+    G are, also on curved patches. Each apply overwrites the vector it
+    returns; its scratch arrays are taken from ``work`` (``_work``).
     """
     P, m, ni = len(space.geometry.patches), space.N - 4, space.breakdown["patch"]
     interface = _interface_solver(G)
     lam, Q = np.linalg.eigh(_unit_interior_mass(space.config))  # (0, 0) if N <= 4
     L = 1.0 / np.outer(lam, lam)
     rows, cols, vals = coupling.row_ids, coupling.indices, coupling.data
-    y, t = np.empty(ni + G.shape[0]), np.empty(coupling.nnz)
+    work = [np.empty(0)] * 3 if work is None else work
+    y, t = np.empty(ni + G.shape[0]), _work(work, 0, (coupling.nnz,))
+    B1, B2 = _work(work, 1, (P, m, m)), _work(work, 2, (P, m, m))
     yI, yG = y[:ni].reshape(P, m, m), y[ni:]
-    B1, B2 = np.empty((P, m, m)), np.empty((P, m, m))
 
     def interior(R, out):  # out may be B2
         np.matmul(np.matmul(Q.T, R, out=B1), Q, out=B2)
@@ -366,16 +372,19 @@ def _block_preconditioner(space, G, coupling):
     return apply
 
 
-def _mass_apply(M, k=1):
+def _mass_apply(M, k=1, work=None):
     """x -> M x for a ``MassOperator`` M and x (dim,) or (dim, k), in work
     arrays made once: the terms of the products with C and C^T, each summed
     in stored order by a bincount (whose outputs are the only arrays an
-    apply makes), and A0 U_i, W_i o (A0 U_i A0^T) per patch i."""
+    apply makes), and A0 U_i, W_i o (A0 U_i A0^T) per patch i; ``work``
+    as in ``_work``, shared with the preconditioner within a solve."""
     C, A0, W = M.C, M._A0, M._W
     (rows, dim), (P, m, _), N = C.shape, W.shape, A0.shape[1]
     into = C.row_ids if k == 1 else (C.row_ids[:, None] * k + np.arange(k)).ravel()
     back = C.indices if k == 1 else (np.arange(k)[:, None] * dim + C.indices).ravel()
-    t, AU, T, V = np.empty(C.nnz * k), np.empty((k, m, N)), np.empty((k, m, m)), np.empty((k, P, N, N))
+    work = [np.empty(0)] * 3 if work is None else work
+    t, T, V = _work(work, 0, (C.nnz * k,)), _work(work, 1, (k, m, m)), _work(work, 2, (k, P, N, N))
+    AU = np.empty((k, m, N))
     TA = AU.reshape(k, N, m)  # A0^T T overwrites A0 U, which it no longer needs
 
     def apply(x):
@@ -404,7 +413,9 @@ def _solve_scaled(space, M, rhs, x0=None):
     A = M.scaled(s)
     if x0 is not None:
         x0 /= s
-    precond = _block_preconditioner(space, A.interface, A.coupling)
-    y, iterations, cond = _pcg(_mass_apply(A), s * rhs, precond, x0)
+    work = [np.empty(0)] * 3  # shared by the mass apply and the preconditioner
+    apply = _mass_apply(A, 1, work)
+    precond = _block_preconditioner(space, A.interface, A.coupling, work)
+    y, iterations, cond = _pcg(apply, s * rhs, precond, x0)
     y *= s
     return y, iterations, cond
