@@ -26,14 +26,6 @@ from .multipatch import rotate_net
 from .space import CSRMatrix, _sorted
 
 
-def _distinct(a):
-    """Sorted distinct values of an integer array: np.unique without
-    return_inverse, whose first call imports numpy.ma (about 15 ms)."""
-    a = np.sort(np.ravel(a))
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = a[1:] != a[:-1]
-    return a[first]
-
 #: conjugate gradients stop once ||r|| <= CG_RTOL ||b|| on the scaled system
 CG_RTOL = 1e-12
 CG_MAXITER = 2000
@@ -138,8 +130,9 @@ def _levels(G):
             seen[start] = True
             part = [np.array([start])]
             while True:
-                reached = G.take(part[-1]).indices
-                reached = _distinct(reached[~seen[reached]])
+                reached = seen.copy()
+                reached[G.take(part[-1]).indices] = True
+                reached = np.flatnonzero(reached > seen)  # sorted and new
                 if not len(reached):
                     break
                 seen[reached] = True
