@@ -12,8 +12,7 @@ conversion, a knot insertion or a product with a linear polynomial is one
 call on a sampler of the result) is that table applied to one sample of the
 function, checked for reproduction. Tensor-product splines are
 evaluated on tensor grids by sum factorization over per-direction basis
-tables (``grid_jet``); sides and corners of a patch are grids with one
-singleton direction. Every value and derivative comes from one recurrence
+tables (``grid_jet``). Every value and derivative comes from one recurrence
 (``UnivariateSpace.basis_ders``): the Cox–de Boor triangle, whose support
 lengths also divide in the derivative rule. A basis table (``_basis_values``) is
 made once per (space, points, derivative order) and returned read-only to
@@ -425,17 +424,12 @@ class TensorSpline:
         derivative pair (a, b) is the product ``A_a @ coeffs @ B_b^T`` of
         dense per-direction collocation tables (Antolin, Buffa, Calabro,
         Martinelli & Sangalli, CMAME 2015), so the basis is evaluated
-        len(x1) + len(x2) times instead of len(x1) * len(x2) times. The
-        shorter direction is contracted first, so a patch side costs one pass
-        over the coefficients.
+        len(x1) + len(x2) times instead of len(x1) * len(x2) times. The x2
+        direction is contracted first; the sides of a patch are read through
+        ``_unit_jets``, not here.
         """
         x1 = np.atleast_1d(np.asarray(x1, dtype=float))
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-        if len(x1) < len(x2):  # contract the shorter direction first
-            flip = TensorSpline(self.space, self.coeffs.swapaxes(0, 1))
-            out = flip.grid_jet(x2, x1, nderiv)
-            out = out.reshape((len(x2), len(x1)) + out.shape[1:]).swapaxes(0, 1)
-            return out.swapaxes(2, 3).reshape((len(x1) * len(x2),) + out.shape[2:])
         top = _basis_values(self.space, x2, nderiv)  # basis_ders checks the order
         B = np.stack([_basis_values(self.space, x2, b) for b in range(nderiv)] + [top])
         # CB[i, q2, b, ...] = sum_j coeffs[i, j, ...] B_b[q2, j]

@@ -221,11 +221,11 @@ def _interface_mass(space, W, rule, start):
     turned s quarter turns (the symmetric node grid maps onto itself): the
     elements (0, 0..n-2), or the single element when n = 1. The block Z_e of
     the K columns that touch an element's (p+1)^2 rows has the values X_e =
-    (across (x) along_e) Z_e at its g^2 nodes. G sums the upper triangles of
-    X_e^T (w_e o X_e), batched over elements, and is mirrored with one sort
-    of its columns, so it is exactly symmetric; the coupling sums the rows
-    of (across (x) along_e)^T (w_e o X_e) at interior B-splines times their
-    coefficient. Both cost O(n).
+    (across (x) along_e) Z_e at its g^2 nodes. G is the sum U of the upper
+    triangles of X_e^T (w_e o X_e), batched over elements, plus U's strict
+    upper triangle transposed, so it is exactly symmetric; the coupling sums
+    the rows of (across (x) along_e)^T (w_e o X_e) at interior B-splines
+    times their coefficient. Both cost O(n).
     """
     cfg, C = space.config, space.C
     p, n, g, N, P = cfg.p, rule.n, rule.order, space.N, len(W)
@@ -266,10 +266,9 @@ def _interface_mass(space, W, rule, start):
     a, b = np.divmod(np.arange((p + 1) ** 2), p + 1)
     b = ids // sides % ne * mult + b
     inner, at = np.nonzero((a >= 2) & (a <= N - 3) & (b >= 2) & (b <= N - 3))
-    turned = np.stack([rotate_net(np.arange(N * N).reshape(N, N), s) for s in range(sides)])
-    icol = C.indptr[inner // per * N * N + turned[inner % sides, a[at], b[inner, at]]]
+    icol = C.indptr[inner // per * N * N + space._rows[inner % sides, a[at], b[inner, at]]]
     icol, ival = C.indices[icol], C.data[icol, None]
-    del a, b, turned
+    del a, b
     # batches of elements, each padded to the most columns in the batch
     lo = np.arange(0, P * per, _ELEMENTS_PER_BATCH)
     hi = np.minimum(lo + _ELEMENTS_PER_BATCH, P * per)
@@ -305,15 +304,10 @@ def _interface_mass(space, W, rule, start):
     (rows, cols, vals), parts = map(np.concatenate, zip(*parts)), None
     U = CSRMatrix.from_triplets(rows, cols, vals, (size, size))
     del rows, cols, vals
-    # row i of G is column i of U's strict upper triangle, which a sort of
-    # its columns alone puts in row order, then row i of U
-    off = np.flatnonzero(U.row_ids != U.indices)
-    low = off[_sorted(U.indices[off], size)[1]]
-    cum = np.cumsum(np.bincount(U.indices[off], minlength=size))
-    at = np.r_[np.arange(len(low)) + U.indptr[U.indices[low]], np.arange(U.nnz) + cum[U.row_ids]]
-    indices, data = np.empty_like(at), np.empty(len(at))
-    indices[at], data[at] = np.r_[U.row_ids[low], U.indices], np.r_[U.data[low], U.data]
-    G = CSRMatrix(U.indptr + np.r_[0, cum], indices, data, U.shape)
+    # G is U plus U's strict upper triangle transposed
+    off = U.row_ids != U.indices
+    G = CSRMatrix.from_triplets(np.r_[U.row_ids, U.indices[off]], np.r_[U.indices, U.row_ids[off]],
+                                np.r_[U.data, U.data[off]], U.shape)
     return G, coupling
 
 

@@ -16,7 +16,7 @@ from argyris.multipatch import CORNER_UV, edge_frames
 from argyris.space import _PRODUCT_ROWS, BasisId, CSRMatrix, VERTEX_INDEX_ORDER, _edge_index_set
 from argyris import TensorSpline, UnivariateSpace, bspline, load_geometry, save_geometry
 from argyris.errors import TopologyError
-from argyris.multipatch import MultiPatch, Patch, VertexRecord
+from argyris.multipatch import MultiPatch, VertexRecord
 from conftest import member_jet, pointwise_jet, rotate_grid, square_grid_geometry
 
 AS_G1_BUILTINS = (
@@ -698,7 +698,7 @@ def test_refined_space_on_carried_gluing_matches_a_rebuild(name, config, levels)
 
     carried = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(*config)))
     for _ in range(levels):
-        carried = carried._refined(refine(carried.geometry))
+        carried = carried._refined()
         fresh = ArgyrisSpace(carried.geometry)
         assert carried.dim == fresh.dim
         A, B = csc(carried.C), csc(fresh.C)
@@ -712,24 +712,32 @@ def test_refined_space_on_carried_gluing_matches_a_rebuild(name, config, levels)
                                                rtol=0, atol=1e-12)
 
 
-def test_refined_space_fits_no_gluing_and_refuses_other_geometry(mp_three, mp_two, monkeypatch):
+def test_refined_space_fits_no_gluing_and_refuses_other_geometry(mp_three, monkeypatch):
     # the carried data serve the refinement of the space's own geometry
-    # alone: another mesh, map or topology would get data that are not its own
+    # alone, which the space makes itself: no other geometry can be passed
     import argyris.space
 
     sp = ArgyrisSpace(mp_three)
-    moved = refine(mp_three)
-    net = moved.patches[0].net.copy()
-    net[3, 3] += 1e-3
-    moved.patches[0] = Patch(moved.config, net)
-    for other in (mp_three, refine(refine(mp_three)), refine(mp_two), moved):
-        with pytest.raises(InvalidConfigError, match="not the refinement"):
-            sp._refined(other)
+    with pytest.raises(TypeError):
+        sp._refined(refine(mp_three))
     fits = []
     monkeypatch.setattr(argyris.space, "fit_asg1", lambda *a, **k: fits.append(a))
-    fine = sp._refined(refine(mp_three))
+    fine = sp._refined()
     assert fits == []
     assert all(fine.gluing[e] is g for e, g in sp.gluing.items())
+
+
+@pytest.mark.parametrize("name", ["three_patch_bilinear", "five_patch_bilinear",
+                                  "two_patch_curved_asg1"])
+def test_refined_space_is_built_on_the_refinement_of_its_geometry(name):
+    # the carried gluing data are the refined geometry's own because that
+    # geometry is refine's, net for net and bit for bit, on the same edges
+    sp = ArgyrisSpace(builtin_geometry(name, UnivariateSpace(3, 1, 4)))
+    fine, want = sp._refined().geometry, refine(sp.geometry)
+    assert fine.config == want.config == UnivariateSpace(3, 1, 8)
+    assert fine.edges == want.edges and len(fine.patches) == len(want.patches)
+    for P, Q in zip(fine.patches, want.patches):
+        assert P.net.tobytes() == Q.net.tobytes()
 
 
 # --- sparse product -------------------------------------------------------------
