@@ -304,7 +304,6 @@ def _interface_mass(space, W, rule, start):
     (rows, cols, vals), parts = map(np.concatenate, zip(*parts)), None
     U = CSRMatrix.from_triplets(rows, cols, vals, (size, size))
     del rows, cols, vals
-    # G is U plus U's strict upper triangle transposed
     off = U.row_ids != U.indices
     G = CSRMatrix.from_triplets(np.r_[U.row_ids, U.indices[off]], np.r_[U.indices, U.row_ids[off]],
                                 np.r_[U.data, U.data[off]], U.shape)
