@@ -424,12 +424,16 @@ class TensorSpline:
         derivative pair (a, b) is the product ``A_a @ coeffs @ B_b^T`` of
         dense per-direction collocation tables (Antolin, Buffa, Calabro,
         Martinelli & Sangalli, CMAME 2015), so the basis is evaluated
-        len(x1) + len(x2) times instead of len(x1) * len(x2) times. The x2
-        direction is contracted first; the sides of a patch are read through
-        ``_unit_jets``, not here.
+        len(x1) + len(x2) times instead of len(x1) * len(x2) times. The
+        shorter direction is contracted first: the error integral reads a
+        member on blocks of a few rows, and contracts each only once.
         """
         x1 = np.atleast_1d(np.asarray(x1, dtype=float))
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
+        if len(x1) < len(x2):  # contract the shorter direction first
+            out = TensorSpline(self.space, self.coeffs.swapaxes(0, 1)).grid_jet(x2, x1, nderiv)
+            out = out.reshape((len(x2), len(x1)) + out.shape[1:]).swapaxes(0, 1).swapaxes(2, 3)
+            return out.reshape((len(x1) * len(x2),) + out.shape[2:])
         top = _basis_values(self.space, x2, nderiv)  # basis_ders checks the order
         B = np.stack([_basis_values(self.space, x2, b) for b in range(nderiv)] + [top])
         # CB[i, q2, b, ...] = sum_j coeffs[i, j, ...] B_b[q2, j]

@@ -344,8 +344,8 @@ def test_tensor_jet_matches_spline_jet():
 @pytest.mark.parametrize("extra", [(), (2,)])
 def test_tensor_grid_jet_matches_spline_jet(extra):
     # unequal grid lengths in both orders and asymmetric coefficients, so a
-    # swapped direction shows; the grids hold 0, 1 and every breakpoint,
-    # where one-sided limits differ
+    # swapped direction in the flipped contraction shows; the grids hold 0, 1
+    # and every breakpoint, where one-sided limits differ
     space = UnivariateSpace(3, 1, 4)
     rng = np.random.default_rng(6)
     coeffs = rng.normal(size=(space.N, space.N) + extra)

@@ -712,14 +712,12 @@ def test_refined_space_on_carried_gluing_matches_a_rebuild(name, config, levels)
                                                rtol=0, atol=1e-12)
 
 
-def test_refined_space_fits_no_gluing_and_refuses_other_geometry(mp_three, monkeypatch):
-    # the carried data serve the refinement of the space's own geometry
-    # alone, which the space makes itself: no other geometry can be passed
+def test_refined_space_fits_no_gluing(mp_three, monkeypatch):
+    # the carried data serve the refinement of the space's own geometry,
+    # which the space makes itself
     import argyris.space
 
     sp = ArgyrisSpace(mp_three)
-    with pytest.raises(TypeError):
-        sp._refined(refine(mp_three))
     fits = []
     monkeypatch.setattr(argyris.space, "fit_asg1", lambda *a, **k: fits.append(a))
     fine = sp._refined()
